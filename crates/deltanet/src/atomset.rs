@@ -123,20 +123,35 @@ impl AtomSet {
         self.len = 0;
     }
 
+    /// The atoms of word `wi` whose bits are set in `w`, in increasing order.
+    fn word_atoms(wi: usize, mut w: u64) -> impl Iterator<Item = AtomId> {
+        std::iter::from_fn(move || {
+            if w == 0 {
+                None
+            } else {
+                let bit = w.trailing_zeros() as usize;
+                w &= w - 1;
+                Some(AtomId((wi * WORD_BITS + bit) as u32))
+            }
+        })
+    }
+
     /// Iterates the atoms in increasing id order.
     pub fn iter(&self) -> impl Iterator<Item = AtomId> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &word)| {
-            let mut w = word;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let bit = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    Some(AtomId((wi * WORD_BITS + bit) as u32))
-                }
-            })
-        })
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(wi, &word)| Self::word_atoms(wi, word))
+    }
+
+    /// Iterates `self ∩ other` in increasing id order, word by word, without
+    /// materializing the intersection.
+    pub fn iter_common<'a>(&'a self, other: &'a AtomSet) -> impl Iterator<Item = AtomId> + 'a {
+        self.words
+            .iter()
+            .zip(&other.words)
+            .enumerate()
+            .flat_map(|(wi, (&a, &b))| Self::word_atoms(wi, a & b))
     }
 
     /// In-place union: `self ← self ∪ other`. Returns whether `self` changed.
@@ -336,6 +351,17 @@ mod tests {
         let got: Vec<u32> = s.iter().map(|a| a.0).collect();
         assert_eq!(got, vec![0, 3, 64, 70, 129]);
         assert_eq!(s.len(), 5);
+    }
+
+    #[test]
+    fn iter_common_matches_intersection() {
+        let a = set(&[1, 2, 3, 64, 100, 700]);
+        let b = set(&[0, 2, 64, 65, 100]);
+        let got: Vec<AtomId> = a.iter_common(&b).collect();
+        assert_eq!(got, a.intersection(&b).iter().collect::<Vec<_>>());
+        // The shorter side bounds the walk, whichever it is.
+        assert_eq!(b.iter_common(&a).collect::<Vec<_>>(), got);
+        assert_eq!(a.iter_common(&AtomSet::new()).count(), 0);
     }
 
     #[test]

@@ -101,7 +101,7 @@ pub(crate) fn render_blackholes<'a>(
             InvariantViolation::Blackhole { node, packets }
         })
         .collect();
-    out.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+    out.sort_by_cached_key(|v| format!("{v:?}"));
     out
 }
 

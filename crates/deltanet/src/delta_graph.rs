@@ -33,8 +33,10 @@ pub struct DeltaGraph {
     /// atom behaves exactly like the old one at the instant of the split),
     /// so they do not seed property checks and do not count towards
     /// [`DeltaGraph::affected_atoms`]; they exist so consumers that key
-    /// state by atom id — the [`crate::monitor::ViolationMonitor`] — can
-    /// clone that state for the new id before applying the label changes.
+    /// state by atom id — the [`crate::monitor::ViolationMonitor`] — learn
+    /// of the new id and recompute its state from the labels. After a
+    /// [`DeltaGraph::remap`] across a compaction pass, a split whose old
+    /// atom was reclaimed reads `old == new`.
     pub splits: Vec<DeltaPair>,
     /// Atom splits in the *secondary* field lattices of a multi-field
     /// engine, tagged with the secondary field index (0-based, in
@@ -161,8 +163,20 @@ impl DeltaGraph {
 
     /// Number of distinct atoms whose ownership changed — the per-update
     /// "affected packet classes" metric reported by the experiments.
+    ///
+    /// Runs on every update, so it sorts the delta's own atoms instead of
+    /// building the [`DeltaGraph::affected_atoms`] bitset, whose length
+    /// grows with the highest atom id rather than with the delta.
     pub fn affected_atom_count(&self) -> usize {
-        self.affected_atoms().len()
+        let mut atoms: Vec<AtomId> = self
+            .added
+            .iter()
+            .chain(&self.removed)
+            .map(|&(_, atom)| atom)
+            .collect();
+        atoms.sort_unstable();
+        atoms.dedup();
+        atoms.len()
     }
 
     /// Rewrites every recorded atom id through the remap table of a
@@ -173,10 +187,13 @@ impl DeltaGraph {
     /// drop out: a reclaimed atom merged into a label-identical lower
     /// neighbour, so consumers keying state by atom id lose nothing — the
     /// surviving neighbour carries the same labels. A split whose *new*
-    /// atom was reclaimed drops for the same reason; a split whose *old*
-    /// atom was reclaimed cannot name the state to clone from and drops
-    /// too (the new side, if live, already appears in the label changes
-    /// that made it distinguishable).
+    /// atom was reclaimed drops for the same reason. A split whose *old*
+    /// atom was reclaimed but whose new atom lives stays, as
+    /// `old == new`: there is no state left to clone from, but consumers
+    /// recompute a split's new atom from the labels anyway, and must still
+    /// hear of it — the rule that keeps the new atom distinguishable may
+    /// have changed labels only on the old, lower side, so the new atom
+    /// need not occur in any `(link, atom)` pair.
     pub fn remap(&mut self, remap: &[u32]) {
         let lookup = |atom: AtomId| -> Option<AtomId> {
             let new = remap.get(atom.index()).copied().unwrap_or(REMAP_DEAD);
@@ -193,14 +210,16 @@ impl DeltaGraph {
         };
         map_pairs(&mut self.added);
         map_pairs(&mut self.removed);
-        self.splits
-            .retain_mut(|pair| match (lookup(pair.old), lookup(pair.new)) {
-                (Some(old), Some(new)) => {
-                    *pair = DeltaPair { old, new };
-                    true
-                }
-                _ => false,
-            });
+        self.splits.retain_mut(|pair| match lookup(pair.new) {
+            Some(new) => {
+                *pair = DeltaPair {
+                    old: lookup(pair.old).unwrap_or(new),
+                    new,
+                };
+                true
+            }
+            None => false,
+        });
         // A compaction pass renumbers the secondary lattices too, but its
         // remap table covers only the primary field, so the recorded
         // secondary splits would be left holding stale ids. Dropping them is
@@ -224,6 +243,25 @@ impl DeltaGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn remap_keeps_a_split_whose_new_atom_lives() {
+        let pair = |old, new| DeltaPair {
+            old: AtomId(old),
+            new: AtomId(new),
+        };
+        let mut d = DeltaGraph::new();
+        d.split(pair(0, 1)); // both live
+        d.split(pair(2, 3)); // old reclaimed, new lives
+        d.split(pair(4, 5)); // new reclaimed
+        d.add(LinkId(0), AtomId(2));
+        d.remove(LinkId(1), AtomId(5));
+        d.add(LinkId(1), AtomId(4));
+        d.remap(&[0, 1, REMAP_DEAD, 2, 3, REMAP_DEAD]);
+        assert_eq!(d.splits, vec![pair(0, 1), pair(2, 2)]);
+        assert_eq!(d.added, vec![(LinkId(1), AtomId(3))]);
+        assert!(d.removed.is_empty());
+    }
 
     #[test]
     fn empty_and_clear() {

@@ -25,7 +25,7 @@
 use crate::atoms::{AtomId, AtomMap, DeltaPair};
 use crate::delta_graph::DeltaGraph;
 use crate::labels::Labels;
-use crate::loops;
+use crate::loops::{self, WalkScratch};
 use crate::monitor::ViolationMonitor;
 use crate::multifield::{self, MfClassState, MfScratch, MfView, SecClass};
 use crate::owner::Owner;
@@ -224,6 +224,9 @@ pub struct DeltaNet {
     /// allocation. Invariant: empty between updates (taken at the start of
     /// `insert_rule`, cleared and put back before the update returns).
     pair_scratch: Vec<DeltaPair>,
+    /// Scratch of the per-update loop check's successor walks, reused for
+    /// the same reason (see [`loops::WalkScratch`]).
+    walk_scratch: WalkScratch,
     /// When `Some(range)`, this engine owns only that contiguous slice of
     /// the address space: every applied rule interval is intersected with it
     /// before the update core runs. This is the per-shard building block of
@@ -272,6 +275,7 @@ impl DeltaNet {
             last_delta: DeltaGraph::new(),
             aggregate: None,
             pair_scratch: Vec::with_capacity(2),
+            walk_scratch: WalkScratch::default(),
             clip: None,
             monitor: config.monitor_violations.then(ViolationMonitor::new),
             sec_class_cache: None,
@@ -923,7 +927,13 @@ impl DeltaNet {
                 None => Vec::new(),
             }
         } else {
-            loops::find_loops_from_seeds(&self.topology, &self.labels, &self.atoms, &delta.added)
+            loops::find_loops_from_seeds_in(
+                &mut self.walk_scratch,
+                &self.topology,
+                &self.labels,
+                &self.atoms,
+                &delta.added,
+            )
         };
         if self.monitor.is_some() {
             if self.is_multifield() {
@@ -1197,7 +1207,7 @@ impl DeltaNet {
     /// The what-if link-failure query (§4.3.2): which packets (atoms) are
     /// using `link`, and which other links carry any of those packets.
     pub fn link_failure_impact(&self, link: LinkId, check_loops: bool) -> WhatIfReport {
-        let affected = self.labels.get(link).clone();
+        let affected = self.labels.get(link);
         let affected_packets = normalize(
             affected
                 .iter()
@@ -1206,7 +1216,7 @@ impl DeltaNet {
         );
         let mut affected_links: Vec<LinkId> = Vec::new();
         for (other, label) in self.labels.iter() {
-            if other != link && label.intersects(&affected) {
+            if other != link && label.intersects(affected) {
                 affected_links.push(other);
             }
         }
@@ -1220,11 +1230,11 @@ impl DeltaNet {
                     &self.topology,
                     &self.labels,
                     &self.atoms,
-                    &affected,
+                    affected,
                     |node, atom| self.successor_via_owner(node, atom),
                 )
             } else {
-                loops::find_loops_for_atoms(&self.topology, &self.labels, &self.atoms, &affected)
+                loops::find_loops_for_atoms(&self.topology, &self.labels, &self.atoms, affected)
             }
         } else {
             Vec::new()
@@ -1305,6 +1315,7 @@ impl DeltaNet {
             last_delta: DeltaGraph::new(),
             aggregate: None,
             pair_scratch: Vec::with_capacity(2),
+            walk_scratch: WalkScratch::default(),
             clip: parts.clip,
             monitor: parts.monitor,
             sec_class_cache: None,

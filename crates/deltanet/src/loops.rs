@@ -3,10 +3,24 @@
 //! Per atom, forwarding is deterministic: at any switch, at most one
 //! outgoing link carries a given atom (the link of the rule that owns the
 //! atom there), so the α-restricted graph is a functional graph and loop
-//! detection is a simple successor walk. The per-update check (§4.3.1
-//! "find in the delta-graph all forwarding loops") seeds the walk at the
-//! `(link, atom)` pairs that the update added; the data-plane-wide check
-//! used by the what-if experiments walks every link carrying the atom.
+//! detection is a successor walk. Every walk in this module — the
+//! per-update check, the monitor repair, the what-if scan and the full
+//! audits — is the one routine [`WalkScratch::walk`], which keeps its
+//! visited marks, path positions and path in generation-stamped vectors of
+//! node-count length and so allocates nothing per walk or per atom. Three
+//! callers differ only in where their walks start:
+//!
+//! * [`find_loops_from_seeds`] — the per-update check (§4.3.1 "find in the
+//!   delta-graph all forwarding loops"): one walk per `(link, atom)` pair
+//!   the update added. Cost: Σ walk length over the delta's added pairs.
+//! * [`cycles_for_atoms_via`] — a dense candidate set (the what-if query of
+//!   §4.3.2, the full audits, seeding a monitor): one word-wise pass over
+//!   the labels collects `label ∩ candidates` as a flat `(atom, source)`
+//!   list, then each atom's walks share visited marks. Cost:
+//!   O(links · atoms/64 + |emitters| log |emitters| + Σ walk length).
+//! * [`cycles_for_atom_list`] — a short explicit atom list (the monitor
+//!   repair): one `contains` probe per link finds an atom's emitters. Cost:
+//!   O(|atoms| · (links + walk length)), independent of the atom count.
 //!
 //! Detected loops are reported as [`InvariantViolation::ForwardingLoop`]
 //! with the cycle's nodes and the affected destination addresses as
@@ -18,7 +32,13 @@ use crate::labels::Labels;
 use netmodel::checker::InvariantViolation;
 use netmodel::interval::normalize;
 use netmodel::topology::{LinkId, NodeId, Topology};
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::collections::BTreeMap;
+
+/// A cycle → atoms map: every canonical node cycle with the atoms looping
+/// through it. The [`crate::monitor::ViolationMonitor`] keeps exactly this
+/// shape as live state, so a differential test reduces to map equality.
+pub(crate) type CycleMap = BTreeMap<Vec<NodeId>, AtomSet>;
 
 /// The unique link carrying `atom` out of `node`, if any.
 pub fn successor(
@@ -34,55 +54,119 @@ pub fn successor(
         .find(|&l| labels.contains(l, atom))
 }
 
-/// Walks the α-restricted functional graph from `start` and returns the
-/// cycle's nodes if the walk revisits a node on its own path.
-fn walk_for_cycle(
-    topology: &Topology,
-    labels: &Labels,
-    start: NodeId,
-    atom: AtomId,
-) -> Option<Vec<NodeId>> {
-    let mut path: Vec<NodeId> = Vec::new();
-    let mut on_path: HashMap<NodeId, usize> = HashMap::new();
-    let mut cur = start;
-    loop {
-        if let Some(&pos) = on_path.get(&cur) {
-            return Some(path[pos..].to_vec());
+/// Reusable state of the successor walk, owned by whoever walks repeatedly
+/// ([`crate::DeltaNet`] for the per-update check, the
+/// [`crate::monitor::ViolationMonitor`] for its repair) so the steady state
+/// allocates nothing. Marks are generation stamps: every walk takes the
+/// next stamp, and the walks of one atom are the stamps above `floor` — so
+/// starting a walk or an atom is a counter bump, never an O(nodes) clear.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct WalkScratch {
+    /// `stamp[n]`: the last walk that visited node `n`. Equal to `walk`:
+    /// `n` is on the current path; in `(floor, walk)`: an earlier walk of
+    /// the same atom explored `n`; otherwise unvisited.
+    stamp: Vec<u32>,
+    /// `pos[n]`: index of `n` in `path`, valid where `stamp[n] == walk`.
+    pos: Vec<u32>,
+    /// The current walk's path (at most one entry per node).
+    path: Vec<NodeId>,
+    floor: u32,
+    walk: u32,
+}
+
+impl WalkScratch {
+    /// Starts the walks of a new atom on a topology of `nodes` nodes:
+    /// forgets the previous atom's visited marks and, the first time (or
+    /// if the topology grew), sizes the three vectors.
+    fn begin_atom(&mut self, nodes: usize) {
+        if self.stamp.len() < nodes {
+            self.stamp.resize(nodes, 0);
+            self.pos.resize(nodes, 0);
+            self.path.reserve(nodes);
         }
-        on_path.insert(cur, path.len());
-        path.push(cur);
-        match successor(topology, labels, cur, atom) {
-            Some(link) => {
-                let next = topology.link(link).dst;
-                if topology.is_drop_node(next) {
-                    return None;
-                }
-                cur = next;
+        self.floor = self.walk;
+    }
+
+    /// Follows `succ` from `start` until the walk leaves the network (no
+    /// successor, or a drop node), joins a node an earlier walk of the same
+    /// atom explored (whatever cycle lies beyond was found then), or
+    /// revisits its own path — in which case the cycle is returned in
+    /// canonical rotation ([`rotate_to_canonical`]).
+    fn walk(
+        &mut self,
+        topology: &Topology,
+        start: NodeId,
+        mut succ: impl FnMut(NodeId) -> Option<LinkId>,
+    ) -> Option<&[NodeId]> {
+        if self.walk == u32::MAX {
+            // Stamp wrap-around: forget everything. Mid-atom this only
+            // costs re-exploring nodes; recording a cycle is idempotent.
+            self.stamp.fill(0);
+            self.floor = 0;
+            self.walk = 0;
+        }
+        self.walk += 1;
+        self.path.clear();
+        let mut cur = start;
+        loop {
+            let i = cur.index();
+            let seen = self.stamp[i];
+            if seen == self.walk {
+                let cycle = &mut self.path[self.pos[i] as usize..];
+                rotate_to_canonical(cycle);
+                return Some(cycle);
             }
-            None => return None,
-        }
-        if path.len() > topology.node_count() + 1 {
-            // Defensive: cannot happen because a functional graph revisits a
-            // node within |V| steps, but guards against label corruption.
-            return None;
+            if seen > self.floor {
+                return None;
+            }
+            self.stamp[i] = self.walk;
+            self.pos[i] = self.path.len() as u32;
+            self.path.push(cur);
+            let next = topology.link(succ(cur)?).dst;
+            if topology.is_drop_node(next) {
+                return None;
+            }
+            cur = next;
         }
     }
 }
 
-/// Canonical rotation of a cycle so that identical cycles discovered from
-/// different seeds compare equal.
-pub(crate) fn canonicalize(mut cycle: Vec<NodeId>) -> Vec<NodeId> {
-    if cycle.is_empty() {
-        return cycle;
-    }
+/// Rotates a cycle so its smallest node comes first: identical cycles
+/// discovered from different starts then compare equal.
+fn rotate_to_canonical(cycle: &mut [NodeId]) {
     let min_pos = cycle
         .iter()
         .enumerate()
         .min_by_key(|(_, n)| **n)
-        .map(|(i, _)| i)
-        .unwrap_or(0);
+        .map_or(0, |(i, _)| i);
     cycle.rotate_left(min_pos);
+}
+
+/// [`rotate_to_canonical`] on an owned cycle.
+pub(crate) fn canonicalize(mut cycle: Vec<NodeId>) -> Vec<NodeId> {
+    rotate_to_canonical(&mut cycle);
     cycle
+}
+
+/// Records that `atom` belongs to the violation identified by `key` (a
+/// canonical cycle; for the monitor also a blackhole switch); returns
+/// whether the identity was absent from the map. Looks the key up in
+/// borrowed form, so only a new identity allocates.
+pub(crate) fn admit<K, Q>(tracked: &mut BTreeMap<K, AtomSet>, key: &Q, atom: AtomId) -> bool
+where
+    K: Ord + Borrow<Q>,
+    Q: Ord + ToOwned<Owned = K> + ?Sized,
+{
+    match tracked.get_mut(key) {
+        Some(set) => {
+            set.insert(atom);
+            false
+        }
+        None => {
+            tracked.insert(key.to_owned(), AtomSet::from_iter([atom]));
+            true
+        }
+    }
 }
 
 /// Finds forwarding loops reachable from the given `(link, atom)` seeds —
@@ -96,16 +180,30 @@ pub fn find_loops_from_seeds(
     atoms: &AtomMap,
     seeds: &[(LinkId, AtomId)],
 ) -> Vec<InvariantViolation> {
-    let mut cycles: HashMap<Vec<NodeId>, AtomSet> = HashMap::new();
+    find_loops_from_seeds_in(&mut WalkScratch::default(), topology, labels, atoms, seeds)
+}
+
+/// [`find_loops_from_seeds`] on a caller-owned scratch: with a warm scratch
+/// a loop-free update allocates nothing.
+pub(crate) fn find_loops_from_seeds_in(
+    scratch: &mut WalkScratch,
+    topology: &Topology,
+    labels: &Labels,
+    atoms: &AtomMap,
+    seeds: &[(LinkId, AtomId)],
+) -> Vec<InvariantViolation> {
+    let mut cycles = CycleMap::new();
     for &(link, atom) in seeds {
         if !labels.contains(link, atom) {
             // The seed may have been superseded by a later change in an
             // aggregated delta-graph.
             continue;
         }
+        scratch.begin_atom(topology.node_count());
         let start = topology.link(link).src;
-        if let Some(cycle) = walk_for_cycle(topology, labels, start, atom) {
-            cycles.entry(canonicalize(cycle)).or_default().insert(atom);
+        if let Some(cycle) = scratch.walk(topology, start, |n| successor(topology, labels, n, atom))
+        {
+            admit(&mut cycles, cycle, atom);
         }
     }
     into_violations(cycles, atoms)
@@ -147,77 +245,65 @@ where
 }
 
 /// The cycle-level core of [`find_loops_for_atoms_via`]: every forwarding
-/// cycle any candidate atom traverses, as a map from the canonical cycle to
-/// the set of candidate atoms looping through it. The
-/// [`crate::monitor::ViolationMonitor`] maintains exactly this shape as live
-/// state, so it recomputes entries through the same function the full scans
-/// use — a differential test then reduces to map equality.
+/// cycle any candidate atom traverses.
 pub(crate) fn cycles_for_atoms_via<F>(
     topology: &Topology,
     labels: &Labels,
     candidates: &AtomSet,
     succ: F,
-) -> HashMap<Vec<NodeId>, AtomSet>
+) -> CycleMap
 where
     F: Fn(NodeId, AtomId) -> Option<LinkId>,
 {
-    // One pass over the labelled links collects, per candidate atom, the
-    // switches that emit it; the per-atom functional-graph walks then start
-    // only from those switches. This keeps the cost at
-    // O(L · |label ∩ candidates| + Σ_atom walk-length) instead of scanning
-    // every link once per atom.
-    let mut emitters: HashMap<AtomId, Vec<NodeId>> = HashMap::new();
+    // One word-wise pass over the labelled links lists, per candidate atom,
+    // the switches that emit it; sorted by atom, each atom's walks then run
+    // back to back and share visited marks.
+    let mut emitters: Vec<(AtomId, NodeId)> = Vec::new();
     for (link, label) in labels.iter() {
-        if !label.intersects(candidates) {
-            continue;
-        }
         let src = topology.link(link).src;
-        let mut common = label.clone();
-        common.intersect_with(candidates);
-        for atom in common.iter() {
-            emitters.entry(atom).or_default().push(src);
-        }
+        emitters.extend(label.iter_common(candidates).map(|atom| (atom, src)));
     }
+    emitters.sort_unstable();
 
-    let mut cycles: HashMap<Vec<NodeId>, AtomSet> = HashMap::new();
-    let mut visited = vec![false; topology.node_count()];
-    for (atom, sources) in emitters {
-        visited.iter_mut().for_each(|v| *v = false);
-        for &start in &sources {
-            if visited[start.index()] {
-                continue;
-            }
-            let mut cur = start;
-            let mut path: Vec<NodeId> = Vec::new();
-            let mut on_path: HashMap<NodeId, usize> = HashMap::new();
-            loop {
-                if visited[cur.index()] && !on_path.contains_key(&cur) {
-                    break; // joins an already-explored (acyclic) walk
-                }
-                if let Some(&pos) = on_path.get(&cur) {
-                    cycles
-                        .entry(canonicalize(path[pos..].to_vec()))
-                        .or_default()
-                        .insert(atom);
-                    break;
-                }
-                on_path.insert(cur, path.len());
-                path.push(cur);
-                visited[cur.index()] = true;
-                match succ(cur, atom) {
-                    Some(l) => {
-                        let next = topology.link(l).dst;
-                        if topology.is_drop_node(next) {
-                            break;
-                        }
-                        cur = next;
-                    }
-                    None => break,
-                }
-            }
+    let mut cycles = CycleMap::new();
+    let mut scratch = WalkScratch::default();
+    let mut current = None;
+    for &(atom, start) in &emitters {
+        if current != Some(atom) {
+            scratch.begin_atom(topology.node_count());
+            current = Some(atom);
+        }
+        if let Some(cycle) = scratch.walk(topology, start, |n| succ(n, atom)) {
+            admit(&mut cycles, cycle, atom);
         }
     }
     cycles
+}
+
+/// Every forwarding cycle each atom of a short explicit list traverses,
+/// handed to `found` as `(canonical cycle, atom)` — the monitor repair's
+/// entry point. An atom's emitters come from one `contains` probe per link,
+/// so the cost depends on the list and the topology, not the atom count.
+pub(crate) fn cycles_for_atom_list(
+    scratch: &mut WalkScratch,
+    topology: &Topology,
+    labels: &Labels,
+    atoms: &[AtomId],
+    mut found: impl FnMut(&[NodeId], AtomId),
+) {
+    for &atom in atoms {
+        scratch.begin_atom(topology.node_count());
+        for link in topology.links() {
+            if !labels.contains(link.id, atom) {
+                continue;
+            }
+            if let Some(cycle) =
+                scratch.walk(topology, link.src, |n| successor(topology, labels, n, atom))
+            {
+                found(cycle, atom);
+            }
+        }
+    }
 }
 
 /// Checks the entire data plane for forwarding loops over all atoms.
@@ -252,7 +338,7 @@ pub(crate) fn into_violations(
         })
         .collect();
     // Deterministic order for reporting and tests.
-    out.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+    out.sort_by_cached_key(|v| format!("{v:?}"));
     out
 }
 
@@ -415,5 +501,50 @@ mod tests {
             InvariantViolation::ForwardingLoop { nodes, .. } => assert_eq!(nodes, &vec![n[0]]),
             other => panic!("unexpected violation {other:?}"),
         }
+    }
+
+    #[test]
+    fn walks_of_one_atom_share_visited_marks_and_atoms_do_not() {
+        // s0 -> s1 -> s2 -> s1: a tail into a two-node cycle.
+        let mut topo = Topology::new();
+        let n = topo.add_nodes("s", 3);
+        let links = [
+            topo.add_link(n[0], n[1]),
+            topo.add_link(n[1], n[2]),
+            topo.add_link(n[2], n[1]),
+        ];
+        let mut labels = Labels::new();
+        for atom in [AtomId(0), AtomId(1)] {
+            for link in links {
+                labels.insert(link, atom);
+            }
+        }
+        let mut scratch = WalkScratch::default();
+        for atom in [AtomId(0), AtomId(1)] {
+            let succ = |node| successor(&topo, &labels, node, atom);
+            scratch.begin_atom(topo.node_count());
+            // From the tail the walk finds the cycle, rotated to its
+            // smallest node; a second walk of the same atom stops where it
+            // joins the first, and the next atom starts from a clean slate.
+            assert_eq!(scratch.walk(&topo, n[0], succ), Some(&[n[1], n[2]][..]));
+            assert_eq!(scratch.walk(&topo, n[2], succ), None);
+        }
+    }
+
+    #[test]
+    fn stamp_wrap_around_forgets_marks_without_losing_cycles() {
+        let (topo, labels, atoms) = looped_setup();
+        let a0 = atoms.atom_of_value(0);
+        let seeds: Vec<(LinkId, AtomId)> = topo.links().iter().map(|l| (l.id, a0)).collect();
+        let expect = find_loops_from_seeds(&topo, &labels, &atoms, &seeds);
+        assert_eq!(expect.len(), 1);
+        let mut scratch = WalkScratch::default();
+        find_loops_from_seeds_in(&mut scratch, &topo, &labels, &atoms, &seeds);
+        // The counter wraps in the middle of the next call's three walks.
+        scratch.walk = u32::MAX - 1;
+        scratch.floor = u32::MAX - 1;
+        let got = find_loops_from_seeds_in(&mut scratch, &topo, &labels, &atoms, &seeds);
+        assert_eq!(got, expect);
+        assert!(scratch.walk < 3);
     }
 }

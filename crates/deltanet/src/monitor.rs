@@ -22,32 +22,54 @@
 //!   no out-link does — so `(n, α)` can only change when a changed
 //!   `(link, α)` pair has n as an endpoint.
 //!
-//! The monitor therefore recomputes, from the current labels, the loop set
-//! of exactly the atoms in the delta — changed pairs plus atoms created by
-//! *splits* — through the same walk the full scan uses, retiring entries
-//! the update broke and admitting the ones it created, and re-checks the
-//! blackhole predicate at the `(endpoint, atom)` pairs the delta touched
-//! (split atoms at every switch, since their labels are inherited rather
-//! than enumerated). Violation
-//! identity is the canonical cycle for loops and the switch for blackholes;
-//! an identity whose atom set drains is *retired* (a
-//! [`MonitorEvent::resolved`]), a fresh identity is *raised*
-//! ([`MonitorEvent::appeared`]).
+//! So the atoms of a delta — those with a changed `(link, α)` pair plus
+//! every atom created by a *split* — are the only ones whose membership
+//! can differ from the tracked state, and [`ViolationMonitor::apply_update`]
+//! handles exactly them, as a short sorted list (never a bitset over the
+//! atom range):
 //!
-//! Because the repair goes through [`crate::loops::cycles_for_atoms_via`]
-//! and [`crate::blackholes::is_blackholed_at`] — the same primitives as the
+//! 1. **Retire**: remove each listed atom from every tracked cycle, one
+//!    bit probe per `(cycle, atom)`. A cycle whose set drains stays in the
+//!    map, empty, until step 4.
+//! 2. **Re-walk**: for each listed atom, one `contains` probe per link
+//!    finds the switches that emit it, and the successor walk from each
+//!    ([`crate::loops::cycles_for_atom_list`] — the same walk routine and
+//!    the same generation-stamped scratch as the per-update check and the
+//!    full scans) re-admits the atom to whatever cycle it now closes.
+//! 3. **Blackholes**: re-check the predicate at the `(endpoint, atom)`
+//!    pairs the delta touched — split atoms at every switch, since their
+//!    labels are inherited rather than enumerated — kept as a sorted list.
+//! 4. **Transitions**: violation identity is the canonical cycle for loops
+//!    and the switch for blackholes. Because drained entries stayed in the
+//!    map, "was tracked before this update" needs no snapshot of the key
+//!    sets: an identity admitted into a vacant slot *appeared*
+//!    ([`MonitorEvent::appeared`]), an entry still empty at the end
+//!    *resolved* ([`MonitorEvent::resolved`]) and is dropped, and a cycle
+//!    that drains and refills within one (aggregated) delta fires nothing.
+//!
+//! Cost per update: O(|Δ| · (tracked cycles + links + walk length)) bit
+//! probes, where |Δ| is the number of distinct atoms in the delta — for a
+//! rule update one or two — plus O(switches) blackhole probes per split.
+//! Nothing depends on the number of atoms in the plane, and with the
+//! scratch warm an update that transitions no identity allocates nothing
+//! (`tests/footprint.rs` pins both by counting allocated bytes).
+//!
+//! Because the repair goes through the walk of [`crate::loops`] and
+//! [`crate::blackholes::is_blackholed_at`] — the same primitives as the
 //! full scans — [`ViolationMonitor::active_violations`] is bit-identical to
 //! `check_all_loops() ++ check_all_blackholes()` after every operation; the
 //! randomized differential suite (`tests/monitor_differential.rs`) pins
 //! this, including across [`crate::DeltaNet::compact`] renumbering (via
-//! [`ViolationMonitor::remap`]) and under sharding.
+//! [`ViolationMonitor::remap`]) and under sharding, and a unit-test
+//! differential pins state *and* event sequence against the dense
+//! reference repair this one replaced.
 
 use crate::atoms::{AtomId, AtomMap, REMAP_DEAD};
 use crate::atomset::AtomSet;
 use crate::blackholes;
 use crate::delta_graph::DeltaGraph;
 use crate::labels::Labels;
-use crate::loops;
+use crate::loops::{self, CycleMap, WalkScratch};
 use netmodel::checker::InvariantViolation;
 use netmodel::topology::{NodeId, Topology};
 use std::collections::{BTreeMap, BTreeSet};
@@ -189,11 +211,17 @@ impl TransitionTracker {
 #[derive(Clone, Debug, Default)]
 pub struct ViolationMonitor {
     /// Active loops: canonical cycle → atoms currently looping through it.
-    loops: BTreeMap<Vec<NodeId>, AtomSet>,
+    loops: CycleMap,
     /// Active blackholes: switch → atoms currently dying there.
     holes: BTreeMap<NodeId, AtomSet>,
     /// The appeared/resolved transitions of the most recent update.
     events: Vec<MonitorEvent>,
+    /// Repair scratch, empty between updates and reused across them: the
+    /// walk state, the delta's distinct atoms, and the blackhole
+    /// `(switch, atom)` candidates, the latter two sorted.
+    walk: WalkScratch,
+    atoms: Vec<AtomId>,
+    candidates: Vec<(NodeId, AtomId)>,
 }
 
 impl ViolationMonitor {
@@ -206,7 +234,7 @@ impl ViolationMonitor {
     /// the only O(plane) step; everything afterwards is incremental.
     pub fn from_state(topology: &Topology, labels: &Labels, atoms: &AtomMap) -> Self {
         let all: AtomSet = atoms.iter().map(|(a, _)| a).collect();
-        let cycles = loops::cycles_for_atoms_via(topology, labels, &all, |node, atom| {
+        let loops = loops::cycles_for_atoms_via(topology, labels, &all, |node, atom| {
             loops::successor(topology, labels, node, atom)
         });
         let holes = topology
@@ -220,9 +248,9 @@ impl ViolationMonitor {
             .filter(|(_, set)| !set.is_empty())
             .collect();
         ViolationMonitor {
-            loops: cycles.into_iter().collect(),
+            loops,
             holes,
-            events: Vec::new(),
+            ..ViolationMonitor::default()
         }
     }
 
@@ -236,7 +264,7 @@ impl ViolationMonitor {
         let mut monitor = ViolationMonitor {
             loops,
             holes,
-            events: Vec::new(),
+            ..ViolationMonitor::default()
         };
         monitor.loops.retain(|_, set| !set.is_empty());
         monitor.holes.retain(|_, set| !set.is_empty());
@@ -302,12 +330,6 @@ impl ViolationMonitor {
     /// feeding its monitor.
     pub fn apply_update(&mut self, topology: &Topology, labels: &Labels, delta: &DeltaGraph) {
         self.events.clear();
-        if delta.splits.is_empty() && delta.added.is_empty() && delta.removed.is_empty() {
-            return;
-        }
-        let loops_before: BTreeSet<Vec<NodeId>> = self.loops.keys().cloned().collect();
-        let holes_before: BTreeSet<NodeId> = self.holes.keys().copied().collect();
-
         // The atoms whose violation membership may differ from the tracked
         // state: atoms with changed labels, plus every atom created by a
         // split. Split atoms are *recomputed* from the current labels, never
@@ -315,24 +337,40 @@ impl ViolationMonitor {
         // aggregated delta-graph (§3.3) the split may have happened after
         // label changes earlier in the same window, so the tracked (pre-
         // window) membership of the old atom says nothing about the new one.
-        let mut affected = delta.affected_atoms();
-        for pair in &delta.splits {
-            affected.insert(pair.new);
+        self.atoms.clear();
+        let changed = delta.added.iter().chain(&delta.removed);
+        self.atoms.extend(changed.clone().map(|&(_, atom)| atom));
+        self.atoms.extend(delta.splits.iter().map(|pair| pair.new));
+        if self.atoms.is_empty() {
+            return;
         }
+        self.atoms.sort_unstable();
+        self.atoms.dedup();
 
-        // 1. Loops: retire every candidate atom from every tracked cycle,
-        // then re-admit whatever a fresh walk (the full scan's own
-        // primitive) finds for exactly those atoms.
+        // 1. Loops: retire every listed atom from every tracked cycle, then
+        // re-admit whatever a fresh walk (the full scan's own routine)
+        // finds for exactly those atoms.
+        let mut drained = false;
         for set in self.loops.values_mut() {
-            set.difference_with(&affected);
+            for &atom in &self.atoms {
+                drained |= set.remove(atom) && set.is_empty();
+            }
         }
-        let recomputed = loops::cycles_for_atoms_via(topology, labels, &affected, |node, atom| {
-            loops::successor(topology, labels, node, atom)
+        let (tracked, events) = (&mut self.loops, &mut self.events);
+        loops::cycles_for_atom_list(
+            &mut self.walk,
+            topology,
+            labels,
+            &self.atoms,
+            |cycle, atom| {
+                if loops::admit(tracked, cycle, atom) {
+                    events.push(MonitorEvent::appeared(ViolationKey::Loop(cycle.to_vec())));
+                }
+            },
+        );
+        settle(tracked, events, 0, drained, |cycle| {
+            ViolationKey::Loop(cycle.clone())
         });
-        for (cycle, set) in recomputed {
-            self.loops.entry(cycle).or_default().union_with(&set);
-        }
-        self.loops.retain(|_, set| !set.is_empty());
 
         // 2. Blackholes: the predicate at (n, α) reads only the labels of
         // n's in- and out-links for α, so for changed pairs the candidates
@@ -340,55 +378,36 @@ impl ViolationMonitor {
         // wherever its old atom did, possibly edited later in the window)
         // is re-checked at every switch. Drop-node sinks are never switches
         // (see `blackholes` module docs) and are skipped.
-        let mut candidates: BTreeSet<(NodeId, AtomId)> = BTreeSet::new();
-        for &(link, atom) in delta.added.iter().chain(delta.removed.iter()) {
-            let l = topology.link(link);
-            if !topology.is_drop_node(l.src) {
-                candidates.insert((l.src, atom));
-            }
-            if !topology.is_drop_node(l.dst) {
-                candidates.insert((l.dst, atom));
+        self.candidates.clear();
+        for &(link, atom) in changed {
+            let link = topology.link(link);
+            for node in [link.src, link.dst] {
+                if !topology.is_drop_node(node) {
+                    self.candidates.push((node, atom));
+                }
             }
         }
         for pair in &delta.splits {
-            for node in topology.switch_nodes() {
-                candidates.insert((node, pair.new));
-            }
+            self.candidates
+                .extend(topology.switch_nodes().map(|node| (node, pair.new)));
         }
-        for (node, atom) in candidates {
+        self.candidates.sort_unstable();
+        self.candidates.dedup();
+        let first = self.events.len();
+        let mut drained = false;
+        for &(node, atom) in &self.candidates {
             if blackholes::is_blackholed_at(topology, labels, node, atom) {
-                self.holes.entry(node).or_default().insert(atom);
+                if loops::admit(&mut self.holes, &node, atom) {
+                    self.events
+                        .push(MonitorEvent::appeared(ViolationKey::Blackhole(node)));
+                }
             } else if let Some(set) = self.holes.get_mut(&node) {
-                set.remove(atom);
+                drained |= set.remove(atom) && set.is_empty();
             }
         }
-        self.holes.retain(|_, set| !set.is_empty());
-
-        // 4. Transitions at the violation-identity level.
-        for cycle in &loops_before {
-            if !self.loops.contains_key(cycle) {
-                self.events
-                    .push(MonitorEvent::resolved(ViolationKey::Loop(cycle.clone())));
-            }
-        }
-        for cycle in self.loops.keys() {
-            if !loops_before.contains(cycle) {
-                self.events
-                    .push(MonitorEvent::appeared(ViolationKey::Loop(cycle.clone())));
-            }
-        }
-        for &node in &holes_before {
-            if !self.holes.contains_key(&node) {
-                self.events
-                    .push(MonitorEvent::resolved(ViolationKey::Blackhole(node)));
-            }
-        }
-        for &node in self.holes.keys() {
-            if !holes_before.contains(&node) {
-                self.events
-                    .push(MonitorEvent::appeared(ViolationKey::Blackhole(node)));
-            }
-        }
+        settle(&mut self.holes, &mut self.events, first, drained, |&node| {
+            ViolationKey::Blackhole(node)
+        });
     }
 
     /// Rewrites every tracked atom through the remap table of a compaction
@@ -500,7 +519,7 @@ impl ViolationMonitor {
                 .into_iter()
                 .map(|(n, w)| (n, AtomSet::from_raw_words(w)))
                 .collect(),
-            events: Vec::new(),
+            ..ViolationMonitor::default()
         }
     }
 
@@ -514,12 +533,47 @@ impl ViolationMonitor {
     }
 }
 
+/// Closes one phase (loops, then blackholes) of
+/// [`ViolationMonitor::apply_update`]. `events[first..]` holds the
+/// identities the phase admitted into vacant slots, in discovery order;
+/// entries that `drained` and were not refilled are still in `tracked`,
+/// empty. Drops those, and leaves the phase's events in the reporting
+/// order: resolved identities, then appeared ones, each ascending.
+fn settle<K: Ord>(
+    tracked: &mut BTreeMap<K, AtomSet>,
+    events: &mut Vec<MonitorEvent>,
+    first: usize,
+    drained: bool,
+    key: impl Fn(&K) -> ViolationKey,
+) {
+    events[first..].sort_unstable_by(|a, b| a.key.cmp(&b.key));
+    if !drained {
+        return;
+    }
+    let appeared = events.len() - first;
+    // `retain` visits in ascending key order.
+    tracked.retain(|k, set| {
+        if set.is_empty() {
+            events.push(MonitorEvent::resolved(key(k)));
+        }
+        !set.is_empty()
+    });
+    events[first..].rotate_left(appeared);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{DeltaNet, DeltaNetConfig};
+    use netmodel::checker::Checker;
+    use netmodel::interval::Bound;
     use netmodel::ip::IpPrefix;
     use netmodel::rule::{Rule, RuleId};
+    use netmodel::trace::Op;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
+    use testutil::{random_topology, OpGen};
 
     fn prefix(s: &str) -> IpPrefix {
         s.parse().unwrap()
@@ -734,5 +788,324 @@ mod tests {
             "+ blackhole at n3"
         );
         assert_eq!(MonitorEvent::resolved(key).to_string(), "- blackhole at n3");
+    }
+
+    /// The dense repair that [`ViolationMonitor::apply_update`] replaced,
+    /// verbatim, as the reference for the differentials below: it snapshots
+    /// both key sets, turns the delta into a bitset over the atom range,
+    /// subtracts it from every tracked cycle, recomputes through the
+    /// candidate-set scan, and diffs the key sets for the events.
+    impl ViolationMonitor {
+        fn reference_repair(&mut self, topology: &Topology, labels: &Labels, delta: &DeltaGraph) {
+            self.events.clear();
+            if delta.splits.is_empty() && delta.added.is_empty() && delta.removed.is_empty() {
+                return;
+            }
+            let loops_before: BTreeSet<Vec<NodeId>> = self.loops.keys().cloned().collect();
+            let holes_before: BTreeSet<NodeId> = self.holes.keys().copied().collect();
+
+            // The atoms whose violation membership may differ from the tracked
+            // state: atoms with changed labels, plus every atom created by a
+            // split. Split atoms are *recomputed* from the current labels, never
+            // inferred from their old atom's tracked membership — on an
+            // aggregated delta-graph (§3.3) the split may have happened after
+            // label changes earlier in the same window, so the tracked (pre-
+            // window) membership of the old atom says nothing about the new one.
+            let mut affected = delta.affected_atoms();
+            for pair in &delta.splits {
+                affected.insert(pair.new);
+            }
+
+            // 1. Loops: retire every candidate atom from every tracked cycle,
+            // then re-admit whatever a fresh walk (the full scan's own
+            // primitive) finds for exactly those atoms.
+            for set in self.loops.values_mut() {
+                set.difference_with(&affected);
+            }
+            let recomputed =
+                loops::cycles_for_atoms_via(topology, labels, &affected, |node, atom| {
+                    loops::successor(topology, labels, node, atom)
+                });
+            for (cycle, set) in recomputed {
+                self.loops.entry(cycle).or_default().union_with(&set);
+            }
+            self.loops.retain(|_, set| !set.is_empty());
+
+            // 2. Blackholes: the predicate at (n, α) reads only the labels of
+            // n's in- and out-links for α, so for changed pairs the candidates
+            // are exactly their endpoints; a split atom (which has labels
+            // wherever its old atom did, possibly edited later in the window)
+            // is re-checked at every switch. Drop-node sinks are never switches
+            // (see `blackholes` module docs) and are skipped.
+            let mut candidates: BTreeSet<(NodeId, AtomId)> = BTreeSet::new();
+            for &(link, atom) in delta.added.iter().chain(delta.removed.iter()) {
+                let l = topology.link(link);
+                if !topology.is_drop_node(l.src) {
+                    candidates.insert((l.src, atom));
+                }
+                if !topology.is_drop_node(l.dst) {
+                    candidates.insert((l.dst, atom));
+                }
+            }
+            for pair in &delta.splits {
+                for node in topology.switch_nodes() {
+                    candidates.insert((node, pair.new));
+                }
+            }
+            for (node, atom) in candidates {
+                if blackholes::is_blackholed_at(topology, labels, node, atom) {
+                    self.holes.entry(node).or_default().insert(atom);
+                } else if let Some(set) = self.holes.get_mut(&node) {
+                    set.remove(atom);
+                }
+            }
+            self.holes.retain(|_, set| !set.is_empty());
+
+            // 3. Transitions at the violation-identity level.
+            for cycle in &loops_before {
+                if !self.loops.contains_key(cycle) {
+                    self.events
+                        .push(MonitorEvent::resolved(ViolationKey::Loop(cycle.clone())));
+                }
+            }
+            for cycle in self.loops.keys() {
+                if !loops_before.contains(cycle) {
+                    self.events
+                        .push(MonitorEvent::appeared(ViolationKey::Loop(cycle.clone())));
+                }
+            }
+            for &node in &holes_before {
+                if !self.holes.contains_key(&node) {
+                    self.events
+                        .push(MonitorEvent::resolved(ViolationKey::Blackhole(node)));
+                }
+            }
+            for &node in self.holes.keys() {
+                if !holes_before.contains(&node) {
+                    self.events
+                        .push(MonitorEvent::appeared(ViolationKey::Blackhole(node)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn drain_and_refill_inside_one_aggregated_delta_fires_no_event() {
+        // 10/8 loops a -> b -> a and also enters the cycle from c. A window
+        // that withdraws c's rule nets to one removed pair for the cycle's
+        // only atom: the repair takes the atom off the cycle (draining the
+        // entry) and the re-walk puts it straight back. The identity never
+        // went away, so no event may fire.
+        let mut topo = Topology::new();
+        let a = topo.add_node("a");
+        let b = topo.add_node("b");
+        let c = topo.add_node("c");
+        let ab = topo.add_link(a, b);
+        let ba = topo.add_link(b, a);
+        let ca = topo.add_link(c, a);
+        let mut net = DeltaNet::with_topology(topo);
+        let mut external = ViolationMonitor::new();
+        net.begin_aggregate();
+        net.insert_rule(Rule::forward(RuleId(1), prefix("10.0.0.0/8"), 1, a, ab));
+        net.insert_rule(Rule::forward(RuleId(2), prefix("10.0.0.0/8"), 1, b, ba));
+        net.insert_rule(Rule::forward(RuleId(3), prefix("10.0.0.0/8"), 1, c, ca));
+        let agg = net.take_aggregate();
+        external.apply_update(net.topology(), net.labels(), &agg);
+        let cycle = ViolationKey::Loop(vec![a, b]);
+        assert_eq!(
+            external.last_events(),
+            &[MonitorEvent::appeared(cycle.clone())]
+        );
+
+        net.begin_aggregate();
+        net.remove_rule(RuleId(3));
+        // A flap that cancels out of the aggregate.
+        net.insert_rule(Rule::forward(RuleId(4), prefix("10.0.0.0/8"), 9, c, ca));
+        net.remove_rule(RuleId(4));
+        let agg = net.take_aggregate();
+        assert_eq!((agg.added.len(), agg.removed.len()), (0, 1));
+        external.apply_update(net.topology(), net.labels(), &agg);
+        assert!(external.last_events().is_empty());
+        assert_eq!(external.active_keys(), vec![cycle]);
+    }
+
+    #[test]
+    fn atom_retiring_from_a_shared_cycle_fires_no_loop_event() {
+        let (mut net, a, b) = two_node_net();
+        let ab = net.topology().link_between(a, b).unwrap();
+        let ba = net.topology().link_between(b, a).unwrap();
+        for (id, p) in [(1, "10.0.0.0/8"), (3, "192.0.0.0/8")] {
+            net.insert_rule(Rule::forward(RuleId(id), prefix(p), 1, a, ab));
+            net.insert_rule(Rule::forward(RuleId(id + 1), prefix(p), 1, b, ba));
+        }
+        assert_eq!(net.monitor().unwrap().loop_count(), 1);
+        // 192/8 leaves the cycle (and strands at b); 10/8 keeps it alive.
+        net.remove_rule(RuleId(4));
+        let monitor = net.monitor().unwrap();
+        assert_eq!(monitor.loop_count(), 1);
+        assert_eq!(
+            monitor.last_events(),
+            &[MonitorEvent::appeared(ViolationKey::Blackhole(b))]
+        );
+    }
+
+    /// One engine per shard range, routed by hand so the test knows which
+    /// engines an op touched (and can reach each engine's delta-graphs).
+    fn shard_engines(topo: &Topology, config: DeltaNetConfig, shards: usize) -> Vec<DeltaNet> {
+        crate::ShardedDeltaNet::new(topo.clone(), config, shards)
+            .shards()
+            .to_vec()
+    }
+
+    /// The engines `op` concerns: those whose range a rule overlaps, or
+    /// that hold (a slice of) the rule being removed.
+    fn routed(engines: &[DeltaNet], op: &Op) -> Vec<usize> {
+        (0..engines.len())
+            .filter(|&i| match op {
+                Op::Insert(rule) => rule
+                    .interval()
+                    .overlaps(&engines[i].clip().expect("shard engines are clipped")),
+                Op::Remove(id) => engines[i].rule(*id).is_some(),
+            })
+            .collect()
+    }
+
+    fn full_scan(net: &DeltaNet) -> Vec<InvariantViolation> {
+        let mut out = net.check_all_loops();
+        out.extend(net.check_all_blackholes());
+        out
+    }
+
+    const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
+
+    #[test]
+    fn per_op_repair_matches_dense_reference_in_state_and_events() {
+        // The engine's own monitor is the repair under test, fed one
+        // delta-graph per op (splits included) and remapped by explicit and
+        // threshold-triggered compaction. The reference starts every op as
+        // a clone of it, so it needs no remap of its own.
+        for shards in SHARD_COUNTS {
+            for seed in 0..4u64 {
+                let mut rng = StdRng::seed_from_u64(0x15_0001 ^ (shards as u64) << 8 ^ seed);
+                let topo = random_topology(&mut rng, 5, true);
+                let config = DeltaNetConfig {
+                    field_width: 8,
+                    compact_threshold: (seed % 2 == 1).then_some(3),
+                    ..monitored()
+                };
+                let mut engines = shard_engines(&topo, config, shards);
+                let mut gen = OpGen::new(8, 40, 0.35);
+                let mut compared = 0;
+                for step in 0..200 {
+                    let Some(op) = gen.next_op(&mut rng, &topo) else {
+                        continue;
+                    };
+                    for i in routed(&engines, &op) {
+                        let net = &mut engines[i];
+                        let mut reference = net.monitor().unwrap().clone();
+                        let passes = net.compactions();
+                        net.apply(&op);
+                        let monitor = net.monitor().unwrap();
+                        let at = format!("{shards} shards, seed {seed}, step {step}, shard {i}");
+                        assert_eq!(
+                            monitor.active_violations(net.atoms()),
+                            full_scan(net),
+                            "{at}"
+                        );
+                        if net.compactions() != passes {
+                            // The pass reset `last_delta` and renumbered
+                            // the atoms under the clone.
+                            continue;
+                        }
+                        reference.reference_repair(net.topology(), net.labels(), net.last_delta());
+                        assert!(monitor.state_eq(&reference), "{at}");
+                        assert_eq!(monitor.last_events(), reference.last_events(), "{at}");
+                        compared += 1;
+                    }
+                    if step == 100 {
+                        for net in &mut engines {
+                            net.compact();
+                            assert_eq!(net.active_violations().unwrap(), full_scan(net));
+                        }
+                    }
+                }
+                assert!(compared > 100, "only {compared} ops compared");
+            }
+        }
+    }
+
+    /// The renumbering table of the compaction pass that turned `before`
+    /// (every atom with its low bound) into `after` — what
+    /// [`DeltaNet::compact`] hands its own monitor but does not export.
+    fn remap_table(before: &[(AtomId, Bound)], after: &AtomMap) -> Vec<u32> {
+        let mut remap = vec![REMAP_DEAD; before.len()];
+        for &(old, lo) in before {
+            let new = after.atom_of_value(lo);
+            if after.atom_interval(new).lo() == lo {
+                remap[old.index()] = new.0;
+            }
+        }
+        remap
+    }
+
+    #[test]
+    fn aggregated_window_repair_matches_dense_reference_across_compaction() {
+        // External monitors fed one aggregated delta-graph per window —
+        // several ops, splits after label changes, flaps that cancel — with
+        // an explicit `compact()` in the middle of some windows: the engine
+        // remaps the open aggregate, the test remaps both monitors.
+        for shards in SHARD_COUNTS {
+            for seed in 0..4u64 {
+                let mut rng = StdRng::seed_from_u64(0x15_0002 ^ (shards as u64) << 8 ^ seed);
+                let topo = random_topology(&mut rng, 5, true);
+                let config = DeltaNetConfig {
+                    field_width: 8,
+                    ..DeltaNetConfig::default()
+                };
+                let mut engines = shard_engines(&topo, config, shards);
+                let mut fast = vec![ViolationMonitor::new(); shards];
+                let mut reference = vec![ViolationMonitor::new(); shards];
+                let mut gen = OpGen::new(8, 40, 0.35);
+                let mut transitions = 0;
+                for window in 0..60 {
+                    let len = [1, 2, 5, 9][rng.gen_range(0..4)];
+                    engines.iter_mut().for_each(DeltaNet::begin_aggregate);
+                    for slot in 0..len {
+                        let Some(op) = gen.next_op(&mut rng, &topo) else {
+                            continue;
+                        };
+                        for i in routed(&engines, &op) {
+                            engines[i].apply(&op);
+                        }
+                        if window % 7 == 3 && slot == len / 2 {
+                            for (i, net) in engines.iter_mut().enumerate() {
+                                let before: Vec<(AtomId, Bound)> =
+                                    net.atoms().iter().map(|(a, iv)| (a, iv.lo())).collect();
+                                net.compact();
+                                let remap = remap_table(&before, net.atoms());
+                                fast[i].remap(&remap);
+                                reference[i].remap(&remap);
+                            }
+                        }
+                    }
+                    for (i, net) in engines.iter_mut().enumerate() {
+                        let agg = net.take_aggregate();
+                        fast[i].apply_update(net.topology(), net.labels(), &agg);
+                        reference[i].reference_repair(net.topology(), net.labels(), &agg);
+                        let at =
+                            format!("{shards} shards, seed {seed}, window {window}, shard {i}");
+                        assert!(fast[i].state_eq(&reference[i]), "{at}");
+                        assert_eq!(fast[i].last_events(), reference[i].last_events(), "{at}");
+                        assert_eq!(
+                            fast[i].active_violations(net.atoms()),
+                            full_scan(net),
+                            "{at}"
+                        );
+                        transitions += fast[i].last_events().len();
+                    }
+                }
+                assert!(transitions > 0, "the trace never transitioned an identity");
+            }
+        }
     }
 }

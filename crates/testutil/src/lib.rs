@@ -19,9 +19,15 @@
 //! space: the oracles exhaustively check all 256 addresses, and narrow
 //! spaces make rules overlap and atoms split aggressively — the regime the
 //! differential suites exist to stress.
+//!
+//! [`alloc_count`] is the one piece that is not a generator: a counting
+//! global allocator for tests that pin a code path's footprint by bytes
+//! allocated instead of by time.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod alloc_count;
 
 use netmodel::checker::InvariantViolation;
 use netmodel::header::SecondaryMatch;

@@ -231,7 +231,7 @@ impl VeriflowRi {
                 }
             }
         }
-        violations.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+        violations.sort_by_cached_key(|v| format!("{v:?}"));
         violations.dedup();
         WhatIfReport {
             link: Some(link),
