@@ -13,6 +13,8 @@ use std::fmt;
 pub struct ParsedArgs {
     /// The sub-command (first positional argument).
     pub command: String,
+    /// The word after the sub-command, which only `paper <table>` takes.
+    pub operand: Option<String>,
     /// `--key value` pairs.
     pub options: HashMap<String, String>,
     /// Bare `--switch` flags.
@@ -71,6 +73,9 @@ impl ParsedArgs {
             command,
             ..Default::default()
         };
+        if parsed.command == "paper" {
+            parsed.operand = iter.next_if(|arg| !arg.starts_with("--"));
+        }
         while let Some(arg) = iter.next() {
             if let Some(name) = arg.strip_prefix("--") {
                 if let Some((key, value)) = name.split_once('=') {
@@ -258,6 +263,18 @@ mod tests {
             p.require("topo").unwrap_err(),
             ArgError::MissingOption("topo")
         );
+    }
+
+    #[test]
+    fn paper_takes_one_operand() {
+        let p = parse(&["paper", "table3", "--scale", "small"]).unwrap();
+        assert_eq!(p.operand.as_deref(), Some("table3"));
+        assert_eq!(parse_scale(&p).unwrap(), workloads::ScaleProfile::Small);
+        assert_eq!(parse(&["paper", "--scale=tiny"]).unwrap().operand, None);
+        assert!(matches!(
+            parse(&["paper", "table3", "table4"]).unwrap_err(),
+            ArgError::UnexpectedPositional(_)
+        ));
     }
 
     #[test]

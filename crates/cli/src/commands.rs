@@ -8,6 +8,7 @@ use crate::args::{
     parse_dataset, parse_durability, parse_fields, parse_scale, parse_usize_option, ArgError,
     ParsedArgs,
 };
+use crate::paper::{self, Summary, Timings};
 use crate::topo_text;
 use deltanet::persist::{self, RecoveryPolicy, TornTail};
 use deltanet::{
@@ -19,6 +20,7 @@ use netmodel::interval::Interval;
 use netmodel::ip::format_field;
 use netmodel::topology::Topology;
 use netmodel::trace::{Op, Trace};
+use service::Json;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::Path;
@@ -92,7 +94,7 @@ pub fn help() -> String {
                  [--from-snapshot <file>] [--log <file> [--durability buffered|flush|fsync]]\n\
                  [--checkpoint <dir> [--checkpoint-every <n>] [--retain <n>]]\n\
                  Replay a trace through a checker and print Table-3 style statistics;\n\
-                 with --json, also write them machine-readable (BENCH_*.json shape).\n\
+                 with --json, also write them as one line of JSON.\n\
                  --compact enables automatic atom compaction (deltanet only): a removal\n\
                  leaving >= <threshold> reclaimable bounds (default 1024) triggers a pass.\n\
                  --shards partitions the address space across <n> independent engines\n\
@@ -170,6 +172,12 @@ pub fn help() -> String {
                  trace into batch requests of --batch ops (default 16). --stats\n\
                  appends a stats request (its reply, including the audit mismatch\n\
                  count, folds into the summary); --shutdown stops the daemon\n\
+       paper     [table2|table3|fig8|table4|table5|appendix-c] [--scale tiny|small|medium]\n\
+                 Regenerate the paper's evaluation on the scaled datasets: Table 2\n\
+                 (dataset sizes), Table 3 (per-update time incl. loop check), Figure 8\n\
+                 (its CDF), Table 4 (link-failure what-if vs Veriflow-RI), Table 5\n\
+                 (memory), Appendix C (classes affected per insert). No name prints all\n\
+                 six; --scale defaults to tiny\n\
        help      Show this message\n"
         .to_string()
 }
@@ -185,6 +193,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CommandError> {
         "audit" => audit(args),
         "serve" => serve(args),
         "client" => client(args),
+        "paper" => paper(args),
         "help" | "--help" | "-h" => Ok(help()),
         other => Err(CommandError::Other(format!(
             "unknown command `{other}`; try `deltanet help`"
@@ -420,6 +429,35 @@ impl TransitionLog {
     }
 }
 
+/// The `--shards` / `--batch` / `--check blackholes` fields both replay
+/// report shapes carry, in that order, each only when the option was given.
+fn shape_fields(
+    shards: Option<usize>,
+    batch: Option<usize>,
+    blackholes: Option<&[InvariantViolation]>,
+) -> Vec<(&'static str, Json)> {
+    [
+        ("shards", shards),
+        ("batch", batch),
+        ("blackholes", blackholes.map(<[_]>::len)),
+    ]
+    .into_iter()
+    .filter_map(|(key, n)| Some((key, Json::int(n?))))
+    .collect()
+}
+
+/// The `deltanet-replay-v1` report: schema and checker, the Table-3 summary
+/// keys, then the caller's engine-specific `fields`.
+fn replay_report(checker: &str, summary: &Summary, fields: Vec<(&'static str, Json)>) -> Json {
+    let mut report = vec![
+        ("schema", Json::str("deltanet-replay-v1")),
+        ("checker", Json::str(checker)),
+    ];
+    report.extend(paper::summary_json(summary));
+    report.extend(fields);
+    service::obj(report)
+}
+
 /// `deltanet replay` — replay a trace through a checker with timing.
 pub fn replay(args: &ParsedArgs) -> Result<String, CommandError> {
     let mut topo = load_topology(args.require("topo")?)?;
@@ -605,9 +643,7 @@ pub fn replay(args: &ParsedArgs) -> Result<String, CommandError> {
             }
         };
 
-    let mut timings = bench::Timings {
-        micros: Vec::with_capacity(trace.len()),
-    };
+    let mut timings = Timings::with_capacity(trace.len());
     let mut loops = 0usize;
     let mut transitions = monitor.then(TransitionLog::default);
     // Write-behind delta log: an op is appended only after it applied, so on
@@ -736,19 +772,12 @@ pub fn replay(args: &ParsedArgs) -> Result<String, CommandError> {
     let monitor_matches = engine.monitor_matches_rescan();
 
     if let Some(json_path) = args.options.get("json") {
-        use bench::json::Json;
         let mut fields = vec![
-            ("schema", Json::str("deltanet-replay-v1")),
-            ("checker", Json::str(name)),
-        ];
-        // The summary keys are shared with the BENCH_*.json emitters.
-        fields.extend(bench::experiments::summary_json(&summary));
-        fields.extend([
             ("packet_classes", Json::int(class_count)),
             ("rules", Json::int(rule_count)),
             ("ops_with_loops", Json::int(loops)),
             ("memory_bytes", Json::int(memory_bytes)),
-        ]);
+        ];
         if let Some((allocated, reclaimable, passes)) = compaction {
             fields.extend([
                 ("allocated_atoms", Json::int(allocated)),
@@ -756,20 +785,12 @@ pub fn replay(args: &ParsedArgs) -> Result<String, CommandError> {
                 ("compactions", Json::int(passes)),
             ]);
         }
-        if let Some(n) = shards {
-            fields.push(("shards", Json::int(n)));
-        }
-        if let Some(w) = batch {
-            fields.push(("batch", Json::int(w)));
-        }
-        if let Some(holes) = &blackhole_report {
-            fields.push(("blackholes", Json::int(holes.len())));
-        }
+        fields.extend(shape_fields(shards, batch, blackhole_report.as_deref()));
         if from_snapshot.is_some() {
-            fields.push(("resumed_from_op", Json::int(baseline_ops as usize)));
+            fields.push(("resumed_from_op", Json::int(baseline_ops)));
         }
         if let Some(n) = log_ops {
-            fields.push(("log_ops", Json::int(n as usize)));
+            fields.push(("log_ops", Json::int(n)));
             fields.push(("durability", Json::str(durability.name())));
         }
         if let (Some((active_loops, active_holes)), Some(log)) =
@@ -791,7 +812,8 @@ pub fn replay(args: &ParsedArgs) -> Result<String, CommandError> {
                 ),
             ]);
         }
-        std::fs::write(json_path, Json::obj(fields).render())?;
+        let report = replay_report(name, &summary, fields);
+        std::fs::write(json_path, report.render() + "\n")?;
     }
     let mut out = format!(
         "checker:            {name}\n\
@@ -921,9 +943,7 @@ fn replay_checkpointed(
             durability,
         },
     )?;
-    let mut timings = bench::Timings {
-        micros: Vec::with_capacity(trace.len()),
-    };
+    let mut timings = Timings::with_capacity(trace.len());
     let mut loops = 0usize;
     let window = batch.unwrap_or(1);
     let mut offset = 0usize;
@@ -963,31 +983,18 @@ fn replay_checkpointed(
     let net = mgr.close()?;
     let blackhole_report = check_blackholes.then(|| net.check_all_blackholes());
     if let Some(json_path) = args.options.get("json") {
-        use bench::json::Json;
         let mut fields = vec![
-            ("schema", Json::str("deltanet-replay-v1")),
-            ("checker", Json::str("delta-net")),
-        ];
-        fields.extend(bench::experiments::summary_json(&summary));
-        fields.extend([
             ("packet_classes", Json::int(net.atom_count())),
             ("rules", Json::int(net.rule_count())),
             ("ops_with_loops", Json::int(loops)),
             ("durability", Json::str(durability.name())),
             ("checkpoint_every", Json::int(every_ops)),
-            ("checkpoints_written", Json::int(checkpoints as usize)),
-            ("last_checkpoint", Json::int(last_checkpoint as usize)),
-        ]);
-        if let Some(n) = shards {
-            fields.push(("shards", Json::int(n)));
-        }
-        if let Some(w) = batch {
-            fields.push(("batch", Json::int(w)));
-        }
-        if let Some(holes) = &blackhole_report {
-            fields.push(("blackholes", Json::int(holes.len())));
-        }
-        std::fs::write(json_path, Json::obj(fields).render())?;
+            ("checkpoints_written", Json::int(checkpoints)),
+            ("last_checkpoint", Json::int(last_checkpoint)),
+        ];
+        fields.extend(shape_fields(shards, batch, blackhole_report.as_deref()));
+        let report = replay_report("delta-net", &summary, fields);
+        std::fs::write(json_path, report.render() + "\n")?;
     }
     let mut out = format!(
         "checker:            delta-net\n\
@@ -1369,6 +1376,21 @@ pub fn audit(args: &ParsedArgs) -> Result<String, CommandError> {
     Ok(out)
 }
 
+/// `deltanet paper` — regenerate the paper's tables and figures.
+pub fn paper(args: &ParsedArgs) -> Result<String, CommandError> {
+    let scale = parse_scale(args)?;
+    let report = match &args.operand {
+        None => paper::full_report(scale),
+        Some(table) => paper::report(table, scale).ok_or_else(|| {
+            CommandError::Other(format!(
+                "unknown table `{table}` (expected {})",
+                paper::TABLES.join(" | ")
+            ))
+        })?,
+    };
+    Ok(report + "\n")
+}
+
 /// `deltanet serve` — run the verification daemon (see `crates/service`).
 pub fn serve(args: &ParsedArgs) -> Result<String, CommandError> {
     let topo = load_topology(args.require("topo")?)?;
@@ -1567,10 +1589,48 @@ mod tests {
         dir
     }
 
+    /// Parses a `replay --json` file, which must be a `deltanet-replay-v1`
+    /// object on a single line.
+    fn read_report(path: impl AsRef<Path>) -> Json {
+        let line = std::fs::read_to_string(path).unwrap();
+        assert_eq!(line.matches('\n').count(), 1, "not one line: {line}");
+        let report = service::parse(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        assert_eq!(text(&report, "schema"), "deltanet-replay-v1");
+        report
+    }
+
+    /// An integer field of a report.
+    fn int(report: &Json, key: &str) -> i128 {
+        report
+            .get(key)
+            .and_then(Json::as_int)
+            .unwrap_or_else(|| panic!("no integer `{key}` in {}", report.render()))
+    }
+
+    /// A string field of a report.
+    fn text<'a>(report: &'a Json, key: &str) -> &'a str {
+        report
+            .get(key)
+            .and_then(Json::as_str)
+            .unwrap_or_else(|| panic!("no string `{key}` in {}", report.render()))
+    }
+
     #[test]
     fn help_and_unknown_command() {
         assert!(run(&parsed(&["help"])).unwrap().contains("USAGE"));
         assert!(run(&parsed(&["frob"])).is_err());
+    }
+
+    #[test]
+    fn paper_prints_one_table_or_rejects_the_name() {
+        let t2 = run(&parsed(&["paper", "table2", "--scale", "tiny"])).unwrap();
+        assert!(t2.starts_with("Table 2:"), "{t2}");
+        assert!(!t2.contains("Table 3:"), "{t2}");
+        let c = run(&parsed(&["paper", "appendix-c"])).unwrap();
+        assert!(c.starts_with("Appendix C:"), "{c}");
+        let err = run(&parsed(&["paper", "table9"])).unwrap_err();
+        assert!(err.to_string().contains("table2 | table3"), "{err}");
+        assert!(run(&parsed(&["paper", "--scale", "huge"])).is_err());
     }
 
     #[test]
@@ -1619,10 +1679,36 @@ mod tests {
             "replay", "--topo", &topo, "--trace", &trace, "--json", &json_arg,
         ]))
         .unwrap();
-        let json_text = std::fs::read_to_string(&json_path).unwrap();
-        for key in ["deltanet-replay-v1", "median_us", "memory_bytes"] {
-            assert!(json_text.contains(key), "missing {key} in:\n{json_text}");
-        }
+        let report = read_report(&json_path);
+        assert_eq!(text(&report, "checker"), "delta-net");
+        assert!(matches!(report.get("median_us"), Some(Json::Float(_))));
+        assert!(int(&report, "memory_bytes") > 0);
+        // Keys keep their documented order: schema, checker, the summary
+        // statistics, then the engine fields.
+        let Json::Obj(pairs) = &report else {
+            panic!("report is not an object")
+        };
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "schema",
+                "checker",
+                "operations",
+                "median_us",
+                "average_us",
+                "max_us",
+                "pct_under_250us",
+                "total_seconds",
+                "packet_classes",
+                "rules",
+                "ops_with_loops",
+                "memory_bytes",
+                "allocated_atoms",
+                "reclaimable_bounds",
+                "compactions",
+            ]
+        );
 
         // whatif on the ring link n0 -> n1
         let w = run(&parsed(&[
@@ -1711,10 +1797,10 @@ mod tests {
         .unwrap();
         assert!(r.contains("compaction passes:"), "{r}");
         assert!(r.contains("reclaimable bounds: 0"), "{r}");
-        let json_text = std::fs::read_to_string(&json_path).unwrap();
-        for key in ["allocated_atoms", "reclaimable_bounds", "compactions"] {
-            assert!(json_text.contains(key), "missing {key} in:\n{json_text}");
-        }
+        let report = read_report(&json_path);
+        assert!(int(&report, "allocated_atoms") > 0);
+        assert_eq!(int(&report, "reclaimable_bounds"), 0);
+        assert!(int(&report, "compactions") > 0);
         // The flag is deltanet-only.
         let err = run(&parsed(&[
             "replay",
@@ -1777,10 +1863,10 @@ mod tests {
         ]))
         .unwrap();
         assert!(b.contains("batched x16, 2 workers"), "{b}");
-        let json_text = std::fs::read_to_string(&json_path).unwrap();
-        for key in ["\"shards\": 4", "\"batch\": 16", "delta-net-sharded"] {
-            assert!(json_text.contains(key), "missing {key} in:\n{json_text}");
-        }
+        let report = read_report(&json_path);
+        assert_eq!(int(&report, "shards"), 4);
+        assert_eq!(int(&report, "batch"), 16);
+        assert_eq!(text(&report, "checker"), "delta-net-sharded");
 
         // Guard rails.
         let err = run(&parsed(&[
@@ -1844,8 +1930,7 @@ mod tests {
             let r = run(&parsed(&argv)).unwrap();
             assert!(r.contains("blackholes:         1"), "{r}");
             assert!(r.contains("blackhole at n2"), "{r}");
-            let json_text = std::fs::read_to_string(&json_path).unwrap();
-            assert!(json_text.contains("\"blackholes\": 1"), "{json_text}");
+            assert_eq!(int(&read_report(&json_path), "blackholes"), 1);
         }
 
         // Unknown --check values and veriflow are rejected.
@@ -2001,14 +2086,13 @@ mod tests {
                 r.contains("violations active:  1 (0 loops, 1 blackholes)"),
                 "{r}"
             );
-            let json_text = std::fs::read_to_string(&json_path).unwrap();
-            for key in [
-                "\"monitor_loops\": 0",
-                "\"monitor_blackholes\": 1",
-                "\"monitor_matches_rescan\": true",
-            ] {
-                assert!(json_text.contains(key), "missing {key} in:\n{json_text}");
-            }
+            let report = read_report(&json_path);
+            assert_eq!(int(&report, "monitor_loops"), 0);
+            assert_eq!(int(&report, "monitor_blackholes"), 1);
+            assert_eq!(
+                report.get("monitor_matches_rescan"),
+                Some(&Json::Bool(true))
+            );
         }
 
         // Batched sharded replay reports at window granularity.
@@ -2506,9 +2590,9 @@ mod tests {
             r.contains(&format!("ops applied:        {trace_len}")),
             "{r}"
         );
-        let j = std::fs::read_to_string(&json).unwrap();
-        assert!(j.contains("\"checkpoint_every\": 8"), "{j}");
-        assert!(j.contains("\"durability\": \"flush\""), "{j}");
+        let report = read_report(&json);
+        assert_eq!(int(&report, "checkpoint_every"), 8);
+        assert_eq!(text(&report, "durability"), "flush");
 
         // The directory holds atomic snapshot + rotated segment artifacts.
         let names: Vec<String> = std::fs::read_dir(&ckpt)

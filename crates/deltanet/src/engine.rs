@@ -385,8 +385,8 @@ impl DeltaNet {
         &self.labels
     }
 
-    /// The owner arena (read-only) — exposed for diagnostics and the bench
-    /// memory accounting (spilled-cell counts, per-structure byte totals).
+    /// The owner arena (read-only) — exposed for diagnostics (per-structure
+    /// byte totals) and the differential tests.
     pub fn owner(&self) -> &Owner {
         &self.owner
     }

@@ -26,8 +26,8 @@
 //!
 //! The original tree-of-trees representation is preserved in [`legacy`] —
 //! both implement [`RuleStore`], so the differential tests in
-//! `tests/atom_invariants.rs` and the owner microbenchmark can drive
-//! identical traces through old and new and compare outcomes and cost.
+//! `tests/atom_invariants.rs` can drive identical traces through old and
+//! new and compare outcomes.
 
 use crate::atoms::AtomId;
 use netmodel::rule::{Priority, RuleId};
@@ -505,9 +505,9 @@ impl Owner {
             .sum()
     }
 
-    /// Number of cells that have spilled past the inline buffer
-    /// (diagnostics for the bench memory accounting).
-    pub fn spilled_cells(&self) -> usize {
+    /// Number of cells that have spilled past the inline buffer.
+    #[cfg(test)]
+    fn spilled_cells(&self) -> usize {
         self.per_atom
             .iter()
             .flat_map(|slots| slots.iter())
@@ -578,8 +578,8 @@ impl Owner {
 
 pub mod legacy {
     //! The pre-arena owner representation — `HashMap` of `BTreeMap`s — kept
-    //! as the reference implementation for the differential property tests
-    //! and the old-vs-new owner microbenchmark. Not used by the engine.
+    //! as the reference implementation for the differential property
+    //! tests. Not used by the engine.
 
     use super::{OwnedRule, RuleStore};
     use crate::atoms::AtomId;
@@ -631,8 +631,8 @@ pub mod legacy {
 
     /// The original owner layout: one hash table per atom, one BST per
     /// source. Mirrors the subset of [`super::Owner`]'s API the engine's
-    /// update loops need, so the microbenchmark can replay the same trace
-    /// through both representations.
+    /// update loops need, so a test can replay the same trace through both
+    /// representations.
     #[derive(Clone, Debug, Default)]
     pub struct HashOwner {
         per_atom: Vec<HashMap<NodeId, BTreeSourceRules>>,

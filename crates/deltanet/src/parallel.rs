@@ -8,8 +8,8 @@
 //! side is parallelized by [`crate::shard::ShardedDeltaNet`], which
 //! partitions the address space itself so disjoint shards apply rule updates
 //! concurrently; both sides size their thread pools from the same
-//! [`Parallelism`] configuration, so a bench run pinned to `N` workers
-//! behaves identically across query and update code.
+//! [`Parallelism`] configuration, so a run pinned to `N` workers behaves
+//! identically across query and update code.
 //!
 //! Everything uses `std::thread::scope` (no `unsafe`, no external
 //! dependency, no global thread pool).
@@ -49,9 +49,9 @@ impl std::error::Error for WorkersEnvError {}
 /// batch updates) may use.
 ///
 /// The single knob replaces the old per-call `available_parallelism`
-/// heuristic, so bench runs are reproducible: construct one value — from the
-/// CLI, from [`Parallelism::from_env`] (`DELTANET_WORKERS`), or explicitly —
-/// and pass it everywhere. The worker count is always at least 1.
+/// heuristic, so measured runs are reproducible: construct one value — from
+/// the CLI, from [`Parallelism::from_env`] (`DELTANET_WORKERS`), or
+/// explicitly — and pass it everywhere. The worker count is always at least 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Parallelism {
     workers: usize,
@@ -79,8 +79,8 @@ impl Parallelism {
     ///
     /// An invalid value (`DELTANET_WORKERS=0`, `=abc`) is an operator typo,
     /// not a configuration: it is reported on stderr and the auto worker
-    /// count is used, so a bench run pinned to a mistyped count cannot
-    /// silently measure the wrong machine shape. Use
+    /// count is used, so a run pinned to a mistyped count cannot silently
+    /// measure the wrong machine shape. Use
     /// [`Parallelism::try_from_env`] to turn the typo into a hard error.
     pub fn from_env() -> Self {
         match Self::try_from_env() {

@@ -120,7 +120,7 @@ pub enum Durability {
 
 impl Durability {
     /// The stable lowercase name (`buffered` / `flush` / `fsync`), used by
-    /// the CLI and bench JSON.
+    /// the CLI's options and reports.
     pub fn name(self) -> &'static str {
         match self {
             Durability::Buffered => "buffered",
@@ -1990,8 +1990,8 @@ pub fn recover_with(
 
 /// A stable digest of the *full* serialized engine state — bit-identical
 /// states (atoms, owner arenas, labels, registry, monitor set) produce the
-/// same digest. Used by the crash suites and bench to assert that recovery
-/// landed exactly on an applied prefix.
+/// same digest. Used by the crash suites to assert that recovery landed
+/// exactly on an applied prefix.
 pub fn state_digest(net: &PersistNet) -> u64 {
     fnv1a(&Snapshot::of_net(net, 0).to_bytes())
 }

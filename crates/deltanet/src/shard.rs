@@ -8,8 +8,8 @@
 //! ([`DeltaNet::clipped`]). A rule whose interval crosses shard boundaries
 //! is split at those boundaries and routed to every shard it touches; the
 //! per-shard [`UpdateReport`]s and delta-graphs merge back into one report,
-//! so callers — the [`Checker`] harness, the replay CLI, the bench
-//! experiments — cannot tell the difference.
+//! so callers — the [`Checker`] harness, the replay CLI, the benchmark —
+//! cannot tell the difference.
 //!
 //! Because shards share no mutable state (disjoint atoms, owners, and label
 //! bits), a *batch* of updates groups by shard and the groups apply

@@ -1,29 +1,32 @@
-//! A minimal JSON value, parser, and single-line renderer for the ndjson
-//! wire protocol.
+//! A minimal JSON value, parser, and single-line renderer: the ndjson wire
+//! protocol and the `deltanet replay --json` report both go through it.
 //!
-//! The workspace's `serde` is an offline stub, and the bench crate's
-//! [`bench::json`]-style builder only renders; the daemon also needs to
-//! *parse* requests. This module implements exactly the subset the protocol
-//! uses: objects, arrays, strings, integers, booleans, and null. Numbers
-//! are kept as exact `i128` integers — rule ids are `u64` and a float
-//! round-trip could silently corrupt them — so fractional or exponent
-//! literals are rejected.
+//! The workspace's `serde` is an offline stub, so JSON is written and read
+//! by hand here. Integer literals are kept as exact `i128` values — rule
+//! ids are `u64` and a float round-trip could silently corrupt them — and
+//! only a literal with a fraction or an exponent becomes a [`Json::Float`].
+//! Nesting is capped at [`MAX_DEPTH`] so a hostile line is a [`JsonError`],
+//! not a stack overflow.
 //!
 //! The renderer emits one line per value with `"key": value` spacing (a
-//! space after `:` and after `,`), matching the workspace's bench emitters
-//! so CI can grep for exact `"key": value` fragments in daemon output.
+//! space after `:` and after `,`), so CI can grep for exact `"key": value`
+//! fragments in daemon output.
 
 use std::fmt;
 
 /// A parsed JSON value.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// An exact integer (the protocol has no fractional numbers).
+    /// An exact integer (every number the wire protocol carries).
     Int(i128),
+    /// A number written with a fraction or an exponent. Renders in the
+    /// shortest form that parses back to the same value; a non-finite
+    /// value renders as `null`.
+    Float(f64),
     /// A string.
     Str(String),
     /// An array.
@@ -127,7 +130,21 @@ impl Json {
                 }
                 out.push('}');
             }
+            Json::Float(x) => write_float(*x, out),
         }
+    }
+}
+
+/// Off the wire protocol's path (it carries integers only), so kept out of
+/// line. `{:?}` keeps the `.0` of a whole float, so it parses back as a
+/// float and not as an integer.
+#[cold]
+fn write_float(x: f64, out: &mut String) {
+    if x.is_finite() {
+        use std::fmt::Write as _;
+        write!(out, "{x:?}").expect("writing to a String cannot fail");
+    } else {
+        out.push_str("null");
     }
 }
 
@@ -181,11 +198,17 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level, so without a cap a line of 100 k `[` overflows the stack; the
+/// deepest protocol line (a batch of inserts with `sec` intervals) nests 6.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one complete JSON value; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -199,6 +222,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -234,8 +259,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -255,24 +291,60 @@ impl<'a> Parser<'a> {
         }
     }
 
+    fn skip_digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        let int_start = self.pos;
+        match self.skip_digits() {
+            0 => return Err(self.err("expected digits")),
+            1 => {}
+            _ if self.bytes[int_start] == b'0' => return Err(self.err("leading zero")),
+            _ => {}
         }
-        if self.pos == start || (self.pos == start + 1 && self.bytes[start] == b'-') {
-            return Err(self.err("expected digits"));
-        }
-        if matches!(self.peek(), Some(b'.') | Some(b'e') | Some(b'E')) {
-            return Err(self.err("fractional numbers are not part of the protocol"));
+        if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+            return self.float_tail(start);
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
         text.parse::<i128>()
             .map(Json::Int)
             .map_err(|_| self.err("integer out of range"))
+    }
+
+    /// The fraction and/or exponent of a number whose integer part
+    /// (`start..pos`) is already scanned. Off the protocol's path: every
+    /// number on the wire is an integer.
+    #[cold]
+    fn float_tail(&mut self, start: usize) -> Result<Json, JsonError> {
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if self.skip_digits() == 0 {
+                return Err(self.err("expected digits after `.`"));
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.skip_digits() == 0 {
+                return Err(self.err("expected digits in exponent"));
+            }
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Json::Float(x)),
+            _ => Err(self.err("number out of range")),
+        }
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -418,12 +490,90 @@ mod tests {
     }
 
     #[test]
-    fn rejects_floats_duplicates_and_trailing() {
-        assert!(parse(r#"{"x": 1.5}"#).is_err());
-        assert!(parse(r#"{"x": 1e3}"#).is_err());
+    fn rejects_duplicates_and_trailing() {
         assert!(parse(r#"{"x": 1, "x": 2}"#).is_err());
         assert!(parse(r#"{"x": 1} extra"#).is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn scalars_render() {
+        assert_eq!(Json::Null.render(), "null");
+        assert_eq!(Json::Bool(true).render(), "true");
+        assert_eq!(Json::int(42u8).render(), "42");
+        assert_eq!(Json::Float(1.5).render(), "1.5");
+        assert_eq!(Json::Float(100.0).render(), "100.0");
+        assert_eq!(Json::Float(1e21).render(), "1e21");
+        assert_eq!(Json::Float(f64::NAN).render(), "null");
+        assert_eq!(Json::Float(f64::NEG_INFINITY).render(), "null");
+    }
+
+    #[test]
+    fn number_grammar() {
+        assert_eq!(parse("1.5").unwrap(), Json::Float(1.5));
+        assert_eq!(parse("2e-3").unwrap(), Json::Float(0.002));
+        assert_eq!(parse("-0.25").unwrap(), Json::Float(-0.25));
+        assert_eq!(parse("1E+2").unwrap(), Json::Float(100.0));
+        // Only a fraction or an exponent makes a float: ids stay exact.
+        assert_eq!(parse("100").unwrap(), Json::Int(100));
+        assert_eq!(parse("-0").unwrap(), Json::Int(0));
+        assert_eq!(parse("1.5").unwrap().as_int(), None);
+        for bad in [
+            "1.", ".5", "1e", "1e+", "-", "01", "-01", "1.e3", "1e400", "+1",
+        ] {
+            assert!(parse(bad).is_err(), "accepted `{bad}`");
+        }
+    }
+
+    #[test]
+    fn render_parse_roundtrip() {
+        let ints = [0, -1, 1 << 53, i128::from(u64::MAX), i128::MIN, i128::MAX];
+        let floats = [
+            0.1,
+            -0.0,
+            100.0,
+            1.0 / 3.0,
+            2.5e-9,
+            6.02e23,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ];
+        let mut values: Vec<Json> = ints.into_iter().map(Json::Int).collect();
+        values.extend(floats.into_iter().map(Json::Float));
+        values.push(Json::str("a\"b\\c\n\u{1}é"));
+        let nested = obj(vec![
+            ("id", Json::int(u64::MAX)),
+            ("all", Json::Arr(values.clone())),
+            (
+                "inner",
+                obj(vec![("empty", Json::Arr(vec![])), ("none", Json::Null)]),
+            ),
+        ]);
+        values.push(nested);
+        for v in values {
+            assert_eq!(parse(&v.render()).unwrap(), v, "via {}", v.render());
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        let err = parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        assert_eq!(err.at, MAX_DEPTH);
+        // Mixed nesting counts both kinds of bracket.
+        let mixed = format!(
+            "{}1{}",
+            r#"{"a": ["#.repeat(MAX_DEPTH / 2),
+            "]}".repeat(MAX_DEPTH / 2)
+        );
+        assert!(parse(&mixed).is_ok());
+        // Unclosed and far past the cap: an error, not a stack overflow.
+        assert!(parse(&"[".repeat(10_000)).is_err());
+        assert!(parse(&r#"{"a":"#.repeat(10_000)).is_err());
+        // Siblings do not accumulate depth.
+        assert!(parse(&format!("[{}]", vec!["[[]]"; 100].join(", "))).is_ok());
     }
 
     #[test]

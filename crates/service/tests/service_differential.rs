@@ -418,6 +418,46 @@ fn mid_batch_failure_acks_applied_prefix_and_daemon_continues() {
 }
 
 #[test]
+fn over_nested_line_is_a_bad_request_and_the_daemon_keeps_serving() {
+    let (topo, nodes, links) = ring_topology();
+    let server = Server::bind("127.0.0.1:0", topo.clone(), ServiceConfig::default()).expect("bind");
+    let addr = server.local_addr().expect("local addr");
+    let server_thread = thread::spawn(move || server.run());
+
+    // One stack frame per level would overflow the connection thread —
+    // an abort of the whole daemon — long before 100 k levels.
+    let mut hostile = Client::connect(addr);
+    for line in ["[".repeat(100_000), r#"{"a":"#.repeat(100_000)] {
+        let reply = hostile.request(&line);
+        assert!(!ok(&reply), "{}", reply.render());
+        assert_eq!(field(&reply, "kind"), "bad_request");
+        assert!(
+            field(&reply, "error").contains("nesting"),
+            "{}",
+            reply.render()
+        );
+    }
+
+    let mut client = Client::connect(addr);
+    let rule = Op::Insert(Rule::forward(
+        RuleId(1),
+        pfx("10.0.0.0/8"),
+        10,
+        nodes[0],
+        links[0],
+    ));
+    let reply = client.request(&op_request(1, &rule, &topo).render());
+    assert!(ok(&reply), "{}", reply.render());
+    assert_eq!(u(&reply, "at"), 1);
+    let bye = client.request(r#"{"id": 2, "op": "shutdown"}"#);
+    assert!(ok(&bye));
+    server_thread
+        .join()
+        .expect("server thread")
+        .expect("clean shutdown");
+}
+
+#[test]
 fn slow_subscriber_gaps_but_never_stalls_the_engine() {
     // One link a -> b; flapping the single rule toggles the blackhole at b,
     // so every op emits exactly one transitions event.

@@ -11,8 +11,7 @@
 //! baseline after every cycle.
 //!
 //! The generated trace is deterministic given the seed and is what the
-//! `Churn` dataset, the compaction bench experiment, and the compaction
-//! property tests replay.
+//! `Churn` dataset and the compaction property tests replay.
 
 use crate::bgp::{generate_prefixes, PrefixGenConfig};
 use crate::rulegen::{generate_data_plane, PriorityMode};

@@ -84,7 +84,7 @@ impl DatasetId {
 pub enum ScaleProfile {
     /// A few thousand operations per dataset — for unit/integration tests.
     Tiny,
-    /// Tens of thousands of operations — the default for the bench binaries.
+    /// Tens of thousands of operations.
     Small,
     /// Low hundreds of thousands of operations — for longer runs.
     Medium,
@@ -140,7 +140,7 @@ impl ScaleProfile {
     }
 
     /// Parameters of the flapping-prefix churn workload.
-    pub fn churn_config(self) -> crate::churn::ChurnConfig {
+    fn churn_config(self) -> crate::churn::ChurnConfig {
         let (stable_prefixes, flapping_prefixes, cycles) = match self {
             ScaleProfile::Tiny => (40, 15, 8),
             ScaleProfile::Small => (200, 80, 20),

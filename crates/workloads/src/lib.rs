@@ -20,7 +20,7 @@
 //!   scale ([`datasets::ScaleProfile`]).
 //!
 //! Everything is deterministic given the built-in seeds, so every table and
-//! figure produced by the `bench` crate is reproducible.
+//! figure `deltanet paper` prints is reproducible.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
