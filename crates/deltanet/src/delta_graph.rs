@@ -41,12 +41,11 @@ pub struct DeltaGraph {
     /// Atom splits in the *secondary* field lattices of a multi-field
     /// engine, tagged with the secondary field index (0-based, in
     /// declaration order). Secondary atoms carry no owner cells or label
-    /// bits, but the engine's incremental monitor repair keys off these
-    /// entries within the recording update: a non-empty list invalidates
-    /// the memoized secondary-class layer, and each `new` atom names a
-    /// fresh secondary class whose `(primary atom, class)` slices must be
-    /// recomputed from scratch — never inherited — mirroring the primary
-    /// split rule of the delta-graph repair.
+    /// bits and key no monitored state — a secondary split refines the
+    /// classes a primary atom is checked over without changing whether
+    /// *some* class violates — but the engine's cross-field walk kernel
+    /// numbers its class sets by lattice rank, and a non-empty list tells
+    /// it, within the recording update, to renumber.
     pub sec_splits: Vec<(u8, DeltaPair)>,
 }
 
@@ -224,10 +223,9 @@ impl DeltaGraph {
         // remap table covers only the primary field, so the recorded
         // secondary splits would be left holding stale ids. Dropping them is
         // safe: the engine consumes `sec_splits` within the update that
-        // recorded them (cache invalidation + new-class slice recompute in
+        // recorded them (renumbering the walk kernel's classes in
         // `finish_update`), which always runs *before* any compaction, and
-        // `compact()` separately invalidates the class cache and remaps the
-        // per-class ledger itself.
+        // `compact()` renumbers them again itself.
         self.sec_splits.clear();
     }
 

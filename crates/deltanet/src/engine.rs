@@ -27,7 +27,7 @@ use crate::delta_graph::DeltaGraph;
 use crate::labels::Labels;
 use crate::loops::{self, WalkScratch};
 use crate::monitor::ViolationMonitor;
-use crate::multifield::{self, MfClassState, MfScratch, MfView, SecClass};
+use crate::multifield::{self, ClassWalk, MfView};
 use crate::owner::Owner;
 use netmodel::checker::{Checker, UpdateError, UpdateReport, WhatIfReport};
 use netmodel::header::{HeaderSpace, MAX_SECONDARY_FIELDS};
@@ -203,8 +203,8 @@ pub struct DeltaNet {
     reclaimable: usize,
     /// One interval lattice per declared secondary header field (empty for
     /// the single-field shape). Secondary lattices carry no owner cells or
-    /// edge labels — the cross-field checks of [`crate::multifield`]
-    /// enumerate their atom cross product at check time instead.
+    /// edge labels — the cross-field checks of [`crate::multifield`] range
+    /// over their atom cross product at check time instead.
     sec_atoms: Vec<AtomMap>,
     /// Per-secondary-field bound reference counts — the `bound_refs`
     /// bookkeeping, mirrored per field.
@@ -227,6 +227,11 @@ pub struct DeltaNet {
     /// Scratch of the per-update loop check's successor walks, reused for
     /// the same reason (see [`loops::WalkScratch`]).
     walk_scratch: WalkScratch,
+    /// Its multi-field counterpart: the set-at-a-time kernel behind the
+    /// per-update check and the monitor repair of a multi-field engine,
+    /// with the class numbering derived from `sec_atoms` (re-derived
+    /// whenever those split or merge). Empty on a single-field engine.
+    class_walk: ClassWalk,
     /// When `Some(range)`, this engine owns only that contiguous slice of
     /// the address space: every applied rule interval is intersected with it
     /// before the update core runs. This is the per-shard building block of
@@ -237,18 +242,6 @@ pub struct DeltaNet {
     /// [`DeltaNet::enable_monitor`]). Fed by every update's delta-graph in
     /// [`DeltaNet::finish_update`]; remapped across [`DeltaNet::compact`].
     monitor: Option<ViolationMonitor>,
-    /// Memoized cross product of the secondary lattices' atoms
-    /// ([`multifield::sec_classes`]), shared by every cross-field check.
-    /// `None` when stale: invalidated whenever an update records secondary
-    /// splits or a compaction merges secondary atoms, refilled on the next
-    /// check. Always `None` on a single-field engine.
-    sec_class_cache: Option<Vec<SecClass>>,
-    /// Per-secondary-class violation ledger behind the incremental
-    /// multi-field monitor repair ([`MfClassState`]): present iff this is a
-    /// monitored multi-field engine (built lazily after a snapshot
-    /// restore). Derived state — absent from snapshots and excluded from
-    /// [`DeltaNet::live_bytes`].
-    mf_state: Option<MfClassState>,
 }
 
 impl DeltaNet {
@@ -256,7 +249,12 @@ impl DeltaNet {
     pub fn new(topology: Topology, config: DeltaNetConfig) -> Self {
         let link_count = topology.link_count();
         let secondary = config.secondary_count();
+        let sec_atoms: Vec<AtomMap> = config.sec_widths[..secondary]
+            .iter()
+            .map(|&w| AtomMap::new(w))
+            .collect();
         DeltaNet {
+            class_walk: ClassWalk::new(&sec_atoms, topology.node_count()),
             topology,
             config,
             atoms: AtomMap::new(config.field_width),
@@ -265,10 +263,7 @@ impl DeltaNet {
             rules: HashMap::new(),
             bound_refs: HashMap::new(),
             reclaimable: 0,
-            sec_atoms: config.sec_widths[..secondary]
-                .iter()
-                .map(|&w| AtomMap::new(w))
-                .collect(),
+            sec_atoms,
             sec_bound_refs: vec![HashMap::new(); secondary],
             sec_reclaimable: vec![0; secondary],
             compactions: 0,
@@ -278,8 +273,6 @@ impl DeltaNet {
             walk_scratch: WalkScratch::default(),
             clip: None,
             monitor: config.monitor_violations.then(ViolationMonitor::new),
-            sec_class_cache: None,
-            mf_state: (config.monitor_violations && secondary > 0).then(MfClassState::new),
         }
     }
 
@@ -364,12 +357,11 @@ impl DeltaNet {
     }
 
     /// The borrowed state bundle the cross-field checks run on.
-    fn mf_view(&self) -> MfView<'_> {
+    pub(crate) fn mf_view(&self) -> MfView<'_> {
         MfView {
             topology: &self.topology,
             owner: &self.owner,
             atoms: &self.atoms,
-            sec_atoms: &self.sec_atoms,
             rules: &self.rules,
         }
     }
@@ -407,28 +399,31 @@ impl DeltaNet {
     /// created with [`DeltaNetConfig::monitor_violations`] start monitored
     /// without the scan.
     pub fn enable_monitor(&mut self) -> &ViolationMonitor {
-        if self.is_multifield() {
-            // One full per-class scan seeds both the ledger and — via its
-            // class union — the monitor, so the two agree from the start.
-            let state = self.build_mf_state();
-            self.monitor = Some(ViolationMonitor::from_maps(
-                state.union_loops(),
-                state.union_holes(),
-            ));
-            self.mf_state = Some(state);
+        let monitor = if self.is_multifield() {
+            // The same per-atom scan every later update repairs with, over
+            // every atom.
+            let mut walk = std::mem::take(&mut self.class_walk);
+            let view = self.mf_view();
+            let atoms = self.atoms.iter().map(|(atom, _)| atom);
+            let monitor =
+                ViolationMonitor::seeded(atoms, |atom, found| walk.scan_atom(&view, atom, found));
+            self.class_walk = walk;
+            monitor
         } else {
-            self.monitor = Some(self.fresh_monitor());
-        }
-        self.monitor.as_ref().expect("just attached")
+            self.fresh_monitor()
+        };
+        self.monitor.insert(monitor)
     }
 
     /// A monitor seeded from the current data plane with one full scan,
-    /// dispatching on the engine's header-space shape. Used to attach a
-    /// monitor and by snapshot restore to verify a persisted monitor
-    /// against the reconstructed plane.
+    /// dispatching on the engine's header-space shape — on a multi-field
+    /// engine the tuple-at-a-time scans, independent of the kernel that
+    /// maintains the live monitor. Used to attach a single-field monitor
+    /// and by snapshot restore to verify a persisted monitor against the
+    /// reconstructed plane.
     pub(crate) fn fresh_monitor(&self) -> ViolationMonitor {
         if self.is_multifield() {
-            let classes = self.sec_class_list();
+            let classes = multifield::sec_classes(&self.sec_atoms);
             let view = self.mf_view();
             ViolationMonitor::from_maps(
                 multifield::mf_cycles(&view, &classes),
@@ -437,35 +432,6 @@ impl DeltaNet {
         } else {
             ViolationMonitor::from_state(&self.topology, &self.labels, &self.atoms)
         }
-    }
-
-    /// The secondary class list: the memoized enumeration when fresh, a
-    /// from-scratch enumeration otherwise (read-only paths cannot refill
-    /// the cache).
-    fn sec_class_list(&self) -> Vec<SecClass> {
-        match self.sec_class_cache.as_ref() {
-            Some(classes) => classes.clone(),
-            None => multifield::sec_classes(&self.sec_atoms),
-        }
-    }
-
-    /// Refills the memoized secondary class list if it was invalidated.
-    fn ensure_sec_classes(&mut self) {
-        if self.sec_class_cache.is_none() {
-            self.sec_class_cache = Some(multifield::sec_classes(&self.sec_atoms));
-        }
-    }
-
-    /// Builds the per-class violation ledger with one full per-class scan
-    /// — the multi-field analogue of [`ViolationMonitor::from_state`]'s
-    /// seeding scan.
-    fn build_mf_state(&self) -> MfClassState {
-        let classes = self.sec_class_list();
-        let view = self.mf_view();
-        let atoms: Vec<AtomId> = view.atoms.iter().map(|(a, _)| a).collect();
-        let mut scratch = MfScratch::new(view.topology.node_count());
-        let (loops, holes) = multifield::mf_repair_slices(&view, &classes, &atoms, &mut scratch);
-        MfClassState::from_slices(&classes, loops, holes)
     }
 
     /// The violations currently active in the data plane, rendered exactly
@@ -677,7 +643,7 @@ impl DeltaNet {
         *self.bound_refs.entry(interval.hi()).or_insert(0) += 1;
         self.rules.insert(rule.id, rule);
 
-        self.finish_update(delta, Some((rule, interval)), true)
+        self.finish_update(delta, rule, interval, true)
     }
 
     /// Algorithm 2: removes the rule with id `id` and returns the per-update
@@ -771,7 +737,7 @@ impl DeltaNet {
             }
         }
 
-        self.finish_update(delta, Some((rule, interval)), false)
+        self.finish_update(delta, rule, interval, false)
     }
 
     /// The compaction pass of the §3.2.2 garbage-collection remark — the
@@ -842,11 +808,10 @@ impl DeltaNet {
 
         // Secondary lattices: the same merge + renumber per field.
         // Secondary atom ids key no cross-structure state (no owner cells,
-        // labels, or monitor sets — cross-field state keys off class
-        // *representatives*, the lattice atoms' low bounds), so the
-        // per-field renumbering tables are discarded. The memoized class
-        // list does go stale here, and merged-away classes must leave the
-        // per-class ledger.
+        // labels, or monitor sets), so the per-field renumbering tables
+        // are discarded; only the walk kernel's class numbering follows
+        // the lattices. A merged-away class was rule-indistinguishable
+        // from its kept neighbour, so no monitored `∃ class` changes.
         let mut sec_merged = 0;
         for field in 0..self.sec_atoms.len() {
             let dead: Vec<Bound> = self.sec_atoms[field]
@@ -862,22 +827,8 @@ impl DeltaNet {
             self.sec_reclaimable[field] = 0;
             self.sec_atoms[field].renumber();
         }
-        self.sec_class_cache = None;
-        if self.mf_state.is_some() {
-            // Surviving classes keep their representatives (a merge never
-            // moves a kept atom's low bound), so retaining the still-valid
-            // keys and remapping the primary atoms keeps the ledger exact;
-            // a dropped class was rule-indistinguishable from its kept
-            // neighbour, so the class union — what the monitor tracks — is
-            // invariant, mirroring `monitor.remap` above.
-            let valid: std::collections::BTreeSet<SecClass> =
-                multifield::sec_classes(&self.sec_atoms)
-                    .into_iter()
-                    .collect();
-            if let Some(state) = self.mf_state.as_mut() {
-                state.retain_classes(&valid);
-                state.remap(&remap);
-            }
+        if sec_merged > 0 {
+            self.class_walk.reindex(&self.sec_atoms);
         }
 
         self.compactions += 1;
@@ -892,40 +843,40 @@ impl DeltaNet {
 
     /// Shared tail of both algorithms: run the configured per-update checks
     /// on the delta-graph, feed the monitor, remember the delta, and build
-    /// the report. `changed` carries the inserted/removed rule and the
+    /// the report. `rule` is the inserted/removed rule and `interval` the
     /// (possibly shard-clipped) interval the update ran on — the
-    /// multi-field seeded check needs the rule itself, not just its id.
+    /// multi-field paths need the rule itself, not just its id.
     fn finish_update(
         &mut self,
         delta: DeltaGraph,
-        changed: Option<(Rule, Interval)>,
+        rule: Rule,
+        interval: Interval,
         was_insert: bool,
     ) -> UpdateReport {
-        if self.is_multifield() && !delta.sec_splits.is_empty() {
-            // New secondary bounds appeared: the memoized class list is
-            // stale. Every cross-field path below re-enumerates on demand.
-            self.sec_class_cache = None;
+        let multifield = self.is_multifield();
+        if !delta.sec_splits.is_empty() {
+            self.class_walk.reindex(&self.sec_atoms);
         }
+        // Disjoint-field borrows: the view stays immutable while the walk
+        // scratch and the monitor (separate fields) are repaired in place.
+        let view = MfView {
+            topology: &self.topology,
+            owner: &self.owner,
+            atoms: &self.atoms,
+            rules: &self.rules,
+        };
         let violations = if !self.config.check_loops_per_update {
             Vec::new()
-        } else if self.is_multifield() {
+        } else if multifield {
             // The label-seeded walk is unsound under cross-field
             // intersection (labels are a primary-field projection, and a
             // secondary-constrained update can close a loop without adding
             // a single label bit). Seed from the one node whose forwarding
             // the update changed instead — any new or dissolved loop must
             // route through it, on atoms of the update's interval and
-            // secondary classes the rule matches.
-            match &changed {
-                Some((rule, interval)) => {
-                    self.ensure_sec_classes();
-                    let view = self.mf_view();
-                    let classes = self.sec_class_cache.as_deref().expect("just refilled");
-                    let cycles = multifield::find_loops_for_rule(&view, classes, rule, *interval);
-                    loops::into_violations(cycles, &self.atoms)
-                }
-                None => Vec::new(),
-            }
+            // secondary classes the rule admits.
+            let cycles = self.class_walk.loops_from_rule(&view, &rule, interval);
+            loops::into_violations(cycles, &self.atoms)
         } else {
             loops::find_loops_from_seeds_in(
                 &mut self.walk_scratch,
@@ -935,15 +886,25 @@ impl DeltaNet {
                 &delta.added,
             )
         };
-        if self.monitor.is_some() {
-            if self.is_multifield() {
-                self.repair_mf_monitor(&delta, changed.as_ref());
-            } else if let Some(monitor) = self.monitor.as_mut() {
+        if let Some(monitor) = self.monitor.as_mut() {
+            if multifield {
+                // The update changed forwarding only at `rule.source` and
+                // only for the interval's atoms; split atoms (the one past
+                // the interval's high bound included) are recomputed,
+                // never inherited. Every other atom's tracked membership
+                // is still exact.
+                let touched = self
+                    .atoms
+                    .iter_atoms_of(interval)
+                    .chain(delta.splits.iter().map(|pair| pair.new));
+                let walk = &mut self.class_walk;
+                monitor.rescan_atoms(touched, |atom, found| walk.scan_atom(&view, atom, found));
+            } else {
                 monitor.apply_update(&self.topology, &self.labels, &delta);
             }
         }
         let report = UpdateReport {
-            rule_id: changed.map(|(rule, _)| rule.id),
+            rule_id: Some(rule.id),
             was_insert,
             affected_classes: delta.affected_atom_count(),
             changed_links: delta.changed_links(),
@@ -954,138 +915,6 @@ impl DeltaNet {
         }
         self.last_delta = delta;
         report
-    }
-
-    /// Repairs the multi-field violation ledger and monitor after one
-    /// update by re-walking only the `(primary atom, secondary class)`
-    /// slices the update can have touched — the cross-field analogue of
-    /// the single-field delta-graph repair, replacing the former wholesale
-    /// `mf_cycles` + `mf_holes` rescan.
-    ///
-    /// The touched slices form up to three rectangles:
-    ///
-    /// 1. the update's (clip-adjusted) interval's atoms × the classes the
-    ///    rule's `SecondaryMatch` covers — the only slices whose forwarding
-    ///    function the ownership change can alter (it changes exactly at
-    ///    `rule.source`, and only where the rule both covers the atom and
-    ///    matches the class) — narrowed further per atom by
-    ///    [`multifield::decision_changed`] to the classes whose owner-cell
-    ///    winner at the source actually changed;
-    /// 2. primary atoms created by splits × *all* classes — new atoms have
-    ///    no tracked state and are recomputed, never inherited (and the
-    ///    high-bound split atom lies outside the interval, so rectangle 1
-    ///    does not cover it);
-    /// 3. every atom × classes created by secondary splits — same rule,
-    ///    cross-field: a new class's slices are recomputed from scratch.
-    ///
-    /// Every slice not in these rectangles has an unchanged forwarding
-    /// function, so its per-class ledger entries remain exact; the
-    /// re-walked rectangles compute the full scan's exact per-slice
-    /// predicates (via the fused [`multifield::mf_repair_slices`]), so the
-    /// repaired ledger — and the class union handed to
-    /// [`ViolationMonitor::replace_state`] for identity-level events —
-    /// stays bit-identical to a from-scratch rescan.
-    fn repair_mf_monitor(&mut self, delta: &DeltaGraph, changed: Option<&(Rule, Interval)>) {
-        let (Some((rule, interval)), true) = (changed, self.mf_state.is_some()) else {
-            // No per-rule footprint to scope by, or no ledger yet (the
-            // first monitored update after a snapshot restore): one full
-            // per-class rebuild — the cost of exactly one legacy rescan.
-            self.rebuild_mf_monitor();
-            return;
-        };
-        self.ensure_sec_classes();
-        // Disjoint-field borrows: the view and class list stay immutable
-        // while the ledger (a separate field) is repaired in place.
-        let view = MfView {
-            topology: &self.topology,
-            owner: &self.owner,
-            atoms: &self.atoms,
-            sec_atoms: &self.sec_atoms,
-            rules: &self.rules,
-        };
-        let classes: &[SecClass] = self.sec_class_cache.as_deref().expect("just refilled");
-        let state = self.mf_state.as_mut().expect("checked above");
-        let mut scratch = MfScratch::new(view.topology.node_count());
-        let mut apply_rect = |atoms: &[AtomId], cls: &[SecClass], scratch: &mut MfScratch| {
-            if atoms.is_empty() || cls.is_empty() {
-                return;
-            }
-            let (loops, holes) = multifield::mf_repair_slices(&view, cls, atoms, scratch);
-            let atom_set: crate::atomset::AtomSet = atoms.iter().copied().collect();
-            state.apply_slices(cls, &atom_set, loops, holes);
-        };
-
-        // Rectangle 1: interval atoms × rule-matched classes, narrowed per
-        // atom to the classes whose forwarding decision actually changed.
-        // The rule only participates in the owner cells at its own source,
-        // so one cell probe per (atom, class) — shadowed inserts and
-        // removals of shadowed or link-equivalent rules — rules out most of
-        // the rectangle without walking it.
-        let interval_atoms: Vec<AtomId> = view.atoms.iter_atoms_of(*interval).collect();
-        let mut changed_classes: Vec<SecClass> = Vec::with_capacity(classes.len());
-        for &atom in &interval_atoms {
-            changed_classes.clear();
-            changed_classes.extend(
-                classes
-                    .iter()
-                    .filter(|class| multifield::decision_changed(&view, rule, atom, class))
-                    .copied(),
-            );
-            apply_rect(&[atom], &changed_classes, &mut scratch);
-        }
-
-        // Rectangle 2: primary split atoms × all classes.
-        if !delta.splits.is_empty() {
-            let mut split_atoms: Vec<AtomId> = delta.splits.iter().map(|pair| pair.new).collect();
-            split_atoms.sort_unstable();
-            split_atoms.dedup();
-            apply_rect(&split_atoms, classes, &mut scratch);
-        }
-
-        // Rectangle 3: all atoms × new classes. A class is new iff some
-        // field's representative is the low bound of a secondary atom a
-        // recorded split created (further same-update splits of that atom
-        // are recorded too, so every new representative is found).
-        if !delta.sec_splits.is_empty() {
-            let mut reps: Vec<(usize, Bound)> = delta
-                .sec_splits
-                .iter()
-                .map(|&(field, pair)| {
-                    let field = field as usize;
-                    (field, view.sec_atoms[field].atom_interval(pair.new).lo())
-                })
-                .collect();
-            reps.sort_unstable();
-            reps.dedup();
-            let fresh: Vec<SecClass> = classes
-                .iter()
-                .filter(|class| reps.iter().any(|&(field, bound)| class[field] == bound))
-                .copied()
-                .collect();
-            if !fresh.is_empty() {
-                let all_atoms: Vec<AtomId> = view.atoms.iter().map(|(a, _)| a).collect();
-                apply_rect(&all_atoms, &fresh, &mut scratch);
-            }
-        }
-
-        let loops = state.union_loops();
-        let holes = state.union_holes();
-        if let Some(monitor) = self.monitor.as_mut() {
-            monitor.replace_state(loops, holes);
-        }
-    }
-
-    /// Rebuilds the per-class ledger with one full per-class scan and
-    /// feeds its union to the monitor (identity-level event diff
-    /// preserved, exactly like the scoped path).
-    fn rebuild_mf_monitor(&mut self) {
-        let state = self.build_mf_state();
-        let loops = state.union_loops();
-        let holes = state.union_holes();
-        self.mf_state = Some(state);
-        if let Some(monitor) = self.monitor.as_mut() {
-            monitor.replace_state(loops, holes);
-        }
     }
 
     /// Number of atoms (packet classes) currently represented.
@@ -1139,9 +968,8 @@ impl DeltaNet {
     /// the gap between the two. A function of the logical state alone,
     /// which makes it one of the fields the persistence round-trip tests
     /// compare exactly between a live engine and its snapshot restore —
-    /// derived state (the violation monitor, the memoized class list, the
-    /// per-class ledger) is therefore excluded here and counted in
-    /// [`DeltaNet::memory_estimate`] instead.
+    /// derived state (the violation monitor, the walk scratch) is
+    /// therefore excluded.
     pub fn live_bytes(&self) -> usize {
         self.atoms.live_bytes()
             + self.owner.live_bytes()
@@ -1167,7 +995,7 @@ impl DeltaNet {
     /// intervals (the union over all secondary classes that loop).
     pub fn check_all_loops(&self) -> Vec<netmodel::checker::InvariantViolation> {
         if self.is_multifield() {
-            let classes = self.sec_class_list();
+            let classes = multifield::sec_classes(&self.sec_atoms);
             let cycles = multifield::mf_cycles(&self.mf_view(), &classes);
             loops::into_violations(cycles, &self.atoms)
         } else {
@@ -1182,7 +1010,7 @@ impl DeltaNet {
     /// like [`DeltaNet::check_all_loops`] on a multi-field engine.
     pub fn check_all_blackholes(&self) -> Vec<netmodel::checker::InvariantViolation> {
         if self.is_multifield() {
-            let classes = self.sec_class_list();
+            let classes = multifield::sec_classes(&self.sec_atoms);
             let holes = multifield::mf_holes(&self.mf_view(), &classes);
             crate::blackholes::render_blackholes(holes.iter().map(|(n, s)| (*n, s)), &self.atoms)
         } else {
@@ -1266,10 +1094,6 @@ impl DeltaNet {
                 .iter()
                 .map(|refs| refs.capacity() * (std::mem::size_of::<Bound>() + 4 + 8))
                 .sum::<usize>()
-            + self.sec_class_cache.as_ref().map_or(0, |classes| {
-                classes.capacity() * std::mem::size_of::<SecClass>()
-            })
-            + self.mf_state.as_ref().map_or(0, MfClassState::memory_bytes)
     }
 
     /// This engine's configuration.
@@ -1300,6 +1124,7 @@ impl DeltaNet {
     /// carry the exported counters verbatim.
     pub(crate) fn from_restored(parts: RestoredParts) -> DeltaNet {
         DeltaNet {
+            class_walk: ClassWalk::new(&parts.sec_atoms, parts.topology.node_count()),
             topology: parts.topology,
             config: parts.config,
             atoms: parts.atoms,
@@ -1318,10 +1143,6 @@ impl DeltaNet {
             walk_scratch: WalkScratch::default(),
             clip: parts.clip,
             monitor: parts.monitor,
-            sec_class_cache: None,
-            // The per-class ledger is derived state a snapshot does not
-            // carry; the first monitored multi-field update rebuilds it.
-            mf_state: None,
         }
     }
 }
@@ -2127,10 +1948,7 @@ mod tests {
         // Both memory metrics must see the secondary lattices: a monitored
         // multi-field engine reports strictly more than its single-field
         // projection (the same rules with the secondary constraints
-        // stripped). `live_bytes` grows by the secondary `AtomMap`s and
-        // bound refcounts alone; `memory_estimate` additionally counts the
-        // memoized class list and the per-class violation ledger, so the
-        // multi-field gap there is at least as large.
+        // stripped), by the secondary `AtomMap`s and bound refcounts.
         use netmodel::header::SecondaryMatch;
         let mut topo = Topology::new();
         let a = topo.add_node("a");
@@ -2158,7 +1976,6 @@ mod tests {
             multi.insert_rule(rule.with_secondary(sec));
             single.insert_rule(*rule);
         }
-        // Force the derived multi-field state (class cache + ledger) live.
         assert!(multi.active_violations().is_some());
         assert!(
             multi.live_bytes() > single.live_bytes(),
@@ -2172,69 +1989,6 @@ mod tests {
             multi.memory_estimate(),
             single.memory_estimate()
         );
-        // The derived-state gap: estimate minus live grows with the class
-        // cache and ledger, which live_bytes deliberately excludes (it is
-        // a function of logical state alone, persisted round-trips compare
-        // it exactly).
-        let multi_gap = multi.memory_estimate() - multi.live_bytes();
-        let single_gap = single.memory_estimate() - single.live_bytes();
-        assert!(
-            multi_gap > single_gap,
-            "derived-state gap: multi {multi_gap} <= single {single_gap}"
-        );
-    }
-
-    #[test]
-    fn scoped_slice_primitives_match_full_scans() {
-        // The scoped repair primitives' contract: handed the full plane
-        // (every atom × every class), their per-class union reproduces the
-        // full scans bit-for-bit. The fixture loops a↔b only in the
-        // secondary classes rule 1 matches and blackholes at `a` in the
-        // rest, so both the loop and hole paths are exercised per class.
-        use netmodel::header::SecondaryMatch;
-        let mut topo = Topology::new();
-        let a = topo.add_node("a");
-        let b = topo.add_node("b");
-        let ab = topo.add_link(a, b);
-        let ba = topo.add_link(b, a);
-        let config = DeltaNetConfig {
-            field_width: 8,
-            ..DeltaNetConfig::default()
-        };
-        let mut net = DeltaNet::new(topo, config.with_secondary(&[6]));
-        net.insert_rule(
-            Rule::forward(RuleId(1), IpPrefix::new(0, 4, 8), 5, a, ab)
-                .with_secondary(SecondaryMatch::new(&[Interval::new(8, 16)])),
-        );
-        net.insert_rule(Rule::forward(RuleId(2), IpPrefix::new(0, 4, 8), 5, b, ba));
-        net.insert_rule(Rule::forward(RuleId(3), IpPrefix::new(64, 2, 8), 5, a, ab));
-        let classes = net.sec_class_list();
-        assert!(classes.len() > 1, "secondary lattice should have split");
-        let view = net.mf_view();
-        let atoms: Vec<AtomId> = view.atoms.iter().map(|(atom, _)| atom).collect();
-        let mut scratch = MfScratch::new(view.topology.node_count());
-        let per_class_loops =
-            multifield::mf_cycles_for_slices(&view, &classes, &atoms, &mut scratch);
-        let per_class_holes =
-            multifield::mf_holes_for_slices(&view, &classes, &atoms, &mut scratch);
-        let mut union_loops: std::collections::BTreeMap<Vec<NodeId>, crate::atomset::AtomSet> =
-            Default::default();
-        for per_class in per_class_loops {
-            for (cycle, set) in per_class {
-                union_loops.entry(cycle).or_default().union_with(&set);
-            }
-        }
-        let mut union_holes: std::collections::BTreeMap<NodeId, crate::atomset::AtomSet> =
-            Default::default();
-        for per_class in per_class_holes {
-            for (node, set) in per_class {
-                union_holes.entry(node).or_default().union_with(&set);
-            }
-        }
-        assert!(!union_loops.is_empty(), "fixture should loop in [8,16)");
-        assert!(!union_holes.is_empty(), "fixture should blackhole at a");
-        assert_eq!(union_loops, multifield::mf_cycles(&view, &classes));
-        assert_eq!(union_holes, multifield::mf_holes(&view, &classes));
     }
 
     #[test]

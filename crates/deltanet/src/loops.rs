@@ -133,7 +133,7 @@ impl WalkScratch {
 
 /// Rotates a cycle so its smallest node comes first: identical cycles
 /// discovered from different starts then compare equal.
-fn rotate_to_canonical(cycle: &mut [NodeId]) {
+pub(crate) fn rotate_to_canonical(cycle: &mut [NodeId]) {
     let min_pos = cycle
         .iter()
         .enumerate()

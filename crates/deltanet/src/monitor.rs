@@ -63,6 +63,20 @@
 //! [`ViolationMonitor::remap`]) and under sharding, and a unit-test
 //! differential pins state *and* event sequence against the dense
 //! reference repair this one replaced.
+//!
+//! ## Multi-field engines
+//!
+//! With secondary header fields declared, a violation is a property of a
+//! `(primary atom, secondary class)` pair that no label describes, so the
+//! engine does not hand this monitor a delta-graph. It names the atoms an
+//! update touched and a per-atom scan over every class
+//! ([`ViolationMonitor::rescan_atoms`], fed by
+//! [`crate::multifield::ClassWalk::scan_atom`]); steps 1 and 4 above run
+//! unchanged around it, so the tracked state stays keyed by primary atom
+//! alone — `loops[C] ∋ α` iff α rides C in *some* class — and events keep
+//! their identity-level meaning. `tests/multifield_differential.rs` pins
+//! state and events against the tuple-at-a-time full scans after every
+//! operation.
 
 use crate::atoms::{AtomId, AtomMap, REMAP_DEAD};
 use crate::atomset::AtomSet;
@@ -70,6 +84,7 @@ use crate::blackholes;
 use crate::delta_graph::DeltaGraph;
 use crate::labels::Labels;
 use crate::loops::{self, CycleMap, WalkScratch};
+use crate::multifield::Found;
 use netmodel::checker::InvariantViolation;
 use netmodel::topology::{NodeId, Topology};
 use std::collections::{BTreeMap, BTreeSet};
@@ -254,9 +269,10 @@ impl ViolationMonitor {
         }
     }
 
-    /// Seeds a monitor directly from precomputed violation maps — the
-    /// multi-field engine's entry point, whose cross-field scans
-    /// ([`crate::multifield`]) produce these maps rather than label walks.
+    /// Seeds a monitor directly from precomputed violation maps — what the
+    /// multi-field full scans ([`crate::multifield::mf_cycles`] /
+    /// [`crate::multifield::mf_holes`]) produce, for verifying a restored
+    /// monitor against the reconstructed plane.
     pub(crate) fn from_maps(
         loops: BTreeMap<Vec<NodeId>, AtomSet>,
         holes: BTreeMap<NodeId, AtomSet>,
@@ -271,54 +287,74 @@ impl ViolationMonitor {
         monitor
     }
 
-    /// Replaces the tracked state with freshly computed violation maps,
-    /// recording appeared/resolved transitions at the identity level —
-    /// exactly like [`ViolationMonitor::apply_update`] does, but with the
-    /// new state handed in whole instead of repaired from a delta. The
-    /// multi-field engine uses this: its violation state depends on
-    /// cross-field intersections that no single-field delta-graph
-    /// describes. Since PR 9 the maps handed in are *not* full rescans:
-    /// the engine keeps a per-secondary-class ledger
-    /// ([`crate::multifield::MfClassState`]), repairs only the
-    /// `(primary atom, secondary class)` slices an update touched, and
-    /// swaps in the rebuilt class union here — identity-level events stay
-    /// exact because this diff is computed against the previous union.
-    pub(crate) fn replace_state(
+    /// A monitor seeded by one [`ViolationMonitor::rescan_atoms`] pass over
+    /// `atoms` — how a multi-field engine attaches a monitor to a running
+    /// plane. The seeding itself is not an update: no events are left
+    /// behind.
+    pub(crate) fn seeded(
+        atoms: impl Iterator<Item = AtomId>,
+        scan: impl FnMut(AtomId, &mut dyn FnMut(Found<'_>)),
+    ) -> Self {
+        let mut monitor = ViolationMonitor::new();
+        monitor.rescan_atoms(atoms, scan);
+        monitor.events.clear();
+        monitor
+    }
+
+    /// The multi-field repair: the same retire → re-admit → settle
+    /// sequence as [`ViolationMonitor::apply_update`], with the atoms and
+    /// the per-atom scan supplied by the engine. A multi-field violation
+    /// depends on cross-field intersections no label walk sees, so the
+    /// engine names the `touched` atoms (the update's interval plus its
+    /// split atoms) and `scan` reports everything one atom currently
+    /// violates ([`crate::multifield::ClassWalk::scan_atom`]); transitions
+    /// are recorded at the identity level exactly as for a delta-graph.
+    pub(crate) fn rescan_atoms(
         &mut self,
-        loops: BTreeMap<Vec<NodeId>, AtomSet>,
-        holes: BTreeMap<NodeId, AtomSet>,
+        touched: impl Iterator<Item = AtomId>,
+        mut scan: impl FnMut(AtomId, &mut dyn FnMut(Found<'_>)),
     ) {
         self.events.clear();
-        let loops_before: BTreeSet<Vec<NodeId>> = self.loops.keys().cloned().collect();
-        let holes_before: BTreeSet<NodeId> = self.holes.keys().copied().collect();
-        self.loops = loops;
-        self.loops.retain(|_, set| !set.is_empty());
-        self.holes = holes;
-        self.holes.retain(|_, set| !set.is_empty());
-        for cycle in &loops_before {
-            if !self.loops.contains_key(cycle) {
-                self.events
-                    .push(MonitorEvent::resolved(ViolationKey::Loop(cycle.clone())));
+        self.atoms.clear();
+        self.atoms.extend(touched);
+        self.atoms.sort_unstable();
+        self.atoms.dedup();
+
+        let (mut loops_drained, mut holes_drained) = (false, false);
+        for &atom in &self.atoms {
+            for set in self.loops.values_mut() {
+                loops_drained |= set.remove(atom) && set.is_empty();
+            }
+            for set in self.holes.values_mut() {
+                holes_drained |= set.remove(atom) && set.is_empty();
             }
         }
-        for cycle in self.loops.keys() {
-            if !loops_before.contains(cycle) {
-                self.events
-                    .push(MonitorEvent::appeared(ViolationKey::Loop(cycle.clone())));
-            }
+        let (loops, holes, events) = (&mut self.loops, &mut self.holes, &mut self.events);
+        let mut holes_appeared = 0;
+        for &atom in &self.atoms {
+            scan(atom, &mut |found| {
+                let appeared = match found {
+                    Found::Cycle(cycle) => {
+                        loops::admit(loops, cycle, atom).then(|| ViolationKey::Loop(cycle.to_vec()))
+                    }
+                    Found::Hole(node) => loops::admit(holes, &node, atom).then(|| {
+                        holes_appeared += 1;
+                        ViolationKey::Blackhole(node)
+                    }),
+                };
+                events.extend(appeared.map(MonitorEvent::appeared));
+            });
         }
-        for &node in &holes_before {
-            if !self.holes.contains_key(&node) {
-                self.events
-                    .push(MonitorEvent::resolved(ViolationKey::Blackhole(node)));
-            }
-        }
-        for &node in self.holes.keys() {
-            if !holes_before.contains(&node) {
-                self.events
-                    .push(MonitorEvent::appeared(ViolationKey::Blackhole(node)));
-            }
-        }
+        // One scan admits loops and blackholes interleaved. Loop keys sort
+        // before blackhole keys, so settling the loops over *all* admitted
+        // events leaves the blackholes' as the tail the second phase owns.
+        settle(loops, events, 0, loops_drained, |cycle| {
+            ViolationKey::Loop(cycle.clone())
+        });
+        let first = events.len() - holes_appeared;
+        settle(holes, events, first, holes_drained, |&node| {
+            ViolationKey::Blackhole(node)
+        });
     }
 
     /// Repairs the violation state from one update's delta-graph, recording

@@ -16,37 +16,44 @@
 //! multiplying the machinery itself. The single-field hot path never enters
 //! this module.
 //!
-//! ## The incremental slice-repair contract
+//! ## Two implementations of one predicate
 //!
-//! The unit of cross-field work is a *slice*: one `(primary atom α,
-//! secondary class c)` pair, whose forwarding function `F_{α,c}` maps each
-//! node to [`mf_successor`]'s decision. The full scans ([`mf_cycles`],
-//! [`mf_holes`]) evaluate every slice; the scoped repair
-//! ([`mf_repair_slices`], with [`mf_cycles_for_slices`] /
-//! [`mf_holes_for_slices`] as its two projections) evaluates exactly the
-//! `atoms × classes` rectangle it is given. Both compute the same
-//! predicates — pure functions of `F_{α,c}` — but through independent
-//! implementations: the full scans re-resolve owner cells as they walk,
-//! while the repair memoizes each emitter's decision once per slice and
-//! chases stamped scratch arrays. A slice's scoped result is therefore
-//! bit-identical to its share of the full scan, and the differential
-//! suite cross-checks two genuinely distinct code paths.
+//! For a primary atom α and a secondary class c, the forwarding function
+//! `F_{α,c}` maps each node to [`mf_successor`]'s decision. A cycle of some
+//! `F_{α,c}` is a forwarding loop for α; a node some `F_{α,c}` forwards into
+//! that has no decision of its own for c is a blackhole for α. Two
+//! independent implementations evaluate that predicate:
 //!
-//! One rule update changes `F_{α,c}` only at the rule's source node, only
-//! for atoms of its (clip-adjusted) interval, and only in classes its
-//! [`netmodel::rule::SecondaryMatch`] covers — and among those, only
-//! where the owner-cell winner at the source actually changed, which
-//! [`decision_changed`] detects with one cell probe per slice; atoms and
-//! classes created by lattice splits start with no tracked state and are
-//! recomputed from scratch, never inherited (the PR 5 split rule, applied
-//! cross-field).
-//! The engine therefore repairs its per-class ledger ([`MfClassState`]) by
-//! re-walking a few small rectangles per update instead of the whole
-//! plane, and feeds the ledger's class-union to the
-//! [`crate::monitor::ViolationMonitor`] — preserving exact identity-level
-//! appeared/resolved events. `tests/multifield_differential.rs` pins the
-//! bit-identity of the repaired state against these full scans after every
-//! operation.
+//! * **Tuple at a time** — [`mf_cycles`] and [`mf_holes`], behind
+//!   `check_all_loops` / `check_all_blackholes`: every `(α, c)` pair is one
+//!   successor walk that re-resolves owner cells hop by hop. Slow on
+//!   purpose: this is the reference the differential suite
+//!   (`tests/multifield_differential.rs`), the snapshot-restore check and
+//!   the benchmark's oracle compare the live state against.
+//! * **Set at a time** — [`ClassWalk`], behind the per-update check and the
+//!   monitor repair: per atom, each emitter's classes are partitioned once
+//!   by winning rule, and one walk carries the *set* of classes still alive
+//!   along the path — the step Query-Subquery Nets make for Horn
+//!   evaluation, pushing a relation through the net instead of one binding
+//!   at a time. Almost every class shares one winner at almost every hop,
+//!   so the walk costs a few word operations per hop whatever the class
+//!   count.
+//!
+//! ## The repair contract
+//!
+//! The monitor tracks `loops[C] ∋ α ⇔ ∃c. C is a cycle of F_{α,c}`
+//! (likewise blackholes per switch). One rule update changes `F_{α,c}` only
+//! at the rule's source and only for atoms of its (clip-adjusted) interval;
+//! atoms created by splits are recomputed, never inherited; a secondary
+//! split refines the classes without changing any `∃c`. So the engine
+//! retires the interval's atoms and the split atoms from the monitor,
+//! re-scans each over *every* class ([`ClassWalk::scan_atom`] — as cheap as
+//! scanning the changed classes alone), and re-admits what it finds
+//! ([`crate::monitor::ViolationMonitor::rescan_atoms`]). No per-class state
+//! is kept anywhere. The per-update check is the same walk started at the
+//! rule's source with the rule's own classes
+//! ([`ClassWalk::loops_from_rule`]): any loop the update closes routes
+//! through that node.
 //!
 //! Two things are deliberately *not* multi-field aware:
 //!
@@ -58,30 +65,30 @@
 //!   checks below never consult labels; they re-resolve winners from the
 //!   owner cells per secondary class.
 //! * **Secondary owner structures.** Secondary lattices are typically tiny
-//!   (a handful of ACL source blocks); enumerating their cross product —
-//!   memoized by the engine, invalidated only when an update actually adds
-//!   or retires secondary bounds — is cheaper and simpler than maintaining
+//!   (a handful of ACL source blocks); indexing their cross product as
+//!   bitset positions — re-derived only when an update adds or a compaction
+//!   retires secondary bounds — is cheaper and simpler than maintaining
 //!   N-dimensional owner state.
 
-use crate::atoms::{AtomId, AtomMap, REMAP_DEAD};
+use crate::atoms::{AtomId, AtomMap};
 use crate::atomset::AtomSet;
-use crate::loops::canonicalize;
-use crate::owner::Owner;
-use netmodel::header::MAX_SECONDARY_FIELDS;
+use crate::loops::{self, canonicalize, CycleMap};
+use crate::owner::{Owner, SourceRules};
+use netmodel::header::{SecondaryMatch, MAX_SECONDARY_FIELDS};
 use netmodel::interval::{Bound, Interval};
 use netmodel::rule::{Rule, RuleId};
 use netmodel::topology::{LinkId, NodeId, Topology};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Range;
 
 /// A borrowed view of exactly the engine state the cross-field checks
 /// need. Bundling the borrows lets the engine hand out one immutable view
 /// while keeping mutable access to the rest of itself (the monitor, the
-/// per-class ledger).
+/// walk scratch).
 pub(crate) struct MfView<'a> {
     pub topology: &'a Topology,
     pub owner: &'a Owner,
     pub atoms: &'a AtomMap,
-    pub sec_atoms: &'a [AtomMap],
     pub rules: &'a HashMap<RuleId, Rule>,
 }
 
@@ -94,10 +101,9 @@ pub(crate) struct MfView<'a> {
 pub(crate) type SecClass = [Bound; MAX_SECONDARY_FIELDS];
 
 /// Enumerates the cross product of the secondary lattices' atoms as
-/// representative classes. With no declared secondary fields this is the
-/// single all-wildcard class. The engine memoizes the result
-/// (`DeltaNet::sec_class_cache`) and re-enumerates only when an update
-/// records secondary splits or a compaction merges secondary atoms.
+/// representative classes, field 0 varying fastest — the order
+/// [`ClassWalk`] numbers its bitset positions in. With no declared
+/// secondary fields this is the single all-wildcard class.
 pub(crate) fn sec_classes(sec_atoms: &[AtomMap]) -> Vec<SecClass> {
     let mut classes: Vec<SecClass> = vec![[0; MAX_SECONDARY_FIELDS]];
     for (field, map) in sec_atoms.iter().enumerate() {
@@ -114,51 +120,27 @@ pub(crate) fn sec_classes(sec_atoms: &[AtomMap]) -> Vec<SecClass> {
     classes
 }
 
-/// Reusable scratch for slice walks: the per-atom emitter list and the
-/// visited marks, hoisted so neither the full scans nor the scoped repair
-/// allocate (or clear) per slice. Visited marks are generation-stamped —
-/// starting a new slice is a counter bump, not an O(nodes) clear.
-pub(crate) struct MfScratch {
+/// Reusable scratch of the full scans: the per-atom emitter list and the
+/// visited marks, hoisted so the scans neither allocate nor clear per
+/// `(atom, class)` pair. Visited marks are generation-stamped — starting a
+/// new pair is a counter bump, not an O(nodes) clear.
+struct MfScratch {
     /// Nodes owning at least one rule for the current primary atom,
     /// collected once per atom and reused across every class.
     emitters: Vec<NodeId>,
-    /// `visited[n] == generation` marks node `n` as explored in the
-    /// current slice.
+    /// `visited[n] == generation` marks node `n` as explored for the
+    /// current pair.
     visited: Vec<u32>,
     generation: u32,
-    /// Memoized forwarding decisions of the current slice, valid where
-    /// `succ_gen[n] == generation`: the fused repair resolves each
-    /// emitter's owner cell exactly once per slice, and both the cycle
-    /// walks and the blackhole predicate read from here.
-    succ: Vec<Option<LinkId>>,
-    succ_gen: Vec<u32>,
-    /// Walk-local state for the cycle search: `on_path_gen[n] == walk_gen`
-    /// marks node `n` as lying on the walk's current path, at position
-    /// `path_pos[n]` of `path`. Stamped like `visited`, so starting a new
-    /// walk is a counter bump, not a hash-map allocation.
-    on_path_gen: Vec<u32>,
-    path_pos: Vec<u32>,
-    walk_gen: u32,
-    path: Vec<NodeId>,
-    /// Nodes some winner forwards into (blackhole candidates); may hold
-    /// duplicates, the sink is idempotent.
-    arrived: Vec<NodeId>,
 }
 
 impl MfScratch {
     /// Scratch sized for a topology with `node_count` nodes.
-    pub(crate) fn new(node_count: usize) -> Self {
+    fn new(node_count: usize) -> Self {
         MfScratch {
             emitters: Vec::new(),
             visited: vec![0; node_count],
             generation: 0,
-            succ: vec![None; node_count],
-            succ_gen: vec![0; node_count],
-            on_path_gen: vec![0; node_count],
-            path_pos: vec![0; node_count],
-            walk_gen: 0,
-            path: Vec::new(),
-            arrived: Vec::new(),
         }
     }
 
@@ -171,26 +153,15 @@ impl MfScratch {
         !self.emitters.is_empty()
     }
 
-    /// Begins one `(atom, class)` slice: bumps the visited generation and
+    /// Begins one `(atom, class)` pair: bumps the visited generation and
     /// hands out the emitter list plus the stamped visited marks.
     fn slice(&mut self) -> (&[NodeId], &mut [u32], u32) {
         if self.generation == u32::MAX {
             self.visited.iter_mut().for_each(|v| *v = 0);
-            self.succ_gen.iter_mut().for_each(|v| *v = 0);
             self.generation = 0;
         }
         self.generation += 1;
         (&self.emitters, &mut self.visited, self.generation)
-    }
-
-    /// The memoized decision at `node` for the current slice.
-    #[inline]
-    fn succ_of(&self, node: NodeId) -> Option<LinkId> {
-        if self.succ_gen[node.index()] == self.generation {
-            self.succ[node.index()]
-        } else {
-            None
-        }
     }
 }
 
@@ -219,56 +190,11 @@ pub(crate) fn mf_successor(
         .map(|owned| owned.link)
 }
 
-/// Whether inserting or removing `rule` changed the forwarding decision of
-/// slice `(atom, class)`. A rule participates only in the owner cells at
-/// its own source, so this single cell decides the whole slice: the
-/// decision changed iff the winning link there differs with the rule
-/// present versus absent. Called on the *post-update* cell, the same test
-/// covers both directions — `rule`'s own entry (present after an insert,
-/// gone after a removal) is skipped, leaving the without-rule winner, and
-/// the with-rule winner is `rule` itself unless a higher-ordered match
-/// shadows it.
-///
-/// Slices this rejects kept their forwarding function bit-for-bit, so
-/// their ledger entries are already exact and need no re-walk.
-pub(crate) fn decision_changed(
-    view: &MfView<'_>,
-    rule: &Rule,
-    atom: AtomId,
-    class: &SecClass,
-) -> bool {
-    if !rule.sec.matches(class) {
-        return false;
-    }
-    let key = (rule.priority, rule.id);
-    let without = view.owner.get(atom, rule.source).and_then(|cell| {
-        cell.as_slice()
-            .iter()
-            .rev()
-            .filter(|owned| owned.id != rule.id)
-            .find(|owned| {
-                view.rules
-                    .get(&owned.id)
-                    .is_some_and(|r| r.sec.matches(class))
-            })
-            .map(|owned| ((owned.priority, owned.id), owned.link))
-    });
-    match without {
-        // A higher-ordered match wins with or without the rule: shadowed
-        // both before and after the update, decision untouched.
-        Some((k, _)) if k > key => false,
-        // The rule wins when present; changed iff the runner-up (or the
-        // absence of one) forwards differently.
-        Some((_, link)) => link != rule.link,
-        None => true,
-    }
-}
-
 /// Follows the per-class forwarding function from `start`, recording any
 /// cycle it runs into. A node whose visited mark equals `generation` was
-/// already explored within the current `(atom, class)` slice, so walks
-/// that share a tail deduplicate; the caller bumps the generation between
-/// slices ([`MfScratch::slice`]).
+/// already explored for the current `(atom, class)` pair, so walks that
+/// share a tail deduplicate; the caller bumps the generation between pairs
+/// ([`MfScratch::slice`]).
 fn walk_for_cycle(
     view: &MfView<'_>,
     start: NodeId,
@@ -288,7 +214,7 @@ fn walk_for_cycle(
             return;
         }
         if visited[current.index()] == generation {
-            // Joined a path already explored this slice; any cycle it
+            // Joined a path already explored for this pair; any cycle it
             // leads to was recorded by the walk that got there first.
             return;
         }
@@ -306,7 +232,7 @@ fn walk_for_cycle(
     }
 }
 
-/// Evaluates the blackhole predicate for one `(atom, class)` slice,
+/// Evaluates the blackhole predicate for one `(atom, class)` pair,
 /// invoking `sink` for every switch where the class arrives unhandled. A
 /// class blackholes at a switch when some in-link delivers it there (the
 /// upstream node's winner for the class is that link) but the switch
@@ -360,7 +286,7 @@ pub(crate) fn mf_cycles(view: &MfView<'_>, classes: &[SecClass]) -> BTreeMap<Vec
 }
 
 /// Full-plane blackhole scan over every primary atom × every class of
-/// `classes` (see [`holes_for_slice`] for the per-slice predicate).
+/// `classes` (see [`holes_for_slice`] for the per-pair predicate).
 pub(crate) fn mf_holes(view: &MfView<'_>, classes: &[SecClass]) -> BTreeMap<NodeId, AtomSet> {
     let mut holes: BTreeMap<NodeId, AtomSet> = BTreeMap::new();
     let mut scratch = MfScratch::new(view.topology.node_count());
@@ -387,350 +313,576 @@ pub(crate) fn mf_holes(view: &MfView<'_>, classes: &[SecClass]) -> BTreeMap<Node
     holes
 }
 
-/// Per-class cycle maps, indexed like the `classes` slice handed in.
-pub(crate) type ClassLoops = Vec<BTreeMap<Vec<NodeId>, AtomSet>>;
-/// Per-class blackhole maps, indexed like the `classes` slice handed in.
-pub(crate) type ClassHoles = Vec<BTreeMap<NodeId, AtomSet>>;
+// The rank-range product in `ClassWalk::admitted` is written out for two
+// secondary fields; a third needs one more loop level there.
+const _: () = assert!(MAX_SECONDARY_FIELDS == 2);
 
-/// Scoped loop repair: re-walks exactly the `atoms × classes` rectangle,
-/// returning the cycles per class (indexed like `classes`). Computes the
-/// same per-slice predicate as [`mf_cycles`], so each slice's result is
-/// bit-identical to its share of a full scan.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn mf_cycles_for_slices(
-    view: &MfView<'_>,
-    classes: &[SecClass],
-    atoms: &[AtomId],
-    scratch: &mut MfScratch,
-) -> ClassLoops {
-    mf_repair_slices(view, classes, atoms, scratch).0
+/// What one per-atom scan found: the atom loops on a canonical cycle, or
+/// dies at a switch, in at least one secondary class.
+pub(crate) enum Found<'a> {
+    Cycle(&'a [NodeId]),
+    Hole(NodeId),
 }
 
-/// Scoped blackhole repair: the `atoms × classes` rectangle of
-/// [`mf_holes`], per class (indexed like `classes`).
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn mf_holes_for_slices(
-    view: &MfView<'_>,
-    classes: &[SecClass],
-    atoms: &[AtomId],
-    scratch: &mut MfScratch,
-) -> ClassHoles {
-    mf_repair_slices(view, classes, atoms, scratch).1
+/// One node on the walk's current path. Its carried class set is the
+/// frame's row of `ClassWalk::frame_sets`.
+#[derive(Clone, Copy, Debug)]
+struct Frame {
+    node: NodeId,
+    /// The next group of `node` to descend into.
+    next: u32,
 }
 
-/// Fused scoped repair: cycles *and* blackholes of the `atoms × classes`
-/// rectangle in one pass. Each slice resolves every emitter's owner cell
-/// exactly once into the scratch's memo ([`MfScratch::succ_of`]); the
-/// cycle walks then chase plain arrays and the blackhole predicate reads
-/// the same memo, so the rectangle costs one cell resolution per
-/// `(emitter, slice)` and allocates nothing per walk. Both halves are
-/// pure functions of the slice forwarding function — the exact predicates
-/// of [`mf_cycles`] and [`mf_holes`] — so the result stays bit-identical
-/// to a full scan's share for every slice.
-pub(crate) fn mf_repair_slices(
-    view: &MfView<'_>,
-    classes: &[SecClass],
-    atoms: &[AtomId],
-    scratch: &mut MfScratch,
-) -> (ClassLoops, ClassHoles) {
-    let mut loops: ClassLoops = vec![BTreeMap::new(); classes.len()];
-    let mut holes: ClassHoles = vec![BTreeMap::new(); classes.len()];
-    for &atom in atoms {
-        if !scratch.collect_emitters(view, atom) {
-            continue;
-        }
-        for (idx, class) in classes.iter().enumerate() {
-            scratch.slice();
-            for i in 0..scratch.emitters.len() {
-                let node = scratch.emitters[i];
-                let succ = mf_successor(view, node, atom, class);
-                scratch.succ[node.index()] = succ;
-                scratch.succ_gen[node.index()] = scratch.generation;
-            }
-            for i in 0..scratch.emitters.len() {
-                let start = scratch.emitters[i];
-                walk_memoized(view, scratch, start, atom, &mut loops[idx]);
-            }
-            // Blackholes: a node some winner forwards into (`arrived`)
-            // that itself has no winner — the memo answers both sides.
-            scratch.arrived.clear();
-            for i in 0..scratch.emitters.len() {
-                let node = scratch.emitters[i];
-                if let Some(link) = scratch.succ_of(node) {
-                    let dst = view.topology.link(link).dst;
-                    if !view.topology.is_drop_node(dst) {
-                        scratch.arrived.push(dst);
-                    }
-                }
-            }
-            for i in 0..scratch.arrived.len() {
-                let node = scratch.arrived[i];
-                if scratch.succ_of(node).is_none() {
-                    holes[idx].entry(node).or_default().insert(atom);
-                }
-            }
-        }
-    }
-    (loops, holes)
-}
+/// `ClassWalk::pos` of a node off the current path.
+const OFF_PATH: u32 = u32::MAX;
 
-/// The cycle walk of [`walk_for_cycle`], reading forwarding decisions
-/// from the slice memo instead of re-resolving owner cells, with the
-/// walk-local path state in stamped scratch arrays instead of a per-walk
-/// hash map. Traversal order, visited semantics, and the recorded cycles
-/// are identical.
-fn walk_memoized(
-    view: &MfView<'_>,
-    scratch: &mut MfScratch,
-    start: NodeId,
-    atom: AtomId,
-    cycles: &mut BTreeMap<Vec<NodeId>, AtomSet>,
-) {
-    if scratch.walk_gen == u32::MAX {
-        scratch.on_path_gen.iter_mut().for_each(|v| *v = 0);
-        scratch.walk_gen = 0;
-    }
-    scratch.walk_gen += 1;
-    scratch.path.clear();
-    let mut current = start;
-    loop {
-        let i = current.index();
-        if scratch.on_path_gen[i] == scratch.walk_gen {
-            let pos = scratch.path_pos[i] as usize;
-            let cycle = canonicalize(scratch.path[pos..].to_vec());
-            cycles.entry(cycle).or_default().insert(atom);
-            return;
-        }
-        if scratch.visited[i] == scratch.generation {
-            // Joined a path already explored this slice; any cycle it
-            // leads to was recorded by the walk that got there first.
-            return;
-        }
-        scratch.visited[i] = scratch.generation;
-        scratch.on_path_gen[i] = scratch.walk_gen;
-        scratch.path_pos[i] = scratch.path.len() as u32;
-        scratch.path.push(current);
-        let Some(link) = scratch.succ_of(current) else {
-            return;
-        };
-        let next = view.topology.link(link).dst;
-        if view.topology.is_drop_node(next) {
-            return;
-        }
-        current = next;
-    }
-}
-
-/// The per-class violation ledger behind the engine's incremental
-/// multi-field monitor: for every secondary class with any violation, the
-/// cycles and blackholes of that class with the primary atoms exhibiting
-/// them there.
+/// The set-at-a-time kernel and its scratch, owned by the engine next to
+/// the single-field walk scratch so the steady state allocates nothing.
 ///
-/// Invariant: `loops[c][cycle]` contains atom α iff `cycle` is a cycle of
-/// the slice forwarding function `F_{α,c}` (likewise for `holes`), so the
-/// union over classes equals [`mf_cycles`] + [`mf_holes`] of the whole
-/// plane — the form the [`crate::monitor::ViolationMonitor`] tracks.
-/// Splitting the state by class is what makes scoped repair possible: an
-/// update's rectangle of touched slices can be cleared and re-walked
-/// without disturbing the contributions of untouched classes to the same
-/// violation identity.
+/// A class set is a bitset of `words` words over the secondary classes,
+/// numbered by mixed-radix rank (`r1 · n0 + r0`, `r_f` the position of the
+/// class's atom in field `f`'s lattice — [`sec_classes`] order). Rule
+/// bounds are always lattice bounds, so the classes a rule admits are a
+/// product of rank ranges, found by binary search on the per-field sorted
+/// lows. Per-node state is generation-stamped: starting an atom is a
+/// counter bump, never an O(nodes) clear.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct MfClassState {
-    /// class → canonical cycle → primary atoms looping through it there.
-    loops: BTreeMap<SecClass, BTreeMap<Vec<NodeId>, AtomSet>>,
-    /// class → switch → primary atoms arriving unhandled there.
-    holes: BTreeMap<SecClass, BTreeMap<NodeId, AtomSet>>,
+pub(crate) struct ClassWalk {
+    /// Per secondary field, the low bounds of its lattice atoms, ascending.
+    lows: Vec<Vec<Bound>>,
+    /// Words per class set.
+    words: usize,
+    /// The set of all classes.
+    full: Vec<u64>,
+    /// `stamp[n] == generation`: node `n`'s `visited` row and `groups_of`
+    /// entry belong to the current atom.
+    stamp: Vec<u32>,
+    generation: u32,
+    /// Per node, the classes that already explored it for this atom.
+    visited: Vec<u64>,
+    /// Per node, its range of winner groups.
+    groups_of: Vec<(u32, u32)>,
+    /// Per node, its index in `frames` while on the path, else `OFF_PATH`.
+    pos: Vec<u32>,
+    /// The current atom's winner groups: the classes one rule wins at one
+    /// node (row `g` of `group_sets`, disjoint within a node) and the far
+    /// end of the link it sends them down (`group_dst[g]`; `None` for a
+    /// drop link — handled, but arriving nowhere).
+    group_dst: Vec<Option<NodeId>>,
+    group_sets: Vec<u64>,
+    /// The walk's explicit stack — depth is bounded by the node count, not
+    /// by the call stack.
+    frames: Vec<Frame>,
+    frame_sets: Vec<u64>,
+    /// One-set temporaries: the set being carried into a node, and the
+    /// classes no rule of a cell has won yet.
+    set: Vec<u64>,
+    remaining: Vec<u64>,
+    /// The cycle being reported, in canonical rotation.
+    cycle: Vec<NodeId>,
 }
 
-impl MfClassState {
-    /// An empty ledger (correct for an engine with no rules installed).
-    pub(crate) fn new() -> Self {
-        MfClassState::default()
-    }
+fn is_zero(set: &[u64]) -> bool {
+    set.iter().all(|&w| w == 0)
+}
 
-    /// Builds the full ledger from per-class scan results covering every
-    /// primary atom (the outputs of [`mf_cycles_for_slices`] /
-    /// [`mf_holes_for_slices`] over the whole plane).
-    pub(crate) fn from_slices(
-        classes: &[SecClass],
-        loops: Vec<BTreeMap<Vec<NodeId>, AtomSet>>,
-        holes: Vec<BTreeMap<NodeId, AtomSet>>,
-    ) -> Self {
-        let mut state = MfClassState::default();
-        for ((class, class_loops), class_holes) in classes.iter().zip(loops).zip(holes) {
-            if !class_loops.is_empty() {
-                state.loops.insert(*class, class_loops);
-            }
-            if !class_holes.is_empty() {
-                state.holes.insert(*class, class_holes);
-            }
+fn and_not(set: &mut [u64], minus: &[u64]) {
+    set.iter_mut().zip(minus).for_each(|(s, m)| *s &= !m);
+}
+
+/// Sets bits `from..to`, a word at a time.
+fn set_range(set: &mut [u64], from: usize, to: usize) {
+    if from >= to {
+        return;
+    }
+    let (first, last) = (from / 64, (to - 1) / 64);
+    let head = !0u64 << (from % 64);
+    let tail = !0u64 >> (63 - (to - 1) % 64);
+    if first == last {
+        set[first] |= head & tail;
+    } else {
+        set[first] |= head;
+        set[first + 1..last].fill(!0);
+        set[last] |= tail;
+    }
+}
+
+/// The `words`-word row of index `i` in a flat array of class sets.
+fn row(i: usize, words: usize) -> Range<usize> {
+    i * words..(i + 1) * words
+}
+
+impl ClassWalk {
+    /// Scratch for an engine over `nodes` nodes with the given secondary
+    /// lattices. A single-field engine never walks; its scratch stays
+    /// empty.
+    pub(crate) fn new(sec_atoms: &[AtomMap], nodes: usize) -> Self {
+        let mut walk = ClassWalk::default();
+        if !sec_atoms.is_empty() {
+            walk.stamp = vec![0; nodes];
+            walk.groups_of = vec![(0, 0); nodes];
+            walk.pos = vec![OFF_PATH; nodes];
+            walk.reindex(sec_atoms);
         }
-        state
+        walk
     }
 
-    /// Replaces the `atoms × classes` rectangle of the ledger with freshly
-    /// re-walked slice results: every tracked contribution of a rectangle
-    /// slice is cleared, then the fresh results are set. Clear-then-set is
-    /// idempotent, so overlapping rectangles of one update may be applied
-    /// in any order.
-    pub(crate) fn apply_slices(
-        &mut self,
-        classes: &[SecClass],
-        atoms: &AtomSet,
-        loops: Vec<BTreeMap<Vec<NodeId>, AtomSet>>,
-        holes: Vec<BTreeMap<NodeId, AtomSet>>,
-    ) {
-        for ((class, fresh), fresh_holes) in classes.iter().zip(loops).zip(holes) {
-            let class_loops = self.loops.entry(*class).or_default();
-            for set in class_loops.values_mut() {
-                set.difference_with(atoms);
-            }
-            for (cycle, set) in fresh {
-                class_loops.entry(cycle).or_default().union_with(&set);
-            }
-            class_loops.retain(|_, set| !set.is_empty());
-            if class_loops.is_empty() {
-                self.loops.remove(class);
-            }
-            let class_holes = self.holes.entry(*class).or_default();
-            for set in class_holes.values_mut() {
-                set.difference_with(atoms);
-            }
-            for (node, set) in fresh_holes {
-                class_holes.entry(node).or_default().union_with(&set);
-            }
-            class_holes.retain(|_, set| !set.is_empty());
-            if class_holes.is_empty() {
-                self.holes.remove(class);
-            }
+    /// Re-derives the class numbering from the secondary lattices. Called
+    /// when an update split them or a compaction merged them — the only
+    /// times a class's rank can move.
+    pub(crate) fn reindex(&mut self, sec_atoms: &[AtomMap]) {
+        self.lows.resize_with(sec_atoms.len(), Vec::new);
+        for (lows, map) in self.lows.iter_mut().zip(sec_atoms) {
+            lows.clear();
+            lows.extend(map.iter().map(|(_, interval)| interval.lo()));
         }
+        let classes: usize = self.lows.iter().map(Vec::len).product();
+        self.words = classes.div_ceil(64);
+        self.full.clear();
+        self.full.resize(self.words, 0);
+        set_range(&mut self.full, 0, classes);
+        // Stale row contents are harmless: a row is zeroed when its node
+        // is first touched for an atom.
+        self.visited.resize(self.stamp.len() * self.words, 0);
+        self.set.resize(self.words, 0);
+        self.remaining.resize(self.words, 0);
     }
 
-    /// The loop union over classes — the monitor-facing form, equal to
-    /// [`mf_cycles`] of the whole plane.
-    pub(crate) fn union_loops(&self) -> BTreeMap<Vec<NodeId>, AtomSet> {
-        let mut out: BTreeMap<Vec<NodeId>, AtomSet> = BTreeMap::new();
-        for per_class in self.loops.values() {
-            for (cycle, set) in per_class {
-                out.entry(cycle.clone()).or_default().union_with(set);
-            }
+    /// Forgets the previous atom's per-node state and winner groups.
+    fn begin_atom(&mut self) {
+        if self.generation == u32::MAX {
+            self.stamp.fill(0);
+            self.generation = 0;
         }
-        out
+        self.generation += 1;
+        self.group_dst.clear();
+        self.group_sets.clear();
     }
 
-    /// The blackhole union over classes, equal to [`mf_holes`] of the
-    /// whole plane.
-    pub(crate) fn union_holes(&self) -> BTreeMap<NodeId, AtomSet> {
-        let mut out: BTreeMap<NodeId, AtomSet> = BTreeMap::new();
-        for per_class in self.holes.values() {
-            for (&node, set) in per_class {
-                out.entry(node).or_default().union_with(set);
+    /// Writes the classes `sec` admits into `out`: per field the rank
+    /// range of its interval (every rank where unconstrained), and their
+    /// product.
+    fn admitted(lows: &[Vec<Bound>], sec: &SecondaryMatch, out: &mut [u64]) {
+        out.fill(0);
+        let ranks = |field: usize| match (lows.get(field), sec.get(field)) {
+            (Some(lows), Some(iv)) => {
+                let rank = |bound| lows.partition_point(|&lo| lo < bound);
+                rank(iv.lo())..rank(iv.hi())
             }
-        }
-        out
-    }
-
-    /// Drops every class absent from the post-compaction class list. A
-    /// secondary merge reclaims a class whose rules were indistinguishable
-    /// from its surviving lower neighbour's, so the dropped entries carry
-    /// state identical to entries that remain — the class union is
-    /// invariant, exactly like the primary-atom story in
-    /// [`crate::monitor::ViolationMonitor::remap`]. Surviving classes keep
-    /// their representative (their lattice atom's low bound, unchanged by
-    /// merges), so their keys stay valid.
-    pub(crate) fn retain_classes(&mut self, valid: &BTreeSet<SecClass>) {
-        self.loops.retain(|class, _| valid.contains(class));
-        self.holes.retain(|class, _| valid.contains(class));
-    }
-
-    /// Rewrites every tracked primary atom through the remap table of a
-    /// compaction pass, dropping reclaimed ids (their label-identical
-    /// survivors keep every violation alive).
-    pub(crate) fn remap(&mut self, remap: &[u32]) {
-        let remap_set = |set: &AtomSet| -> AtomSet {
-            set.iter()
-                .filter_map(|a| {
-                    let new = remap[a.index()];
-                    (new != REMAP_DEAD).then_some(AtomId(new))
-                })
-                .collect()
+            (Some(lows), None) => 0..lows.len(),
+            (None, _) => 0..1,
         };
-        for per_class in self.loops.values_mut() {
-            for set in per_class.values_mut() {
-                *set = remap_set(set);
-            }
-            per_class.retain(|_, set| !set.is_empty());
+        let (inner, n0) = (ranks(0), lows[0].len());
+        for r1 in ranks(1) {
+            set_range(out, r1 * n0 + inner.start, r1 * n0 + inner.end);
         }
-        self.loops.retain(|_, per_class| !per_class.is_empty());
-        for per_class in self.holes.values_mut() {
-            for set in per_class.values_mut() {
-                *set = remap_set(set);
-            }
-            per_class.retain(|_, set| !set.is_empty());
-        }
-        self.holes.retain(|_, per_class| !per_class.is_empty());
     }
 
-    /// Estimated heap bytes held by the ledger — counted by
-    /// `DeltaNet::memory_estimate` (but *not* `live_bytes`: the ledger is
-    /// derived state, absent from snapshots and rebuilt lazily after a
-    /// restore).
-    pub(crate) fn memory_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<SecClass>() + 24;
-        let mut bytes = 0;
-        for per_class in self.loops.values() {
-            bytes += entry;
-            for (cycle, set) in per_class {
-                bytes += cycle.capacity() * std::mem::size_of::<NodeId>() + 24 + set.memory_bytes();
+    /// Makes `node`'s state current: on its first use for this atom, no
+    /// class has explored it, and its classes are partitioned by winning
+    /// rule — the owner cell in descending `(priority, id)`, each rule
+    /// taking what it admits of the classes no higher rule took. The same
+    /// decision as [`mf_successor`], for every class at once.
+    fn touch(&mut self, view: &MfView<'_>, atom: AtomId, node: NodeId) {
+        let i = node.index();
+        if self.stamp[i] == self.generation {
+            return;
+        }
+        self.stamp[i] = self.generation;
+        self.visited[row(i, self.words)].fill(0);
+        let start = self.group_dst.len() as u32;
+        self.remaining.copy_from_slice(&self.full);
+        let cell = view.owner.get(atom, node);
+        for owned in cell.map_or(&[][..], SourceRules::as_slice).iter().rev() {
+            let Some(rule) = view.rules.get(&owned.id) else {
+                continue;
+            };
+            let at = self.group_sets.len();
+            self.group_sets.resize(at + self.words, 0);
+            let won = &mut self.group_sets[at..];
+            if rule.sec.is_empty() {
+                // A wildcard takes everything left: no ranks to look up.
+                won.copy_from_slice(&self.remaining);
+            } else {
+                Self::admitted(&self.lows, &rule.sec, won);
+                won.iter_mut()
+                    .zip(&self.remaining)
+                    .for_each(|(w, r)| *w &= r);
+            }
+            if is_zero(won) {
+                self.group_sets.truncate(at);
+                continue;
+            }
+            and_not(&mut self.remaining, &self.group_sets[at..]);
+            let dst = view.topology.link(owned.link).dst;
+            self.group_dst
+                .push((!view.topology.is_drop_node(dst)).then_some(dst));
+            if is_zero(&self.remaining) {
+                break;
             }
         }
-        for per_class in self.holes.values() {
-            bytes += entry;
-            for set in per_class.values() {
-                bytes += std::mem::size_of::<NodeId>() + 24 + set.memory_bytes();
+        self.groups_of[i] = (start, self.group_dst.len() as u32);
+    }
+
+    /// Carries `self.set` into `node`. Classes reaching a node on the
+    /// current path close the cycle from there on — they are a subset of
+    /// every set carried since, so each rode every hop of it. Otherwise
+    /// the classes that have not explored the node yet are pushed as a new
+    /// frame; the rest found whatever lies beyond the first time.
+    fn enter(
+        &mut self,
+        view: &MfView<'_>,
+        atom: AtomId,
+        node: NodeId,
+        found: &mut dyn FnMut(Found<'_>),
+    ) {
+        self.touch(view, atom, node);
+        let i = node.index();
+        if self.pos[i] != OFF_PATH {
+            self.cycle.clear();
+            let on_cycle = &self.frames[self.pos[i] as usize..];
+            self.cycle.extend(on_cycle.iter().map(|frame| frame.node));
+            loops::rotate_to_canonical(&mut self.cycle);
+            found(Found::Cycle(&self.cycle));
+            return;
+        }
+        let visited = &mut self.visited[row(i, self.words)];
+        and_not(&mut self.set, visited);
+        if is_zero(&self.set) {
+            return;
+        }
+        visited.iter_mut().zip(&self.set).for_each(|(v, s)| *v |= s);
+        self.pos[i] = self.frames.len() as u32;
+        self.frames.push(Frame {
+            node,
+            next: self.groups_of[i].0,
+        });
+        self.frame_sets.extend_from_slice(&self.set);
+    }
+
+    /// Walks the classes in `self.set` from `start`, depth first over the
+    /// winner groups, reporting every cycle some class closes.
+    fn walk(
+        &mut self,
+        view: &MfView<'_>,
+        atom: AtomId,
+        start: NodeId,
+        found: &mut dyn FnMut(Found<'_>),
+    ) {
+        self.enter(view, atom, start, found);
+        while let Some(&Frame { node, next }) = self.frames.last() {
+            let top = self.frames.len() - 1;
+            if next == self.groups_of[node.index()].1 {
+                self.frames.pop();
+                self.frame_sets.truncate(top * self.words);
+                self.pos[node.index()] = OFF_PATH;
+                continue;
+            }
+            self.frames[top].next += 1;
+            let Some(dst) = self.group_dst[next as usize] else {
+                continue;
+            };
+            let carried = &self.frame_sets[row(top, self.words)];
+            let wins = &self.group_sets[row(next as usize, self.words)];
+            for ((set, c), w) in self.set.iter_mut().zip(carried).zip(wins) {
+                *set = c & w;
+            }
+            if !is_zero(&self.set) {
+                self.enter(view, atom, dst, found);
             }
         }
-        bytes
+    }
+
+    /// Every violation of `atom` over all secondary classes: one winner
+    /// partition per emitter, the blackholes that fall out of it (a group
+    /// lands where some of its classes have no winner), and one walk per
+    /// emitter. The same predicates as [`mf_cycles`] and [`mf_holes`]
+    /// restricted to the atom; a finding may be reported more than once.
+    pub(crate) fn scan_atom(
+        &mut self,
+        view: &MfView<'_>,
+        atom: AtomId,
+        found: &mut dyn FnMut(Found<'_>),
+    ) {
+        self.begin_atom();
+        for (node, _) in view.owner.sources(atom) {
+            self.touch(view, atom, node);
+        }
+        // Only emitters have groups, and they are all partitioned by now:
+        // touching a landing node adds none.
+        for g in 0..self.group_dst.len() {
+            let Some(dst) = self.group_dst[g] else {
+                continue;
+            };
+            self.touch(view, atom, dst);
+            self.set
+                .copy_from_slice(&self.group_sets[row(g, self.words)]);
+            let (start, end) = self.groups_of[dst.index()];
+            for handled in start as usize..end as usize {
+                and_not(&mut self.set, &self.group_sets[row(handled, self.words)]);
+            }
+            if !is_zero(&self.set) {
+                found(Found::Hole(dst));
+            }
+        }
+        for (node, _) in view.owner.sources(atom) {
+            self.set.copy_from_slice(&self.full);
+            self.walk(view, atom, node, found);
+        }
+    }
+
+    /// Per-update seeded loop check for one inserted or removed rule.
+    ///
+    /// Any loop created (or whose dissolution must be noticed) by changing
+    /// the forwarding at `rule.source` necessarily routes through
+    /// `rule.source` itself, for primary atoms inside the rule's
+    /// (clip-adjusted) `interval` and secondary classes the rule admits —
+    /// forwarding for every other `(atom, class)` pair at every other node
+    /// is untouched by the update. So one walk per atom from that node,
+    /// carrying the rule's own classes, is a sound per-update check, the
+    /// multi-field analogue of seeding from the delta-graph's added edges.
+    pub(crate) fn loops_from_rule(
+        &mut self,
+        view: &MfView<'_>,
+        rule: &Rule,
+        interval: Interval,
+    ) -> CycleMap {
+        let mut cycles = CycleMap::new();
+        for atom in view.atoms.iter_atoms_of(interval) {
+            self.begin_atom();
+            Self::admitted(&self.lows, &rule.sec, &mut self.set);
+            self.walk(view, atom, rule.source, &mut |found| {
+                if let Found::Cycle(cycle) = found {
+                    loops::admit(&mut cycles, cycle, atom);
+                }
+            });
+        }
+        cycles
     }
 }
 
-/// Per-update seeded loop check for one inserted or removed rule.
-///
-/// Any loop created (or whose dissolution must be noticed) by changing the
-/// forwarding at `rule.source` necessarily routes through `rule.source`
-/// itself, for primary atoms inside the rule's (clip-adjusted) `interval`
-/// and secondary classes the rule matches — forwarding for every other
-/// `(atom, class)` slice at every other node is untouched by the update.
-/// So walking just those slices from the one changed node is a sound
-/// per-update check, the multi-field analogue of seeding from the
-/// delta-graph's added edges. `classes` is the full class list (the
-/// engine's memoized enumeration); the rule's secondary filter is applied
-/// here.
-pub(crate) fn find_loops_for_rule(
-    view: &MfView<'_>,
-    classes: &[SecClass],
-    rule: &Rule,
-    interval: Interval,
-) -> BTreeMap<Vec<NodeId>, AtomSet> {
-    let matched: Vec<&SecClass> = classes
-        .iter()
-        .filter(|class| rule.sec.matches(&class[..]))
-        .collect();
-    let mut cycles = BTreeMap::new();
-    let mut scratch = MfScratch::new(view.topology.node_count());
-    for atom in view.atoms.iter_atoms_of(interval) {
-        for class in &matched {
-            let (_, visited, generation) = scratch.slice();
-            walk_for_cycle(
-                view,
-                rule.source,
-                atom,
-                class,
-                visited,
-                generation,
-                &mut cycles,
-            );
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{DeltaNet, DeltaNetConfig};
+    use netmodel::checker::InvariantViolation;
+    use netmodel::ip::IpPrefix;
+    use netmodel::rule::Action;
+
+    const WIDTH: u8 = 8;
+    type Src<'a> = &'a [(u128, u128)];
+
+    /// `n` switches in a ring (`next[i]`: `s[i] -> s[(i + 1) % n]`), each
+    /// with a drop link, under a multi-field engine that checks nothing
+    /// per update.
+    fn ring(n: usize, sec_widths: &[u8]) -> (DeltaNet, Vec<NodeId>, Vec<LinkId>, Vec<LinkId>) {
+        let mut topo = Topology::new();
+        let s = topo.add_nodes("s", n);
+        let next = (0..n).map(|i| topo.add_link(s[i], s[(i + 1) % n]));
+        let next: Vec<LinkId> = next.collect();
+        let drop = s.iter().map(|&node| topo.drop_link(node)).collect();
+        let config = DeltaNetConfig {
+            field_width: WIDTH,
+            check_loops_per_update: false,
+            ..DeltaNetConfig::default()
+        };
+        let net = DeltaNet::new(topo, config.with_secondary(sec_widths));
+        (net, s, next, drop)
+    }
+
+    fn sec(src: Src) -> SecondaryMatch {
+        let intervals: Vec<Interval> = src.iter().map(|&(lo, hi)| Interval::new(lo, hi)).collect();
+        SecondaryMatch::new(&intervals)
+    }
+
+    /// A rule for the one prefix every fixture forwards, constrained to the
+    /// source blocks `src` (one per secondary field; none = wildcard).
+    fn fwd(id: u64, priority: u32, source: NodeId, link: LinkId, src: Src) -> Rule {
+        let prefix = IpPrefix::new(0, 4, WIDTH);
+        Rule::forward(RuleId(id), prefix, priority, source, link).with_secondary(sec(src))
+    }
+
+    fn deny(id: u64, priority: u32, source: NodeId, drop: LinkId, src: Src) -> Rule {
+        Rule {
+            action: Action::Drop,
+            ..fwd(id, priority, source, drop, src)
         }
     }
-    cycles
+
+    type Scan = (CycleMap, BTreeMap<NodeId, AtomSet>);
+
+    fn scan_all(walk: &mut ClassWalk, view: &MfView<'_>) -> Scan {
+        let (mut cycles, mut holes) = (CycleMap::new(), BTreeMap::new());
+        for (atom, _) in view.atoms.iter() {
+            walk.scan_atom(view, atom, &mut |found| {
+                match found {
+                    Found::Cycle(cycle) => loops::admit(&mut cycles, cycle, atom),
+                    Found::Hole(node) => loops::admit(&mut holes, &node, atom),
+                };
+            });
+        }
+        (cycles, holes)
+    }
+
+    /// Scans every atom of `net` with a fresh kernel; the union must be
+    /// exactly what the tuple-at-a-time full scans find.
+    fn kernel_scan(net: &DeltaNet) -> Scan {
+        let view = net.mf_view();
+        let mut walk = ClassWalk::new(net.secondary_atoms(), view.topology.node_count());
+        let (cycles, holes) = scan_all(&mut walk, &view);
+        let classes = sec_classes(net.secondary_atoms());
+        assert_eq!(cycles, mf_cycles(&view, &classes), "cycles");
+        assert_eq!(holes, mf_holes(&view, &classes), "holes");
+        (cycles, holes)
+    }
+
+    /// How many cycles a seeded walk from `source` finds for the fixture
+    /// prefix in the source blocks `src`.
+    fn seeded(net: &DeltaNet, source: NodeId, link: LinkId, src: Src) -> usize {
+        let view = net.mf_view();
+        let mut walk = ClassWalk::new(net.secondary_atoms(), view.topology.node_count());
+        let probe = fwd(999, 0, source, link, src);
+        walk.loops_from_rule(&view, &probe, probe.interval()).len()
+    }
+
+    #[test]
+    fn two_denies_split_the_classes_three_ways_and_only_the_middle_loops() {
+        let (mut net, s, next, drop) = ring(3, &[6]);
+        for i in 0..3 {
+            net.insert_rule(fwd(i as u64, 1, s[i], next[i], &[]));
+        }
+        net.insert_rule(deny(10, 9, s[0], drop[0], &[(0, 16)]));
+        net.insert_rule(deny(11, 9, s[1], drop[1], &[(32, 64)]));
+        let (cycles, holes) = kernel_scan(&net);
+        assert_eq!(cycles.keys().collect::<Vec<_>>(), vec![&s]);
+        assert!(holes.is_empty());
+        // Class by class: only sources in [16, 32) ride the ring.
+        let riding = |src| seeded(&net, s[2], next[2], src);
+        assert_eq!(
+            [riding(&[(0, 16)]), riding(&[(16, 32)]), riding(&[(32, 64)])],
+            [0, 1, 0]
+        );
+    }
+
+    #[test]
+    fn a_set_reentering_its_own_path_as_a_strict_subset_closes_the_cycle() {
+        // s0 -> s1 -> s2 carries every class; s2 sends only [0, 16) on to
+        // s0, which is on the path holding the full set when they arrive.
+        let (mut net, s, next, _) = ring(3, &[6]);
+        net.insert_rule(fwd(0, 1, s[0], next[0], &[]));
+        net.insert_rule(fwd(1, 1, s[1], next[1], &[]));
+        net.insert_rule(fwd(2, 1, s[2], next[2], &[(0, 16)]));
+        let (cycles, holes) = kernel_scan(&net);
+        assert_eq!(cycles.keys().collect::<Vec<_>>(), vec![&s]);
+        // The classes s2 does not send on die there.
+        assert_eq!(holes.keys().collect::<Vec<_>>(), vec![&s[2]]);
+    }
+
+    #[test]
+    fn a_deny_shadowed_by_a_higher_priority_wildcard_wins_nothing() {
+        let (mut net, s, next, drop) = ring(2, &[6]);
+        net.insert_rule(fwd(0, 10, s[0], next[0], &[]));
+        net.insert_rule(fwd(1, 10, s[1], next[1], &[]));
+        net.insert_rule(deny(2, 5, s[0], drop[0], &[(0, 16)]));
+        let (cycles, holes) = kernel_scan(&net);
+        assert_eq!((cycles.len(), holes.len()), (1, 0));
+        // Seeded with the shadowed deny's own classes, the walk still
+        // follows the wildcard round the loop.
+        assert_eq!(seeded(&net, s[0], drop[0], &[(0, 16)]), 1);
+    }
+
+    #[test]
+    fn a_drop_rule_winner_counts_as_handled() {
+        let (mut net, s, next, drop) = ring(2, &[6]);
+        net.insert_rule(fwd(0, 1, s[0], next[0], &[]));
+        net.insert_rule(deny(1, 1, s[1], drop[1], &[(0, 16)]));
+        // [0, 16) is discarded on purpose at s1; [16, 64) dies there.
+        let (_, holes) = kernel_scan(&net);
+        assert_eq!(holes.keys().collect::<Vec<_>>(), vec![&s[1]]);
+        net.insert_rule(deny(2, 0, s[1], drop[1], &[]));
+        let (cycles, holes) = kernel_scan(&net);
+        assert!(cycles.is_empty() && holes.is_empty());
+    }
+
+    #[test]
+    fn rank_range_rows_cross_a_word_boundary_on_two_secondary_fields() {
+        let (mut net, s, next, drop) = ring(2, &[4, 4]);
+        // Nine atoms on the first secondary field, eight on the second: 72
+        // classes, two words.
+        let other = IpPrefix::new(128, 4, WIDTH);
+        for i in 0..8u128 {
+            let cuts = sec(&[(i, i + 1), (2 * i, 2 * i + 2)]);
+            let rule = Rule::forward(RuleId(100 + i as u64), other, 1, s[0], next[0]);
+            net.insert_rule(rule.with_secondary(cuts));
+        }
+        let lattices = net.secondary_atoms();
+        assert_eq!((lattices[0].atom_count(), lattices[1].atom_count()), (9, 8));
+        // The closing rule admits ranks 0..9 × 6..8: class rows 54..63 and
+        // 63..72, the second straddling bit 64.
+        net.insert_rule(fwd(0, 1, s[0], next[0], &[]));
+        net.insert_rule(fwd(1, 1, s[1], next[1], &[(0, 16), (12, 16)]));
+        let (cycles, holes) = kernel_scan(&net);
+        assert_eq!(cycles.len(), 1);
+        assert!(holes.contains_key(&s[1]));
+        let riding = |src| seeded(&net, s[1], next[1], src);
+        assert_eq!(riding(&[(0, 16), (12, 16)]), 1);
+        assert_eq!(riding(&[(0, 16), (0, 12)]), 0);
+        // A narrower deny inside the straddling row takes its classes out
+        // of the loop without disturbing the rest.
+        net.insert_rule(deny(2, 9, s[1], drop[1], &[(1, 3), (14, 16)]));
+        kernel_scan(&net);
+        let riding = |src| seeded(&net, s[1], next[1], src);
+        assert_eq!(riding(&[(1, 3), (14, 16)]), 0);
+        assert_eq!(riding(&[(3, 4), (14, 16)]), 1);
+    }
+
+    #[test]
+    fn stamp_wrap_around_forgets_nothing_it_needs() {
+        let (mut net, s, next, _) = ring(3, &[6]);
+        for i in 0..3 {
+            net.insert_rule(fwd(i as u64, 1, s[i], next[i], &[(8, 16)]));
+        }
+        let view = net.mf_view();
+        let mut walk = ClassWalk::new(net.secondary_atoms(), view.topology.node_count());
+        let expected = scan_all(&mut walk, &view);
+        assert_eq!((expected.0.len(), expected.1.len()), (1, 0));
+        // Leave stale rows stamped just below the wrap, then cross it.
+        walk.generation = u32::MAX - 1;
+        walk.stamp.fill(u32::MAX - 1);
+        assert_eq!(scan_all(&mut walk, &view), expected);
+        assert!(walk.generation < 16);
+    }
+
+    #[test]
+    fn a_20_000_switch_ring_closes_inside_a_2_mib_stack() {
+        // One frame per hop on the call stack would need far more than
+        // this thread has; the walk's stack is a heap vector.
+        const SWITCHES: usize = 20_000;
+        let test = || {
+            let (mut net, s, next, _) = ring(SWITCHES, &[6]);
+            // Unmonitored and unchecked, so the preload is linear.
+            let last = SWITCHES - 1;
+            for i in 0..last {
+                net.insert_rule(fwd(i as u64, 1, s[i], next[i], &[(8, 24)]));
+            }
+            net.insert_rule(fwd(last as u64, 1, s[last], next[last], &[]));
+            assert_eq!(seeded(&net, s[last], next[last], &[]), 1);
+            let monitor = net.enable_monitor();
+            assert_eq!((monitor.loop_count(), monitor.blackhole_count()), (1, 1));
+            let mut scans = net.check_all_loops();
+            let ring_len = match &scans[0] {
+                InvariantViolation::ForwardingLoop { nodes, .. } => nodes.len(),
+                InvariantViolation::Blackhole { .. } => 0,
+            };
+            assert_eq!(ring_len, SWITCHES);
+            scans.extend(net.check_all_blackholes());
+            assert_eq!(net.active_violations(), Some(scans));
+        };
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(test)
+            .expect("spawn the small-stack thread")
+            .join()
+            .expect("the ring walk overflowed or failed");
+    }
 }

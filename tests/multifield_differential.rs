@@ -1,22 +1,22 @@
 //! Multi-field differential suite: the incremental Delta-net engine over a
-//! dst × src (and dst × src × dport) header space, compared after every few
-//! operations against
+//! dst × src (and dst × src × dport) header space, compared against
 //!
 //! 1. the stateless Veriflow-RI cross-product oracle
 //!    ([`veriflow_ri::scan_multifield`]), which recomputes every
-//!    equivalence class of every field from the live rule set alone, and
+//!    equivalence class of every field from the live rule set alone —
+//!    every few operations, and
 //! 2. the engine's own full rescans (`check_all_loops` +
-//!    `check_all_blackholes`), which the live monitor must agree with
-//!    bit-for-bit.
+//!    `check_all_blackholes`, tuple at a time), which the live monitor —
+//!    maintained by the set-at-a-time kernel — must agree with bit for bit
+//!    after **every** operation, state and events ([`MonitorOracle`]).
 //!
 //! Runs over the stand-alone engine and 1/2/4/7-way sharded engines, with
 //! monitoring on and off, compaction on and off, per-op applies and
-//! `apply_batch` windows, and §3.3 aggregation windows — the combinations
-//! the multi-field refactor touches. Since the monitor is maintained by
-//! scoped slice repair rather than full rescans, the monitor-vs-scan
-//! assertions here are the bit-identity oracle for the incremental path.
+//! `apply_batch` windows, §3.3 aggregation windows, and a snapshot →
+//! restore → continue leg — the combinations the multi-field code touches.
 //! Everything is seeded; a failure reproduces from the printed seed.
 
+use delta_net::deltanet::{MonitorTransitions, PersistNet, Snapshot, TransitionTracker};
 use delta_net::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,8 +25,9 @@ use testutil::{blackholes_by_node, loops_by_cycle, random_ops_multifield, random
 const WIDTH: u8 = 8;
 const SEC_WIDTHS: [u8; 1] = [6];
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
-/// Compare against the oracle every this many operations (full cross-field
-/// scans are the expensive part of the suite).
+/// Compare against the Veriflow-RI oracle every this many operations (it
+/// rebuilds every class from the rule set; the engine's own scans run per
+/// op).
 const CHECK_EVERY: usize = 10;
 
 fn mf_config(monitor: bool, compact_threshold: Option<usize>) -> DeltaNetConfig {
@@ -67,6 +68,61 @@ fn assert_equivalent(label: &str, actual: &[InvariantViolation], expected: &[Inv
     );
 }
 
+/// The per-op oracle of a monitored stand-alone engine: after every
+/// operation the live state must equal the full scans exactly — same
+/// grouping, normalization and order — and the operation's events must be
+/// the identity diff of successive full scans.
+struct MonitorOracle {
+    tracker: TransitionTracker,
+    compactions: usize,
+}
+
+impl MonitorOracle {
+    fn new(net: &DeltaNet) -> Self {
+        assert!(net.active_violations().expect("monitor is on").is_empty());
+        MonitorOracle {
+            tracker: TransitionTracker::new(),
+            compactions: net.compactions(),
+        }
+    }
+
+    fn check(&mut self, net: &DeltaNet, label: &str) {
+        let scan = full_scan_single(net);
+        let active = net.active_violations().expect("monitor is on");
+        assert_eq!(active, scan, "{label}: monitor diverged from full scans");
+        let keys = scan.iter().map(|violation| match violation {
+            InvariantViolation::ForwardingLoop { nodes, .. } => ViolationKey::Loop(nodes.clone()),
+            InvariantViolation::Blackhole { node, .. } => ViolationKey::Blackhole(*node),
+        });
+        let expected = self.tracker.observe(keys.collect());
+        // A compaction pass at the end of the op remaps the monitor, which
+        // forgets the op's events; the tracker has still moved on.
+        if net.compactions() == self.compactions {
+            let events = net.monitor().expect("monitor is on").last_events();
+            let side = |appeared: bool| -> Vec<ViolationKey> {
+                let of_side = events.iter().filter(|e| e.appeared == appeared);
+                of_side.map(|e| e.key.clone()).collect()
+            };
+            let reported = MonitorTransitions {
+                appeared: side(true),
+                resolved: side(false),
+            };
+            assert_eq!(reported, expected, "{label}: events diverged from scans");
+        }
+        self.compactions = net.compactions();
+    }
+}
+
+/// The engine `net` becomes after a snapshot round trip through bytes.
+fn restored_copy(net: &DeltaNet, topo: &Topology, ops_applied: usize) -> DeltaNet {
+    let bytes = Snapshot::of_single(net, ops_applied as u64).to_bytes();
+    let snapshot = Snapshot::from_bytes(&bytes).expect("snapshot decodes");
+    match snapshot.restore(topo).expect("snapshot restores") {
+        PersistNet::Single(restored) => *restored,
+        PersistNet::Sharded(_) => panic!("a stand-alone snapshot restored sharded"),
+    }
+}
+
 fn track(live: &mut Vec<Rule>, op: &Op) {
     match op {
         Op::Insert(rule) => live.push(*rule),
@@ -86,11 +142,33 @@ fn single_engine_matches_oracle_and_monitor() {
         let ops = random_ops_multifield(&mut rng, &topo, 120, WIDTH, &SEC_WIDTHS, 20, 0.3);
         let mut net = DeltaNet::new(topo.clone(), mf_config(monitor, compact));
         assert!(net.is_multifield());
+        let mut per_op = monitor.then(|| MonitorOracle::new(&net));
+        // Mid-trace, monitored seeds fork a snapshot-restored copy that
+        // then takes the same ops: its state and events must stay equal to
+        // the uninterrupted engine's (its monitor was never seeded by this
+        // process, and no per-class state came back with it).
+        let mut restored: Option<DeltaNet> = None;
         let mut live: Vec<Rule> = Vec::new();
         for (i, op) in ops.iter().enumerate() {
             net.try_apply(op)
                 .unwrap_or_else(|e| panic!("seed {seed} op {i} rejected: {e}"));
             track(&mut live, op);
+            if let Some(oracle) = per_op.as_mut() {
+                oracle.check(&net, &format!("seed {seed} op {i}"));
+            }
+            if let Some(copy) = restored.as_mut() {
+                copy.try_apply(op)
+                    .unwrap_or_else(|e| panic!("seed {seed} op {i} rejected after restore: {e}"));
+                let label = format!("seed {seed} op {i} restored-vs-uninterrupted");
+                assert_eq!(copy.active_violations(), net.active_violations(), "{label}");
+                assert_eq!(
+                    copy.monitor().expect("monitor restored").last_events(),
+                    net.monitor().expect("monitor is on").last_events(),
+                    "{label}"
+                );
+            } else if monitor && i + 1 == ops.len() / 2 {
+                restored = Some(restored_copy(&net, &topo, i + 1));
+            }
             if (i + 1) % CHECK_EVERY != 0 && i + 1 != ops.len() {
                 continue;
             }
@@ -101,15 +179,8 @@ fn single_engine_matches_oracle_and_monitor() {
                 &scan,
                 &oracle,
             );
-            if monitor {
-                let active = net.active_violations().expect("monitor is on");
-                assert_equivalent(
-                    &format!("seed {seed} op {i} monitor-vs-scan"),
-                    &active,
-                    &scan,
-                );
-            }
         }
+        assert_eq!(restored.is_some(), monitor);
     }
 }
 
@@ -125,8 +196,8 @@ fn sharded_engine_matches_oracle_at_every_shard_count() {
             let mut net = ShardedDeltaNet::new(topo.clone(), mf_config(monitor, compact), shards);
             let mut live: Vec<Rule> = Vec::new();
             if monitor {
-                // Monitor seeds go through `apply_batch`, so the scoped
-                // repair also runs under the concurrent per-shard groups.
+                // Monitor seeds go through `apply_batch`, so the repair
+                // also runs under the concurrent per-shard groups.
                 for (w, window) in ops.chunks(CHECK_EVERY).enumerate() {
                     net.apply_batch(window)
                         .unwrap_or_else(|e| panic!("shards {shards} seed {seed} window {w}: {e}"));
@@ -188,11 +259,13 @@ fn three_field_header_space_matches_oracle() {
         .with_secondary(&SEC3);
         assert_eq!(config.header_space().field_count(), 3);
         let mut net = DeltaNet::new(topo.clone(), config);
+        let mut per_op = MonitorOracle::new(&net);
         let mut live: Vec<Rule> = Vec::new();
         for (i, op) in ops.iter().enumerate() {
             net.try_apply(op)
                 .unwrap_or_else(|e| panic!("seed {seed} op {i} rejected: {e}"));
             track(&mut live, op);
+            per_op.check(&net, &format!("seed {seed} op {i}"));
             if (i + 1) % CHECK_EVERY != 0 && i + 1 != ops.len() {
                 continue;
             }
@@ -202,12 +275,6 @@ fn three_field_header_space_matches_oracle() {
                 &format!("seed {seed} op {i} scan-vs-oracle"),
                 &scan,
                 &oracle,
-            );
-            let active = net.active_violations().expect("monitor is on");
-            assert_equivalent(
-                &format!("seed {seed} op {i} monitor-vs-scan"),
-                &active,
-                &scan,
             );
         }
     }
@@ -285,12 +352,14 @@ fn aggregation_window_with_secondary_splits_matches_oracle() {
     // at every window boundary the incrementally repaired monitor must be
     // bit-identical to the full scans and the stateless oracle. Automatic
     // compaction is deferred while a window is open, so an explicit
-    // `compact()` afterwards checks the ledger remap too.
+    // `compact()` afterwards checks the monitor remap and the walk
+    // kernel's class renumbering too.
     for seed in 0..3u64 {
         let mut rng = StdRng::seed_from_u64(0xA66_F1E1D ^ seed);
         let topo = random_topology(&mut rng, 5, true);
         let ops = random_ops_multifield(&mut rng, &topo, 90, WIDTH, &SEC_WIDTHS, 20, 0.3);
         let mut net = DeltaNet::new(topo.clone(), mf_config(true, Some(4)));
+        let mut per_op = MonitorOracle::new(&net);
         let mut live: Vec<Rule> = Vec::new();
         let mut windows_with_sec_splits = 0usize;
         let mut windows_with_removes = 0usize;
@@ -300,6 +369,8 @@ fn aggregation_window_with_secondary_splits_matches_oracle() {
                 net.try_apply(op)
                     .unwrap_or_else(|e| panic!("seed {seed} window {w} op {i}: {e}"));
                 track(&mut live, op);
+                // The monitor is repaired per update even inside a window.
+                per_op.check(&net, &format!("seed {seed} window {w} op {i}"));
             }
             let agg = net.take_aggregate();
             if !agg.sec_splits.is_empty() {
@@ -342,9 +413,9 @@ fn aggregation_window_with_secondary_splits_matches_oracle() {
 fn secondary_constrained_loop_fires_one_appeared_event() {
     // A loop closed in exactly one secondary class must surface as exactly
     // one appeared event — even though the closing insert also splits the
-    // secondary lattice, so its rule slices and the new-class slices of the
-    // scoped repair overlap (the repair must not double-report, and the
-    // blackhole that persists in the *other* classes must not flap).
+    // secondary lattice, renumbering the classes under the repair (which
+    // must not double-report, and the blackhole that persists in the
+    // *other* classes must not flap).
     let mut topo = Topology::new();
     let a = topo.add_node("a");
     let b = topo.add_node("b");
