@@ -12,10 +12,10 @@ use crate::paper::{self, Summary, Timings};
 use crate::topo_text;
 use deltanet::persist::{self, RecoveryPolicy, TornTail};
 use deltanet::{
-    blackholes, CheckpointConfig, CheckpointManager, DeltaLog, DeltaNet, DeltaNetConfig, FsBackend,
-    LoggedNet, Parallelism, PersistError, PersistNet, ShardedDeltaNet, Snapshot, ViolationKey,
+    blackholes, CheckpointConfig, DeltaNet, DeltaNetConfig, FsBackend, Journal, LoggedNet,
+    Parallelism, PersistError, PersistNet, ShardedDeltaNet, Snapshot, ViolationKey,
 };
-use netmodel::checker::{Checker, InvariantViolation};
+use netmodel::checker::{Checker, InvariantViolation, ReplayError, UpdateReport};
 use netmodel::interval::Interval;
 use netmodel::ip::format_field;
 use netmodel::topology::Topology;
@@ -123,10 +123,11 @@ pub fn help() -> String {
                  --durability picks how hard each batch is pushed to disk: buffered\n\
                  (userspace only, synced at exit), flush (write, no fsync — default),\n\
                  fsync (write + fsync; an acknowledged batch survives power loss).\n\
-                 --checkpoint replays through an auto-snapshotting checkpoint dir\n\
+                 --checkpoint journals into an auto-snapshotting checkpoint dir\n\
                  instead of a flat log: the log rotates and a snapshot is written\n\
                  every --checkpoint-every ops (default 1024), keeping --retain\n\
-                 snapshots (default 2), so recovery time stays bounded\n\
+                 snapshots (default 2), so recovery time stays bounded. The dir\n\
+                 must be fresh: one holding an earlier run's artifacts is refused\n\
        snapshot  --topo <file> --trace <file> --save <file> [--shards <n>] [--monitor]\n\
                  [--log <file>]\n\
                  Replay the trace and save its final engine state as a checksummed\n\
@@ -287,67 +288,94 @@ fn describe_violation(v: &InvariantViolation, width: u8) -> String {
     out
 }
 
-/// The engine a replay runs through; concrete so the sharded batch path and
-/// the post-replay audits can reach past the [`Checker`] trait.
+/// A fresh Delta-net engine of the shape `--shards` asks for.
+fn build_net(
+    topo: Topology,
+    config: DeltaNetConfig,
+    shards: Option<usize>,
+    parallelism: Parallelism,
+) -> PersistNet {
+    match shards {
+        Some(n) => PersistNet::Sharded(Box::new(ShardedDeltaNet::with_parallelism(
+            topo,
+            config,
+            n,
+            parallelism,
+        ))),
+        None => PersistNet::Single(Box::new(DeltaNet::new(topo, config))),
+    }
+}
+
+/// The engine a replay runs through; concrete so the sharded batch path,
+/// the journal's snapshots and the post-replay audits can reach past the
+/// [`Checker`] trait.
 enum ReplayEngine {
-    Delta(Box<DeltaNet>),
-    Sharded(Box<ShardedDeltaNet>),
+    Net(PersistNet),
     Veriflow(Box<VeriflowRi>),
 }
 
 impl ReplayEngine {
     fn checker(&mut self) -> &mut dyn Checker {
         match self {
-            ReplayEngine::Delta(net) => net.as_mut(),
-            ReplayEngine::Sharded(net) => net.as_mut(),
+            ReplayEngine::Net(net) => net,
             ReplayEngine::Veriflow(vf) => vf.as_mut(),
+        }
+    }
+
+    /// The Delta-net engine, if this is one.
+    fn net(&self) -> Option<&PersistNet> {
+        match self {
+            ReplayEngine::Net(net) => Some(net),
+            ReplayEngine::Veriflow(_) => None,
+        }
+    }
+
+    /// Applies one window, stopping at the first malformed op (the ops
+    /// before it stay applied). A `batched` sharded window applies its
+    /// shard groups concurrently; anything else goes op by op.
+    fn apply_window(
+        &mut self,
+        ops: &[Op],
+        batched: bool,
+    ) -> Result<Vec<UpdateReport>, ReplayError> {
+        match self {
+            ReplayEngine::Net(PersistNet::Sharded(net)) if batched => net.apply_batch(ops),
+            engine => engine.checker().try_replay(ops),
         }
     }
 
     /// `(allocated atoms, reclaimable bounds, compaction passes)` for the
     /// engines that compact; summed over shards for the sharded engine.
     fn compaction_stats(&self) -> Option<(usize, usize, usize)> {
-        match self {
-            ReplayEngine::Delta(net) => Some((
+        Some(match self.net()? {
+            PersistNet::Single(net) => (
                 net.allocated_atoms(),
                 net.reclaimable_bounds(),
                 net.compactions(),
-            )),
-            ReplayEngine::Sharded(net) => Some((
+            ),
+            PersistNet::Sharded(net) => (
                 net.allocated_atoms(),
                 net.reclaimable_bounds(),
                 net.compactions(),
-            )),
-            ReplayEngine::Veriflow(_) => None,
-        }
+            ),
+        })
     }
 
     fn check_all_blackholes(&self) -> Option<Vec<InvariantViolation>> {
-        match self {
-            ReplayEngine::Delta(net) => Some(net.check_all_blackholes()),
-            ReplayEngine::Sharded(net) => Some(net.check_all_blackholes()),
-            ReplayEngine::Veriflow(_) => None,
-        }
+        Some(self.net()?.check_all_blackholes())
     }
 
     /// The primary field's bit width, for address-notation output.
     fn field_width(&self) -> u8 {
-        match self {
-            ReplayEngine::Delta(net) => net.config().field_width,
-            ReplayEngine::Sharded(net) => net.config().field_width,
-            ReplayEngine::Veriflow(_) => 32,
-        }
+        self.net().map_or(32, |net| net.config().field_width)
     }
 
     /// The identities of the currently active violations, when the engine
     /// is monitored (merged across shards for the sharded engine).
     fn monitor_keys(&self) -> Option<BTreeSet<ViolationKey>> {
-        match self {
-            ReplayEngine::Delta(net) => {
-                net.monitor().map(|m| m.active_keys().into_iter().collect())
-            }
-            ReplayEngine::Sharded(net) => net.monitor_keys(),
-            ReplayEngine::Veriflow(_) => None,
+        match self.net()? {
+            PersistNet::Single(net) => net.monitor().map(|m| m.active_keys().into_iter().collect()),
+            PersistNet::Sharded(net) => net.monitor_keys(),
         }
     }
 
@@ -365,17 +393,10 @@ impl ReplayEngine {
     /// surfaced in the `--monitor` report so an operator (or the CI smoke)
     /// can see the incremental and O(plane) answers agree.
     fn monitor_matches_rescan(&self) -> Option<bool> {
-        let active = match self {
-            ReplayEngine::Delta(net) => net.active_violations()?,
-            ReplayEngine::Sharded(net) => net.active_violations()?,
-            ReplayEngine::Veriflow(_) => return None,
-        };
-        let mut expect = match self {
-            ReplayEngine::Delta(net) => net.check_all_loops(),
-            ReplayEngine::Sharded(net) => net.check_all_loops(),
-            ReplayEngine::Veriflow(_) => return None,
-        };
-        expect.extend(self.check_all_blackholes()?);
+        let net = self.net()?;
+        let active = net.active_violations()?;
+        let mut expect = net.check_all_loops();
+        expect.extend(net.check_all_blackholes());
         Some(active == expect)
     }
 }
@@ -429,8 +450,8 @@ impl TransitionLog {
     }
 }
 
-/// The `--shards` / `--batch` / `--check blackholes` fields both replay
-/// report shapes carry, in that order, each only when the option was given.
+/// The `--shards` / `--batch` / `--check blackholes` fields of the replay
+/// report, in that order, each only when the option was given.
 fn shape_fields(
     shards: Option<usize>,
     batch: Option<usize>,
@@ -533,226 +554,173 @@ pub fn replay(args: &ParsedArgs) -> Result<String, CommandError> {
     }
     let parallelism = workers.map_or_else(Parallelism::from_env, Parallelism::fixed);
 
-    if let Some(dir) = &checkpoint_dir {
-        if checker_name != "deltanet" {
-            return Err(CommandError::Other(
-                "--checkpoint is only supported by the deltanet checker".to_string(),
-            ));
-        }
-        let mut config = DeltaNetConfig {
-            check_loops_per_update: check_loops,
-            compact_threshold,
-            monitor_violations: monitor,
-            ..Default::default()
-        };
-        if let Some(f) = &fields {
-            config = apply_fields(config, f);
-        }
-        return replay_checkpointed(
-            topo,
-            &trace,
-            args,
-            dir,
-            durability,
-            config,
-            shards,
-            batch,
-            parallelism,
-            check_blackholes,
-        );
-    }
+    let checkpoint = match &checkpoint_dir {
+        Some(_) => Some(checkpoint_config(args)?),
+        None => None,
+    };
 
     let mut baseline_ops = 0u64;
-    let mut engine =
-        match checker_name.as_str() {
-            "deltanet" => match &from_snapshot {
-                Some(snap_path) => {
-                    if shards.is_some() || compact_threshold.is_some() || fields.is_some() {
-                        return Err(CommandError::Other(
-                            "--shards/--compact/--fields come from the snapshot and cannot be \
-                         combined with --from-snapshot"
-                                .to_string(),
-                        ));
-                    }
-                    let snap = Snapshot::read_from(Path::new(snap_path))?;
-                    baseline_ops = snap.ops_applied();
-                    let mut net = snap.restore(&topo)?;
-                    if monitor && net.is_monitored() {
-                        return Err(CommandError::Other(
-                            "--monitor is redundant with this snapshot: its config already \
-                             enables monitoring, which continues (and is reported) \
-                             automatically on restore — drop the flag"
-                                .to_string(),
-                        ));
-                    }
-                    if monitor {
-                        net.enable_monitor();
-                    }
-                    // A monitored snapshot keeps monitoring: report it.
-                    monitor = monitor || net.is_monitored();
-                    match net {
-                        PersistNet::Single(n) => ReplayEngine::Delta(n),
-                        PersistNet::Sharded(n) => ReplayEngine::Sharded(n),
-                    }
-                }
-                None => {
-                    let mut config = DeltaNetConfig {
-                        check_loops_per_update: check_loops,
-                        compact_threshold,
-                        monitor_violations: monitor,
-                        ..Default::default()
-                    };
-                    if let Some(f) = &fields {
-                        config = apply_fields(config, f);
-                    }
-                    match shards {
-                        Some(n) => ReplayEngine::Sharded(Box::new(
-                            ShardedDeltaNet::with_parallelism(topo, config, n, parallelism),
-                        )),
-                        None => ReplayEngine::Delta(Box::new(DeltaNet::new(topo, config))),
-                    }
-                }
-            },
-            "veriflow" | "veriflow-ri" => {
-                if compact_threshold.is_some()
-                    || shards.is_some()
-                    || check_blackholes
-                    || monitor
-                    || fields.is_some()
-                    || from_snapshot.is_some()
-                    || log_to.is_some()
-                {
+    let mut engine = match checker_name.as_str() {
+        "deltanet" => ReplayEngine::Net(match &from_snapshot {
+            Some(snap_path) => {
+                if shards.is_some() || compact_threshold.is_some() || fields.is_some() {
                     return Err(CommandError::Other(
-                        "--compact/--shards/--check/--monitor/--fields/--from-snapshot/--log/\
-                     --checkpoint are only supported by the deltanet checker"
+                        "--shards/--compact/--fields come from the snapshot and cannot be \
+                         combined with --from-snapshot"
                             .to_string(),
                     ));
                 }
-                ReplayEngine::Veriflow(Box::new(VeriflowRi::new(
-                    topo,
-                    VeriflowConfig {
-                        check_loops_per_update: check_loops,
-                        ..Default::default()
-                    },
-                )))
+                let snap = Snapshot::read_from(Path::new(snap_path))?;
+                baseline_ops = snap.ops_applied();
+                let mut net = snap.restore(&topo)?;
+                if monitor && net.is_monitored() {
+                    return Err(CommandError::Other(
+                        "--monitor is redundant with this snapshot: its config already \
+                         enables monitoring, which continues (and is reported) \
+                         automatically on restore — drop the flag"
+                            .to_string(),
+                    ));
+                }
+                if monitor {
+                    net.enable_monitor();
+                }
+                // A monitored snapshot keeps monitoring: report it.
+                monitor = monitor || net.is_monitored();
+                net
             }
-            other => {
-                return Err(CommandError::Other(format!(
-                    "unknown checker `{other}` (expected deltanet | veriflow)"
-                )))
+            None => {
+                let mut config = DeltaNetConfig {
+                    check_loops_per_update: check_loops,
+                    compact_threshold,
+                    monitor_violations: monitor,
+                    ..Default::default()
+                };
+                if let Some(f) = &fields {
+                    config = apply_fields(config, f);
+                }
+                build_net(topo, config, shards, parallelism)
             }
-        };
+        }),
+        "veriflow" | "veriflow-ri" => {
+            if compact_threshold.is_some()
+                || shards.is_some()
+                || check_blackholes
+                || monitor
+                || fields.is_some()
+                || from_snapshot.is_some()
+                || log_to.is_some()
+                || checkpoint_dir.is_some()
+            {
+                return Err(CommandError::Other(
+                    "--compact/--shards/--check/--monitor/--fields/--from-snapshot/--log/\
+                     --checkpoint are only supported by the deltanet checker"
+                        .to_string(),
+                ));
+            }
+            ReplayEngine::Veriflow(Box::new(VeriflowRi::new(
+                topo,
+                VeriflowConfig {
+                    check_loops_per_update: check_loops,
+                    ..Default::default()
+                },
+            )))
+        }
+        other => {
+            return Err(CommandError::Other(format!(
+                "unknown checker `{other}` (expected deltanet | veriflow)"
+            )))
+        }
+    };
+
+    // The journal mounted beside the engine: a flat delta log (--log) or a
+    // rotating, auto-snapshotting checkpoint directory (--checkpoint).
+    // Write-behind — only ops the engine accepted are recorded — so on a
+    // mid-trace failure it holds exactly the applied prefix. Each window is
+    // flushed at the configured durability; I/O failures are deferred and
+    // surface when the journal is closed.
+    let mut journal = match (
+        &log_to,
+        checkpoint_dir.as_deref().zip(checkpoint),
+        engine.net(),
+    ) {
+        (Some(path), _, _) => Some(Journal::flat(
+            Box::new(FsBackend),
+            Path::new(path),
+            baseline_ops,
+            durability,
+        )?),
+        (None, Some((dir, config)), Some(net)) => Some(Journal::checkpointed(
+            Box::new(FsBackend),
+            Path::new(dir),
+            &Snapshot::of_net(net, 0),
+            config,
+        )?),
+        _ => None,
+    };
 
     let mut timings = Timings::with_capacity(trace.len());
     let mut loops = 0usize;
     let mut transitions = monitor.then(TransitionLog::default);
-    // Write-behind delta log: an op is appended only after it applied, so on
-    // a mid-trace failure the log holds exactly the applied prefix. Each
-    // applied window is flushed at the configured durability; the final (and
-    // error-path) sync pushes even Buffered logs to disk.
-    let mut dlog = match &log_to {
-        Some(path) => Some(DeltaLog::create_with(
-            Box::new(FsBackend),
-            Path::new(path),
-            durability,
-        )?),
-        None => None,
-    };
-    match (&mut engine, batch) {
-        // Batched sharded replay: each window's shard groups apply
-        // concurrently; per-op time is the window average, so the summary
-        // statistics keep their shape. With --monitor, transitions are
-        // observed at window granularity (per-op order inside a window is
-        // not observable through a batch).
-        (ReplayEngine::Sharded(net), Some(window)) => {
-            let mut offset = 0usize;
-            for chunk in trace.ops().chunks(window) {
-                let start = Instant::now();
-                let reports = match net.apply_batch(chunk) {
-                    Ok(reports) => reports,
-                    Err(e) => {
-                        if let Some(log) = dlog.as_mut() {
-                            for op in &chunk[..e.index] {
-                                log.append(op);
-                            }
-                            log.sync()?;
-                        }
-                        return Err(CommandError::Other(format!(
-                            "trace op {} ({}): {}",
-                            offset + e.index + 1,
-                            describe_op(&chunk[e.index]),
-                            e.error
-                        )));
-                    }
-                };
-                if let Some(log) = dlog.as_mut() {
-                    for op in chunk {
-                        log.append(op);
-                    }
-                    log.flush()?;
+    // One windowed loop: --batch windows apply their shard groups
+    // concurrently, and an unbatched replay is a window of one. Per-op time
+    // is the window average, so the summary statistics keep their shape.
+    let mut offset = 0usize;
+    for chunk in trace.ops().chunks(batch.unwrap_or(1)) {
+        let start = Instant::now();
+        let result = engine.apply_window(chunk, batch.is_some());
+        let applied = result.as_ref().map_or_else(|e| e.index, Vec::len);
+        if let (Some(journal), Some(net)) = (journal.as_mut(), engine.net()) {
+            journal.record(&chunk[..applied], |at| Snapshot::of_net(net, at));
+        }
+        let reports = match result {
+            Ok(reports) => reports,
+            Err(e) => {
+                // Close the journal so the applied prefix is on disk and a
+                // deferred I/O error cannot be lost; the engine error is
+                // the one worth reporting.
+                let mut msg = format!(
+                    "trace op {} ({}): {}",
+                    offset + e.index + 1,
+                    describe_op(&chunk[e.index]),
+                    e.error
+                );
+                if let Some(Err(io)) = journal.map(Journal::close) {
+                    msg.push_str(&format!("; log sync also failed: {io}"));
                 }
-                let per_op_us = start.elapsed().as_secs_f64() * 1e6 / chunk.len() as f64;
-                for report in reports {
-                    timings.micros.push(per_op_us);
-                    if report.has_loop() {
-                        loops += 1;
-                    }
-                }
-                offset += chunk.len();
-                if let Some(log) = transitions.as_mut() {
-                    let label = format!("ops {}..{}", offset - chunk.len() + 1, offset);
-                    let keys = net.monitor_keys().unwrap_or_default();
-                    log.observe(&label, keys);
-                    // Untimed audit: the maintained (incrementally repaired)
-                    // state against a fresh full rescan, once per window.
-                    log.cross_check(net.active_violations().map(|active| {
-                        let mut expect = net.check_all_loops();
-                        expect.extend(net.check_all_blackholes());
-                        active == expect
-                    }));
-                }
+                return Err(CommandError::Other(msg));
+            }
+        };
+        let per_op_us = start.elapsed().as_secs_f64() * 1e6 / chunk.len() as f64;
+        for report in reports {
+            timings.micros.push(per_op_us);
+            if report.has_loop() {
+                loops += 1;
             }
         }
-        (engine, _) => {
-            for (index, op) in trace.ops().iter().enumerate() {
-                let start = Instant::now();
-                let report = match engine.checker().try_apply(op) {
-                    Ok(report) => report,
-                    Err(error) => {
-                        if let Some(log) = dlog.as_mut() {
-                            log.sync()?;
-                        }
-                        return Err(CommandError::Other(format!(
-                            "trace op {} ({}): {error}",
-                            index + 1,
-                            describe_op(op)
-                        )));
-                    }
-                };
-                if let Some(log) = dlog.as_mut() {
-                    log.append(op);
-                    log.flush()?;
-                }
-                timings.micros.push(start.elapsed().as_secs_f64() * 1e6);
-                if report.has_loop() {
-                    loops += 1;
-                }
-                if let Some(log) = transitions.as_mut() {
-                    let label = format!("op {} ({})", index + 1, describe_op(op));
-                    let keys = engine.monitor_keys().unwrap_or_default();
-                    log.observe(&label, keys);
-                    // Untimed per-op audit of the incremental state against
-                    // a full rescan (multi-field planes included).
-                    let matches = engine.monitor_matches_rescan();
-                    log.cross_check(matches);
-                }
-            }
+        offset += chunk.len();
+        if let Some(log) = transitions.as_mut() {
+            // Inside a --batch window the per-op order is not observable,
+            // so transitions are reported at window granularity.
+            let label = match batch {
+                Some(_) => format!("ops {}..{}", offset - chunk.len() + 1, offset),
+                None => format!("op {offset} ({})", describe_op(&chunk[0])),
+            };
+            log.observe(&label, engine.monitor_keys().unwrap_or_default());
+            // Untimed audit of the maintained (incrementally repaired)
+            // state against a fresh full rescan (multi-field planes
+            // included), once per window.
+            log.cross_check(engine.monitor_matches_rescan());
         }
     }
-    let log_ops = match dlog.as_mut() {
-        Some(log) => {
-            log.sync()?;
-            Some(log.ops_logged())
+    let journaled = match journal {
+        Some(journal) => {
+            let stats = (
+                journal.ops_applied(),
+                journal.checkpoints_written(),
+                journal.last_checkpoint(),
+            );
+            journal.close()?;
+            Some(stats)
         }
         None => None,
     };
@@ -789,8 +757,15 @@ pub fn replay(args: &ParsedArgs) -> Result<String, CommandError> {
         if from_snapshot.is_some() {
             fields.push(("resumed_from_op", Json::int(baseline_ops)));
         }
-        if let Some(n) = log_ops {
-            fields.push(("log_ops", Json::int(n)));
+        if let Some((ops_applied, checkpoints, last_checkpoint)) = journaled {
+            match checkpoint {
+                None => fields.push(("log_ops", Json::int(ops_applied - baseline_ops))),
+                Some(config) => fields.extend([
+                    ("checkpoint_every", Json::int(config.every_ops)),
+                    ("checkpoints_written", Json::int(checkpoints)),
+                    ("last_checkpoint", Json::int(last_checkpoint)),
+                ]),
+            }
             fields.push(("durability", Json::str(durability.name())));
         }
         if let (Some((active_loops, active_holes)), Some(log)) =
@@ -850,11 +825,26 @@ pub fn replay(args: &ParsedArgs) -> Result<String, CommandError> {
     if from_snapshot.is_some() {
         out.push_str(&format!("resumed from snapshot: op {baseline_ops}\n"));
     }
-    if let (Some(n), Some(path)) = (log_ops, &log_to) {
-        out.push_str(&format!(
-            "delta log:          {n} ops -> {path} (durability: {})\n",
-            durability.name()
-        ));
+    if let Some((ops_applied, checkpoints, last_checkpoint)) = journaled {
+        if let Some(path) = &log_to {
+            out.push_str(&format!(
+                "delta log:          {} ops -> {path} (durability: {})\n",
+                ops_applied - baseline_ops,
+                durability.name()
+            ));
+        }
+        if let (Some(dir), Some(config)) = (&checkpoint_dir, checkpoint) {
+            out.push_str(&format!(
+                "durability:         {}\n\
+                 checkpoint dir:     {dir}\n\
+                 checkpoints:        {checkpoints} (every {} ops, retain {})\n\
+                 last checkpoint:    op {last_checkpoint}\n\
+                 ops applied:        {ops_applied}\n",
+                durability.name(),
+                config.every_ops,
+                config.retain,
+            ));
+        }
     }
     if let Some(holes) = &blackhole_report {
         out.push_str(&format!("blackholes:         {}\n", holes.len()));
@@ -900,22 +890,9 @@ pub fn replay(args: &ParsedArgs) -> Result<String, CommandError> {
     Ok(out)
 }
 
-/// `replay --checkpoint <dir>`: replay through a [`CheckpointManager`] so
-/// the delta log rotates and a snapshot is written every `--checkpoint-every`
-/// applied ops — recovery cost stays bounded by the cadence, not the trace.
-#[allow(clippy::too_many_arguments)]
-fn replay_checkpointed(
-    topo: Topology,
-    trace: &Trace,
-    args: &ParsedArgs,
-    dir: &str,
-    durability: deltanet::Durability,
-    config: DeltaNetConfig,
-    shards: Option<usize>,
-    batch: Option<usize>,
-    parallelism: Parallelism,
-    check_blackholes: bool,
-) -> Result<String, CommandError> {
+/// The `--checkpoint-every` / `--retain` / `--durability` options as a
+/// [`CheckpointConfig`] (defaults: 1024 ops, 2 snapshots, `flush`).
+fn checkpoint_config(args: &ParsedArgs) -> Result<CheckpointConfig, CommandError> {
     let every_ops = parse_usize_option(args, "checkpoint-every")?.unwrap_or(1024);
     let retain = parse_usize_option(args, "retain")?.unwrap_or(2);
     if every_ops == 0 || retain == 0 {
@@ -923,128 +900,57 @@ fn replay_checkpointed(
             "--checkpoint-every/--retain must be at least 1".to_string(),
         ));
     }
-    let net = match shards {
-        Some(n) => PersistNet::Sharded(Box::new(ShardedDeltaNet::with_parallelism(
-            topo,
-            config,
-            n,
-            parallelism,
-        ))),
-        None => PersistNet::Single(Box::new(DeltaNet::new(topo, config))),
-    };
-    let mut mgr = CheckpointManager::create(
-        Box::new(FsBackend),
-        Path::new(dir),
-        net,
-        0,
-        CheckpointConfig {
-            every_ops: every_ops as u64,
-            retain,
-            durability,
-        },
+    Ok(CheckpointConfig {
+        every_ops: every_ops as u64,
+        retain,
+        durability: parse_durability(args)?,
+    })
+}
+
+/// The torn-log policy `--repair-tail` selects.
+fn recovery_policy(args: &ParsedArgs) -> RecoveryPolicy {
+    if args.has_flag("repair-tail") {
+        RecoveryPolicy::RepairTail
+    } else {
+        RecoveryPolicy::Strict
+    }
+}
+
+/// Recovers a snapshot + flat log pair and reports the result — the shared
+/// body of `recover --snapshot --log` and `snapshot --load --log`.
+fn recover_pair(
+    args: &ParsedArgs,
+    topo: &Topology,
+    snap_path: &str,
+    log_path: &str,
+) -> Result<String, CommandError> {
+    let (net, total, torn) = persist::recover_with(
+        topo,
+        &mut FsBackend,
+        Path::new(snap_path),
+        Path::new(log_path),
+        recovery_policy(args),
     )?;
-    let mut timings = Timings::with_capacity(trace.len());
-    let mut loops = 0usize;
-    let window = batch.unwrap_or(1);
-    let mut offset = 0usize;
-    for chunk in trace.ops().chunks(window) {
-        let start = Instant::now();
-        let reports = match mgr.apply_batch(chunk) {
-            Ok(reports) => reports,
-            Err(e) => {
-                // Consume any deferred I/O error so the drop guard stays
-                // quiet; the engine error is the one worth reporting.
-                let sync_err = mgr.sync().err();
-                let mut msg = format!(
-                    "trace op {} ({}): {}",
-                    offset + e.index + 1,
-                    describe_op(&chunk[e.index]),
-                    e.error
-                );
-                if let Some(io) = sync_err {
-                    msg.push_str(&format!("; log sync also failed: {io}"));
-                }
-                return Err(CommandError::Other(msg));
-            }
-        };
-        let per_op_us = start.elapsed().as_secs_f64() * 1e6 / chunk.len() as f64;
-        for report in reports {
-            timings.micros.push(per_op_us);
-            if report.has_loop() {
-                loops += 1;
-            }
-        }
-        offset += chunk.len();
-    }
-    let summary = timings.summary();
-    let checkpoints = mgr.checkpoints_written();
-    let last_checkpoint = mgr.last_checkpoint();
-    let ops_applied = mgr.ops_applied();
-    let net = mgr.close()?;
-    let blackhole_report = check_blackholes.then(|| net.check_all_blackholes());
-    if let Some(json_path) = args.options.get("json") {
-        let mut fields = vec![
-            ("packet_classes", Json::int(net.atom_count())),
-            ("rules", Json::int(net.rule_count())),
-            ("ops_with_loops", Json::int(loops)),
-            ("durability", Json::str(durability.name())),
-            ("checkpoint_every", Json::int(every_ops)),
-            ("checkpoints_written", Json::int(checkpoints)),
-            ("last_checkpoint", Json::int(last_checkpoint)),
-        ];
-        fields.extend(shape_fields(shards, batch, blackhole_report.as_deref()));
-        let report = replay_report("delta-net", &summary, fields);
-        std::fs::write(json_path, report.render() + "\n")?;
-    }
-    let mut out = format!(
-        "checker:            delta-net\n\
-         operations:         {}\n\
-         median update time: {:.1} us\n\
-         average update time:{:.1} us\n\
-         durability:         {}\n\
-         checkpoint dir:     {dir}\n\
-         checkpoints:        {checkpoints} (every {every_ops} ops, retain {retain})\n\
-         last checkpoint:    op {last_checkpoint}\n\
-         ops applied:        {ops_applied}\n\
-         updates with loops: {loops}\n",
-        trace.len(),
-        summary.median_us,
-        summary.average_us,
-        durability.name(),
-    );
-    if let Some(holes) = &blackhole_report {
-        out.push_str(&format!("blackholes:         {}\n", holes.len()));
-        for v in holes.iter().take(5) {
-            out.push_str(&format!(
-                "  {}\n",
-                describe_violation(v, net.config().field_width)
-            ));
-        }
-    }
-    out.push_str(&describe_persist_net(&net));
-    Ok(out)
+    Ok(format!(
+        "ops incorporated: {total}\n{}{}",
+        describe_torn(torn.as_ref()),
+        describe_persist_net(&net)
+    ))
 }
 
 /// `deltanet recover` — crash recovery from a snapshot + log pair or a
 /// checkpoint directory, with strict or tail-repairing torn-log handling.
 pub fn recover(args: &ParsedArgs) -> Result<String, CommandError> {
     let topo = load_topology(args.require("topo")?)?;
-    let policy = if args.has_flag("repair-tail") {
-        RecoveryPolicy::RepairTail
-    } else {
-        RecoveryPolicy::Strict
-    };
     if let Some(dir) = args.options.get("dir") {
-        let every_ops = parse_usize_option(args, "checkpoint-every")?.unwrap_or(1024);
-        let retain = parse_usize_option(args, "retain")?.unwrap_or(2);
-        let config = CheckpointConfig {
-            every_ops: every_ops as u64,
-            retain,
-            durability: parse_durability(args)?,
-        };
-        let (mgr, report) =
-            CheckpointManager::recover(Box::new(FsBackend), Path::new(dir), &topo, policy, config)?;
-        let net = mgr.close()?;
+        let (net, journal, report) = persist::recover_dir(
+            Box::new(FsBackend),
+            Path::new(dir),
+            &topo,
+            recovery_policy(args),
+            checkpoint_config(args)?,
+        )?;
+        journal.close()?;
         let mut out = format!(
             "recovered checkpoint dir {dir}\n\
              baseline snapshot:  op {}\n\
@@ -1078,18 +984,10 @@ pub fn recover(args: &ParsedArgs) -> Result<String, CommandError> {
             )
         })?;
         let log_path = args.require("log")?;
-        let mut backend = FsBackend;
-        let (net, total, torn) = persist::recover_with(
-            &topo,
-            &mut backend,
-            Path::new(snap_path),
-            Path::new(log_path),
-            policy,
-        )?;
-        let mut out = format!("recovered {snap_path} + {log_path}\nops incorporated: {total}\n");
-        out.push_str(&describe_torn(torn.as_ref()));
-        out.push_str(&describe_persist_net(&net));
-        Ok(out)
+        Ok(format!(
+            "recovered {snap_path} + {log_path}\n{}",
+            recover_pair(args, &topo, snap_path, log_path)?
+        ))
     }
 }
 
@@ -1142,10 +1040,7 @@ fn snapshot_save(args: &ParsedArgs, out_path: &str) -> Result<String, CommandErr
         monitor_violations: args.has_flag("monitor"),
         ..Default::default()
     };
-    let net = match shards {
-        Some(n) => PersistNet::Sharded(Box::new(ShardedDeltaNet::new(topo, config, n))),
-        None => PersistNet::Single(Box::new(DeltaNet::new(topo, config))),
-    };
+    let net = build_net(topo, config, shards, Parallelism::from_env());
     let op_error = |index: usize, op: &Op, error: &dyn fmt::Display| {
         CommandError::Other(format!(
             "trace op {} ({}): {error}",
@@ -1188,39 +1083,23 @@ fn snapshot_save(args: &ParsedArgs, out_path: &str) -> Result<String, CommandErr
 /// torn tail when `--repair-tail` is given).
 fn snapshot_load(args: &ParsedArgs, snap_path: &str) -> Result<String, CommandError> {
     let topo = load_topology(args.require("topo")?)?;
-    let repair = args.has_flag("repair-tail");
-    let (net, total, torn) = match args.options.get("log") {
-        Some(log_path) => {
-            let policy = if repair {
-                RecoveryPolicy::RepairTail
-            } else {
-                RecoveryPolicy::Strict
-            };
-            let mut backend = FsBackend;
-            persist::recover_with(
-                &topo,
-                &mut backend,
-                Path::new(snap_path),
-                Path::new(log_path),
-                policy,
-            )?
-        }
+    let state = match args.options.get("log") {
+        Some(log_path) => recover_pair(args, &topo, snap_path, log_path)?,
         None => {
-            if repair {
+            if args.has_flag("repair-tail") {
                 return Err(CommandError::Other(
                     "--repair-tail requires --log (it repairs the log's torn tail)".to_string(),
                 ));
             }
             let snap = Snapshot::read_from(Path::new(snap_path))?;
             let at = snap.ops_applied();
-            (snap.restore(&topo)?, at, None)
+            format!(
+                "ops incorporated: {at}\n{}",
+                describe_persist_net(&snap.restore(&topo)?)
+            )
         }
     };
-    Ok(format!(
-        "restored {snap_path}\nops incorporated: {total}\n{}{}",
-        describe_torn(torn.as_ref()),
-        describe_persist_net(&net)
-    ))
+    Ok(format!("restored {snap_path}\n{state}"))
 }
 
 /// `snapshot --at`: the violations active after exactly `op_n` logged ops.
@@ -1405,7 +1284,6 @@ pub fn serve(args: &ParsedArgs) -> Result<String, CommandError> {
     }
     let workers = parse_usize_option(args, "workers")?;
     let parallelism = workers.map_or_else(Parallelism::from_env, Parallelism::fixed);
-    let durability = parse_durability(args)?;
     let checkpoint_dir = args.options.get("checkpoint").cloned();
     if (args.options.contains_key("checkpoint-every")
         || args.options.contains_key("retain")
@@ -1419,11 +1297,7 @@ pub fn serve(args: &ParsedArgs) -> Result<String, CommandError> {
     let checkpoint = match checkpoint_dir {
         Some(dir) => Some(service::CheckpointSetup {
             dir: dir.into(),
-            config: CheckpointConfig {
-                every_ops: parse_usize_option(args, "checkpoint-every")?.unwrap_or(1024) as u64,
-                retain: parse_usize_option(args, "retain")?.unwrap_or(2),
-                durability,
-            },
+            config: checkpoint_config(args)?,
         }),
         None => None,
     };
@@ -2627,6 +2501,30 @@ mod tests {
         );
         assert!(!r.contains("torn tail repaired"), "{r}");
 
+        // A second run into the same directory is refused — it would
+        // interleave two histories — and the first run stays recoverable.
+        let short_path = dir.join("short.trace");
+        let full = std::fs::read_to_string(&trace).unwrap();
+        let head: Vec<&str> = full.lines().take(5).collect();
+        std::fs::write(&short_path, head.join("\n") + "\n").unwrap();
+        let err = run(&parsed(&[
+            "replay",
+            "--topo",
+            &topo,
+            "--trace",
+            short_path.to_str().unwrap(),
+            "--checkpoint",
+            &ckpt,
+        ]))
+        .unwrap_err();
+        assert!(err.to_string().contains("already holds"), "{err}");
+        assert!(err.to_string().contains(&ckpt), "{err}");
+        let r = run(&parsed(&["recover", "--topo", &topo, "--dir", &ckpt])).unwrap();
+        assert!(
+            r.contains(&format!("ops incorporated:   {trace_len}")),
+            "{r}"
+        );
+
         // Guard rails: checkpoint-only options and incompatible modes.
         let err = run(&parsed(&[
             "replay",
@@ -2665,6 +2563,66 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("only supported"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn replay_checkpoint_carries_the_full_report() {
+        // --checkpoint is a journal beside the same replay loop, so the
+        // report is the common one — monitor stream, cross-check and
+        // compaction statistics included — plus the checkpoint lines.
+        let dir = temp_dir("checkpoint-report");
+        let out = dir.to_str().unwrap().to_string();
+        run(&parsed(&[
+            "generate",
+            "--dataset",
+            "churn",
+            "--scale",
+            "tiny",
+            "--out",
+            &out,
+        ]))
+        .unwrap();
+        let topo = dir.join("churn.topo").to_str().unwrap().to_string();
+        let trace = dir.join("churn.trace").to_str().unwrap().to_string();
+        let ckpt = dir.join("ckpt").to_str().unwrap().to_string();
+        let json = dir.join("ckpt.json").to_str().unwrap().to_string();
+        let r = run(&parsed(&[
+            "replay",
+            "--topo",
+            &topo,
+            "--trace",
+            &trace,
+            "--shards",
+            "2",
+            "--batch",
+            "16",
+            "--monitor",
+            "--compact",
+            "1",
+            "--checkpoint",
+            &ckpt,
+            "--checkpoint-every",
+            "100",
+            "--json",
+            &json,
+        ]))
+        .unwrap();
+        assert!(r.contains("checkpoint dir:"), "{r}");
+        assert!(r.contains("compaction passes:"), "{r}");
+        assert!(r.contains("violation events:"), "{r}");
+        assert!(r.contains("monitor matches full rescan: yes"), "{r}");
+        let report = read_report(&json);
+        assert_eq!(
+            report.get("monitor_matches_rescan"),
+            Some(&Json::Bool(true))
+        );
+        assert!(int(&report, "monitor_cross_checks") > 0);
+        assert_eq!(int(&report, "monitor_cross_check_mismatches"), 0);
+        assert!(int(&report, "checkpoints_written") > 1);
+        assert!(int(&report, "memory_bytes") > 0);
+        assert!(int(&report, "compactions") > 0);
+        assert_eq!(int(&report, "checkpoint_every"), 100);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

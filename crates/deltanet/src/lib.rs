@@ -31,13 +31,15 @@
 //!   goes through: [`FsBackend`] for real files, [`FaultyBackend`] for
 //!   deterministic crash / short-write / fsync-failure injection.
 //! * [`persist`] — crash-consistent snapshot + delta-log persistence:
-//!   checksummed binary snapshots written atomically, a per-record-framed
-//!   append-only update log written through [`persist::LoggedNet`] at a
-//!   configurable [`Durability`], torn-tail log repair
-//!   ([`RecoveryPolicy::RepairTail`]), bounded-time recovery via the
-//!   auto-snapshotting [`CheckpointManager`], crash recovery
-//!   ([`persist::recover`] = nearest snapshot + log tail), and time-travel
-//!   queries ([`persist::violations_at`]).
+//!   checksummed binary snapshots written atomically, and a [`Journal`]
+//!   mounted beside an engine (not wrapped around it): a per-record-framed
+//!   append-only update log at a configurable [`Durability`], optionally
+//!   rotating and auto-snapshotting into a checkpoint directory for
+//!   bounded-time recovery. One segment-replay kernel serves crash recovery
+//!   ([`persist::recover`] / [`persist::recover_dir`] = nearest snapshot +
+//!   log tail, with torn-tail repair under [`RecoveryPolicy::RepairTail`])
+//!   and time-travel queries ([`persist::violations_at`] /
+//!   [`persist::violations_at_dir`]).
 //! * [`shard`] — [`ShardedDeltaNet`]: the engine partitioned across the
 //!   address space so rule updates on disjoint ranges apply concurrently
 //!   (§6: the main loops over atoms are highly parallelizable).
@@ -102,7 +104,7 @@ pub use monitor::{
 };
 pub use parallel::{Parallelism, WorkersEnvError};
 pub use persist::{
-    CheckpointConfig, CheckpointManager, DeltaLog, Durability, LoggedNet, PersistError, PersistNet,
+    CheckpointConfig, DeltaLog, Durability, Journal, LoggedNet, PersistError, PersistNet,
     RecoveryPolicy, RecoveryReport, Snapshot,
 };
 pub use reachability::ReachabilityMatrix;

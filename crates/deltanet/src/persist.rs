@@ -12,15 +12,18 @@
 //!   [`DeltaNet`] or a [`ShardedDeltaNet`] (per-shard sections sharing one
 //!   rule registry, since a boundary-straddling rule is one rule);
 //! * a **delta log** ([`DeltaLog`]): an append-only record of the update
-//!   operations applied *after* some snapshot, written through the
-//!   [`LoggedNet`] wrapper. The log is write-behind — an operation is
-//!   appended only once the engine accepted it — so the log's contents are
-//!   exactly the applied ops even when a batch fails midway.
+//!   operations applied *after* some snapshot, written by a [`Journal`]
+//!   mounted beside the engine ([`LoggedNet`] is the thin pairing of the
+//!   two). The log is write-behind — an operation is recorded only once
+//!   the engine accepted it — so the log's contents are exactly the
+//!   applied ops even when a batch fails midway.
 //!
-//! Recovery ([`recover`]) is then "load nearest snapshot, replay the log
-//! tail"; time-travel ([`violations_at`]) replays forward from the nearest
-//! snapshot with the violation monitor enabled and reads the active set at
-//! the requested operation index.
+//! Recovery ([`recover`], [`recover_dir`]) is then "load nearest snapshot,
+//! replay the log tail"; time-travel ([`violations_at`],
+//! [`violations_at_dir`]) replays forward from the nearest snapshot with
+//! the violation monitor enabled and reads the active set at the requested
+//! operation index. All four run on one segment-replay kernel: a snapshot
+//! + flat log is a one-segment checkpoint directory.
 //!
 //! The restore path re-validates everything a decoder can get wrong — the
 //! header checksum, structural invariants of every arena
@@ -52,8 +55,8 @@
 //!   the longest valid checksummed prefix, truncates the torn tail, and
 //!   reports exactly how many ops were salvaged — recovery always lands
 //!   bit-identical to some applied prefix, never invents ops;
-//! * [`CheckpointManager`] bounds recovery time by auto-snapshotting every
-//!   N ops with log rotation and retention.
+//! * a checkpointing journal ([`Journal::checkpointed`]) bounds recovery
+//!   time by auto-snapshotting every N ops with log rotation and retention.
 
 use crate::atoms::{AtomId, AtomMap};
 use crate::engine::{DeltaNet, DeltaNetConfig, RestoredParts};
@@ -1342,14 +1345,6 @@ impl PersistNet {
         }
     }
 
-    /// The stand-alone engine, if this is one.
-    pub fn as_single(&self) -> Option<&DeltaNet> {
-        match self {
-            PersistNet::Single(n) => Some(n),
-            PersistNet::Sharded(_) => None,
-        }
-    }
-
     /// The sharded engine, if this is one.
     pub fn as_sharded(&self) -> Option<&ShardedDeltaNet> {
         match self {
@@ -1433,7 +1428,6 @@ pub struct DeltaLog {
     backend: Box<dyn StorageBackend>,
     path: PathBuf,
     buf: Vec<u8>,
-    ops_logged: u64,
     durability: Durability,
     /// Bytes known to be fully and correctly in the file: the truncation
     /// target if a flush fails partway (see [`DeltaLog::flush`]).
@@ -1446,14 +1440,8 @@ pub struct DeltaLog {
 }
 
 impl DeltaLog {
-    /// Creates (truncating) a log file at `path` and writes the header,
-    /// using real files and the default [`Durability::FlushPerBatch`].
-    pub fn create(path: &Path) -> Result<DeltaLog, PersistError> {
-        DeltaLog::create_with(Box::new(FsBackend), path, Durability::default())
-    }
-
-    /// Creates (truncating) a log through an explicit backend at an
-    /// explicit durability level.
+    /// Creates (truncating) a log file at `path` through `backend` and
+    /// writes the header.
     pub fn create_with(
         mut backend: Box<dyn StorageBackend>,
         path: &Path,
@@ -1468,21 +1456,19 @@ impl DeltaLog {
             backend,
             path: path.to_path_buf(),
             buf: Vec::new(),
-            ops_logged: 0,
             durability,
             committed_len: LOG_HEADER_LEN,
             wounded: false,
         })
     }
 
-    /// Reopens an existing log for appending. `ops_logged` is the number of
-    /// valid records already in the file (the caller has just read it); the
-    /// current file length becomes the committed baseline.
+    /// Reopens an existing log for appending (the caller has just read and,
+    /// if need be, repaired it); the current file length becomes the
+    /// committed baseline.
     pub fn resume_with(
         mut backend: Box<dyn StorageBackend>,
         path: &Path,
         durability: Durability,
-        ops_logged: u64,
     ) -> Result<DeltaLog, PersistError> {
         let committed_len = backend.read(path)?.len() as u64;
         if committed_len < LOG_HEADER_LEN {
@@ -1495,7 +1481,6 @@ impl DeltaLog {
             backend,
             path: path.to_path_buf(),
             buf: Vec::new(),
-            ops_logged,
             durability,
             committed_len,
             wounded: false,
@@ -1506,7 +1491,6 @@ impl DeltaLog {
     /// [`DeltaLog::flush`] / [`DeltaLog::sync`]).
     pub fn append(&mut self, op: &Op) {
         self.buf.extend_from_slice(&encode_record(op));
-        self.ops_logged += 1;
     }
 
     /// Writes the buffered records to the file, honouring a wounded
@@ -1549,16 +1533,6 @@ impl DeltaLog {
         self.write_out()?;
         self.backend.sync_file(&self.path)?;
         Ok(())
-    }
-
-    /// Number of operations appended so far (flushed or not).
-    pub fn ops_logged(&self) -> u64 {
-        self.ops_logged
-    }
-
-    /// The configured durability level.
-    pub fn durability(&self) -> Durability {
-        self.durability
     }
 
     /// The log file path.
@@ -1740,314 +1714,17 @@ pub fn read_log_with(
     }
 }
 
-/// A [`PersistNet`] that records every *applied* operation to a
-/// [`DeltaLog`]. The log is write-behind: an op is appended only after the
-/// engine accepted it, so on a mid-batch failure the log holds exactly the
-/// applied prefix — recovery replays it and lands on the same state.
-pub struct LoggedNet {
-    /// `Some` until [`LoggedNet::into_net`] extracts it (the `Option` only
-    /// exists so the [`Drop`] guard can coexist with the by-value unwrap).
-    net: Option<PersistNet>,
-    log: DeltaLog,
-    ops_applied: u64,
-    /// A log-flush failure raised inside [`LoggedNet::apply_batch`] (whose
-    /// error channel is the engine's [`ReplayError`], not I/O); surfaced by
-    /// the next [`LoggedNet::flush`] / [`LoggedNet::sync`] /
-    /// [`LoggedNet::snapshot`] / [`LoggedNet::into_net`] call. Dropping a
-    /// `LoggedNet` while one is pending panics — the error cannot be
-    /// silently discarded.
-    deferred_io: Option<std::io::Error>,
-}
-
-impl LoggedNet {
-    /// Wraps an engine, creating a fresh log at `log_path` (real files,
-    /// default [`Durability::FlushPerBatch`]). `ops_applied` is the number
-    /// of ops already incorporated into `net` (the `ops_applied` of the
-    /// snapshot it was restored from; 0 for a fresh engine).
-    pub fn new(
-        net: PersistNet,
-        log_path: &Path,
-        ops_applied: u64,
-    ) -> Result<LoggedNet, PersistError> {
-        LoggedNet::with_durability(net, log_path, ops_applied, Durability::default())
-    }
-
-    /// [`LoggedNet::new`] at an explicit durability level.
-    pub fn with_durability(
-        net: PersistNet,
-        log_path: &Path,
-        ops_applied: u64,
-        durability: Durability,
-    ) -> Result<LoggedNet, PersistError> {
-        LoggedNet::with_backend(net, Box::new(FsBackend), log_path, ops_applied, durability)
-    }
-
-    /// [`LoggedNet::new`] through an explicit [`StorageBackend`].
-    pub fn with_backend(
-        net: PersistNet,
-        backend: Box<dyn StorageBackend>,
-        log_path: &Path,
-        ops_applied: u64,
-        durability: Durability,
-    ) -> Result<LoggedNet, PersistError> {
-        Ok(LoggedNet {
-            net: Some(net),
-            log: DeltaLog::create_with(backend, log_path, durability)?,
-            ops_applied,
-            deferred_io: None,
-        })
-    }
-
-    fn net_ref(&self) -> &PersistNet {
-        self.net.as_ref().expect("engine present until into_net")
-    }
-
-    /// Applies one operation; on success it is appended to the log buffer
-    /// (flushed on the next [`LoggedNet::flush`] / batch / snapshot).
-    pub fn try_apply(&mut self, op: &Op) -> Result<UpdateReport, UpdateError> {
-        let report = self
-            .net
-            .as_mut()
-            .expect("engine present until into_net")
-            .try_apply(op)?;
-        self.log.append(op);
-        self.ops_applied += 1;
-        Ok(report)
-    }
-
-    /// Applies a window of operations and flushes the log once at the end
-    /// (honouring the configured [`Durability`]). On a mid-batch failure
-    /// exactly the applied prefix `ops[..e.index]` is logged (and flushed)
-    /// before the error is returned, so log and engine state agree even on
-    /// the error path. A flush failure cannot be returned here (the error
-    /// channel is the engine's [`ReplayError`]) so it is deferred — and a
-    /// deferred error is impossible to lose: the next
-    /// [`LoggedNet::flush`] / [`LoggedNet::sync`] / [`LoggedNet::snapshot`]
-    /// / [`LoggedNet::into_net`] surfaces it, and dropping the wrapper with
-    /// one pending panics.
-    pub fn apply_batch(&mut self, ops: &[Op]) -> Result<Vec<UpdateReport>, ReplayError> {
-        let (applied, result) = match self
-            .net
-            .as_mut()
-            .expect("engine present until into_net")
-            .apply_batch(ops)
-        {
-            Ok(reports) => (ops.len(), Ok(reports)),
-            Err(e) => (e.index, Err(e)),
-        };
-        for op in &ops[..applied] {
-            self.log.append(op);
-        }
-        self.ops_applied += applied as u64;
-        if let Err(PersistError::Io(e)) = self.log.flush() {
-            self.deferred_io = Some(e);
-        }
-        result
-    }
-
-    fn take_deferred(&mut self) -> Result<(), PersistError> {
-        match self.deferred_io.take() {
-            Some(e) => Err(PersistError::Io(e)),
-            None => Ok(()),
-        }
-    }
-
-    /// Flushes buffered log records per the configured [`Durability`]
-    /// (surfacing any flush failure a previous [`LoggedNet::apply_batch`]
-    /// had to defer).
-    pub fn flush(&mut self) -> Result<(), PersistError> {
-        self.take_deferred()?;
-        self.log.flush()
-    }
-
-    /// Writes and fsyncs all buffered log records regardless of the
-    /// configured durability (surfacing any deferred flush failure).
-    pub fn sync(&mut self) -> Result<(), PersistError> {
-        self.take_deferred()?;
-        self.log.sync()
-    }
-
-    /// Syncs the log and captures a snapshot of the current state at the
-    /// current log position (a snapshot must never claim ops the log does
-    /// not durably hold).
-    pub fn snapshot(&mut self) -> Result<Snapshot, PersistError> {
-        self.sync()?;
-        Ok(Snapshot::of_net(self.net_ref(), self.ops_applied))
-    }
-
-    /// Number of operations applied through this wrapper plus the restore
-    /// baseline — the current log position.
-    pub fn ops_applied(&self) -> u64 {
-        self.ops_applied
-    }
-
-    /// The wrapped engine (read-only).
-    pub fn net(&self) -> &PersistNet {
-        self.net_ref()
-    }
-
-    /// The wrapped engine (mutable — bypasses logging; use for queries and
-    /// maintenance like [`PersistNet::compact`], not for updates).
-    pub fn net_mut(&mut self) -> &mut PersistNet {
-        self.net.as_mut().expect("engine present until into_net")
-    }
-
-    /// Unwraps into the engine, syncing the log first. A sync failure —
-    /// including a deferred one from an earlier batch — is returned, never
-    /// dropped.
-    pub fn into_net(mut self) -> Result<PersistNet, PersistError> {
-        self.sync()?;
-        Ok(self.net.take().expect("engine present until into_net"))
-    }
-}
-
-impl Drop for LoggedNet {
-    fn drop(&mut self) {
-        if let Some(e) = self.deferred_io.take() {
-            if !std::thread::panicking() {
-                panic!("LoggedNet dropped with an unhandled deferred log-flush error: {e}");
-            }
-        }
-        // Best-effort final sync of anything still buffered (skipped after
-        // into_net, which already synced).
-        if self.net.is_some() {
-            if let Err(e) = self.log.sync() {
-                if !std::thread::panicking() {
-                    eprintln!(
-                        "warning: final delta-log sync of {} failed: {e}",
-                        self.log.path().display()
-                    );
-                }
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Recovery and time-travel
+// Journal: the durability component mounted beside an engine
 // ---------------------------------------------------------------------------
 
-/// Recovery: loads the snapshot, restores the engine, and replays the log
-/// tail (`ops[snapshot.ops_applied..]`) under [`RecoveryPolicy::Strict`].
-/// Returns the recovered engine and the total number of operations it has
-/// incorporated. A log shorter than the snapshot's position, or a logged op
-/// the restored engine rejects, is a [`PersistError::Mismatch`]; a torn log
-/// tail is a [`PersistError::Corrupt`] (use [`recover_with`] and
-/// [`RecoveryPolicy::RepairTail`] to salvage it instead).
-pub fn recover(
-    topology: &Topology,
-    snapshot_path: &Path,
-    log_path: &Path,
-) -> Result<(PersistNet, u64), PersistError> {
-    recover_with(
-        topology,
-        &mut FsBackend,
-        snapshot_path,
-        log_path,
-        RecoveryPolicy::Strict,
-    )
-    .map(|(net, ops, _)| (net, ops))
-}
-
-/// [`recover`] through an explicit backend and recovery policy. Under
-/// [`RecoveryPolicy::RepairTail`] a torn log tail is truncated to the
-/// longest valid checksummed prefix and reported in the third tuple slot;
-/// if the salvaged log ends *before* the snapshot's position (the tear ate
-/// into ops the snapshot already incorporates), the snapshot state wins and
-/// zero ops are replayed.
-pub fn recover_with(
-    topology: &Topology,
-    backend: &mut dyn StorageBackend,
-    snapshot_path: &Path,
-    log_path: &Path,
-    policy: RecoveryPolicy,
-) -> Result<(PersistNet, u64, Option<TornTail>), PersistError> {
-    let snapshot = Snapshot::read_from_backend(backend, snapshot_path)?;
-    let baseline = snapshot.ops_applied();
-    let mut net = snapshot.restore(topology)?;
-    let report = read_log_with(backend, log_path, policy)?;
-    let ops = report.ops;
-    let start = usize::try_from(baseline)
-        .map_err(|_| PersistError::Corrupt("snapshot op count exceeds usize".to_string()))?;
-    if ops.len() < start {
-        if report.torn.is_some() {
-            // The torn tail cut below the snapshot position: the snapshot
-            // is the most advanced consistent state that survived.
-            return Ok((net, baseline, report.torn));
-        }
-        return Err(PersistError::Mismatch(format!(
-            "snapshot is at op {start} but the log holds only {} ops",
-            ops.len()
-        )));
-    }
-    for (i, op) in ops[start..].iter().enumerate() {
-        net.try_apply(op).map_err(|e| {
-            PersistError::Mismatch(format!("logged op {} rejected on replay: {e}", start + i))
-        })?;
-    }
-    Ok((net, ops.len() as u64, report.torn))
-}
-
-/// A stable digest of the *full* serialized engine state — bit-identical
-/// states (atoms, owner arenas, labels, registry, monitor set) produce the
-/// same digest. Used by the crash suites to assert that recovery landed
-/// exactly on an applied prefix.
-pub fn state_digest(net: &PersistNet) -> u64 {
-    fnv1a(&Snapshot::of_net(net, 0).to_bytes())
-}
-
-/// Time-travel: the violations active after exactly `op_n` operations of
-/// `log`, answered by replaying forward from the nearest usable snapshot
-/// with the monitor enabled. When the snapshot lies *after* `op_n` (or none
-/// is given) the replay starts from an empty engine of the same shape.
-/// `config` shapes the fresh engine when no snapshot is available at all.
-pub fn violations_at(
-    topology: &Topology,
-    snapshot: Option<Snapshot>,
-    log: &[Op],
-    op_n: usize,
-    config: DeltaNetConfig,
-) -> Result<Vec<InvariantViolation>, PersistError> {
-    if log.len() < op_n {
-        return Err(PersistError::Mismatch(format!(
-            "asked for op {op_n} but the log holds only {} ops",
-            log.len()
-        )));
-    }
-    let (mut net, start) = match snapshot {
-        Some(snap) if usize::try_from(snap.ops_applied()).unwrap_or(usize::MAX) <= op_n => {
-            let start = snap.ops_applied() as usize;
-            (snap.restore(topology)?, start)
-        }
-        Some(snap) => (snap.fresh_like(topology)?, 0),
-        None => (
-            PersistNet::Single(Box::new(DeltaNet::new(topology.clone(), config))),
-            0,
-        ),
-    };
-    if !net.is_monitored() {
-        net.enable_monitor();
-    }
-    for (i, op) in log[start..op_n].iter().enumerate() {
-        net.try_apply(op).map_err(|e| {
-            PersistError::Mismatch(format!("logged op {} rejected on replay: {e}", start + i))
-        })?;
-    }
-    net.active_violations()
-        .ok_or_else(|| PersistError::Mismatch("monitor unavailable after replay".to_string()))
-}
-
-// ---------------------------------------------------------------------------
-// CheckpointManager: bounded-time recovery
-// ---------------------------------------------------------------------------
-
-/// Cadence and retention of a [`CheckpointManager`].
+/// Cadence and retention of a checkpointing [`Journal`].
 #[derive(Clone, Copy, Debug)]
 pub struct CheckpointConfig {
     /// Rotate the log and take a snapshot every this many applied ops (the
     /// rotation happens at the exact multiple, so a batch's records can
     /// straddle two segments; the snapshot is taken once the batch that
-    /// crossed the boundary commits).
+    /// crossed the boundary commits). Clamped to ≥ 1.
     pub every_ops: u64,
     /// Number of snapshots to keep (the newest; log segments older than
     /// the oldest retained snapshot are deleted too). Clamped to ≥ 1.
@@ -2064,27 +1741,6 @@ impl Default for CheckpointConfig {
             durability: Durability::FsyncPerBatch,
         }
     }
-}
-
-/// What a [`CheckpointManager::recover`] found and did.
-#[derive(Clone, Copy, Debug)]
-pub struct RecoveryReport {
-    /// Op position of the snapshot recovery restored from.
-    pub baseline_ops: u64,
-    /// Ops replayed from log segments on top of the snapshot.
-    pub replayed_ops: u64,
-    /// Total ops incorporated in the recovered engine
-    /// (`baseline_ops + replayed_ops`, except when a torn tail cut below
-    /// the snapshot — then the snapshot alone wins).
-    pub ops_incorporated: u64,
-    /// Valid ops salvaged from the final (possibly torn) segment.
-    pub salvaged_tail_ops: u64,
-    /// The torn tail repaired off the final segment, if any.
-    pub torn: Option<TornTail>,
-    /// Snapshots that had to be skipped as corrupt before one restored.
-    pub snapshots_skipped: u64,
-    /// Log segments read during replay.
-    pub segments_replayed: u64,
 }
 
 fn snap_path(dir: &Path, op: u64) -> PathBuf {
@@ -2128,216 +1784,291 @@ fn list_artifacts(
     Ok((snaps, segments))
 }
 
-/// A [`PersistNet`] whose durability artifacts are managed automatically:
-/// every applied op is logged (framed, at the configured [`Durability`]),
-/// the log rotates and the engine is snapshotted atomically every
-/// `every_ops` operations, and old artifacts are deleted past the retention
-/// horizon — so [`CheckpointManager::recover`] always replays at most one
-/// cadence worth of ops, bounding recovery time regardless of history
-/// length.
-///
-/// Directory layout: `snap-<op>.dnsnap` (state after `<op>` ops) and
-/// `log-<op>.dnlog` (the segment whose first record is op `<op>`). Only the
-/// final segment can be torn by a crash; recovery treats a torn *earlier*
-/// segment as corruption even under [`RecoveryPolicy::RepairTail`].
-pub struct CheckpointManager {
+/// The checkpoint directory a [`Journal`] rotates and snapshots into.
+struct CheckpointDir {
     backend: Box<dyn StorageBackend>,
-    dir: PathBuf,
+    path: PathBuf,
     config: CheckpointConfig,
-    /// `Some` until [`CheckpointManager::close`] extracts it (see
-    /// [`LoggedNet::net`] for why).
-    net: Option<PersistNet>,
-    log: DeltaLog,
-    segment_start: u64,
-    ops_applied: u64,
-    last_checkpoint: u64,
-    checkpoints_written: u64,
-    deferred_io: Option<std::io::Error>,
 }
 
-impl CheckpointManager {
-    /// Starts managing a fresh checkpoint directory for `net` (which has
-    /// `ops_applied` ops incorporated already — 0 for a fresh engine). An
-    /// initial snapshot is written immediately so recovery always has one.
-    pub fn create(
-        mut backend: Box<dyn StorageBackend>,
-        dir: &Path,
-        net: PersistNet,
-        ops_applied: u64,
-        config: CheckpointConfig,
-    ) -> Result<CheckpointManager, PersistError> {
-        backend.create_dir_all(dir)?;
-        Snapshot::of_net(&net, ops_applied)
-            .write_to_backend(backend.as_mut(), &snap_path(dir, ops_applied))?;
-        let log = DeltaLog::create_with(
-            backend.clone_backend(),
-            &segment_path(dir, ops_applied),
-            config.durability,
-        )?;
-        Ok(CheckpointManager {
+impl CheckpointDir {
+    fn new(backend: Box<dyn StorageBackend>, path: &Path, config: CheckpointConfig) -> Self {
+        CheckpointDir {
             backend,
-            dir: dir.to_path_buf(),
-            config,
-            net: Some(net),
-            log,
-            segment_start: ops_applied,
-            ops_applied,
-            last_checkpoint: ops_applied,
-            checkpoints_written: 1,
-            deferred_io: None,
-        })
+            path: path.to_path_buf(),
+            config: CheckpointConfig {
+                every_ops: config.every_ops.max(1),
+                retain: config.retain.max(1),
+                ..config
+            },
+        }
     }
 
-    fn net_mut_ref(&mut self) -> &mut PersistNet {
-        self.net.as_mut().expect("engine present until close")
-    }
-
-    /// Applies a window of operations with write-behind logging, rotating
-    /// the log at every exact `every_ops` multiple crossed (so one batch's
-    /// records can straddle two segments) and checkpointing once the batch
-    /// commits. Engine errors return immediately with exactly the applied
-    /// prefix logged; I/O errors are deferred like [`LoggedNet`]'s and
-    /// surfaced by the next [`CheckpointManager::sync`] /
-    /// [`CheckpointManager::checkpoint_now`] / [`CheckpointManager::close`]
-    /// — dropping the manager with one pending panics.
-    pub fn apply_batch(&mut self, ops: &[Op]) -> Result<Vec<UpdateReport>, ReplayError> {
-        let (applied, result) = match self.net_mut_ref().apply_batch(ops) {
-            Ok(reports) => (ops.len(), Ok(reports)),
-            Err(e) => (e.index, Err(e)),
-        };
-        let mut crossed_cadence = false;
-        for op in &ops[..applied] {
-            self.log.append(op);
-            self.ops_applied += 1;
-            if self.ops_applied % self.config.every_ops.max(1) == 0 {
-                crossed_cadence = true;
-                if let Err(e) = self.rotate_segment() {
-                    self.defer(e);
-                }
-            }
-        }
-        if let Err(e) = self.log.flush() {
-            self.defer(e);
-        }
-        if crossed_cadence {
-            if let Err(e) = self.do_checkpoint() {
-                self.defer(e);
-            }
-        }
-        result
-    }
-
-    fn defer(&mut self, e: PersistError) {
-        if self.deferred_io.is_some() {
-            return; // keep the first error; later ones are usually cascade
-        }
-        self.deferred_io = Some(match e {
-            PersistError::Io(io) => io,
-            other => std::io::Error::other(other.to_string()),
-        });
-    }
-
-    /// Closes the current segment (written + fsynced) and opens the next
-    /// one starting at the current op position.
-    fn rotate_segment(&mut self) -> Result<(), PersistError> {
-        self.log.sync()?;
-        self.log = DeltaLog::create_with(
+    fn open_segment(&self, at: u64) -> Result<DeltaLog, PersistError> {
+        DeltaLog::create_with(
             self.backend.clone_backend(),
-            &segment_path(&self.dir, self.ops_applied),
+            &segment_path(&self.path, at),
             self.config.durability,
-        )?;
-        self.segment_start = self.ops_applied;
-        Ok(())
-    }
-
-    /// Syncs the log, writes a snapshot of the current state atomically,
-    /// and applies retention.
-    fn do_checkpoint(&mut self) -> Result<(), PersistError> {
-        self.log.sync()?;
-        let snap = Snapshot::of_net(
-            self.net.as_ref().expect("engine present until close"),
-            self.ops_applied,
-        );
-        snap.write_to_backend(
-            self.backend.as_mut(),
-            &snap_path(&self.dir, self.ops_applied),
-        )?;
-        self.last_checkpoint = self.ops_applied;
-        self.checkpoints_written += 1;
-        self.apply_retention()
+        )
     }
 
     /// Deletes snapshots past the retention count and log segments entirely
     /// older than the oldest retained snapshot.
-    fn apply_retention(&mut self) -> Result<(), PersistError> {
-        let (snaps, segments) = list_artifacts(self.backend.as_mut(), &self.dir)?;
-        let retain = self.config.retain.max(1);
-        if snaps.len() <= retain {
+    fn apply_retention(&mut self, live_segment: u64) -> Result<(), PersistError> {
+        let (snaps, segments) = list_artifacts(self.backend.as_mut(), &self.path)?;
+        if snaps.len() <= self.config.retain {
             return Ok(());
         }
-        let oldest_kept = snaps[snaps.len() - retain];
-        for &op in &snaps[..snaps.len() - retain] {
-            self.backend.remove_file(&snap_path(&self.dir, op))?;
+        let excess = snaps.len() - self.config.retain;
+        let oldest_kept = snaps[excess];
+        for &op in &snaps[..excess] {
+            self.backend.remove_file(&snap_path(&self.path, op))?;
         }
         for (i, &start) in segments.iter().enumerate() {
             let end = segments.get(i + 1).copied();
             // A segment is disposable only when some later segment starts
             // at or before the oldest retained snapshot (never the live
             // tail segment).
-            if end.is_some_and(|end| end <= oldest_kept) && start < self.segment_start {
-                self.backend.remove_file(&segment_path(&self.dir, start))?;
+            if end.is_some_and(|end| end <= oldest_kept) && start < live_segment {
+                self.backend.remove_file(&segment_path(&self.path, start))?;
             }
         }
         Ok(())
     }
+}
 
-    /// Surfaces any deferred I/O error, then writes + fsyncs the log.
-    pub fn sync(&mut self) -> Result<(), PersistError> {
-        if let Some(e) = self.deferred_io.take() {
-            return Err(PersistError::Io(e));
+/// The durability component, mounted *beside* an engine rather than wrapped
+/// around one: a [`DeltaLog`], the op position, and — when checkpointing —
+/// a directory the log rotates and the engine is snapshotted into. It owns
+/// no engine; whoever just applied a window tells it what was applied
+/// ([`Journal::record`]) and lends it a snapshot of the engine when a
+/// checkpoint is due.
+///
+/// The contract is write-behind: only ops the engine accepted are recorded,
+/// so on a mid-batch failure the log holds exactly the applied prefix and
+/// recovery lands on the same state. Each recorded window is flushed once
+/// at the configured [`Durability`].
+///
+/// A checkpointing journal ([`Journal::checkpointed`]) additionally rotates
+/// the log at every exact `every_ops` multiple, snapshots the engine
+/// atomically once the window that crossed a multiple commits, and deletes
+/// artifacts past the retention horizon — so [`recover_dir`] always replays
+/// at most one cadence worth of ops, bounding recovery time regardless of
+/// history length. Directory layout: `snap-<op>.dnsnap` (state after `<op>`
+/// ops) and `log-<op>.dnlog` (the segment whose first record is op `<op>`).
+/// Only the final segment can be torn by a crash; recovery treats a torn
+/// *earlier* segment as corruption even under
+/// [`RecoveryPolicy::RepairTail`].
+pub struct Journal {
+    log: DeltaLog,
+    /// First op index of the segment being appended to (a flat log is one
+    /// segment starting at the position it was created at).
+    segment_start: u64,
+    ops_applied: u64,
+    last_checkpoint: u64,
+    checkpoints_written: u64,
+    /// `None` for a flat log: no rotation, no snapshots.
+    dir: Option<CheckpointDir>,
+    /// The first I/O failure raised inside [`Journal::record`] (which has
+    /// no error channel: its caller is reporting the *engine's* verdict on
+    /// the window). Later failures are usually cascade, so the first is
+    /// kept; the next [`Journal::flush`] / [`Journal::sync`] /
+    /// [`Journal::checkpoint_now`] / [`Journal::close`] surfaces it, and
+    /// dropping the journal while one is pending panics — the error cannot
+    /// be silently discarded.
+    deferred: Option<PersistError>,
+    /// Set by [`Journal::close`], which already synced: the drop guard
+    /// skips its best-effort final sync.
+    closed: bool,
+}
+
+impl Journal {
+    fn over(log: DeltaLog, segment_start: u64, at: u64, dir: Option<CheckpointDir>) -> Journal {
+        Journal {
+            log,
+            segment_start,
+            ops_applied: at,
+            last_checkpoint: at,
+            checkpoints_written: 0,
+            dir,
+            deferred: None,
+            closed: false,
         }
+    }
+
+    /// A flat journal: one fresh log at `log_path`, never rotated.
+    /// `ops_applied` is the number of ops the engine already incorporates
+    /// (the `ops_applied` of the snapshot it was restored from; 0 for a
+    /// fresh engine).
+    pub fn flat(
+        backend: Box<dyn StorageBackend>,
+        log_path: &Path,
+        ops_applied: u64,
+        durability: Durability,
+    ) -> Result<Journal, PersistError> {
+        let log = DeltaLog::create_with(backend, log_path, durability)?;
+        Ok(Journal::over(log, ops_applied, ops_applied, None))
+    }
+
+    /// A checkpointing journal over a **fresh** directory. `initial` — the
+    /// engine's state at its current position — is written immediately so
+    /// recovery always has a snapshot. A directory that already holds
+    /// checkpoint artifacts is refused: writing a second history beside an
+    /// earlier run's files would let retention delete the new snapshots and
+    /// recovery return the old run.
+    pub fn checkpointed(
+        mut backend: Box<dyn StorageBackend>,
+        dir: &Path,
+        initial: &Snapshot,
+        config: CheckpointConfig,
+    ) -> Result<Journal, PersistError> {
+        backend.create_dir_all(dir)?;
+        let (snaps, segments) = list_artifacts(backend.as_mut(), dir)?;
+        if !(snaps.is_empty() && segments.is_empty()) {
+            return Err(PersistError::Mismatch(format!(
+                "checkpoint dir {} already holds {} snapshot(s) and {} log segment(s) of an \
+                 earlier run; recover from it or start in an empty directory",
+                dir.display(),
+                snaps.len(),
+                segments.len()
+            )));
+        }
+        let at = initial.ops_applied();
+        initial.write_to_backend(backend.as_mut(), &snap_path(dir, at))?;
+        let dir = CheckpointDir::new(backend, dir, config);
+        let mut journal = Journal::over(dir.open_segment(at)?, at, at, Some(dir));
+        journal.checkpoints_written = 1;
+        Ok(journal)
+    }
+
+    /// Records a window the engine just applied — the single write entry.
+    /// `applied` must be exactly the ops the engine accepted, in order (on
+    /// a mid-batch failure: the prefix before the failing op). The records
+    /// are split at every rotation point the window crosses, flushed once
+    /// at the configured [`Durability`], and — if a rotation point was
+    /// crossed — `snapshot_at` is asked for the engine's state at the
+    /// window's end position and a checkpoint is written. I/O failures are
+    /// deferred to the next [`Journal::flush`] / [`Journal::sync`] /
+    /// [`Journal::checkpoint_now`] / [`Journal::close`].
+    pub fn record(&mut self, applied: &[Op], snapshot_at: impl FnOnce(u64) -> Snapshot) {
+        let mut rest = applied;
+        let mut crossed = false;
+        while let Some(room) = self.room().filter(|&room| room <= rest.len() as u64) {
+            let (fill, tail) = rest.split_at(room as usize);
+            self.append(fill);
+            rest = tail;
+            crossed = true;
+            if let Err(e) = self.rotate_segment() {
+                self.defer(e);
+            }
+        }
+        self.append(rest);
+        if let Err(e) = self.log.flush() {
+            self.defer(e);
+        }
+        if crossed {
+            if let Err(e) = self.checkpoint(snapshot_at) {
+                self.defer(e);
+            }
+        }
+    }
+
+    /// Ops the current segment still takes before the log rotates; `None`
+    /// for a flat log.
+    fn room(&self) -> Option<u64> {
+        let every = self.dir.as_ref()?.config.every_ops;
+        Some(every - self.ops_applied % every)
+    }
+
+    fn append(&mut self, ops: &[Op]) {
+        for op in ops {
+            self.log.append(op);
+        }
+        self.ops_applied += ops.len() as u64;
+    }
+
+    fn defer(&mut self, e: PersistError) {
+        self.deferred.get_or_insert(e);
+    }
+
+    fn take_deferred(&mut self) -> Result<(), PersistError> {
+        self.deferred.take().map_or(Ok(()), Err)
+    }
+
+    /// Closes the current segment (written + fsynced) and opens the next
+    /// one starting at the current op position.
+    fn rotate_segment(&mut self) -> Result<(), PersistError> {
+        self.log.sync()?;
+        if let Some(dir) = &self.dir {
+            self.log = dir.open_segment(self.ops_applied)?;
+            self.segment_start = self.ops_applied;
+        }
+        Ok(())
+    }
+
+    /// Syncs the log, writes a snapshot of the current state atomically,
+    /// and applies retention (a snapshot must never claim ops the log does
+    /// not durably hold). On a flat journal this is just the sync.
+    fn checkpoint(
+        &mut self,
+        snapshot_at: impl FnOnce(u64) -> Snapshot,
+    ) -> Result<(), PersistError> {
+        self.log.sync()?;
+        let Some(dir) = &mut self.dir else {
+            return Ok(());
+        };
+        let at = self.ops_applied;
+        snapshot_at(at).write_to_backend(dir.backend.as_mut(), &snap_path(&dir.path, at))?;
+        self.last_checkpoint = at;
+        self.checkpoints_written += 1;
+        dir.apply_retention(self.segment_start)
+    }
+
+    /// Flushes buffered log records per the configured [`Durability`],
+    /// surfacing any deferred failure first.
+    pub fn flush(&mut self) -> Result<(), PersistError> {
+        self.take_deferred()?;
+        self.log.flush()
+    }
+
+    /// Writes and fsyncs all buffered log records regardless of the
+    /// configured durability, surfacing any deferred failure first.
+    pub fn sync(&mut self) -> Result<(), PersistError> {
+        self.take_deferred()?;
         self.log.sync()
     }
 
     /// Forces a checkpoint now (sync, atomic snapshot, retention),
-    /// surfacing any deferred I/O error first.
-    pub fn checkpoint_now(&mut self) -> Result<(), PersistError> {
-        if let Some(e) = self.deferred_io.take() {
-            return Err(PersistError::Io(e));
-        }
-        self.do_checkpoint()
+    /// surfacing any deferred failure first.
+    pub fn checkpoint_now(
+        &mut self,
+        snapshot_at: impl FnOnce(u64) -> Snapshot,
+    ) -> Result<(), PersistError> {
+        self.take_deferred()?;
+        self.checkpoint(snapshot_at)
     }
 
-    /// Unwraps into the engine, syncing the log first; a pending deferred
-    /// error is returned, never dropped.
-    pub fn close(mut self) -> Result<PersistNet, PersistError> {
+    /// Syncs the log and retires the journal; a pending deferred failure is
+    /// returned, never dropped.
+    pub fn close(mut self) -> Result<(), PersistError> {
         self.sync()?;
-        Ok(self.net.take().expect("engine present until close"))
+        self.closed = true;
+        Ok(())
     }
 
-    /// The managed engine (read-only).
-    pub fn net(&self) -> &PersistNet {
-        self.net.as_ref().expect("engine present until close")
-    }
-
-    /// The managed engine (mutable — bypasses logging; queries and
-    /// maintenance only).
-    pub fn net_mut(&mut self) -> &mut PersistNet {
-        self.net_mut_ref()
-    }
-
-    /// Total ops incorporated (baseline + applied through this manager).
+    /// Total ops incorporated (baseline + recorded) — the log position.
     pub fn ops_applied(&self) -> u64 {
         self.ops_applied
     }
 
-    /// Op position of the newest snapshot on disk.
+    /// Op position of the newest snapshot this journal knows of (its
+    /// starting position until it writes one).
     pub fn last_checkpoint(&self) -> u64 {
         self.last_checkpoint
     }
 
-    /// Snapshots written over this manager's lifetime (including the
-    /// initial one).
+    /// Snapshots written over this journal's lifetime (including the
+    /// initial one of a fresh checkpoint directory).
     pub fn checkpoints_written(&self) -> u64 {
         self.checkpoints_written
     }
@@ -2347,258 +2078,551 @@ impl CheckpointManager {
         self.segment_start
     }
 
-    /// The checkpoint directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Recovers from a checkpoint directory: restores the newest usable
-    /// snapshot (falling back to older ones past corrupt artifacts — the
-    /// payoff of retention), replays the log segments from there, repairing
-    /// the final segment's torn tail per `policy`, and resumes managing the
-    /// directory. Recovery never invents ops: the recovered state is
-    /// bit-identical to the engine state after some applied prefix.
-    pub fn recover(
-        mut backend: Box<dyn StorageBackend>,
-        dir: &Path,
-        topology: &Topology,
-        policy: RecoveryPolicy,
-        config: CheckpointConfig,
-    ) -> Result<(CheckpointManager, RecoveryReport), PersistError> {
-        let (snaps, segments) = list_artifacts(backend.as_mut(), dir)?;
-        if snaps.is_empty() {
-            return Err(PersistError::Mismatch(format!(
-                "no snapshot found in checkpoint dir {}",
-                dir.display()
-            )));
-        }
-        // Sweep leftovers of interrupted atomic writes.
-        for path in backend.list_dir(dir)? {
-            if path.extension().is_some_and(|e| e == "tmp") {
-                backend.remove_file(&path).ok();
-            }
-        }
-        // Newest snapshot that reads and restores cleanly wins.
-        let mut snapshots_skipped = 0;
-        let mut chosen: Option<(u64, PersistNet)> = None;
-        let mut last_err = None;
-        for &snap_op in snaps.iter().rev() {
-            match Snapshot::read_from_backend(backend.as_mut(), &snap_path(dir, snap_op))
-                .and_then(|s| s.restore(topology))
-            {
-                Ok(net) => {
-                    chosen = Some((snap_op, net));
-                    break;
-                }
-                Err(e @ (PersistError::Corrupt(_) | PersistError::Mismatch(_))) => {
-                    snapshots_skipped += 1;
-                    last_err = Some(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let Some((baseline, mut net)) = chosen else {
-            return Err(last_err.expect("at least one snapshot was tried"));
-        };
-        // The segment containing the snapshot position, then everything
-        // after it. Only the final segment may be torn.
-        let first_idx = segments.partition_point(|&s| s <= baseline).checked_sub(1);
-        let Some(first_idx) = first_idx else {
-            return Err(PersistError::Mismatch(format!(
-                "no log segment covers snapshot position {baseline} in {}",
-                dir.display()
-            )));
-        };
-        let tail = &segments[first_idx..];
-        let mut replayed = 0u64;
-        let mut position = baseline;
-        let mut torn = None;
-        let mut salvaged_tail_ops = 0;
-        for (i, &start) in tail.iter().enumerate() {
-            let is_last = i == tail.len() - 1;
-            let seg_policy = if is_last {
-                policy
-            } else {
-                RecoveryPolicy::Strict
-            };
-            let report = read_log_with(backend.as_mut(), &segment_path(dir, start), seg_policy)?;
-            if is_last {
-                torn = report.torn;
-                salvaged_tail_ops = report.ops.len() as u64;
-            } else {
-                let expected = tail[i + 1] - start;
-                if report.ops.len() as u64 != expected {
-                    return Err(PersistError::Mismatch(format!(
-                        "non-final segment log-{start} holds {} ops, expected {expected}",
-                        report.ops.len()
-                    )));
-                }
-            }
-            let seg_end = start + report.ops.len() as u64;
-            if seg_end > position {
-                let skip = (position - start) as usize;
-                for (j, op) in report.ops[skip..].iter().enumerate() {
-                    net.try_apply(op).map_err(|e| {
-                        PersistError::Mismatch(format!(
-                            "logged op {} rejected on replay: {e}",
-                            position + j as u64
-                        ))
-                    })?;
-                }
-                replayed += (report.ops.len() - skip) as u64;
-                position = seg_end;
-            }
-        }
-        // Resume appending. Normally that means reopening the final
-        // segment; if the tear cut below the snapshot position the old
-        // tail is unusable for appends (its record count would disagree
-        // with the op index), so a fresh segment starts at the snapshot.
-        let last_start = *tail.last().expect("containing segment exists");
-        let log = if position >= last_start && position - last_start == salvaged_tail_ops {
-            DeltaLog::resume_with(
-                backend.clone_backend(),
-                &segment_path(dir, last_start),
-                config.durability,
-                salvaged_tail_ops,
-            )?
-        } else {
-            DeltaLog::create_with(
-                backend.clone_backend(),
-                &segment_path(dir, position),
-                config.durability,
-            )?
-        };
-        let segment_start = log
-            .path()
-            .file_name()
-            .and_then(|_| parse_artifact(log.path()))
-            .map(|(_, op)| op)
-            .unwrap_or(position);
-        let report = RecoveryReport {
-            baseline_ops: baseline,
-            replayed_ops: replayed,
-            ops_incorporated: position,
-            salvaged_tail_ops,
-            torn,
-            snapshots_skipped,
-            segments_replayed: tail.len() as u64,
-        };
-        let manager = CheckpointManager {
-            backend,
-            dir: dir.to_path_buf(),
-            config,
-            net: Some(net),
-            log,
-            segment_start,
-            ops_applied: position,
-            last_checkpoint: baseline,
-            checkpoints_written: 0,
-            deferred_io: None,
-        };
-        Ok((manager, report))
-    }
-
-    /// Time-travel over a checkpoint directory: the violations active after
-    /// exactly `op_n` ops, answered from the newest usable snapshot at or
-    /// before `op_n` plus the log segments in between. History before the
-    /// oldest retained checkpoint is no longer replayable.
-    pub fn violations_at(
-        backend: &mut dyn StorageBackend,
-        dir: &Path,
-        topology: &Topology,
-        op_n: u64,
-        policy: RecoveryPolicy,
-    ) -> Result<Vec<InvariantViolation>, PersistError> {
-        let (snaps, segments) = list_artifacts(backend, dir)?;
-        let mut chosen: Option<(u64, PersistNet)> = None;
-        for &snap_op in snaps.iter().rev().filter(|&&s| s <= op_n) {
-            match Snapshot::read_from_backend(backend, &snap_path(dir, snap_op))
-                .and_then(|s| s.restore(topology))
-            {
-                Ok(net) => {
-                    chosen = Some((snap_op, net));
-                    break;
-                }
-                Err(PersistError::Corrupt(_) | PersistError::Mismatch(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        let Some((baseline, mut net)) = chosen else {
-            return Err(PersistError::Mismatch(format!(
-                "no usable snapshot at or before op {op_n} in {} \
-                 (history before the oldest retained checkpoint is gone)",
-                dir.display()
-            )));
-        };
-        if !net.is_monitored() {
-            net.enable_monitor();
-        }
-        if op_n > baseline {
-            let first_idx = segments
-                .partition_point(|&s| s <= baseline)
-                .checked_sub(1)
-                .ok_or_else(|| {
-                    PersistError::Mismatch(format!(
-                        "no log segment covers snapshot position {baseline} in {}",
-                        dir.display()
-                    ))
-                })?;
-            let tail = &segments[first_idx..];
-            let mut position = baseline;
-            for (i, &start) in tail.iter().enumerate() {
-                if position >= op_n {
-                    break;
-                }
-                let is_last = i == tail.len() - 1;
-                let seg_policy = if is_last {
-                    policy
-                } else {
-                    RecoveryPolicy::Strict
-                };
-                let report = read_log_with(backend, &segment_path(dir, start), seg_policy)?;
-                let seg_end = start + report.ops.len() as u64;
-                if seg_end <= position {
-                    continue;
-                }
-                let skip = (position - start) as usize;
-                let take = usize::try_from(op_n - position).unwrap_or(usize::MAX);
-                for (j, op) in report.ops[skip..].iter().take(take).enumerate() {
-                    net.try_apply(op).map_err(|e| {
-                        PersistError::Mismatch(format!(
-                            "logged op {} rejected on replay: {e}",
-                            position + j as u64
-                        ))
-                    })?;
-                }
-                position = seg_end.min(op_n);
-            }
-            if position < op_n {
-                return Err(PersistError::Mismatch(format!(
-                    "asked for op {op_n} but only {position} ops are replayable"
-                )));
-            }
-        }
-        net.active_violations()
-            .ok_or_else(|| PersistError::Mismatch("monitor unavailable after replay".to_string()))
+    /// The checkpoint directory; `None` for a flat journal.
+    pub fn dir(&self) -> Option<&Path> {
+        self.dir.as_ref().map(|dir| dir.path.as_path())
     }
 }
 
-impl Drop for CheckpointManager {
+impl Drop for Journal {
     fn drop(&mut self) {
-        if let Some(e) = self.deferred_io.take() {
+        if let Some(e) = self.deferred.take() {
             if !std::thread::panicking() {
-                panic!("CheckpointManager dropped with an unhandled deferred I/O error: {e}");
+                panic!("Journal dropped with an unhandled deferred log-flush error: {e}");
             }
         }
-        if self.net.is_some() {
+        // Best-effort final sync of anything still buffered.
+        if !self.closed {
             if let Err(e) = self.log.sync() {
                 if !std::thread::panicking() {
                     eprintln!(
-                        "warning: final checkpoint-log sync of {} failed: {e}",
+                        "warning: final delta-log sync of {} failed: {e}",
                         self.log.path().display()
                     );
                 }
             }
         }
     }
+}
+
+/// The thin pairing of an engine and its [`Journal`]: every update goes to
+/// the engine first and, once accepted, into the journal.
+pub struct LoggedNet {
+    net: PersistNet,
+    journal: Journal,
+}
+
+impl LoggedNet {
+    /// Pairs an engine with a fresh flat log at `log_path` (real files,
+    /// default [`Durability::FlushPerBatch`]). `ops_applied` is the number
+    /// of ops already incorporated into `net` (the `ops_applied` of the
+    /// snapshot it was restored from; 0 for a fresh engine).
+    pub fn new(
+        net: PersistNet,
+        log_path: &Path,
+        ops_applied: u64,
+    ) -> Result<LoggedNet, PersistError> {
+        LoggedNet::with_durability(net, log_path, ops_applied, Durability::default())
+    }
+
+    /// [`LoggedNet::new`] at an explicit durability level.
+    pub fn with_durability(
+        net: PersistNet,
+        log_path: &Path,
+        ops_applied: u64,
+        durability: Durability,
+    ) -> Result<LoggedNet, PersistError> {
+        LoggedNet::with_backend(net, Box::new(FsBackend), log_path, ops_applied, durability)
+    }
+
+    /// [`LoggedNet::new`] through an explicit [`StorageBackend`].
+    pub fn with_backend(
+        net: PersistNet,
+        backend: Box<dyn StorageBackend>,
+        log_path: &Path,
+        ops_applied: u64,
+        durability: Durability,
+    ) -> Result<LoggedNet, PersistError> {
+        let journal = Journal::flat(backend, log_path, ops_applied, durability)?;
+        Ok(LoggedNet { net, journal })
+    }
+
+    /// Pairs an engine (with `ops_applied` ops incorporated already) with a
+    /// checkpointing journal over the fresh directory `dir` (see
+    /// [`Journal::checkpointed`]).
+    pub fn checkpointed(
+        net: PersistNet,
+        backend: Box<dyn StorageBackend>,
+        dir: &Path,
+        ops_applied: u64,
+        config: CheckpointConfig,
+    ) -> Result<LoggedNet, PersistError> {
+        let initial = Snapshot::of_net(&net, ops_applied);
+        let journal = Journal::checkpointed(backend, dir, &initial, config)?;
+        Ok(LoggedNet { net, journal })
+    }
+
+    /// [`recover_dir`], paired: the recovered engine with the journal that
+    /// resumes its directory.
+    pub fn recover_dir(
+        backend: Box<dyn StorageBackend>,
+        dir: &Path,
+        topology: &Topology,
+        policy: RecoveryPolicy,
+        config: CheckpointConfig,
+    ) -> Result<(LoggedNet, RecoveryReport), PersistError> {
+        let (net, journal, report) = recover_dir(backend, dir, topology, policy, config)?;
+        Ok((LoggedNet { net, journal }, report))
+    }
+
+    /// Applies one operation — a window of one (see
+    /// [`LoggedNet::apply_batch`]).
+    pub fn try_apply(&mut self, op: &Op) -> Result<UpdateReport, UpdateError> {
+        let report = self.net.try_apply(op)?;
+        let net = &self.net;
+        self.journal
+            .record(std::slice::from_ref(op), |at| Snapshot::of_net(net, at));
+        Ok(report)
+    }
+
+    /// Applies a window of operations and records what the engine accepted
+    /// ([`Journal::record`]). On a mid-batch failure exactly the applied
+    /// prefix `ops[..e.index]` is logged (and flushed) before the error is
+    /// returned, so log and engine state agree even on the error path. An
+    /// I/O failure cannot be returned here (the error channel is the
+    /// engine's [`ReplayError`]) so it is deferred — and a deferred error
+    /// is impossible to lose: the next [`LoggedNet::flush`] /
+    /// [`LoggedNet::sync`] / [`LoggedNet::snapshot`] /
+    /// [`LoggedNet::into_net`] surfaces it, and dropping the pair with one
+    /// pending panics.
+    pub fn apply_batch(&mut self, ops: &[Op]) -> Result<Vec<UpdateReport>, ReplayError> {
+        let result = self.net.apply_batch(ops);
+        let applied = result.as_ref().map_or_else(|e| e.index, Vec::len);
+        let net = &self.net;
+        self.journal
+            .record(&ops[..applied], |at| Snapshot::of_net(net, at));
+        result
+    }
+
+    /// See [`Journal::flush`].
+    pub fn flush(&mut self) -> Result<(), PersistError> {
+        self.journal.flush()
+    }
+
+    /// See [`Journal::sync`].
+    pub fn sync(&mut self) -> Result<(), PersistError> {
+        self.journal.sync()
+    }
+
+    /// Syncs the log and captures a snapshot of the current state at the
+    /// current log position (a snapshot must never claim ops the log does
+    /// not durably hold).
+    pub fn snapshot(&mut self) -> Result<Snapshot, PersistError> {
+        self.sync()?;
+        Ok(Snapshot::of_net(&self.net, self.ops_applied()))
+    }
+
+    /// Number of operations applied through this pair plus the restore
+    /// baseline — the current log position.
+    pub fn ops_applied(&self) -> u64 {
+        self.journal.ops_applied()
+    }
+
+    /// The engine (read-only).
+    pub fn net(&self) -> &PersistNet {
+        &self.net
+    }
+
+    /// The engine (mutable — bypasses logging; use for queries and
+    /// maintenance like [`PersistNet::compact`], not for updates).
+    pub fn net_mut(&mut self) -> &mut PersistNet {
+        &mut self.net
+    }
+
+    /// The journal (position, segment and checkpoint counters).
+    pub fn journal(&self) -> &Journal {
+        &self.journal
+    }
+
+    /// Unpairs into the engine, syncing the log first. A sync failure —
+    /// including a deferred one from an earlier batch — is returned, never
+    /// dropped.
+    pub fn into_net(self) -> Result<PersistNet, PersistError> {
+        self.journal.close()?;
+        Ok(self.net)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Recovery and time-travel
+// ---------------------------------------------------------------------------
+
+/// What a recovery found and did.
+#[derive(Clone, Copy, Debug)]
+pub struct RecoveryReport {
+    /// Op position of the snapshot recovery restored from.
+    pub baseline_ops: u64,
+    /// Ops replayed from log segments on top of the snapshot.
+    pub replayed_ops: u64,
+    /// Total ops incorporated in the recovered engine
+    /// (`baseline_ops + replayed_ops`; when a torn tail cut below the
+    /// snapshot, the snapshot alone wins and nothing is replayed).
+    pub ops_incorporated: u64,
+    /// Valid ops salvaged from the final (possibly torn) segment.
+    pub salvaged_tail_ops: u64,
+    /// The torn tail repaired off the final segment, if any.
+    pub torn: Option<TornTail>,
+    /// Snapshots that had to be skipped as corrupt before one restored.
+    pub snapshots_skipped: u64,
+    /// Log segments read during replay.
+    pub segments_replayed: u64,
+}
+
+/// Applies the records of one log segment — `ops`, whose first record is op
+/// `start` — that fall inside `position..upto`, advancing `position`. A
+/// segment starting past `position` leaves a hole in the history: a
+/// [`PersistError::Mismatch`], as is a logged op the engine rejects.
+fn replay_ops(
+    net: &mut PersistNet,
+    position: &mut u64,
+    start: u64,
+    ops: &[Op],
+    upto: u64,
+) -> Result<(), PersistError> {
+    let Some(skip) = position.checked_sub(start) else {
+        return Err(PersistError::Mismatch(format!(
+            "replay stands at op {position} but the next log segment starts at op {start}"
+        )));
+    };
+    let skip = usize::try_from(skip).unwrap_or(usize::MAX);
+    let take = usize::try_from(upto.saturating_sub(*position)).unwrap_or(usize::MAX);
+    for op in ops.iter().skip(skip).take(take) {
+        net.try_apply(op).map_err(|e| {
+            PersistError::Mismatch(format!("logged op {position} rejected on replay: {e}"))
+        })?;
+        *position += 1;
+    }
+    Ok(())
+}
+
+/// The one segment-replay kernel under every recovery and time-travel entry
+/// point: replays `segments` — `(first op index, path)`, ascending, the
+/// first one covering `baseline` — onto `net`, which stands at op
+/// `baseline`, until op `upto` or the end of the log. Only the final
+/// segment is read under the caller's `policy`; every earlier one is read
+/// [`RecoveryPolicy::Strict`] and must end exactly where the next begins
+/// (only the crash-active tail may legally be short or torn).
+fn replay_segments(
+    backend: &mut dyn StorageBackend,
+    net: &mut PersistNet,
+    baseline: u64,
+    segments: &[(u64, PathBuf)],
+    upto: u64,
+    policy: RecoveryPolicy,
+) -> Result<RecoveryReport, PersistError> {
+    let mut report = RecoveryReport {
+        baseline_ops: baseline,
+        replayed_ops: 0,
+        ops_incorporated: baseline,
+        salvaged_tail_ops: 0,
+        torn: None,
+        snapshots_skipped: 0,
+        segments_replayed: 0,
+    };
+    for (i, (start, path)) in segments.iter().enumerate() {
+        if report.ops_incorporated >= upto {
+            break;
+        }
+        let next_start = segments.get(i + 1).map(|&(next, _)| next);
+        let segment_policy = match next_start {
+            Some(_) => RecoveryPolicy::Strict,
+            None => policy,
+        };
+        let read = read_log_with(backend, path, segment_policy)?;
+        let held = read.ops.len() as u64;
+        match next_start {
+            Some(next) if start + held != next => {
+                return Err(PersistError::Mismatch(format!(
+                    "non-final segment {} holds {held} ops, expected {}",
+                    path.display(),
+                    next.saturating_sub(*start)
+                )));
+            }
+            Some(_) => {}
+            None => {
+                report.torn = read.torn;
+                report.salvaged_tail_ops = held;
+            }
+        }
+        report.segments_replayed += 1;
+        replay_ops(net, &mut report.ops_incorporated, *start, &read.ops, upto)?;
+    }
+    report.replayed_ops = report.ops_incorporated - baseline;
+    Ok(report)
+}
+
+/// The newest snapshot of a checkpoint directory at or before op `at_most`
+/// that reads and restores cleanly, with its position and the number of
+/// newer candidates skipped as corrupt (the payoff of retention).
+fn newest_usable_snapshot(
+    backend: &mut dyn StorageBackend,
+    dir: &Path,
+    snaps: &[u64],
+    topology: &Topology,
+    at_most: u64,
+) -> Result<(u64, PersistNet, u64), PersistError> {
+    let mut skipped = 0;
+    let mut last_err = None;
+    for &at in snaps.iter().rev().filter(|&&at| at <= at_most) {
+        match Snapshot::read_from_backend(backend, &snap_path(dir, at))
+            .and_then(|snap| snap.restore(topology))
+        {
+            Ok(net) => return Ok((at, net, skipped)),
+            Err(e @ (PersistError::Corrupt(_) | PersistError::Mismatch(_))) => {
+                skipped += 1;
+                last_err = Some(e);
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Err(last_err.unwrap_or_else(|| {
+        PersistError::Mismatch(format!(
+            "no snapshot at or before op {at_most} in {} \
+             (history before the oldest retained checkpoint is gone)",
+            dir.display()
+        ))
+    }))
+}
+
+/// The segments of a checkpoint directory needed to replay forward from
+/// `baseline`: the one containing that position, then everything after it.
+fn segments_from(
+    dir: &Path,
+    segments: &[u64],
+    baseline: u64,
+) -> Result<Vec<(u64, PathBuf)>, PersistError> {
+    let Some(first) = segments.partition_point(|&s| s <= baseline).checked_sub(1) else {
+        return Err(PersistError::Mismatch(format!(
+            "no log segment covers snapshot position {baseline} in {}",
+            dir.display()
+        )));
+    };
+    Ok(segments[first..]
+        .iter()
+        .map(|&start| (start, segment_path(dir, start)))
+        .collect())
+}
+
+/// Recovery from a snapshot + flat log pair: loads the snapshot, restores
+/// the engine, and replays the log tail (`ops[snapshot.ops_applied..]`)
+/// under [`RecoveryPolicy::Strict`]. Returns the recovered engine and the
+/// total number of operations it has incorporated. A log shorter than the
+/// snapshot's position, or a logged op the restored engine rejects, is a
+/// [`PersistError::Mismatch`]; a torn log tail is a
+/// [`PersistError::Corrupt`] (use [`recover_with`] and
+/// [`RecoveryPolicy::RepairTail`] to salvage it instead).
+pub fn recover(
+    topology: &Topology,
+    snapshot_path: &Path,
+    log_path: &Path,
+) -> Result<(PersistNet, u64), PersistError> {
+    recover_with(
+        topology,
+        &mut FsBackend,
+        snapshot_path,
+        log_path,
+        RecoveryPolicy::Strict,
+    )
+    .map(|(net, ops, _)| (net, ops))
+}
+
+/// [`recover`] through an explicit backend and recovery policy. Under
+/// [`RecoveryPolicy::RepairTail`] a torn log tail is truncated to the
+/// longest valid checksummed prefix and reported in the third tuple slot;
+/// if the salvaged log ends *before* the snapshot's position (the tear ate
+/// into ops the snapshot already incorporates), the snapshot state wins and
+/// zero ops are replayed.
+pub fn recover_with(
+    topology: &Topology,
+    backend: &mut dyn StorageBackend,
+    snapshot_path: &Path,
+    log_path: &Path,
+    policy: RecoveryPolicy,
+) -> Result<(PersistNet, u64, Option<TornTail>), PersistError> {
+    let snapshot = Snapshot::read_from_backend(backend, snapshot_path)?;
+    let baseline = snapshot.ops_applied();
+    let mut net = snapshot.restore(topology)?;
+    // A snapshot + flat log is a one-segment directory whose segment
+    // starts at op 0.
+    let segment = [(0, log_path.to_path_buf())];
+    let report = replay_segments(backend, &mut net, baseline, &segment, u64::MAX, policy)?;
+    // Unlike a rotated directory, the flat log claims the whole history: if
+    // it ends below the snapshot and no torn tail explains why, the two
+    // artifacts do not belong together.
+    if report.salvaged_tail_ops < baseline && report.torn.is_none() {
+        return Err(PersistError::Mismatch(format!(
+            "snapshot is at op {baseline} but the log holds only {} ops",
+            report.salvaged_tail_ops
+        )));
+    }
+    Ok((net, report.ops_incorporated, report.torn))
+}
+
+/// Recovers from a checkpoint directory: restores the newest usable
+/// snapshot (falling back to older ones past corrupt artifacts), replays
+/// the log segments from there, repairing the final segment's torn tail per
+/// `policy`, and returns the engine with a [`Journal`] that resumes the
+/// directory. Recovery never invents ops: the recovered state is
+/// bit-identical to the engine state after some applied prefix.
+pub fn recover_dir(
+    mut backend: Box<dyn StorageBackend>,
+    dir: &Path,
+    topology: &Topology,
+    policy: RecoveryPolicy,
+    config: CheckpointConfig,
+) -> Result<(PersistNet, Journal, RecoveryReport), PersistError> {
+    let (snaps, segments) = list_artifacts(backend.as_mut(), dir)?;
+    if snaps.is_empty() {
+        return Err(PersistError::Mismatch(format!(
+            "no snapshot found in checkpoint dir {}",
+            dir.display()
+        )));
+    }
+    // Sweep leftovers of interrupted atomic writes.
+    for path in backend.list_dir(dir)? {
+        if path.extension().is_some_and(|e| e == "tmp") {
+            backend.remove_file(&path).ok();
+        }
+    }
+    let (baseline, mut net, snapshots_skipped) =
+        newest_usable_snapshot(backend.as_mut(), dir, &snaps, topology, u64::MAX)?;
+    let tail = segments_from(dir, &segments, baseline)?;
+    let mut report = replay_segments(
+        backend.as_mut(),
+        &mut net,
+        baseline,
+        &tail,
+        u64::MAX,
+        policy,
+    )?;
+    report.snapshots_skipped = snapshots_skipped;
+    // Resume appending. Normally that means reopening the final segment;
+    // if the tear cut below the snapshot position the old tail is unusable
+    // for appends (its record count would disagree with the op index), so
+    // a fresh segment starts at the snapshot.
+    let position = report.ops_incorporated;
+    let dir = CheckpointDir::new(backend, dir, config);
+    let (segment_start, log) = match tail.last() {
+        Some((start, path)) if start + report.salvaged_tail_ops == position => (
+            *start,
+            DeltaLog::resume_with(dir.backend.clone_backend(), path, dir.config.durability)?,
+        ),
+        _ => (position, dir.open_segment(position)?),
+    };
+    let mut journal = Journal::over(log, segment_start, position, Some(dir));
+    journal.last_checkpoint = baseline;
+    Ok((net, journal, report))
+}
+
+/// Opens a checkpoint directory for a long-lived engine: a directory that
+/// holds snapshots is recovered ([`recover_dir`]) and its op stream
+/// resumes; otherwise `fresh` builds the engine and a new directory is
+/// started under it ([`Journal::checkpointed`]).
+pub fn open_dir(
+    mut backend: Box<dyn StorageBackend>,
+    dir: &Path,
+    topology: &Topology,
+    policy: RecoveryPolicy,
+    config: CheckpointConfig,
+    fresh: impl FnOnce() -> PersistNet,
+) -> Result<(PersistNet, Journal), PersistError> {
+    backend.create_dir_all(dir)?;
+    if list_artifacts(backend.as_mut(), dir)?.0.is_empty() {
+        let net = fresh();
+        let journal = Journal::checkpointed(backend, dir, &Snapshot::of_net(&net, 0), config)?;
+        Ok((net, journal))
+    } else {
+        let (net, journal, _) = recover_dir(backend, dir, topology, policy, config)?;
+        Ok((net, journal))
+    }
+}
+
+/// A stable digest of the *full* serialized engine state — bit-identical
+/// states (atoms, owner arenas, labels, registry, monitor set) produce the
+/// same digest. Used by the crash suites to assert that recovery landed
+/// exactly on an applied prefix.
+pub fn state_digest(net: &PersistNet) -> u64 {
+    fnv1a(&Snapshot::of_net(net, 0).to_bytes())
+}
+
+/// The active violation set of a replayed, monitored engine.
+fn monitored_violations(net: &PersistNet) -> Result<Vec<InvariantViolation>, PersistError> {
+    net.active_violations()
+        .ok_or_else(|| PersistError::Mismatch("monitor unavailable after replay".to_string()))
+}
+
+/// Time-travel: the violations active after exactly `op_n` operations of
+/// `log`, answered by replaying forward from the nearest usable snapshot
+/// with the monitor enabled. When the snapshot lies *after* `op_n` (or none
+/// is given) the replay starts from an empty engine of the same shape.
+/// `config` shapes the fresh engine when no snapshot is available at all.
+pub fn violations_at(
+    topology: &Topology,
+    snapshot: Option<Snapshot>,
+    log: &[Op],
+    op_n: usize,
+    config: DeltaNetConfig,
+) -> Result<Vec<InvariantViolation>, PersistError> {
+    if log.len() < op_n {
+        return Err(PersistError::Mismatch(format!(
+            "asked for op {op_n} but the log holds only {} ops",
+            log.len()
+        )));
+    }
+    let upto = op_n as u64;
+    let (mut net, mut position) = match snapshot {
+        Some(snap) if snap.ops_applied() <= upto => {
+            let at = snap.ops_applied();
+            (snap.restore(topology)?, at)
+        }
+        Some(snap) => (snap.fresh_like(topology)?, 0),
+        None => (
+            PersistNet::Single(Box::new(DeltaNet::new(topology.clone(), config))),
+            0,
+        ),
+    };
+    if !net.is_monitored() {
+        net.enable_monitor();
+    }
+    replay_ops(&mut net, &mut position, 0, log, upto)?;
+    monitored_violations(&net)
+}
+
+/// Time-travel over a checkpoint directory: the violations active after
+/// exactly `op_n` ops, answered from the newest usable snapshot at or
+/// before `op_n` plus the log segments in between. History before the
+/// oldest retained checkpoint is no longer replayable.
+pub fn violations_at_dir(
+    backend: &mut dyn StorageBackend,
+    dir: &Path,
+    topology: &Topology,
+    op_n: u64,
+    policy: RecoveryPolicy,
+) -> Result<Vec<InvariantViolation>, PersistError> {
+    let (snaps, segments) = list_artifacts(backend, dir)?;
+    let (baseline, mut net, _) = newest_usable_snapshot(backend, dir, &snaps, topology, op_n)?;
+    if !net.is_monitored() {
+        net.enable_monitor();
+    }
+    if op_n > baseline {
+        let tail = segments_from(dir, &segments, baseline)?;
+        let report = replay_segments(backend, &mut net, baseline, &tail, op_n, policy)?;
+        if report.ops_incorporated < op_n {
+            return Err(PersistError::Mismatch(format!(
+                "asked for op {op_n} but only {} ops are replayable",
+                report.ops_incorporated
+            )));
+        }
+    }
+    monitored_violations(&net)
 }

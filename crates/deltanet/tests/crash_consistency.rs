@@ -18,10 +18,11 @@ use std::path::{Path, PathBuf};
 
 use deltanet::fault::{FaultPlan, FaultyBackend, StorageBackend};
 use deltanet::persist::{
-    self, encode_record, read_log_with, state_digest, CheckpointConfig, CheckpointManager,
-    Durability, LoggedNet, PersistError, PersistNet, RecoveryPolicy, Snapshot,
+    self, encode_record, read_log_with, state_digest, CheckpointConfig, Durability, LoggedNet,
+    PersistError, PersistNet, RecoveryPolicy, Snapshot,
 };
 use deltanet::{DeltaNet, DeltaNetConfig, ShardedDeltaNet};
+use netmodel::rule::RuleId;
 use netmodel::topology::Topology;
 use netmodel::trace::Op;
 use rand::rngs::StdRng;
@@ -585,10 +586,10 @@ fn checkpoint_manager_rotates_retains_and_recovers_multi_segment() {
     let backend = FaultyBackend::new();
     let dir = p("/vd/ckpt");
 
-    let mut mgr = CheckpointManager::create(
+    let mut mgr = LoggedNet::checkpointed(
+        build(&topo, 2),
         Box::new(backend.clone()),
         &dir,
-        build(&topo, 2),
         0,
         checkpoint_cfg(25, 2),
     )
@@ -599,8 +600,8 @@ fn checkpoint_manager_rotates_retains_and_recovers_multi_segment() {
         mgr.apply_batch(chunk).unwrap();
     }
     assert_eq!(mgr.ops_applied(), 120);
-    assert_eq!(mgr.segment_start(), 100);
-    assert_eq!(mgr.last_checkpoint(), 104);
+    assert_eq!(mgr.journal().segment_start(), 100);
+    assert_eq!(mgr.journal().last_checkpoint(), 104);
 
     // Rotation at exact multiples; snapshots at the commit after each
     // crossing; retention keeps the newest two snapshots and only the
@@ -615,11 +616,11 @@ fn checkpoint_manager_rotates_retains_and_recovers_multi_segment() {
         vec!["log-000000000075.dnlog", "log-000000000100.dnlog"]
     );
 
-    let live = mgr.close().unwrap();
+    let live = mgr.into_net().unwrap();
     let live_digest = state_digest(&live);
 
     // Clean recovery (Strict: nothing is torn).
-    let (mut mgr2, report) = CheckpointManager::recover(
+    let (mut mgr2, report) = LoggedNet::recover_dir(
         Box::new(backend.clone()),
         &dir,
         &topo,
@@ -642,7 +643,7 @@ fn checkpoint_manager_rotates_retains_and_recovers_multi_segment() {
         for op in &trace[..op_n as usize] {
             oracle.try_apply(op).unwrap();
         }
-        let got = CheckpointManager::violations_at(
+        let got = persist::violations_at_dir(
             &mut backend.clone(),
             &dir,
             &topo,
@@ -657,7 +658,7 @@ fn checkpoint_manager_rotates_retains_and_recovers_multi_segment() {
         );
     }
     // History before the oldest retained checkpoint is gone — clean error.
-    let err = CheckpointManager::violations_at(
+    let err = persist::violations_at_dir(
         &mut backend.clone(),
         &dir,
         &topo,
@@ -677,7 +678,7 @@ fn checkpoint_manager_rotates_retains_and_recovers_multi_segment() {
     mgr2.sync().unwrap();
     let after_digest = state_digest(mgr2.net());
     drop(mgr2);
-    let (mgr3, report3) = CheckpointManager::recover(
+    let (mgr3, report3) = LoggedNet::recover_dir(
         Box::new(backend.clone()),
         &dir,
         &topo,
@@ -705,10 +706,10 @@ fn retention_never_strands_time_travel_just_after_oldest_snapshot() {
     let backend = FaultyBackend::new();
     let dir = p("/vd/retention");
 
-    let mut mgr = CheckpointManager::create(
+    let mut mgr = LoggedNet::checkpointed(
+        build(&topo, 2),
         Box::new(backend.clone()),
         &dir,
-        build(&topo, 2),
         0,
         checkpoint_cfg(4, 2),
     )
@@ -719,8 +720,8 @@ fn retention_never_strands_time_travel_just_after_oldest_snapshot() {
         mgr.apply_batch(chunk).unwrap();
     }
     assert_eq!(mgr.ops_applied(), 24);
-    assert_eq!(mgr.checkpoints_written(), 7); // initial + one per rotation
-    drop(mgr.close().unwrap());
+    assert_eq!(mgr.journal().checkpoints_written(), 7); // initial + one per rotation
+    drop(mgr.into_net().unwrap());
 
     // Retention kept the newest two snapshots and exactly the segments
     // needed to replay forward from the oldest one — everything older,
@@ -744,7 +745,7 @@ fn retention_never_strands_time_travel_just_after_oldest_snapshot() {
         for op in &trace[..op_n as usize] {
             oracle.try_apply(op).unwrap();
         }
-        let got = CheckpointManager::violations_at(
+        let got = persist::violations_at_dir(
             &mut backend.clone(),
             &dir,
             &topo,
@@ -760,7 +761,7 @@ fn retention_never_strands_time_travel_just_after_oldest_snapshot() {
     }
     // One op before the horizon has no snapshot at or before it: a clean
     // error, not a bogus replay.
-    let err = CheckpointManager::violations_at(
+    let err = persist::violations_at_dir(
         &mut backend.clone(),
         &dir,
         &topo,
@@ -783,10 +784,10 @@ fn checkpoint_crash_sweep_with_snapshot_fallback() {
     let backend = FaultyBackend::new();
     let dir = p("/vd/sweep");
 
-    let mut mgr = CheckpointManager::create(
+    let mut mgr = LoggedNet::checkpointed(
+        build(&topo, 1),
         Box::new(backend.clone()),
         &dir,
-        build(&topo, 1),
         0,
         checkpoint_cfg(25, 3),
     )
@@ -794,7 +795,7 @@ fn checkpoint_crash_sweep_with_snapshot_fallback() {
     for chunk in trace.chunks(8) {
         mgr.apply_batch(chunk).unwrap();
     }
-    mgr.close().unwrap();
+    mgr.into_net().unwrap();
 
     // Capture the pristine directory contents.
     let files: Vec<(PathBuf, Vec<u8>)> = backend
@@ -840,7 +841,7 @@ fn checkpoint_crash_sweep_with_snapshot_fallback() {
             oracle_at += 1;
         }
         let staged = stage(crash as usize);
-        let (mgr, report) = CheckpointManager::recover(
+        let (mgr, report) = LoggedNet::recover_dir(
             Box::new(staged.clone()),
             &dir,
             &topo,
@@ -873,7 +874,7 @@ fn checkpoint_crash_sweep_with_snapshot_fallback() {
     let mid = bad.len() / 2;
     bad[mid] ^= 0x20;
     staged.plant(&snap_path, bad);
-    let (mgr, report) = CheckpointManager::recover(
+    let (mgr, report) = LoggedNet::recover_dir(
         Box::new(staged.clone()),
         &dir,
         &topo,
@@ -899,7 +900,7 @@ fn checkpoint_crash_sweep_with_snapshot_fallback() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x20;
     staged.plant(&snap_path, bytes);
-    let err = CheckpointManager::recover(
+    let err = LoggedNet::recover_dir(
         Box::new(staged.clone()),
         &dir,
         &topo,
@@ -913,4 +914,262 @@ fn checkpoint_crash_sweep_with_snapshot_fallback() {
         ),
         "torn middle segment must not silently recover"
     );
+}
+
+/// Regression (ISSUE 21 satellite): a checkpoint directory that already
+/// holds an earlier run's artifacts is refused. Starting a second history
+/// beside the first used to interleave the two: retention deleted the *new*
+/// run's snapshots (they sort below the old ones) and recovery silently
+/// returned the older run.
+#[test]
+fn starting_in_a_used_checkpoint_dir_is_refused() {
+    let mut rng = StdRng::seed_from_u64(0xc4fc);
+    let topo = random_topology(&mut rng, 5, true);
+    let trace = make_trace(0xc4fc_0009, &topo, 60);
+    let backend = FaultyBackend::new();
+    let dir = p("/vd/reuse");
+
+    let mut first = LoggedNet::checkpointed(
+        build(&topo, 2),
+        Box::new(backend.clone()),
+        &dir,
+        0,
+        checkpoint_cfg(8, 2),
+    )
+    .unwrap();
+    for chunk in trace.chunks(8) {
+        first.apply_batch(chunk).unwrap();
+    }
+    let first_digest = state_digest(&first.into_net().unwrap());
+    let before = dir_artifacts(&backend, &dir);
+
+    let err = LoggedNet::checkpointed(
+        build(&topo, 2),
+        Box::new(backend.clone()),
+        &dir,
+        0,
+        checkpoint_cfg(8, 2),
+    )
+    .err()
+    .expect("a used checkpoint dir must be refused");
+    match &err {
+        PersistError::Mismatch(msg) => assert!(msg.contains("/vd/reuse"), "{msg}"),
+        other => panic!("expected a Mismatch naming the directory, got: {other}"),
+    }
+    // The refusal wrote nothing, and the first run still recovers whole.
+    assert_eq!(dir_artifacts(&backend, &dir), before);
+    let (recovered, report) = LoggedNet::recover_dir(
+        Box::new(backend.clone()),
+        &dir,
+        &topo,
+        RecoveryPolicy::Strict,
+        checkpoint_cfg(8, 2),
+    )
+    .unwrap();
+    assert_eq!(report.ops_incorporated, 60);
+    assert_eq!(state_digest(recovered.net()), first_digest);
+
+    // A directory holding only a stray segment (no snapshot to recover
+    // from) is just as used.
+    let stray = FaultyBackend::new();
+    stray.plant(&p("/vd/stray/log-000000000000.dnlog"), b"DNLG\x03".to_vec());
+    let err = LoggedNet::checkpointed(
+        build(&topo, 2),
+        Box::new(stray.clone()),
+        &p("/vd/stray"),
+        0,
+        checkpoint_cfg(8, 2),
+    );
+    assert!(matches!(err, Err(PersistError::Mismatch(_))));
+}
+
+/// Regression (ISSUE 21 satellite): time-travel whose replay crosses a
+/// non-final segment cut short at a record boundary (so it still parses
+/// under `Strict`) is a clean `Mismatch` — the answer `recover_dir` gives
+/// for the same directory. It used to panic: the replay position fell
+/// behind the next segment's start and the skip count underflowed.
+#[test]
+fn time_travel_across_a_cut_non_final_segment_is_a_clean_mismatch() {
+    let mut rng = StdRng::seed_from_u64(0xc4fd);
+    let topo = random_topology(&mut rng, 5, true);
+    let trace = make_trace(0xc4fd_000a, &topo, 120);
+    let backend = FaultyBackend::new();
+    let dir = p("/vd/cut");
+
+    let mut mgr = LoggedNet::checkpointed(
+        build(&topo, 2),
+        Box::new(backend.clone()),
+        &dir,
+        0,
+        checkpoint_cfg(25, 4),
+    )
+    .unwrap();
+    for chunk in trace.chunks(8) {
+        mgr.apply_batch(chunk).unwrap();
+    }
+    mgr.into_net().unwrap();
+
+    // Keep the first 10 of log-50's 25 records: ops 50..60.
+    let seg_path = p("/vd/cut/log-000000000050.dnlog");
+    let keep = record_boundaries(&trace[50..75])[10];
+    let seg = backend.surviving(&seg_path).unwrap();
+    backend.plant(&seg_path, seg[..keep as usize].to_vec());
+
+    // Op 70 restores snap-56 and needs log-50's records 56..70.
+    let err = persist::violations_at_dir(
+        &mut backend.clone(),
+        &dir,
+        &topo,
+        70,
+        RecoveryPolicy::Strict,
+    );
+    assert!(
+        matches!(err, Err(PersistError::Mismatch(_))),
+        "cut middle segment must be a clean mismatch"
+    );
+    // Points the cut segment does not sit under still answer.
+    let mut oracle = build(&topo, 2);
+    for op in &trace[..110] {
+        oracle.try_apply(op).unwrap();
+    }
+    let got = persist::violations_at_dir(
+        &mut backend.clone(),
+        &dir,
+        &topo,
+        110,
+        RecoveryPolicy::Strict,
+    )
+    .unwrap();
+    assert_eq!(got, oracle.active_violations().unwrap());
+}
+
+/// Satellite (ISSUE 21): there is one write path. The same op stream, in
+/// windows of 1 / 8 / 128 with a mid-stream op the engine rejects, goes
+/// through a flat journal and through a checkpointing one whose cadence
+/// divides none of the larger windows; the segments' records, concatenated,
+/// are the flat log's records byte for byte, both hold exactly the applied
+/// prefix, and recovery from either layout lands on the same state.
+#[test]
+fn flat_and_checkpointing_journals_write_the_same_records() {
+    let mut rng = StdRng::seed_from_u64(0x10c5);
+    let topo = random_topology(&mut rng, 5, true);
+    let mut trace = make_trace(0x10c5_000b, &topo, 300);
+    trace.insert(137, Op::Remove(RuleId(u64::MAX))); // unknown rule: rejected
+    let log_path = p("/vd/one/flat.dnlog");
+    let snap_path = p("/vd/one/flat.dnsnap");
+    let dir = p("/vd/one/ckpt");
+
+    for window in [1usize, 8, 128] {
+        let backend = FaultyBackend::new();
+        Snapshot::of_net(&build(&topo, 2), 0)
+            .write_to_backend(&mut backend.clone(), &snap_path)
+            .unwrap();
+        let mut flat = LoggedNet::with_backend(
+            build(&topo, 2),
+            Box::new(backend.clone()),
+            &log_path,
+            0,
+            Durability::FsyncPerBatch,
+        )
+        .unwrap();
+        let mut rotated = LoggedNet::checkpointed(
+            build(&topo, 2),
+            Box::new(backend.clone()),
+            &dir,
+            0,
+            checkpoint_cfg(25, usize::MAX),
+        )
+        .unwrap();
+        // A failing window keeps its applied prefix and drops its rest.
+        let mut applied: Vec<Op> = Vec::new();
+        let mut rejected = 0;
+        for chunk in trace.chunks(window) {
+            let a = flat.apply_batch(chunk);
+            let b = rotated.apply_batch(chunk);
+            let n = a.as_ref().map_or_else(|e| e.index, Vec::len);
+            assert_eq!(n, b.as_ref().map_or_else(|e| e.index, Vec::len));
+            rejected += usize::from(a.is_err());
+            applied.extend_from_slice(&chunk[..n]);
+        }
+        assert!(
+            rejected >= 1,
+            "window {window}: the bad op must be rejected"
+        );
+        assert_eq!(flat.ops_applied(), applied.len() as u64);
+        assert_eq!(rotated.ops_applied(), applied.len() as u64);
+        let live_digest = state_digest(flat.net());
+        assert_eq!(state_digest(rotated.net()), live_digest);
+        flat.into_net().unwrap();
+        rotated.into_net().unwrap();
+
+        // Byte for byte: header-stripped segments, in order == flat log.
+        let flat_bytes = backend.surviving(&log_path).unwrap();
+        let (_, segs) = dir_artifacts(&backend, &dir);
+        assert_eq!(segs.len(), applied.len() / 25 + 1, "window {window}");
+        let mut joined = Vec::new();
+        for name in &segs {
+            let bytes = backend.surviving(&dir.join(name)).unwrap();
+            joined.extend_from_slice(&bytes[HEADER as usize..]);
+        }
+        assert_eq!(joined, flat_bytes[HEADER as usize..], "window {window}");
+        let logged = read_log_with(&mut backend.clone(), &log_path, RecoveryPolicy::Strict)
+            .unwrap()
+            .ops;
+        assert_eq!(
+            logged, applied,
+            "window {window}: exactly the applied prefix"
+        );
+
+        // Both layouts recover to the live state.
+        let (from_pair, total, _) = persist::recover_with(
+            &topo,
+            &mut backend.clone(),
+            &snap_path,
+            &log_path,
+            RecoveryPolicy::Strict,
+        )
+        .unwrap();
+        assert_eq!(total, applied.len() as u64);
+        assert_eq!(state_digest(&from_pair), live_digest, "window {window}");
+        let (from_dir, report) = LoggedNet::recover_dir(
+            Box::new(backend.clone()),
+            &dir,
+            &topo,
+            RecoveryPolicy::Strict,
+            checkpoint_cfg(25, usize::MAX),
+        )
+        .unwrap();
+        assert_eq!(report.ops_incorporated, applied.len() as u64);
+        assert_eq!(state_digest(from_dir.net()), live_digest, "window {window}");
+    }
+
+    // Two I/O failures in a row — a short append, then (the retry having
+    // healed the file) a failed fsync — surface the first: the second is
+    // usually cascade and must not displace the root cause.
+    let backend = FaultyBackend::new();
+    let mut flat = LoggedNet::with_backend(
+        build(&topo, 2),
+        Box::new(backend.clone()),
+        &log_path,
+        0,
+        Durability::FsyncPerBatch,
+    )
+    .unwrap();
+    backend.inject(FaultPlan {
+        fail_append_at_byte: Some(backend.bytes_appended() + 7),
+        ..Default::default()
+    });
+    flat.apply_batch(&trace[..8]).unwrap();
+    backend.inject(FaultPlan {
+        fail_fsyncs: 1,
+        ..Default::default()
+    });
+    flat.apply_batch(&trace[8..16]).unwrap();
+    let err = flat.flush().expect_err("the deferred failure must surface");
+    assert!(err.to_string().contains("short write"), "{err}");
+    flat.sync().unwrap(); // one error was pending, not two
+    let logged = read_log_with(&mut backend.clone(), &log_path, RecoveryPolicy::Strict)
+        .unwrap()
+        .ops;
+    assert_eq!(logged, trace[..16].to_vec());
 }

@@ -17,8 +17,8 @@
 //!   with applied-prefix acks on failure, violation fan-out to many
 //!   subscribers with a drop-with-gap-marker slow-consumer policy (the
 //!   engine never blocks on a client), and optional durability by mounting
-//!   [`CheckpointManager`](deltanet::CheckpointManager) so a restart
-//!   recovers and resumes the stream.
+//!   a checkpointing [`Journal`](deltanet::Journal) beside the engine so a
+//!   restart recovers and resumes the stream.
 //!
 //! Everything is std-only (`std::net` + threads) and the protocol is
 //! transport-agnostic: the same framing runs over TCP and stdin/stdout,

@@ -17,11 +17,13 @@
 //!   client's socket — which is the protocol's explicit backpressure: a
 //!   client can never have more un-acked work in the daemon than the queue
 //!   holds.
-//! * The single **engine** thread owns the [`ShardedDeltaNet`] (optionally
-//!   wrapped in a [`CheckpointManager`] for durability). It coalesces
-//!   consecutive op items into windows of at most `window` ops, applies each
-//!   window with [`ShardedDeltaNet::apply_batch`] (per-shard groups run
-//!   concurrently), and acks per request. A mid-window engine error keeps
+//! * The single **engine** thread owns the [`ShardedDeltaNet`] and, for
+//!   durability, a [`Journal`] mounted beside it. It coalesces consecutive
+//!   op items into windows of at most `window` ops, applies each window
+//!   with [`ShardedDeltaNet::apply_batch`] (per-shard groups run
+//!   concurrently), records what the engine accepted in the journal
+//!   (write-behind; checkpoints at the configured cadence), and acks per
+//!   request. A mid-window engine error keeps
 //!   the window's applied prefix (exactly `apply_batch`'s semantics): items
 //!   fully applied ack `ok` (positionally — a failed window yields no
 //!   per-op reports, so these acks carry `at` without delta fields), the
@@ -49,31 +51,30 @@ use crate::proto::{
     parse_request, positional_ack, positional_reply, transitions_event, update_error_kind,
     what_if_reply, Request, RequestBody,
 };
-use deltanet::persist::RecoveryPolicy;
+use deltanet::persist::{self, RecoveryPolicy};
 use deltanet::{
-    CheckpointConfig, CheckpointManager, DeltaNetConfig, FsBackend, MonitorTransitions,
-    Parallelism, PersistNet, ShardedDeltaNet, Snapshot,
+    CheckpointConfig, DeltaNetConfig, FsBackend, Journal, MonitorTransitions, Parallelism,
+    PersistNet, ShardedDeltaNet, Snapshot,
 };
-use netmodel::checker::{InvariantViolation, ReplayError, UpdateReport, WhatIfReport};
 use netmodel::topology::{LinkId, Topology};
 use netmodel::trace::Op;
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-/// Durability mounting for the daemon (see [`CheckpointManager`]).
+/// Durability mounting for the daemon (see [`Journal::checkpointed`]).
 #[derive(Clone, Debug)]
 pub struct CheckpointSetup {
     /// Checkpoint directory; recovered from and resumed when it already
     /// holds artifacts.
     pub dir: PathBuf,
-    /// Cadence / retention / durability of the manager.
+    /// Cadence / retention / durability of the journal.
     pub config: CheckpointConfig,
 }
 
@@ -97,7 +98,7 @@ pub struct ServiceConfig {
     /// Cross-check the incremental monitor against a full rescan after
     /// every window; mismatches are counted in `stats`.
     pub audit: bool,
-    /// Mount a [`CheckpointManager`] under the engine.
+    /// Mount a checkpointing [`Journal`] beside the engine.
     pub checkpoint: Option<CheckpointSetup>,
 }
 
@@ -164,46 +165,6 @@ struct Shared {
     topology: Topology,
     shutdown: AtomicBool,
     sub_buffer: usize,
-}
-
-/// The engine: a plain sharded net, or one under checkpoint management.
-enum EngineNet {
-    Plain(ShardedDeltaNet),
-    Durable(CheckpointManager),
-}
-
-impl EngineNet {
-    fn apply_batch(&mut self, ops: &[Op]) -> Result<Vec<UpdateReport>, ReplayError> {
-        match self {
-            EngineNet::Plain(net) => net.apply_batch(ops),
-            EngineNet::Durable(mgr) => mgr.apply_batch(ops),
-        }
-    }
-
-    fn sharded(&self) -> &ShardedDeltaNet {
-        match self {
-            EngineNet::Plain(net) => net,
-            EngineNet::Durable(mgr) => mgr
-                .net()
-                .as_sharded()
-                .expect("daemon engines are always sharded"),
-        }
-    }
-
-    fn link_failure_impact(&self, link: LinkId, check_loops: bool) -> WhatIfReport {
-        self.sharded().link_failure_impact(link, check_loops)
-    }
-
-    fn active_violations(&self) -> Option<Vec<InvariantViolation>> {
-        self.sharded().active_violations()
-    }
-
-    fn rescan(&self) -> Vec<InvariantViolation> {
-        let net = self.sharded();
-        let mut all = net.check_all_loops();
-        all.extend(net.check_all_blackholes());
-        all
-    }
 }
 
 /// The daemon, bound to a TCP listener. [`Server::run`] accepts
@@ -302,73 +263,42 @@ fn start_engine(
     let observer_sink = Arc::clone(&staging);
     let observe = move |t: &MonitorTransitions| observer_sink.lock().unwrap().push(t.clone());
 
-    let (engine_net, ops_applied) = match &config.checkpoint {
-        None => {
-            let mut net = ShardedDeltaNet::with_parallelism(
-                topology.clone(),
-                config.engine,
-                config.shards,
-                config.parallelism,
-            );
-            net.enable_monitor();
-            net.set_monitor_observer(observe);
-            (EngineNet::Plain(net), 0)
-        }
+    let fresh = || {
+        let mut net = ShardedDeltaNet::with_parallelism(
+            topology.clone(),
+            config.engine,
+            config.shards,
+            config.parallelism,
+        );
+        net.enable_monitor();
+        net
+    };
+    let (mut net, journal) = match &config.checkpoint {
+        None => (fresh(), None),
         Some(setup) => {
-            let backend = Box::new(FsBackend);
-            let has_artifacts = setup.dir.is_dir()
-                && std::fs::read_dir(&setup.dir)?
-                    .filter_map(|e| e.ok())
-                    .any(|e| {
-                        e.file_name()
-                            .to_str()
-                            .is_some_and(|n| n.starts_with("snap-"))
-                    });
-            let mut mgr = if has_artifacts {
-                let (mgr, _report) = CheckpointManager::recover(
-                    backend,
-                    &setup.dir,
-                    &topology,
-                    RecoveryPolicy::RepairTail,
-                    setup.config,
-                )
-                .map_err(|e| io::Error::other(format!("checkpoint recovery failed: {e}")))?;
-                mgr
-            } else {
-                let mut net = ShardedDeltaNet::with_parallelism(
-                    topology.clone(),
-                    config.engine,
-                    config.shards,
-                    config.parallelism,
-                );
-                net.enable_monitor();
-                CheckpointManager::create(
-                    backend,
-                    &setup.dir,
-                    PersistNet::Sharded(Box::new(net)),
-                    0,
-                    setup.config,
-                )
-                .map_err(|e| io::Error::other(format!("checkpoint creation failed: {e}")))?
+            let (net, journal) = persist::open_dir(
+                Box::new(FsBackend),
+                &setup.dir,
+                &topology,
+                RecoveryPolicy::RepairTail,
+                setup.config,
+                || PersistNet::Sharded(Box::new(fresh())),
+            )
+            .map_err(|e| io::Error::other(format!("checkpoint directory: {e}")))?;
+            let PersistNet::Sharded(net) = net else {
+                return Err(io::Error::other(
+                    "checkpoint directory holds a single-engine snapshot; \
+                     the daemon requires a sharded engine",
+                ));
             };
-            let ops = mgr.ops_applied();
-            match mgr.net_mut() {
-                PersistNet::Sharded(net) => {
-                    if net.monitor_keys().is_none() {
-                        net.enable_monitor();
-                    }
-                    net.set_monitor_observer(observe);
-                }
-                PersistNet::Single(_) => {
-                    return Err(io::Error::other(
-                        "checkpoint directory holds a single-engine snapshot; \
-                         the daemon requires a sharded engine",
-                    ))
-                }
-            }
-            (EngineNet::Durable(mgr), ops)
+            (*net, Some(journal))
         }
     };
+    if net.monitor_keys().is_none() {
+        net.enable_monitor();
+    }
+    net.set_monitor_observer(observe);
+    let ops_applied = journal.as_ref().map_or(0, Journal::ops_applied);
 
     let shared = Arc::new(Shared {
         topology,
@@ -379,7 +309,8 @@ fn start_engine(
     let engine_shared = Arc::clone(&shared);
     let engine = thread::spawn(move || {
         EngineLoop {
-            net: engine_net,
+            net,
+            journal,
             rx: work_rx,
             shared: engine_shared,
             staging,
@@ -403,7 +334,11 @@ fn start_engine(
 
 /// The engine thread's state.
 struct EngineLoop {
-    net: EngineNet,
+    net: ShardedDeltaNet,
+    /// The durability component, when a checkpoint directory is mounted:
+    /// every window's applied prefix is recorded in it after the engine
+    /// accepted it.
+    journal: Option<Journal>,
     rx: Receiver<WorkItem>,
     shared: Arc<Shared>,
     /// Transitions pushed by the monitor observer during the current
@@ -489,8 +424,8 @@ impl EngineLoop {
         // Dropping subscribers' senders ends every event pump; a durable
         // engine syncs its log on the way out.
         self.subscribers.clear();
-        if let EngineNet::Durable(mgr) = self.net {
-            if let Err(e) = mgr.close() {
+        if let Some(journal) = self.journal {
+            if let Err(e) = journal.close() {
                 eprintln!("warning: checkpoint close failed: {e}");
             }
         }
@@ -539,6 +474,10 @@ impl EngineLoop {
         };
         let applied = failure.as_ref().map_or(all_ops.len(), |e| e.index);
         self.ops_applied += applied as u64;
+        if let Some(journal) = &mut self.journal {
+            let net = &self.net;
+            journal.record(&all_ops[..applied], |at| Snapshot::of_sharded(net, at));
+        }
 
         let mut offset = 0usize; // window-local index of the item's first op
         let mut iter = window.into_iter();
@@ -613,11 +552,11 @@ impl EngineLoop {
         self.publish_transitions(ops_before);
         if self.audit {
             self.audits += 1;
-            let matches = self
-                .net
-                .active_violations()
-                .map(|active| active == self.net.rescan())
-                .unwrap_or(false);
+            let matches = self.net.active_violations().is_some_and(|active| {
+                let mut rescan = self.net.check_all_loops();
+                rescan.extend(self.net.check_all_blackholes());
+                active == rescan
+            });
             if !matches {
                 self.mismatches += 1;
             }
@@ -648,35 +587,36 @@ impl EngineLoop {
                 what_if_reply(id, &self.net.link_failure_impact(link, check_loops))
             }
             Query::Stats => self.stats(id),
-            Query::Snapshot(path) => match &mut self.net {
-                EngineNet::Plain(net) => {
-                    let snap = Snapshot::of_sharded(net, self.ops_applied);
-                    match snap.write_to(std::path::Path::new(&path)) {
-                        Ok(()) => crate::json::obj(vec![
-                            ("id", Json::int(id)),
-                            ("ok", Json::Bool(true)),
-                            ("path", Json::str(path)),
-                            ("ops_applied", Json::int(self.ops_applied)),
-                        ]),
-                        Err(e) => error_reply(id, "io", &e.to_string()),
-                    }
-                }
-                EngineNet::Durable(mgr) => match mgr.checkpoint_now() {
+            Query::Snapshot(path) => {
+                // A durable daemon checkpoints into its own directory; a
+                // plain one writes the snapshot where the client asked.
+                let snapshot_at = |at| Snapshot::of_sharded(&self.net, at);
+                let (written, path) = match &mut self.journal {
+                    Some(journal) => (
+                        journal.checkpoint_now(snapshot_at),
+                        journal.dir().map_or(path, |dir| dir.display().to_string()),
+                    ),
+                    None => (
+                        snapshot_at(self.ops_applied).write_to(Path::new(&path)),
+                        path,
+                    ),
+                };
+                match written {
                     Ok(()) => crate::json::obj(vec![
                         ("id", Json::int(id)),
                         ("ok", Json::Bool(true)),
-                        ("path", Json::str(mgr.dir().display().to_string())),
+                        ("path", Json::str(path)),
                         ("ops_applied", Json::int(self.ops_applied)),
                     ]),
                     Err(e) => error_reply(id, "io", &e.to_string()),
-                },
-            },
+                }
+            }
         };
         let _ = reply.send(line.render());
     }
 
     fn stats(&self, id: u64) -> Json {
-        let net = self.net.sharded();
+        let net = &self.net;
         let violations = self.net.active_violations().map_or(0, |v| v.len());
         crate::json::obj(vec![
             ("id", Json::int(id)),
@@ -692,10 +632,7 @@ impl EngineLoop {
             ("events", Json::int(self.seq)),
             ("audits", Json::int(self.audits)),
             ("mismatches", Json::int(self.mismatches)),
-            (
-                "durable",
-                Json::Bool(matches!(self.net, EngineNet::Durable(_))),
-            ),
+            ("durable", Json::Bool(self.journal.is_some())),
         ])
     }
 }
@@ -913,7 +850,8 @@ mod tests {
             sub_buffer: 4,
         });
         let engine = EngineLoop {
-            net: EngineNet::Plain(net),
+            net,
+            journal: None,
             rx,
             shared,
             staging,
