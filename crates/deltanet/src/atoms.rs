@@ -7,7 +7,10 @@
 //! is field-agnostic: an [`AtomMap`] is parameterized only by a bit width,
 //! and a multi-field engine keeps one per declared header field (the
 //! primary field's map carries owners and labels; the secondary maps are
-//! pure interval lattices, see `crate::multifield`). The representation is
+//! pure interval lattices, see `crate::multifield`). Every map is kept
+//! together with one [`BoundRefs`] — the garbage-collection books of the
+//! §3.2.2 remark: which bounds of `M` live rules still reference, and how
+//! many no longer are. The representation is
 //! an ordered map `M` from interval bounds to *atom identifiers*: the pair
 //! `n ↦ α` means that `α` denotes the atom `[n : n')` where `n'` is the
 //! next greater key in `M`. The map is initialized with `MIN ↦ α₀` and
@@ -22,7 +25,8 @@
 //! without ever recomputing equivalence classes from scratch.
 
 use netmodel::interval::{Bound, Interval};
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Identifier of an atom.
@@ -317,13 +321,20 @@ impl AtomMap {
         remap
     }
 
+    /// Whether `bound` is neither the structural `MIN` nor `MAX` — only
+    /// such a bound can ever be reclaimed.
+    #[inline]
+    fn is_interior(&self, bound: Bound) -> bool {
+        bound != 0 && bound != self.max
+    }
+
     /// All keys of `M` except the structural `MIN` and `MAX` — the bounds a
     /// compaction pass inspects for liveness.
     pub fn interior_bounds(&self) -> impl Iterator<Item = Bound> + '_ {
         self.map
             .keys()
             .copied()
-            .filter(move |&b| b != 0 && b != self.max)
+            .filter(move |&b| self.is_interior(b))
     }
 
     /// The atoms whose union is exactly `interval` (the paper's
@@ -363,7 +374,7 @@ impl AtomMap {
     }
 
     /// Whether a bound is currently a key of `M` (used by tests and the
-    /// garbage-collection bookkeeping in the engine).
+    /// garbage-collection books, [`BoundRefs`]).
     pub fn contains_bound(&self, bound: Bound) -> bool {
         self.map.contains_key(&bound)
     }
@@ -468,6 +479,150 @@ impl AtomMap {
             free,
             max,
         })
+    }
+}
+
+/// The §3.2.2 garbage-collection books of one [`AtomMap`]: how many holders
+/// (live rules, plus the clip pins of a shard) reference each bound, and how
+/// many interior bounds of `M` no holder references any more — the bounds a
+/// compaction pass merges away.
+///
+/// The books sit *beside* the map rather than inside it: an engine keeps one
+/// pair for the primary field and one per secondary field, and every
+/// operation that needs both takes the map as an argument.
+///
+/// Invariant: [`BoundRefs::reclaimable`] equals the number of keys of `M`
+/// that are neither `MIN`/`MAX` nor referenced. It holds as long as every
+/// interval is [`acquire`](BoundRefs::acquire)d *before* its bounds are
+/// created in the map and bounds leave the map only through
+/// [`merge_dead`](BoundRefs::merge_dead).
+#[derive(Clone, Debug, Default)]
+pub struct BoundRefs {
+    refs: HashMap<Bound, u32>,
+    reclaimable: usize,
+}
+
+impl BoundRefs {
+    /// Counts one more holder on both bounds of `interval`. Must run before
+    /// [`AtomMap::create_atoms`] for the same interval: a bound that is
+    /// already a key of `atoms` but had no holder was counted reclaimable,
+    /// and this holder revives it. One hash probe per bound — the map is
+    /// consulted only for a bound nobody referenced.
+    #[inline]
+    pub fn acquire(&mut self, atoms: &AtomMap, interval: Interval) {
+        for bound in [interval.lo(), interval.hi()] {
+            match self.refs.entry(bound) {
+                Entry::Occupied(mut count) => *count.get_mut() += 1,
+                Entry::Vacant(slot) => {
+                    slot.insert(1);
+                    if atoms.is_interior(bound) && atoms.contains_bound(bound) {
+                        self.reclaimable -= 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Drops one holder from both bounds of `interval`; a bound whose last
+    /// holder left stays in `atoms` and is counted reclaimable.
+    #[inline]
+    pub fn release(&mut self, atoms: &AtomMap, interval: Interval) {
+        for bound in [interval.lo(), interval.hi()] {
+            if let Entry::Occupied(mut count) = self.refs.entry(bound) {
+                *count.get_mut() -= 1;
+                if *count.get() == 0 {
+                    count.remove();
+                    if atoms.is_interior(bound) {
+                        self.reclaimable += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Phase 1 of a compaction pass: removes every unreferenced interior
+    /// bound from `atoms`, handing each [`AtomMerge`] to `on_merge` (which
+    /// erases the freed id from whatever is indexed by atom id), and returns
+    /// how many atoms were merged away. The caller renumbers afterwards.
+    pub fn merge_dead(
+        &mut self,
+        atoms: &mut AtomMap,
+        mut on_merge: impl FnMut(AtomMerge),
+    ) -> usize {
+        let dead: Vec<Bound> = atoms
+            .interior_bounds()
+            .filter(|bound| !self.refs.contains_key(bound))
+            .collect();
+        debug_assert_eq!(dead.len(), self.reclaimable, "reclaimable counter drifted");
+        for &bound in &dead {
+            on_merge(atoms.remove_bound(bound).expect("dead bound is in M"));
+        }
+        self.reclaimable = 0;
+        dead.len()
+    }
+
+    /// Interior bounds of the map no holder references. O(1).
+    #[inline]
+    pub fn reclaimable(&self) -> usize {
+        self.reclaimable
+    }
+
+    /// Estimated heap usage in bytes (allocated capacity).
+    pub fn memory_bytes(&self) -> usize {
+        self.refs.capacity() * Self::ENTRY_BYTES
+    }
+
+    /// Heap bytes addressed by live entries — a function of the logical
+    /// state alone, like [`AtomMap::live_bytes`].
+    pub fn live_bytes(&self) -> usize {
+        self.refs.len() * Self::ENTRY_BYTES
+    }
+
+    /// Key + count + per-entry hash-table overhead.
+    const ENTRY_BYTES: usize = std::mem::size_of::<Bound>() + 4 + 8;
+
+    /// The snapshot export: the reference counts in ascending bound order,
+    /// and the reclaimable counter.
+    pub fn export_parts(&self) -> (Vec<(Bound, u32)>, usize) {
+        let mut refs: Vec<(Bound, u32)> = self.refs.iter().map(|(&b, &c)| (b, c)).collect();
+        refs.sort_unstable_by_key(|&(bound, _)| bound);
+        (refs, self.reclaimable)
+    }
+
+    /// Rebuilds the books of `atoms` from snapshot parts, trusting neither:
+    /// the books are recomputed from `holders` — the interval of every
+    /// holder, as it was acquired — by starting with every interior bound
+    /// of `atoms` dead and acquiring each, and the stored parts must agree
+    /// with the recomputation. Otherwise a description of the first
+    /// disagreement is returned, so a snapshot that lies about its counts
+    /// surfaces as a clean error instead of an underflow many updates
+    /// later.
+    pub fn from_parts(
+        atoms: &AtomMap,
+        holders: impl IntoIterator<Item = Interval>,
+        refs: &[(Bound, u32)],
+        reclaimable: usize,
+    ) -> Result<BoundRefs, String> {
+        let mut books = BoundRefs {
+            refs: HashMap::new(),
+            reclaimable: atoms.interior_bounds().count(),
+        };
+        for interval in holders {
+            books.acquire(atoms, interval);
+        }
+        if let Some(bound) = books.refs.keys().find(|&&b| !atoms.contains_bound(b)) {
+            return Err(format!("referenced bound {bound} is not a key of M"));
+        }
+        let (recounted, dead) = books.export_parts();
+        if recounted != refs {
+            return Err("bound refcounts disagree with the live rules".to_string());
+        }
+        if dead != reclaimable {
+            return Err(format!(
+                "reclaimable counter is {reclaimable} but {dead} interior bounds are unreferenced"
+            ));
+        }
+        Ok(books)
     }
 }
 
@@ -757,6 +912,74 @@ mod tests {
         // Splitting keeps working after a renumber.
         let delta = m.create_atoms(iv(6, 10));
         assert_eq!(delta.len(), 2);
+    }
+
+    /// The books against a first-principles model — the list of live
+    /// holder intervals — through random acquire / release / compaction
+    /// sequences, stand-alone and with a pinned clip range (which no
+    /// removal ever releases, as on a shard).
+    #[test]
+    fn bound_refs_match_a_recount_through_random_churn() {
+        for (seed, clip) in [(1u64, None), (2, Some(iv(64, 192))), (3, Some(iv(0, 256)))] {
+            let mut state = seed;
+            let mut next = |n: u64| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 33) % n
+            };
+            let mut m = AtomMap::new(8);
+            let mut books = BoundRefs::default();
+            let mut holders: Vec<Interval> = Vec::new();
+            let pinned = usize::from(clip.is_some());
+            if let Some(clip) = clip {
+                books.acquire(&m, clip);
+                m.create_atoms(clip);
+                holders.push(clip);
+            }
+            for step in 0..600 {
+                match next(8) {
+                    0 => {
+                        let (atoms, dead) = (m.atom_count(), books.reclaimable());
+                        assert_eq!(books.merge_dead(&mut m, |_| {}), dead);
+                        m.renumber();
+                        assert_eq!(m.atom_count(), atoms - dead, "seed {seed} step {step}");
+                    }
+                    1..=3 if holders.len() > pinned => {
+                        let at = pinned + next((holders.len() - pinned) as u64) as usize;
+                        books.release(&m, holders.swap_remove(at));
+                    }
+                    _ => {
+                        let lo = next(255);
+                        let hi = lo + 1 + next(256 - lo - 1).min(40);
+                        let interval = iv(lo.into(), hi.into());
+                        books.acquire(&m, interval);
+                        m.create_atoms(interval);
+                        holders.push(interval);
+                    }
+                }
+                let held = |b: Bound| {
+                    let holds = |h: &&Interval| h.lo() == b || h.hi() == b;
+                    holders.iter().filter(holds).count()
+                };
+                let recount = m.interior_bounds().filter(|&b| held(b) == 0);
+                assert_eq!(
+                    books.reclaimable(),
+                    recount.count(),
+                    "seed {seed} step {step}"
+                );
+                let (refs, reclaimable) = books.export_parts();
+                assert!(refs.windows(2).all(|w| w[0].0 < w[1].0));
+                for &(bound, count) in &refs {
+                    assert_eq!(count as usize, held(bound), "seed {seed} step {step}");
+                }
+                let rebuilt =
+                    BoundRefs::from_parts(&m, holders.iter().copied(), &refs, reclaimable)
+                        .unwrap_or_else(|e| panic!("seed {seed} step {step}: {e}"));
+                assert_eq!(rebuilt.export_parts(), (refs, reclaimable));
+                assert_eq!(rebuilt.live_bytes(), books.live_bytes());
+            }
+        }
     }
 
     #[test]

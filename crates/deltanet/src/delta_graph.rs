@@ -223,8 +223,8 @@ impl DeltaGraph {
         // remap table covers only the primary field, so the recorded
         // secondary splits would be left holding stale ids. Dropping them is
         // safe: the engine consumes `sec_splits` within the update that
-        // recorded them (renumbering the walk kernel's classes in
-        // `finish_update`), which always runs *before* any compaction, and
+        // recorded them (`MultiField::acquire` renumbers the walk kernel's
+        // classes), which always runs *before* any compaction, and
         // `compact()` renumbers them again itself.
         self.sec_splits.clear();
     }

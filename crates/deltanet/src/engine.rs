@@ -1,11 +1,12 @@
 //! The Delta-net engine: Algorithms 1 and 2 of the paper, plus the
 //! [`Checker`] implementation used by the experiments.
 //!
-//! [`DeltaNet`] owns the three global structures of §3.2 — the atom map `M`,
-//! the `owner` array and the edge `label`s — and transforms them
-//! incrementally on every rule insertion and removal. Each update also
-//! produces a [`DeltaGraph`] (the by-product described in §3.3) on which the
-//! configured per-update property checks run.
+//! [`DeltaNet`] owns the three global structures of §3.2 — the atom map `M`
+//! (with its §3.2.2 garbage-collection books, [`BoundRefs`]), the `owner`
+//! array and the edge `label`s — and transforms them incrementally on every
+//! rule insertion and removal. Each update also produces a [`DeltaGraph`]
+//! (the by-product described in §3.3) on which the configured per-update
+//! property checks run.
 //!
 //! The update core is written against an explicit interval rather than the
 //! rule's full match range, so an engine can be *clipped* to a contiguous
@@ -16,22 +17,24 @@
 //!
 //! When the configuration declares *secondary* header fields
 //! ([`DeltaNetConfig::sec_widths`] — e.g. a source address next to the
-//! destination), the engine additionally keeps one interval lattice per
-//! secondary field and dispatches every check through the cross-field
-//! machinery of [`crate::multifield`]. The default single-field
-//! configuration never touches that path: atoms, owners, and labels behave
-//! bit-identically to the paper's presentation.
+//! destination), the engine additionally holds one
+//! [`crate::multifield::MultiField`] — a lattice and books per secondary
+//! field plus the cross-field walk kernel — and dispatches every check
+//! through it. The default single-field configuration holds `None`: every
+//! multi-field statement in this file is behind an `if let Some(mf)`, and
+//! atoms, owners, and labels behave bit-identically to the paper's
+//! presentation.
 
-use crate::atoms::{AtomId, AtomMap, DeltaPair};
+use crate::atoms::{AtomMap, BoundRefs, DeltaPair};
 use crate::delta_graph::DeltaGraph;
 use crate::labels::Labels;
 use crate::loops::{self, WalkScratch};
 use crate::monitor::ViolationMonitor;
-use crate::multifield::{self, ClassWalk, MfView};
+use crate::multifield::{MfView, MultiField};
 use crate::owner::Owner;
 use netmodel::checker::{Checker, UpdateError, UpdateReport, WhatIfReport};
 use netmodel::header::{HeaderSpace, MAX_SECONDARY_FIELDS};
-use netmodel::interval::{normalize, Bound, Interval};
+use netmodel::interval::{normalize, Interval};
 use netmodel::rule::{Rule, RuleId};
 use netmodel::topology::{LinkId, Topology};
 use netmodel::trace::Op;
@@ -193,25 +196,15 @@ pub struct DeltaNet {
     owner: Owner,
     labels: Labels,
     rules: HashMap<RuleId, Rule>,
-    /// Reference counts of interval bounds contributed by live rules; used
-    /// by the garbage-collection bookkeeping of §3.2.2.
-    bound_refs: HashMap<Bound, u32>,
-    /// Interior bounds of `M` no longer referenced by any live rule,
-    /// maintained incrementally so the compaction trigger is O(1) per
-    /// update. Invariant: equals the number of keys of `M` that are neither
-    /// `MIN`/`MAX` nor keys of `bound_refs`.
-    reclaimable: usize,
-    /// One interval lattice per declared secondary header field (empty for
-    /// the single-field shape). Secondary lattices carry no owner cells or
-    /// edge labels — the cross-field checks of [`crate::multifield`] range
-    /// over their atom cross product at check time instead.
-    sec_atoms: Vec<AtomMap>,
-    /// Per-secondary-field bound reference counts — the `bound_refs`
-    /// bookkeeping, mirrored per field.
-    sec_bound_refs: Vec<HashMap<Bound, u32>>,
-    /// Per-secondary-field reclaimable-bound counters — the `reclaimable`
-    /// invariant, mirrored per field.
-    sec_reclaimable: Vec<usize>,
+    /// The §3.2.2 garbage-collection books of `atoms`: which bounds live
+    /// rules (and, on a shard, the clip) reference, and how many interior
+    /// bounds of `M` nothing references any more — maintained incrementally
+    /// so the compaction trigger is O(1) per update.
+    books: BoundRefs,
+    /// The secondary lattices with their books and the cross-field walk
+    /// kernel, when the configuration declares secondary header fields;
+    /// `None` for the paper's single-field shape.
+    mf: Option<MultiField>,
     /// Number of compaction passes run so far (explicit or threshold-
     /// triggered).
     compactions: usize,
@@ -227,11 +220,6 @@ pub struct DeltaNet {
     /// Scratch of the per-update loop check's successor walks, reused for
     /// the same reason (see [`loops::WalkScratch`]).
     walk_scratch: WalkScratch,
-    /// Its multi-field counterpart: the set-at-a-time kernel behind the
-    /// per-update check and the monitor repair of a multi-field engine,
-    /// with the class numbering derived from `sec_atoms` (re-derived
-    /// whenever those split or merge). Empty on a single-field engine.
-    class_walk: ClassWalk,
     /// When `Some(range)`, this engine owns only that contiguous slice of
     /// the address space: every applied rule interval is intersected with it
     /// before the update core runs. This is the per-shard building block of
@@ -247,33 +235,23 @@ pub struct DeltaNet {
 impl DeltaNet {
     /// Creates a checker over the given topology.
     pub fn new(topology: Topology, config: DeltaNetConfig) -> Self {
-        let link_count = topology.link_count();
-        let secondary = config.secondary_count();
-        let sec_atoms: Vec<AtomMap> = config.sec_widths[..secondary]
+        let secondary = config.sec_widths[..config.secondary_count()]
             .iter()
-            .map(|&w| AtomMap::new(w))
+            .map(|&width| (AtomMap::new(width), BoundRefs::default()))
             .collect();
-        DeltaNet {
-            class_walk: ClassWalk::new(&sec_atoms, topology.node_count()),
-            topology,
-            config,
+        DeltaNet::from_parts(EngineParts {
             atoms: AtomMap::new(config.field_width),
             owner: Owner::new(),
-            labels: Labels::with_links(link_count),
+            labels: Labels::with_links(topology.link_count()),
             rules: HashMap::new(),
-            bound_refs: HashMap::new(),
-            reclaimable: 0,
-            sec_atoms,
-            sec_bound_refs: vec![HashMap::new(); secondary],
-            sec_reclaimable: vec![0; secondary],
+            books: BoundRefs::default(),
+            secondary,
             compactions: 0,
-            last_delta: DeltaGraph::new(),
-            aggregate: None,
-            pair_scratch: Vec::with_capacity(2),
-            walk_scratch: WalkScratch::default(),
             clip: None,
             monitor: config.monitor_violations.then(ViolationMonitor::new),
-        }
+            topology,
+            config,
+        })
     }
 
     /// Creates a checker with the default configuration (IPv4, per-update
@@ -306,9 +284,8 @@ impl DeltaNet {
             "shard range {clip} outside field space [0 : {})",
             net.atoms.max_bound()
         );
+        net.books.acquire(&net.atoms, clip);
         net.atoms.create_atoms(clip);
-        *net.bound_refs.entry(clip.lo()).or_insert(0) += 1;
-        *net.bound_refs.entry(clip.hi()).or_insert(0) += 1;
         net.clip = Some(clip);
         net
     }
@@ -319,11 +296,12 @@ impl DeltaNet {
         self.clip
     }
 
-    /// The interval of `rule` this engine is responsible for: the rule's
-    /// interval intersected with the clip range, or the full interval for a
-    /// stand-alone engine.
-    fn clipped_interval(&self, rule: &Rule) -> Interval {
-        match self.clip {
+    /// The interval of `rule` an engine clipped to `clip` is responsible
+    /// for — and holds bound references on: the rule's interval intersected
+    /// with the clip range, or the full interval for a stand-alone engine.
+    /// Snapshot restore recomputes the books from these.
+    pub(crate) fn clipped_interval(clip: Option<Interval>, rule: &Rule) -> Interval {
+        match clip {
             Some(clip) => rule.interval().intersection(&clip),
             None => rule.interval(),
         }
@@ -342,13 +320,13 @@ impl DeltaNet {
     /// Whether this engine verifies a multi-field header space (at least
     /// one secondary field declared).
     pub fn is_multifield(&self) -> bool {
-        !self.sec_atoms.is_empty()
+        self.mf.is_some()
     }
 
     /// The secondary-field atom lattices, in field order (empty for the
     /// single-field shape).
     pub fn secondary_atoms(&self) -> &[AtomMap] {
-        &self.sec_atoms
+        self.mf.as_ref().map_or(&[], MultiField::atoms)
     }
 
     /// The header space this engine verifies, primary field first.
@@ -399,18 +377,17 @@ impl DeltaNet {
     /// created with [`DeltaNetConfig::monitor_violations`] start monitored
     /// without the scan.
     pub fn enable_monitor(&mut self) -> &ViolationMonitor {
-        let monitor = if self.is_multifield() {
-            // The same per-atom scan every later update repairs with, over
-            // every atom.
-            let mut walk = std::mem::take(&mut self.class_walk);
-            let view = self.mf_view();
-            let atoms = self.atoms.iter().map(|(atom, _)| atom);
-            let monitor =
-                ViolationMonitor::seeded(atoms, |atom, found| walk.scan_atom(&view, atom, found));
-            self.class_walk = walk;
-            monitor
-        } else {
-            self.fresh_monitor()
+        let monitor = match self.mf.as_mut() {
+            Some(mf) => {
+                let view = MfView {
+                    topology: &self.topology,
+                    owner: &self.owner,
+                    atoms: &self.atoms,
+                    rules: &self.rules,
+                };
+                mf.seed_monitor(&view)
+            }
+            None => self.fresh_monitor(),
         };
         self.monitor.insert(monitor)
     }
@@ -422,15 +399,12 @@ impl DeltaNet {
     /// and by snapshot restore to verify a persisted monitor against the
     /// reconstructed plane.
     pub(crate) fn fresh_monitor(&self) -> ViolationMonitor {
-        if self.is_multifield() {
-            let classes = multifield::sec_classes(&self.sec_atoms);
-            let view = self.mf_view();
-            ViolationMonitor::from_maps(
-                multifield::mf_cycles(&view, &classes),
-                multifield::mf_holes(&view, &classes),
-            )
-        } else {
-            ViolationMonitor::from_state(&self.topology, &self.labels, &self.atoms)
+        match &self.mf {
+            Some(mf) => {
+                let view = self.mf_view();
+                ViolationMonitor::from_maps(mf.scan_loops(&view), mf.scan_blackholes(&view))
+            }
+            None => ViolationMonitor::from_state(&self.topology, &self.labels, &self.atoms),
         }
     }
 
@@ -529,7 +503,7 @@ impl DeltaNet {
             "rule source does not match its link"
         );
 
-        let interval = self.clipped_interval(&rule);
+        let interval = Self::clipped_interval(self.clip, &rule);
         if interval.is_empty() {
             // Only reachable on a clipped engine: rule intervals are never
             // empty, so an empty clipped interval means no intersection.
@@ -548,18 +522,10 @@ impl DeltaNet {
     fn apply_insert(&mut self, rule: Rule, interval: Interval) -> UpdateReport {
         let mut delta = DeltaGraph::new();
 
-        // Garbage-collection bookkeeping (§3.2.2): a bound that is in `M`
-        // but referenced by no live rule was counted reclaimable; this rule
-        // revives it. Checked before `create_atoms_into` mutates `M`.
-        for bound in [interval.lo(), interval.hi()] {
-            if bound != 0
-                && bound != self.atoms.max_bound()
-                && !self.bound_refs.contains_key(&bound)
-                && self.atoms.contains_bound(bound)
-            {
-                self.reclaimable -= 1;
-            }
-        }
+        // Garbage-collection bookkeeping (§3.2.2): reference the rule's
+        // bounds — before `create_atoms_into` mutates `M`, so a bound that
+        // is in `M` but referenced by no live rule is seen being revived.
+        self.books.acquire(&self.atoms, interval);
 
         // Lines 2–9: create atoms and propagate splits to owners and labels.
         // The delta-pair buffer is engine-owned scratch; `labels` and `owner`
@@ -592,7 +558,7 @@ impl DeltaNet {
             let incumbent = rules.highest();
             rules.insert(rule.priority, rule.id, rule.link);
             // Equal priorities tie-break by rule id — the same order
-            // `RuleStore::highest()` uses, so the label update always agrees
+            // `SourceRules::highest()` uses, so the label update always agrees
             // with later `highest()` reads (splits, removals, queries).
             let wins = incumbent.map_or(true, |r_prime| {
                 (r_prime.priority, r_prime.id) < (rule.priority, rule.id)
@@ -618,29 +584,13 @@ impl DeltaNet {
             }
         }
 
-        // Secondary lattices: per constrained field, the same GC-revive +
-        // atom-split + bound bookkeeping as above — minus owner and label
-        // propagation, which secondary atoms do not carry.
-        for (field, &iv) in rule.sec.intervals().iter().enumerate() {
-            for bound in [iv.lo(), iv.hi()] {
-                if bound != 0
-                    && bound != self.sec_atoms[field].max_bound()
-                    && !self.sec_bound_refs[field].contains_key(&bound)
-                    && self.sec_atoms[field].contains_bound(bound)
-                {
-                    self.sec_reclaimable[field] -= 1;
-                }
-            }
-            for pair in self.sec_atoms[field].create_atoms(iv) {
-                delta.sec_split(field as u8, pair);
-            }
-            *self.sec_bound_refs[field].entry(iv.lo()).or_insert(0) += 1;
-            *self.sec_bound_refs[field].entry(iv.hi()).or_insert(0) += 1;
+        // Secondary lattices: per constrained field, the same bookkeeping
+        // and atom splits as above — minus owner and label propagation,
+        // which secondary atoms do not carry.
+        if let Some(mf) = self.mf.as_mut() {
+            mf.acquire(&rule.sec, &mut delta);
         }
 
-        // Bookkeeping.
-        *self.bound_refs.entry(interval.lo()).or_insert(0) += 1;
-        *self.bound_refs.entry(interval.hi()).or_insert(0) += 1;
         self.rules.insert(rule.id, rule);
 
         self.finish_update(delta, rule, interval, true)
@@ -668,7 +618,7 @@ impl DeltaNet {
         };
         // The same deterministic clipping as the insert path, so the removal
         // touches exactly the bounds and atoms the insertion created.
-        let interval = self.clipped_interval(&rule);
+        let interval = Self::clipped_interval(self.clip, &rule);
         let report = self.apply_remove(rule, interval);
         self.maybe_auto_compact();
         Ok(report)
@@ -707,34 +657,12 @@ impl DeltaNet {
             }
         }
 
-        // Garbage-collection bookkeeping (§3.2.2 remark): count bounds that
-        // no live rule uses any longer; they are what a compaction pass
-        // merges away.
-        for bound in [interval.lo(), interval.hi()] {
-            if let Some(count) = self.bound_refs.get_mut(&bound) {
-                *count -= 1;
-                if *count == 0 {
-                    self.bound_refs.remove(&bound);
-                    if bound != 0 && bound != self.atoms.max_bound() {
-                        self.reclaimable += 1;
-                    }
-                }
-            }
-        }
-
-        // Mirror bookkeeping for the secondary lattices.
-        for (field, &iv) in rule.sec.intervals().iter().enumerate() {
-            for bound in [iv.lo(), iv.hi()] {
-                if let Some(count) = self.sec_bound_refs[field].get_mut(&bound) {
-                    *count -= 1;
-                    if *count == 0 {
-                        self.sec_bound_refs[field].remove(&bound);
-                        if bound != 0 && bound != self.sec_atoms[field].max_bound() {
-                            self.sec_reclaimable[field] += 1;
-                        }
-                    }
-                }
-            }
+        // Garbage-collection bookkeeping (§3.2.2 remark): bounds that no
+        // live rule uses any longer become reclaimable; they are what a
+        // compaction pass merges away.
+        self.books.release(&self.atoms, interval);
+        if let Some(mf) = self.mf.as_mut() {
+            mf.release(&rule.sec);
         }
 
         self.finish_update(delta, rule, interval, false)
@@ -770,21 +698,14 @@ impl DeltaNet {
         // freed (upper) atom rides exactly one link per owning source — its
         // cell's highest rule's link — and the kept atom is already on those
         // links, because no live rule separates the two atoms.
-        let dead: Vec<Bound> = self
-            .atoms
-            .interior_bounds()
-            .filter(|b| !self.bound_refs.contains_key(b))
-            .collect();
-        for &bound in &dead {
-            let merge = self.atoms.remove_bound(bound).expect("dead bound is in M");
+        let merged = self.books.merge_dead(&mut self.atoms, |merge| {
             for (_source, rules) in self.owner.sources(merge.freed) {
                 if let Some(hp) = rules.highest() {
                     self.labels.remove(hp.link, merge.freed);
                 }
             }
             self.owner.clear_atom(merge.freed);
-        }
-        self.reclaimable = 0;
+        });
 
         // Phase 2 — renumber: dense ids again, every structure remapped in
         // lock-step. The monitor's violation sets are atom-id-keyed state
@@ -807,33 +728,11 @@ impl DeltaNet {
         }
 
         // Secondary lattices: the same merge + renumber per field.
-        // Secondary atom ids key no cross-structure state (no owner cells,
-        // labels, or monitor sets), so the per-field renumbering tables
-        // are discarded; only the walk kernel's class numbering follows
-        // the lattices. A merged-away class was rule-indistinguishable
-        // from its kept neighbour, so no monitored `∃ class` changes.
-        let mut sec_merged = 0;
-        for field in 0..self.sec_atoms.len() {
-            let dead: Vec<Bound> = self.sec_atoms[field]
-                .interior_bounds()
-                .filter(|b| !self.sec_bound_refs[field].contains_key(b))
-                .collect();
-            for &bound in &dead {
-                self.sec_atoms[field]
-                    .remove_bound(bound)
-                    .expect("dead bound is in the secondary lattice");
-            }
-            sec_merged += dead.len();
-            self.sec_reclaimable[field] = 0;
-            self.sec_atoms[field].renumber();
-        }
-        if sec_merged > 0 {
-            self.class_walk.reindex(&self.sec_atoms);
-        }
+        let sec_merged = self.mf.as_mut().map_or(0, MultiField::compact);
 
         self.compactions += 1;
         CompactReport {
-            merged_atoms: dead.len() + sec_merged,
+            merged_atoms: merged + sec_merged,
             allocated_before,
             allocated_after: self.atoms.allocated_atoms(),
             bytes_before,
@@ -853,56 +752,36 @@ impl DeltaNet {
         interval: Interval,
         was_insert: bool,
     ) -> UpdateReport {
-        let multifield = self.is_multifield();
-        if !delta.sec_splits.is_empty() {
-            self.class_walk.reindex(&self.sec_atoms);
-        }
-        // Disjoint-field borrows: the view stays immutable while the walk
-        // scratch and the monitor (separate fields) are repaired in place.
-        let view = MfView {
-            topology: &self.topology,
-            owner: &self.owner,
-            atoms: &self.atoms,
-            rules: &self.rules,
-        };
-        let violations = if !self.config.check_loops_per_update {
-            Vec::new()
-        } else if multifield {
-            // The label-seeded walk is unsound under cross-field
-            // intersection (labels are a primary-field projection, and a
-            // secondary-constrained update can close a loop without adding
-            // a single label bit). Seed from the one node whose forwarding
-            // the update changed instead — any new or dissolved loop must
-            // route through it, on atoms of the update's interval and
-            // secondary classes the rule admits.
-            let cycles = self.class_walk.loops_from_rule(&view, &rule, interval);
-            loops::into_violations(cycles, &self.atoms)
+        let check = self.config.check_loops_per_update;
+        let violations = if let Some(mf) = self.mf.as_mut() {
+            // Disjoint-field borrows: the view stays immutable while the
+            // walk kernel and the monitor (separate fields) are repaired in
+            // place.
+            let view = MfView {
+                topology: &self.topology,
+                owner: &self.owner,
+                atoms: &self.atoms,
+                rules: &self.rules,
+            };
+            let monitor = self.monitor.as_mut();
+            mf.finish_update(&view, &rule, interval, &delta.splits, check, monitor)
         } else {
-            loops::find_loops_from_seeds_in(
-                &mut self.walk_scratch,
-                &self.topology,
-                &self.labels,
-                &self.atoms,
-                &delta.added,
-            )
-        };
-        if let Some(monitor) = self.monitor.as_mut() {
-            if multifield {
-                // The update changed forwarding only at `rule.source` and
-                // only for the interval's atoms; split atoms (the one past
-                // the interval's high bound included) are recomputed,
-                // never inherited. Every other atom's tracked membership
-                // is still exact.
-                let touched = self
-                    .atoms
-                    .iter_atoms_of(interval)
-                    .chain(delta.splits.iter().map(|pair| pair.new));
-                let walk = &mut self.class_walk;
-                monitor.rescan_atoms(touched, |atom, found| walk.scan_atom(&view, atom, found));
+            let violations = if check {
+                loops::find_loops_from_seeds_in(
+                    &mut self.walk_scratch,
+                    &self.topology,
+                    &self.labels,
+                    &self.atoms,
+                    &delta.added,
+                )
             } else {
+                Vec::new()
+            };
+            if let Some(monitor) = self.monitor.as_mut() {
                 monitor.apply_update(&self.topology, &self.labels, &delta);
             }
-        }
+            violations
+        };
         let report = UpdateReport {
             rule_id: Some(rule.id),
             was_insert,
@@ -940,13 +819,7 @@ impl DeltaNet {
     /// secondary lattices. Maintained incrementally, so reading it — and
     /// the automatic compaction trigger built on it — is O(1).
     pub fn reclaimable_bounds(&self) -> usize {
-        self.reclaimable + self.sec_reclaimable.iter().sum::<usize>()
-    }
-
-    /// The primary-lattice share of [`DeltaNet::reclaimable_bounds`] —
-    /// persisted separately from the per-field secondary counters.
-    pub(crate) fn primary_reclaimable(&self) -> usize {
-        self.reclaimable
+        self.books.reclaimable() + self.mf.as_ref().map_or(0, MultiField::reclaimable)
     }
 
     /// Size of the atom-id table: the high-water mark of ids since the last
@@ -975,17 +848,8 @@ impl DeltaNet {
             + self.owner.live_bytes()
             + self.labels.live_bytes()
             + self.rules.len() * (std::mem::size_of::<RuleId>() + std::mem::size_of::<Rule>() + 8)
-            + self.bound_refs.len() * (std::mem::size_of::<Bound>() + 4 + 8)
-            + self
-                .sec_atoms
-                .iter()
-                .map(AtomMap::live_bytes)
-                .sum::<usize>()
-            + self
-                .sec_bound_refs
-                .iter()
-                .map(|refs| refs.len() * (std::mem::size_of::<Bound>() + 4 + 8))
-                .sum::<usize>()
+            + self.books.live_bytes()
+            + self.mf.as_ref().map_or(0, MultiField::live_bytes)
     }
 
     /// Checks the entire data plane for forwarding loops (not just the last
@@ -994,12 +858,9 @@ impl DeltaNet {
     /// [`crate::multifield`]; violations still report primary-field packet
     /// intervals (the union over all secondary classes that loop).
     pub fn check_all_loops(&self) -> Vec<netmodel::checker::InvariantViolation> {
-        if self.is_multifield() {
-            let classes = multifield::sec_classes(&self.sec_atoms);
-            let cycles = multifield::mf_cycles(&self.mf_view(), &classes);
-            loops::into_violations(cycles, &self.atoms)
-        } else {
-            loops::find_all_loops(&self.topology, &self.labels, &self.atoms)
+        match &self.mf {
+            Some(mf) => loops::into_violations(mf.scan_loops(&self.mf_view()), &self.atoms),
+            None => loops::find_all_loops(&self.topology, &self.labels, &self.atoms),
         }
     }
 
@@ -1009,27 +870,16 @@ impl DeltaNet {
     /// end-to-end through `deltanet replay --check blackholes`. Dispatches
     /// like [`DeltaNet::check_all_loops`] on a multi-field engine.
     pub fn check_all_blackholes(&self) -> Vec<netmodel::checker::InvariantViolation> {
-        if self.is_multifield() {
-            let classes = multifield::sec_classes(&self.sec_atoms);
-            let holes = multifield::mf_holes(&self.mf_view(), &classes);
-            crate::blackholes::render_blackholes(holes.iter().map(|(n, s)| (*n, s)), &self.atoms)
-        } else {
-            crate::blackholes::find_blackholes(&self.topology, &self.labels, &self.atoms)
+        match &self.mf {
+            Some(mf) => {
+                let holes = mf.scan_blackholes(&self.mf_view());
+                crate::blackholes::render_blackholes(
+                    holes.iter().map(|(n, s)| (*n, s)),
+                    &self.atoms,
+                )
+            }
+            None => crate::blackholes::find_blackholes(&self.topology, &self.labels, &self.atoms),
         }
-    }
-
-    /// The successor of `node` for an `atom`-packet, resolved through the
-    /// owner structure (`O(log M)` per hop, independent of out-degree).
-    /// Drop links are reported as-is; callers decide how to treat them.
-    pub fn successor_via_owner(
-        &self,
-        node: netmodel::topology::NodeId,
-        atom: AtomId,
-    ) -> Option<LinkId> {
-        self.owner
-            .get(atom, node)
-            .and_then(|bst| bst.highest())
-            .map(|r| r.link)
     }
 
     /// The what-if link-failure query (§4.3.2): which packets (atoms) are
@@ -1049,21 +899,7 @@ impl DeltaNet {
             }
         }
         let violations = if check_loops {
-            // On dense topologies (high out-degree) resolving the next hop
-            // through the owner BSTs beats scanning a node's out-links per
-            // hop; on sparse ones the label scan is cheaper.
-            let avg_out_degree = self.topology.link_count() / self.topology.node_count().max(1);
-            if avg_out_degree > 16 {
-                loops::find_loops_for_atoms_via(
-                    &self.topology,
-                    &self.labels,
-                    &self.atoms,
-                    affected,
-                    |node, atom| self.successor_via_owner(node, atom),
-                )
-            } else {
-                loops::find_loops_for_atoms(&self.topology, &self.labels, &self.atoms, affected)
-            }
+            loops::find_loops_for_atoms(&self.topology, &self.labels, &self.atoms, affected)
         } else {
             Vec::new()
         };
@@ -1083,17 +919,8 @@ impl DeltaNet {
             + self.labels.memory_bytes()
             + self.rules.capacity()
                 * (std::mem::size_of::<RuleId>() + std::mem::size_of::<Rule>() + 8)
-            + self.bound_refs.capacity() * (std::mem::size_of::<Bound>() + 4 + 8)
-            + self
-                .sec_atoms
-                .iter()
-                .map(AtomMap::memory_bytes)
-                .sum::<usize>()
-            + self
-                .sec_bound_refs
-                .iter()
-                .map(|refs| refs.capacity() * (std::mem::size_of::<Bound>() + 4 + 8))
-                .sum::<usize>()
+            + self.books.memory_bytes()
+            + self.mf.as_ref().map_or(0, MultiField::memory_bytes)
     }
 
     /// This engine's configuration.
@@ -1101,41 +928,29 @@ impl DeltaNet {
         self.config
     }
 
-    /// The bound reference counts of the §3.2.2 garbage-collection
-    /// bookkeeping (snapshot export).
-    pub(crate) fn bound_refs(&self) -> &HashMap<Bound, u32> {
-        &self.bound_refs
+    /// Every field's lattice with its §3.2.2 books, primary first
+    /// (snapshot export).
+    pub(crate) fn lattices(&self) -> impl Iterator<Item = (&AtomMap, &BoundRefs)> {
+        let secondary = self.mf.iter().flat_map(MultiField::lattices);
+        std::iter::once((&self.atoms, &self.books)).chain(secondary)
     }
 
-    /// Per-secondary-field bound reference counts (snapshot export).
-    pub(crate) fn sec_bound_refs(&self) -> &[HashMap<Bound, u32>] {
-        &self.sec_bound_refs
-    }
-
-    /// Per-secondary-field reclaimable-bound counters (snapshot export).
-    pub(crate) fn sec_reclaimable(&self) -> &[usize] {
-        &self.sec_reclaimable
-    }
-
-    /// Rebuilds an engine from snapshot parts. The parts must come from a
-    /// consistent export of one engine: `bound_refs` already contains the
-    /// clip pins of a shard (so this constructor must *not* re-seed them the
-    /// way [`DeltaNet::clipped`] does), and `reclaimable`/`compactions`
-    /// carry the exported counters verbatim.
-    pub(crate) fn from_restored(parts: RestoredParts) -> DeltaNet {
+    /// Assembles an engine from its persistent parts — empty ones for a new
+    /// engine, a snapshot's for a restored one — around fresh transient
+    /// state. Restored parts must come from a consistent export of one
+    /// engine: `books` already contains the clip pins of a shard (so this
+    /// constructor must *not* re-seed them the way [`DeltaNet::clipped`]
+    /// does), and `compactions` carries the exported counter verbatim.
+    pub(crate) fn from_parts(parts: EngineParts) -> DeltaNet {
         DeltaNet {
-            class_walk: ClassWalk::new(&parts.sec_atoms, parts.topology.node_count()),
+            mf: MultiField::new(parts.secondary, parts.topology.node_count()),
             topology: parts.topology,
             config: parts.config,
             atoms: parts.atoms,
             owner: parts.owner,
             labels: parts.labels,
             rules: parts.rules,
-            bound_refs: parts.bound_refs,
-            reclaimable: parts.reclaimable,
-            sec_atoms: parts.sec_atoms,
-            sec_bound_refs: parts.sec_bound_refs,
-            sec_reclaimable: parts.sec_reclaimable,
+            books: parts.books,
             compactions: parts.compactions,
             last_delta: DeltaGraph::new(),
             aggregate: None,
@@ -1147,12 +962,12 @@ impl DeltaNet {
     }
 }
 
-/// The deserialized pieces of one engine, handed to
-/// [`DeltaNet::from_restored`] by the snapshot restore path
+/// The persistent pieces of one engine, handed to [`DeltaNet::from_parts`]
+/// by [`DeltaNet::new`] and by the snapshot restore path
 /// ([`crate::persist`]). Transient per-update state (last delta-graph, open
 /// aggregation window, scratch buffers) is intentionally absent: a snapshot
 /// is only taken between updates, where that state is empty.
-pub(crate) struct RestoredParts {
+pub(crate) struct EngineParts {
     pub topology: Topology,
     pub config: DeltaNetConfig,
     pub clip: Option<Interval>,
@@ -1160,11 +975,9 @@ pub(crate) struct RestoredParts {
     pub owner: Owner,
     pub labels: Labels,
     pub rules: HashMap<RuleId, Rule>,
-    pub bound_refs: HashMap<Bound, u32>,
-    pub reclaimable: usize,
-    pub sec_atoms: Vec<AtomMap>,
-    pub sec_bound_refs: Vec<HashMap<Bound, u32>>,
-    pub sec_reclaimable: Vec<usize>,
+    pub books: BoundRefs,
+    /// Per secondary field, its lattice and books.
+    pub secondary: Vec<(AtomMap, BoundRefs)>,
     pub compactions: usize,
     pub monitor: Option<ViolationMonitor>,
 }
@@ -1610,9 +1423,14 @@ mod tests {
     fn equal_priority_tie_breaks_by_rule_id_like_the_owner_store() {
         // Two equal-priority overlapping rules at one switch: the insert-time
         // `wins` predicate must pick the same winner as
-        // `RuleStore::highest()` (higher rule id), or labels and owner reads
+        // `SourceRules::highest()` (higher rule id), or labels and owner reads
         // diverge on later splits/removals.
         let mut ex = paper_example();
+        let s1 = ex.s[1];
+        let owner_link = |net: &DeltaNet, atom| {
+            let cell = net.owner().get(atom, s1)?;
+            cell.highest().map(|rule| rule.link)
+        };
         let lo_id = Rule::forward(RuleId(3), IpPrefix::new(0, 28, 32), 10, ex.s[1], ex.l12);
         let hi_id = Rule::forward(RuleId(9), IpPrefix::new(0, 28, 32), 10, ex.s[1], ex.l14);
         ex.net.insert_rule(lo_id);
@@ -1622,14 +1440,14 @@ mod tests {
         for a in ex.net.atoms().atoms_of(hi_id.interval()) {
             assert!(ex.net.label(ex.l14).contains(a), "labels disagree on {a:?}");
             assert!(!ex.net.label(ex.l12).contains(a));
-            assert_eq!(ex.net.successor_via_owner(ex.s[1], a), Some(ex.l14));
+            assert_eq!(owner_link(&ex.net, a), Some(ex.l14));
         }
         // Removing the winner hands ownership back, consistently again.
         ex.net.remove_rule(RuleId(9));
         for a in ex.net.atoms().atoms_of(lo_id.interval()) {
             assert!(ex.net.label(ex.l12).contains(a));
             assert!(!ex.net.label(ex.l14).contains(a));
-            assert_eq!(ex.net.successor_via_owner(ex.s[1], a), Some(ex.l12));
+            assert_eq!(owner_link(&ex.net, a), Some(ex.l12));
         }
         // Insertion order must not matter.
         let mut other = paper_example();
@@ -1917,19 +1735,30 @@ mod tests {
     fn reclaimable_counter_matches_first_principles_recount() {
         // The O(1) counter must agree with a from-scratch recount (interior
         // bounds of M not used by any live rule) through arbitrary churn.
+        // Per lattice — the primary and every secondary field — so the
+        // per-field sum in `reclaimable_bounds()` is checked too.
+        let recount = |net: &DeltaNet| {
+            let dead = |atoms: &AtomMap, held: Vec<Interval>| {
+                let referenced: std::collections::HashSet<u128> =
+                    held.iter().flat_map(|iv| [iv.lo(), iv.hi()]).collect();
+                atoms
+                    .interior_bounds()
+                    .filter(|b| !referenced.contains(b))
+                    .count()
+            };
+            let secondary = net.secondary_atoms().iter().enumerate();
+            dead(net.atoms(), net.rules().map(Rule::interval).collect())
+                + secondary
+                    .map(|(field, atoms)| {
+                        dead(
+                            atoms,
+                            net.rules().filter_map(|r| r.sec.get(field)).collect(),
+                        )
+                    })
+                    .sum::<usize>()
+        };
         let mut ex = paper_example();
         let (r1, r2, r3, r4) = figure2_rules(&ex);
-        let recount = |net: &DeltaNet| {
-            let referenced: std::collections::HashSet<u128> = net
-                .rules()
-                .flat_map(|r| [r.interval().lo(), r.interval().hi()])
-                .filter(|&b| b != 0 && b != net.atoms().max_bound())
-                .collect();
-            net.atoms()
-                .interior_bounds()
-                .filter(|b| !referenced.contains(b))
-                .count()
-        };
         for r in [r1, r2, r3, r4] {
             ex.net.insert_rule(r);
             assert_eq!(ex.net.reclaimable_bounds(), recount(&ex.net));
@@ -1941,6 +1770,38 @@ mod tests {
         // Re-inserting a rule over dead bounds revives them.
         ex.net.insert_rule(r2);
         assert_eq!(ex.net.reclaimable_bounds(), recount(&ex.net));
+
+        // The same rules on a `dst × 8 × 6` engine, constraining neither,
+        // one or both secondary fields, with a compaction on the way.
+        use netmodel::header::SecondaryMatch;
+        let topology = ex.net.topology().clone();
+        let config = DeltaNetConfig::default().with_secondary(&[8, 6]);
+        let mut net = DeltaNet::new(topology, config);
+        let sec = [
+            SecondaryMatch::new(&[Interval::new(16, 32), Interval::new(0, 8)]),
+            SecondaryMatch::new(&[Interval::new(16, 64)]),
+            SecondaryMatch::default(),
+            SecondaryMatch::new(&[Interval::new(32, 64), Interval::new(8, 24)]),
+        ];
+        let rules = [r1, r2, r3, r4].map(|r| r.with_secondary(sec[r.id.0 as usize - 1]));
+        for steps in [[0, 1, 2, 3], [1, 3, 0, 2]] {
+            for i in steps {
+                net.insert_rule(rules[i]);
+                assert_eq!(net.reclaimable_bounds(), recount(&net));
+            }
+            for i in [1, 3, 0, 2] {
+                net.remove_rule(rules[i].id);
+                assert_eq!(net.reclaimable_bounds(), recount(&net));
+                if i == 3 {
+                    assert!(
+                        net.reclaimable_bounds() > 2,
+                        "both kinds of lattice hold dead bounds"
+                    );
+                    net.compact();
+                    assert_eq!(net.reclaimable_bounds(), 0);
+                }
+            }
+        }
     }
 
     #[test]

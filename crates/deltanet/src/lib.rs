@@ -8,12 +8,14 @@
 //!
 //! The building blocks follow the paper closely:
 //!
-//! * [`atoms`] — the ordered bound map `M` and atom splitting (§3.1).
+//! * [`atoms`] — the ordered bound map `M` and atom splitting (§3.1), and
+//!   [`atoms::BoundRefs`], the §3.2.2 garbage-collection books kept beside
+//!   every `M` — the primary field's and each secondary field's alike.
 //! * [`atomset`] — dynamic bitsets of atoms, used for edge labels (§4.1).
 //! * [`owner`] — per-atom, per-switch priority-ordered rule stores (§3.2),
 //!   flattened into an arena of inline sorted small-vecs for the update hot
-//!   path (the paper's BSTs survive as [`owner::legacy`] for differential
-//!   testing).
+//!   path (the paper's BSTs survive as the `BTreeMap` model in `testutil`
+//!   the arena is differentially tested against).
 //! * [`labels`] — the edge labels of the network-wide graph (§3.2).
 //! * [`engine`] — Algorithms 1 and 2 and the [`DeltaNet`] checker.
 //! * [`delta_graph`] — per-update delta-graphs (§3.3).
@@ -22,9 +24,11 @@
 //!   has no rule for it).
 //! * [`monitor`] — [`ViolationMonitor`]: loops and blackholes maintained as
 //!   live state, repaired incrementally from every update's delta-graph.
-//! * [`multifield`] — cross-field loop/blackhole checks for engines whose
-//!   header space declares secondary fields next to the primary one
-//!   (`[dst, src]`-style matching; [`DeltaNetConfig::with_secondary`]).
+//! * [`multifield`] — the one component a multi-field engine holds beyond
+//!   the single-field state (secondary lattices, their books, the
+//!   cross-field loop/blackhole walk kernel), for header spaces declaring
+//!   secondary fields next to the primary one (`[dst, src]`-style
+//!   matching; [`DeltaNetConfig::with_secondary`]).
 //! * [`parallel`] — parallel bulk queries and the shared [`Parallelism`]
 //!   worker-count configuration (the §6 future-work direction).
 //! * [`fault`] — the [`StorageBackend`] abstraction all persistence I/O

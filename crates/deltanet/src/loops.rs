@@ -218,34 +218,15 @@ pub fn find_loops_for_atoms(
     atoms: &AtomMap,
     candidates: &AtomSet,
 ) -> Vec<InvariantViolation> {
-    find_loops_for_atoms_via(topology, labels, atoms, candidates, |node, atom| {
-        successor(topology, labels, node, atom)
-    })
-}
-
-/// Like [`find_loops_for_atoms`], but with a caller-supplied successor
-/// function. The [`DeltaNet`](crate::DeltaNet) engine passes an owner-based
-/// successor here, which resolves the next hop in `O(log M)` independent of
-/// a switch's out-degree — important on dense ISP topologies where scanning
-/// a node's out-links per hop dominates the what-if `+Loops` query.
-pub fn find_loops_for_atoms_via<F>(
-    topology: &Topology,
-    labels: &Labels,
-    atoms: &AtomMap,
-    candidates: &AtomSet,
-    succ: F,
-) -> Vec<InvariantViolation>
-where
-    F: Fn(NodeId, AtomId) -> Option<LinkId>,
-{
+    let succ = |node, atom| successor(topology, labels, node, atom);
     into_violations(
         cycles_for_atoms_via(topology, labels, candidates, succ),
         atoms,
     )
 }
 
-/// The cycle-level core of [`find_loops_for_atoms_via`]: every forwarding
-/// cycle any candidate atom traverses.
+/// The cycle-level core of [`find_loops_for_atoms`], with a caller-supplied
+/// successor function: every forwarding cycle any candidate atom traverses.
 pub(crate) fn cycles_for_atoms_via<F>(
     topology: &Topology,
     labels: &Labels,

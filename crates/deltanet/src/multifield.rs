@@ -13,8 +13,11 @@
 //! This mirrors the layering argument in the Delta-net paper (§5): the
 //! one-dimensional atom machinery is the workhorse, and additional header
 //! fields multiply the classes that machinery is consulted for, rather than
-//! multiplying the machinery itself. The single-field hot path never enters
-//! this module.
+//! multiplying the machinery itself. Everything a multi-field engine keeps
+//! beyond the single-field state — the secondary lattices, their §3.2.2
+//! books and the walk kernel — is one [`MultiField`], which the engine holds
+//! as an `Option`: `None` on a single-field engine, whose hot path
+//! therefore never enters this module.
 //!
 //! ## Two implementations of one predicate
 //!
@@ -70,10 +73,13 @@
 //!   retires secondary bounds — is cheaper and simpler than maintaining
 //!   N-dimensional owner state.
 
-use crate::atoms::{AtomId, AtomMap};
+use crate::atoms::{AtomId, AtomMap, BoundRefs, DeltaPair};
 use crate::atomset::AtomSet;
+use crate::delta_graph::DeltaGraph;
 use crate::loops::{self, canonicalize, CycleMap};
+use crate::monitor::ViolationMonitor;
 use crate::owner::{Owner, SourceRules};
+use netmodel::checker::InvariantViolation;
 use netmodel::header::{SecondaryMatch, MAX_SECONDARY_FIELDS};
 use netmodel::interval::{Bound, Interval};
 use netmodel::rule::{Rule, RuleId};
@@ -336,8 +342,8 @@ struct Frame {
 /// `ClassWalk::pos` of a node off the current path.
 const OFF_PATH: u32 = u32::MAX;
 
-/// The set-at-a-time kernel and its scratch, owned by the engine next to
-/// the single-field walk scratch so the steady state allocates nothing.
+/// The set-at-a-time kernel and its scratch, owned by the engine's
+/// [`MultiField`] so the steady state allocates nothing.
 ///
 /// A class set is a bitset of `words` words over the secondary classes,
 /// numbered by mixed-radix rank (`r1 · n0 + r0`, `r_f` the position of the
@@ -414,16 +420,15 @@ fn row(i: usize, words: usize) -> Range<usize> {
 
 impl ClassWalk {
     /// Scratch for an engine over `nodes` nodes with the given secondary
-    /// lattices. A single-field engine never walks; its scratch stays
-    /// empty.
+    /// lattices.
     pub(crate) fn new(sec_atoms: &[AtomMap], nodes: usize) -> Self {
-        let mut walk = ClassWalk::default();
-        if !sec_atoms.is_empty() {
-            walk.stamp = vec![0; nodes];
-            walk.groups_of = vec![(0, 0); nodes];
-            walk.pos = vec![OFF_PATH; nodes];
-            walk.reindex(sec_atoms);
-        }
+        let mut walk = ClassWalk {
+            stamp: vec![0; nodes],
+            groups_of: vec![(0, 0); nodes],
+            pos: vec![OFF_PATH; nodes],
+            ..ClassWalk::default()
+        };
+        walk.reindex(sec_atoms);
         walk
     }
 
@@ -658,6 +663,169 @@ impl ClassWalk {
             });
         }
         cycles
+    }
+}
+
+/// The multi-field half of an engine: one interval lattice and its §3.2.2
+/// books per declared secondary field, and the walk kernel whose class
+/// numbering follows them. Secondary lattices carry no owner cells or edge
+/// labels and their atom ids key no cross-structure state, so everything
+/// here is self-contained; the methods below are the engine's only entry
+/// points into this module.
+#[derive(Clone, Debug)]
+pub(crate) struct MultiField {
+    /// The secondary lattices, in field order. Parallel to `books` rather
+    /// than paired with them because the engine hands the slice out
+    /// ([`crate::DeltaNet::secondary_atoms`]).
+    atoms: Vec<AtomMap>,
+    books: Vec<BoundRefs>,
+    walk: ClassWalk,
+}
+
+impl MultiField {
+    /// The component over the given per-field `(lattice, books)` pairs —
+    /// fresh ones for a new engine, restored ones from a snapshot — for a
+    /// topology of `nodes` nodes. `None` when no secondary field is
+    /// declared.
+    pub(crate) fn new(lattices: Vec<(AtomMap, BoundRefs)>, nodes: usize) -> Option<MultiField> {
+        if lattices.is_empty() {
+            return None;
+        }
+        let (atoms, books): (Vec<_>, Vec<_>) = lattices.into_iter().unzip();
+        Some(MultiField {
+            walk: ClassWalk::new(&atoms, nodes),
+            atoms,
+            books,
+        })
+    }
+
+    /// The secondary lattices, in field order.
+    pub(crate) fn atoms(&self) -> &[AtomMap] {
+        &self.atoms
+    }
+
+    /// Each lattice with its books, in field order (snapshot export).
+    pub(crate) fn lattices(&self) -> impl Iterator<Item = (&AtomMap, &BoundRefs)> {
+        self.atoms.iter().zip(&self.books)
+    }
+
+    /// The insert half of an update: per constrained field, reference the
+    /// rule's bounds and create its atoms, recording the splits in `delta`.
+    /// Classes are renumbered when anything split — the only time an insert
+    /// can move a class's rank.
+    pub(crate) fn acquire(&mut self, sec: &SecondaryMatch, delta: &mut DeltaGraph) {
+        for (field, &interval) in sec.intervals().iter().enumerate() {
+            self.books[field].acquire(&self.atoms[field], interval);
+            for pair in self.atoms[field].create_atoms(interval) {
+                delta.sec_split(field as u8, pair);
+            }
+        }
+        if !delta.sec_splits.is_empty() {
+            self.walk.reindex(&self.atoms);
+        }
+    }
+
+    /// The remove half: drop the rule's references; its bounds stay in the
+    /// lattices until [`MultiField::compact`].
+    pub(crate) fn release(&mut self, sec: &SecondaryMatch) {
+        for (field, &interval) in sec.intervals().iter().enumerate() {
+            self.books[field].release(&self.atoms[field], interval);
+        }
+    }
+
+    /// The secondary share of a compaction pass: merge and renumber every
+    /// lattice, returning the number of atoms merged away. The per-field
+    /// renumbering tables are discarded — only the walk kernel's class
+    /// numbering follows the lattices. A merged-away class was
+    /// rule-indistinguishable from its kept neighbour, so no monitored
+    /// `∃ class` changes.
+    pub(crate) fn compact(&mut self) -> usize {
+        let mut merged = 0;
+        for (atoms, books) in self.atoms.iter_mut().zip(&mut self.books) {
+            merged += books.merge_dead(atoms, |_| {});
+            atoms.renumber();
+        }
+        if merged > 0 {
+            self.walk.reindex(&self.atoms);
+        }
+        merged
+    }
+
+    /// Unreferenced interior bounds across all secondary lattices.
+    pub(crate) fn reclaimable(&self) -> usize {
+        self.books.iter().map(BoundRefs::reclaimable).sum()
+    }
+
+    /// Heap bytes addressed by live entries of the lattices and books (the
+    /// walk scratch is derived state and excluded, see
+    /// [`crate::DeltaNet::live_bytes`]).
+    pub(crate) fn live_bytes(&self) -> usize {
+        self.lattices()
+            .map(|(atoms, books)| atoms.live_bytes() + books.live_bytes())
+            .sum()
+    }
+
+    /// Estimated heap usage of the lattices and books.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.lattices()
+            .map(|(atoms, books)| atoms.memory_bytes() + books.memory_bytes())
+            .sum()
+    }
+
+    /// The tail of one update: the per-update loop check (when `check`),
+    /// then the repair of `monitor` — see the repair contract in the module
+    /// docs. `interval` is the (clip-adjusted) interval the update ran on
+    /// and `splits` the primary atoms it split.
+    pub(crate) fn finish_update(
+        &mut self,
+        view: &MfView<'_>,
+        rule: &Rule,
+        interval: Interval,
+        splits: &[DeltaPair],
+        check: bool,
+        monitor: Option<&mut ViolationMonitor>,
+    ) -> Vec<InvariantViolation> {
+        // The single-field engine's label-seeded walk is unsound under
+        // cross-field intersection (labels are a primary-field projection,
+        // and a secondary-constrained update can close a loop without
+        // adding a single label bit), so the check is seeded from the rule.
+        let violations = if check {
+            let cycles = self.walk.loops_from_rule(view, rule, interval);
+            loops::into_violations(cycles, view.atoms)
+        } else {
+            Vec::new()
+        };
+        if let Some(monitor) = monitor {
+            // What the update can have changed (the repair contract): the
+            // interval's atoms and the split atoms, the one past the
+            // interval's high bound included.
+            let touched = view
+                .atoms
+                .iter_atoms_of(interval)
+                .chain(splits.iter().map(|pair| pair.new));
+            let walk = &mut self.walk;
+            monitor.rescan_atoms(touched, |atom, found| walk.scan_atom(view, atom, found));
+        }
+        violations
+    }
+
+    /// A monitor seeded from the current plane by the same per-atom scan
+    /// every later update repairs with, over every atom.
+    pub(crate) fn seed_monitor(&mut self, view: &MfView<'_>) -> ViolationMonitor {
+        let walk = &mut self.walk;
+        let atoms = view.atoms.iter().map(|(atom, _)| atom);
+        ViolationMonitor::seeded(atoms, |atom, found| walk.scan_atom(view, atom, found))
+    }
+
+    /// Full-plane loop scan, tuple at a time ([`mf_cycles`]) — independent
+    /// of the kernel that maintains the live monitor.
+    pub(crate) fn scan_loops(&self, view: &MfView<'_>) -> BTreeMap<Vec<NodeId>, AtomSet> {
+        mf_cycles(view, &sec_classes(&self.atoms))
+    }
+
+    /// Full-plane blackhole scan, tuple at a time ([`mf_holes`]).
+    pub(crate) fn scan_blackholes(&self, view: &MfView<'_>) -> BTreeMap<NodeId, AtomSet> {
+        mf_holes(view, &sec_classes(&self.atoms))
     }
 }
 

@@ -24,10 +24,9 @@
 //!   Algorithm 1 (`owner[α'] ← owner[α]` on an atom split) is a single
 //!   vector clone with no rehashing and no per-entry tree allocations.
 //!
-//! The original tree-of-trees representation is preserved in [`legacy`] —
-//! both implement [`RuleStore`], so the differential tests in
-//! `tests/atom_invariants.rs` can drive identical traces through old and
-//! new and compare outcomes.
+//! The differential tests in `tests/atom_invariants.rs` drive identical
+//! traces through this arena and a `BTreeMap` model of the paper's
+//! tree-of-trees (`testutil::OwnerModel`) and compare outcomes.
 
 use crate::atoms::AtomId;
 use netmodel::rule::{Priority, RuleId};
@@ -62,36 +61,6 @@ impl OwnedRule {
     fn key(&self) -> (Priority, RuleId) {
         (self.priority, self.id)
     }
-}
-
-/// The common interface of the per-`(atom, switch)` rule containers: ordered
-/// by `(priority, rule-id)`, supporting arbitrary removal and a
-/// highest-priority query. Implemented by the small-vec [`SourceRules`]
-/// (production) and the BTreeMap [`legacy::BTreeSourceRules`] (reference),
-/// so property tests can drive identical traces through both.
-pub trait RuleStore: Default {
-    /// Inserts a rule.
-    fn insert(&mut self, priority: Priority, id: RuleId, link: LinkId);
-
-    /// Removes a rule; returns whether it was present.
-    fn remove(&mut self, priority: Priority, id: RuleId) -> bool;
-
-    /// The highest-priority rule, if any (`bst.highest_priority_rule()`).
-    fn highest(&self) -> Option<OwnedRule>;
-
-    /// Whether the given rule is stored here (`r ∈ bst`).
-    fn contains(&self, priority: Priority, id: RuleId) -> bool;
-
-    /// Number of rules at this switch containing the atom.
-    fn len(&self) -> usize;
-
-    /// Whether no rule at this switch contains the atom.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Iterates `(priority, id, link)` in increasing `(priority, id)` order.
-    fn iter(&self) -> impl Iterator<Item = OwnedRule> + '_;
 }
 
 /// The rules of one switch that contain a given atom, ordered by priority.
@@ -225,11 +194,10 @@ impl SourceRules {
             })
         }
     }
-}
 
-impl RuleStore for SourceRules {
+    /// Inserts a rule.
     #[inline]
-    fn insert(&mut self, priority: Priority, id: RuleId, link: LinkId) {
+    pub fn insert(&mut self, priority: Priority, id: RuleId, link: LinkId) {
         let entry = OwnedRule { priority, id, link };
         match self.search(priority, id) {
             // Same key: replace the link, matching BTreeMap::insert.
@@ -255,8 +223,9 @@ impl RuleStore for SourceRules {
         }
     }
 
+    /// Removes a rule; returns whether it was present.
     #[inline]
-    fn remove(&mut self, priority: Priority, id: RuleId) -> bool {
+    pub fn remove(&mut self, priority: Priority, id: RuleId) -> bool {
         match self.search(priority, id) {
             Ok(pos) => {
                 if self.inline_len == SPILLED {
@@ -277,18 +246,21 @@ impl RuleStore for SourceRules {
         }
     }
 
+    /// The highest-priority rule, if any (`bst.highest_priority_rule()`).
     #[inline]
-    fn highest(&self) -> Option<OwnedRule> {
+    pub fn highest(&self) -> Option<OwnedRule> {
         self.as_slice().last().copied()
     }
 
+    /// Whether the given rule is stored here (`r ∈ bst`).
     #[inline]
-    fn contains(&self, priority: Priority, id: RuleId) -> bool {
+    pub fn contains(&self, priority: Priority, id: RuleId) -> bool {
         self.search(priority, id).is_ok()
     }
 
+    /// Number of rules at this switch containing the atom.
     #[inline]
-    fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         if self.inline_len == SPILLED {
             self.spill.len()
         } else {
@@ -296,54 +268,16 @@ impl RuleStore for SourceRules {
         }
     }
 
-    fn iter(&self) -> impl Iterator<Item = OwnedRule> + '_ {
-        self.as_slice().iter().copied()
-    }
-}
-
-// Inherent forwarders so call sites (engine, tests) don't need the trait in
-// scope; they compile to the same code.
-impl SourceRules {
-    /// Inserts a rule (see [`RuleStore::insert`]).
-    #[inline]
-    pub fn insert(&mut self, priority: Priority, id: RuleId, link: LinkId) {
-        RuleStore::insert(self, priority, id, link);
-    }
-
-    /// Removes a rule; returns whether it was present.
-    #[inline]
-    pub fn remove(&mut self, priority: Priority, id: RuleId) -> bool {
-        RuleStore::remove(self, priority, id)
-    }
-
-    /// The highest-priority rule, if any.
-    #[inline]
-    pub fn highest(&self) -> Option<OwnedRule> {
-        RuleStore::highest(self)
-    }
-
-    /// Whether the given rule is stored here.
-    #[inline]
-    pub fn contains(&self, priority: Priority, id: RuleId) -> bool {
-        RuleStore::contains(self, priority, id)
-    }
-
-    /// Number of rules at this switch containing the atom.
-    #[inline]
-    pub fn len(&self) -> usize {
-        RuleStore::len(self)
-    }
-
     /// Whether no rule at this switch contains the atom.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        RuleStore::is_empty(self)
+        self.len() == 0
     }
 
-    /// Iterates `(priority, id, link)` in increasing priority order.
+    /// Iterates `(priority, id, link)` in increasing `(priority, id)` order.
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = OwnedRule> + '_ {
-        RuleStore::iter(self)
+        self.as_slice().iter().copied()
     }
 }
 
@@ -576,151 +510,6 @@ impl Owner {
     }
 }
 
-pub mod legacy {
-    //! The pre-arena owner representation — `HashMap` of `BTreeMap`s — kept
-    //! as the reference implementation for the differential property
-    //! tests. Not used by the engine.
-
-    use super::{OwnedRule, RuleStore};
-    use crate::atoms::AtomId;
-    use netmodel::rule::{Priority, RuleId};
-    use netmodel::topology::{LinkId, NodeId};
-    use std::collections::{BTreeMap, HashMap};
-
-    /// The original BTreeMap-backed per-`(atom, switch)` rule container.
-    #[derive(Clone, Debug, Default, PartialEq, Eq)]
-    pub struct BTreeSourceRules {
-        bst: BTreeMap<(Priority, RuleId), LinkId>,
-    }
-
-    impl RuleStore for BTreeSourceRules {
-        #[inline]
-        fn insert(&mut self, priority: Priority, id: RuleId, link: LinkId) {
-            self.bst.insert((priority, id), link);
-        }
-
-        #[inline]
-        fn remove(&mut self, priority: Priority, id: RuleId) -> bool {
-            self.bst.remove(&(priority, id)).is_some()
-        }
-
-        #[inline]
-        fn highest(&self) -> Option<OwnedRule> {
-            self.bst
-                .iter()
-                .next_back()
-                .map(|(&(priority, id), &link)| OwnedRule { priority, id, link })
-        }
-
-        #[inline]
-        fn contains(&self, priority: Priority, id: RuleId) -> bool {
-            self.bst.contains_key(&(priority, id))
-        }
-
-        #[inline]
-        fn len(&self) -> usize {
-            self.bst.len()
-        }
-
-        fn iter(&self) -> impl Iterator<Item = OwnedRule> + '_ {
-            self.bst
-                .iter()
-                .map(|(&(priority, id), &link)| OwnedRule { priority, id, link })
-        }
-    }
-
-    /// The original owner layout: one hash table per atom, one BST per
-    /// source. Mirrors the subset of [`super::Owner`]'s API the engine's
-    /// update loops need, so a test can replay the same trace through both
-    /// representations.
-    #[derive(Clone, Debug, Default)]
-    pub struct HashOwner {
-        per_atom: Vec<HashMap<NodeId, BTreeSourceRules>>,
-    }
-
-    impl HashOwner {
-        /// Creates an empty owner structure.
-        pub fn new() -> Self {
-            HashOwner::default()
-        }
-
-        /// Makes sure `owner[atom]` exists (as an empty table).
-        pub fn ensure_atom(&mut self, atom: AtomId) {
-            if atom.index() >= self.per_atom.len() {
-                self.per_atom.resize_with(atom.index() + 1, HashMap::new);
-            }
-        }
-
-        /// `owner[new] ← owner[old]`: the deep clone the arena replaces.
-        pub fn clone_atom(&mut self, old: AtomId, new: AtomId) {
-            self.ensure_atom(new.max(old));
-            let copied = self.per_atom[old.index()].clone();
-            self.per_atom[new.index()] = copied;
-        }
-
-        /// Frees an atom's table (compaction merge), mirroring
-        /// [`super::Owner::clear_atom`].
-        pub fn clear_atom(&mut self, atom: AtomId) {
-            if let Some(table) = self.per_atom.get_mut(atom.index()) {
-                *table = HashMap::new();
-            }
-        }
-
-        /// Applies a compaction remapping, mirroring [`super::Owner::remap`]
-        /// so differential tests can drive identical compaction traces
-        /// through both layouts.
-        pub fn remap(&mut self, remap: &[u32], new_len: usize) {
-            let old = std::mem::take(&mut self.per_atom);
-            self.per_atom.resize_with(new_len, HashMap::new);
-            for (old_index, table) in old.into_iter().enumerate() {
-                if table.is_empty() {
-                    continue;
-                }
-                let new = remap
-                    .get(old_index)
-                    .copied()
-                    .unwrap_or(crate::atoms::REMAP_DEAD);
-                assert!(
-                    new != crate::atoms::REMAP_DEAD,
-                    "owner cells survive for reclaimed atom α{old_index}"
-                );
-                self.per_atom[new as usize] = table;
-            }
-        }
-
-        /// Read-only access to one cell.
-        pub fn get(&self, atom: AtomId, source: NodeId) -> Option<&BTreeSourceRules> {
-            self.per_atom.get(atom.index())?.get(&source)
-        }
-
-        /// Mutable access, creating the cell on first use.
-        pub fn get_mut(&mut self, atom: AtomId, source: NodeId) -> &mut BTreeSourceRules {
-            self.ensure_atom(atom);
-            self.per_atom[atom.index()].entry(source).or_default()
-        }
-
-        /// Iterates `(source, rules)` pairs for one atom (hash order).
-        pub fn sources(
-            &self,
-            atom: AtomId,
-        ) -> impl Iterator<Item = (NodeId, &BTreeSourceRules)> + '_ {
-            self.per_atom
-                .get(atom.index())
-                .into_iter()
-                .flat_map(|m| m.iter().map(|(&n, r)| (n, r)))
-        }
-
-        /// Total number of `(atom, source, rule)` entries.
-        pub fn total_entries(&self) -> usize {
-            self.per_atom
-                .iter()
-                .flat_map(|m| m.values())
-                .map(RuleStore::len)
-                .sum()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -924,53 +713,5 @@ mod tests {
         let mut o = Owner::new();
         o.get_mut(AtomId(1), NodeId(0)).insert(5, rid(1), LinkId(0));
         o.remap(&[0, u32::MAX], 1);
-    }
-
-    #[test]
-    fn legacy_owner_clear_and_remap_mirror_arena() {
-        let mut o = legacy::HashOwner::new();
-        o.get_mut(AtomId(0), NodeId(1)).insert(5, rid(1), LinkId(0));
-        o.get_mut(AtomId(3), NodeId(2)).insert(7, rid(2), LinkId(1));
-        o.clear_atom(AtomId(0));
-        assert!(o.get(AtomId(0), NodeId(1)).is_none());
-        o.remap(&[u32::MAX, u32::MAX, u32::MAX, 0], 1);
-        assert_eq!(
-            RuleStore::highest(o.get(AtomId(0), NodeId(2)).unwrap())
-                .unwrap()
-                .id,
-            rid(2)
-        );
-        assert_eq!(o.total_entries(), 1);
-    }
-
-    #[test]
-    fn legacy_store_matches_new_store_api() {
-        let mut new = SourceRules::default();
-        let mut old = legacy::BTreeSourceRules::default();
-        for (p, i, l) in [(10, 1, 0), (30, 2, 1), (20, 3, 2), (10, 4, 3)] {
-            new.insert(p, rid(i), LinkId(l));
-            RuleStore::insert(&mut old, p, rid(i), LinkId(l));
-        }
-        assert_eq!(new.len(), RuleStore::len(&old));
-        assert_eq!(new.highest(), RuleStore::highest(&old));
-        let a: Vec<OwnedRule> = new.iter().collect();
-        let b: Vec<OwnedRule> = RuleStore::iter(&old).collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn legacy_hash_owner_basics() {
-        let mut o = legacy::HashOwner::new();
-        o.get_mut(AtomId(0), NodeId(1)).insert(5, rid(1), LinkId(0));
-        o.clone_atom(AtomId(0), AtomId(2));
-        assert_eq!(
-            RuleStore::highest(o.get(AtomId(2), NodeId(1)).unwrap())
-                .unwrap()
-                .id,
-            rid(1)
-        );
-        assert_eq!(o.total_entries(), 2);
-        assert_eq!(o.sources(AtomId(0)).count(), 1);
-        assert!(o.get(AtomId(1), NodeId(1)).is_none());
     }
 }

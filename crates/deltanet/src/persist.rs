@@ -27,8 +27,10 @@
 //!
 //! The restore path re-validates everything a decoder can get wrong — the
 //! header checksum, structural invariants of every arena
-//! ([`AtomMap::from_parts`], [`crate::owner::Owner::from_cells`]), and the
-//! monitor's violation set, which is checked **bit-for-bit** against a
+//! ([`AtomMap::from_parts`], [`crate::owner::Owner::from_cells`]), the
+//! garbage-collection books of every lattice, which are recomputed from the
+//! section's own rules rather than trusted ([`BoundRefs::from_parts`]), and
+//! the monitor's violation set, which is checked **bit-for-bit** against a
 //! fresh full scan of the restored data plane
 //! ([`ViolationMonitor::state_eq`]) — so a corrupted or truncated artifact
 //! surfaces as a clean [`PersistError`], never as a wrong answer.
@@ -58,8 +60,8 @@
 //! * a checkpointing journal ([`Journal::checkpointed`]) bounds recovery
 //!   time by auto-snapshotting every N ops with log rotation and retention.
 
-use crate::atoms::{AtomId, AtomMap};
-use crate::engine::{DeltaNet, DeltaNetConfig, RestoredParts};
+use crate::atoms::{AtomId, AtomMap, BoundRefs};
+use crate::engine::{DeltaNet, DeltaNetConfig, EngineParts};
 use crate::fault::{FsBackend, StorageBackend};
 use crate::monitor::ViolationMonitor;
 use crate::owner::{OwnedRule, Owner};
@@ -354,6 +356,20 @@ impl<'a> Reader<'a> {
         Ok(v as usize)
     }
 
+    /// A varint that must fit in 32 bits — ids, priorities, counts; `what`
+    /// is the error text when it does not.
+    fn id32(&mut self, what: &str) -> Result<u32, PersistError> {
+        u32::try_from(self.varint()?).or_else(|_| self.corrupt(what))
+    }
+
+    fn node_id(&mut self) -> Result<NodeId, PersistError> {
+        self.id32("node id exceeds 32 bits").map(NodeId)
+    }
+
+    fn link_id(&mut self) -> Result<LinkId, PersistError> {
+        self.id32("link id exceeds 32 bits").map(LinkId)
+    }
+
     fn words(&mut self) -> Result<Vec<u64>, PersistError> {
         let n = self.len()?;
         let mut words = Vec::with_capacity(n.min(1024));
@@ -414,34 +430,124 @@ fn write_atomic(
 // Snapshot
 // ---------------------------------------------------------------------------
 
+/// One field's lattice as a snapshot carries it, for the primary and every
+/// secondary field alike: the *atoms half* (`M` with its id table and free
+/// list) and the *books half* (the §3.2.2 reference counts and reclaimable
+/// counter). The halves are coded separately because the primary field's
+/// sit either side of the owner cells and labels on the wire.
+struct LatticeSection {
+    allocated: usize,
+    entries: Vec<(Bound, AtomId)>,
+    free: Vec<AtomId>,
+    refs: Vec<(Bound, u32)>,
+    reclaimable: usize,
+}
+
+impl LatticeSection {
+    fn export((atoms, books): (&AtomMap, &BoundRefs)) -> LatticeSection {
+        let (refs, reclaimable) = books.export_parts();
+        LatticeSection {
+            allocated: atoms.allocated_atoms(),
+            entries: atoms.export_entries(),
+            free: atoms.free_list().to_vec(),
+            refs,
+            reclaimable,
+        }
+    }
+
+    fn encode_atoms(&self, w: &mut Writer) {
+        w.varint(self.allocated as u64);
+        w.varint(self.entries.len() as u64);
+        for &(bound, atom) in &self.entries {
+            w.varint_wide(bound);
+            w.varint(u64::from(atom.0));
+        }
+        w.varint(self.free.len() as u64);
+        for atom in &self.free {
+            w.varint(u64::from(atom.0));
+        }
+    }
+
+    fn encode_books(&self, w: &mut Writer) {
+        w.varint(self.refs.len() as u64);
+        for &(bound, count) in &self.refs {
+            w.varint_wide(bound);
+            w.varint(u64::from(count));
+        }
+        w.varint(self.reclaimable as u64);
+    }
+
+    /// Decodes the atoms half; the books half is filled in by
+    /// [`LatticeSection::decode_books`] when the reader reaches it.
+    fn decode_atoms(r: &mut Reader<'_>) -> Result<LatticeSection, PersistError> {
+        let atom_id = |r: &mut Reader<'_>| r.id32("atom id exceeds 32 bits").map(AtomId);
+        let allocated = r.len()?;
+        let entry_count = r.len()?;
+        let mut entries = Vec::with_capacity(entry_count.min(1024));
+        for _ in 0..entry_count {
+            entries.push((r.varint_wide()?, atom_id(r)?));
+        }
+        let free_count = r.len()?;
+        let mut free = Vec::with_capacity(free_count.min(1024));
+        for _ in 0..free_count {
+            free.push(atom_id(r)?);
+        }
+        Ok(LatticeSection {
+            allocated,
+            entries,
+            free,
+            refs: Vec::new(),
+            reclaimable: 0,
+        })
+    }
+
+    fn decode_books(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
+        let ref_count = r.len()?;
+        self.refs = Vec::with_capacity(ref_count.min(1024));
+        for _ in 0..ref_count {
+            let bound = r.varint_wide()?;
+            let count = r.id32("bound refcount exceeds 32 bits")?;
+            self.refs.push((bound, count));
+        }
+        self.reclaimable = r.len()?;
+        Ok(())
+    }
+
+    /// Rebuilds the `width`-bit lattice and its books, validating the map's
+    /// structural invariants and verifying the stored books against a
+    /// recomputation from `holders` — the intervals referencing this
+    /// field's bounds ([`BoundRefs::from_parts`]). `field` names the
+    /// lattice in the error.
+    fn restore(
+        self,
+        field: &str,
+        width: u8,
+        holders: impl IntoIterator<Item = Interval>,
+    ) -> Result<(AtomMap, BoundRefs), PersistError> {
+        let corrupt = |what: String| PersistError::Corrupt(format!("{field} lattice: {what}"));
+        let atoms = AtomMap::from_parts(width, self.allocated, &self.entries, self.free)
+            .map_err(corrupt)?;
+        let books = BoundRefs::from_parts(&atoms, holders, &self.refs, self.reclaimable)
+            .map_err(corrupt)?;
+        Ok((atoms, books))
+    }
+}
+
 /// The decoded per-engine state of one snapshot section: everything a
 /// single (possibly clipped) [`DeltaNet`] needs to be rebuilt exactly.
 struct EngineSection {
     clip: Option<Interval>,
     rule_ids: Vec<RuleId>,
-    allocated: usize,
-    atom_entries: Vec<(Bound, AtomId)>,
-    free: Vec<AtomId>,
+    lattice: LatticeSection,
     owner_cells: Vec<Vec<(NodeId, bool, Vec<OwnedRule>)>>,
     label_capacity: usize,
     labels: Vec<(LinkId, Vec<u64>)>,
-    bound_refs: Vec<(Bound, u32)>,
-    reclaimable: usize,
     compactions: usize,
-    sec: Vec<SecSection>,
+    /// One lattice per secondary field — no owner cells or labels (format
+    /// v3; absent from v1 sections).
+    sec: Vec<LatticeSection>,
     #[allow(clippy::type_complexity)]
     monitor: Option<(Vec<(Vec<NodeId>, Vec<u64>)>, Vec<(NodeId, Vec<u64>)>)>,
-}
-
-/// One secondary field's lattice state inside an [`EngineSection`]:
-/// interval lattice plus bound refcounts — secondary fields carry no owner
-/// cells or labels (format v3; absent from v1 sections).
-struct SecSection {
-    allocated: usize,
-    atom_entries: Vec<(Bound, AtomId)>,
-    free: Vec<AtomId>,
-    bound_refs: Vec<(Bound, u32)>,
-    reclaimable: usize,
 }
 
 impl EngineSection {
@@ -449,40 +555,16 @@ impl EngineSection {
         let mut rule_ids: Vec<RuleId> = net.rules().map(|r| r.id).collect();
         rule_ids.sort_unstable();
         let (label_capacity, labels) = net.labels().export_parts();
-        let mut bound_refs: Vec<(Bound, u32)> =
-            net.bound_refs().iter().map(|(&b, &c)| (b, c)).collect();
-        bound_refs.sort_unstable_by_key(|&(b, _)| b);
-        let sec = net
-            .secondary_atoms()
-            .iter()
-            .zip(net.sec_bound_refs())
-            .zip(net.sec_reclaimable())
-            .map(|((atoms, refs), &reclaimable)| {
-                let mut bound_refs: Vec<(Bound, u32)> =
-                    refs.iter().map(|(&b, &c)| (b, c)).collect();
-                bound_refs.sort_unstable_by_key(|&(b, _)| b);
-                SecSection {
-                    allocated: atoms.allocated_atoms(),
-                    atom_entries: atoms.export_entries(),
-                    free: atoms.free_list().to_vec(),
-                    bound_refs,
-                    reclaimable,
-                }
-            })
-            .collect();
+        let mut lattices = net.lattices().map(LatticeSection::export);
         EngineSection {
             clip: net.clip(),
             rule_ids,
-            allocated: net.allocated_atoms(),
-            atom_entries: net.atoms().export_entries(),
-            free: net.atoms().free_list().to_vec(),
+            lattice: lattices.next().expect("the primary lattice comes first"),
             owner_cells: net.owner().export_cells(),
             label_capacity,
             labels,
-            bound_refs,
-            reclaimable: net.primary_reclaimable(),
             compactions: net.compactions(),
-            sec,
+            sec: lattices.collect(),
             monitor: net.monitor().map(ViolationMonitor::export_parts),
         }
     }
@@ -500,16 +582,7 @@ impl EngineSection {
         for id in &self.rule_ids {
             w.varint(id.0);
         }
-        w.varint(self.allocated as u64);
-        w.varint(self.atom_entries.len() as u64);
-        for &(bound, atom) in &self.atom_entries {
-            w.varint_wide(bound);
-            w.varint(u64::from(atom.0));
-        }
-        w.varint(self.free.len() as u64);
-        for atom in &self.free {
-            w.varint(u64::from(atom.0));
-        }
+        self.lattice.encode_atoms(w);
         w.varint(self.owner_cells.len() as u64);
         for slots in &self.owner_cells {
             w.varint(slots.len() as u64);
@@ -530,31 +603,12 @@ impl EngineSection {
             w.varint(u64::from(link.0));
             w.words(words);
         }
-        w.varint(self.bound_refs.len() as u64);
-        for &(bound, count) in &self.bound_refs {
-            w.varint_wide(bound);
-            w.varint(u64::from(count));
-        }
-        w.varint(self.reclaimable as u64);
+        self.lattice.encode_books(w);
         w.varint(self.compactions as u64);
         w.varint(self.sec.len() as u64);
         for sec in &self.sec {
-            w.varint(sec.allocated as u64);
-            w.varint(sec.atom_entries.len() as u64);
-            for &(bound, atom) in &sec.atom_entries {
-                w.varint_wide(bound);
-                w.varint(u64::from(atom.0));
-            }
-            w.varint(sec.free.len() as u64);
-            for atom in &sec.free {
-                w.varint(u64::from(atom.0));
-            }
-            w.varint(sec.bound_refs.len() as u64);
-            for &(bound, count) in &sec.bound_refs {
-                w.varint_wide(bound);
-                w.varint(u64::from(count));
-            }
-            w.varint(sec.reclaimable as u64);
+            sec.encode_atoms(w);
+            sec.encode_books(w);
         }
         match &self.monitor {
             Some((loops, holes)) => {
@@ -595,174 +649,86 @@ impl EngineSection {
         for _ in 0..rule_count {
             rule_ids.push(RuleId(r.varint()?));
         }
+        let mut lattice = LatticeSection::decode_atoms(r)?;
+        let atom_count = r.len()?;
+        let mut owner_cells = Vec::with_capacity(atom_count.min(1024));
+        for _ in 0..atom_count {
+            let slot_count = r.len()?;
+            let mut slots = Vec::with_capacity(slot_count.min(1024));
+            for _ in 0..slot_count {
+                let source = r.node_id()?;
+                let spilled = r.bool()?;
+                let entry_count = r.len()?;
+                let mut entries = Vec::with_capacity(entry_count.min(1024));
+                for _ in 0..entry_count {
+                    let priority = r.id32("priority exceeds 32 bits")?;
+                    let id = RuleId(r.varint()?);
+                    let link = r.link_id()?;
+                    entries.push(OwnedRule { priority, id, link });
+                }
+                slots.push((source, spilled, entries));
+            }
+            owner_cells.push(slots);
+        }
+        let label_capacity = r.len()?;
+        let label_count = r.len()?;
+        let mut labels = Vec::with_capacity(label_count.min(1024));
+        for _ in 0..label_count {
+            labels.push((r.link_id()?, r.words()?));
+        }
+        lattice.decode_books(r)?;
+        let compactions = r.len()?;
+        let field_count = if has_sec { r.len()? } else { 0 };
+        let mut sec = Vec::with_capacity(field_count.min(1024));
+        for _ in 0..field_count {
+            let mut field = LatticeSection::decode_atoms(r)?;
+            field.decode_books(r)?;
+            sec.push(field);
+        }
+        let monitor = if r.bool()? {
+            let loop_count = r.len()?;
+            let mut loops = Vec::with_capacity(loop_count.min(1024));
+            for _ in 0..loop_count {
+                let cycle_len = r.len()?;
+                let mut cycle = Vec::with_capacity(cycle_len.min(1024));
+                for _ in 0..cycle_len {
+                    cycle.push(r.node_id()?);
+                }
+                loops.push((cycle, r.words()?));
+            }
+            let hole_count = r.len()?;
+            let mut holes = Vec::with_capacity(hole_count.min(1024));
+            for _ in 0..hole_count {
+                holes.push((r.node_id()?, r.words()?));
+            }
+            Some((loops, holes))
+        } else {
+            None
+        };
         Ok(EngineSection {
             clip,
             rule_ids,
-            allocated: r.len()?,
-            atom_entries: {
-                let n = r.len()?;
-                let mut entries = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let bound = r.varint_wide()?;
-                    let atom = u32::try_from(r.varint()?)
-                        .or_else(|_| r.corrupt("atom id exceeds 32 bits"))?;
-                    entries.push((bound, AtomId(atom)));
-                }
-                entries
-            },
-            free: {
-                let n = r.len()?;
-                let mut free = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let atom = u32::try_from(r.varint()?)
-                        .or_else(|_| r.corrupt("atom id exceeds 32 bits"))?;
-                    free.push(AtomId(atom));
-                }
-                free
-            },
-            owner_cells: {
-                let atoms = r.len()?;
-                let mut cells = Vec::with_capacity(atoms.min(1024));
-                for _ in 0..atoms {
-                    let slot_count = r.len()?;
-                    let mut slots = Vec::with_capacity(slot_count.min(1024));
-                    for _ in 0..slot_count {
-                        let source = NodeId(
-                            u32::try_from(r.varint()?)
-                                .or_else(|_| r.corrupt("node id exceeds 32 bits"))?,
-                        );
-                        let spilled = r.bool()?;
-                        let entry_count = r.len()?;
-                        let mut entries = Vec::with_capacity(entry_count.min(1024));
-                        for _ in 0..entry_count {
-                            let priority = u32::try_from(r.varint()?)
-                                .or_else(|_| r.corrupt("priority exceeds 32 bits"))?;
-                            let id = RuleId(r.varint()?);
-                            let link = LinkId(
-                                u32::try_from(r.varint()?)
-                                    .or_else(|_| r.corrupt("link id exceeds 32 bits"))?,
-                            );
-                            entries.push(OwnedRule { priority, id, link });
-                        }
-                        slots.push((source, spilled, entries));
-                    }
-                    cells.push(slots);
-                }
-                cells
-            },
-            label_capacity: r.len()?,
-            labels: {
-                let n = r.len()?;
-                let mut labels = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let link = LinkId(
-                        u32::try_from(r.varint()?)
-                            .or_else(|_| r.corrupt("link id exceeds 32 bits"))?,
-                    );
-                    labels.push((link, r.words()?));
-                }
-                labels
-            },
-            bound_refs: {
-                let n = r.len()?;
-                let mut refs = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let bound = r.varint_wide()?;
-                    let count = u32::try_from(r.varint()?)
-                        .or_else(|_| r.corrupt("bound refcount exceeds 32 bits"))?;
-                    refs.push((bound, count));
-                }
-                refs
-            },
-            reclaimable: r.len()?,
-            compactions: r.len()?,
-            sec: if has_sec {
-                let field_count = r.len()?;
-                let mut sec = Vec::with_capacity(field_count.min(1024));
-                for _ in 0..field_count {
-                    let allocated = r.len()?;
-                    let entry_count = r.len()?;
-                    let mut atom_entries = Vec::with_capacity(entry_count.min(1024));
-                    for _ in 0..entry_count {
-                        let bound = r.varint_wide()?;
-                        let atom = u32::try_from(r.varint()?)
-                            .or_else(|_| r.corrupt("atom id exceeds 32 bits"))?;
-                        atom_entries.push((bound, AtomId(atom)));
-                    }
-                    let free_count = r.len()?;
-                    let mut free = Vec::with_capacity(free_count.min(1024));
-                    for _ in 0..free_count {
-                        let atom = u32::try_from(r.varint()?)
-                            .or_else(|_| r.corrupt("atom id exceeds 32 bits"))?;
-                        free.push(AtomId(atom));
-                    }
-                    let ref_count = r.len()?;
-                    let mut bound_refs = Vec::with_capacity(ref_count.min(1024));
-                    for _ in 0..ref_count {
-                        let bound = r.varint_wide()?;
-                        let count = u32::try_from(r.varint()?)
-                            .or_else(|_| r.corrupt("bound refcount exceeds 32 bits"))?;
-                        bound_refs.push((bound, count));
-                    }
-                    sec.push(SecSection {
-                        allocated,
-                        atom_entries,
-                        free,
-                        bound_refs,
-                        reclaimable: r.len()?,
-                    });
-                }
-                sec
-            } else {
-                Vec::new()
-            },
-            monitor: if r.bool()? {
-                let loop_count = r.len()?;
-                let mut loops = Vec::with_capacity(loop_count.min(1024));
-                for _ in 0..loop_count {
-                    let cycle_len = r.len()?;
-                    let mut cycle = Vec::with_capacity(cycle_len.min(1024));
-                    for _ in 0..cycle_len {
-                        cycle.push(NodeId(
-                            u32::try_from(r.varint()?)
-                                .or_else(|_| r.corrupt("node id exceeds 32 bits"))?,
-                        ));
-                    }
-                    loops.push((cycle, r.words()?));
-                }
-                let hole_count = r.len()?;
-                let mut holes = Vec::with_capacity(hole_count.min(1024));
-                for _ in 0..hole_count {
-                    let node = NodeId(
-                        u32::try_from(r.varint()?)
-                            .or_else(|_| r.corrupt("node id exceeds 32 bits"))?,
-                    );
-                    holes.push((node, r.words()?));
-                }
-                Some((loops, holes))
-            } else {
-                None
-            },
+            lattice,
+            owner_cells,
+            label_capacity,
+            labels,
+            compactions,
+            sec,
+            monitor,
         })
     }
 
     /// Rebuilds one engine from this section, validating every structural
-    /// invariant and — when the section carries a monitor — verifying the
-    /// restored violation set bit-for-bit against a fresh full scan of the
-    /// restored data plane.
+    /// invariant, verifying each lattice's books against a recomputation
+    /// from the section's own rules and — when the section carries a
+    /// monitor — the restored violation set bit-for-bit against a fresh
+    /// full scan of the restored data plane.
     fn restore(
         self,
         topology: &Topology,
         config: DeltaNetConfig,
         registry: &HashMap<RuleId, Rule>,
     ) -> Result<DeltaNet, PersistError> {
-        let atoms = AtomMap::from_parts(
-            config.field_width,
-            self.allocated,
-            &self.atom_entries,
-            self.free,
-        )
-        .map_err(PersistError::Corrupt)?;
         let owner = Owner::from_cells(self.owner_cells).map_err(PersistError::Corrupt)?;
         let labels =
             Labels::from_parts(self.label_capacity, self.labels).map_err(PersistError::Corrupt)?;
@@ -771,6 +737,11 @@ impl EngineSection {
             let rule = registry.get(&id).ok_or_else(|| {
                 PersistError::Corrupt(format!("engine section references unregistered {id:?}"))
             })?;
+            if DeltaNet::clipped_interval(self.clip, rule).is_empty() {
+                return Err(PersistError::Corrupt(format!(
+                    "engine section holds {id:?}, which lies outside its clip"
+                )));
+            }
             rules.insert(id, *rule);
         }
         if self.sec.len() != config.secondary_count() {
@@ -781,39 +752,34 @@ impl EngineSection {
                 config.secondary_count()
             )));
         }
-        let mut sec_atoms = Vec::with_capacity(self.sec.len());
-        let mut sec_bound_refs = Vec::with_capacity(self.sec.len());
-        let mut sec_reclaimable = Vec::with_capacity(self.sec.len());
+        // The holders of the primary bounds are what the engine acquired:
+        // every rule's clip-adjusted interval, plus the clip pins of a shard.
+        let clip = self.clip;
+        let held = rules
+            .values()
+            .map(|rule| DeltaNet::clipped_interval(clip, rule))
+            .chain(clip);
+        let (atoms, books) = self.lattice.restore("primary", config.field_width, held)?;
+        let mut secondary = Vec::with_capacity(self.sec.len());
         for (field, sec) in self.sec.into_iter().enumerate() {
-            sec_atoms.push(
-                AtomMap::from_parts(
-                    config.sec_widths[field],
-                    sec.allocated,
-                    &sec.atom_entries,
-                    sec.free,
-                )
-                .map_err(PersistError::Corrupt)?,
-            );
-            sec_bound_refs.push(sec.bound_refs.into_iter().collect());
-            sec_reclaimable.push(sec.reclaimable);
+            let held = rules.values().filter_map(|rule| rule.sec.get(field));
+            let name = format!("secondary field {field}");
+            secondary.push(sec.restore(&name, config.sec_widths[field], held)?);
         }
         let monitor = self
             .monitor
             .map(|(loops, holes)| ViolationMonitor::from_parts(loops, holes));
-        let net = DeltaNet::from_restored(RestoredParts {
+        let net = DeltaNet::from_parts(EngineParts {
             topology: topology.clone(),
             config,
-            clip: self.clip,
+            clip,
             atoms,
             owner,
             labels,
             rules,
-            bound_refs: self.bound_refs.into_iter().collect(),
-            reclaimable: self.reclaimable,
+            books,
+            secondary,
             compactions: self.compactions,
-            sec_atoms,
-            sec_bound_refs,
-            sec_reclaimable,
             monitor,
         });
         // A restored monitor is verified against a fresh scan of the fully
@@ -1198,11 +1164,9 @@ fn decode_rule(
         return r.corrupt("rule prefix outside the configured field");
     }
     let prefix = IpPrefix::new(value, len, width);
-    let priority = u32::try_from(r.varint()?).or_else(|_| r.corrupt("priority exceeds 32 bits"))?;
-    let source =
-        NodeId(u32::try_from(r.varint()?).or_else(|_| r.corrupt("node id exceeds 32 bits"))?);
-    let link =
-        LinkId(u32::try_from(r.varint()?).or_else(|_| r.corrupt("link id exceeds 32 bits"))?);
+    let priority = r.id32("priority exceeds 32 bits")?;
+    let source = r.node_id()?;
+    let link = r.link_id()?;
     let action = match r.u8()? {
         0 => Action::Forward,
         1 => Action::Drop,
@@ -2625,4 +2589,85 @@ pub fn violations_at_dir(
         }
     }
     monitored_violations(&net)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A monitored shard of a `dst:8 × src:6` plane (clip `[0 : 128)`) after
+    /// three inserts and a removal, so both lattices hold referenced bounds,
+    /// a clip pin and a reclaimable bound.
+    fn shard() -> (Topology, DeltaNet) {
+        let mut topo = Topology::new();
+        let a = topo.add_node("a");
+        let b = topo.add_node("b");
+        let (ab, ba) = topo.add_bidi_link(a, b);
+        let config = DeltaNetConfig {
+            field_width: 8,
+            monitor_violations: true,
+            ..DeltaNetConfig::default()
+        }
+        .with_secondary(&[6]);
+        let mut net = DeltaNet::clipped(topo.clone(), config, Interval::new(0, 128));
+        let src = |lo, hi| SecondaryMatch::new(&[Interval::new(lo, hi)]);
+        let rule = |id, value, len, source, link| {
+            Rule::forward(RuleId(id), IpPrefix::new(value, len, 8), 5, source, link)
+        };
+        net.insert_rule(rule(1, 0, 4, a, ab).with_secondary(src(8, 16)));
+        net.insert_rule(rule(2, 16, 4, b, ba).with_secondary(src(8, 40)));
+        net.insert_rule(rule(3, 64, 3, a, ab).with_secondary(src(24, 32)));
+        net.insert_rule(rule(4, 96, 2, b, ba));
+        net.remove_rule(RuleId(3));
+        assert!(net.reclaimable_bounds() >= 2);
+        (topo, net)
+    }
+
+    fn restore_tampered(tamper: impl FnOnce(&mut EngineSection)) -> Result<DeltaNet, PersistError> {
+        let (topo, net) = shard();
+        let registry = net.rules().map(|rule| (rule.id, *rule)).collect();
+        let mut section = EngineSection::export(&net);
+        tamper(&mut section);
+        section.restore(&topo, net.config(), &registry)
+    }
+
+    #[test]
+    fn restore_recomputes_the_books_and_rejects_a_section_that_lies_about_them() {
+        let (_, live) = shard();
+        let restored = restore_tampered(|_| {}).expect("the untampered section restores");
+        assert_eq!(restored.reclaimable_bounds(), live.reclaimable_bounds());
+        assert_eq!(restored.live_bytes(), live.live_bytes());
+
+        type Tamper = fn(&mut EngineSection);
+        let lies: [(&str, &str, Tamper); 6] = [
+            ("primary counter", "primary", |s| s.lattice.reclaimable += 1),
+            ("secondary counter", "secondary field 0", |s| {
+                s.sec[0].reclaimable -= 1
+            }),
+            ("refcount of 0", "primary", |s| s.lattice.refs[1].1 = 0),
+            ("dropped ref entry", "secondary field 0", |s| {
+                s.sec[0].refs.pop();
+            }),
+            ("ref on a bound M lacks", "primary", |s| {
+                let (last, _) = *s.lattice.refs.last().unwrap();
+                s.lattice.refs.push((last + 1, 1));
+            }),
+            ("rule bound missing from M", "secondary field 0", |s| {
+                // Bound 8 of rules 1 and 2 leaves M; its atom id goes onto
+                // the free list so the id table itself stays consistent.
+                let at = s.sec[0].entries.iter().position(|&(b, _)| b == 8).unwrap();
+                let (_, atom) = s.sec[0].entries.remove(at);
+                s.sec[0].free.push(atom);
+            }),
+        ];
+        for (lie, field, tamper) in lies {
+            match restore_tampered(tamper) {
+                Err(PersistError::Corrupt(msg)) => {
+                    assert!(msg.contains(field), "{lie}: error names no field: {msg}")
+                }
+                Err(other) => panic!("{lie}: expected Corrupt, got {other:?}"),
+                Ok(_) => panic!("{lie}: restored"),
+            }
+        }
+    }
 }

@@ -5,14 +5,70 @@
 
 use deltanet::atoms::{AtomId, AtomMap};
 use deltanet::atomset::AtomSet;
-use deltanet::owner::legacy::{BTreeSourceRules, HashOwner};
-use deltanet::owner::{Owner, RuleStore, SourceRules};
+use deltanet::owner::{OwnedRule, Owner, SourceRules};
 use netmodel::interval::Interval;
 use netmodel::rule::RuleId;
 use netmodel::topology::{LinkId, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
+use testutil::{ModelCell, OwnerModel};
+
+/// What the two cell representations under differential test have in
+/// common: the arena's small-vec [`SourceRules`] (production) and the
+/// `BTreeMap` cell of [`OwnerModel`] (the reference, which shares no code
+/// with `deltanet::owner`).
+trait Store: Default {
+    fn insert(&mut self, priority: u32, id: RuleId, link: LinkId);
+    fn remove(&mut self, priority: u32, id: RuleId) -> bool;
+    fn highest(&self) -> Option<OwnedRule>;
+    fn contains(&self, priority: u32, id: RuleId) -> bool;
+    fn len(&self) -> usize;
+    fn iter(&self) -> Vec<OwnedRule>;
+}
+
+impl Store for SourceRules {
+    fn insert(&mut self, priority: u32, id: RuleId, link: LinkId) {
+        SourceRules::insert(self, priority, id, link);
+    }
+    fn remove(&mut self, priority: u32, id: RuleId) -> bool {
+        SourceRules::remove(self, priority, id)
+    }
+    fn highest(&self) -> Option<OwnedRule> {
+        SourceRules::highest(self)
+    }
+    fn contains(&self, priority: u32, id: RuleId) -> bool {
+        SourceRules::contains(self, priority, id)
+    }
+    fn len(&self) -> usize {
+        SourceRules::len(self)
+    }
+    fn iter(&self) -> Vec<OwnedRule> {
+        SourceRules::iter(self).collect()
+    }
+}
+
+impl Store for ModelCell {
+    fn insert(&mut self, priority: u32, id: RuleId, link: LinkId) {
+        ModelCell::insert(self, (priority, id), link);
+    }
+    fn remove(&mut self, priority: u32, id: RuleId) -> bool {
+        ModelCell::remove(self, &(priority, id)).is_some()
+    }
+    fn highest(&self) -> Option<OwnedRule> {
+        Store::iter(self).pop()
+    }
+    fn contains(&self, priority: u32, id: RuleId) -> bool {
+        self.contains_key(&(priority, id))
+    }
+    fn len(&self) -> usize {
+        ModelCell::len(self)
+    }
+    fn iter(&self) -> Vec<OwnedRule> {
+        let owned = |(&(priority, id), &link)| OwnedRule { priority, id, link };
+        ModelCell::iter(self).map(owned).collect()
+    }
+}
 
 /// After any sequence of `create_atoms` calls, the atoms are consecutive,
 /// disjoint, cover the whole field space, and `atom_of_value` agrees with
@@ -136,8 +192,8 @@ fn atomset_set_algebra_round_trips_against_model() {
 /// The owner store returns the highest-priority rule through arbitrary
 /// interleavings of inserts and removals of non-highest entries, matching a
 /// sorted-vector model keyed the same way (`(priority, rule-id)`). Run
-/// against any [`RuleStore`] implementation.
-fn check_rule_store_against_model<S: RuleStore>(tag: &str) {
+/// against any [`Store`] implementation.
+fn check_rule_store_against_model<S: Store>(tag: &str) {
     for seed in 0..30u64 {
         let mut rng = StdRng::seed_from_u64(0x0B57 ^ seed);
         let mut bst = S::default();
@@ -169,7 +225,10 @@ fn check_rule_store_against_model<S: RuleStore>(tag: &str) {
                 }
             }
             // Iteration is by increasing (priority, id).
-            let iterated: Vec<(u32, u64)> = bst.iter().map(|r| (r.priority, r.id.0)).collect();
+            let iterated: Vec<(u32, u64)> = Store::iter(&bst)
+                .iter()
+                .map(|r| (r.priority, r.id.0))
+                .collect();
             let mut sorted = model.clone();
             sorted.sort_unstable();
             assert_eq!(iterated, sorted, "{tag} seed {seed}");
@@ -184,12 +243,12 @@ fn owner_smallvec_store_highest_priority_matches_model() {
 
 #[test]
 fn owner_btree_store_highest_priority_matches_model() {
-    check_rule_store_against_model::<BTreeSourceRules>("btree");
+    check_rule_store_against_model::<ModelCell>("btree");
 }
 
 /// Differential test of the two rule-store representations: identical
 /// randomized insert/remove traces through the BTreeMap-backed
-/// [`BTreeSourceRules`] and the small-vec [`SourceRules`] must produce
+/// [`ModelCell`] and the small-vec [`SourceRules`] must produce
 /// identical `highest()`, `len()`, `contains()` and iteration outcomes after
 /// every step — including traces that cross the inline→spill boundary in
 /// both directions.
@@ -198,7 +257,7 @@ fn smallvec_and_btree_stores_agree_on_random_traces() {
     for seed in 0..40u64 {
         let mut rng = StdRng::seed_from_u64(0xD1FF ^ seed);
         let mut new_store = SourceRules::default();
-        let mut old_store = BTreeSourceRules::default();
+        let mut old_store = ModelCell::default();
         let mut live: Vec<(u32, u64)> = Vec::new();
         let mut next_id = 0u64;
         for step in 0..300 {
@@ -220,30 +279,30 @@ fn smallvec_and_btree_stores_agree_on_random_traces() {
                 };
                 let link = LinkId(rng.gen_range(0..5));
                 new_store.insert(priority, RuleId(id), link);
-                RuleStore::insert(&mut old_store, priority, RuleId(id), link);
+                Store::insert(&mut old_store, priority, RuleId(id), link);
             } else {
                 let (priority, id) = live.swap_remove(rng.gen_range(0..live.len()));
                 let a = new_store.remove(priority, RuleId(id));
-                let b = RuleStore::remove(&mut old_store, priority, RuleId(id));
+                let b = Store::remove(&mut old_store, priority, RuleId(id));
                 assert_eq!(a, b, "seed {seed} step {step}");
             }
             assert_eq!(
                 new_store.len(),
-                RuleStore::len(&old_store),
+                Store::len(&old_store),
                 "seed {seed} step {step}"
             );
             assert_eq!(
                 new_store.highest(),
-                RuleStore::highest(&old_store),
+                Store::highest(&old_store),
                 "seed {seed} step {step}"
             );
             let a: Vec<_> = new_store.iter().collect();
-            let b: Vec<_> = RuleStore::iter(&old_store).collect();
+            let b = Store::iter(&old_store);
             assert_eq!(a, b, "seed {seed} step {step}");
             for &(p, id) in live.iter().take(5) {
                 assert_eq!(
                     new_store.contains(p, RuleId(id)),
-                    RuleStore::contains(&old_store, p, RuleId(id)),
+                    Store::contains(&old_store, p, RuleId(id)),
                     "seed {seed} step {step}"
                 );
             }
@@ -253,14 +312,14 @@ fn smallvec_and_btree_stores_agree_on_random_traces() {
 
 /// Compaction differential for the two owner layouts: randomized traces of
 /// splits (`clone_atom`), merges (`clear_atom`) and renumberings (`remap`)
-/// through the arena [`Owner`] and the legacy [`HashOwner`] must keep every
+/// through the arena [`Owner`] and the reference [`OwnerModel`] must keep every
 /// `(atom, source)` cell identical.
 #[test]
 fn arena_and_hash_owner_agree_under_compaction_traces() {
     for seed in 0..10u64 {
         let mut rng = StdRng::seed_from_u64(0xC0417 ^ seed);
         let mut arena = Owner::new();
-        let mut hash = HashOwner::new();
+        let mut hash = OwnerModel::default();
         let sources = 4u32;
         let mut alive: Vec<u32> = vec![0]; // live atom ids
         let mut next_atom = 1u32;
@@ -275,7 +334,7 @@ fn arena_and_hash_owner_agree_under_compaction_traces() {
                     next_atom += 1;
                     alive.push(new);
                     arena.clone_atom(AtomId(old), AtomId(new));
-                    hash.clone_atom(AtomId(old), AtomId(new));
+                    hash.clone_atom(old, new);
                     let copied: Vec<_> = live
                         .iter()
                         .filter(|&&(a, ..)| a == old)
@@ -288,7 +347,7 @@ fn arena_and_hash_owner_agree_under_compaction_traces() {
                     let pos = rng.gen_range(0..alive.len());
                     let dead = alive.swap_remove(pos);
                     arena.clear_atom(AtomId(dead));
-                    hash.clear_atom(AtomId(dead));
+                    hash.clear_atom(dead);
                     live.retain(|&(a, ..)| a != dead);
                 }
                 // Renumber: dense ids for the survivors, in id order.
@@ -299,7 +358,7 @@ fn arena_and_hash_owner_agree_under_compaction_traces() {
                         remap[old as usize] = new as u32;
                     }
                     arena.remap(&remap, alive.len());
-                    hash.remap(&remap, alive.len());
+                    hash.remap(&remap);
                     for entry in &mut live {
                         entry.0 = remap[entry.0 as usize];
                     }
@@ -313,11 +372,7 @@ fn arena_and_hash_owner_agree_under_compaction_traces() {
                     let a = arena
                         .get_mut(AtomId(atom), NodeId(source))
                         .remove(priority, RuleId(id));
-                    let b = RuleStore::remove(
-                        hash.get_mut(AtomId(atom), NodeId(source)),
-                        priority,
-                        RuleId(id),
-                    );
+                    let b = Store::remove(hash.get_mut(atom, NodeId(source)), priority, RuleId(id));
                     assert_eq!(a, b, "seed {seed} step {step}");
                     assert!(a, "seed {seed} step {step}");
                 }
@@ -332,8 +387,8 @@ fn arena_and_hash_owner_agree_under_compaction_traces() {
                     arena
                         .get_mut(AtomId(atom), NodeId(source))
                         .insert(priority, RuleId(id), link);
-                    RuleStore::insert(
-                        hash.get_mut(AtomId(atom), NodeId(source)),
+                    Store::insert(
+                        hash.get_mut(atom, NodeId(source)),
                         priority,
                         RuleId(id),
                         link,
@@ -352,9 +407,7 @@ fn arena_and_hash_owner_agree_under_compaction_traces() {
                 let a = arena
                     .get(AtomId(atom), NodeId(source))
                     .and_then(|r| r.highest());
-                let b = hash
-                    .get(AtomId(atom), NodeId(source))
-                    .and_then(RuleStore::highest);
+                let b = hash.get(atom, NodeId(source)).and_then(Store::highest);
                 assert_eq!(a, b, "seed {seed}: owner[α{atom}][n{source}] differs");
             }
         }
@@ -371,7 +424,7 @@ fn equal_priority_ties_agree_across_stores_and_model() {
     for seed in 0..25u64 {
         let mut rng = StdRng::seed_from_u64(0x71E ^ seed);
         let mut small = SourceRules::default();
-        let mut btree = BTreeSourceRules::default();
+        let mut btree = ModelCell::default();
         let mut model: Vec<(u32, u64)> = Vec::new();
         let mut next_id = 0u64;
         for step in 0..150 {
@@ -381,19 +434,19 @@ fn equal_priority_ties_agree_across_stores_and_model() {
                 next_id += 1;
                 let link = LinkId((id % 3) as u32);
                 small.insert(priority, RuleId(id), link);
-                RuleStore::insert(&mut btree, priority, RuleId(id), link);
+                Store::insert(&mut btree, priority, RuleId(id), link);
                 model.push((priority, id));
             } else {
                 let (p, id) = model.swap_remove(rng.gen_range(0..model.len()));
                 assert!(small.remove(p, RuleId(id)), "seed {seed} step {step}");
                 assert!(
-                    RuleStore::remove(&mut btree, p, RuleId(id)),
+                    Store::remove(&mut btree, p, RuleId(id)),
                     "seed {seed} step {step}"
                 );
             }
             let expected = model.iter().max().copied();
             let got_small = small.highest().map(|r| (r.priority, r.id.0));
-            let got_btree = RuleStore::highest(&btree).map(|r| (r.priority, r.id.0));
+            let got_btree = Store::highest(&btree).map(|r| (r.priority, r.id.0));
             assert_eq!(got_small, expected, "seed {seed} step {step}: small-vec");
             assert_eq!(got_btree, expected, "seed {seed} step {step}: btree");
         }
@@ -402,14 +455,14 @@ fn equal_priority_ties_agree_across_stores_and_model() {
 
 /// Differential test of the two *owner* layouts: identical randomized traces
 /// of `clone_atom` (atom splits), per-atom inserts and removals through the
-/// arena [`Owner`] and the legacy hash-of-trees [`HashOwner`] must yield the
+/// arena [`Owner`] and the tree-of-trees [`OwnerModel`] must yield the
 /// same ownership outcome (`highest()`) for every `(atom, source)` cell.
 #[test]
 fn arena_owner_and_hash_owner_agree_on_split_traces() {
     for seed in 0..15u64 {
         let mut rng = StdRng::seed_from_u64(0xA2E4A ^ seed);
         let mut arena = Owner::new();
-        let mut hash = HashOwner::new();
+        let mut hash = OwnerModel::default();
         let sources = 6u32;
         let mut atoms = 1u32; // atom ids 0..atoms are allocated
         let mut live: Vec<(u32, u32, u32, u64)> = Vec::new(); // (atom, source, priority, id)
@@ -424,7 +477,7 @@ fn arena_owner_and_hash_owner_agree_on_split_traces() {
                     let new = atoms;
                     atoms += 1;
                     arena.clone_atom(AtomId(old), AtomId(new));
-                    hash.clone_atom(AtomId(old), AtomId(new));
+                    hash.clone_atom(old, new);
                     let copied: Vec<_> = live
                         .iter()
                         .filter(|&&(a, ..)| a == old)
@@ -438,11 +491,7 @@ fn arena_owner_and_hash_owner_agree_on_split_traces() {
                     let a = arena
                         .get_mut(AtomId(atom), NodeId(source))
                         .remove(priority, RuleId(id));
-                    let b = RuleStore::remove(
-                        hash.get_mut(AtomId(atom), NodeId(source)),
-                        priority,
-                        RuleId(id),
-                    );
+                    let b = Store::remove(hash.get_mut(atom, NodeId(source)), priority, RuleId(id));
                     assert_eq!(a, b, "seed {seed} step {step}");
                     assert!(a, "seed {seed} step {step}: live entry missing");
                 }
@@ -456,8 +505,8 @@ fn arena_owner_and_hash_owner_agree_on_split_traces() {
                     arena
                         .get_mut(AtomId(atom), NodeId(source))
                         .insert(priority, RuleId(id), link);
-                    RuleStore::insert(
-                        hash.get_mut(AtomId(atom), NodeId(source)),
+                    Store::insert(
+                        hash.get_mut(atom, NodeId(source)),
                         priority,
                         RuleId(id),
                         link,
@@ -477,17 +526,15 @@ fn arena_owner_and_hash_owner_agree_on_split_traces() {
                 let a = arena
                     .get(AtomId(atom), NodeId(source))
                     .and_then(|r| r.highest());
-                let b = hash
-                    .get(AtomId(atom), NodeId(source))
-                    .and_then(RuleStore::highest);
+                let b = hash.get(atom, NodeId(source)).and_then(Store::highest);
                 assert_eq!(a, b, "seed {seed}: owner[α{atom}][n{source}] differs");
                 let a_all: Vec<_> = arena
                     .get(AtomId(atom), NodeId(source))
                     .map(|r| r.iter().collect())
                     .unwrap_or_default();
-                let b_all: Vec<_> = hash
-                    .get(AtomId(atom), NodeId(source))
-                    .map(|r| RuleStore::iter(r).collect())
+                let b_all = hash
+                    .get(atom, NodeId(source))
+                    .map(Store::iter)
                     .unwrap_or_default();
                 assert_eq!(
                     a_all, b_all,

@@ -11,12 +11,19 @@
 //! snapshot taken after operation 6. They are committed bytes, not
 //! regenerated, so any accidental format change that breaks old artifacts
 //! fails here first.
+//!
+//! `v3-mf-fixture.dnsnap` pins what the v2 pair cannot: the secondary
+//! lattice block and the sharded kind. It was written by the code of the
+//! commit before the lattice codec moved (PR 22's parent) from
+//! [`mf_fixture_net`] after [`MF_SNAPSHOT_AT`] operations of
+//! [`mf_fixture_ops`] — 2 shards, `dst:32 × 8 × 6`, monitored, one explicit
+//! `compact()` on the way.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use deltanet::persist::{self, recover, PersistError};
-use deltanet::{DeltaNet, PersistNet, Snapshot};
+use deltanet::{DeltaNet, DeltaNetConfig, PersistNet, ShardedDeltaNet, Snapshot};
 use netmodel::checker::Checker;
 use netmodel::header::SecondaryMatch;
 use netmodel::interval::Interval;
@@ -218,4 +225,132 @@ fn multifield_op_into_single_field_engine_is_a_clean_mismatch() {
         other => panic!("expected Mismatch, got {other:?}"),
     }
     fs::remove_dir_all(&dir).ok();
+}
+
+/// Operations of [`mf_fixture_ops`] the v3 fixture snapshot incorporates.
+const MF_SNAPSHOT_AT: usize = 120;
+/// The one explicit `compact()` of the fixture run happens after this many.
+const MF_COMPACT_AT: usize = 80;
+
+fn mf_fixture_net(topo: &Topology) -> PersistNet {
+    let config = DeltaNetConfig {
+        monitor_violations: true,
+        ..DeltaNetConfig::default()
+    }
+    .with_secondary(&[8, 6]);
+    PersistNet::Sharded(Box::new(ShardedDeltaNet::new(topo.clone(), config, 2)))
+}
+
+/// 150 operations from a fixed LCG (no crate the fixture could drift with):
+/// about two inserts per removal, prefixes from a pool of 12 so bounds are
+/// shared and revived, secondary matches on zero, one or both fields.
+fn mf_fixture_ops(topo: &Topology) -> Vec<Op> {
+    let mut state = 0x5eed_u64;
+    let mut next = |n: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % n
+    };
+    let prefixes: Vec<IpPrefix> = [
+        "0.0.0.0/0",
+        "10.0.0.0/8",
+        "10.0.0.0/16",
+        "10.1.0.0/16",
+        "10.1.2.0/24",
+        "10.128.0.0/9",
+        "64.0.0.0/2",
+        "128.0.0.0/1",
+        "172.16.0.0/12",
+        "192.168.0.0/16",
+        "192.168.7.0/24",
+        "200.0.0.0/5",
+    ]
+    .iter()
+    .map(|p| p.parse().unwrap())
+    .collect();
+    let links = topo.link_count() as u64;
+    let mut live: Vec<RuleId> = Vec::new();
+    let mut ops = Vec::new();
+    for i in 0..150u64 {
+        if !live.is_empty() && next(3) == 0 {
+            let id = live.swap_remove(next(live.len() as u64) as usize);
+            ops.push(Op::Remove(id));
+            continue;
+        }
+        let link = LinkId(next(links) as u32);
+        let source = topo.link(link).src;
+        let prefix = prefixes[next(prefixes.len() as u64) as usize];
+        let priority = 1 + next(6) as u32;
+        let rule = if topo.is_drop_link(link) {
+            Rule::drop(RuleId(i), prefix, priority, source, link)
+        } else {
+            Rule::forward(RuleId(i), prefix, priority, source, link)
+        };
+        let fields = [0, 1, 1, 2][next(4) as usize];
+        let blocks: Vec<Interval> = [8u32, 6][..fields]
+            .iter()
+            .map(|&width| {
+                let lo = next(1 << width) & !7;
+                let hi = (lo + 8 * (1 + next(3))).min(1 << width);
+                Interval::new(lo.into(), hi.into())
+            })
+            .collect();
+        let sec = if blocks.is_empty() {
+            SecondaryMatch::default()
+        } else {
+            SecondaryMatch::new(&blocks)
+        };
+        live.push(rule.id);
+        ops.push(Op::Insert(rule.with_secondary(sec)));
+    }
+    ops
+}
+
+/// Applies `ops[from..to]` the way the fixture run did.
+fn mf_replay(net: &mut PersistNet, ops: &[Op], from: usize, to: usize) {
+    for (i, op) in ops.iter().enumerate().take(to).skip(from) {
+        net.try_apply(op).expect("fixture ops are well formed");
+        if i + 1 == MF_COMPACT_AT {
+            net.compact();
+        }
+    }
+}
+
+#[test]
+fn v3_multifield_sharded_snapshot_restores_and_reencodes_byte_for_byte() {
+    let (topo, _) = fixture_topology();
+    let ops = mf_fixture_ops(&topo);
+    let committed = fs::read(fixture("v3-mf-fixture.dnsnap")).unwrap();
+
+    let snap = Snapshot::from_bytes(&committed).unwrap();
+    assert_eq!(snap.ops_applied(), MF_SNAPSHOT_AT as u64);
+    assert_eq!(
+        (snap.shard_count(), snap.config().secondary_count()),
+        (2, 2)
+    );
+    let mut restored = snap.restore(&topo).expect("v3 fixture must keep restoring");
+    assert!(restored.is_monitored());
+    assert_eq!(
+        Snapshot::of_net(&restored, MF_SNAPSHOT_AT as u64).to_bytes(),
+        committed,
+        "the restored engine no longer encodes to the committed bytes"
+    );
+
+    // The restored engine and a fresh replay of the whole trace stay in
+    // lock-step over 30 further operations.
+    let mut fresh = mf_fixture_net(&topo);
+    mf_replay(&mut fresh, &ops, 0, MF_SNAPSHOT_AT);
+    assert_eq!(
+        Snapshot::of_net(&fresh, MF_SNAPSHOT_AT as u64).to_bytes(),
+        committed,
+        "a fresh replay no longer lands on the committed bytes"
+    );
+    mf_replay(&mut fresh, &ops, MF_SNAPSHOT_AT, ops.len());
+    mf_replay(&mut restored, &ops, MF_SNAPSHOT_AT, ops.len());
+    assert_eq!(ops.len(), MF_SNAPSHOT_AT + 30);
+    assert_eq!(
+        persist::state_digest(&restored),
+        persist::state_digest(&fresh)
+    );
 }

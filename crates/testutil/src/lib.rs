@@ -20,9 +20,10 @@
 //! spaces make rules overlap and atoms split aggressively — the regime the
 //! differential suites exist to stress.
 //!
-//! [`alloc_count`] is the one piece that is not a generator: a counting
-//! global allocator for tests that pin a code path's footprint by bytes
-//! allocated instead of by time.
+//! Two pieces are not generators: [`alloc_count`], a counting global
+//! allocator for tests that pin a code path's footprint by bytes allocated
+//! instead of by time, and [`OwnerModel`], the `BTreeMap` reference the
+//! engine's owner arena is differentially tested against.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +34,7 @@ use netmodel::checker::InvariantViolation;
 use netmodel::header::SecondaryMatch;
 use netmodel::interval::{normalize, Interval};
 use netmodel::ip::IpPrefix;
-use netmodel::rule::{Rule, RuleId};
+use netmodel::rule::{Priority, Rule, RuleId};
 use netmodel::topology::{LinkId, NodeId, Topology};
 use netmodel::trace::Op;
 use rand::rngs::StdRng;
@@ -282,6 +283,67 @@ pub fn blackholes_by_node(violations: &[InvariantViolation]) -> BTreeMap<NodeId,
         *packets = normalize(std::mem::take(packets));
     }
     out
+}
+
+/// One `(atom, switch)` cell of [`OwnerModel`]: the rules containing the
+/// atom at that switch, keyed the way the engine orders them — the last
+/// entry is the owner.
+pub type ModelCell = BTreeMap<(Priority, RuleId), LinkId>;
+
+/// Reference model of the engine's `owner` structure (§3.2: per atom and
+/// switch, a BST of rules by priority) as one ordered map of ordered maps.
+/// It shares no code with `deltanet::owner`, so the differential tests in
+/// `atom_invariants.rs` can drive identical split / merge / renumber traces
+/// through both and compare every cell. Atoms are bare ids so this crate
+/// stays independent of `deltanet`.
+#[derive(Clone, Debug, Default)]
+pub struct OwnerModel {
+    cells: BTreeMap<(u32, NodeId), ModelCell>,
+}
+
+impl OwnerModel {
+    /// Read-only access to one cell.
+    pub fn get(&self, atom: u32, source: NodeId) -> Option<&ModelCell> {
+        self.cells.get(&(atom, source))
+    }
+
+    /// Mutable access, creating the cell on first use.
+    pub fn get_mut(&mut self, atom: u32, source: NodeId) -> &mut ModelCell {
+        self.cells.entry((atom, source)).or_default()
+    }
+
+    /// `owner[new] ← owner[old]` (an atom split).
+    pub fn clone_atom(&mut self, old: u32, new: u32) {
+        self.clear_atom(new);
+        let of_old = (old, NodeId(0))..=(old, NodeId(u32::MAX));
+        let copied: Vec<_> = self
+            .cells
+            .range(of_old)
+            .map(|(&(_, source), cell)| ((new, source), cell.clone()))
+            .collect();
+        self.cells.extend(copied);
+    }
+
+    /// Frees every cell of `atom` (a compaction merge).
+    pub fn clear_atom(&mut self, atom: u32) {
+        self.cells.retain(|&(a, _), _| a != atom);
+    }
+
+    /// Renumbers the atoms: `remap[old]` is the new id, `u32::MAX` for a
+    /// reclaimed atom, whose cells must have been cleared.
+    pub fn remap(&mut self, remap: &[u32]) {
+        let old = std::mem::take(&mut self.cells);
+        for ((atom, source), cell) in old.into_iter().filter(|(_, cell)| !cell.is_empty()) {
+            let new = remap[atom as usize];
+            assert_ne!(new, u32::MAX, "cells survive for reclaimed atom {atom}");
+            self.cells.insert((new, source), cell);
+        }
+    }
+
+    /// Total number of `(atom, source, rule)` entries.
+    pub fn total_entries(&self) -> usize {
+        self.cells.values().map(BTreeMap::len).sum()
+    }
 }
 
 #[cfg(test)]
