@@ -12,8 +12,8 @@ use crate::paper::{self, Summary, Timings};
 use crate::topo_text;
 use deltanet::persist::{self, RecoveryPolicy, TornTail};
 use deltanet::{
-    blackholes, CheckpointConfig, DeltaNet, DeltaNetConfig, FsBackend, Journal, LoggedNet,
-    Parallelism, PersistError, PersistNet, ShardedDeltaNet, Snapshot, ViolationKey,
+    CheckpointConfig, DeltaNet, DeltaNetConfig, FsBackend, Journal, LoggedNet, Parallelism,
+    PersistError, PersistNet, ShardedDeltaNet, Snapshot, ViolationKey,
 };
 use netmodel::checker::{Checker, InvariantViolation, ReplayError, UpdateReport};
 use netmodel::interval::Interval;
@@ -1236,7 +1236,7 @@ pub fn whatif(args: &ParsedArgs) -> Result<String, CommandError> {
 pub fn audit(args: &ParsedArgs) -> Result<String, CommandError> {
     let net = load_final_data_plane(args)?;
     let loops = net.check_all_loops();
-    let holes = blackholes::check_blackholes(&net);
+    let holes = net.check_all_blackholes();
     let mut out = format!(
         "rules: {}, atoms: {}\nforwarding loops: {}\nblackholes: {}\n\
          (note: nodes with no rules at all — e.g. external border routers — show up as\n\
@@ -1916,6 +1916,40 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("--fields"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn audit_fields_reports_the_blackhole_replay_reports() {
+        // s0 forwards 10/8 to s1 for every source; s1 only has a deny for
+        // sources [8:16). Every other source dies at s1 — a blackhole no
+        // label shows, because the deny owns s1's label bits.
+        let dir = temp_dir("audit-fields");
+        let topo_path = dir.join("pair.topo");
+        let trace_path = dir.join("pair.trace");
+        std::fs::write(&topo_path, "node s0\nnode s1\nlink 0 1\nlink 1 0\n").unwrap();
+        std::fs::write(
+            &trace_path,
+            "I 1 0 1 10.0.0.0/8 5\nI 2 1 drop 10.0.0.0/8 5 8:16\n",
+        )
+        .unwrap();
+        let topo = topo_path.to_str().unwrap().to_string();
+        let trace = trace_path.to_str().unwrap().to_string();
+        let shape = ["--topo", &topo, "--trace", &trace, "--fields", "dst,src:8"];
+
+        let mut argv = vec!["replay", "--check", "blackholes"];
+        argv.extend_from_slice(&shape);
+        let replayed = run(&parsed(&argv)).unwrap();
+        assert!(replayed.contains("blackholes:         1"), "{replayed}");
+        let finding = "blackhole at n1 for 1 packet interval(s): [10.0.0.0 : 11.0.0.0)";
+        assert!(replayed.contains(finding), "{replayed}");
+
+        let mut argv = vec!["audit"];
+        argv.extend_from_slice(&shape);
+        let audited = run(&parsed(&argv)).unwrap();
+        assert!(audited.contains("forwarding loops: 0"), "{audited}");
+        assert!(audited.contains("blackholes: 1"), "{audited}");
+        assert!(audited.contains(finding), "{audited}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -158,12 +158,6 @@ impl AtomMap {
         self.intervals.len()
     }
 
-    /// Number of reclaimed atom ids currently awaiting reuse.
-    #[inline]
-    pub fn free_atoms(&self) -> usize {
-        self.free.len()
-    }
-
     /// The half-closed interval currently denoted by `atom`.
     ///
     /// # Panics
@@ -844,7 +838,7 @@ mod tests {
         );
         assert_eq!(m.atom_count(), 4);
         assert_eq!(m.atom_interval(left), iv(10, 20));
-        assert_eq!(m.free_atoms(), 1);
+        assert_eq!(m.free.len(), 1);
         assert!(!m.contains_bound(15));
         // Removing an absent bound is a no-op.
         assert!(m.remove_bound(15).is_none());
@@ -854,7 +848,7 @@ mod tests {
         m.remove_bound(20);
         assert_eq!(m.atom_interval(first), iv(0, 40));
         assert_eq!(m.atom_count(), 2);
-        assert_eq!(m.free_atoms(), 3);
+        assert_eq!(m.free.len(), 3);
     }
 
     #[test]
@@ -864,11 +858,11 @@ mod tests {
         let allocated = m.allocated_atoms();
         m.remove_bound(10);
         m.remove_bound(20);
-        assert_eq!(m.free_atoms(), 2);
+        assert_eq!(m.free.len(), 2);
         // New splits pop the free list instead of growing the table.
         m.create_atoms(iv(100, 200));
         assert_eq!(m.allocated_atoms(), allocated);
-        assert_eq!(m.free_atoms(), 0);
+        assert_eq!(m.free.len(), 0);
         assert_eq!(m.atoms_of(iv(100, 200)).len(), 1);
         // Point queries and partition stay correct with recycled ids.
         for x in [0u128, 99, 100, 199, 200, 65535] {
@@ -892,7 +886,7 @@ mod tests {
         let remap = m.renumber();
         assert_eq!(m.atom_count(), 4); // [0,5) [5,8) [8,20) [20,2^16)
         assert_eq!(m.allocated_atoms(), m.atom_count());
-        assert_eq!(m.free_atoms(), 0);
+        assert_eq!(m.free.len(), 0);
         assert_eq!(remap.iter().filter(|&&n| n == REMAP_DEAD).count(), 1);
         // Ids follow address order after the renumbering.
         let ids: Vec<u32> = m.iter().map(|(a, _)| a.0).collect();

@@ -9,10 +9,12 @@
 //! in-link but not present on any of its out-links (including the drop link)
 //! is blackholed there.
 //!
-//! Surfaced end-to-end through [`DeltaNet::check_all_blackholes`] (and its
-//! shard-wise counterpart on [`crate::shard::ShardedDeltaNet`]), the
-//! incrementally maintained [`crate::monitor::ViolationMonitor`], and the
-//! `deltanet replay --check blackholes` / `--monitor` CLI flags.
+//! Surfaced end-to-end through [`crate::DeltaNet::check_all_blackholes`]
+//! (and its shard-wise counterpart on [`crate::shard::ShardedDeltaNet`]),
+//! the incrementally maintained [`crate::monitor::ViolationMonitor`], and
+//! the `deltanet replay --check blackholes` / `--monitor` / `audit` CLI
+//! surfaces. A multi-field plane is answered by [`crate::multifield`]
+//! instead: labels project away the secondary fields.
 //!
 //! ## Edge-case semantics (pinned by the regression tests below)
 //!
@@ -37,7 +39,6 @@
 
 use crate::atoms::AtomMap;
 use crate::atomset::AtomSet;
-use crate::engine::DeltaNet;
 use crate::labels::Labels;
 use netmodel::checker::InvariantViolation;
 use netmodel::interval::normalize;
@@ -119,15 +120,10 @@ pub fn find_blackholes(
     render_blackholes(holes.iter().map(|(n, s)| (*n, s)), atoms)
 }
 
-/// Convenience wrapper running [`find_blackholes`] on a checker's state.
-pub fn check_blackholes(net: &DeltaNet) -> Vec<InvariantViolation> {
-    find_blackholes(net.topology(), net.labels(), net.atoms())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::DeltaNetConfig;
+    use crate::engine::{DeltaNet, DeltaNetConfig};
     use netmodel::interval::Interval;
     use netmodel::ip::IpPrefix;
     use netmodel::rule::{Rule, RuleId};
@@ -153,7 +149,7 @@ mod tests {
         let mut net = DeltaNet::new(topo, DeltaNetConfig::default());
         net.insert_rule(Rule::forward(RuleId(1), prefix("10.0.0.0/8"), 1, n[0], l01));
         net.insert_rule(Rule::forward(RuleId(2), prefix("10.0.0.0/8"), 1, n[1], l12));
-        let holes = check_blackholes(&net);
+        let holes = net.check_all_blackholes();
         assert_eq!(holes.len(), 1);
         match &holes[0] {
             InvariantViolation::Blackhole { node, packets } => {
@@ -172,7 +168,7 @@ mod tests {
         let mut net = DeltaNet::new(topo, DeltaNetConfig::default());
         net.insert_rule(Rule::forward(RuleId(1), prefix("10.0.0.0/8"), 1, n[0], l01));
         net.insert_rule(Rule::drop(RuleId(2), prefix("10.0.0.0/8"), 1, n[1], d1));
-        assert!(check_blackholes(&net).is_empty());
+        assert!(net.check_all_blackholes().is_empty());
     }
 
     #[test]
@@ -184,7 +180,7 @@ mod tests {
         // s0 forwards all of 10/8, but s1 only forwards the lower half.
         net.insert_rule(Rule::forward(RuleId(1), prefix("10.0.0.0/8"), 1, n[0], l01));
         net.insert_rule(Rule::forward(RuleId(2), prefix("10.0.0.0/9"), 1, n[1], l12));
-        let holes = check_blackholes(&net);
+        let holes = net.check_all_blackholes();
         // s1 blackholes the upper half; s2 blackholes the lower half.
         assert_eq!(holes.len(), 2);
         let at_s1 = holes
@@ -208,7 +204,7 @@ mod tests {
         let mut net = DeltaNet::new(topo, DeltaNetConfig::default());
         net.insert_rule(Rule::forward(RuleId(1), prefix("10.0.0.0/8"), 1, n[0], l01));
         net.insert_rule(Rule::forward(RuleId(2), prefix("10.0.0.0/9"), 1, n[1], l12));
-        assert_eq!(check_blackholes(&net).len(), 2);
+        assert_eq!(net.check_all_blackholes().len(), 2);
         // Cover the gap at s1 and terminate traffic at s2 explicitly.
         net.insert_rule(Rule::forward(
             RuleId(3),
@@ -218,17 +214,17 @@ mod tests {
             l12,
         ));
         net.insert_rule(Rule::drop(RuleId(4), prefix("10.0.0.0/8"), 1, n[2], d2));
-        assert!(check_blackholes(&net).is_empty());
+        assert!(net.check_all_blackholes().is_empty());
         // Removing the covering rule re-introduces exactly one blackhole.
         net.remove_rule(RuleId(3));
-        assert_eq!(check_blackholes(&net).len(), 1);
+        assert_eq!(net.check_all_blackholes().len(), 1);
     }
 
     #[test]
     fn empty_network_has_no_blackholes() {
         let (topo, _) = chain();
         let net = DeltaNet::new(topo, DeltaNetConfig::default());
-        assert!(check_blackholes(&net).is_empty());
+        assert!(net.check_all_blackholes().is_empty());
     }
 
     #[test]
@@ -243,7 +239,7 @@ mod tests {
         let mut net = DeltaNet::new(topo, DeltaNetConfig::default());
         net.insert_rule(Rule::forward(RuleId(1), prefix("10.0.0.0/8"), 1, n[0], l01));
         net.insert_rule(Rule::drop(RuleId(2), prefix("10.0.0.0/9"), 1, n[1], d1));
-        let holes = check_blackholes(&net);
+        let holes = net.check_all_blackholes();
         assert_eq!(holes.len(), 1);
         match &holes[0] {
             InvariantViolation::Blackhole { node, packets } => {
@@ -262,7 +258,7 @@ mod tests {
             n[1],
             topo_drop(&net, n[1]),
         ));
-        assert!(check_blackholes(&net).is_empty());
+        assert!(net.check_all_blackholes().is_empty());
     }
 
     /// The (pre-created) drop link of `node` — read-only lookup for tests.
@@ -290,7 +286,7 @@ mod tests {
         net.insert_rule(Rule::drop(RuleId(2), prefix("10.0.0.0/8"), 1, n[1], d1));
         // Traffic flows a -> b -> sink; nothing is a blackhole, and the
         // sink never appears in any report.
-        let holes = check_blackholes(&net);
+        let holes = net.check_all_blackholes();
         assert!(holes.is_empty());
         // Same verdict from the incrementally maintained monitor.
         let mut monitored = DeltaNet::new(
@@ -322,7 +318,7 @@ mod tests {
         );
         net.insert_rule(Rule::forward(RuleId(1), prefix("10.0.0.0/8"), 1, n[0], l01));
         net.insert_rule(Rule::forward(RuleId(2), prefix("10.0.0.0/8"), 1, n[1], l12));
-        let holes = check_blackholes(&net);
+        let holes = net.check_all_blackholes();
         assert_eq!(holes.len(), 1);
         assert!(matches!(
             &holes[0],
@@ -349,7 +345,7 @@ mod tests {
             n[0],
             l01,
         ));
-        let holes = check_blackholes(&net);
+        let holes = net.check_all_blackholes();
         assert_eq!(holes.len(), 1);
         match &holes[0] {
             InvariantViolation::Blackhole { packets, .. } => {

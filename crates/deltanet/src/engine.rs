@@ -372,38 +372,25 @@ impl DeltaNet {
     }
 
     /// Attaches a violation monitor to a running engine, seeding it from
-    /// the current data plane with one full scan; every later update
-    /// maintains it incrementally. Replaces any existing monitor. Engines
-    /// created with [`DeltaNetConfig::monitor_violations`] start monitored
-    /// without the scan.
+    /// the current data plane with one full scan
+    /// ([`DeltaNet::fresh_monitor`]); every later update maintains it
+    /// incrementally. Replaces any existing monitor. Engines created with
+    /// [`DeltaNetConfig::monitor_violations`] start monitored without the
+    /// scan.
     pub fn enable_monitor(&mut self) -> &ViolationMonitor {
-        let monitor = match self.mf.as_mut() {
-            Some(mf) => {
-                let view = MfView {
-                    topology: &self.topology,
-                    owner: &self.owner,
-                    atoms: &self.atoms,
-                    rules: &self.rules,
-                };
-                mf.seed_monitor(&view)
-            }
-            None => self.fresh_monitor(),
-        };
+        let monitor = self.fresh_monitor();
         self.monitor.insert(monitor)
     }
 
-    /// A monitor seeded from the current data plane with one full scan,
-    /// dispatching on the engine's header-space shape — on a multi-field
-    /// engine the tuple-at-a-time scans, independent of the kernel that
-    /// maintains the live monitor. Used to attach a single-field monitor
-    /// and by snapshot restore to verify a persisted monitor against the
-    /// reconstructed plane.
+    /// A monitor seeded from the current data plane with one full scan —
+    /// the one place the engine's header-space shape picks the scan: the
+    /// label walk single-field, the set-at-a-time kernel over every atom
+    /// ([`MultiField::scan`]) multi-field. What `enable_monitor` attaches,
+    /// what snapshot restore verifies a persisted monitor against, and what
+    /// the multi-field `check_all_*` render.
     pub(crate) fn fresh_monitor(&self) -> ViolationMonitor {
         match &self.mf {
-            Some(mf) => {
-                let view = self.mf_view();
-                ViolationMonitor::from_maps(mf.scan_loops(&view), mf.scan_blackholes(&view))
-            }
+            Some(mf) => mf.scan(&self.mf_view()),
             None => ViolationMonitor::from_state(&self.topology, &self.labels, &self.atoms),
         }
     }
@@ -854,12 +841,15 @@ impl DeltaNet {
 
     /// Checks the entire data plane for forwarding loops (not just the last
     /// delta-graph). Used by offline audits and the differential tests. On
-    /// a multi-field engine this dispatches to the cross-field scan of
-    /// [`crate::multifield`]; violations still report primary-field packet
-    /// intervals (the union over all secondary classes that loop).
+    /// a multi-field engine labels cannot answer this (see
+    /// [`crate::multifield`]), so it is the loop half of a from-scratch
+    /// [`DeltaNet::fresh_monitor`], rendered as
+    /// [`DeltaNet::active_violations`] renders the live one; violations
+    /// still report primary-field packet intervals (the union over all
+    /// secondary classes that loop).
     pub fn check_all_loops(&self) -> Vec<netmodel::checker::InvariantViolation> {
         match &self.mf {
-            Some(mf) => loops::into_violations(mf.scan_loops(&self.mf_view()), &self.atoms),
+            Some(_) => self.fresh_monitor().loop_violations(&self.atoms),
             None => loops::find_all_loops(&self.topology, &self.labels, &self.atoms),
         }
     }
@@ -867,17 +857,12 @@ impl DeltaNet {
     /// Checks the entire data plane for blackholes: traffic arriving at a
     /// switch that has no rule (forward or drop) for it. The engine-level
     /// entry point for [`crate::blackholes::find_blackholes`], surfaced
-    /// end-to-end through `deltanet replay --check blackholes`. Dispatches
-    /// like [`DeltaNet::check_all_loops`] on a multi-field engine.
+    /// end-to-end through `deltanet replay --check blackholes` and
+    /// `deltanet audit`. On a multi-field engine, the blackhole half of a
+    /// from-scratch monitor, like [`DeltaNet::check_all_loops`].
     pub fn check_all_blackholes(&self) -> Vec<netmodel::checker::InvariantViolation> {
         match &self.mf {
-            Some(mf) => {
-                let holes = mf.scan_blackholes(&self.mf_view());
-                crate::blackholes::render_blackholes(
-                    holes.iter().map(|(n, s)| (*n, s)),
-                    &self.atoms,
-                )
-            }
+            Some(_) => self.fresh_monitor().blackhole_violations(&self.atoms),
             None => crate::blackholes::find_blackholes(&self.topology, &self.labels, &self.atoms),
         }
     }

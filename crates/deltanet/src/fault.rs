@@ -190,7 +190,6 @@ struct FaultState {
     plan: FaultPlan,
     appended: u64,
     syncs: u64,
-    renames: u64,
     crashed: bool,
 }
 
@@ -258,17 +257,11 @@ impl FaultyBackend {
         s.crashed = false;
         s.appended = 0;
         s.syncs = 0;
-        s.renames = 0;
     }
 
     /// Number of `sync_file` calls (fsyncs) attempted so far.
     pub fn sync_count(&self) -> u64 {
         self.state.lock().unwrap().syncs
-    }
-
-    /// Number of `rename` calls attempted so far.
-    pub fn rename_count(&self) -> u64 {
-        self.state.lock().unwrap().renames
     }
 
     /// Cumulative bytes successfully appended across all files.
@@ -382,7 +375,6 @@ impl StorageBackend for FaultyBackend {
     fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()> {
         let mut s = self.state.lock().unwrap();
         s.check_alive()?;
-        s.renames += 1;
         if s.plan.crash_on_rename {
             s.crashed = true;
             return Err(crash_error());

@@ -71,16 +71,6 @@ impl Labels {
             .unwrap_or_else(|| EMPTY.get())
     }
 
-    /// Number of links that currently carry at least one atom.
-    pub fn non_empty_links(&self) -> usize {
-        self.per_link.iter().filter(|s| !s.is_empty()).count()
-    }
-
-    /// Number of link slots allocated.
-    pub fn link_capacity(&self) -> usize {
-        self.per_link.len()
-    }
-
     /// Iterates `(link, label)` pairs for links with a non-empty label.
     pub fn iter(&self) -> impl Iterator<Item = (LinkId, &AtomSet)> + '_ {
         self.per_link
@@ -213,15 +203,14 @@ mod tests {
         l.insert(LinkId(3), AtomId(5));
         let got: Vec<(LinkId, usize)> = l.iter().map(|(id, s)| (id, s.len())).collect();
         assert_eq!(got, vec![(LinkId(1), 1), (LinkId(3), 2)]);
-        assert_eq!(l.non_empty_links(), 2);
-        assert_eq!(l.link_capacity(), 4);
+        assert_eq!(l.export_parts().0, 4);
     }
 
     #[test]
     fn with_links_preallocates() {
         let l = Labels::with_links(10);
-        assert_eq!(l.link_capacity(), 10);
-        assert_eq!(l.non_empty_links(), 0);
+        assert_eq!(l.export_parts().0, 10);
+        assert_eq!(l.iter().count(), 0);
     }
 
     #[test]
@@ -261,6 +250,6 @@ mod tests {
         assert!(l.live_bytes() < live_full);
         l.shrink_to_fit();
         assert!(l.memory_bytes() < before + 64 * 8 * 100);
-        assert_eq!(l.non_empty_links(), 0);
+        assert_eq!(l.iter().count(), 0);
     }
 }

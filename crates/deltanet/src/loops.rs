@@ -142,12 +142,6 @@ pub(crate) fn rotate_to_canonical(cycle: &mut [NodeId]) {
     cycle.rotate_left(min_pos);
 }
 
-/// [`rotate_to_canonical`] on an owned cycle.
-pub(crate) fn canonicalize(mut cycle: Vec<NodeId>) -> Vec<NodeId> {
-    rotate_to_canonical(&mut cycle);
-    cycle
-}
-
 /// Records that `atom` belongs to the violation identified by `key` (a
 /// canonical cycle; for the monitor also a blackhole switch); returns
 /// whether the identity was absent from the map. Looks the key up in

@@ -74,9 +74,11 @@
 //! [`crate::multifield::ClassWalk::scan_atom`]); steps 1 and 4 above run
 //! unchanged around it, so the tracked state stays keyed by primary atom
 //! alone — `loops[C] ∋ α` iff α rides C in *some* class — and events keep
-//! their identity-level meaning. `tests/multifield_differential.rs` pins
-//! state and events against the tuple-at-a-time full scans after every
-//! operation.
+//! their identity-level meaning. A full scan is that same per-atom scan
+//! over every atom into an empty monitor ([`ViolationMonitor::seeded`]), so
+//! `tests/multifield_differential.rs` pins state and events, after every
+//! operation, against the kernel run from scratch — and that scan against
+//! the stateless Veriflow-RI cross product.
 
 use crate::atoms::{AtomId, AtomMap, REMAP_DEAD};
 use crate::atomset::AtomSet;
@@ -269,28 +271,10 @@ impl ViolationMonitor {
         }
     }
 
-    /// Seeds a monitor directly from precomputed violation maps — what the
-    /// multi-field full scans ([`crate::multifield::mf_cycles`] /
-    /// [`crate::multifield::mf_holes`]) produce, for verifying a restored
-    /// monitor against the reconstructed plane.
-    pub(crate) fn from_maps(
-        loops: BTreeMap<Vec<NodeId>, AtomSet>,
-        holes: BTreeMap<NodeId, AtomSet>,
-    ) -> Self {
-        let mut monitor = ViolationMonitor {
-            loops,
-            holes,
-            ..ViolationMonitor::default()
-        };
-        monitor.loops.retain(|_, set| !set.is_empty());
-        monitor.holes.retain(|_, set| !set.is_empty());
-        monitor
-    }
-
     /// A monitor seeded by one [`ViolationMonitor::rescan_atoms`] pass over
-    /// `atoms` — how a multi-field engine attaches a monitor to a running
-    /// plane. The seeding itself is not an update: no events are left
-    /// behind.
+    /// `atoms` — the multi-field full scan
+    /// ([`crate::multifield::MultiField::scan`]). The seeding itself is not
+    /// an update: no events are left behind.
     pub(crate) fn seeded(
         atoms: impl Iterator<Item = AtomId>,
         scan: impl FnMut(AtomId, &mut dyn FnMut(Found<'_>)),
@@ -478,15 +462,23 @@ impl ViolationMonitor {
     /// plain `Vec` equality. The state itself is maintained — no scan runs
     /// here; cost is proportional to the active violations only.
     pub fn active_violations(&self, atoms: &AtomMap) -> Vec<InvariantViolation> {
-        let mut out = loops::into_violations(
+        let mut out = self.loop_violations(atoms);
+        out.extend(self.blackhole_violations(atoms));
+        out
+    }
+
+    /// The loop half of [`ViolationMonitor::active_violations`] — all of
+    /// `check_all_loops()` on a multi-field engine.
+    pub(crate) fn loop_violations(&self, atoms: &AtomMap) -> Vec<InvariantViolation> {
+        loops::into_violations(
             self.loops.iter().map(|(c, s)| (c.clone(), s.clone())),
             atoms,
-        );
-        out.extend(blackholes::render_blackholes(
-            self.holes.iter().map(|(n, s)| (*n, s)),
-            atoms,
-        ));
-        out
+        )
+    }
+
+    /// The blackhole half of [`ViolationMonitor::active_violations`].
+    pub(crate) fn blackhole_violations(&self, atoms: &AtomMap) -> Vec<InvariantViolation> {
+        blackholes::render_blackholes(self.holes.iter().map(|(n, s)| (*n, s)), atoms)
     }
 
     /// The identities of the currently active violations, in sorted order

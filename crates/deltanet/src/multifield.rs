@@ -19,28 +19,44 @@
 //! as an `Option`: `None` on a single-field engine, whose hot path
 //! therefore never enters this module.
 //!
-//! ## Two implementations of one predicate
+//! ## One predicate, one implementation that ships
 //!
 //! For a primary atom α and a secondary class c, the forwarding function
-//! `F_{α,c}` maps each node to [`mf_successor`]'s decision. A cycle of some
-//! `F_{α,c}` is a forwarding loop for α; a node some `F_{α,c}` forwards into
-//! that has no decision of its own for c is a blackhole for α. Two
-//! independent implementations evaluate that predicate:
+//! `F_{α,c}` maps each node to the link of the highest-priority rule that
+//! covers α *and* whose secondary intervals contain c. A cycle of some
+//! `F_{α,c}` is a forwarding loop for α. A switch some `F_{α,c}` forwards
+//! into that has no decision of its own for c is a blackhole for α — a
+//! drop-rule winner counts as a decision, and traffic forwarded into the
+//! drop node was deliberately discarded and never "arrives" anywhere.
 //!
-//! * **Tuple at a time** — [`mf_cycles`] and [`mf_holes`], behind
-//!   `check_all_loops` / `check_all_blackholes`: every `(α, c)` pair is one
-//!   successor walk that re-resolves owner cells hop by hop. Slow on
-//!   purpose: this is the reference the differential suite
-//!   (`tests/multifield_differential.rs`), the snapshot-restore check and
-//!   the benchmark's oracle compare the live state against.
-//! * **Set at a time** — [`ClassWalk`], behind the per-update check and the
-//!   monitor repair: per atom, each emitter's classes are partitioned once
-//!   by winning rule, and one walk carries the *set* of classes still alive
-//!   along the path — the step Query-Subquery Nets make for Horn
-//!   evaluation, pushing a relation through the net instead of one binding
-//!   at a time. Almost every class shares one winner at almost every hop,
-//!   so the walk costs a few word operations per hop whatever the class
-//!   count.
+//! [`ClassWalk`] is the only evaluation of that predicate outside test
+//! code. It works **set at a time**: per atom, each emitter's classes are
+//! partitioned once by winning rule, and one walk carries the *set* of
+//! classes still alive along the path — the step Query-Subquery Nets make
+//! for Horn evaluation, pushing a relation through the net instead of one
+//! binding at a time. Almost every class shares one winner at almost every
+//! hop, so the walk costs a few word operations per hop whatever the class
+//! count. The per-update check, the monitor repair and the full scans
+//! ([`MultiField::scan`], behind `check_all_loops` /
+//! `check_all_blackholes`, `enable_monitor` and the snapshot-restore
+//! verification) all run it; a full scan is the repair's per-atom scan over
+//! every atom, on a scratch kernel of its own.
+//!
+//! Two references evaluate the predicate **tuple at a time** — one
+//! successor walk per `(α, c)` pair — and share no code with the kernel:
+//!
+//! * `reference_scan`, in this module's tests, reads the same owner cells
+//!   the kernel does and is compared against it as exact maps, fixture by
+//!   fixture and after every op of a seeded churn.
+//! * `veriflow_ri::scan_multifield` is stateless — it recomputes every
+//!   class of every field from the live rule set alone, sharing no owner
+//!   cells either — and is what `tests/multifield_differential.rs` holds
+//!   the full scans to after every operation.
+//!
+//! What the live monitor is compared with in that suite, the restore check
+//! and the benchmark's `acl-multifield` oracle is therefore the kernel run
+//! from scratch: incremental versus from-scratch, not kernel versus
+//! reference.
 //!
 //! ## The repair contract
 //!
@@ -74,17 +90,16 @@
 //!   N-dimensional owner state.
 
 use crate::atoms::{AtomId, AtomMap, BoundRefs, DeltaPair};
-use crate::atomset::AtomSet;
 use crate::delta_graph::DeltaGraph;
-use crate::loops::{self, canonicalize, CycleMap};
+use crate::loops::{self, CycleMap};
 use crate::monitor::ViolationMonitor;
 use crate::owner::{Owner, SourceRules};
 use netmodel::checker::InvariantViolation;
 use netmodel::header::{SecondaryMatch, MAX_SECONDARY_FIELDS};
 use netmodel::interval::{Bound, Interval};
 use netmodel::rule::{Rule, RuleId};
-use netmodel::topology::{LinkId, NodeId, Topology};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use netmodel::topology::{NodeId, Topology};
+use std::collections::HashMap;
 use std::ops::Range;
 
 /// A borrowed view of exactly the engine state the cross-field checks
@@ -96,227 +111,6 @@ pub(crate) struct MfView<'a> {
     pub owner: &'a Owner,
     pub atoms: &'a AtomMap,
     pub rules: &'a HashMap<RuleId, Rule>,
-}
-
-/// One secondary equivalence class, given by a representative value per
-/// declared secondary field (positions past the declared count stay 0).
-///
-/// Within one atom of each secondary lattice every value is covered by the
-/// same set of rule intervals, so any witness — we use each atom's interval
-/// low bound — decides `SecondaryMatch::matches` for the whole class.
-pub(crate) type SecClass = [Bound; MAX_SECONDARY_FIELDS];
-
-/// Enumerates the cross product of the secondary lattices' atoms as
-/// representative classes, field 0 varying fastest — the order
-/// [`ClassWalk`] numbers its bitset positions in. With no declared
-/// secondary fields this is the single all-wildcard class.
-pub(crate) fn sec_classes(sec_atoms: &[AtomMap]) -> Vec<SecClass> {
-    let mut classes: Vec<SecClass> = vec![[0; MAX_SECONDARY_FIELDS]];
-    for (field, map) in sec_atoms.iter().enumerate() {
-        let mut next = Vec::with_capacity(classes.len() * map.atom_count());
-        for (_, interval) in map.iter() {
-            for base in &classes {
-                let mut class = *base;
-                class[field] = interval.lo();
-                next.push(class);
-            }
-        }
-        classes = next;
-    }
-    classes
-}
-
-/// Reusable scratch of the full scans: the per-atom emitter list and the
-/// visited marks, hoisted so the scans neither allocate nor clear per
-/// `(atom, class)` pair. Visited marks are generation-stamped — starting a
-/// new pair is a counter bump, not an O(nodes) clear.
-struct MfScratch {
-    /// Nodes owning at least one rule for the current primary atom,
-    /// collected once per atom and reused across every class.
-    emitters: Vec<NodeId>,
-    /// `visited[n] == generation` marks node `n` as explored for the
-    /// current pair.
-    visited: Vec<u32>,
-    generation: u32,
-}
-
-impl MfScratch {
-    /// Scratch sized for a topology with `node_count` nodes.
-    fn new(node_count: usize) -> Self {
-        MfScratch {
-            emitters: Vec::new(),
-            visited: vec![0; node_count],
-            generation: 0,
-        }
-    }
-
-    /// Collects the emitter nodes of `atom`; returns `false` when the atom
-    /// has no owners anywhere (the whole atom row can be skipped).
-    fn collect_emitters(&mut self, view: &MfView<'_>, atom: AtomId) -> bool {
-        self.emitters.clear();
-        self.emitters
-            .extend(view.owner.sources(atom).map(|(node, _)| node));
-        !self.emitters.is_empty()
-    }
-
-    /// Begins one `(atom, class)` pair: bumps the visited generation and
-    /// hands out the emitter list plus the stamped visited marks.
-    fn slice(&mut self) -> (&[NodeId], &mut [u32], u32) {
-        if self.generation == u32::MAX {
-            self.visited.iter_mut().for_each(|v| *v = 0);
-            self.generation = 0;
-        }
-        self.generation += 1;
-        (&self.emitters, &mut self.visited, self.generation)
-    }
-}
-
-/// The forwarding decision at `node` for primary atom `atom` and secondary
-/// class `class`: the link of the highest-priority rule that covers the
-/// atom *and* whose secondary intervals contain the class representative.
-///
-/// Owner cells keep their entries sorted in increasing `(priority, id)`
-/// order, so the first match of a reverse scan is the winner. Rules that
-/// constrain no secondary fields match every class.
-pub(crate) fn mf_successor(
-    view: &MfView<'_>,
-    node: NodeId,
-    atom: AtomId,
-    class: &SecClass,
-) -> Option<LinkId> {
-    let cell = view.owner.get(atom, node)?;
-    cell.as_slice()
-        .iter()
-        .rev()
-        .find(|owned| {
-            view.rules
-                .get(&owned.id)
-                .is_some_and(|rule| rule.sec.matches(class))
-        })
-        .map(|owned| owned.link)
-}
-
-/// Follows the per-class forwarding function from `start`, recording any
-/// cycle it runs into. A node whose visited mark equals `generation` was
-/// already explored for the current `(atom, class)` pair, so walks that
-/// share a tail deduplicate; the caller bumps the generation between pairs
-/// ([`MfScratch::slice`]).
-fn walk_for_cycle(
-    view: &MfView<'_>,
-    start: NodeId,
-    atom: AtomId,
-    class: &SecClass,
-    visited: &mut [u32],
-    generation: u32,
-    cycles: &mut BTreeMap<Vec<NodeId>, AtomSet>,
-) {
-    let mut path: Vec<NodeId> = Vec::new();
-    let mut on_path: HashMap<NodeId, usize> = HashMap::new();
-    let mut current = start;
-    loop {
-        if let Some(&pos) = on_path.get(&current) {
-            let cycle = canonicalize(path[pos..].to_vec());
-            cycles.entry(cycle).or_default().insert(atom);
-            return;
-        }
-        if visited[current.index()] == generation {
-            // Joined a path already explored for this pair; any cycle it
-            // leads to was recorded by the walk that got there first.
-            return;
-        }
-        visited[current.index()] = generation;
-        on_path.insert(current, path.len());
-        path.push(current);
-        let Some(link) = mf_successor(view, current, atom, class) else {
-            return;
-        };
-        let next = view.topology.link(link).dst;
-        if view.topology.is_drop_node(next) {
-            return;
-        }
-        current = next;
-    }
-}
-
-/// Evaluates the blackhole predicate for one `(atom, class)` pair,
-/// invoking `sink` for every switch where the class arrives unhandled. A
-/// class blackholes at a switch when some in-link delivers it there (the
-/// upstream node's winner for the class is that link) but the switch
-/// itself has no winner — no covering rule whose secondary intervals
-/// match. A drop-rule winner counts as handled; traffic forwarded into the
-/// drop node was deliberately discarded and never "arrives" anywhere.
-fn holes_for_slice(
-    view: &MfView<'_>,
-    emitters: &[NodeId],
-    atom: AtomId,
-    class: &SecClass,
-    handled: &mut HashSet<NodeId>,
-    arrived: &mut HashSet<NodeId>,
-    mut sink: impl FnMut(NodeId),
-) {
-    handled.clear();
-    arrived.clear();
-    for &node in emitters {
-        if let Some(link) = mf_successor(view, node, atom, class) {
-            handled.insert(node);
-            let dst = view.topology.link(link).dst;
-            if !view.topology.is_drop_node(dst) {
-                arrived.insert(dst);
-            }
-        }
-    }
-    for &node in arrived.difference(handled) {
-        sink(node);
-    }
-}
-
-/// Full-plane loop scan: every primary atom × every class of `classes`,
-/// walking from every node that owns rules for the atom. Loops found in
-/// different secondary classes but on the same node cycle union their
-/// primary atoms, matching how violations aggregate packet intervals.
-pub(crate) fn mf_cycles(view: &MfView<'_>, classes: &[SecClass]) -> BTreeMap<Vec<NodeId>, AtomSet> {
-    let mut cycles = BTreeMap::new();
-    let mut scratch = MfScratch::new(view.topology.node_count());
-    for (atom, _) in view.atoms.iter() {
-        if !scratch.collect_emitters(view, atom) {
-            continue;
-        }
-        for class in classes {
-            let (emitters, visited, generation) = scratch.slice();
-            for &start in emitters {
-                walk_for_cycle(view, start, atom, class, visited, generation, &mut cycles);
-            }
-        }
-    }
-    cycles
-}
-
-/// Full-plane blackhole scan over every primary atom × every class of
-/// `classes` (see [`holes_for_slice`] for the per-pair predicate).
-pub(crate) fn mf_holes(view: &MfView<'_>, classes: &[SecClass]) -> BTreeMap<NodeId, AtomSet> {
-    let mut holes: BTreeMap<NodeId, AtomSet> = BTreeMap::new();
-    let mut scratch = MfScratch::new(view.topology.node_count());
-    let mut handled: HashSet<NodeId> = HashSet::new();
-    let mut arrived: HashSet<NodeId> = HashSet::new();
-    for (atom, _) in view.atoms.iter() {
-        if !scratch.collect_emitters(view, atom) {
-            continue;
-        }
-        for class in classes {
-            holes_for_slice(
-                view,
-                &scratch.emitters,
-                atom,
-                class,
-                &mut handled,
-                &mut arrived,
-                |node| {
-                    holes.entry(node).or_default().insert(atom);
-                },
-            );
-        }
-    }
-    holes
 }
 
 // The rank-range product in `ClassWalk::admitted` is written out for two
@@ -347,7 +141,7 @@ const OFF_PATH: u32 = u32::MAX;
 ///
 /// A class set is a bitset of `words` words over the secondary classes,
 /// numbered by mixed-radix rank (`r1 · n0 + r0`, `r_f` the position of the
-/// class's atom in field `f`'s lattice — [`sec_classes`] order). Rule
+/// class's atom in field `f`'s lattice — field 0 varies fastest). Rule
 /// bounds are always lattice bounds, so the classes a rule admits are a
 /// product of rank ranges, found by binary search on the per-field sorted
 /// lows. Per-node state is generation-stamped: starting an atom is a
@@ -486,8 +280,8 @@ impl ClassWalk {
     /// Makes `node`'s state current: on its first use for this atom, no
     /// class has explored it, and its classes are partitioned by winning
     /// rule — the owner cell in descending `(priority, id)`, each rule
-    /// taking what it admits of the classes no higher rule took. The same
-    /// decision as [`mf_successor`], for every class at once.
+    /// taking what it admits of the classes no higher rule took: the
+    /// module docs' `F_{α,c}` at `node`, for every class at once.
     fn touch(&mut self, view: &MfView<'_>, atom: AtomId, node: NodeId) {
         let i = node.index();
         if self.stamp[i] == self.generation {
@@ -601,8 +395,8 @@ impl ClassWalk {
     /// Every violation of `atom` over all secondary classes: one winner
     /// partition per emitter, the blackholes that fall out of it (a group
     /// lands where some of its classes have no winner), and one walk per
-    /// emitter. The same predicates as [`mf_cycles`] and [`mf_holes`]
-    /// restricted to the atom; a finding may be reported more than once.
+    /// emitter. The module docs' two predicates restricted to the atom; a
+    /// finding may be reported more than once.
     pub(crate) fn scan_atom(
         &mut self,
         view: &MfView<'_>,
@@ -809,33 +603,30 @@ impl MultiField {
         violations
     }
 
-    /// A monitor seeded from the current plane by the same per-atom scan
-    /// every later update repairs with, over every atom.
-    pub(crate) fn seed_monitor(&mut self, view: &MfView<'_>) -> ViolationMonitor {
-        let walk = &mut self.walk;
+    /// The full scan, and the only read entry point: a monitor seeded from
+    /// the current plane by the per-atom scan every update repairs with,
+    /// over every atom. Scans take `&self`, so the walk runs on a scratch
+    /// kernel; the live one's scratch stays the update path's.
+    pub(crate) fn scan(&self, view: &MfView<'_>) -> ViolationMonitor {
+        let mut walk = ClassWalk::new(&self.atoms, view.topology.node_count());
         let atoms = view.atoms.iter().map(|(atom, _)| atom);
         ViolationMonitor::seeded(atoms, |atom, found| walk.scan_atom(view, atom, found))
-    }
-
-    /// Full-plane loop scan, tuple at a time ([`mf_cycles`]) — independent
-    /// of the kernel that maintains the live monitor.
-    pub(crate) fn scan_loops(&self, view: &MfView<'_>) -> BTreeMap<Vec<NodeId>, AtomSet> {
-        mf_cycles(view, &sec_classes(&self.atoms))
-    }
-
-    /// Full-plane blackhole scan, tuple at a time ([`mf_holes`]).
-    pub(crate) fn scan_blackholes(&self, view: &MfView<'_>) -> BTreeMap<NodeId, AtomSet> {
-        mf_holes(view, &sec_classes(&self.atoms))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::atomset::AtomSet;
     use crate::engine::{DeltaNet, DeltaNetConfig};
-    use netmodel::checker::InvariantViolation;
+    use netmodel::checker::{Checker, InvariantViolation};
     use netmodel::ip::IpPrefix;
     use netmodel::rule::Action;
+    use netmodel::topology::LinkId;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::collections::BTreeMap;
+    use testutil::{random_ops_multifield, random_topology};
 
     const WIDTH: u8 = 8;
     type Src<'a> = &'a [(u128, u128)];
@@ -892,16 +683,123 @@ mod tests {
         (cycles, holes)
     }
 
+    /// One secondary equivalence class, given by a representative value
+    /// per declared secondary field (positions past the declared count
+    /// stay 0). Within one atom of each secondary lattice every value is
+    /// covered by the same set of rule intervals, so any witness — each
+    /// atom's interval low bound here — decides `SecondaryMatch::matches`
+    /// for the whole class.
+    type SecClass = [Bound; MAX_SECONDARY_FIELDS];
+
+    /// The cross product of the secondary lattices' atoms as representative
+    /// classes.
+    fn class_witnesses(sec_atoms: &[AtomMap]) -> Vec<SecClass> {
+        let mut classes: Vec<SecClass> = vec![[0; MAX_SECONDARY_FIELDS]];
+        for (field, map) in sec_atoms.iter().enumerate() {
+            let mut next = Vec::new();
+            for (_, interval) in map.iter() {
+                for base in &classes {
+                    let mut class = *base;
+                    class[field] = interval.lo();
+                    next.push(class);
+                }
+            }
+            classes = next;
+        }
+        classes
+    }
+
+    /// The forwarding decision at `node` for primary atom `atom` and
+    /// secondary class `class`: the link of the highest-priority rule that
+    /// covers the atom *and* whose secondary intervals contain the class
+    /// representative. Owner cells keep their entries sorted in increasing
+    /// `(priority, id)` order, so the first match of a reverse scan is the
+    /// winner. Rules that constrain no secondary fields match every class.
+    fn successor(
+        view: &MfView<'_>,
+        node: NodeId,
+        atom: AtomId,
+        class: &SecClass,
+    ) -> Option<LinkId> {
+        let cell = view.owner.get(atom, node)?;
+        let admits = |id| {
+            view.rules
+                .get(id)
+                .is_some_and(|rule| rule.sec.matches(class))
+        };
+        let winner = cell.as_slice().iter().rev().find(|owned| admits(&owned.id));
+        winner.map(|owned| owned.link)
+    }
+
+    /// The tuple-at-a-time reference the kernel replaced on the read path:
+    /// every `(atom, class)` pair is one forwarding function, followed hop
+    /// by hop from every node that owns a rule for the atom. Shares nothing
+    /// with [`ClassWalk`] but the owner cells it reads.
+    fn reference_scan(net: &DeltaNet) -> Scan {
+        let view = net.mf_view();
+        let (mut cycles, mut holes) = (CycleMap::new(), BTreeMap::new());
+        let classes = class_witnesses(net.secondary_atoms());
+        for (atom, _) in view.atoms.iter() {
+            let emitters: Vec<NodeId> = view.owner.sources(atom).map(|(node, _)| node).collect();
+            for class in &classes {
+                // Where `node` sends the pair, if anywhere a switch: traffic
+                // forwarded into the drop node was deliberately discarded
+                // and never "arrives".
+                let next = |node| {
+                    let dst = view.topology.link(successor(&view, node, atom, class)?).dst;
+                    (!view.topology.is_drop_node(dst)).then_some(dst)
+                };
+                // Loops found in different classes on the same node cycle
+                // union their primary atoms, matching how violations
+                // aggregate packet intervals.
+                for &start in &emitters {
+                    let mut path: Vec<NodeId> = Vec::new();
+                    let mut current = Some(start);
+                    while let Some(node) = current {
+                        if let Some(pos) = path.iter().position(|&on_path| on_path == node) {
+                            let mut cycle = path[pos..].to_vec();
+                            loops::rotate_to_canonical(&mut cycle);
+                            loops::admit(&mut cycles, &cycle[..], atom);
+                            break;
+                        }
+                        path.push(node);
+                        current = next(node);
+                    }
+                }
+                // The pair blackholes at a switch some node's winner
+                // delivers it to but which has no winner of its own; a
+                // drop-rule winner counts as handled.
+                for arrived in emitters.iter().filter_map(|&node| next(node)) {
+                    if successor(&view, arrived, atom, class).is_none() {
+                        loops::admit(&mut holes, &arrived, atom);
+                    }
+                }
+            }
+        }
+        (cycles, holes)
+    }
+
     /// Scans every atom of `net` with a fresh kernel; the union must be
-    /// exactly what the tuple-at-a-time full scans find.
+    /// exactly what the tuple-at-a-time reference finds.
     fn kernel_scan(net: &DeltaNet) -> Scan {
         let view = net.mf_view();
         let mut walk = ClassWalk::new(net.secondary_atoms(), view.topology.node_count());
         let (cycles, holes) = scan_all(&mut walk, &view);
-        let classes = sec_classes(net.secondary_atoms());
-        assert_eq!(cycles, mf_cycles(&view, &classes), "cycles");
-        assert_eq!(holes, mf_holes(&view, &classes), "holes");
+        let reference = reference_scan(net);
+        assert_eq!(cycles, reference.0, "cycles");
+        assert_eq!(holes, reference.1, "holes");
         (cycles, holes)
+    }
+
+    /// What the shipping full scans see: the maps inside a from-scratch
+    /// [`MultiField::scan`] monitor.
+    fn production_scan(net: &DeltaNet) -> Scan {
+        let (cycles, holes) = net.fresh_monitor().export_parts();
+        let set = AtomSet::from_raw_words;
+        (
+            cycles.into_iter().map(|(c, w)| (c, set(w))).collect(),
+            holes.into_iter().map(|(n, w)| (n, set(w))).collect(),
+        )
     }
 
     /// How many cycles a seeded walk from `source` finds for the fixture
@@ -1019,6 +917,39 @@ mod tests {
         walk.stamp.fill(u32::MAX - 1);
         assert_eq!(scan_all(&mut walk, &view), expected);
         assert!(walk.generation < 16);
+    }
+
+    #[test]
+    fn production_scans_equal_the_reference_after_every_op_of_a_seeded_churn() {
+        for (seed, sec_widths) in [(0u64, &[6u8][..]), (1, &[4, 3])] {
+            let mut rng = StdRng::seed_from_u64(0x5CA_F1E1D ^ seed);
+            let topo = random_topology(&mut rng, 5, true);
+            let ops = random_ops_multifield(&mut rng, &topo, 120, WIDTH, sec_widths, 20, 0.3);
+            let config = DeltaNetConfig {
+                field_width: WIDTH,
+                ..DeltaNetConfig::default()
+            };
+            let mut net = DeltaNet::new(topo, config.with_secondary(sec_widths));
+            let (mut with_loops, mut with_holes, mut merged) = (0, 0, 0);
+            for (i, op) in ops.iter().enumerate() {
+                net.try_apply(op)
+                    .unwrap_or_else(|e| panic!("seed {seed} op {i} rejected: {e}"));
+                if i == ops.len() / 2 {
+                    // Renumbers the primary atoms and the classes under
+                    // both implementations.
+                    merged = net.compact().merged_atoms;
+                }
+                let scan = production_scan(&net);
+                assert_eq!(scan, reference_scan(&net), "seed {seed} op {i}");
+                with_loops += usize::from(!scan.0.is_empty());
+                with_holes += usize::from(!scan.1.is_empty());
+            }
+            assert!(
+                with_loops > 0 && with_holes > 0 && merged > 0,
+                "seed {seed}: trace too tame ({with_loops} ops with loops, \
+                 {with_holes} with blackholes, {merged} atoms merged)"
+            );
+        }
     }
 
     #[test]

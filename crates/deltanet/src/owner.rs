@@ -384,14 +384,6 @@ impl Owner {
             .flat_map(|slots| slots.iter().map(|s| (s.source, &s.rules)))
     }
 
-    /// Removes empty per-source slots of an atom (keeps the structure tidy
-    /// after removals; not required for correctness).
-    pub fn prune_empty(&mut self, atom: AtomId) {
-        if let Some(slots) = self.per_atom.get_mut(atom.index()) {
-            slots.retain(|s| !s.rules.is_empty());
-        }
-    }
-
     /// Frees an atom's slot list entirely, releasing its heap storage — the
     /// counterpart of [`Owner::clone_atom`] used when a compaction pass
     /// merges the atom away.
@@ -422,11 +414,6 @@ impl Owner {
             );
             self.per_atom[new as usize] = slots;
         }
-    }
-
-    /// Number of atoms for which the structure has been allocated.
-    pub fn atom_capacity(&self) -> usize {
-        self.per_atom.len()
     }
 
     /// Total number of `(atom, source, rule)` entries — the `O(R·K)` space
@@ -639,17 +626,6 @@ mod tests {
     }
 
     #[test]
-    fn prune_empty_drops_only_empty_entries() {
-        let mut o = Owner::new();
-        o.get_mut(AtomId(0), NodeId(0)).insert(1, rid(1), LinkId(0));
-        o.get_mut(AtomId(0), NodeId(1)).insert(2, rid(2), LinkId(1));
-        assert!(o.get_mut(AtomId(0), NodeId(1)).remove(2, rid(2)));
-        o.prune_empty(AtomId(0));
-        assert!(o.get(AtomId(0), NodeId(1)).is_none());
-        assert!(o.get(AtomId(0), NodeId(0)).is_some());
-    }
-
-    #[test]
     fn memory_accounting_is_monotone() {
         let mut o = Owner::new();
         let before = o.memory_bytes();
@@ -664,7 +640,7 @@ mod tests {
         }
         assert!(o.memory_bytes() > before);
         assert_eq!(o.total_entries(), 200);
-        assert_eq!(o.atom_capacity(), 50);
+        assert_eq!(o.export_cells().len(), 50);
         assert_eq!(o.spilled_cells(), 0);
     }
 
@@ -680,7 +656,7 @@ mod tests {
         assert_eq!(o.spilled_cells(), 2);
         assert_eq!(o.get(AtomId(5), NodeId(0)).unwrap().len(), INLINE_RULES + 2);
         // ensure_atom extended the arena to cover atoms 1..=5 as well.
-        assert_eq!(o.atom_capacity(), 6);
+        assert_eq!(o.export_cells().len(), 6);
         assert_eq!(o.sources(AtomId(3)).count(), 0);
     }
 
@@ -695,7 +671,7 @@ mod tests {
         assert_eq!(o.sources(AtomId(2)).count(), 0);
         let remap = [0, u32::MAX, u32::MAX, u32::MAX, 1];
         o.remap(&remap, 2);
-        assert_eq!(o.atom_capacity(), 2);
+        assert_eq!(o.export_cells().len(), 2);
         assert_eq!(
             o.get(AtomId(0), NodeId(1)).unwrap().highest().unwrap().id,
             rid(1)

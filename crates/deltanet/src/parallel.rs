@@ -4,7 +4,9 @@
 //! Algorithm 1 and 2 are highly parallelizable" (§6). The *query* side —
 //! what-if analysis of many links, loop audits over many atoms — lives here:
 //! it only reads the persistent edge-labelled graph, so it partitions across
-//! threads with no synchronization beyond the final merge. The *update*
+//! threads with no synchronization beyond the final merge (a multi-field
+//! plane, whose loops the labels do not describe, is audited sequentially
+//! by its own kernel instead). The *update*
 //! side is parallelized by [`crate::shard::ShardedDeltaNet`], which
 //! partitions the address space itself so disjoint shards apply rule updates
 //! concurrently; both sides size their thread pools from the same
@@ -214,6 +216,11 @@ pub fn what_if_many_with(
 /// [`DeltaNet::check_all_loops`], merely faster on large atom counts.
 /// Worker count from [`Parallelism::from_env`]; use
 /// [`check_all_loops_parallel_with`] to pin it.
+///
+/// The partitions walk edge labels, which under secondary header fields
+/// are a projection that misses and invents loops (see
+/// [`crate::multifield`]), so a multi-field plane takes the sequential scan
+/// whatever the worker count.
 pub fn check_all_loops_parallel(net: &DeltaNet) -> Vec<InvariantViolation> {
     check_all_loops_parallel_with(net, Parallelism::from_env())
 }
@@ -225,7 +232,7 @@ pub fn check_all_loops_parallel_with(
 ) -> Vec<InvariantViolation> {
     let all_atoms: Vec<crate::atoms::AtomId> = net.atoms().iter().map(|(a, _)| a).collect();
     let workers = parallelism.for_items(all_atoms.len() / 64 + 1);
-    if workers <= 1 {
+    if workers <= 1 || net.is_multifield() {
         return net.check_all_loops();
     }
     let chunk = all_atoms.len().div_ceil(workers);
@@ -251,6 +258,7 @@ pub fn check_all_loops_parallel_with(
 mod tests {
     use super::*;
     use crate::engine::DeltaNetConfig;
+    use netmodel::header::SecondaryMatch;
     use netmodel::interval::Interval;
     use netmodel::ip::IpPrefix;
     use netmodel::rule::{Rule, RuleId};
@@ -316,6 +324,47 @@ mod tests {
                     assert!(!par.is_empty());
                 }
             }
+        }
+    }
+
+    #[test]
+    fn parallel_loop_audit_of_a_multifield_plane_matches_sequential() {
+        // n0 and n1 forward everything to each other; a higher-priority
+        // deny at n0 takes sources [10, 20) out. Labels are a primary-field
+        // projection, so at n0 the deny owns every label bit and a label
+        // walk sees no loop — while every other source rides n0 -> n1 -> n0.
+        let mut topo = Topology::new();
+        let n = topo.add_nodes("n", 2);
+        let (l01, l10) = (topo.add_link(n[0], n[1]), topo.add_link(n[1], n[0]));
+        let drop0 = topo.drop_link(n[0]);
+        let config = DeltaNetConfig {
+            field_width: 8,
+            check_loops_per_update: false,
+            ..Default::default()
+        };
+        let mut net = DeltaNet::new(topo, config.with_secondary(&[8]));
+        let all = IpPrefix::new(0, 0, 8);
+        net.insert_rule(Rule::forward(RuleId(0), all, 1, n[0], l01));
+        net.insert_rule(Rule::forward(RuleId(1), all, 1, n[1], l10));
+        let sources = SecondaryMatch::new(&[Interval::new(10, 20)]);
+        net.insert_rule(Rule::drop(RuleId(2), all, 10, n[0], drop0).with_secondary(sources));
+        // Enough atoms that two workers would each be handed a partition.
+        for i in 0..200 {
+            let host = IpPrefix::new(i, 8, 8);
+            net.insert_rule(Rule::forward(RuleId(100 + i as u64), host, 2, n[1], l10));
+        }
+        assert_eq!(net.atom_count(), 201);
+        let seq = net.check_all_loops();
+        assert_eq!(
+            seq,
+            vec![InvariantViolation::ForwardingLoop {
+                nodes: vec![n[0], n[1]],
+                packets: vec![Interval::new(0, 256)],
+            }]
+        );
+        for workers in [1, 2, 5] {
+            let par = check_all_loops_parallel_with(&net, Parallelism::fixed(workers));
+            assert_eq!(par, seq, "workers={workers}");
         }
     }
 

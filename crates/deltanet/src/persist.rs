@@ -2197,12 +2197,6 @@ impl LoggedNet {
         &self.net
     }
 
-    /// The engine (mutable — bypasses logging; use for queries and
-    /// maintenance like [`PersistNet::compact`], not for updates).
-    pub fn net_mut(&mut self) -> &mut PersistNet {
-        &mut self.net
-    }
-
     /// The journal (position, segment and checkpoint counters).
     pub fn journal(&self) -> &Journal {
         &self.journal
@@ -2596,9 +2590,18 @@ mod tests {
     use super::*;
 
     /// A monitored shard of a `dst:8 × src:6` plane (clip `[0 : 128)`) after
-    /// three inserts and a removal, so both lattices hold referenced bounds,
+    /// five inserts and a removal, so both lattices hold referenced bounds,
     /// a clip pin and a reclaimable bound.
     fn shard() -> (Topology, DeltaNet) {
+        shard_over(&[6])
+    }
+
+    /// [`shard`] over the given secondary widths; with none, the same
+    /// rules unconstrained on a single-field engine. Either way `[96 : 128)`
+    /// loops between `a` and `b` — under `src:6` only for sources
+    /// `[8 : 16)`, every other source dying at `a`, which no label shows —
+    /// and each switch blackholes what the other sends it unanswered.
+    fn shard_over(sec_widths: &[u8]) -> (Topology, DeltaNet) {
         let mut topo = Topology::new();
         let a = topo.add_node("a");
         let b = topo.add_node("b");
@@ -2608,9 +2611,12 @@ mod tests {
             monitor_violations: true,
             ..DeltaNetConfig::default()
         }
-        .with_secondary(&[6]);
+        .with_secondary(sec_widths);
         let mut net = DeltaNet::clipped(topo.clone(), config, Interval::new(0, 128));
-        let src = |lo, hi| SecondaryMatch::new(&[Interval::new(lo, hi)]);
+        let src = |lo, hi| match sec_widths {
+            [] => SecondaryMatch::default(),
+            _ => SecondaryMatch::new(&[Interval::new(lo, hi)]),
+        };
         let rule = |id, value, len, source, link| {
             Rule::forward(RuleId(id), IpPrefix::new(value, len, 8), 5, source, link)
         };
@@ -2618,13 +2624,16 @@ mod tests {
         net.insert_rule(rule(2, 16, 4, b, ba).with_secondary(src(8, 40)));
         net.insert_rule(rule(3, 64, 3, a, ab).with_secondary(src(24, 32)));
         net.insert_rule(rule(4, 96, 2, b, ba));
+        net.insert_rule(rule(5, 96, 2, a, ab).with_secondary(src(8, 16)));
         net.remove_rule(RuleId(3));
-        assert!(net.reclaimable_bounds() >= 2);
+        assert!(net.reclaimable_bounds() > sec_widths.len());
         (topo, net)
     }
 
-    fn restore_tampered(tamper: impl FnOnce(&mut EngineSection)) -> Result<DeltaNet, PersistError> {
-        let (topo, net) = shard();
+    fn restore_tampered(
+        (topo, net): (Topology, DeltaNet),
+        tamper: impl FnOnce(&mut EngineSection),
+    ) -> Result<DeltaNet, PersistError> {
         let registry = net.rules().map(|rule| (rule.id, *rule)).collect();
         let mut section = EngineSection::export(&net);
         tamper(&mut section);
@@ -2634,7 +2643,7 @@ mod tests {
     #[test]
     fn restore_recomputes_the_books_and_rejects_a_section_that_lies_about_them() {
         let (_, live) = shard();
-        let restored = restore_tampered(|_| {}).expect("the untampered section restores");
+        let restored = restore_tampered(shard(), |_| {}).expect("the untampered section restores");
         assert_eq!(restored.reclaimable_bounds(), live.reclaimable_bounds());
         assert_eq!(restored.live_bytes(), live.live_bytes());
 
@@ -2653,7 +2662,7 @@ mod tests {
                 s.lattice.refs.push((last + 1, 1));
             }),
             ("rule bound missing from M", "secondary field 0", |s| {
-                // Bound 8 of rules 1 and 2 leaves M; its atom id goes onto
+                // Bound 8 of rules 1, 2 and 5 leaves M; its atom id goes onto
                 // the free list so the id table itself stays consistent.
                 let at = s.sec[0].entries.iter().position(|&(b, _)| b == 8).unwrap();
                 let (_, atom) = s.sec[0].entries.remove(at);
@@ -2661,12 +2670,49 @@ mod tests {
             }),
         ];
         for (lie, field, tamper) in lies {
-            match restore_tampered(tamper) {
+            match restore_tampered(shard(), tamper) {
                 Err(PersistError::Corrupt(msg)) => {
                     assert!(msg.contains(field), "{lie}: error names no field: {msg}")
                 }
                 Err(other) => panic!("{lie}: expected Corrupt, got {other:?}"),
                 Ok(_) => panic!("{lie}: restored"),
+            }
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_monitor_the_restored_plane_does_not_scan_to() {
+        type Tamper = fn(&mut EngineSection);
+        let lies: [(&str, Tamper); 3] = [
+            ("an atom added to a blackhole set", |s| {
+                // The looping atom, at the switch that does not blackhole it.
+                let (loops, holes) = s.monitor.as_mut().unwrap();
+                holes[1].1[0] |= loops[0].1[0];
+            }),
+            ("a dropped loop entry", |s| {
+                s.monitor.as_mut().unwrap().0.pop();
+            }),
+            ("a cycle the plane does not have", |s| {
+                let loops = &mut s.monitor.as_mut().unwrap().0;
+                loops.push((vec![NodeId(0)], vec![1]));
+            }),
+        ];
+        for sec_widths in [&[6][..], &[]] {
+            let live = shard_over(sec_widths).1;
+            let active = live.active_violations().expect("the fixture is monitored");
+            let loops = active.iter().filter(|v| v.is_loop()).count();
+            assert_eq!((loops, active.len()), (1, 3), "{active:?}");
+            let restored = restore_tampered(shard_over(sec_widths), |_| {})
+                .expect("the untampered section restores");
+            assert_eq!(restored.active_violations(), Some(active));
+            for (lie, tamper) in lies {
+                match restore_tampered(shard_over(sec_widths), tamper) {
+                    Err(PersistError::Mismatch(msg)) => {
+                        assert!(msg.contains("restored monitor disagrees"), "{lie}: {msg}")
+                    }
+                    Err(other) => panic!("{lie}: expected Mismatch, got {other:?}"),
+                    Ok(_) => panic!("{lie}: restored"),
+                }
             }
         }
     }

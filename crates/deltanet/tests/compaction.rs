@@ -6,7 +6,6 @@
 //! engine's atom-id table stays bounded by the live atoms plus the
 //! threshold.
 
-use deltanet::blackholes;
 use deltanet::{DeltaNet, DeltaNetConfig};
 use netmodel::checker::{Checker, InvariantViolation};
 use netmodel::interval::{normalize, Interval};
@@ -55,7 +54,7 @@ fn looped_packets(net: &DeltaNet) -> Vec<Interval> {
 /// The blackholed address space per node, independent of atom numbering.
 fn blackholes_by_node(net: &DeltaNet) -> BTreeMap<NodeId, Vec<Interval>> {
     let mut out: BTreeMap<NodeId, Vec<Interval>> = BTreeMap::new();
-    for v in blackholes::check_blackholes(net) {
+    for v in net.check_all_blackholes() {
         if let InvariantViolation::Blackhole { node, packets } = v {
             out.entry(node).or_default().extend(packets);
         }

@@ -187,11 +187,6 @@ pub fn normalize(mut intervals: Vec<Interval>) -> Vec<Interval> {
     out
 }
 
-/// Total number of field values covered by a normalized interval set.
-pub fn total_len(intervals: &[Interval]) -> Bound {
-    intervals.iter().map(|iv| iv.len()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,12 +320,6 @@ mod tests {
     fn normalize_idempotent() {
         let set = vec![Interval::new(0, 8), Interval::new(10, 20)];
         assert_eq!(normalize(set.clone()), set);
-    }
-
-    #[test]
-    fn total_len_counts_values() {
-        let set = vec![Interval::new(0, 8), Interval::new(10, 20)];
-        assert_eq!(total_len(&set), 18);
     }
 
     #[test]

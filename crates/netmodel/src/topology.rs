@@ -234,14 +234,6 @@ impl Topology {
         self.nodes().filter(move |n| Some(*n) != drop)
     }
 
-    /// All links excluding drop links.
-    pub fn switch_links(&self) -> impl Iterator<Item = Link> + '_ {
-        self.links
-            .iter()
-            .copied()
-            .filter(move |l| !self.is_drop_link(l.id))
-    }
-
     /// The link `src -> dst`, if it exists.
     pub fn link_between(&self, src: NodeId, dst: NodeId) -> Option<LinkId> {
         self.by_endpoints.get(&(src, dst)).copied()
@@ -414,9 +406,8 @@ mod tests {
         assert!(t.is_drop_node(sink));
         assert_eq!(t.link(d0).dst, sink);
         assert_eq!(t.link(d1).dst, sink);
-        // Switch iterators exclude the sink and drop links.
+        // The switch iterator excludes the sink.
         assert_eq!(t.switch_nodes().count(), 4);
-        assert!(t.switch_links().all(|l| !t.is_drop_link(l.id)));
     }
 
     #[test]

@@ -3,12 +3,20 @@
 //!
 //! 1. the stateless Veriflow-RI cross-product oracle
 //!    ([`veriflow_ri::scan_multifield`]), which recomputes every
-//!    equivalence class of every field from the live rule set alone —
-//!    every few operations, and
-//! 2. the engine's own full rescans (`check_all_loops` +
-//!    `check_all_blackholes`, tuple at a time), which the live monitor —
-//!    maintained by the set-at-a-time kernel — must agree with bit for bit
-//!    after **every** operation, state and events ([`MonitorOracle`]).
+//!    equivalence class of every field from the live rule set alone and
+//!    shares no code and no owner cells with the engine. The engine's full
+//!    scans (`check_all_loops` + `check_all_blackholes` — the set-at-a-time
+//!    kernel run from scratch over every atom) must agree with it, in the
+//!    order- and numbering-invariant form, after **every** operation of
+//!    the stand-alone legs and every window of the sharded one: *kernel ==
+//!    independent reference*.
+//! 2. those full scans, which the live monitor — the same kernel, but
+//!    repaired update by update — must equal as plain `Vec`s, same
+//!    grouping, normalization and order, after **every** operation, state
+//!    and events ([`MonitorOracle`]): *incremental == from scratch*.
+//!
+//! (A third, tuple-at-a-time evaluation that reads the engine's own owner
+//! cells lives in `deltanet::multifield`'s unit tests.)
 //!
 //! Runs over the stand-alone engine and 1/2/4/7-way sharded engines, with
 //! monitoring on and off, compaction on and off, per-op applies and
@@ -25,10 +33,10 @@ use testutil::{blackholes_by_node, loops_by_cycle, random_ops_multifield, random
 const WIDTH: u8 = 8;
 const SEC_WIDTHS: [u8; 1] = [6];
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
-/// Compare against the Veriflow-RI oracle every this many operations (it
-/// rebuilds every class from the rule set; the engine's own scans run per
-/// op).
-const CHECK_EVERY: usize = 10;
+/// The sharded leg's `apply_batch` window, and how often its unmonitored
+/// half compares against the Veriflow-RI oracle; the stand-alone legs
+/// compare after every operation.
+const SHARDED_WINDOW: usize = 10;
 
 fn mf_config(monitor: bool, compact_threshold: Option<usize>) -> DeltaNetConfig {
     DeltaNetConfig {
@@ -169,9 +177,6 @@ fn single_engine_matches_oracle_and_monitor() {
             } else if monitor && i + 1 == ops.len() / 2 {
                 restored = Some(restored_copy(&net, &topo, i + 1));
             }
-            if (i + 1) % CHECK_EVERY != 0 && i + 1 != ops.len() {
-                continue;
-            }
             let scan = full_scan_single(&net);
             let oracle = scan_multifield(&topo, &live, WIDTH, &SEC_WIDTHS);
             assert_equivalent(
@@ -198,7 +203,7 @@ fn sharded_engine_matches_oracle_at_every_shard_count() {
             if monitor {
                 // Monitor seeds go through `apply_batch`, so the repair
                 // also runs under the concurrent per-shard groups.
-                for (w, window) in ops.chunks(CHECK_EVERY).enumerate() {
+                for (w, window) in ops.chunks(SHARDED_WINDOW).enumerate() {
                     net.apply_batch(window)
                         .unwrap_or_else(|e| panic!("shards {shards} seed {seed} window {w}: {e}"));
                     for op in window {
@@ -223,7 +228,7 @@ fn sharded_engine_matches_oracle_at_every_shard_count() {
                     net.try_apply(op)
                         .unwrap_or_else(|e| panic!("shards {shards} seed {seed} op {i}: {e}"));
                     track(&mut live, op);
-                    if (i + 1) % CHECK_EVERY != 0 && i + 1 != ops.len() {
+                    if (i + 1) % SHARDED_WINDOW != 0 && i + 1 != ops.len() {
                         continue;
                     }
                     let scan = full_scan_sharded(&net);
@@ -266,9 +271,6 @@ fn three_field_header_space_matches_oracle() {
                 .unwrap_or_else(|e| panic!("seed {seed} op {i} rejected: {e}"));
             track(&mut live, op);
             per_op.check(&net, &format!("seed {seed} op {i}"));
-            if (i + 1) % CHECK_EVERY != 0 && i + 1 != ops.len() {
-                continue;
-            }
             let scan = full_scan_single(&net);
             let oracle = scan_multifield(&topo, &live, WIDTH, &SEC3);
             assert_equivalent(

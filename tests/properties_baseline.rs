@@ -4,7 +4,6 @@
 
 use delta_net::prelude::*;
 use deltanet::atomset::AtomSet;
-use deltanet::blackholes::check_blackholes;
 use deltanet::AtomId;
 use netmodel::fib::TraceOutcome;
 use proptest::prelude::*;
@@ -153,7 +152,7 @@ proptest! {
             installed.push(rule);
         }
 
-        let reported: BTreeSet<NodeId> = check_blackholes(&net)
+        let reported: BTreeSet<NodeId> = net.check_all_blackholes()
             .into_iter()
             .filter_map(|v| match v {
                 InvariantViolation::Blackhole { node, .. } => Some(node),
