@@ -12,8 +12,8 @@ use crate::paper::{self, Summary, Timings};
 use crate::topo_text;
 use deltanet::persist::{self, RecoveryPolicy, TornTail};
 use deltanet::{
-    CheckpointConfig, DeltaNet, DeltaNetConfig, FsBackend, Journal, LoggedNet, Parallelism,
-    PersistError, PersistNet, ShardedDeltaNet, Snapshot, ViolationKey,
+    CheckpointConfig, DeltaNet, DeltaNetConfig, Durability, FsBackend, Journal, Parallelism,
+    PersistError, PersistNet, ShardedDeltaNet, Snapshot, TransitionTracker, ViolationKey,
 };
 use netmodel::checker::{Checker, InvariantViolation, ReplayError, UpdateReport};
 use netmodel::interval::Interval;
@@ -317,7 +317,7 @@ enum ReplayEngine {
 impl ReplayEngine {
     fn checker(&mut self) -> &mut dyn Checker {
         match self {
-            ReplayEngine::Net(net) => net,
+            ReplayEngine::Net(net) => net.checker_mut(),
             ReplayEngine::Veriflow(vf) => vf.as_mut(),
         }
     }
@@ -394,7 +394,7 @@ impl ReplayEngine {
     /// can see the incremental and O(plane) answers agree.
     fn monitor_matches_rescan(&self) -> Option<bool> {
         let net = self.net()?;
-        let active = net.active_violations()?;
+        let active = net.checker().active_violations()?;
         let mut expect = net.check_all_loops();
         expect.extend(net.check_all_blackholes());
         Some(active == expect)
@@ -414,7 +414,7 @@ struct TransitionLog {
     lines: Vec<String>,
     appeared: usize,
     resolved: usize,
-    prev: BTreeSet<ViolationKey>,
+    tracker: TransitionTracker,
     cross_checks: usize,
     cross_check_mismatches: usize,
 }
@@ -423,19 +423,15 @@ impl TransitionLog {
     /// Diffs the violation identities before/after one operation (or batch
     /// window) and records the transitions under `label`.
     fn observe(&mut self, label: &str, now: BTreeSet<ViolationKey>) {
-        for key in now.difference(&self.prev) {
-            self.appeared += 1;
+        let diff = self.tracker.observe(now);
+        self.appeared += diff.appeared.len();
+        self.resolved += diff.resolved.len();
+        let signed = diff.appeared.iter().map(|key| ('+', key));
+        for (sign, key) in signed.chain(diff.resolved.iter().map(|key| ('-', key))) {
             if self.lines.len() < MAX_TRANSITION_LINES {
-                self.lines.push(format!("  {label}: + {key}"));
+                self.lines.push(format!("  {label}: {sign} {key}"));
             }
         }
-        for key in self.prev.difference(&now) {
-            self.resolved += 1;
-            if self.lines.len() < MAX_TRANSITION_LINES {
-                self.lines.push(format!("  {label}: - {key}"));
-            }
-        }
-        self.prev = now;
     }
 
     /// Records one incremental-vs-rescan comparison (`None` — e.g. a
@@ -1040,32 +1036,30 @@ fn snapshot_save(args: &ParsedArgs, out_path: &str) -> Result<String, CommandErr
         monitor_violations: args.has_flag("monitor"),
         ..Default::default()
     };
-    let net = build_net(topo, config, shards, Parallelism::from_env());
-    let op_error = |index: usize, op: &Op, error: &dyn fmt::Display| {
-        CommandError::Other(format!(
-            "trace op {} ({}): {error}",
-            index + 1,
-            describe_op(op)
-        ))
-    };
-    let (net, ops_applied) = match args.options.get("log") {
-        Some(log_path) => {
-            let mut logged = LoggedNet::new(net, Path::new(log_path), 0)?;
-            for (index, op) in trace.ops().iter().enumerate() {
-                logged.try_apply(op).map_err(|e| op_error(index, op, &e))?;
-            }
-            let applied = logged.ops_applied();
-            (logged.into_net()?, applied)
-        }
-        None => {
-            let mut net = net;
-            for (index, op) in trace.ops().iter().enumerate() {
-                net.try_apply(op).map_err(|e| op_error(index, op, &e))?;
-            }
-            (net, trace.len() as u64)
-        }
-    };
-    let snap = Snapshot::of_net(&net, ops_applied);
+    let mut net = build_net(topo, config, shards, Parallelism::from_env());
+    let result = net.checker_mut().try_replay(trace.ops());
+    let ops_applied = result.as_ref().map_or_else(|e| e.index, Vec::len);
+    if let Some(path) = args.options.get("log") {
+        // A flat journal beside the engine, as `replay --log` mounts one:
+        // it records exactly the ops the engine accepted.
+        let mut journal = Journal::flat(
+            Box::new(FsBackend),
+            Path::new(path),
+            0,
+            Durability::default(),
+        )?;
+        journal.record(&trace.ops()[..ops_applied], |at| Snapshot::of_net(&net, at));
+        journal.close()?;
+    }
+    if let Err(e) = result {
+        return Err(CommandError::Other(format!(
+            "trace op {} ({}): {}",
+            e.index + 1,
+            describe_op(&trace.ops()[e.index]),
+            e.error
+        )));
+    }
+    let snap = Snapshot::of_net(&net, ops_applied as u64);
     snap.write_to(Path::new(out_path))?;
     let bytes = std::fs::metadata(out_path)?.len();
     let mut out = format!(
@@ -1143,15 +1137,16 @@ fn describe_persist_net(net: &PersistNet) -> String {
         None => "delta-net".to_string(),
     };
     let config = net.config();
+    let checker = net.checker();
     let mut out = format!(
         "engine: {engine}\nrules: {}, packet classes: {}\n",
-        net.rule_count(),
-        net.atom_count()
+        checker.rule_count(),
+        checker.class_count()
     );
     if config.secondary_count() > 0 {
         out.push_str(&format!("header space: {}\n", config.header_space()));
     }
-    if let Some(violations) = net.active_violations() {
+    if let Some(violations) = checker.active_violations() {
         out.push_str(&format!("violations active: {}\n", violations.len()));
         for v in violations.iter().take(10) {
             out.push_str(&format!(

@@ -35,15 +35,18 @@
 //!   goes through: [`FsBackend`] for real files, [`FaultyBackend`] for
 //!   deterministic crash / short-write / fsync-failure injection.
 //! * [`persist`] — crash-consistent snapshot + delta-log persistence:
-//!   checksummed binary snapshots written atomically, and a [`Journal`]
-//!   mounted beside an engine (not wrapped around it): a per-record-framed
-//!   append-only update log at a configurable [`Durability`], optionally
-//!   rotating and auto-snapshotting into a checkpoint directory for
-//!   bounded-time recovery. One segment-replay kernel serves crash recovery
-//!   ([`persist::recover`] / [`persist::recover_dir`] = nearest snapshot +
-//!   log tail, with torn-tail repair under [`RecoveryPolicy::RepairTail`])
-//!   and time-travel queries ([`persist::violations_at`] /
-//!   [`persist::violations_at_dir`]).
+//!   checksummed binary snapshots written atomically and restored to a
+//!   [`PersistNet`] (an enum over the two engines, not a third one: only
+//!   [`DeltaNet`] and [`ShardedDeltaNet`] implement `Checker`, reached
+//!   through [`PersistNet::checker`]), and a [`Journal`] mounted beside an
+//!   engine (not wrapped around it) — the one way durability is mounted: a
+//!   per-record-framed append-only update log at a configurable
+//!   [`Durability`], optionally rotating and auto-snapshotting into a
+//!   checkpoint directory for bounded-time recovery. One segment-replay
+//!   kernel serves crash recovery ([`persist::recover`] /
+//!   [`persist::recover_dir`] = nearest snapshot + log tail, with torn-tail
+//!   repair under [`RecoveryPolicy::RepairTail`]) and time-travel queries
+//!   ([`persist::violations_at`] / [`persist::violations_at_dir`]).
 //! * [`shard`] — [`ShardedDeltaNet`]: the engine partitioned across the
 //!   address space so rule updates on disjoint ranges apply concurrently
 //!   (§6: the main loops over atoms are highly parallelizable).

@@ -13,7 +13,7 @@
 //! * [`find_loops_from_seeds`] — the per-update check (§4.3.1 "find in the
 //!   delta-graph all forwarding loops"): one walk per `(link, atom)` pair
 //!   the update added. Cost: Σ walk length over the delta's added pairs.
-//! * [`cycles_for_atoms_via`] — a dense candidate set (the what-if query of
+//! * [`cycles_for_atoms`] — a dense candidate set (the what-if query of
 //!   §4.3.2, the full audits, seeding a monitor): one word-wise pass over
 //!   the labels collects `label ∩ candidates` as a flat `(atom, source)`
 //!   list, then each atom's walks share visited marks. Cost:
@@ -212,24 +212,16 @@ pub fn find_loops_for_atoms(
     atoms: &AtomMap,
     candidates: &AtomSet,
 ) -> Vec<InvariantViolation> {
-    let succ = |node, atom| successor(topology, labels, node, atom);
-    into_violations(
-        cycles_for_atoms_via(topology, labels, candidates, succ),
-        atoms,
-    )
+    into_violations(cycles_for_atoms(topology, labels, candidates), atoms)
 }
 
-/// The cycle-level core of [`find_loops_for_atoms`], with a caller-supplied
-/// successor function: every forwarding cycle any candidate atom traverses.
-pub(crate) fn cycles_for_atoms_via<F>(
+/// The cycle-level core of [`find_loops_for_atoms`]: every forwarding cycle
+/// any candidate atom traverses.
+pub(crate) fn cycles_for_atoms(
     topology: &Topology,
     labels: &Labels,
     candidates: &AtomSet,
-    succ: F,
-) -> CycleMap
-where
-    F: Fn(NodeId, AtomId) -> Option<LinkId>,
-{
+) -> CycleMap {
     // One word-wise pass over the labelled links lists, per candidate atom,
     // the switches that emit it; sorted by atom, each atom's walks then run
     // back to back and share visited marks.
@@ -248,7 +240,8 @@ where
             scratch.begin_atom(topology.node_count());
             current = Some(atom);
         }
-        if let Some(cycle) = scratch.walk(topology, start, |n| succ(n, atom)) {
+        if let Some(cycle) = scratch.walk(topology, start, |n| successor(topology, labels, n, atom))
+        {
             admit(&mut cycles, cycle, atom);
         }
     }

@@ -251,9 +251,7 @@ impl ViolationMonitor {
     /// the only O(plane) step; everything afterwards is incremental.
     pub fn from_state(topology: &Topology, labels: &Labels, atoms: &AtomMap) -> Self {
         let all: AtomSet = atoms.iter().map(|(a, _)| a).collect();
-        let loops = loops::cycles_for_atoms_via(topology, labels, &all, |node, atom| {
-            loops::successor(topology, labels, node, atom)
-        });
+        let loops = loops::cycles_for_atoms(topology, labels, &all);
         let holes = topology
             .switch_nodes()
             .map(|node| {
@@ -850,10 +848,7 @@ mod tests {
             for set in self.loops.values_mut() {
                 set.difference_with(&affected);
             }
-            let recomputed =
-                loops::cycles_for_atoms_via(topology, labels, &affected, |node, atom| {
-                    loops::successor(topology, labels, node, atom)
-                });
+            let recomputed = loops::cycles_for_atoms(topology, labels, &affected);
             for (cycle, set) in recomputed {
                 self.loops.entry(cycle).or_default().union_with(&set);
             }

@@ -10,13 +10,14 @@
 //!   edge labels, rule registry, configuration, garbage-collection
 //!   bookkeeping, and the monitor's active violation set — for a single
 //!   [`DeltaNet`] or a [`ShardedDeltaNet`] (per-shard sections sharing one
-//!   rule registry, since a boundary-straddling rule is one rule);
+//!   rule registry, since a boundary-straddling rule is one rule), restored
+//!   as a [`PersistNet`] — that enum, not a third engine;
 //! * a **delta log** ([`DeltaLog`]): an append-only record of the update
 //!   operations applied *after* some snapshot, written by a [`Journal`]
-//!   mounted beside the engine ([`LoggedNet`] is the thin pairing of the
-//!   two). The log is write-behind — an operation is recorded only once
-//!   the engine accepted it — so the log's contents are exactly the
-//!   applied ops even when a batch fails midway.
+//!   mounted beside the engine — the one way durability is mounted. The
+//!   log is write-behind — an operation is recorded only once the engine
+//!   accepted it — so the log's contents are exactly the applied ops even
+//!   when a batch fails midway.
 //!
 //! Recovery ([`recover`], [`recover_dir`]) is then "load nearest snapshot,
 //! replay the log tail"; time-travel ([`violations_at`],
@@ -66,10 +67,8 @@ use crate::fault::{FsBackend, StorageBackend};
 use crate::monitor::ViolationMonitor;
 use crate::owner::{OwnedRule, Owner};
 use crate::shard::ShardedDeltaNet;
-use crate::{CompactReport, Labels};
-use netmodel::checker::{
-    Checker, InvariantViolation, ReplayError, UpdateError, UpdateReport, WhatIfReport,
-};
+use crate::Labels;
+use netmodel::checker::{Checker, InvariantViolation, ReplayError, UpdateReport};
 use netmodel::header::{SecondaryMatch, MAX_SECONDARY_FIELDS};
 use netmodel::interval::{Bound, Interval};
 use netmodel::ip::IpPrefix;
@@ -810,7 +809,7 @@ enum SnapshotKind {
 
 /// A decoded snapshot of the full engine state at some point in the update
 /// stream, created by [`Snapshot::of_single`] / [`Snapshot::of_sharded`]
-/// (or [`LoggedNet::snapshot`]) and turned back into a live engine by
+/// (or [`Snapshot::of_net`]) and turned back into a live engine by
 /// [`Snapshot::restore`].
 pub struct Snapshot {
     node_count: usize,
@@ -1212,9 +1211,11 @@ fn decode_rule(
 // PersistNet: a restored engine of either kind
 // ---------------------------------------------------------------------------
 
-/// A live engine restored from (or about to be captured into) a snapshot:
-/// either a stand-alone [`DeltaNet`] or a [`ShardedDeltaNet`], behind one
-/// update/query surface so recovery code does not fork on the kind.
+/// What a snapshot restores to (and is captured from): a stand-alone
+/// [`DeltaNet`] or a [`ShardedDeltaNet`]. It is not a third engine — the
+/// [`Checker`] surface is the variant's own, reached through
+/// [`PersistNet::checker`] / [`PersistNet::checker_mut`]; the inherent
+/// methods are only those a caller needs without knowing the variant.
 pub enum PersistNet {
     /// A stand-alone engine.
     Single(Box<DeltaNet>),
@@ -1223,11 +1224,19 @@ pub enum PersistNet {
 }
 
 impl PersistNet {
-    /// Fallible single-operation apply (see [`Checker::try_apply`]).
-    pub fn try_apply(&mut self, op: &Op) -> Result<UpdateReport, UpdateError> {
+    /// The variant's engine as a [`Checker`].
+    pub fn checker(&self) -> &dyn Checker {
         match self {
-            PersistNet::Single(n) => n.try_apply(op),
-            PersistNet::Sharded(n) => n.try_apply(op),
+            PersistNet::Single(n) => n.as_ref(),
+            PersistNet::Sharded(n) => n.as_ref(),
+        }
+    }
+
+    /// The variant's engine as a mutable [`Checker`].
+    pub fn checker_mut(&mut self) -> &mut dyn Checker {
+        match self {
+            PersistNet::Single(n) => n.as_mut(),
+            PersistNet::Sharded(n) => n.as_mut(),
         }
     }
 
@@ -1260,22 +1269,6 @@ impl PersistNet {
         }
     }
 
-    /// The currently active violations (see [`Checker::active_violations`]).
-    pub fn active_violations(&self) -> Option<Vec<InvariantViolation>> {
-        match self {
-            PersistNet::Single(n) => DeltaNet::active_violations(n),
-            PersistNet::Sharded(n) => ShardedDeltaNet::active_violations(n),
-        }
-    }
-
-    /// Runs a compaction pass (see [`DeltaNet::compact`]).
-    pub fn compact(&mut self) -> CompactReport {
-        match self {
-            PersistNet::Single(n) => n.compact(),
-            PersistNet::Sharded(n) => n.compact(),
-        }
-    }
-
     /// Full-plane forwarding-loop scan.
     pub fn check_all_loops(&self) -> Vec<InvariantViolation> {
         match self {
@@ -1289,23 +1282,6 @@ impl PersistNet {
         match self {
             PersistNet::Single(n) => n.check_all_blackholes(),
             PersistNet::Sharded(n) => n.check_all_blackholes(),
-        }
-    }
-
-    /// Number of atoms owned across the engine (atoms of a stand-alone
-    /// engine; per-shard owned atoms summed for a sharded one).
-    pub fn atom_count(&self) -> usize {
-        match self {
-            PersistNet::Single(n) => n.atom_count(),
-            PersistNet::Sharded(n) => n.atom_count(),
-        }
-    }
-
-    /// Heap bytes addressed by live state (see [`DeltaNet::live_bytes`]).
-    pub fn live_bytes(&self) -> usize {
-        match self {
-            PersistNet::Single(n) => n.live_bytes(),
-            PersistNet::Sharded(n) => n.live_bytes(),
         }
     }
 
@@ -1323,58 +1299,6 @@ impl PersistNet {
             PersistNet::Single(n) => n.config(),
             PersistNet::Sharded(n) => n.config(),
         }
-    }
-}
-
-impl Checker for PersistNet {
-    fn name(&self) -> &'static str {
-        match self {
-            PersistNet::Single(n) => n.name(),
-            PersistNet::Sharded(n) => n.name(),
-        }
-    }
-
-    fn apply(&mut self, op: &Op) -> UpdateReport {
-        match self {
-            PersistNet::Single(n) => n.apply(op),
-            PersistNet::Sharded(n) => n.apply(op),
-        }
-    }
-
-    fn try_apply(&mut self, op: &Op) -> Result<UpdateReport, UpdateError> {
-        PersistNet::try_apply(self, op)
-    }
-
-    fn what_if_link_failure(&self, link: LinkId, check_loops: bool) -> WhatIfReport {
-        match self {
-            PersistNet::Single(n) => n.what_if_link_failure(link, check_loops),
-            PersistNet::Sharded(n) => n.what_if_link_failure(link, check_loops),
-        }
-    }
-
-    fn rule_count(&self) -> usize {
-        match self {
-            PersistNet::Single(n) => n.rule_count(),
-            PersistNet::Sharded(n) => n.rule_count(),
-        }
-    }
-
-    fn class_count(&self) -> usize {
-        match self {
-            PersistNet::Single(n) => n.class_count(),
-            PersistNet::Sharded(n) => n.class_count(),
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        match self {
-            PersistNet::Single(n) => n.memory_bytes(),
-            PersistNet::Sharded(n) => n.memory_bytes(),
-        }
-    }
-
-    fn active_violations(&self) -> Option<Vec<InvariantViolation>> {
-        PersistNet::active_violations(self)
     }
 }
 
@@ -1838,11 +1762,10 @@ pub struct Journal {
     /// the window). Later failures are usually cascade, so the first is
     /// kept; the next [`Journal::flush`] / [`Journal::sync`] /
     /// [`Journal::checkpoint_now`] / [`Journal::close`] surfaces it, and
-    /// dropping the journal while one is pending panics — the error cannot
-    /// be silently discarded.
+    /// dropping the journal while one is pending reports it on stderr.
     deferred: Option<PersistError>,
-    /// Set by [`Journal::close`], which already synced: the drop guard
-    /// skips its best-effort final sync.
+    /// Set by [`Journal::close`], which already synced: `Drop` skips its
+    /// best-effort final sync.
     closed: bool,
 }
 
@@ -2048,58 +1971,41 @@ impl Journal {
     }
 }
 
+/// A journal dropped without [`Journal::close`] reports a pending deferred
+/// error on stderr and makes a best-effort final sync; it never panics.
 impl Drop for Journal {
     fn drop(&mut self) {
         if let Some(e) = self.deferred.take() {
-            if !std::thread::panicking() {
-                panic!("Journal dropped with an unhandled deferred log-flush error: {e}");
-            }
+            eprintln!(
+                "warning: journal of {} dropped with an unhandled deferred log error: {e}",
+                self.log.path().display()
+            );
         }
-        // Best-effort final sync of anything still buffered.
         if !self.closed {
             if let Err(e) = self.log.sync() {
-                if !std::thread::panicking() {
-                    eprintln!(
-                        "warning: final delta-log sync of {} failed: {e}",
-                        self.log.path().display()
-                    );
-                }
+                eprintln!(
+                    "warning: final delta-log sync of {} failed: {e}",
+                    self.log.path().display()
+                );
             }
         }
     }
 }
 
-/// The thin pairing of an engine and its [`Journal`]: every update goes to
-/// the engine first and, once accepted, into the journal.
+/// The benchmark's shim: an engine and a flat [`Journal`] in one value,
+/// kept only because `deltabench/src/engine_api.rs` (which may change only
+/// in a `benchmark` PR) builds one. Everything else mounts a [`Journal`]
+/// beside a [`PersistNet`] and calls [`Journal::record`] after each window,
+/// as the daemon and `deltanet replay` do; the next `benchmark` PR points
+/// the bench at that pairing and deletes this type.
 pub struct LoggedNet {
     net: PersistNet,
     journal: Journal,
 }
 
 impl LoggedNet {
-    /// Pairs an engine with a fresh flat log at `log_path` (real files,
-    /// default [`Durability::FlushPerBatch`]). `ops_applied` is the number
-    /// of ops already incorporated into `net` (the `ops_applied` of the
-    /// snapshot it was restored from; 0 for a fresh engine).
-    pub fn new(
-        net: PersistNet,
-        log_path: &Path,
-        ops_applied: u64,
-    ) -> Result<LoggedNet, PersistError> {
-        LoggedNet::with_durability(net, log_path, ops_applied, Durability::default())
-    }
-
-    /// [`LoggedNet::new`] at an explicit durability level.
-    pub fn with_durability(
-        net: PersistNet,
-        log_path: &Path,
-        ops_applied: u64,
-        durability: Durability,
-    ) -> Result<LoggedNet, PersistError> {
-        LoggedNet::with_backend(net, Box::new(FsBackend), log_path, ops_applied, durability)
-    }
-
-    /// [`LoggedNet::new`] through an explicit [`StorageBackend`].
+    /// Pairs an engine (with `ops_applied` ops incorporated already) with a
+    /// fresh flat log at `log_path` through `backend` ([`Journal::flat`]).
     pub fn with_backend(
         net: PersistNet,
         backend: Box<dyn StorageBackend>,
@@ -2111,54 +2017,10 @@ impl LoggedNet {
         Ok(LoggedNet { net, journal })
     }
 
-    /// Pairs an engine (with `ops_applied` ops incorporated already) with a
-    /// checkpointing journal over the fresh directory `dir` (see
-    /// [`Journal::checkpointed`]).
-    pub fn checkpointed(
-        net: PersistNet,
-        backend: Box<dyn StorageBackend>,
-        dir: &Path,
-        ops_applied: u64,
-        config: CheckpointConfig,
-    ) -> Result<LoggedNet, PersistError> {
-        let initial = Snapshot::of_net(&net, ops_applied);
-        let journal = Journal::checkpointed(backend, dir, &initial, config)?;
-        Ok(LoggedNet { net, journal })
-    }
-
-    /// [`recover_dir`], paired: the recovered engine with the journal that
-    /// resumes its directory.
-    pub fn recover_dir(
-        backend: Box<dyn StorageBackend>,
-        dir: &Path,
-        topology: &Topology,
-        policy: RecoveryPolicy,
-        config: CheckpointConfig,
-    ) -> Result<(LoggedNet, RecoveryReport), PersistError> {
-        let (net, journal, report) = recover_dir(backend, dir, topology, policy, config)?;
-        Ok((LoggedNet { net, journal }, report))
-    }
-
-    /// Applies one operation — a window of one (see
-    /// [`LoggedNet::apply_batch`]).
-    pub fn try_apply(&mut self, op: &Op) -> Result<UpdateReport, UpdateError> {
-        let report = self.net.try_apply(op)?;
-        let net = &self.net;
-        self.journal
-            .record(std::slice::from_ref(op), |at| Snapshot::of_net(net, at));
-        Ok(report)
-    }
-
     /// Applies a window of operations and records what the engine accepted
-    /// ([`Journal::record`]). On a mid-batch failure exactly the applied
-    /// prefix `ops[..e.index]` is logged (and flushed) before the error is
-    /// returned, so log and engine state agree even on the error path. An
-    /// I/O failure cannot be returned here (the error channel is the
-    /// engine's [`ReplayError`]) so it is deferred — and a deferred error
-    /// is impossible to lose: the next [`LoggedNet::flush`] /
-    /// [`LoggedNet::sync`] / [`LoggedNet::snapshot`] /
-    /// [`LoggedNet::into_net`] surfaces it, and dropping the pair with one
-    /// pending panics.
+    /// ([`Journal::record`]): on a mid-batch failure exactly the applied
+    /// prefix `ops[..e.index]` is logged. An I/O failure is deferred by the
+    /// journal (this error channel is the engine's [`ReplayError`]).
     pub fn apply_batch(&mut self, ops: &[Op]) -> Result<Vec<UpdateReport>, ReplayError> {
         let result = self.net.apply_batch(ops);
         let applied = result.as_ref().map_or_else(|e| e.index, Vec::len);
@@ -2168,46 +2030,9 @@ impl LoggedNet {
         result
     }
 
-    /// See [`Journal::flush`].
-    pub fn flush(&mut self) -> Result<(), PersistError> {
-        self.journal.flush()
-    }
-
-    /// See [`Journal::sync`].
-    pub fn sync(&mut self) -> Result<(), PersistError> {
-        self.journal.sync()
-    }
-
-    /// Syncs the log and captures a snapshot of the current state at the
-    /// current log position (a snapshot must never claim ops the log does
-    /// not durably hold).
-    pub fn snapshot(&mut self) -> Result<Snapshot, PersistError> {
-        self.sync()?;
-        Ok(Snapshot::of_net(&self.net, self.ops_applied()))
-    }
-
-    /// Number of operations applied through this pair plus the restore
-    /// baseline — the current log position.
-    pub fn ops_applied(&self) -> u64 {
-        self.journal.ops_applied()
-    }
-
     /// The engine (read-only).
     pub fn net(&self) -> &PersistNet {
         &self.net
-    }
-
-    /// The journal (position, segment and checkpoint counters).
-    pub fn journal(&self) -> &Journal {
-        &self.journal
-    }
-
-    /// Unpairs into the engine, syncing the log first. A sync failure —
-    /// including a deferred one from an earlier batch — is returned, never
-    /// dropped.
-    pub fn into_net(self) -> Result<PersistNet, PersistError> {
-        self.journal.close()?;
-        Ok(self.net)
     }
 }
 
@@ -2255,7 +2080,7 @@ fn replay_ops(
     let skip = usize::try_from(skip).unwrap_or(usize::MAX);
     let take = usize::try_from(upto.saturating_sub(*position)).unwrap_or(usize::MAX);
     for op in ops.iter().skip(skip).take(take) {
-        net.try_apply(op).map_err(|e| {
+        net.checker_mut().try_apply(op).map_err(|e| {
             PersistError::Mismatch(format!("logged op {position} rejected on replay: {e}"))
         })?;
         *position += 1;
@@ -2515,7 +2340,8 @@ pub fn state_digest(net: &PersistNet) -> u64 {
 
 /// The active violation set of a replayed, monitored engine.
 fn monitored_violations(net: &PersistNet) -> Result<Vec<InvariantViolation>, PersistError> {
-    net.active_violations()
+    net.checker()
+        .active_violations()
         .ok_or_else(|| PersistError::Mismatch("monitor unavailable after replay".to_string()))
 }
 

@@ -119,13 +119,11 @@ impl<'a> FlowQuery<'a> {
                 match successor(topo, labels, cur, atom) {
                     Some(link) => {
                         let next = topo.link(link).dst;
-                        if topo.is_drop_node(next) || reachable[next.index()] && next != src {
-                            // Already explored beyond here for some atom; we
-                            // still continue because this atom's path may
-                            // diverge later, so only stop on drop.
-                            if topo.is_drop_node(next) {
-                                break;
-                            }
+                        // A node already reached for another atom is walked
+                        // through anyway (this atom's path may diverge
+                        // later); only a drop ends the walk.
+                        if topo.is_drop_node(next) {
+                            break;
                         }
                         reachable[next.index()] = true;
                         if next == src {

@@ -172,7 +172,9 @@ impl ShardedDeltaNet {
     /// Rebuilds a sharded engine from snapshot parts: the boundary table,
     /// the already-restored shard engines (in address order, each clipped to
     /// its boundary range) and the shared rule registry. The worker count is
-    /// taken from the environment — it is runtime configuration, not state.
+    /// taken from the environment — it is runtime configuration, not state
+    /// (an owner with its own setting applies it with
+    /// [`ShardedDeltaNet::set_parallelism`]).
     pub(crate) fn from_restored(
         topology: Topology,
         boundaries: Vec<Bound>,
@@ -292,6 +294,13 @@ impl ShardedDeltaNet {
     /// The worker-count configuration used by batched updates.
     pub fn parallelism(&self) -> Parallelism {
         self.parallelism
+    }
+
+    /// Replaces the worker-count configuration — runtime configuration, not
+    /// state, so an engine restored from a snapshot (which starts from
+    /// [`Parallelism::from_env`]) takes its owner's setting this way.
+    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
+        self.parallelism = parallelism;
     }
 
     /// The rule with the given id, if currently installed.

@@ -10,18 +10,22 @@
 //! to some applied prefix (never panics, never invents ops); `Strict` fails
 //! with a clean error naming the torn offset; `FsyncPerBatch` surfaces
 //! fsync failures as `PersistError::Io`; snapshot writes are atomic under a
-//! crash at rename; a deferred log-flush error cannot be dropped silently;
-//! and a rotated multi-segment checkpoint directory recovers through torn
-//! tails and corrupt snapshots.
+//! crash at rename; a deferred log-flush error surfaces from `close()` and
+//! is reported, never panicked on, by a drop; and a rotated multi-segment
+//! checkpoint directory recovers through torn tails and corrupt snapshots.
+//!
+//! Every run mounts a [`Journal`] beside the engine, as the daemon and
+//! `deltanet replay` do ([`apply_window`]).
 
 use std::path::{Path, PathBuf};
 
 use deltanet::fault::{FaultPlan, FaultyBackend, StorageBackend};
 use deltanet::persist::{
-    self, encode_record, read_log_with, state_digest, CheckpointConfig, Durability, LoggedNet,
+    self, encode_record, read_log_with, state_digest, CheckpointConfig, Durability, Journal,
     PersistError, PersistNet, RecoveryPolicy, Snapshot,
 };
 use deltanet::{DeltaNet, DeltaNetConfig, ShardedDeltaNet};
+use netmodel::checker::{ReplayError, UpdateReport};
 use netmodel::rule::RuleId;
 use netmodel::topology::Topology;
 use netmodel::trace::Op;
@@ -57,6 +61,40 @@ fn build(topo: &Topology, shards: usize) -> PersistNet {
     };
     net.enable_monitor();
     net
+}
+
+/// A flat journal at `path` on `backend`, for an engine at op 0.
+fn flat(backend: &FaultyBackend, path: &Path, durability: Durability) -> Journal {
+    Journal::flat(Box::new(backend.clone()), path, 0, durability).unwrap()
+}
+
+/// A checkpointing journal over the fresh `dir` on `backend`, for `net` at
+/// op 0.
+fn checkpointed(
+    net: &PersistNet,
+    backend: &FaultyBackend,
+    dir: &Path,
+    config: CheckpointConfig,
+) -> Result<Journal, PersistError> {
+    Journal::checkpointed(
+        Box::new(backend.clone()),
+        dir,
+        &Snapshot::of_net(net, 0),
+        config,
+    )
+}
+
+/// One window through the pairing the daemon and `replay` use: the engine
+/// applies it, then the journal records exactly the prefix it accepted.
+fn apply_window(
+    net: &mut PersistNet,
+    journal: &mut Journal,
+    ops: &[Op],
+) -> Result<Vec<UpdateReport>, ReplayError> {
+    let result = net.apply_batch(ops);
+    let applied = result.as_ref().map_or_else(|e| e.index, Vec::len);
+    journal.record(&ops[..applied], |at| Snapshot::of_net(net, at));
+    result
 }
 
 /// A deterministic ~`n`-op trace over `topo`.
@@ -103,8 +141,8 @@ fn assert_bit_identical(recovered: &PersistNet, oracle: &PersistNet, ctx: &str) 
         "{ctx}: state digest"
     );
     assert_eq!(
-        recovered.active_violations(),
-        oracle.active_violations(),
+        recovered.checker().active_violations(),
+        oracle.checker().active_violations(),
         "{ctx}: monitor violation set"
     );
 }
@@ -152,27 +190,22 @@ fn crash_point_sweep_recovers_bit_identical_to_salvaged_prefix() {
         let backend = FaultyBackend::new();
         let log_path = p("/vd/wal.dnlog");
         let snap_path = p("/vd/base.dnsnap");
-        let mut logged = LoggedNet::with_backend(
-            build(&topo, kind),
-            Box::new(backend.clone()),
-            &log_path,
-            0,
-            Durability::FsyncPerBatch,
-        )
-        .unwrap();
-        let snap0_bytes = Snapshot::of_net(logged.net(), 0).to_bytes();
+        let mut net = build(&topo, kind);
+        let mut journal = flat(&backend, &log_path, Durability::FsyncPerBatch);
+        let snap0_bytes = Snapshot::of_net(&net, 0).to_bytes();
         let mut snap_mid_bytes = Vec::new();
         for chunk in trace.chunks(5) {
-            logged.apply_batch(chunk).unwrap();
-            if logged.ops_applied() == SNAP_AT as u64 {
-                snap_mid_bytes = logged.snapshot().unwrap().to_bytes();
+            apply_window(&mut net, &mut journal, chunk).unwrap();
+            if journal.ops_applied() == SNAP_AT as u64 {
+                // Never ahead of the durable log.
+                journal.sync().unwrap();
+                snap_mid_bytes = Snapshot::of_net(&net, SNAP_AT as u64).to_bytes();
             }
         }
-        logged.sync().unwrap();
+        journal.close().unwrap();
         let log_bytes = backend.surviving(&log_path).unwrap();
         assert_eq!(log_bytes.len() as u64, *boundaries.last().unwrap());
         assert!(!snap_mid_bytes.is_empty());
-        drop(logged);
 
         // Crash points: a torn header, every record boundary, and sampled
         // mid-record bytes (first byte and midpoint of every 7th record).
@@ -195,7 +228,7 @@ fn crash_point_sweep_recovers_bit_identical_to_salvaged_prefix() {
             let (salvaged, tear_offset) = salvage_at(&boundaries, crash);
             let torn = crash < HEADER || crash != boundaries[salvaged];
             while oracle_at < salvaged {
-                oracle.try_apply(&trace[oracle_at]).unwrap();
+                oracle.checker_mut().try_apply(&trace[oracle_at]).unwrap();
                 oracle_at += 1;
             }
             let snap_bytes = if salvaged >= SNAP_AT {
@@ -304,20 +337,14 @@ fn live_crash_mid_run_recovers_to_acknowledged_prefix() {
             &snap_path,
             Snapshot::of_net(&build(&topo, kind), 0).to_bytes(),
         );
-        let mut logged = LoggedNet::with_backend(
-            build(&topo, kind),
-            Box::new(backend.clone()),
-            &log_path,
-            0,
-            Durability::FsyncPerBatch,
-        )
-        .unwrap();
+        let mut net = build(&topo, kind);
+        let mut journal = flat(&backend, &log_path, Durability::FsyncPerBatch);
         let mut acked = 0u64;
         let mut crashed = false;
         for chunk in trace.chunks(5) {
-            logged.apply_batch(chunk).unwrap();
-            match logged.sync() {
-                Ok(()) => acked = logged.ops_applied(),
+            apply_window(&mut net, &mut journal, chunk).unwrap();
+            match journal.sync() {
+                Ok(()) => acked = journal.ops_applied(),
                 Err(PersistError::Io(_)) => {
                     crashed = true;
                     break;
@@ -327,7 +354,7 @@ fn live_crash_mid_run_recovers_to_acknowledged_prefix() {
         }
         assert!(crashed, "kind {kind}: the plan must have fired");
         assert!(backend.crashed());
-        drop(logged); // deferred error was consumed by sync(); no panic
+        drop(journal); // the deferred error was surfaced by sync()
 
         backend.reboot();
         let (net, salvaged, _) = persist::recover_with(
@@ -344,7 +371,7 @@ fn live_crash_mid_run_recovers_to_acknowledged_prefix() {
         );
         let mut oracle = build(&topo, kind);
         for op in &trace[..salvaged as usize] {
-            oracle.try_apply(op).unwrap();
+            oracle.checker_mut().try_apply(op).unwrap();
         }
         assert_bit_identical_deep(&net, &oracle, &format!("kind {kind}, live crash"));
     }
@@ -365,22 +392,16 @@ fn durability_ladder_honors_fsync_and_surfaces_failures() {
         fail_fsyncs: 1,
         ..Default::default()
     });
-    let mut logged = LoggedNet::with_backend(
-        build(&topo, 0),
-        Box::new(backend.clone()),
-        &p("/vd/fsync.dnlog"),
-        0,
-        Durability::FsyncPerBatch,
-    )
-    .unwrap();
-    logged.apply_batch(&trace[..5]).unwrap();
-    let err = logged.flush().expect_err("fsync failure must surface");
+    let mut net = build(&topo, 0);
+    let mut journal = flat(&backend, &p("/vd/fsync.dnlog"), Durability::FsyncPerBatch);
+    apply_window(&mut net, &mut journal, &trace[..5]).unwrap();
+    let err = journal.flush().expect_err("fsync failure must surface");
     assert!(
         matches!(err, PersistError::Io(_)),
         "fsync failure must be PersistError::Io, got: {err}"
     );
-    logged.sync().unwrap(); // the injected failure was one-shot
-    drop(logged);
+    journal.sync().unwrap(); // the injected failure was one-shot
+    drop(journal);
 
     // Sync counts across the ladder: Buffered and FlushPerBatch never
     // fsync on flush; FsyncPerBatch fsyncs once per batch.
@@ -391,16 +412,10 @@ fn durability_ladder_honors_fsync_and_surfaces_failures() {
     ] {
         let backend = FaultyBackend::new();
         let log_path = p("/vd/ladder.dnlog");
-        let mut logged = LoggedNet::with_backend(
-            build(&topo, 0),
-            Box::new(backend.clone()),
-            &log_path,
-            0,
-            durability,
-        )
-        .unwrap();
+        let mut net = build(&topo, 0);
+        let mut journal = flat(&backend, &log_path, durability);
         for chunk in trace.chunks(5) {
-            logged.apply_batch(chunk).unwrap();
+            apply_window(&mut net, &mut journal, chunk).unwrap();
         }
         assert_eq!(
             backend.sync_count(),
@@ -411,12 +426,12 @@ fn durability_ladder_honors_fsync_and_surfaces_failures() {
         if durability == Durability::Buffered {
             assert_eq!(backend.surviving(&log_path).unwrap().len() as u64, HEADER);
         }
-        logged.sync().unwrap();
+        journal.sync().unwrap();
         assert_eq!(backend.sync_count(), expect_syncs + 1);
         let report =
             read_log_with(&mut backend.clone(), &log_path, RecoveryPolicy::Strict).unwrap();
         assert_eq!(report.ops.len(), trace.len(), "{durability:?}: all logged");
-        drop(logged);
+        drop(journal);
     }
 }
 
@@ -432,7 +447,7 @@ fn atomic_snapshot_survives_crash_at_rename() {
 
     let mut net = build(&topo, 2);
     for op in &trace[..20] {
-        net.try_apply(op).unwrap();
+        net.checker_mut().try_apply(op).unwrap();
     }
     let digest20 = state_digest(&net);
     Snapshot::of_net(&net, 20)
@@ -441,7 +456,7 @@ fn atomic_snapshot_survives_crash_at_rename() {
     let good_bytes = backend.surviving(&snap_path).unwrap();
 
     for op in &trace[20..] {
-        net.try_apply(op).unwrap();
+        net.checker_mut().try_apply(op).unwrap();
     }
     backend.inject(FaultPlan {
         crash_on_rename: true,
@@ -466,8 +481,9 @@ fn atomic_snapshot_survives_crash_at_rename() {
 }
 
 /// Satellite: a deferred log-flush error is impossible to lose —
-/// `into_net` surfaces it, and dropping the wrapper with one pending
-/// panics. A transient short write heals via truncate-then-retry without
+/// `Journal::close` surfaces it — and dropping a journal with one pending
+/// reports it instead of panicking, still making its best-effort final
+/// sync. A transient short write heals via truncate-then-retry without
 /// duplicating records.
 #[test]
 fn deferred_flush_errors_cannot_be_dropped_and_short_writes_heal() {
@@ -476,81 +492,61 @@ fn deferred_flush_errors_cannot_be_dropped_and_short_writes_heal() {
     let trace = make_trace(0xdefe_0004, &topo, 20);
     let log_path = p("/vd/deferred.dnlog");
 
-    // (a) into_net surfaces the deferred error instead of dropping it.
+    // (a) close surfaces the deferred error instead of dropping it.
     let backend = FaultyBackend::new();
-    let mut logged = LoggedNet::with_backend(
-        build(&topo, 0),
-        Box::new(backend.clone()),
-        &log_path,
-        0,
-        Durability::FlushPerBatch,
-    )
-    .unwrap();
-    logged.apply_batch(&trace[..5]).unwrap();
+    let mut net = build(&topo, 0);
+    let mut journal = flat(&backend, &log_path, Durability::FlushPerBatch);
+    apply_window(&mut net, &mut journal, &trace[..5]).unwrap();
     backend.inject(FaultPlan {
         fail_append_at_byte: Some(backend.bytes_appended() + 10),
         ..Default::default()
     });
-    logged.apply_batch(&trace[5..10]).unwrap(); // flush failure deferred
-    match logged.into_net() {
+    apply_window(&mut net, &mut journal, &trace[5..10]).unwrap(); // flush failure deferred
+    match journal.close() {
         Err(PersistError::Io(_)) => {}
         Err(e) => panic!("deferred error surfaced with the wrong kind: {e}"),
-        Ok(_) => panic!("deferred error must surface from into_net"),
+        Ok(()) => panic!("deferred error must surface from close"),
     }
 
-    // (b) dropping with a pending deferred error panics.
+    // (b) dropping with a pending deferred error does not panic, and its
+    // final sync still heals the log.
     let backend = FaultyBackend::new();
-    let mut logged = LoggedNet::with_backend(
-        build(&topo, 0),
-        Box::new(backend.clone()),
-        &log_path,
-        0,
-        Durability::FlushPerBatch,
-    )
-    .unwrap();
-    logged.apply_batch(&trace[..5]).unwrap();
+    let mut net = build(&topo, 0);
+    let mut journal = flat(&backend, &log_path, Durability::FlushPerBatch);
+    apply_window(&mut net, &mut journal, &trace[..5]).unwrap();
     backend.inject(FaultPlan {
         fail_append_at_byte: Some(backend.bytes_appended() + 10),
         ..Default::default()
     });
-    logged.apply_batch(&trace[5..10]).unwrap();
-    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(logged)))
-        .expect_err("drop with pending deferred error must panic");
-    let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
-    assert!(
-        msg.contains("deferred log-flush error"),
-        "panic message: {msg}"
-    );
+    apply_window(&mut net, &mut journal, &trace[5..10]).unwrap();
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(journal)))
+        .expect("drop with a pending deferred error must not panic");
+    let report = read_log_with(&mut backend.clone(), &log_path, RecoveryPolicy::Strict).unwrap();
+    assert_eq!(report.ops, trace[..10].to_vec(), "the final sync ran");
 
     // (c) wounded truncate-then-retry: the short write lands a partial
     // record; the retry truncates back and re-appends, leaving a log that
     // parses cleanly with every op exactly once.
     let backend = FaultyBackend::new();
-    let mut logged = LoggedNet::with_backend(
-        build(&topo, 0),
-        Box::new(backend.clone()),
-        &log_path,
-        0,
-        Durability::FlushPerBatch,
-    )
-    .unwrap();
-    logged.apply_batch(&trace[..5]).unwrap();
+    let mut net = build(&topo, 0);
+    let mut journal = flat(&backend, &log_path, Durability::FlushPerBatch);
+    apply_window(&mut net, &mut journal, &trace[..5]).unwrap();
     let committed = backend.surviving(&log_path).unwrap().len();
     backend.inject(FaultPlan {
         fail_append_at_byte: Some(backend.bytes_appended() + 7),
         ..Default::default()
     });
-    logged.apply_batch(&trace[5..10]).unwrap(); // short write, deferred
+    apply_window(&mut net, &mut journal, &trace[5..10]).unwrap(); // short write, deferred
     let surviving = backend.surviving(&log_path).unwrap().len();
     assert!(
         surviving > committed,
         "the short write must have landed a partial record"
     );
-    assert!(matches!(logged.flush(), Err(PersistError::Io(_)))); // surface it
-    logged.flush().unwrap(); // retry: truncate + re-append succeeds
+    assert!(matches!(journal.flush(), Err(PersistError::Io(_)))); // surface it
+    journal.flush().unwrap(); // retry: truncate + re-append succeeds
     let report = read_log_with(&mut backend.clone(), &log_path, RecoveryPolicy::Strict).unwrap();
     assert_eq!(report.ops, trace[..10].to_vec(), "no duplicate records");
-    drop(logged);
+    drop(journal);
 }
 
 fn checkpoint_cfg(every_ops: u64, retain: usize) -> CheckpointConfig {
@@ -586,22 +582,16 @@ fn checkpoint_manager_rotates_retains_and_recovers_multi_segment() {
     let backend = FaultyBackend::new();
     let dir = p("/vd/ckpt");
 
-    let mut mgr = LoggedNet::checkpointed(
-        build(&topo, 2),
-        Box::new(backend.clone()),
-        &dir,
-        0,
-        checkpoint_cfg(25, 2),
-    )
-    .unwrap();
+    let mut net = build(&topo, 2);
+    let mut journal = checkpointed(&net, &backend, &dir, checkpoint_cfg(25, 2)).unwrap();
     // Batches of 8 against a 25-op cadence: every rotation lands inside a
     // batch window, so a batch's records straddle two segments.
     for chunk in trace.chunks(8) {
-        mgr.apply_batch(chunk).unwrap();
+        apply_window(&mut net, &mut journal, chunk).unwrap();
     }
-    assert_eq!(mgr.ops_applied(), 120);
-    assert_eq!(mgr.journal().segment_start(), 100);
-    assert_eq!(mgr.journal().last_checkpoint(), 104);
+    assert_eq!(journal.ops_applied(), 120);
+    assert_eq!(journal.segment_start(), 100);
+    assert_eq!(journal.last_checkpoint(), 104);
 
     // Rotation at exact multiples; snapshots at the commit after each
     // crossing; retention keeps the newest two snapshots and only the
@@ -616,11 +606,11 @@ fn checkpoint_manager_rotates_retains_and_recovers_multi_segment() {
         vec!["log-000000000075.dnlog", "log-000000000100.dnlog"]
     );
 
-    let live = mgr.into_net().unwrap();
-    let live_digest = state_digest(&live);
+    journal.close().unwrap();
+    let live_digest = state_digest(&net);
 
     // Clean recovery (Strict: nothing is torn).
-    let (mut mgr2, report) = LoggedNet::recover_dir(
+    let (mut net2, mut journal2, report) = persist::recover_dir(
         Box::new(backend.clone()),
         &dir,
         &topo,
@@ -633,7 +623,7 @@ fn checkpoint_manager_rotates_retains_and_recovers_multi_segment() {
     assert_eq!(report.ops_incorporated, 120);
     assert_eq!(report.segments_replayed, 1);
     assert!(report.torn.is_none());
-    assert_eq!(state_digest(mgr2.net()), live_digest);
+    assert_eq!(state_digest(&net2), live_digest);
 
     // Time-travel across the retained window, including op 102 — past a
     // segment boundary (100) that fell inside a batch window — and op 85,
@@ -641,7 +631,7 @@ fn checkpoint_manager_rotates_retains_and_recovers_multi_segment() {
     for op_n in [80u64, 85, 100, 102, 104, 110, 120] {
         let mut oracle = build(&topo, 2);
         for op in &trace[..op_n as usize] {
-            oracle.try_apply(op).unwrap();
+            oracle.checker_mut().try_apply(op).unwrap();
         }
         let got = persist::violations_at_dir(
             &mut backend.clone(),
@@ -653,7 +643,7 @@ fn checkpoint_manager_rotates_retains_and_recovers_multi_segment() {
         .unwrap();
         assert_eq!(
             got,
-            oracle.active_violations().unwrap(),
+            oracle.checker().active_violations().unwrap(),
             "violations_at({op_n})"
         );
     }
@@ -667,18 +657,18 @@ fn checkpoint_manager_rotates_retains_and_recovers_multi_segment() {
     );
     assert!(matches!(err, Err(PersistError::Mismatch(_))));
 
-    // The recovered manager keeps appending into the same segment; a
+    // The recovered journal keeps appending into the same segment; a
     // subsequent recovery sees the extended history.
     let extra = make_trace(0xc4ec_0006, &topo, 10);
     let mut oracle_ops: Vec<Op> = trace.clone();
     for chunk in extra.chunks(5) {
-        let applied = mgr2.apply_batch(chunk).unwrap().len();
+        let applied = apply_window(&mut net2, &mut journal2, chunk).unwrap().len();
         oracle_ops.extend_from_slice(&chunk[..applied]);
     }
-    mgr2.sync().unwrap();
-    let after_digest = state_digest(mgr2.net());
-    drop(mgr2);
-    let (mgr3, report3) = LoggedNet::recover_dir(
+    journal2.sync().unwrap();
+    let after_digest = state_digest(&net2);
+    drop(journal2);
+    let (net3, journal3, report3) = persist::recover_dir(
         Box::new(backend.clone()),
         &dir,
         &topo,
@@ -687,8 +677,8 @@ fn checkpoint_manager_rotates_retains_and_recovers_multi_segment() {
     )
     .unwrap();
     assert_eq!(report3.ops_incorporated, oracle_ops.len() as u64);
-    assert_eq!(state_digest(mgr3.net()), after_digest);
-    drop(mgr3);
+    assert_eq!(state_digest(&net3), after_digest);
+    drop(journal3);
 }
 
 /// Regression (ISSUE 10 satellite): retention vs. time-travel at the exact
@@ -706,22 +696,16 @@ fn retention_never_strands_time_travel_just_after_oldest_snapshot() {
     let backend = FaultyBackend::new();
     let dir = p("/vd/retention");
 
-    let mut mgr = LoggedNet::checkpointed(
-        build(&topo, 2),
-        Box::new(backend.clone()),
-        &dir,
-        0,
-        checkpoint_cfg(4, 2),
-    )
-    .unwrap();
+    let mut net = build(&topo, 2);
+    let mut journal = checkpointed(&net, &backend, &dir, checkpoint_cfg(4, 2)).unwrap();
     // Batches of 4 against a 4-op cadence: six rotations, each snapshot at
     // a segment start, each rotation making one more segment deletable.
     for chunk in trace.chunks(4) {
-        mgr.apply_batch(chunk).unwrap();
+        apply_window(&mut net, &mut journal, chunk).unwrap();
     }
-    assert_eq!(mgr.ops_applied(), 24);
-    assert_eq!(mgr.journal().checkpoints_written(), 7); // initial + one per rotation
-    drop(mgr.into_net().unwrap());
+    assert_eq!(journal.ops_applied(), 24);
+    assert_eq!(journal.checkpoints_written(), 7); // initial + one per rotation
+    journal.close().unwrap();
 
     // Retention kept the newest two snapshots and exactly the segments
     // needed to replay forward from the oldest one — everything older,
@@ -743,7 +727,7 @@ fn retention_never_strands_time_travel_just_after_oldest_snapshot() {
     for op_n in [20u64, 21, 22, 23, 24] {
         let mut oracle = build(&topo, 2);
         for op in &trace[..op_n as usize] {
-            oracle.try_apply(op).unwrap();
+            oracle.checker_mut().try_apply(op).unwrap();
         }
         let got = persist::violations_at_dir(
             &mut backend.clone(),
@@ -755,7 +739,7 @@ fn retention_never_strands_time_travel_just_after_oldest_snapshot() {
         .unwrap();
         assert_eq!(
             got,
-            oracle.active_violations().unwrap(),
+            oracle.checker().active_violations().unwrap(),
             "violations_at({op_n})"
         );
     }
@@ -784,18 +768,12 @@ fn checkpoint_crash_sweep_with_snapshot_fallback() {
     let backend = FaultyBackend::new();
     let dir = p("/vd/sweep");
 
-    let mut mgr = LoggedNet::checkpointed(
-        build(&topo, 1),
-        Box::new(backend.clone()),
-        &dir,
-        0,
-        checkpoint_cfg(25, 3),
-    )
-    .unwrap();
+    let mut net = build(&topo, 1);
+    let mut journal = checkpointed(&net, &backend, &dir, checkpoint_cfg(25, 3)).unwrap();
     for chunk in trace.chunks(8) {
-        mgr.apply_batch(chunk).unwrap();
+        apply_window(&mut net, &mut journal, chunk).unwrap();
     }
-    mgr.into_net().unwrap();
+    journal.close().unwrap();
 
     // Capture the pristine directory contents.
     let files: Vec<(PathBuf, Vec<u8>)> = backend
@@ -837,11 +815,11 @@ fn checkpoint_crash_sweep_with_snapshot_fallback() {
         let (salvaged_in_seg, tear_offset) = salvage_at(&tail_boundaries, crash);
         let global = 100 + salvaged_in_seg;
         while oracle_at < global {
-            oracle.try_apply(&trace[oracle_at]).unwrap();
+            oracle.checker_mut().try_apply(&trace[oracle_at]).unwrap();
             oracle_at += 1;
         }
         let staged = stage(crash as usize);
-        let (mgr, report) = LoggedNet::recover_dir(
+        let (recovered, journal, report) = persist::recover_dir(
             Box::new(staged.clone()),
             &dir,
             &topo,
@@ -857,15 +835,15 @@ fn checkpoint_crash_sweep_with_snapshot_fallback() {
         );
         assert_eq!(report.torn.is_some(), crash != tear_offset, "crash {crash}");
         if global as u64 >= 104 {
-            assert_bit_identical(mgr.net(), &oracle, &format!("crash {crash}"));
+            assert_bit_identical(&recovered, &oracle, &format!("crash {crash}"));
         }
-        drop(mgr);
+        drop(journal);
     }
 
     // Corrupt newest snapshot → fall back to the previous checkpoint and
     // still recover the full history bit-identically.
     while oracle_at < trace.len() {
-        oracle.try_apply(&trace[oracle_at]).unwrap();
+        oracle.checker_mut().try_apply(&trace[oracle_at]).unwrap();
         oracle_at += 1;
     }
     let staged = stage(last_seg.len());
@@ -874,7 +852,7 @@ fn checkpoint_crash_sweep_with_snapshot_fallback() {
     let mid = bad.len() / 2;
     bad[mid] ^= 0x20;
     staged.plant(&snap_path, bad);
-    let (mgr, report) = LoggedNet::recover_dir(
+    let (recovered, journal, report) = persist::recover_dir(
         Box::new(staged.clone()),
         &dir,
         &topo,
@@ -885,8 +863,8 @@ fn checkpoint_crash_sweep_with_snapshot_fallback() {
     assert_eq!(report.snapshots_skipped, 1);
     assert!(report.baseline_ops < 104);
     assert_eq!(report.ops_incorporated, 120);
-    assert_bit_identical_deep(mgr.net(), &oracle, "snapshot fallback");
-    drop(mgr);
+    assert_bit_identical_deep(&recovered, &oracle, "snapshot fallback");
+    drop(journal);
 
     // A torn non-final segment is unrecoverable corruption, even under
     // RepairTail (only the crash-active tail may legally be torn). The
@@ -900,7 +878,7 @@ fn checkpoint_crash_sweep_with_snapshot_fallback() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x20;
     staged.plant(&snap_path, bytes);
-    let err = LoggedNet::recover_dir(
+    let err = persist::recover_dir(
         Box::new(staged.clone()),
         &dir,
         &topo,
@@ -929,36 +907,25 @@ fn starting_in_a_used_checkpoint_dir_is_refused() {
     let backend = FaultyBackend::new();
     let dir = p("/vd/reuse");
 
-    let mut first = LoggedNet::checkpointed(
-        build(&topo, 2),
-        Box::new(backend.clone()),
-        &dir,
-        0,
-        checkpoint_cfg(8, 2),
-    )
-    .unwrap();
+    let mut first = build(&topo, 2);
+    let mut journal = checkpointed(&first, &backend, &dir, checkpoint_cfg(8, 2)).unwrap();
     for chunk in trace.chunks(8) {
-        first.apply_batch(chunk).unwrap();
+        apply_window(&mut first, &mut journal, chunk).unwrap();
     }
-    let first_digest = state_digest(&first.into_net().unwrap());
+    journal.close().unwrap();
+    let first_digest = state_digest(&first);
     let before = dir_artifacts(&backend, &dir);
 
-    let err = LoggedNet::checkpointed(
-        build(&topo, 2),
-        Box::new(backend.clone()),
-        &dir,
-        0,
-        checkpoint_cfg(8, 2),
-    )
-    .err()
-    .expect("a used checkpoint dir must be refused");
+    let err = checkpointed(&build(&topo, 2), &backend, &dir, checkpoint_cfg(8, 2))
+        .err()
+        .expect("a used checkpoint dir must be refused");
     match &err {
         PersistError::Mismatch(msg) => assert!(msg.contains("/vd/reuse"), "{msg}"),
         other => panic!("expected a Mismatch naming the directory, got: {other}"),
     }
     // The refusal wrote nothing, and the first run still recovers whole.
     assert_eq!(dir_artifacts(&backend, &dir), before);
-    let (recovered, report) = LoggedNet::recover_dir(
+    let (recovered, _journal, report) = persist::recover_dir(
         Box::new(backend.clone()),
         &dir,
         &topo,
@@ -967,17 +934,16 @@ fn starting_in_a_used_checkpoint_dir_is_refused() {
     )
     .unwrap();
     assert_eq!(report.ops_incorporated, 60);
-    assert_eq!(state_digest(recovered.net()), first_digest);
+    assert_eq!(state_digest(&recovered), first_digest);
 
     // A directory holding only a stray segment (no snapshot to recover
     // from) is just as used.
     let stray = FaultyBackend::new();
     stray.plant(&p("/vd/stray/log-000000000000.dnlog"), b"DNLG\x03".to_vec());
-    let err = LoggedNet::checkpointed(
-        build(&topo, 2),
-        Box::new(stray.clone()),
+    let err = checkpointed(
+        &build(&topo, 2),
+        &stray,
         &p("/vd/stray"),
-        0,
         checkpoint_cfg(8, 2),
     );
     assert!(matches!(err, Err(PersistError::Mismatch(_))));
@@ -996,18 +962,12 @@ fn time_travel_across_a_cut_non_final_segment_is_a_clean_mismatch() {
     let backend = FaultyBackend::new();
     let dir = p("/vd/cut");
 
-    let mut mgr = LoggedNet::checkpointed(
-        build(&topo, 2),
-        Box::new(backend.clone()),
-        &dir,
-        0,
-        checkpoint_cfg(25, 4),
-    )
-    .unwrap();
+    let mut net = build(&topo, 2);
+    let mut journal = checkpointed(&net, &backend, &dir, checkpoint_cfg(25, 4)).unwrap();
     for chunk in trace.chunks(8) {
-        mgr.apply_batch(chunk).unwrap();
+        apply_window(&mut net, &mut journal, chunk).unwrap();
     }
-    mgr.into_net().unwrap();
+    journal.close().unwrap();
 
     // Keep the first 10 of log-50's 25 records: ops 50..60.
     let seg_path = p("/vd/cut/log-000000000050.dnlog");
@@ -1030,7 +990,7 @@ fn time_travel_across_a_cut_non_final_segment_is_a_clean_mismatch() {
     // Points the cut segment does not sit under still answer.
     let mut oracle = build(&topo, 2);
     for op in &trace[..110] {
-        oracle.try_apply(op).unwrap();
+        oracle.checker_mut().try_apply(op).unwrap();
     }
     let got = persist::violations_at_dir(
         &mut backend.clone(),
@@ -1040,7 +1000,7 @@ fn time_travel_across_a_cut_non_final_segment_is_a_clean_mismatch() {
         RecoveryPolicy::Strict,
     )
     .unwrap();
-    assert_eq!(got, oracle.active_violations().unwrap());
+    assert_eq!(got, oracle.checker().active_violations().unwrap());
 }
 
 /// Satellite (ISSUE 21): there is one write path. The same op stream, in
@@ -1064,28 +1024,17 @@ fn flat_and_checkpointing_journals_write_the_same_records() {
         Snapshot::of_net(&build(&topo, 2), 0)
             .write_to_backend(&mut backend.clone(), &snap_path)
             .unwrap();
-        let mut flat = LoggedNet::with_backend(
-            build(&topo, 2),
-            Box::new(backend.clone()),
-            &log_path,
-            0,
-            Durability::FsyncPerBatch,
-        )
-        .unwrap();
-        let mut rotated = LoggedNet::checkpointed(
-            build(&topo, 2),
-            Box::new(backend.clone()),
-            &dir,
-            0,
-            checkpoint_cfg(25, usize::MAX),
-        )
-        .unwrap();
+        let mut flat_net = build(&topo, 2);
+        let mut flat_log = flat(&backend, &log_path, Durability::FsyncPerBatch);
+        let mut rotated_net = build(&topo, 2);
+        let mut rotated =
+            checkpointed(&rotated_net, &backend, &dir, checkpoint_cfg(25, usize::MAX)).unwrap();
         // A failing window keeps its applied prefix and drops its rest.
         let mut applied: Vec<Op> = Vec::new();
         let mut rejected = 0;
         for chunk in trace.chunks(window) {
-            let a = flat.apply_batch(chunk);
-            let b = rotated.apply_batch(chunk);
+            let a = apply_window(&mut flat_net, &mut flat_log, chunk);
+            let b = apply_window(&mut rotated_net, &mut rotated, chunk);
             let n = a.as_ref().map_or_else(|e| e.index, Vec::len);
             assert_eq!(n, b.as_ref().map_or_else(|e| e.index, Vec::len));
             rejected += usize::from(a.is_err());
@@ -1095,12 +1044,12 @@ fn flat_and_checkpointing_journals_write_the_same_records() {
             rejected >= 1,
             "window {window}: the bad op must be rejected"
         );
-        assert_eq!(flat.ops_applied(), applied.len() as u64);
+        assert_eq!(flat_log.ops_applied(), applied.len() as u64);
         assert_eq!(rotated.ops_applied(), applied.len() as u64);
-        let live_digest = state_digest(flat.net());
-        assert_eq!(state_digest(rotated.net()), live_digest);
-        flat.into_net().unwrap();
-        rotated.into_net().unwrap();
+        let live_digest = state_digest(&flat_net);
+        assert_eq!(state_digest(&rotated_net), live_digest);
+        flat_log.close().unwrap();
+        rotated.close().unwrap();
 
         // Byte for byte: header-stripped segments, in order == flat log.
         let flat_bytes = backend.surviving(&log_path).unwrap();
@@ -1131,7 +1080,7 @@ fn flat_and_checkpointing_journals_write_the_same_records() {
         .unwrap();
         assert_eq!(total, applied.len() as u64);
         assert_eq!(state_digest(&from_pair), live_digest, "window {window}");
-        let (from_dir, report) = LoggedNet::recover_dir(
+        let (from_dir, _journal, report) = persist::recover_dir(
             Box::new(backend.clone()),
             &dir,
             &topo,
@@ -1140,34 +1089,30 @@ fn flat_and_checkpointing_journals_write_the_same_records() {
         )
         .unwrap();
         assert_eq!(report.ops_incorporated, applied.len() as u64);
-        assert_eq!(state_digest(from_dir.net()), live_digest, "window {window}");
+        assert_eq!(state_digest(&from_dir), live_digest, "window {window}");
     }
 
     // Two I/O failures in a row — a short append, then (the retry having
     // healed the file) a failed fsync — surface the first: the second is
     // usually cascade and must not displace the root cause.
     let backend = FaultyBackend::new();
-    let mut flat = LoggedNet::with_backend(
-        build(&topo, 2),
-        Box::new(backend.clone()),
-        &log_path,
-        0,
-        Durability::FsyncPerBatch,
-    )
-    .unwrap();
+    let mut net = build(&topo, 2);
+    let mut journal = flat(&backend, &log_path, Durability::FsyncPerBatch);
     backend.inject(FaultPlan {
         fail_append_at_byte: Some(backend.bytes_appended() + 7),
         ..Default::default()
     });
-    flat.apply_batch(&trace[..8]).unwrap();
+    apply_window(&mut net, &mut journal, &trace[..8]).unwrap();
     backend.inject(FaultPlan {
         fail_fsyncs: 1,
         ..Default::default()
     });
-    flat.apply_batch(&trace[8..16]).unwrap();
-    let err = flat.flush().expect_err("the deferred failure must surface");
+    apply_window(&mut net, &mut journal, &trace[8..16]).unwrap();
+    let err = journal
+        .flush()
+        .expect_err("the deferred failure must surface");
     assert!(err.to_string().contains("short write"), "{err}");
-    flat.sync().unwrap(); // one error was pending, not two
+    journal.sync().unwrap(); // one error was pending, not two
     let logged = read_log_with(&mut backend.clone(), &log_path, RecoveryPolicy::Strict)
         .unwrap()
         .ops;

@@ -24,7 +24,6 @@ use std::path::{Path, PathBuf};
 
 use deltanet::persist::{self, recover, PersistError};
 use deltanet::{DeltaNet, DeltaNetConfig, PersistNet, ShardedDeltaNet, Snapshot};
-use netmodel::checker::Checker;
 use netmodel::header::SecondaryMatch;
 use netmodel::interval::Interval;
 use netmodel::ip::IpPrefix;
@@ -155,7 +154,7 @@ fn v2_artifacts_recover_bit_identically_to_fresh_replay() {
     // Fresh replay of the replicated trace lands on the identical state.
     let mut fresh = PersistNet::Single(Box::new(DeltaNet::new(topo.clone(), config)));
     for op in &ops {
-        fresh.try_apply(op).unwrap();
+        fresh.checker_mut().try_apply(op).unwrap();
     }
     assert_eq!(
         persist::state_digest(&recovered),
@@ -171,7 +170,7 @@ fn v2_snapshot_reads_as_single_field() {
     assert_eq!(snap.config().secondary_count(), 0);
     let (topo, _) = fixture_topology();
     let net = snap.restore(&topo).unwrap();
-    assert_eq!(net.rule_count(), 6);
+    assert_eq!(net.checker().rule_count(), 6);
 }
 
 #[test]
@@ -310,9 +309,14 @@ fn mf_fixture_ops(topo: &Topology) -> Vec<Op> {
 /// Applies `ops[from..to]` the way the fixture run did.
 fn mf_replay(net: &mut PersistNet, ops: &[Op], from: usize, to: usize) {
     for (i, op) in ops.iter().enumerate().take(to).skip(from) {
-        net.try_apply(op).expect("fixture ops are well formed");
+        net.checker_mut()
+            .try_apply(op)
+            .expect("fixture ops are well formed");
         if i + 1 == MF_COMPACT_AT {
-            net.compact();
+            let PersistNet::Sharded(sharded) = net else {
+                panic!("the fixture engine is sharded");
+            };
+            sharded.compact();
         }
     }
 }

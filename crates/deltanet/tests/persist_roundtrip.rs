@@ -3,16 +3,18 @@
 //! restored engine must match the live one on atom counts, `live_bytes`,
 //! the monitor's `active_violations()` bit-for-bit, and full loop/blackhole
 //! rescans — and must stay observationally identical when both keep
-//! applying the same ops afterwards. Logged runs recover from nearest
-//! snapshot + log tail, time-travel queries agree with a fresh replay, and
-//! corrupted or truncated artifacts fail with clean errors, never panics.
+//! applying the same ops afterwards. Runs with a journal mounted beside the
+//! engine recover from nearest snapshot + log tail, time-travel queries
+//! agree with a fresh replay, and corrupted or truncated artifacts fail
+//! with clean errors, never panics.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use deltanet::persist::{self, read_log, PersistError};
-use deltanet::{DeltaNet, DeltaNetConfig, LoggedNet, PersistNet, ShardedDeltaNet, Snapshot};
-use netmodel::checker::Checker;
+use deltanet::{
+    DeltaNet, DeltaNetConfig, Durability, FsBackend, Journal, PersistNet, ShardedDeltaNet, Snapshot,
+};
 use netmodel::ip::IpPrefix;
 use netmodel::rule::{Rule, RuleId};
 use netmodel::topology::Topology;
@@ -46,6 +48,29 @@ fn build(topo: &Topology, shards: usize) -> PersistNet {
     }
 }
 
+/// A flat journal over a real log file at the default durability.
+fn flat_journal(path: &Path) -> Journal {
+    Journal::flat(Box::new(FsBackend), path, 0, Durability::default()).unwrap()
+}
+
+fn live_bytes(net: &PersistNet) -> usize {
+    match net {
+        PersistNet::Single(n) => n.live_bytes(),
+        PersistNet::Sharded(n) => n.live_bytes(),
+    }
+}
+
+fn compact(net: &mut PersistNet) {
+    match net {
+        PersistNet::Single(n) => {
+            n.compact();
+        }
+        PersistNet::Sharded(n) => {
+            n.compact();
+        }
+    }
+}
+
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("deltanet-persist-{}-{tag}", std::process::id()));
     fs::create_dir_all(&dir).unwrap();
@@ -55,24 +80,21 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// The full restore contract: logical state, memory accounting, the live
 /// monitor set, and from-scratch rescans all agree.
 fn assert_state_eq(live: &PersistNet, restored: &PersistNet, ctx: &str) {
+    let (checker, live_checker) = (restored.checker(), live.checker());
     assert_eq!(
-        restored.rule_count(),
-        live.rule_count(),
+        checker.rule_count(),
+        live_checker.rule_count(),
         "{ctx}: rule_count"
     );
     assert_eq!(
-        restored.atom_count(),
-        live.atom_count(),
-        "{ctx}: atom_count"
+        checker.class_count(),
+        live_checker.class_count(),
+        "{ctx}: atom count"
     );
+    assert_eq!(live_bytes(restored), live_bytes(live), "{ctx}: live_bytes");
     assert_eq!(
-        restored.live_bytes(),
-        live.live_bytes(),
-        "{ctx}: live_bytes"
-    );
-    assert_eq!(
-        restored.active_violations(),
-        live.active_violations(),
+        checker.active_violations(),
+        live_checker.active_violations(),
         "{ctx}: monitor violation set"
     );
     let mut live_all = live.check_all_loops();
@@ -105,12 +127,12 @@ fn snapshot_roundtrip_differential() {
             let Some(op) = gen.next_op(&mut rng, &topo) else {
                 continue;
             };
-            net.try_apply(&op).unwrap();
+            net.checker_mut().try_apply(&op).unwrap();
             ops_done += 1;
             // An occasional explicit pass so snapshots also cover
             // post-compaction (renumbered) states.
             if step % 37 == 36 {
-                net.compact();
+                compact(&mut net);
             }
             if step % 25 == 24 {
                 let bytes = Snapshot::of_net(&net, ops_done).to_bytes();
@@ -134,11 +156,11 @@ fn snapshot_roundtrip_differential() {
             let Some(op) = gen.next_op(&mut rng, &topo) else {
                 continue;
             };
-            net.try_apply(&op).unwrap();
-            restored.try_apply(&op).unwrap();
+            net.checker_mut().try_apply(&op).unwrap();
+            restored.checker_mut().try_apply(&op).unwrap();
         }
-        net.compact();
-        restored.compact();
+        compact(&mut net);
+        compact(&mut restored);
         assert_state_eq(&net, &restored, &format!("kind {kind}, post-restore churn"));
     }
 }
@@ -166,10 +188,10 @@ fn multifield_snapshot_roundtrip_differential() {
             let Some(op) = gen.next_op(&mut rng, &topo) else {
                 continue;
             };
-            net.try_apply(&op).unwrap();
+            net.checker_mut().try_apply(&op).unwrap();
             ops_done += 1;
             if step % 37 == 36 {
-                net.compact();
+                compact(&mut net);
             }
             if step % 30 == 29 {
                 let bytes = Snapshot::of_net(&net, ops_done).to_bytes();
@@ -189,11 +211,11 @@ fn multifield_snapshot_roundtrip_differential() {
             let Some(op) = gen.next_op(&mut rng, &topo) else {
                 continue;
             };
-            net.try_apply(&op).unwrap();
-            restored.try_apply(&op).unwrap();
+            net.checker_mut().try_apply(&op).unwrap();
+            restored.checker_mut().try_apply(&op).unwrap();
         }
-        net.compact();
-        restored.compact();
+        compact(&mut net);
+        compact(&mut restored);
         assert_state_eq(
             &net,
             &restored,
@@ -217,25 +239,25 @@ fn logged_run_recovers_from_snapshot_plus_log_tail() {
         let snap_path = dir.join(format!("{kind}.dnsnap"));
         let mut net = build(&topo, kind);
         net.enable_monitor();
-        let mut logged = LoggedNet::new(net, &log_path, 0).unwrap();
+        let mut journal = flat_journal(&log_path);
         let mut gen = OpGen::new(8, 40, 0.3);
-        let mut n = 0u64;
-        while n < 80 {
+        while journal.ops_applied() < 80 {
             let Some(op) = gen.next_op(&mut rng, &topo) else {
                 continue;
             };
-            logged.try_apply(&op).unwrap();
-            n += 1;
-            if n == 40 {
-                // Mid-run snapshot: recovery replays the other 40 from the log.
-                logged.snapshot().unwrap().write_to(&snap_path).unwrap();
+            net.checker_mut().try_apply(&op).unwrap();
+            journal.record(std::slice::from_ref(&op), |at| Snapshot::of_net(&net, at));
+            if journal.ops_applied() == 40 {
+                // Mid-run snapshot (never ahead of the durable log):
+                // recovery replays the other 40 from the log.
+                journal.sync().unwrap();
+                Snapshot::of_net(&net, 40).write_to(&snap_path).unwrap();
             }
         }
-        assert_eq!(logged.ops_applied(), 80);
-        let live = logged.into_net().unwrap();
+        journal.close().unwrap();
         let (recovered, total) = persist::recover(&topo, &snap_path, &log_path).unwrap();
         assert_eq!(total, 80);
-        assert_state_eq(&live, &recovered, &format!("kind {kind}, recovered"));
+        assert_state_eq(&net, &recovered, &format!("kind {kind}, recovered"));
     }
     fs::remove_dir_all(&dir).ok();
 }
@@ -252,7 +274,7 @@ fn violations_at_matches_fresh_replay() {
         let Some(op) = gen.next_op(&mut rng, &topo) else {
             continue;
         };
-        net.try_apply(&op).unwrap();
+        net.checker_mut().try_apply(&op).unwrap();
         log.push(op);
         if log.len() == 30 {
             snap_bytes = Snapshot::of_net(&net, 30).to_bytes();
@@ -263,9 +285,9 @@ fn violations_at_matches_fresh_replay() {
         let mut reference = build(&topo, 0);
         reference.enable_monitor();
         for op in &log[..op_n] {
-            reference.try_apply(op).unwrap();
+            reference.checker_mut().try_apply(op).unwrap();
         }
-        let want = reference.active_violations().unwrap();
+        let want = reference.checker().active_violations().unwrap();
         // With the snapshot (used when it lies at or before `op_n`,
         // rebuilt from scratch otherwise) …
         let snap = Snapshot::from_bytes(&snap_bytes).unwrap();
@@ -293,7 +315,7 @@ fn corrupted_and_truncated_artifacts_fail_cleanly() {
         let Some(op) = gen.next_op(&mut rng, &topo) else {
             continue;
         };
-        net.try_apply(&op).unwrap();
+        net.checker_mut().try_apply(&op).unwrap();
         n += 1;
     }
     let bytes = Snapshot::of_net(&net, 20).to_bytes();
@@ -331,14 +353,14 @@ fn corrupted_and_truncated_artifacts_fail_cleanly() {
     let log_path = dir.join("truncated.dnlog");
     let src = topo.links()[0].src;
     let link = topo.links()[0].id;
-    let net = build(&topo, 0);
-    let mut logged = LoggedNet::new(net, &log_path, 0).unwrap();
+    let mut net = build(&topo, 0);
+    let mut journal = flat_journal(&log_path);
     let r1 = Rule::forward(RuleId(1), IpPrefix::new(16, 4, 8), 5, src, link);
     let r2 = Rule::forward(RuleId(2), IpPrefix::new(32, 4, 8), 5, src, link);
-    logged
-        .apply_batch(&[Op::Insert(r1), Op::Insert(r2)])
-        .unwrap();
-    logged.flush().unwrap();
+    let batch = [Op::Insert(r1), Op::Insert(r2)];
+    net.apply_batch(&batch).unwrap();
+    journal.record(&batch, |at| Snapshot::of_net(&net, at));
+    journal.close().unwrap();
     assert_eq!(read_log(&log_path).unwrap().len(), 2);
     let log_bytes = fs::read(&log_path).unwrap();
     fs::write(&log_path, &log_bytes[..log_bytes.len() - 3]).unwrap();
@@ -351,21 +373,22 @@ fn corrupted_and_truncated_artifacts_fail_cleanly() {
 
 #[test]
 fn logged_batch_failure_logs_exactly_the_applied_prefix() {
-    // The pinned mid-batch semantics must hold through the write-ahead
-    // wrapper too: a batch failing at op k leaves exactly ops[..k] in the
-    // log, so recovery reproduces the engine's actual post-failure state.
+    // The pinned mid-batch semantics must hold through the journal mounted
+    // beside the engine too: a batch failing at op k leaves exactly ops[..k]
+    // in the log, so recovery reproduces the engine's actual post-failure
+    // state.
     let dir = temp_dir("midbatch");
     let log_path = dir.join("batch.dnlog");
     let mut topo = Topology::new();
     let a = topo.add_node("a");
     let b = topo.add_node("b");
     let ab = topo.add_link(a, b);
-    let net = PersistNet::Sharded(Box::new(ShardedDeltaNet::new(
+    let mut net = PersistNet::Sharded(Box::new(ShardedDeltaNet::new(
         topo.clone(),
         DeltaNetConfig::default(),
         2,
     )));
-    let mut logged = LoggedNet::new(net, &log_path, 0).unwrap();
+    let mut journal = flat_journal(&log_path);
     let ops = [
         Op::Insert(Rule::forward(
             RuleId(1),
@@ -390,10 +413,12 @@ fn logged_batch_failure_logs_exactly_the_applied_prefix() {
             ab,
         )),
     ];
-    let err = logged.apply_batch(&ops).unwrap_err();
-    assert_eq!(err.index, 2);
-    assert_eq!(logged.ops_applied(), 2);
-    logged.flush().unwrap();
+    let result = net.apply_batch(&ops);
+    let applied = result.as_ref().map_or_else(|e| e.index, Vec::len);
+    journal.record(&ops[..applied], |at| Snapshot::of_net(&net, at));
+    assert_eq!(result.unwrap_err().index, 2);
+    assert_eq!(journal.ops_applied(), 2);
+    journal.close().unwrap();
     let replayable = read_log(&log_path).unwrap();
     assert_eq!(replayable, ops[..2]);
     // Replaying the log into a fresh engine reproduces the engine's state.
@@ -403,8 +428,8 @@ fn logged_batch_failure_logs_exactly_the_applied_prefix() {
         2,
     )));
     for op in &replayable {
-        fresh.try_apply(op).unwrap();
+        fresh.checker_mut().try_apply(op).unwrap();
     }
-    assert_state_eq(logged.net(), &fresh, "post-failure log replay");
+    assert_state_eq(&net, &fresh, "post-failure log replay");
     fs::remove_dir_all(&dir).ok();
 }

@@ -263,40 +263,7 @@ fn start_engine(
     let observer_sink = Arc::clone(&staging);
     let observe = move |t: &MonitorTransitions| observer_sink.lock().unwrap().push(t.clone());
 
-    let fresh = || {
-        let mut net = ShardedDeltaNet::with_parallelism(
-            topology.clone(),
-            config.engine,
-            config.shards,
-            config.parallelism,
-        );
-        net.enable_monitor();
-        net
-    };
-    let (mut net, journal) = match &config.checkpoint {
-        None => (fresh(), None),
-        Some(setup) => {
-            let (net, journal) = persist::open_dir(
-                Box::new(FsBackend),
-                &setup.dir,
-                &topology,
-                RecoveryPolicy::RepairTail,
-                setup.config,
-                || PersistNet::Sharded(Box::new(fresh())),
-            )
-            .map_err(|e| io::Error::other(format!("checkpoint directory: {e}")))?;
-            let PersistNet::Sharded(net) = net else {
-                return Err(io::Error::other(
-                    "checkpoint directory holds a single-engine snapshot; \
-                     the daemon requires a sharded engine",
-                ));
-            };
-            (*net, Some(journal))
-        }
-    };
-    if net.monitor_keys().is_none() {
-        net.enable_monitor();
-    }
+    let (mut net, journal) = open_engine(&topology, &config)?;
     net.set_monitor_observer(observe);
     let ops_applied = journal.as_ref().map_or(0, Journal::ops_applied);
 
@@ -330,6 +297,52 @@ fn start_engine(
         .run();
     });
     Ok((shared, work_tx, engine))
+}
+
+/// The daemon's monitored engine at `config.parallelism`: built fresh, or
+/// recovered from the checkpoint directory when one is mounted, together
+/// with the journal that resumes it.
+fn open_engine(
+    topology: &Topology,
+    config: &ServiceConfig,
+) -> io::Result<(ShardedDeltaNet, Option<Journal>)> {
+    let fresh = || {
+        let mut net = ShardedDeltaNet::with_parallelism(
+            topology.clone(),
+            config.engine,
+            config.shards,
+            config.parallelism,
+        );
+        net.enable_monitor();
+        net
+    };
+    let (mut net, journal) = match &config.checkpoint {
+        None => (fresh(), None),
+        Some(setup) => {
+            let (net, journal) = persist::open_dir(
+                Box::new(FsBackend),
+                &setup.dir,
+                topology,
+                RecoveryPolicy::RepairTail,
+                setup.config,
+                || PersistNet::Sharded(Box::new(fresh())),
+            )
+            .map_err(|e| io::Error::other(format!("checkpoint directory: {e}")))?;
+            let PersistNet::Sharded(net) = net else {
+                return Err(io::Error::other(
+                    "checkpoint directory holds a single-engine snapshot; \
+                     the daemon requires a sharded engine",
+                ));
+            };
+            (*net, Some(journal))
+        }
+    };
+    // A restored engine starts from the environment's worker count.
+    net.set_parallelism(config.parallelism);
+    if net.monitor_keys().is_none() {
+        net.enable_monitor();
+    }
+    Ok((net, journal))
 }
 
 /// The engine thread's state.
@@ -976,6 +989,37 @@ mod tests {
             "clean-window acks carry report deltas: {}",
             third.render()
         );
+    }
+
+    /// Regression: a durable restart keeps `--workers`. The engine
+    /// recovered from a checkpoint directory used to run at the
+    /// environment's worker count instead of the configured one.
+    #[test]
+    fn recovered_engine_keeps_the_configured_parallelism() {
+        let dir =
+            std::env::temp_dir().join(format!("deltanet-service-workers-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut topo = Topology::new();
+        let a = topo.add_node("a");
+        let b = topo.add_node("b");
+        topo.add_link(a, b);
+        // The first pass starts the directory, the second recovers from it.
+        for (workers, fresh) in [(3, true), (7, false)] {
+            let config = ServiceConfig {
+                parallelism: Parallelism::fixed(workers),
+                checkpoint: Some(CheckpointSetup {
+                    dir: dir.clone(),
+                    config: CheckpointConfig::default(),
+                }),
+                ..ServiceConfig::default()
+            };
+            let (net, journal) = open_engine(&topo, &config).expect("build or recover");
+            let journal = journal.expect("a checkpoint dir mounts a journal");
+            assert_eq!(journal.checkpoints_written(), u64::from(fresh));
+            assert_eq!(net.parallelism().workers(), workers);
+            journal.close().expect("close the journal");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Regression (review): work the daemon already accepted — queued

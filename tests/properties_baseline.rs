@@ -1,17 +1,42 @@
-//! Additional property-based tests: the Veriflow-RI baseline against the
-//! brute-force oracle, blackhole detection against exhaustive tracing, and
-//! the atom-set bitset against a `BTreeSet` model.
+//! Additional randomized property tests, each run over [`CASES`] seeded
+//! cases: the Veriflow-RI baseline against the brute-force oracle,
+//! blackhole detection against exhaustive tracing, and the atom-set bitset
+//! against a `BTreeSet` model.
 
 use delta_net::prelude::*;
 use deltanet::atomset::AtomSet;
 use deltanet::AtomId;
 use netmodel::fib::TraceOutcome;
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
+use std::ops::Range;
 
-/// Strategy: a CIDR prefix over an 8-bit space.
-fn prefix_strategy() -> impl Strategy<Value = IpPrefix> {
-    (0u32..=255, 0u8..=8).prop_map(|(value, len)| IpPrefix::new(u128::from(value), len, 8))
+/// Cases per property.
+const CASES: u64 = 256;
+
+/// A vector of draws of `item`, its length drawn from `len`.
+fn random_vec<T>(
+    rng: &mut StdRng,
+    len: Range<usize>,
+    mut item: impl FnMut(&mut StdRng) -> T,
+) -> Vec<T> {
+    let n = rng.gen_range(len);
+    (0..n).map(|_| item(rng)).collect()
+}
+
+/// `len` rule specs `(prefix, priority, switch index, link index)` over an
+/// 8-bit space, 4 switches and up to 2 out-links.
+fn random_specs(rng: &mut StdRng, len: Range<usize>) -> Vec<(IpPrefix, u32, usize, usize)> {
+    random_vec(rng, len, |rng| {
+        let prefix = IpPrefix::new(rng.gen_range(0..=255), rng.gen_range(0..=8), 8);
+        (
+            prefix,
+            rng.gen_range(1..1000),
+            rng.gen_range(0..4),
+            rng.gen_range(0..2),
+        )
+    })
 }
 
 /// Builds a 4-switch bidirectional ring over an 8-bit address space.
@@ -24,62 +49,68 @@ fn ring_topology() -> (Topology, Vec<NodeId>) {
     (topo, nodes)
 }
 
-proptest! {
-    /// The atom-set bitset behaves exactly like a `BTreeSet<u32>` model for
-    /// insert/remove/union/intersection/difference/subset queries.
-    #[test]
-    fn atomset_matches_btreeset_model(
-        a in prop::collection::vec(0u32..500, 0..60),
-        b in prop::collection::vec(0u32..500, 0..60),
-        removals in prop::collection::vec(0u32..500, 0..20),
-    ) {
+/// The atom-set bitset behaves exactly like a `BTreeSet<u32>` model for
+/// insert/remove/union/intersection/difference/subset queries.
+#[test]
+fn atomset_matches_btreeset_model() {
+    for case in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(0xa7e5 ^ case);
+        let a = random_vec(&mut rng, 0..60, |rng| rng.gen_range(0u32..500));
+        let b = random_vec(&mut rng, 0..60, |rng| rng.gen_range(0u32..500));
+        let removals = random_vec(&mut rng, 0..20, |rng| rng.gen_range(0u32..500));
         let set_a: AtomSet = a.iter().map(|&x| AtomId(x)).collect();
         let set_b: AtomSet = b.iter().map(|&x| AtomId(x)).collect();
         let mut model_a: BTreeSet<u32> = a.iter().copied().collect();
         let model_b: BTreeSet<u32> = b.iter().copied().collect();
 
-        prop_assert_eq!(set_a.len(), model_a.len());
+        assert_eq!(set_a.len(), model_a.len(), "case {case}");
         let union: Vec<u32> = set_a.union(&set_b).iter().map(|x| x.0).collect();
         let model_union: Vec<u32> = model_a.union(&model_b).copied().collect();
-        prop_assert_eq!(union, model_union);
+        assert_eq!(union, model_union, "case {case}");
         let inter: Vec<u32> = set_a.intersection(&set_b).iter().map(|x| x.0).collect();
         let model_inter: Vec<u32> = model_a.intersection(&model_b).copied().collect();
-        prop_assert_eq!(inter, model_inter);
+        assert_eq!(inter, model_inter, "case {case}");
         let diff: Vec<u32> = set_a.difference(&set_b).iter().map(|x| x.0).collect();
         let model_diff: Vec<u32> = model_a.difference(&model_b).copied().collect();
-        prop_assert_eq!(diff, model_diff);
-        prop_assert_eq!(set_a.intersects(&set_b), !model_inter_is_empty(&model_a, &model_b));
-        prop_assert_eq!(
-            set_a.is_subset_of(&set_b),
-            model_a.is_subset(&model_b)
+        assert_eq!(diff, model_diff, "case {case}");
+        assert_eq!(
+            set_a.intersects(&set_b),
+            !model_inter_is_empty(&model_a, &model_b),
+            "case {case}"
         );
+        assert_eq!(set_a.is_subset_of(&set_b), model_a.is_subset(&model_b));
 
         // Removals keep the two in sync.
         let mut set_a = set_a;
         for r in removals {
-            prop_assert_eq!(set_a.remove(AtomId(r)), model_a.remove(&r));
+            assert_eq!(set_a.remove(AtomId(r)), model_a.remove(&r), "case {case}");
         }
         let final_a: Vec<u32> = set_a.iter().map(|x| x.0).collect();
         let model_final: Vec<u32> = model_a.iter().copied().collect();
-        prop_assert_eq!(final_a, model_final);
+        assert_eq!(final_a, model_final, "case {case}");
     }
+}
 
-    /// Veriflow-RI's per-update loop verdicts are sound: whenever it reports
-    /// a loop, exhaustively tracing every address through the reference FIB
-    /// finds one; whenever the FIB has a loop involving the updated prefix,
-    /// Veriflow-RI reports it on that update.
-    #[test]
-    fn veriflow_loop_reports_match_oracle(
-        specs in prop::collection::vec((prefix_strategy(), 1u32..1000, 0usize..4, 0usize..2), 1..20)
-    ) {
+/// Veriflow-RI's per-update loop verdicts are sound: whenever it reports
+/// a loop, exhaustively tracing every address through the reference FIB
+/// finds one; whenever the FIB has a loop involving the updated prefix,
+/// Veriflow-RI reports it on that update.
+#[test]
+fn veriflow_loop_reports_match_oracle() {
+    for case in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(0x5f10 ^ case);
+        let specs = random_specs(&mut rng, 1..20);
         let (mut topo, nodes) = ring_topology();
         for &n in &nodes {
             topo.drop_link(n);
         }
-        let mut vf = VeriflowRi::new(topo.clone(), VeriflowConfig {
-            field_width: 8,
-            check_loops_per_update: true,
-        });
+        let mut vf = VeriflowRi::new(
+            topo.clone(),
+            VeriflowConfig {
+                field_width: 8,
+                check_loops_per_update: true,
+            },
+        );
         let mut fib = NetworkFib::new(topo.clone());
         let mut installed: Vec<Rule> = Vec::new();
         for (i, (prefix, priority, node_idx, link_idx)) in specs.into_iter().enumerate() {
@@ -108,30 +139,37 @@ proptest! {
             let addrs: Vec<u128> = (prefix.interval().lo()..prefix.interval().hi()).collect();
             let oracle_loop = nodes.iter().any(|&start| {
                 addrs.iter().any(|&a| {
-                    matches!(fib.trace(start, Packet::to(a)).outcome, TraceOutcome::Loop(_))
+                    matches!(
+                        fib.trace(start, Packet::to(a)).outcome,
+                        TraceOutcome::Loop(_)
+                    )
                 })
             });
-            prop_assert_eq!(
+            assert_eq!(
                 report.has_loop(),
                 oracle_loop,
-                "verdict mismatch after inserting {}",
-                rule
+                "case {case}: verdict mismatch after inserting {rule}"
             );
         }
     }
+}
 
-    /// Blackhole detection agrees with exhaustive tracing: a switch is
-    /// reported iff some address arriving over an in-link dies there.
-    #[test]
-    fn blackhole_detection_matches_exhaustive_tracing(
-        specs in prop::collection::vec((prefix_strategy(), 1u32..1000, 0usize..4, 0usize..2), 1..15)
-    ) {
+/// Blackhole detection agrees with exhaustive tracing: a switch is
+/// reported iff some address arriving over an in-link dies there.
+#[test]
+fn blackhole_detection_matches_exhaustive_tracing() {
+    for case in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(0xb1ac ^ case);
+        let specs = random_specs(&mut rng, 1..15);
         let (topo, nodes) = ring_topology();
-        let mut net = DeltaNet::new(topo.clone(), DeltaNetConfig {
-            field_width: 8,
-            check_loops_per_update: false,
-            ..DeltaNetConfig::default()
-        });
+        let mut net = DeltaNet::new(
+            topo.clone(),
+            DeltaNetConfig {
+                field_width: 8,
+                check_loops_per_update: false,
+                ..DeltaNetConfig::default()
+            },
+        );
         let mut fib = NetworkFib::new(topo.clone());
         let mut installed: Vec<Rule> = Vec::new();
         for (i, (prefix, priority, node_idx, link_idx)) in specs.into_iter().enumerate() {
@@ -152,7 +190,8 @@ proptest! {
             installed.push(rule);
         }
 
-        let reported: BTreeSet<NodeId> = net.check_all_blackholes()
+        let reported: BTreeSet<NodeId> = net
+            .check_all_blackholes()
             .into_iter()
             .filter_map(|v| match v {
                 InvariantViolation::Blackhole { node, .. } => Some(node),
@@ -179,7 +218,7 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(reported, expected);
+        assert_eq!(reported, expected, "case {case}");
     }
 }
 
