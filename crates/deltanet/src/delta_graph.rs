@@ -17,7 +17,7 @@
 use crate::atoms::{AtomId, DeltaPair, REMAP_DEAD};
 use crate::atomset::AtomSet;
 use netmodel::topology::LinkId;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// The changes one or more rule updates made to the edge-labelled graph.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -146,10 +146,15 @@ impl DeltaGraph {
 
     /// The distinct links whose labels changed, in id order.
     pub fn changed_links(&self) -> Vec<LinkId> {
-        let mut set: BTreeSet<LinkId> = BTreeSet::new();
-        set.extend(self.added.iter().map(|&(l, _)| l));
-        set.extend(self.removed.iter().map(|&(l, _)| l));
-        set.into_iter().collect()
+        let mut links: Vec<LinkId> = self
+            .added
+            .iter()
+            .chain(&self.removed)
+            .map(|&(link, _)| link)
+            .collect();
+        links.sort_unstable();
+        links.dedup();
+        links
     }
 
     /// The distinct atoms whose ownership changed anywhere.

@@ -13,8 +13,9 @@
 //! [`Parallelism`] configuration, so a run pinned to `N` workers behaves
 //! identically across query and update code.
 //!
-//! Everything uses `std::thread::scope` (no `unsafe`, no external
-//! dependency, no global thread pool).
+//! The read-side bulk queries here still use `std::thread::scope`; shard
+//! writes run on the persistent helper threads each sharded engine owns.
+//! Neither uses `unsafe`, an external dependency or a global thread pool.
 
 use crate::engine::DeltaNet;
 use crate::loops;

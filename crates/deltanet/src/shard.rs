@@ -13,9 +13,11 @@
 //!
 //! Because shards share no mutable state (disjoint atoms, owners, and label
 //! bits), a *batch* of updates groups by shard and the groups apply
-//! concurrently with `std::thread::scope` ([`ShardedDeltaNet::apply_batch`])
-//! — the same scale-by-replicating-the-core-logic move network functions
-//! use to scale across cores.
+//! concurrently ([`ShardedDeltaNet::apply_batch`]) — the same
+//! scale-by-replicating-the-core-logic move network functions use to scale
+//! across cores. The engine spawns its helper threads once, on the first
+//! window with two busy shard groups; each window moves shard chunks to
+//! them and back through one-slot queues, a hand-off, not a thread spawn.
 //!
 //! ## Semantics at shard boundaries
 //!
@@ -41,6 +43,9 @@ use netmodel::rule::{Rule, RuleId};
 use netmodel::topology::{LinkId, Topology};
 use netmodel::trace::Op;
 use std::collections::{BTreeSet, HashMap};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::thread::{self, JoinHandle};
 
 /// The Delta-net engine sharded across the address space: `N` clipped
 /// engines over fixed contiguous ranges of `[0 : 2^w)`, behind the same
@@ -85,6 +90,10 @@ pub struct ShardedDeltaNet {
     /// plus the callback it drives. Runtime wiring, not engine state — it
     /// does not survive [`Clone`] or persistence.
     observer: Option<MonitorObserver>,
+    /// The helper threads of [`ShardedDeltaNet::apply_batch`], spawned on
+    /// the first window that needs them. Runtime wiring like `observer`:
+    /// not cloned, not persisted, dropped by `set_parallelism`.
+    pool: Option<ShardWorkers>,
 }
 
 /// The push-side monitor seam: a [`TransitionTracker`] over the merged
@@ -94,10 +103,66 @@ struct MonitorObserver {
     callback: Box<dyn FnMut(&MonitorTransitions) + Send>,
 }
 
+/// A chunk of shards on its way to a helper — the engines, moved by value,
+/// and their routed groups.
+type Job = (Vec<DeltaNet>, Vec<Vec<(usize, Op)>>);
+/// The chunk's engines on their way back, with its reports in shard order
+/// or the payload of the panic that stopped it.
+type Reply = (Vec<DeltaNet>, thread::Result<Vec<(usize, UpdateReport)>>);
+
+/// Persistent helper threads: helper `i` applies chunk `i + 1` of a window
+/// (the caller applies chunk 0), fed through a one-slot job queue and
+/// answering on a one-slot reply queue. Dropping the pool closes the queues
+/// and joins the threads.
+struct ShardWorkers {
+    queues: Vec<(SyncSender<Job>, Receiver<Reply>)>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl ShardWorkers {
+    fn spawn(helpers: usize) -> Self {
+        let mut pool = ShardWorkers {
+            queues: Vec::with_capacity(helpers),
+            threads: Vec::with_capacity(helpers),
+        };
+        for i in 1..=helpers {
+            let (jobs, inbox) = sync_channel::<Job>(1);
+            let (outbox, replies) = sync_channel::<Reply>(1);
+            let handle = thread::Builder::new()
+                .name(format!("deltanet-shard-{i}"))
+                .spawn(move || {
+                    for (mut shards, groups) in inbox {
+                        // Caught so the shards always travel back: the
+                        // caller re-raises the panic once the engine is whole.
+                        let reports =
+                            catch_unwind(AssertUnwindSafe(|| apply_chunk(&mut shards, &groups)));
+                        if outbox.send((shards, reports)).is_err() {
+                            break;
+                        }
+                    }
+                })
+                .expect("the OS refused to spawn a shard worker");
+            pool.queues.push((jobs, replies));
+            pool.threads.push(handle);
+        }
+        pool
+    }
+}
+
+impl Drop for ShardWorkers {
+    fn drop(&mut self) {
+        self.queues.clear();
+        for handle in self.threads.drain(..) {
+            // A helper catches every chunk's panic, so its loop cannot fail.
+            let _ = handle.join();
+        }
+    }
+}
+
 impl Clone for ShardedDeltaNet {
-    /// Clones the engine state. An attached monitor observer is runtime
-    /// wiring to a live consumer and is *not* cloned — the copy starts with
-    /// no observer, like a snapshot-restored engine.
+    /// Clones the engine state. An attached monitor observer and the
+    /// helper threads are runtime wiring and are *not* cloned — the copy
+    /// starts with neither, like a snapshot-restored engine.
     fn clone(&self) -> Self {
         ShardedDeltaNet {
             topology: self.topology.clone(),
@@ -106,6 +171,7 @@ impl Clone for ShardedDeltaNet {
             rules: self.rules.clone(),
             parallelism: self.parallelism,
             observer: None,
+            pool: None,
         }
     }
 }
@@ -119,6 +185,7 @@ impl std::fmt::Debug for ShardedDeltaNet {
             .field("rules", &self.rules)
             .field("parallelism", &self.parallelism)
             .field("observer", &self.observer.is_some())
+            .field("pool", &self.pool.is_some())
             .finish()
     }
 }
@@ -166,6 +233,7 @@ impl ShardedDeltaNet {
             rules: HashMap::new(),
             parallelism,
             observer: None,
+            pool: None,
         }
     }
 
@@ -189,6 +257,7 @@ impl ShardedDeltaNet {
             rules,
             parallelism: Parallelism::from_env(),
             observer: None,
+            pool: None,
         }
     }
 
@@ -299,8 +368,11 @@ impl ShardedDeltaNet {
     /// Replaces the worker-count configuration — runtime configuration, not
     /// state, so an engine restored from a snapshot (which starts from
     /// [`Parallelism::from_env`]) takes its owner's setting this way.
+    /// Joins the helper threads; the next window that needs helpers spawns
+    /// the new count.
     pub fn set_parallelism(&mut self, parallelism: Parallelism) {
         self.parallelism = parallelism;
+        self.pool = None;
     }
 
     /// The rule with the given id, if currently installed.
@@ -406,14 +478,18 @@ impl ShardedDeltaNet {
 
     /// Applies a window of updates with the per-shard groups running
     /// concurrently: operations are validated and routed in order (so a
-    /// shard sees its sub-sequence in trace order), each shard's group is
-    /// applied on its own thread — conflict-free, because shards share no
-    /// state — and the per-shard reports merge back into one report per
-    /// operation, in input order.
+    /// shard sees its sub-sequence in trace order), the shards split into
+    /// up to [`Parallelism::for_items`] contiguous chunks — chunk 0 applied
+    /// on the calling thread, every other chunk with a routed op moved to
+    /// one of the engine's persistent helper threads — conflict-free,
+    /// because shards share no state, and the per-shard reports merge back
+    /// into one report per operation, in input order. A window with one
+    /// busy shard group applies inline.
     ///
     /// A malformed operation (duplicate insert, unknown removal) stops the
     /// batch: like [`Checker::try_replay`], the operations before it stay
-    /// applied and the error reports the failing index.
+    /// applied and the error reports the failing index. A panic inside a
+    /// shard resumes here only after every shard is back in place.
     pub fn apply_batch(&mut self, ops: &[Op]) -> Result<Vec<UpdateReport>, ReplayError> {
         let shard_count = self.shards.len();
         let mut routed: Vec<Vec<(usize, Op)>> = vec![Vec::new(); shard_count];
@@ -451,33 +527,13 @@ impl ShardedDeltaNet {
             }
         }
 
-        // Apply each shard's sub-sequence. `chunks_mut` hands out disjoint
-        // `&mut` shard slices, so the scope needs no further synchronization.
         let busy = routed.iter().filter(|r| !r.is_empty()).count();
         let workers = self.parallelism.for_items(busy);
-        let mut partials: Vec<Vec<(usize, UpdateReport)>> = Vec::with_capacity(shard_count);
-        if workers <= 1 {
-            for (shard, group) in self.shards.iter_mut().zip(&routed) {
-                partials.push(apply_routed(shard, group));
-            }
+        let partials = if workers <= 1 {
+            apply_chunk(&mut self.shards, &routed)
         } else {
-            let chunk = shard_count.div_ceil(workers);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (shards, groups) in self.shards.chunks_mut(chunk).zip(routed.chunks(chunk)) {
-                    handles.push(scope.spawn(move || {
-                        shards
-                            .iter_mut()
-                            .zip(groups)
-                            .map(|(shard, group)| apply_routed(shard, group))
-                            .collect::<Vec<_>>()
-                    }));
-                }
-                for handle in handles {
-                    partials.extend(handle.join().expect("shard worker panicked"));
-                }
-            });
-        }
+            self.apply_on_workers(routed, workers)
+        };
 
         // One observation per window — transitions are at batch granularity
         // (per-op order inside a window is not observable), and a mid-batch
@@ -487,16 +543,68 @@ impl ShardedDeltaNet {
             return Err(error);
         }
         let mut parts: Vec<Vec<UpdateReport>> = (0..meta.len()).map(|_| Vec::new()).collect();
-        for shard_parts in partials {
-            for (index, report) in shard_parts {
-                parts[index].push(report);
-            }
+        for (index, report) in partials {
+            parts[index].push(report);
         }
         Ok(parts
             .into_iter()
             .zip(meta)
             .map(|(p, (rule_id, was_insert))| merge_update_reports(rule_id, was_insert, p))
             .collect())
+    }
+
+    /// The concurrent half of [`ShardedDeltaNet::apply_batch`]: splits the
+    /// shards into contiguous chunks of `len.div_ceil(workers)`, sends each
+    /// busy chunk after the first to its helper, applies chunk 0 here, and
+    /// puts every chunk back in address order before it re-raises a panic
+    /// from any of them. Reports come back in shard order.
+    fn apply_on_workers(
+        &mut self,
+        mut groups: Vec<Vec<(usize, Op)>>,
+        workers: usize,
+    ) -> Vec<(usize, UpdateReport)> {
+        let len = self.shards.len();
+        let chunk = len.div_ceil(workers);
+        // One helper per chunk after the first; `for_items` never cuts a
+        // window into more than `min(workers, shards)` chunks.
+        let helpers = self.parallelism.workers().min(len) - 1;
+        let pool = self
+            .pool
+            .get_or_insert_with(|| ShardWorkers::spawn(helpers));
+        // Chunks split off from the back, so chunk 0 keeps the engine's
+        // `Vec`; `Some` holds an idle chunk that never left this thread.
+        let mut shards = std::mem::take(&mut self.shards);
+        let mut away: Vec<Option<Vec<DeltaNet>>> = Vec::new();
+        for (helper, start) in (chunk..len).step_by(chunk).enumerate().rev() {
+            let tail = shards.split_off(start);
+            let tail_groups = groups.split_off(start);
+            if tail_groups.iter().all(Vec::is_empty) {
+                away.push(Some(tail));
+            } else {
+                pool.queues[helper]
+                    .0
+                    .send((tail, tail_groups))
+                    .expect("a shard worker lives as long as its pool");
+                away.push(None);
+            }
+        }
+        let mut result = catch_unwind(AssertUnwindSafe(|| apply_chunk(&mut shards, &groups)));
+        self.shards = shards;
+        for (slot, (_, replies)) in away.into_iter().rev().zip(&pool.queues) {
+            let (tail, reports) = match slot {
+                Some(idle) => (idle, Ok(Vec::new())),
+                None => replies
+                    .recv()
+                    .expect("a shard worker always sends its chunk back"),
+            };
+            self.shards.extend(tail);
+            match (&mut result, reports) {
+                (Ok(all), Ok(reports)) => all.extend(reports),
+                (Ok(_), Err(panic)) => result = Err(panic),
+                (Err(_), _) => {}
+            }
+        }
+        result.unwrap_or_else(|panic| resume_unwind(panic))
     }
 
     /// Runs a compaction pass on every shard (see [`DeltaNet::compact`]) and
@@ -645,18 +753,19 @@ impl ShardedDeltaNet {
     }
 }
 
-/// Applies one shard's routed sub-sequence, tagging each report with the
-/// batch index of its operation.
-fn apply_routed(shard: &mut DeltaNet, group: &[(usize, Op)]) -> Vec<(usize, UpdateReport)> {
-    group
-        .iter()
-        .map(|&(index, op)| {
+/// Applies each shard's routed sub-sequence, tagging each report with the
+/// batch index of its operation; reports come out in shard order.
+fn apply_chunk(shards: &mut [DeltaNet], groups: &[Vec<(usize, Op)>]) -> Vec<(usize, UpdateReport)> {
+    let mut reports = Vec::new();
+    for (shard, group) in shards.iter_mut().zip(groups) {
+        for &(index, op) in group {
             let report = shard
                 .try_apply(&op)
                 .expect("validated op cannot fail inside a shard");
-            (index, report)
-        })
-        .collect()
+            reports.push((index, report));
+        }
+    }
+    reports
 }
 
 /// Merges the per-shard reports of one operation: affected classes are
@@ -665,21 +774,30 @@ fn apply_routed(shard: &mut DeltaNet, group: &[(usize, Op)]) -> Vec<(usize, Upda
 fn merge_update_reports(
     rule_id: Option<RuleId>,
     was_insert: bool,
-    parts: Vec<UpdateReport>,
+    mut parts: Vec<UpdateReport>,
 ) -> UpdateReport {
-    let mut affected_classes = 0;
-    let mut links: BTreeSet<LinkId> = BTreeSet::new();
-    let mut violations = Vec::new();
-    for part in parts {
-        affected_classes += part.affected_classes;
-        links.extend(part.changed_links);
-        violations.extend(part.violations);
-    }
+    let (affected_classes, changed_links, violations) = if parts.len() == 1 {
+        // One shard's links come sorted and distinct from its delta-graph.
+        let only = parts.pop().expect("one part");
+        (only.affected_classes, only.changed_links, only.violations)
+    } else {
+        let mut affected_classes = 0;
+        let mut links = Vec::new();
+        let mut violations = Vec::new();
+        for part in parts {
+            affected_classes += part.affected_classes;
+            links.extend(part.changed_links);
+            violations.extend(part.violations);
+        }
+        links.sort_unstable();
+        links.dedup();
+        (affected_classes, links, violations)
+    };
     UpdateReport {
         rule_id,
         was_insert,
         affected_classes,
-        changed_links: links.into_iter().collect(),
+        changed_links,
         violations: merge_violations(violations),
     }
 }
@@ -817,11 +935,18 @@ mod tests {
         assert_eq!(net.rule_count(), 1);
     }
 
+    /// A host route that lies inside shard `s` of `net` only.
+    fn host_in(net: &ShardedDeltaNet, s: usize, id: u64, src: NodeId, link: LinkId) -> Rule {
+        let lo = net.shard_ranges()[s].lo() as u32;
+        Rule::forward(RuleId(id), IpPrefix::ipv4(lo, 32), 3, src, link)
+    }
+
     #[test]
     fn apply_batch_matches_sequential_application() {
         let (topo, a, b, l) = two_switch();
         let mut topo = topo;
         let back = topo.add_link(b, a);
+        let config = DeltaNetConfig::default();
         let ops: Vec<Op> = (0..32u64)
             .map(|i| {
                 let p = IpPrefix::ipv4((i as u32) << 27, 6);
@@ -830,24 +955,99 @@ mod tests {
             })
             .chain((0..16u64).map(|i| Op::Remove(RuleId(i * 2))))
             .collect();
-        let mut batched = ShardedDeltaNet::new(topo.clone(), DeltaNetConfig::default(), 3);
-        let mut sequential = ShardedDeltaNet::new(topo, DeltaNetConfig::default(), 3);
-        let mut batch_reports = Vec::new();
-        for window in ops.chunks(5) {
-            batch_reports.extend(batched.apply_batch(window).expect("well-formed"));
-        }
-        let mut seq_reports = Vec::new();
-        for op in &ops {
-            seq_reports.push(sequential.apply(op));
-        }
-        assert_eq!(batch_reports, seq_reports);
-        for link in [l, back] {
-            assert_eq!(
-                batched.label_intervals(link),
-                sequential.label_intervals(link)
+        for shards in [1usize, 2, 3, 7] {
+            // Two more windows where only non-adjacent shards are busy: in
+            // the first, at 7 shards and 3 workers, the middle chunk is
+            // idle; in the second, at 2 workers, the last one is.
+            let probe = ShardedDeltaNet::new(topo.clone(), config, shards);
+            let mut busy: Vec<usize> = [0, 2, 6].iter().map(|&s| s.min(shards - 1)).collect();
+            busy.dedup();
+            let mut windows: Vec<Vec<Op>> = ops.chunks(5).map(<[Op]>::to_vec).collect();
+            windows.push(
+                busy.iter()
+                    .map(|&s| Op::Insert(host_in(&probe, s, 100 + s as u64, a, l)))
+                    .collect(),
             );
+            windows.push(
+                busy.iter()
+                    .take(2)
+                    .map(|&s| Op::Remove(RuleId(100 + s as u64)))
+                    .collect(),
+            );
+
+            let mut sequential = ShardedDeltaNet::new(topo.clone(), config, shards);
+            let seq_reports: Vec<UpdateReport> = windows
+                .iter()
+                .flatten()
+                .map(|op| sequential.apply(op))
+                .collect();
+            // `None`: the worker count changes between windows.
+            for workers in [Some(1), Some(2), Some(3), Some(4), None] {
+                let parallelism = Parallelism::fixed(workers.unwrap_or(1));
+                let mut batched =
+                    ShardedDeltaNet::with_parallelism(topo.clone(), config, shards, parallelism);
+                let mut batch_reports = Vec::new();
+                for (i, window) in windows.iter().enumerate() {
+                    if workers.is_none() {
+                        batched.set_parallelism(Parallelism::fixed(i % 4 + 1));
+                    }
+                    batch_reports.extend(batched.apply_batch(window).expect("well-formed"));
+                }
+                let case = format!("{shards} shards, workers {workers:?}");
+                assert_eq!(batch_reports, seq_reports, "{case}");
+                for link in [l, back] {
+                    assert_eq!(
+                        batched.label_intervals(link),
+                        sequential.label_intervals(link),
+                        "{case}"
+                    );
+                }
+                assert_eq!(batched.atom_count(), sequential.atom_count(), "{case}");
+            }
         }
-        assert_eq!(batched.atom_count(), sequential.atom_count());
+    }
+
+    #[test]
+    fn a_panicking_shard_leaves_the_engine_whole() {
+        // Shard 0 is the caller's chunk, shard 1 the helper's.
+        for k in [0usize, 1] {
+            let (topo, a, _, l) = two_switch();
+            let config = DeltaNetConfig::default();
+            let mut net =
+                ShardedDeltaNet::with_parallelism(topo.clone(), config, 2, Parallelism::fixed(2));
+            net.insert_rule(host_in(&net, k, 1, a, l));
+            // Desync shard k behind the registry's back, so the registry
+            // routes a removal the shard cannot perform.
+            net.shards[k].try_remove_rule(RuleId(1)).unwrap();
+            let bystander = host_in(&net, 1 - k, 2, a, l);
+            let window = [Op::Remove(RuleId(1)), Op::Insert(bystander)];
+            let payload = catch_unwind(AssertUnwindSafe(|| net.apply_batch(&window)))
+                .expect_err("the shard's panic propagates");
+            let message = payload.downcast_ref::<String>().expect("an expect message");
+            assert!(
+                message.contains("validated op cannot fail inside a shard"),
+                "{message}"
+            );
+            assert_eq!(net.shards().len(), 2, "shard {k}");
+            for (shard, range) in net.shards().iter().zip(net.shard_ranges()) {
+                assert_eq!(shard.clip(), Some(range), "shard {k}");
+            }
+            // The helpers survive: a later two-shard window applies and the
+            // plane is what a fresh engine builds from the same rules.
+            let fresh_rules = [host_in(&net, 0, 3, a, l), host_in(&net, 1, 4, a, l)];
+            let later: Vec<Op> = fresh_rules.iter().map(|&r| Op::Insert(r)).collect();
+            net.apply_batch(&later).expect("fresh rules apply");
+            let mut fresh = ShardedDeltaNet::new(topo, config, 2);
+            for rule in [bystander, fresh_rules[0], fresh_rules[1]] {
+                fresh.insert_rule(rule);
+            }
+            assert_eq!(
+                net.label_intervals(l),
+                fresh.label_intervals(l),
+                "shard {k}"
+            );
+            assert_eq!(net.rule_count(), fresh.rule_count(), "shard {k}");
+        }
     }
 
     #[test]
