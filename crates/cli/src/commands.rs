@@ -12,8 +12,8 @@ use crate::paper::{self, Summary, Timings};
 use crate::topo_text;
 use deltanet::persist::{self, RecoveryPolicy, TornTail};
 use deltanet::{
-    CheckpointConfig, DeltaNet, DeltaNetConfig, Durability, FsBackend, Journal, Parallelism,
-    PersistError, PersistNet, ShardedDeltaNet, Snapshot, TransitionTracker, ViolationKey,
+    CheckpointConfig, DeltaNet, DeltaNetConfig, Durability, FsBackend, Journal, MonitorTransitions,
+    Parallelism, PersistError, PersistNet, Session, ShardedDeltaNet, Snapshot, ViolationKey,
 };
 use netmodel::checker::{Checker, InvariantViolation, ReplayError, UpdateReport};
 use netmodel::interval::Interval;
@@ -21,7 +21,6 @@ use netmodel::ip::format_field;
 use netmodel::topology::Topology;
 use netmodel::trace::{Op, Trace};
 use service::Json;
-use std::collections::BTreeSet;
 use std::fmt;
 use std::path::Path;
 use std::time::Instant;
@@ -99,8 +98,8 @@ pub fn help() -> String {
                  leaving >= <threshold> reclaimable bounds (default 1024) triggers a pass.\n\
                  --shards partitions the address space across <n> independent engines\n\
                  (deltanet only); with --batch, updates apply in windows of <w> with the\n\
-                 per-shard groups running concurrently (--workers / DELTANET_WORKERS\n\
-                 caps the threads). --check blackholes audits the final data plane for\n\
+                 per-shard groups running concurrently (--workers caps the threads;\n\
+                 default: one per CPU). --check blackholes audits the final data plane for\n\
                  blackholes after the replay. --monitor (deltanet only) maintains the\n\
                  live loop+blackhole violation set incrementally (multi-field planes\n\
                  repair per touched slice), streams appeared/resolved transitions per\n\
@@ -306,41 +305,46 @@ fn build_net(
     }
 }
 
-/// The engine a replay runs through; concrete so the sharded batch path,
-/// the journal's snapshots and the post-replay audits can reach past the
-/// [`Checker`] trait.
+/// The engine a replay runs through: a Delta-net [`Session`] (the engine
+/// with the journal beside it), or the Veriflow-RI baseline.
 enum ReplayEngine {
-    Net(PersistNet),
+    Net(Box<Session>),
     Veriflow(Box<VeriflowRi>),
 }
 
 impl ReplayEngine {
-    fn checker(&mut self) -> &mut dyn Checker {
+    fn checker(&self) -> &dyn Checker {
         match self {
-            ReplayEngine::Net(net) => net.checker_mut(),
-            ReplayEngine::Veriflow(vf) => vf.as_mut(),
+            ReplayEngine::Net(session) => session.net().checker(),
+            ReplayEngine::Veriflow(vf) => vf.as_ref(),
         }
     }
 
     /// The Delta-net engine, if this is one.
     fn net(&self) -> Option<&PersistNet> {
         match self {
-            ReplayEngine::Net(net) => Some(net),
+            ReplayEngine::Net(session) => Some(session.net()),
+            ReplayEngine::Veriflow(_) => None,
+        }
+    }
+
+    /// The Delta-net session, if this is one.
+    fn session(&mut self) -> Option<&mut Session> {
+        match self {
+            ReplayEngine::Net(session) => Some(session),
             ReplayEngine::Veriflow(_) => None,
         }
     }
 
     /// Applies one window, stopping at the first malformed op (the ops
-    /// before it stay applied). A `batched` sharded window applies its
-    /// shard groups concurrently; anything else goes op by op.
-    fn apply_window(
-        &mut self,
-        ops: &[Op],
-        batched: bool,
-    ) -> Result<Vec<UpdateReport>, ReplayError> {
+    /// before it stay applied, and a session journals exactly them).
+    fn apply_window(&mut self, ops: &[Op]) -> (Vec<UpdateReport>, Option<ReplayError>) {
         match self {
-            ReplayEngine::Net(PersistNet::Sharded(net)) if batched => net.apply_batch(ops),
-            engine => engine.checker().try_replay(ops),
+            ReplayEngine::Net(session) => session.apply(ops),
+            ReplayEngine::Veriflow(vf) => match vf.try_replay(ops) {
+                Ok(reports) => (reports, None),
+                Err(e) => (Vec::new(), Some(e)),
+            },
         }
     }
 
@@ -361,43 +365,19 @@ impl ReplayEngine {
         })
     }
 
-    fn check_all_blackholes(&self) -> Option<Vec<InvariantViolation>> {
-        Some(self.net()?.check_all_blackholes())
-    }
-
     /// The primary field's bit width, for address-notation output.
     fn field_width(&self) -> u8 {
         self.net().map_or(32, |net| net.config().field_width)
     }
 
-    /// The identities of the currently active violations, when the engine
-    /// is monitored (merged across shards for the sharded engine).
-    fn monitor_keys(&self) -> Option<BTreeSet<ViolationKey>> {
-        match self.net()? {
-            PersistNet::Single(net) => net.monitor().map(|m| m.active_keys().into_iter().collect()),
-            PersistNet::Sharded(net) => net.monitor_keys(),
-        }
-    }
-
     /// `(loops, blackholes)` counts of the live monitor state.
     fn monitor_counts(&self) -> Option<(usize, usize)> {
-        let keys = self.monitor_keys()?;
+        let keys = self.net()?.monitor_keys()?;
         let loops = keys
             .iter()
             .filter(|k| matches!(k, ViolationKey::Loop(_)))
             .count();
         Some((loops, keys.len() - loops))
-    }
-
-    /// Whether the maintained violation state equals a fresh full rescan —
-    /// surfaced in the `--monitor` report so an operator (or the CI smoke)
-    /// can see the incremental and O(plane) answers agree.
-    fn monitor_matches_rescan(&self) -> Option<bool> {
-        let net = self.net()?;
-        let active = net.checker().active_violations()?;
-        let mut expect = net.check_all_loops();
-        expect.extend(net.check_all_blackholes());
-        Some(active == expect)
     }
 }
 
@@ -414,16 +394,14 @@ struct TransitionLog {
     lines: Vec<String>,
     appeared: usize,
     resolved: usize,
-    tracker: TransitionTracker,
     cross_checks: usize,
     cross_check_mismatches: usize,
 }
 
 impl TransitionLog {
-    /// Diffs the violation identities before/after one operation (or batch
-    /// window) and records the transitions under `label`.
-    fn observe(&mut self, label: &str, now: BTreeSet<ViolationKey>) {
-        let diff = self.tracker.observe(now);
+    /// Records the transitions of one operation (or batch window) under
+    /// `label`.
+    fn observe(&mut self, label: &str, diff: MonitorTransitions) {
         self.appeared += diff.appeared.len();
         self.resolved += diff.resolved.len();
         let signed = diff.appeared.iter().map(|key| ('+', key));
@@ -434,15 +412,10 @@ impl TransitionLog {
         }
     }
 
-    /// Records one incremental-vs-rescan comparison (`None` — e.g. a
-    /// veriflow engine with no monitor — counts nothing).
-    fn cross_check(&mut self, matches: Option<bool>) {
-        if let Some(ok) = matches {
-            self.cross_checks += 1;
-            if !ok {
-                self.cross_check_mismatches += 1;
-            }
-        }
+    /// Records one incremental-vs-rescan comparison.
+    fn cross_check(&mut self, matches: bool) {
+        self.cross_checks += 1;
+        self.cross_check_mismatches += usize::from(!matches);
     }
 }
 
@@ -548,7 +521,7 @@ pub fn replay(args: &ParsedArgs) -> Result<String, CommandError> {
             "--shards/--batch must be at least 1".to_string(),
         ));
     }
-    let parallelism = workers.map_or_else(Parallelism::from_env, Parallelism::fixed);
+    let parallelism = workers.map_or_else(Parallelism::auto, Parallelism::fixed);
 
     let checkpoint = match &checkpoint_dir {
         Some(_) => Some(checkpoint_config(args)?),
@@ -557,46 +530,71 @@ pub fn replay(args: &ParsedArgs) -> Result<String, CommandError> {
 
     let mut baseline_ops = 0u64;
     let mut engine = match checker_name.as_str() {
-        "deltanet" => ReplayEngine::Net(match &from_snapshot {
-            Some(snap_path) => {
-                if shards.is_some() || compact_threshold.is_some() || fields.is_some() {
-                    return Err(CommandError::Other(
-                        "--shards/--compact/--fields come from the snapshot and cannot be \
-                         combined with --from-snapshot"
-                            .to_string(),
-                    ));
+        "deltanet" => {
+            let net = match &from_snapshot {
+                Some(snap_path) => {
+                    if shards.is_some() || compact_threshold.is_some() || fields.is_some() {
+                        return Err(CommandError::Other(
+                            "--shards/--compact/--fields come from the snapshot and cannot be \
+                             combined with --from-snapshot"
+                                .to_string(),
+                        ));
+                    }
+                    let snap = Snapshot::read_from(Path::new(snap_path))?;
+                    baseline_ops = snap.ops_applied();
+                    let mut net = snap.restore(&topo)?;
+                    if monitor && net.monitor_keys().is_some() {
+                        return Err(CommandError::Other(
+                            "--monitor is redundant with this snapshot: its config already \
+                             enables monitoring, which continues (and is reported) \
+                             automatically on restore — drop the flag"
+                                .to_string(),
+                        ));
+                    }
+                    if monitor {
+                        net.enable_monitor();
+                    }
+                    // A monitored snapshot keeps monitoring: report it.
+                    monitor = monitor || net.monitor_keys().is_some();
+                    net
                 }
-                let snap = Snapshot::read_from(Path::new(snap_path))?;
-                baseline_ops = snap.ops_applied();
-                let mut net = snap.restore(&topo)?;
-                if monitor && net.is_monitored() {
-                    return Err(CommandError::Other(
-                        "--monitor is redundant with this snapshot: its config already \
-                         enables monitoring, which continues (and is reported) \
-                         automatically on restore — drop the flag"
-                            .to_string(),
-                    ));
+                None => {
+                    let mut config = DeltaNetConfig {
+                        check_loops_per_update: check_loops,
+                        compact_threshold,
+                        monitor_violations: monitor,
+                        ..Default::default()
+                    };
+                    if let Some(f) = &fields {
+                        config = apply_fields(config, f);
+                    }
+                    build_net(topo, config, shards, parallelism)
                 }
-                if monitor {
-                    net.enable_monitor();
-                }
-                // A monitored snapshot keeps monitoring: report it.
-                monitor = monitor || net.is_monitored();
-                net
-            }
-            None => {
-                let mut config = DeltaNetConfig {
-                    check_loops_per_update: check_loops,
-                    compact_threshold,
-                    monitor_violations: monitor,
-                    ..Default::default()
-                };
-                if let Some(f) = &fields {
-                    config = apply_fields(config, f);
-                }
-                build_net(topo, config, shards, parallelism)
-            }
-        }),
+            };
+            // The journal mounted beside the engine: a flat delta log (--log)
+            // or a rotating, auto-snapshotting checkpoint directory
+            // (--checkpoint). Write-behind — only ops the engine accepted
+            // are recorded — so on a mid-trace failure it holds exactly the
+            // applied prefix. Each window is flushed at the configured
+            // durability; I/O failures are deferred and surface when the
+            // session closes the journal.
+            let journal = match (&log_to, checkpoint_dir.as_deref().zip(checkpoint)) {
+                (Some(path), _) => Some(Journal::flat(
+                    Box::new(FsBackend),
+                    Path::new(path),
+                    baseline_ops,
+                    durability,
+                )?),
+                (None, Some((dir, config))) => Some(Journal::checkpointed(
+                    Box::new(FsBackend),
+                    Path::new(dir),
+                    &Snapshot::of_net(&net, 0),
+                    config,
+                )?),
+                _ => None,
+            };
+            ReplayEngine::Net(Box::new(Session::new(net, journal)))
+        }
         "veriflow" | "veriflow-ri" => {
             if compact_threshold.is_some()
                 || shards.is_some()
@@ -628,32 +626,6 @@ pub fn replay(args: &ParsedArgs) -> Result<String, CommandError> {
         }
     };
 
-    // The journal mounted beside the engine: a flat delta log (--log) or a
-    // rotating, auto-snapshotting checkpoint directory (--checkpoint).
-    // Write-behind — only ops the engine accepted are recorded — so on a
-    // mid-trace failure it holds exactly the applied prefix. Each window is
-    // flushed at the configured durability; I/O failures are deferred and
-    // surface when the journal is closed.
-    let mut journal = match (
-        &log_to,
-        checkpoint_dir.as_deref().zip(checkpoint),
-        engine.net(),
-    ) {
-        (Some(path), _, _) => Some(Journal::flat(
-            Box::new(FsBackend),
-            Path::new(path),
-            baseline_ops,
-            durability,
-        )?),
-        (None, Some((dir, config)), Some(net)) => Some(Journal::checkpointed(
-            Box::new(FsBackend),
-            Path::new(dir),
-            &Snapshot::of_net(net, 0),
-            config,
-        )?),
-        _ => None,
-    };
-
     let mut timings = Timings::with_capacity(trace.len());
     let mut loops = 0usize;
     let mut transitions = monitor.then(TransitionLog::default);
@@ -663,29 +635,22 @@ pub fn replay(args: &ParsedArgs) -> Result<String, CommandError> {
     let mut offset = 0usize;
     for chunk in trace.ops().chunks(batch.unwrap_or(1)) {
         let start = Instant::now();
-        let result = engine.apply_window(chunk, batch.is_some());
-        let applied = result.as_ref().map_or_else(|e| e.index, Vec::len);
-        if let (Some(journal), Some(net)) = (journal.as_mut(), engine.net()) {
-            journal.record(&chunk[..applied], |at| Snapshot::of_net(net, at));
-        }
-        let reports = match result {
-            Ok(reports) => reports,
-            Err(e) => {
-                // Close the journal so the applied prefix is on disk and a
-                // deferred I/O error cannot be lost; the engine error is
-                // the one worth reporting.
-                let mut msg = format!(
-                    "trace op {} ({}): {}",
-                    offset + e.index + 1,
-                    describe_op(&chunk[e.index]),
-                    e.error
-                );
-                if let Some(Err(io)) = journal.map(Journal::close) {
-                    msg.push_str(&format!("; log sync also failed: {io}"));
-                }
-                return Err(CommandError::Other(msg));
+        let (reports, failure) = engine.apply_window(chunk);
+        if let Some(e) = failure {
+            // Close the journal so the applied prefix is on disk and a
+            // deferred I/O error cannot be lost; the engine error is the
+            // one worth reporting.
+            let mut msg = format!(
+                "trace op {} ({}): {}",
+                offset + e.index + 1,
+                describe_op(&chunk[e.index]),
+                e.error
+            );
+            if let Some(Err(io)) = engine.session().map(Session::close) {
+                msg.push_str(&format!("; log sync also failed: {io}"));
             }
-        };
+            return Err(CommandError::Other(msg));
+        }
         let per_op_us = start.elapsed().as_secs_f64() * 1e6 / chunk.len() as f64;
         for report in reports {
             timings.micros.push(per_op_us);
@@ -694,29 +659,31 @@ pub fn replay(args: &ParsedArgs) -> Result<String, CommandError> {
             }
         }
         offset += chunk.len();
-        if let Some(log) = transitions.as_mut() {
+        if let (Some(log), Some(session)) = (transitions.as_mut(), engine.session()) {
             // Inside a --batch window the per-op order is not observable,
             // so transitions are reported at window granularity.
             let label = match batch {
                 Some(_) => format!("ops {}..{}", offset - chunk.len() + 1, offset),
                 None => format!("op {offset} ({})", describe_op(&chunk[0])),
             };
-            log.observe(&label, engine.monitor_keys().unwrap_or_default());
+            log.observe(&label, session.transitions());
             // Untimed audit of the maintained (incrementally repaired)
             // state against a fresh full rescan (multi-field planes
             // included), once per window.
-            log.cross_check(engine.monitor_matches_rescan());
+            log.cross_check(session.net().monitor_matches_rescan() == Some(true));
         }
     }
-    let journaled = match journal {
-        Some(journal) => {
-            let stats = (
-                journal.ops_applied(),
-                journal.checkpoints_written(),
-                journal.last_checkpoint(),
-            );
-            journal.close()?;
-            Some(stats)
+    let journaled = match engine.session() {
+        Some(session) => {
+            let stats = session.journal().map(|journal| {
+                (
+                    journal.ops_applied(),
+                    journal.checkpoints_written(),
+                    journal.last_checkpoint(),
+                )
+            });
+            session.close()?;
+            stats
         }
         None => None,
     };
@@ -728,12 +695,12 @@ pub fn replay(args: &ParsedArgs) -> Result<String, CommandError> {
     let memory_bytes = checker.memory_bytes();
     let compaction = engine.compaction_stats();
     let blackhole_report = if check_blackholes {
-        engine.check_all_blackholes()
+        engine.net().map(PersistNet::check_all_blackholes)
     } else {
         None
     };
     let monitor_counts = engine.monitor_counts();
-    let monitor_matches = engine.monitor_matches_rescan();
+    let monitor_matches = engine.net().and_then(PersistNet::monitor_matches_rescan);
 
     if let Some(json_path) = args.options.get("json") {
         let mut fields = vec![
@@ -1036,22 +1003,22 @@ fn snapshot_save(args: &ParsedArgs, out_path: &str) -> Result<String, CommandErr
         monitor_violations: args.has_flag("monitor"),
         ..Default::default()
     };
-    let mut net = build_net(topo, config, shards, Parallelism::from_env());
-    let result = net.checker_mut().try_replay(trace.ops());
-    let ops_applied = result.as_ref().map_or_else(|e| e.index, Vec::len);
-    if let Some(path) = args.options.get("log") {
-        // A flat journal beside the engine, as `replay --log` mounts one:
-        // it records exactly the ops the engine accepted.
-        let mut journal = Journal::flat(
+    let net = build_net(topo, config, shards, Parallelism::auto());
+    // A flat journal beside the engine, as `replay --log` mounts one: it
+    // records exactly the ops the engine accepted.
+    let journal = match args.options.get("log") {
+        Some(path) => Some(Journal::flat(
             Box::new(FsBackend),
             Path::new(path),
             0,
             Durability::default(),
-        )?;
-        journal.record(&trace.ops()[..ops_applied], |at| Snapshot::of_net(&net, at));
-        journal.close()?;
-    }
-    if let Err(e) = result {
+        )?),
+        None => None,
+    };
+    let mut session = Session::new(net, journal);
+    let (_, failure) = session.apply(trace.ops());
+    session.close()?;
+    if let Some(e) = failure {
         return Err(CommandError::Other(format!(
             "trace op {} ({}): {}",
             e.index + 1,
@@ -1059,13 +1026,14 @@ fn snapshot_save(args: &ParsedArgs, out_path: &str) -> Result<String, CommandErr
             e.error
         )));
     }
-    let snap = Snapshot::of_net(&net, ops_applied as u64);
+    let ops_applied = session.ops_applied();
+    let snap = Snapshot::of_net(session.net(), ops_applied);
     snap.write_to(Path::new(out_path))?;
     let bytes = std::fs::metadata(out_path)?.len();
     let mut out = format!(
         "wrote snapshot {out_path} ({bytes} bytes)\n\
          ops applied: {ops_applied}\n{}",
-        describe_persist_net(&net),
+        describe_persist_net(session.net()),
     );
     if let Some(log_path) = args.options.get("log") {
         out.push_str(&format!("delta log: {ops_applied} ops -> {log_path}\n"));
@@ -1278,7 +1246,7 @@ pub fn serve(args: &ParsedArgs) -> Result<String, CommandError> {
         ));
     }
     let workers = parse_usize_option(args, "workers")?;
-    let parallelism = workers.map_or_else(Parallelism::from_env, Parallelism::fixed);
+    let parallelism = workers.map_or_else(Parallelism::auto, Parallelism::fixed);
     let checkpoint_dir = args.options.get("checkpoint").cloned();
     if (args.options.contains_key("checkpoint-every")
         || args.options.contains_key("retain")
@@ -2096,6 +2064,7 @@ mod tests {
         std::fs::write(&tail_path, "R 2\n").unwrap();
         let tail = tail_path.to_str().unwrap().to_string();
         let log2 = dir.join("tail.dnlog").to_str().unwrap().to_string();
+        let json = dir.join("tail.json").to_str().unwrap().to_string();
         // The snapshot's config enables monitoring, so monitoring continues
         // (and is reported) automatically — no --monitor flag needed.
         let r = run(&parsed(&[
@@ -2108,12 +2077,21 @@ mod tests {
             &snap,
             "--log",
             &log2,
+            "--json",
+            &json,
         ]))
         .unwrap();
         assert!(r.contains("resumed from snapshot: op 2"), "{r}");
         assert!(r.contains("delta log:          1 ops"), "{r}");
         assert!(r.contains("+ blackhole at n1"), "{r}");
+        // The snapshot's standing loop is the baseline, so its end is
+        // reported too.
+        assert!(r.contains("- forwarding loop through n0 -> n1"), "{r}");
+        assert!(r.contains("1 appeared, 1 resolved"), "{r}");
         assert!(r.contains("monitor matches full rescan: yes"), "{r}");
+        let report = read_report(&json);
+        assert_eq!(int(&report, "monitor_appeared"), 1);
+        assert_eq!(int(&report, "monitor_resolved"), 1);
 
         // Guard rails: snapshot-incompatible flags, mode confusion, the
         // veriflow checker, and corrupted artifacts all fail cleanly.

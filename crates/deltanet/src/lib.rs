@@ -47,6 +47,9 @@
 //!   [`persist::recover_dir`] = nearest snapshot + log tail, with torn-tail
 //!   repair under [`RecoveryPolicy::RepairTail`]) and time-travel queries
 //!   ([`persist::violations_at`] / [`persist::violations_at_dir`]).
+//! * [`session`] — [`Session`]: the one windowed apply loop (engine +
+//!   [`Journal`] + transition baseline) behind the daemon, `deltanet
+//!   replay` and the benchmark's [`LoggedNet`] alias.
 //! * [`shard`] — [`ShardedDeltaNet`]: the engine partitioned across the
 //!   address space so rule updates on disjoint ranges apply concurrently
 //!   (§6: the main loops over atoms are highly parallelizable).
@@ -98,6 +101,7 @@ pub mod parallel;
 pub mod persist;
 pub mod query;
 pub mod reachability;
+pub mod session;
 pub mod shard;
 
 pub use atoms::{AtomId, AtomMap, DeltaPair};
@@ -109,10 +113,11 @@ pub use labels::Labels;
 pub use monitor::{
     MonitorEvent, MonitorTransitions, TransitionTracker, ViolationKey, ViolationMonitor,
 };
-pub use parallel::{Parallelism, WorkersEnvError};
+pub use parallel::Parallelism;
 pub use persist::{
-    CheckpointConfig, DeltaLog, Durability, Journal, LoggedNet, PersistError, PersistNet,
-    RecoveryPolicy, RecoveryReport, Snapshot,
+    CheckpointConfig, DeltaLog, Durability, Journal, PersistError, PersistNet, RecoveryPolicy,
+    RecoveryReport, Snapshot,
 };
 pub use reachability::ReachabilityMatrix;
+pub use session::{LoggedNet, Session};
 pub use shard::ShardedDeltaNet;

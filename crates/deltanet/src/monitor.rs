@@ -213,11 +213,6 @@ impl TransitionTracker {
         self.prev = now;
         transitions
     }
-
-    /// The violation identities as of the last observation.
-    pub fn current(&self) -> &BTreeSet<ViolationKey> {
-        &self.prev
-    }
 }
 
 /// The live violation state: every forwarding loop and blackhole currently

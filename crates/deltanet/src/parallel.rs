@@ -23,38 +23,14 @@ use netmodel::checker::{InvariantViolation, WhatIfReport};
 use netmodel::interval::normalize;
 use netmodel::topology::LinkId;
 use std::collections::BTreeMap;
-use std::fmt;
-
-/// The `DELTANET_WORKERS` environment variable held a value that is not a
-/// positive integer (`0`, `abc`, `-1`, …). Surfaced by
-/// [`Parallelism::try_from_env`]; [`Parallelism::from_env`] logs it as a
-/// warning and falls back to [`Parallelism::auto`] so long-standing callers
-/// keep working, but the operator typo is never masked silently.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WorkersEnvError {
-    /// The offending value of `DELTANET_WORKERS`.
-    pub value: String,
-}
-
-impl fmt::Display for WorkersEnvError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "invalid DELTANET_WORKERS value `{}`: expected a positive integer",
-            self.value
-        )
-    }
-}
-
-impl std::error::Error for WorkersEnvError {}
 
 /// How many worker threads the parallel entry points (bulk queries, sharded
 /// batch updates) may use.
 ///
 /// The single knob replaces the old per-call `available_parallelism`
 /// heuristic, so measured runs are reproducible: construct one value — from
-/// the CLI, from [`Parallelism::from_env`] (`DELTANET_WORKERS`), or
-/// explicitly — and pass it everywhere. The worker count is always at least 1.
+/// the CLI's `--workers`, [`Parallelism::auto`], or explicitly — and pass it
+/// everywhere. The worker count is always at least 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Parallelism {
     workers: usize,
@@ -77,45 +53,6 @@ impl Parallelism {
         )
     }
 
-    /// [`Parallelism::auto`], overridden by the `DELTANET_WORKERS`
-    /// environment variable when it holds a positive integer.
-    ///
-    /// An invalid value (`DELTANET_WORKERS=0`, `=abc`) is an operator typo,
-    /// not a configuration: it is reported on stderr and the auto worker
-    /// count is used, so a run pinned to a mistyped count cannot silently
-    /// measure the wrong machine shape. Use
-    /// [`Parallelism::try_from_env`] to turn the typo into a hard error.
-    pub fn from_env() -> Self {
-        match Self::try_from_env() {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("warning: {e}; using auto worker count");
-                Parallelism::auto()
-            }
-        }
-    }
-
-    /// [`Parallelism::from_env`] that surfaces an invalid `DELTANET_WORKERS`
-    /// value as an error instead of warning and falling back.
-    pub fn try_from_env() -> Result<Self, WorkersEnvError> {
-        Self::from_env_value(std::env::var("DELTANET_WORKERS").ok().as_deref())
-    }
-
-    /// The parsing behind [`Parallelism::from_env`], split out so it is
-    /// testable without mutating the process environment. An unset or empty
-    /// variable means auto; anything else must parse as a positive integer.
-    fn from_env_value(value: Option<&str>) -> Result<Self, WorkersEnvError> {
-        match value.map(str::trim) {
-            None | Some("") => Ok(Parallelism::auto()),
-            Some(v) => match v.parse::<usize>() {
-                Ok(n) if n > 0 => Ok(Parallelism::fixed(n)),
-                _ => Err(WorkersEnvError {
-                    value: v.to_string(),
-                }),
-            },
-        }
-    }
-
     /// The configured worker count.
     pub fn workers(self) -> usize {
         self.workers
@@ -130,7 +67,7 @@ impl Parallelism {
 
 impl Default for Parallelism {
     fn default() -> Self {
-        Parallelism::from_env()
+        Parallelism::auto()
     }
 }
 
@@ -175,13 +112,13 @@ pub fn merge_violations(
 
 /// Answers the link-failure "what if" query for many links concurrently,
 /// returning one report per queried link in the input order. Worker count
-/// from [`Parallelism::from_env`]; use [`what_if_many_with`] to pin it.
+/// from [`Parallelism::auto`]; use [`what_if_many_with`] to pin it.
 ///
 /// This is the bulk form of [`DeltaNet::link_failure_impact`] used by the
 /// failure-scenario sweeps (e.g. "test every possible single link failure",
 /// §6 concluding remarks).
 pub fn what_if_many(net: &DeltaNet, links: &[LinkId], check_loops: bool) -> Vec<WhatIfReport> {
-    what_if_many_with(net, links, check_loops, Parallelism::from_env())
+    what_if_many_with(net, links, check_loops, Parallelism::auto())
 }
 
 /// [`what_if_many`] with an explicit worker-count configuration.
@@ -215,7 +152,7 @@ pub fn what_if_many_with(
 /// Audits the whole data plane for forwarding loops by partitioning the atom
 /// space across threads. Produces the same set of violations as
 /// [`DeltaNet::check_all_loops`], merely faster on large atom counts.
-/// Worker count from [`Parallelism::from_env`]; use
+/// Worker count from [`Parallelism::auto`]; use
 /// [`check_all_loops_parallel_with`] to pin it.
 ///
 /// The partitions walk edge labels, which under secondary header fields
@@ -223,7 +160,7 @@ pub fn what_if_many_with(
 /// [`crate::multifield`]), so a multi-field plane takes the sequential scan
 /// whatever the worker count.
 pub fn check_all_loops_parallel(net: &DeltaNet) -> Vec<InvariantViolation> {
-    check_all_loops_parallel_with(net, Parallelism::from_env())
+    check_all_loops_parallel_with(net, Parallelism::auto())
 }
 
 /// [`check_all_loops_parallel`] with an explicit worker-count configuration.
@@ -399,45 +336,7 @@ mod tests {
         assert_eq!(Parallelism::fixed(8).for_items(3), 3);
         assert_eq!(Parallelism::fixed(2).for_items(0), 1);
         assert!(Parallelism::auto().workers() >= 1);
-        // Environment parsing: positive integers override; unset or empty
-        // means auto.
-        assert_eq!(Parallelism::from_env_value(Some("6")).unwrap().workers(), 6);
-        assert_eq!(
-            Parallelism::from_env_value(Some(" 3 ")).unwrap().workers(),
-            3
-        );
-        assert_eq!(
-            Parallelism::from_env_value(None).unwrap(),
-            Parallelism::auto()
-        );
-        assert_eq!(
-            Parallelism::from_env_value(Some("")).unwrap(),
-            Parallelism::auto()
-        );
-        assert_eq!(
-            Parallelism::from_env_value(Some("  ")).unwrap(),
-            Parallelism::auto()
-        );
-    }
-
-    #[test]
-    fn invalid_workers_env_is_an_error_not_a_silent_auto() {
-        // `DELTANET_WORKERS=0` or `=abc` used to fall back to auto silently,
-        // masking operator typos; it now surfaces the offending value.
-        for bad in ["0", "nope", "-1", "3.5", "0x4", "2 workers"] {
-            let err = Parallelism::from_env_value(Some(bad)).unwrap_err();
-            assert_eq!(err.value, bad.trim(), "value `{bad}` must be reported");
-            let msg = err.to_string();
-            assert!(
-                msg.contains("DELTANET_WORKERS") && msg.contains(bad.trim()),
-                "error must name the variable and the value: {msg}"
-            );
-        }
-        // Leading/trailing whitespace is trimmed before the verdict.
-        assert_eq!(
-            Parallelism::from_env_value(Some(" 0 ")).unwrap_err().value,
-            "0"
-        );
+        assert_eq!(Parallelism::default(), Parallelism::auto());
     }
 
     #[test]

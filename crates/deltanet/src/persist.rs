@@ -14,7 +14,8 @@
 //!   as a [`PersistNet`] — that enum, not a third engine;
 //! * a **delta log** ([`DeltaLog`]): an append-only record of the update
 //!   operations applied *after* some snapshot, written by a [`Journal`]
-//!   mounted beside the engine — the one way durability is mounted. The
+//!   mounted beside the engine in a [`crate::Session`] — the one way
+//!   durability is mounted and the one caller of [`Journal::record`]. The
 //!   log is write-behind — an operation is recorded only once the engine
 //!   accepted it — so the log's contents are exactly the applied ops even
 //!   when a batch fails midway.
@@ -64,7 +65,7 @@
 use crate::atoms::{AtomId, AtomMap, BoundRefs};
 use crate::engine::{DeltaNet, DeltaNetConfig, EngineParts};
 use crate::fault::{FsBackend, StorageBackend};
-use crate::monitor::ViolationMonitor;
+use crate::monitor::{ViolationKey, ViolationMonitor};
 use crate::owner::{OwnedRule, Owner};
 use crate::shard::ShardedDeltaNet;
 use crate::Labels;
@@ -75,7 +76,7 @@ use netmodel::ip::IpPrefix;
 use netmodel::rule::{Action, Rule, RuleId};
 use netmodel::topology::{LinkId, NodeId, Topology};
 use netmodel::trace::Op;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -1240,13 +1241,24 @@ impl PersistNet {
         }
     }
 
-    /// Applies a window of operations, stopping at the first malformed one
-    /// (operations before it stay applied — the pinned mid-batch failure
-    /// semantics of [`ShardedDeltaNet::apply_batch`]).
-    pub fn apply_batch(&mut self, ops: &[Op]) -> Result<Vec<UpdateReport>, ReplayError> {
+    /// Applies a window of operations, stopping at the first malformed one:
+    /// the operations before it stay applied and their reports come back,
+    /// one per applied operation, beside the failure — the pinned mid-batch
+    /// semantics of [`ShardedDeltaNet::apply_window`], which the sharded
+    /// variant runs.
+    pub fn apply_window(&mut self, ops: &[Op]) -> (Vec<UpdateReport>, Option<ReplayError>) {
         match self {
-            PersistNet::Single(n) => n.try_replay(ops),
-            PersistNet::Sharded(n) => n.apply_batch(ops),
+            PersistNet::Single(n) => {
+                let mut reports = Vec::with_capacity(ops.len());
+                for (index, op) in ops.iter().enumerate() {
+                    match n.try_apply(op) {
+                        Ok(report) => reports.push(report),
+                        Err(error) => return (reports, Some(ReplayError { index, error })),
+                    }
+                }
+                (reports, None)
+            }
+            PersistNet::Sharded(n) => n.apply_window(ops),
         }
     }
 
@@ -1261,12 +1273,22 @@ impl PersistNet {
         }
     }
 
-    /// Whether a violation monitor is attached.
-    pub fn is_monitored(&self) -> bool {
+    /// The identities of the currently active violations, merged across
+    /// shards; `None` when monitoring is off.
+    pub fn monitor_keys(&self) -> Option<BTreeSet<ViolationKey>> {
         match self {
-            PersistNet::Single(n) => n.monitor().is_some(),
-            PersistNet::Sharded(n) => n.shards().iter().all(|s| s.monitor().is_some()),
+            PersistNet::Single(n) => n.monitor().map(|m| m.active_keys().into_iter().collect()),
+            PersistNet::Sharded(n) => n.monitor_keys(),
         }
+    }
+
+    /// Whether the maintained violation state equals a fresh full rescan
+    /// (`replay --monitor`'s and `serve --audit`'s audit); `None` unmonitored.
+    pub fn monitor_matches_rescan(&self) -> Option<bool> {
+        let active = self.checker().active_violations()?;
+        let mut rescan = self.check_all_loops();
+        rescan.extend(self.check_all_blackholes());
+        Some(active == rescan)
     }
 
     /// Full-plane forwarding-loop scan.
@@ -1728,9 +1750,9 @@ impl CheckpointDir {
 /// The durability component, mounted *beside* an engine rather than wrapped
 /// around one: a [`DeltaLog`], the op position, and — when checkpointing —
 /// a directory the log rotates and the engine is snapshotted into. It owns
-/// no engine; whoever just applied a window tells it what was applied
-/// ([`Journal::record`]) and lends it a snapshot of the engine when a
-/// checkpoint is due.
+/// no engine; the [`crate::Session`] that just applied a window tells it
+/// what was applied ([`Journal::record`]) and lends it a snapshot of the
+/// engine when a checkpoint is due.
 ///
 /// The contract is write-behind: only ops the engine accepted are recorded,
 /// so on a mid-batch failure the log holds exactly the applied prefix and
@@ -1989,50 +2011,6 @@ impl Drop for Journal {
                 );
             }
         }
-    }
-}
-
-/// The benchmark's shim: an engine and a flat [`Journal`] in one value,
-/// kept only because `deltabench/src/engine_api.rs` (which may change only
-/// in a `benchmark` PR) builds one. Everything else mounts a [`Journal`]
-/// beside a [`PersistNet`] and calls [`Journal::record`] after each window,
-/// as the daemon and `deltanet replay` do; the next `benchmark` PR points
-/// the bench at that pairing and deletes this type.
-pub struct LoggedNet {
-    net: PersistNet,
-    journal: Journal,
-}
-
-impl LoggedNet {
-    /// Pairs an engine (with `ops_applied` ops incorporated already) with a
-    /// fresh flat log at `log_path` through `backend` ([`Journal::flat`]).
-    pub fn with_backend(
-        net: PersistNet,
-        backend: Box<dyn StorageBackend>,
-        log_path: &Path,
-        ops_applied: u64,
-        durability: Durability,
-    ) -> Result<LoggedNet, PersistError> {
-        let journal = Journal::flat(backend, log_path, ops_applied, durability)?;
-        Ok(LoggedNet { net, journal })
-    }
-
-    /// Applies a window of operations and records what the engine accepted
-    /// ([`Journal::record`]): on a mid-batch failure exactly the applied
-    /// prefix `ops[..e.index]` is logged. An I/O failure is deferred by the
-    /// journal (this error channel is the engine's [`ReplayError`]).
-    pub fn apply_batch(&mut self, ops: &[Op]) -> Result<Vec<UpdateReport>, ReplayError> {
-        let result = self.net.apply_batch(ops);
-        let applied = result.as_ref().map_or_else(|e| e.index, Vec::len);
-        let net = &self.net;
-        self.journal
-            .record(&ops[..applied], |at| Snapshot::of_net(net, at));
-        result
-    }
-
-    /// The engine (read-only).
-    pub fn net(&self) -> &PersistNet {
-        &self.net
     }
 }
 
@@ -2375,7 +2353,7 @@ pub fn violations_at(
             0,
         ),
     };
-    if !net.is_monitored() {
+    if net.monitor_keys().is_none() {
         net.enable_monitor();
     }
     replay_ops(&mut net, &mut position, 0, log, upto)?;
@@ -2395,7 +2373,7 @@ pub fn violations_at_dir(
 ) -> Result<Vec<InvariantViolation>, PersistError> {
     let (snaps, segments) = list_artifacts(backend, dir)?;
     let (baseline, mut net, _) = newest_usable_snapshot(backend, dir, &snaps, topology, op_n)?;
-    if !net.is_monitored() {
+    if net.monitor_keys().is_none() {
         net.enable_monitor();
     }
     if op_n > baseline {

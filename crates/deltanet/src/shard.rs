@@ -13,7 +13,7 @@
 //!
 //! Because shards share no mutable state (disjoint atoms, owners, and label
 //! bits), a *batch* of updates groups by shard and the groups apply
-//! concurrently ([`ShardedDeltaNet::apply_batch`]) — the same
+//! concurrently ([`ShardedDeltaNet::apply_window`]) — the same
 //! scale-by-replicating-the-core-logic move network functions use to scale
 //! across cores. The engine spawns its helper threads once, on the first
 //! window with two busy shard groups; each window moves shard chunks to
@@ -90,7 +90,7 @@ pub struct ShardedDeltaNet {
     /// plus the callback it drives. Runtime wiring, not engine state — it
     /// does not survive [`Clone`] or persistence.
     observer: Option<MonitorObserver>,
-    /// The helper threads of [`ShardedDeltaNet::apply_batch`], spawned on
+    /// The helper threads of [`ShardedDeltaNet::apply_window`], spawned on
     /// the first window that needs them. Runtime wiring like `observer`:
     /// not cloned, not persisted, dropped by `set_parallelism`.
     pool: Option<ShardWorkers>,
@@ -192,18 +192,18 @@ impl std::fmt::Debug for ShardedDeltaNet {
 
 impl ShardedDeltaNet {
     /// Creates a sharded checker with `shards` equal contiguous address
-    /// ranges and the worker count from [`Parallelism::from_env`].
+    /// ranges and the worker count from [`Parallelism::auto`].
     ///
     /// # Panics
     ///
     /// Panics if `shards` is zero or exceeds the number of addresses in the
     /// configured field space.
     pub fn new(topology: Topology, config: DeltaNetConfig, shards: usize) -> Self {
-        Self::with_parallelism(topology, config, shards, Parallelism::from_env())
+        Self::with_parallelism(topology, config, shards, Parallelism::auto())
     }
 
     /// [`ShardedDeltaNet::new`] with an explicit worker-count configuration
-    /// for [`ShardedDeltaNet::apply_batch`].
+    /// for [`ShardedDeltaNet::apply_window`].
     pub fn with_parallelism(
         topology: Topology,
         config: DeltaNetConfig,
@@ -240,8 +240,8 @@ impl ShardedDeltaNet {
     /// Rebuilds a sharded engine from snapshot parts: the boundary table,
     /// the already-restored shard engines (in address order, each clipped to
     /// its boundary range) and the shared rule registry. The worker count is
-    /// taken from the environment — it is runtime configuration, not state
-    /// (an owner with its own setting applies it with
+    /// [`Parallelism::auto`] — it is runtime configuration, not state (an
+    /// owner with its own setting applies it with
     /// [`ShardedDeltaNet::set_parallelism`]).
     pub(crate) fn from_restored(
         topology: Topology,
@@ -255,7 +255,7 @@ impl ShardedDeltaNet {
             boundaries,
             shards,
             rules,
-            parallelism: Parallelism::from_env(),
+            parallelism: Parallelism::auto(),
             observer: None,
             pool: None,
         }
@@ -266,7 +266,7 @@ impl ShardedDeltaNet {
     /// every later update maintains them incrementally. In multi-field mode
     /// each shard repairs only the `(primary atom, secondary class)` slices
     /// an update touched — an update routed to one shard never rescans the
-    /// others, and this holds through [`ShardedDeltaNet::apply_batch`]'s
+    /// others, and this holds through [`ShardedDeltaNet::apply_window`]'s
     /// concurrent per-shard groups, aggregation windows, and
     /// [`ShardedDeltaNet::compact`].
     pub fn enable_monitor(&mut self) {
@@ -277,7 +277,7 @@ impl ShardedDeltaNet {
 
     /// Registers a monitor-event observer: after every update — a single
     /// [`ShardedDeltaNet::try_insert_rule`] / `try_remove_rule`, or one
-    /// [`ShardedDeltaNet::apply_batch`] window, including the applied prefix
+    /// [`ShardedDeltaNet::apply_window`], including the applied prefix
     /// of a window that fails mid-batch — the callback receives the
     /// [`MonitorTransitions`] diff of the merged violation identities, the
     /// push-side equivalent of polling [`ShardedDeltaNet::monitor_keys`].
@@ -291,6 +291,10 @@ impl ShardedDeltaNet {
     /// events. At most one observer is attached; a second call replaces the
     /// first. Returns `false` (and registers nothing) when monitoring is off
     /// (see [`ShardedDeltaNet::enable_monitor`]).
+    ///
+    /// The daemon and the CLI read [`crate::Session::transitions`] instead;
+    /// this seam is kept for the benchmark and as `service_differential.rs`'s
+    /// independent oracle.
     pub fn set_monitor_observer(
         &mut self,
         callback: impl FnMut(&MonitorTransitions) + Send + 'static,
@@ -367,7 +371,7 @@ impl ShardedDeltaNet {
 
     /// Replaces the worker-count configuration — runtime configuration, not
     /// state, so an engine restored from a snapshot (which starts from
-    /// [`Parallelism::from_env`]) takes its owner's setting this way.
+    /// [`Parallelism::auto`]) takes its owner's setting this way.
     /// Joins the helper threads; the next window that needs helpers spawns
     /// the new count.
     pub fn set_parallelism(&mut self, parallelism: Parallelism) {
@@ -487,10 +491,11 @@ impl ShardedDeltaNet {
     /// busy shard group applies inline.
     ///
     /// A malformed operation (duplicate insert, unknown removal) stops the
-    /// batch: like [`Checker::try_replay`], the operations before it stay
-    /// applied and the error reports the failing index. A panic inside a
+    /// window: like [`Checker::try_replay`], the operations before it stay
+    /// applied, and the window returns their reports — one per applied
+    /// operation — with the error naming the failing index. A panic inside a
     /// shard resumes here only after every shard is back in place.
-    pub fn apply_batch(&mut self, ops: &[Op]) -> Result<Vec<UpdateReport>, ReplayError> {
+    pub fn apply_window(&mut self, ops: &[Op]) -> (Vec<UpdateReport>, Option<ReplayError>) {
         let shard_count = self.shards.len();
         let mut routed: Vec<Vec<(usize, Op)>> = vec![Vec::new(); shard_count];
         let mut meta: Vec<(Option<RuleId>, bool)> = Vec::with_capacity(ops.len());
@@ -539,21 +544,29 @@ impl ShardedDeltaNet {
         // (per-op order inside a window is not observable), and a mid-batch
         // failure still reports the transitions of its applied prefix.
         self.notify_observer();
-        if let Some(error) = failure {
-            return Err(error);
-        }
         let mut parts: Vec<Vec<UpdateReport>> = (0..meta.len()).map(|_| Vec::new()).collect();
         for (index, report) in partials {
             parts[index].push(report);
         }
-        Ok(parts
+        let reports = parts
             .into_iter()
             .zip(meta)
             .map(|(p, (rule_id, was_insert))| merge_update_reports(rule_id, was_insert, p))
-            .collect())
+            .collect();
+        (reports, failure)
     }
 
-    /// The concurrent half of [`ShardedDeltaNet::apply_batch`]: splits the
+    /// [`ShardedDeltaNet::apply_window`] as a `Result`: the reports of a
+    /// fully applied window, or the failure of one that stopped early (its
+    /// applied prefix stays applied).
+    pub fn apply_batch(&mut self, ops: &[Op]) -> Result<Vec<UpdateReport>, ReplayError> {
+        match self.apply_window(ops) {
+            (reports, None) => Ok(reports),
+            (_, Some(error)) => Err(error),
+        }
+    }
+
+    /// The concurrent half of [`ShardedDeltaNet::apply_window`]: splits the
     /// shards into contiguous chunks of `len.div_ceil(workers)`, sends each
     /// busy chunk after the first to its helper, applies chunk 0 here, and
     /// puts every chunk back in address order before it re-raises a panic
@@ -653,9 +666,9 @@ impl ShardedDeltaNet {
     }
 
     /// The identities of the currently active violations, merged across
-    /// shards (sorted, deduplicated). Cheap — no packet rendering; the
-    /// `deltanet replay --monitor` stream diffs this per operation. `None`
-    /// when monitoring is off.
+    /// shards (sorted, deduplicated). Cheap — no packet rendering; a
+    /// [`crate::Session`]'s transitions diff this per window. `None` when
+    /// monitoring is off.
     pub fn monitor_keys(&self) -> Option<BTreeSet<crate::monitor::ViolationKey>> {
         let mut keys = BTreeSet::new();
         for shard in &self.shards {
@@ -1198,10 +1211,7 @@ mod tests {
             4,
         );
         assert_eq!(net.name(), "delta-net-sharded");
-        assert_eq!(
-            net.parallelism().workers(),
-            Parallelism::from_env().workers()
-        );
+        assert_eq!(net.parallelism().workers(), Parallelism::auto().workers());
         let wide = Rule::forward(RuleId(1), prefix("0.0.0.0/0"), 1, a, l);
         let narrow = Rule::forward(RuleId(2), prefix("10.0.0.0/8"), 9, a, l);
         net.apply(&Op::Insert(wide));

@@ -14,8 +14,8 @@
 //! is reported, never panicked on, by a drop; and a rotated multi-segment
 //! checkpoint directory recovers through torn tails and corrupt snapshots.
 //!
-//! Every run mounts a [`Journal`] beside the engine, as the daemon and
-//! `deltanet replay` do ([`apply_window`]).
+//! Every run drives a [`Session`] — the engine with its [`Journal`] — as
+//! the daemon and `deltanet replay` do.
 
 use std::path::{Path, PathBuf};
 
@@ -24,8 +24,7 @@ use deltanet::persist::{
     self, encode_record, read_log_with, state_digest, CheckpointConfig, Durability, Journal,
     PersistError, PersistNet, RecoveryPolicy, Snapshot,
 };
-use deltanet::{DeltaNet, DeltaNetConfig, ShardedDeltaNet};
-use netmodel::checker::{ReplayError, UpdateReport};
+use deltanet::{DeltaNet, DeltaNetConfig, Session, ShardedDeltaNet};
 use netmodel::rule::RuleId;
 use netmodel::topology::Topology;
 use netmodel::trace::Op;
@@ -63,9 +62,9 @@ fn build(topo: &Topology, shards: usize) -> PersistNet {
     net
 }
 
-/// A flat journal at `path` on `backend`, for an engine at op 0.
-fn flat(backend: &FaultyBackend, path: &Path, durability: Durability) -> Journal {
-    Journal::flat(Box::new(backend.clone()), path, 0, durability).unwrap()
+/// A session over `net` at op 0 with a flat journal at `path` on `backend`.
+fn flat(net: PersistNet, backend: &FaultyBackend, path: &Path, durability: Durability) -> Session {
+    Session::with_backend(net, Box::new(backend.clone()), path, 0, durability).unwrap()
 }
 
 /// A checkpointing journal over the fresh `dir` on `backend`, for `net` at
@@ -84,17 +83,20 @@ fn checkpointed(
     )
 }
 
-/// One window through the pairing the daemon and `replay` use: the engine
-/// applies it, then the journal records exactly the prefix it accepted.
-fn apply_window(
-    net: &mut PersistNet,
-    journal: &mut Journal,
-    ops: &[Op],
-) -> Result<Vec<UpdateReport>, ReplayError> {
-    let result = net.apply_batch(ops);
-    let applied = result.as_ref().map_or_else(|e| e.index, Vec::len);
-    journal.record(&ops[..applied], |at| Snapshot::of_net(net, at));
-    result
+/// A session over `net` at op 0 journaling into the fresh checkpoint `dir`.
+fn in_dir(
+    net: PersistNet,
+    backend: &FaultyBackend,
+    dir: &Path,
+    config: CheckpointConfig,
+) -> Session {
+    let journal = checkpointed(&net, backend, dir, config).unwrap();
+    Session::new(net, Some(journal))
+}
+
+/// The session's journal.
+fn journal(session: &mut Session) -> &mut Journal {
+    session.journal_mut().expect("a journal is mounted")
 }
 
 /// A deterministic ~`n`-op trace over `topo`.
@@ -190,19 +192,23 @@ fn crash_point_sweep_recovers_bit_identical_to_salvaged_prefix() {
         let backend = FaultyBackend::new();
         let log_path = p("/vd/wal.dnlog");
         let snap_path = p("/vd/base.dnsnap");
-        let mut net = build(&topo, kind);
-        let mut journal = flat(&backend, &log_path, Durability::FsyncPerBatch);
-        let snap0_bytes = Snapshot::of_net(&net, 0).to_bytes();
+        let mut session = flat(
+            build(&topo, kind),
+            &backend,
+            &log_path,
+            Durability::FsyncPerBatch,
+        );
+        let snap0_bytes = Snapshot::of_net(session.net(), 0).to_bytes();
         let mut snap_mid_bytes = Vec::new();
         for chunk in trace.chunks(5) {
-            apply_window(&mut net, &mut journal, chunk).unwrap();
-            if journal.ops_applied() == SNAP_AT as u64 {
+            assert_eq!(session.apply(chunk).1, None);
+            if journal(&mut session).ops_applied() == SNAP_AT as u64 {
                 // Never ahead of the durable log.
-                journal.sync().unwrap();
-                snap_mid_bytes = Snapshot::of_net(&net, SNAP_AT as u64).to_bytes();
+                journal(&mut session).sync().unwrap();
+                snap_mid_bytes = Snapshot::of_net(session.net(), SNAP_AT as u64).to_bytes();
             }
         }
-        journal.close().unwrap();
+        session.close().unwrap();
         let log_bytes = backend.surviving(&log_path).unwrap();
         assert_eq!(log_bytes.len() as u64, *boundaries.last().unwrap());
         assert!(!snap_mid_bytes.is_empty());
@@ -337,14 +343,18 @@ fn live_crash_mid_run_recovers_to_acknowledged_prefix() {
             &snap_path,
             Snapshot::of_net(&build(&topo, kind), 0).to_bytes(),
         );
-        let mut net = build(&topo, kind);
-        let mut journal = flat(&backend, &log_path, Durability::FsyncPerBatch);
+        let mut session = flat(
+            build(&topo, kind),
+            &backend,
+            &log_path,
+            Durability::FsyncPerBatch,
+        );
         let mut acked = 0u64;
         let mut crashed = false;
         for chunk in trace.chunks(5) {
-            apply_window(&mut net, &mut journal, chunk).unwrap();
-            match journal.sync() {
-                Ok(()) => acked = journal.ops_applied(),
+            assert_eq!(session.apply(chunk).1, None);
+            match journal(&mut session).sync() {
+                Ok(()) => acked = journal(&mut session).ops_applied(),
                 Err(PersistError::Io(_)) => {
                     crashed = true;
                     break;
@@ -354,7 +364,7 @@ fn live_crash_mid_run_recovers_to_acknowledged_prefix() {
         }
         assert!(crashed, "kind {kind}: the plan must have fired");
         assert!(backend.crashed());
-        drop(journal); // the deferred error was surfaced by sync()
+        drop(session); // the deferred error was surfaced by sync()
 
         backend.reboot();
         let (net, salvaged, _) = persist::recover_with(
@@ -386,22 +396,29 @@ fn durability_ladder_honors_fsync_and_surfaces_failures() {
     let topo = random_topology(&mut rng, 4, true);
     let trace = make_trace(0xf5ac_0002, &topo, 20);
 
-    // fsync failure at FsyncPerBatch: deferred by apply_batch, surfaced as
-    // Io by the next flush().
+    // fsync failure at FsyncPerBatch: deferred by the window's flush,
+    // surfaced as Io by the next flush().
     let backend = FaultyBackend::with_plan(FaultPlan {
         fail_fsyncs: 1,
         ..Default::default()
     });
-    let mut net = build(&topo, 0);
-    let mut journal = flat(&backend, &p("/vd/fsync.dnlog"), Durability::FsyncPerBatch);
-    apply_window(&mut net, &mut journal, &trace[..5]).unwrap();
-    let err = journal.flush().expect_err("fsync failure must surface");
+    let fsync_log = p("/vd/fsync.dnlog");
+    let mut session = flat(
+        build(&topo, 0),
+        &backend,
+        &fsync_log,
+        Durability::FsyncPerBatch,
+    );
+    assert_eq!(session.apply(&trace[..5]).1, None);
+    let err = journal(&mut session)
+        .flush()
+        .expect_err("fsync failure must surface");
     assert!(
         matches!(err, PersistError::Io(_)),
         "fsync failure must be PersistError::Io, got: {err}"
     );
-    journal.sync().unwrap(); // the injected failure was one-shot
-    drop(journal);
+    journal(&mut session).sync().unwrap(); // the injected failure was one-shot
+    drop(session);
 
     // Sync counts across the ladder: Buffered and FlushPerBatch never
     // fsync on flush; FsyncPerBatch fsyncs once per batch.
@@ -412,10 +429,9 @@ fn durability_ladder_honors_fsync_and_surfaces_failures() {
     ] {
         let backend = FaultyBackend::new();
         let log_path = p("/vd/ladder.dnlog");
-        let mut net = build(&topo, 0);
-        let mut journal = flat(&backend, &log_path, durability);
+        let mut session = flat(build(&topo, 0), &backend, &log_path, durability);
         for chunk in trace.chunks(5) {
-            apply_window(&mut net, &mut journal, chunk).unwrap();
+            assert_eq!(session.apply(chunk).1, None);
         }
         assert_eq!(
             backend.sync_count(),
@@ -426,12 +442,12 @@ fn durability_ladder_honors_fsync_and_surfaces_failures() {
         if durability == Durability::Buffered {
             assert_eq!(backend.surviving(&log_path).unwrap().len() as u64, HEADER);
         }
-        journal.sync().unwrap();
+        journal(&mut session).sync().unwrap();
         assert_eq!(backend.sync_count(), expect_syncs + 1);
         let report =
             read_log_with(&mut backend.clone(), &log_path, RecoveryPolicy::Strict).unwrap();
         assert_eq!(report.ops.len(), trace.len(), "{durability:?}: all logged");
-        drop(journal);
+        drop(session);
     }
 }
 
@@ -494,15 +510,19 @@ fn deferred_flush_errors_cannot_be_dropped_and_short_writes_heal() {
 
     // (a) close surfaces the deferred error instead of dropping it.
     let backend = FaultyBackend::new();
-    let mut net = build(&topo, 0);
-    let mut journal = flat(&backend, &log_path, Durability::FlushPerBatch);
-    apply_window(&mut net, &mut journal, &trace[..5]).unwrap();
+    let mut session = flat(
+        build(&topo, 0),
+        &backend,
+        &log_path,
+        Durability::FlushPerBatch,
+    );
+    assert_eq!(session.apply(&trace[..5]).1, None);
     backend.inject(FaultPlan {
         fail_append_at_byte: Some(backend.bytes_appended() + 10),
         ..Default::default()
     });
-    apply_window(&mut net, &mut journal, &trace[5..10]).unwrap(); // flush failure deferred
-    match journal.close() {
+    assert_eq!(session.apply(&trace[5..10]).1, None); // flush failure deferred
+    match session.close() {
         Err(PersistError::Io(_)) => {}
         Err(e) => panic!("deferred error surfaced with the wrong kind: {e}"),
         Ok(()) => panic!("deferred error must surface from close"),
@@ -511,15 +531,19 @@ fn deferred_flush_errors_cannot_be_dropped_and_short_writes_heal() {
     // (b) dropping with a pending deferred error does not panic, and its
     // final sync still heals the log.
     let backend = FaultyBackend::new();
-    let mut net = build(&topo, 0);
-    let mut journal = flat(&backend, &log_path, Durability::FlushPerBatch);
-    apply_window(&mut net, &mut journal, &trace[..5]).unwrap();
+    let mut session = flat(
+        build(&topo, 0),
+        &backend,
+        &log_path,
+        Durability::FlushPerBatch,
+    );
+    assert_eq!(session.apply(&trace[..5]).1, None);
     backend.inject(FaultPlan {
         fail_append_at_byte: Some(backend.bytes_appended() + 10),
         ..Default::default()
     });
-    apply_window(&mut net, &mut journal, &trace[5..10]).unwrap();
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(journal)))
+    assert_eq!(session.apply(&trace[5..10]).1, None);
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(session)))
         .expect("drop with a pending deferred error must not panic");
     let report = read_log_with(&mut backend.clone(), &log_path, RecoveryPolicy::Strict).unwrap();
     assert_eq!(report.ops, trace[..10].to_vec(), "the final sync ran");
@@ -528,25 +552,32 @@ fn deferred_flush_errors_cannot_be_dropped_and_short_writes_heal() {
     // record; the retry truncates back and re-appends, leaving a log that
     // parses cleanly with every op exactly once.
     let backend = FaultyBackend::new();
-    let mut net = build(&topo, 0);
-    let mut journal = flat(&backend, &log_path, Durability::FlushPerBatch);
-    apply_window(&mut net, &mut journal, &trace[..5]).unwrap();
+    let mut session = flat(
+        build(&topo, 0),
+        &backend,
+        &log_path,
+        Durability::FlushPerBatch,
+    );
+    assert_eq!(session.apply(&trace[..5]).1, None);
     let committed = backend.surviving(&log_path).unwrap().len();
     backend.inject(FaultPlan {
         fail_append_at_byte: Some(backend.bytes_appended() + 7),
         ..Default::default()
     });
-    apply_window(&mut net, &mut journal, &trace[5..10]).unwrap(); // short write, deferred
+    assert_eq!(session.apply(&trace[5..10]).1, None); // short write, deferred
     let surviving = backend.surviving(&log_path).unwrap().len();
     assert!(
         surviving > committed,
         "the short write must have landed a partial record"
     );
-    assert!(matches!(journal.flush(), Err(PersistError::Io(_)))); // surface it
-    journal.flush().unwrap(); // retry: truncate + re-append succeeds
+    assert!(matches!(
+        journal(&mut session).flush(),
+        Err(PersistError::Io(_))
+    )); // surface it
+    journal(&mut session).flush().unwrap(); // retry: truncate + re-append succeeds
     let report = read_log_with(&mut backend.clone(), &log_path, RecoveryPolicy::Strict).unwrap();
     assert_eq!(report.ops, trace[..10].to_vec(), "no duplicate records");
-    drop(journal);
+    drop(session);
 }
 
 fn checkpoint_cfg(every_ops: u64, retain: usize) -> CheckpointConfig {
@@ -582,16 +613,15 @@ fn checkpoint_manager_rotates_retains_and_recovers_multi_segment() {
     let backend = FaultyBackend::new();
     let dir = p("/vd/ckpt");
 
-    let mut net = build(&topo, 2);
-    let mut journal = checkpointed(&net, &backend, &dir, checkpoint_cfg(25, 2)).unwrap();
+    let mut session = in_dir(build(&topo, 2), &backend, &dir, checkpoint_cfg(25, 2));
     // Batches of 8 against a 25-op cadence: every rotation lands inside a
     // batch window, so a batch's records straddle two segments.
     for chunk in trace.chunks(8) {
-        apply_window(&mut net, &mut journal, chunk).unwrap();
+        assert_eq!(session.apply(chunk).1, None);
     }
-    assert_eq!(journal.ops_applied(), 120);
-    assert_eq!(journal.segment_start(), 100);
-    assert_eq!(journal.last_checkpoint(), 104);
+    assert_eq!(journal(&mut session).ops_applied(), 120);
+    assert_eq!(journal(&mut session).segment_start(), 100);
+    assert_eq!(journal(&mut session).last_checkpoint(), 104);
 
     // Rotation at exact multiples; snapshots at the commit after each
     // crossing; retention keeps the newest two snapshots and only the
@@ -606,11 +636,11 @@ fn checkpoint_manager_rotates_retains_and_recovers_multi_segment() {
         vec!["log-000000000075.dnlog", "log-000000000100.dnlog"]
     );
 
-    journal.close().unwrap();
-    let live_digest = state_digest(&net);
+    session.close().unwrap();
+    let live_digest = state_digest(session.net());
 
     // Clean recovery (Strict: nothing is torn).
-    let (mut net2, mut journal2, report) = persist::recover_dir(
+    let (net2, journal2, report) = persist::recover_dir(
         Box::new(backend.clone()),
         &dir,
         &topo,
@@ -624,6 +654,7 @@ fn checkpoint_manager_rotates_retains_and_recovers_multi_segment() {
     assert_eq!(report.segments_replayed, 1);
     assert!(report.torn.is_none());
     assert_eq!(state_digest(&net2), live_digest);
+    let mut session2 = Session::new(net2, Some(journal2));
 
     // Time-travel across the retained window, including op 102 — past a
     // segment boundary (100) that fell inside a batch window — and op 85,
@@ -662,12 +693,13 @@ fn checkpoint_manager_rotates_retains_and_recovers_multi_segment() {
     let extra = make_trace(0xc4ec_0006, &topo, 10);
     let mut oracle_ops: Vec<Op> = trace.clone();
     for chunk in extra.chunks(5) {
-        let applied = apply_window(&mut net2, &mut journal2, chunk).unwrap().len();
-        oracle_ops.extend_from_slice(&chunk[..applied]);
+        let (reports, failure) = session2.apply(chunk);
+        assert_eq!(failure, None);
+        oracle_ops.extend_from_slice(&chunk[..reports.len()]);
     }
-    journal2.sync().unwrap();
-    let after_digest = state_digest(&net2);
-    drop(journal2);
+    journal(&mut session2).sync().unwrap();
+    let after_digest = state_digest(session2.net());
+    drop(session2);
     let (net3, journal3, report3) = persist::recover_dir(
         Box::new(backend.clone()),
         &dir,
@@ -696,16 +728,15 @@ fn retention_never_strands_time_travel_just_after_oldest_snapshot() {
     let backend = FaultyBackend::new();
     let dir = p("/vd/retention");
 
-    let mut net = build(&topo, 2);
-    let mut journal = checkpointed(&net, &backend, &dir, checkpoint_cfg(4, 2)).unwrap();
+    let mut session = in_dir(build(&topo, 2), &backend, &dir, checkpoint_cfg(4, 2));
     // Batches of 4 against a 4-op cadence: six rotations, each snapshot at
     // a segment start, each rotation making one more segment deletable.
     for chunk in trace.chunks(4) {
-        apply_window(&mut net, &mut journal, chunk).unwrap();
+        assert_eq!(session.apply(chunk).1, None);
     }
-    assert_eq!(journal.ops_applied(), 24);
-    assert_eq!(journal.checkpoints_written(), 7); // initial + one per rotation
-    journal.close().unwrap();
+    assert_eq!(journal(&mut session).ops_applied(), 24);
+    assert_eq!(journal(&mut session).checkpoints_written(), 7); // initial + one per rotation
+    session.close().unwrap();
 
     // Retention kept the newest two snapshots and exactly the segments
     // needed to replay forward from the oldest one — everything older,
@@ -768,12 +799,11 @@ fn checkpoint_crash_sweep_with_snapshot_fallback() {
     let backend = FaultyBackend::new();
     let dir = p("/vd/sweep");
 
-    let mut net = build(&topo, 1);
-    let mut journal = checkpointed(&net, &backend, &dir, checkpoint_cfg(25, 3)).unwrap();
+    let mut session = in_dir(build(&topo, 1), &backend, &dir, checkpoint_cfg(25, 3));
     for chunk in trace.chunks(8) {
-        apply_window(&mut net, &mut journal, chunk).unwrap();
+        assert_eq!(session.apply(chunk).1, None);
     }
-    journal.close().unwrap();
+    session.close().unwrap();
 
     // Capture the pristine directory contents.
     let files: Vec<(PathBuf, Vec<u8>)> = backend
@@ -907,13 +937,12 @@ fn starting_in_a_used_checkpoint_dir_is_refused() {
     let backend = FaultyBackend::new();
     let dir = p("/vd/reuse");
 
-    let mut first = build(&topo, 2);
-    let mut journal = checkpointed(&first, &backend, &dir, checkpoint_cfg(8, 2)).unwrap();
+    let mut first = in_dir(build(&topo, 2), &backend, &dir, checkpoint_cfg(8, 2));
     for chunk in trace.chunks(8) {
-        apply_window(&mut first, &mut journal, chunk).unwrap();
+        assert_eq!(first.apply(chunk).1, None);
     }
-    journal.close().unwrap();
-    let first_digest = state_digest(&first);
+    first.close().unwrap();
+    let first_digest = state_digest(first.net());
     let before = dir_artifacts(&backend, &dir);
 
     let err = checkpointed(&build(&topo, 2), &backend, &dir, checkpoint_cfg(8, 2))
@@ -962,12 +991,11 @@ fn time_travel_across_a_cut_non_final_segment_is_a_clean_mismatch() {
     let backend = FaultyBackend::new();
     let dir = p("/vd/cut");
 
-    let mut net = build(&topo, 2);
-    let mut journal = checkpointed(&net, &backend, &dir, checkpoint_cfg(25, 4)).unwrap();
+    let mut session = in_dir(build(&topo, 2), &backend, &dir, checkpoint_cfg(25, 4));
     for chunk in trace.chunks(8) {
-        apply_window(&mut net, &mut journal, chunk).unwrap();
+        assert_eq!(session.apply(chunk).1, None);
     }
-    journal.close().unwrap();
+    session.close().unwrap();
 
     // Keep the first 10 of log-50's 25 records: ops 50..60.
     let seg_path = p("/vd/cut/log-000000000050.dnlog");
@@ -1024,30 +1052,38 @@ fn flat_and_checkpointing_journals_write_the_same_records() {
         Snapshot::of_net(&build(&topo, 2), 0)
             .write_to_backend(&mut backend.clone(), &snap_path)
             .unwrap();
-        let mut flat_net = build(&topo, 2);
-        let mut flat_log = flat(&backend, &log_path, Durability::FsyncPerBatch);
-        let mut rotated_net = build(&topo, 2);
-        let mut rotated =
-            checkpointed(&rotated_net, &backend, &dir, checkpoint_cfg(25, usize::MAX)).unwrap();
+        let mut flat_log = flat(
+            build(&topo, 2),
+            &backend,
+            &log_path,
+            Durability::FsyncPerBatch,
+        );
+        let mut rotated = in_dir(
+            build(&topo, 2),
+            &backend,
+            &dir,
+            checkpoint_cfg(25, usize::MAX),
+        );
         // A failing window keeps its applied prefix and drops its rest.
         let mut applied: Vec<Op> = Vec::new();
         let mut rejected = 0;
         for chunk in trace.chunks(window) {
-            let a = apply_window(&mut flat_net, &mut flat_log, chunk);
-            let b = apply_window(&mut rotated_net, &mut rotated, chunk);
-            let n = a.as_ref().map_or_else(|e| e.index, Vec::len);
-            assert_eq!(n, b.as_ref().map_or_else(|e| e.index, Vec::len));
-            rejected += usize::from(a.is_err());
+            let (a, a_failure) = flat_log.apply(chunk);
+            let (b, b_failure) = rotated.apply(chunk);
+            let n = a.len();
+            assert_eq!(a_failure.map_or(chunk.len(), |e| e.index), n);
+            assert_eq!((b.len(), b_failure), (n, a_failure));
+            rejected += usize::from(a_failure.is_some());
             applied.extend_from_slice(&chunk[..n]);
         }
         assert!(
             rejected >= 1,
             "window {window}: the bad op must be rejected"
         );
-        assert_eq!(flat_log.ops_applied(), applied.len() as u64);
-        assert_eq!(rotated.ops_applied(), applied.len() as u64);
-        let live_digest = state_digest(&flat_net);
-        assert_eq!(state_digest(&rotated_net), live_digest);
+        assert_eq!(journal(&mut flat_log).ops_applied(), applied.len() as u64);
+        assert_eq!(journal(&mut rotated).ops_applied(), applied.len() as u64);
+        let live_digest = state_digest(flat_log.net());
+        assert_eq!(state_digest(rotated.net()), live_digest);
         flat_log.close().unwrap();
         rotated.close().unwrap();
 
@@ -1096,23 +1132,27 @@ fn flat_and_checkpointing_journals_write_the_same_records() {
     // healed the file) a failed fsync — surface the first: the second is
     // usually cascade and must not displace the root cause.
     let backend = FaultyBackend::new();
-    let mut net = build(&topo, 2);
-    let mut journal = flat(&backend, &log_path, Durability::FsyncPerBatch);
+    let mut session = flat(
+        build(&topo, 2),
+        &backend,
+        &log_path,
+        Durability::FsyncPerBatch,
+    );
     backend.inject(FaultPlan {
         fail_append_at_byte: Some(backend.bytes_appended() + 7),
         ..Default::default()
     });
-    apply_window(&mut net, &mut journal, &trace[..8]).unwrap();
+    assert_eq!(session.apply(&trace[..8]).1, None);
     backend.inject(FaultPlan {
         fail_fsyncs: 1,
         ..Default::default()
     });
-    apply_window(&mut net, &mut journal, &trace[8..16]).unwrap();
-    let err = journal
+    assert_eq!(session.apply(&trace[8..16]).1, None);
+    let err = journal(&mut session)
         .flush()
         .expect_err("the deferred failure must surface");
     assert!(err.to_string().contains("short write"), "{err}");
-    journal.sync().unwrap(); // one error was pending, not two
+    journal(&mut session).sync().unwrap(); // one error was pending, not two
     let logged = read_log_with(&mut backend.clone(), &log_path, RecoveryPolicy::Strict)
         .unwrap()
         .ops;

@@ -334,7 +334,7 @@ fn v3_multifield_sharded_snapshot_restores_and_reencodes_byte_for_byte() {
         (2, 2)
     );
     let mut restored = snap.restore(&topo).expect("v3 fixture must keep restoring");
-    assert!(restored.is_monitored());
+    assert!(restored.monitor_keys().is_some());
     assert_eq!(
         Snapshot::of_net(&restored, MF_SNAPSHOT_AT as u64).to_bytes(),
         committed,

@@ -3,8 +3,8 @@
 //! restored engine must match the live one on atom counts, `live_bytes`,
 //! the monitor's `active_violations()` bit-for-bit, and full loop/blackhole
 //! rescans — and must stay observationally identical when both keep
-//! applying the same ops afterwards. Runs with a journal mounted beside the
-//! engine recover from nearest snapshot + log tail, time-travel queries
+//! applying the same ops afterwards. Runs through a [`Session`] (a journal
+//! beside the engine) recover from nearest snapshot + log tail, time-travel queries
 //! agree with a fresh replay, and corrupted or truncated artifacts fail
 //! with clean errors, never panics.
 
@@ -13,7 +13,8 @@ use std::path::{Path, PathBuf};
 
 use deltanet::persist::{self, read_log, PersistError};
 use deltanet::{
-    DeltaNet, DeltaNetConfig, Durability, FsBackend, Journal, PersistNet, ShardedDeltaNet, Snapshot,
+    DeltaNet, DeltaNetConfig, Durability, FsBackend, Journal, PersistNet, Session, ShardedDeltaNet,
+    Snapshot,
 };
 use netmodel::ip::IpPrefix;
 use netmodel::rule::{Rule, RuleId};
@@ -239,25 +240,30 @@ fn logged_run_recovers_from_snapshot_plus_log_tail() {
         let snap_path = dir.join(format!("{kind}.dnsnap"));
         let mut net = build(&topo, kind);
         net.enable_monitor();
-        let mut journal = flat_journal(&log_path);
+        let mut session = Session::new(net, Some(flat_journal(&log_path)));
         let mut gen = OpGen::new(8, 40, 0.3);
-        while journal.ops_applied() < 80 {
+        while session.ops_applied() < 80 {
             let Some(op) = gen.next_op(&mut rng, &topo) else {
                 continue;
             };
-            net.checker_mut().try_apply(&op).unwrap();
-            journal.record(std::slice::from_ref(&op), |at| Snapshot::of_net(&net, at));
-            if journal.ops_applied() == 40 {
+            assert_eq!(session.apply(std::slice::from_ref(&op)).1, None);
+            if session.ops_applied() == 40 {
                 // Mid-run snapshot (never ahead of the durable log):
                 // recovery replays the other 40 from the log.
-                journal.sync().unwrap();
-                Snapshot::of_net(&net, 40).write_to(&snap_path).unwrap();
+                session.journal_mut().unwrap().sync().unwrap();
+                Snapshot::of_net(session.net(), 40)
+                    .write_to(&snap_path)
+                    .unwrap();
             }
         }
-        journal.close().unwrap();
+        session.close().unwrap();
         let (recovered, total) = persist::recover(&topo, &snap_path, &log_path).unwrap();
         assert_eq!(total, 80);
-        assert_state_eq(&net, &recovered, &format!("kind {kind}, recovered"));
+        assert_state_eq(
+            session.net(),
+            &recovered,
+            &format!("kind {kind}, recovered"),
+        );
     }
     fs::remove_dir_all(&dir).ok();
 }
@@ -353,14 +359,12 @@ fn corrupted_and_truncated_artifacts_fail_cleanly() {
     let log_path = dir.join("truncated.dnlog");
     let src = topo.links()[0].src;
     let link = topo.links()[0].id;
-    let mut net = build(&topo, 0);
-    let mut journal = flat_journal(&log_path);
+    let mut session = Session::new(build(&topo, 0), Some(flat_journal(&log_path)));
     let r1 = Rule::forward(RuleId(1), IpPrefix::new(16, 4, 8), 5, src, link);
     let r2 = Rule::forward(RuleId(2), IpPrefix::new(32, 4, 8), 5, src, link);
     let batch = [Op::Insert(r1), Op::Insert(r2)];
-    net.apply_batch(&batch).unwrap();
-    journal.record(&batch, |at| Snapshot::of_net(&net, at));
-    journal.close().unwrap();
+    assert_eq!(session.apply(&batch).1, None);
+    session.close().unwrap();
     assert_eq!(read_log(&log_path).unwrap().len(), 2);
     let log_bytes = fs::read(&log_path).unwrap();
     fs::write(&log_path, &log_bytes[..log_bytes.len() - 3]).unwrap();
@@ -373,22 +377,22 @@ fn corrupted_and_truncated_artifacts_fail_cleanly() {
 
 #[test]
 fn logged_batch_failure_logs_exactly_the_applied_prefix() {
-    // The pinned mid-batch semantics must hold through the journal mounted
-    // beside the engine too: a batch failing at op k leaves exactly ops[..k]
-    // in the log, so recovery reproduces the engine's actual post-failure
-    // state.
+    // The pinned mid-batch semantics must hold through the session's
+    // journal too: a batch failing at op k returns the reports of ops[..k]
+    // and leaves exactly ops[..k] in the log, so recovery reproduces the
+    // engine's actual post-failure state.
     let dir = temp_dir("midbatch");
     let log_path = dir.join("batch.dnlog");
     let mut topo = Topology::new();
     let a = topo.add_node("a");
     let b = topo.add_node("b");
     let ab = topo.add_link(a, b);
-    let mut net = PersistNet::Sharded(Box::new(ShardedDeltaNet::new(
+    let net = PersistNet::Sharded(Box::new(ShardedDeltaNet::new(
         topo.clone(),
         DeltaNetConfig::default(),
         2,
     )));
-    let mut journal = flat_journal(&log_path);
+    let mut session = Session::new(net, Some(flat_journal(&log_path)));
     let ops = [
         Op::Insert(Rule::forward(
             RuleId(1),
@@ -413,12 +417,16 @@ fn logged_batch_failure_logs_exactly_the_applied_prefix() {
             ab,
         )),
     ];
-    let result = net.apply_batch(&ops);
-    let applied = result.as_ref().map_or_else(|e| e.index, Vec::len);
-    journal.record(&ops[..applied], |at| Snapshot::of_net(&net, at));
-    assert_eq!(result.unwrap_err().index, 2);
-    assert_eq!(journal.ops_applied(), 2);
-    journal.close().unwrap();
+    let (reports, failure) = session.apply(&ops);
+    assert_eq!(failure.unwrap().index, 2);
+    let applied: Vec<_> = reports.iter().map(|r| (r.rule_id, r.was_insert)).collect();
+    assert_eq!(
+        applied,
+        [(Some(RuleId(1)), true), (Some(RuleId(2)), true)],
+        "the failed window returns the prefix's reports"
+    );
+    assert_eq!(session.journal().unwrap().ops_applied(), 2);
+    session.close().unwrap();
     let replayable = read_log(&log_path).unwrap();
     assert_eq!(replayable, ops[..2]);
     // Replaying the log into a fresh engine reproduces the engine's state.
@@ -430,6 +438,6 @@ fn logged_batch_failure_logs_exactly_the_applied_prefix() {
     for op in &replayable {
         fresh.checker_mut().try_apply(op).unwrap();
     }
-    assert_state_eq(&net, &fresh, "post-failure log replay");
+    assert_state_eq(session.net(), &fresh, "post-failure log replay");
     fs::remove_dir_all(&dir).ok();
 }

@@ -12,13 +12,13 @@
 //!   [`ReplayError`](netmodel::checker::ReplayError) semantics, and the
 //!   violation event stream.
 //! * [`server`] — the daemon: a bounded ingest queue (backpressure =
-//!   blocked senders), windowed batching onto
-//!   [`ShardedDeltaNet::apply_batch`](deltanet::ShardedDeltaNet::apply_batch)
-//!   with applied-prefix acks on failure, violation fan-out to many
-//!   subscribers with a drop-with-gap-marker slow-consumer policy (the
-//!   engine never blocks on a client), and optional durability by mounting
-//!   a checkpointing [`Journal`](deltanet::Journal) beside the engine so a
-//!   restart recovers and resumes the stream.
+//!   blocked senders), windowed batching onto one
+//!   [`Session`](deltanet::Session) with applied-prefix acks on failure,
+//!   violation fan-out to many subscribers with a drop-with-gap-marker
+//!   slow-consumer policy (the engine never blocks on a client), and
+//!   optional durability by mounting a checkpointing
+//!   [`Journal`](deltanet::Journal) in the session so a restart recovers
+//!   and resumes the stream.
 //!
 //! Everything is std-only (`std::net` + threads) and the protocol is
 //! transport-agnostic: the same framing runs over TCP and stdin/stdout,

@@ -35,9 +35,9 @@
 //! failing one). A `batch` reply carries per-op acks: the window's
 //! applied-prefix semantics — ops before the failure index are applied and
 //! acked `ok`, the failing op carries its error, later ops are `skipped`.
-//! Any op that applied inside a *window* that later failed (its own
-//! request, or another request coalesced behind it) acks positionally:
-//! `ok` and `at` only, without the report delta fields.
+//! Every applied op acks with its report (`affected_classes`,
+//! `changed_links`, `violations`), also when a later op of its window —
+//! in its own request or another request coalesced behind it — failed.
 //!
 //! ## Events (subscription stream)
 //!
@@ -385,24 +385,6 @@ pub fn ok_reply(id: u64, at: u64, report: &UpdateReport) -> Json {
         ("affected_classes", Json::int(report.affected_classes)),
         ("changed_links", Json::int(report.changed_links.len())),
         ("violations", Json::int(report.violations.len())),
-    ])
-}
-
-/// A positional `{"ok": true, "at": ...}` ack without report deltas. Used
-/// for ops that applied inside a window whose later op failed:
-/// `apply_batch` returns only the error on failure, so the window's
-/// applied prefix has no reports and its acks carry position only.
-pub fn positional_ack(at: u64) -> Json {
-    obj(vec![("ok", Json::Bool(true)), ("at", Json::int(at))])
-}
-
-/// The top-level (`id`-carrying) form of [`positional_ack`], for a
-/// non-batch request whose op applied in a failed window.
-pub fn positional_reply(id: u64, at: u64) -> Json {
-    obj(vec![
-        ("id", Json::int(id)),
-        ("ok", Json::Bool(true)),
-        ("at", Json::int(at)),
     ])
 }
 

@@ -6,7 +6,7 @@
 //! ```text
 //!  client ──TCP──▶ reader thread ──(bounded work queue)──▶ engine thread
 //!                    ▲    │ ack line   (sync_channel:          │ owns the
-//!                    │    ◀────────────  *backpressure*)       │ ShardedDeltaNet
+//!                    │    ◀────────────  *backpressure*)       │ Session
 //!                    │                                         │
 //!  subscriber ◀── event pump ◀──(bounded event buffer)─────────┘
 //! ```
@@ -17,25 +17,22 @@
 //!   client's socket — which is the protocol's explicit backpressure: a
 //!   client can never have more un-acked work in the daemon than the queue
 //!   holds.
-//! * The single **engine** thread owns the [`ShardedDeltaNet`] and, for
-//!   durability, a [`Journal`] mounted beside it. It coalesces consecutive
-//!   op items into windows of at most `window` ops, applies each window
-//!   with [`ShardedDeltaNet::apply_batch`] (per-shard groups run
-//!   concurrently), records what the engine accepted in the journal
-//!   (write-behind; checkpoints at the configured cadence), and acks per
-//!   request. A mid-window engine error keeps
-//!   the window's applied prefix (exactly `apply_batch`'s semantics): items
-//!   fully applied ack `ok` (positionally — a failed window yields no
-//!   per-op reports, so these acks carry `at` without delta fields), the
-//!   item owning the failure acks its own applied prefix plus the error
-//!   and `skipped` for its remaining ops, and
-//!   *later* items of the window are put back at the front of the queue and
-//!   applied in a follow-up window — one request's bad op never poisons
-//!   another client's.
-//! * Violation transitions reach the engine thread through the
-//!   [`ShardedDeltaNet::set_monitor_observer`] seam and fan out to every
-//!   subscriber through its own bounded buffer via non-blocking sends: a
-//!   slow consumer *drops* events (never stalls the engine) and receives a
+//! * The single **engine** thread owns a [`Session`]: the sharded engine
+//!   and, for durability, the [`Journal`](deltanet::Journal) mounted
+//!   beside it. It coalesces consecutive op items into windows of at most
+//!   `window` ops, applies each window with [`Session::apply`] (per-shard
+//!   groups run concurrently; the journal records what the engine
+//!   accepted, with checkpoints at the configured cadence), and acks per
+//!   request. A mid-window engine error keeps the window's applied prefix:
+//!   every op that applied acks `ok` with its report, whichever request it
+//!   came from; the item owning the failure acks the error and `skipped`
+//!   for its remaining ops; and *later* items of the window are put back at
+//!   the front of the queue and applied in a follow-up window — one
+//!   request's bad op never poisons another client's.
+//! * After each window the engine thread reads the violation transitions
+//!   from [`Session::transitions`] and fans them out to every subscriber
+//!   through its own bounded buffer via non-blocking sends: a slow consumer
+//!   *drops* events (never stalls the engine) and receives a
 //!   `{"event": "gap", "dropped": n}` marker as soon as its buffer has room
 //!   again.
 //!
@@ -48,13 +45,12 @@
 use crate::json::Json;
 use crate::proto::{
     batch_op_ack, batch_op_error, batch_reply, error_reply, error_reply_no_id, gap_event, ok_reply,
-    parse_request, positional_ack, positional_reply, transitions_event, update_error_kind,
-    what_if_reply, Request, RequestBody,
+    parse_request, transitions_event, update_error_kind, what_if_reply, Request, RequestBody,
 };
 use deltanet::persist::{self, RecoveryPolicy};
 use deltanet::{
-    CheckpointConfig, DeltaNetConfig, FsBackend, Journal, MonitorTransitions, Parallelism,
-    PersistNet, ShardedDeltaNet, Snapshot,
+    CheckpointConfig, DeltaNetConfig, FsBackend, Parallelism, PersistNet, Session, ShardedDeltaNet,
+    Snapshot,
 };
 use netmodel::topology::{LinkId, Topology};
 use netmodel::trace::Op;
@@ -64,11 +60,12 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
-/// Durability mounting for the daemon (see [`Journal::checkpointed`]).
+/// Durability mounting for the daemon (see
+/// [`Journal::checkpointed`](deltanet::Journal::checkpointed)).
 #[derive(Clone, Debug)]
 pub struct CheckpointSetup {
     /// Checkpoint directory; recovered from and resumed when it already
@@ -88,7 +85,7 @@ pub struct ServiceConfig {
     pub shards: usize,
     /// Worker threads for per-window shard groups.
     pub parallelism: Parallelism,
-    /// Maximum ops coalesced into one `apply_batch` window (≥ 1).
+    /// Maximum ops coalesced into one [`Session::apply`] window (≥ 1).
     pub window: usize,
     /// Bounded ingest queue capacity in work items (≥ 1); a full queue
     /// blocks readers — the backpressure bound.
@@ -98,7 +95,7 @@ pub struct ServiceConfig {
     /// Cross-check the incremental monitor against a full rescan after
     /// every window; mismatches are counted in `stats`.
     pub audit: bool,
-    /// Mount a checkpointing [`Journal`] beside the engine.
+    /// Mount a checkpointing [`Journal`](deltanet::Journal) beside the engine.
     pub checkpoint: Option<CheckpointSetup>,
 }
 
@@ -259,14 +256,7 @@ fn start_engine(
         topology.drop_link(node);
     }
 
-    let staging: Arc<Mutex<Vec<MonitorTransitions>>> = Arc::default();
-    let observer_sink = Arc::clone(&staging);
-    let observe = move |t: &MonitorTransitions| observer_sink.lock().unwrap().push(t.clone());
-
-    let (mut net, journal) = open_engine(&topology, &config)?;
-    net.set_monitor_observer(observe);
-    let ops_applied = journal.as_ref().map_or(0, Journal::ops_applied);
-
+    let session = open_engine(&topology, &config)?;
     let shared = Arc::new(Shared {
         topology,
         shutdown: AtomicBool::new(false),
@@ -276,19 +266,16 @@ fn start_engine(
     let engine_shared = Arc::clone(&shared);
     let engine = thread::spawn(move || {
         EngineLoop {
-            net,
-            journal,
-            rx: work_rx,
-            shared: engine_shared,
-            staging,
-            window: config.window,
-            queue_cap: config.queue,
-            audit: config.audit,
-            ops_applied,
             // Every event covers >= 1 op, so the recovered op count is an
             // upper bound on any seq a previous life issued: resuming from
             // it keeps seq monotone (not dense) across durable restarts.
-            seq: ops_applied,
+            seq: session.ops_applied(),
+            session,
+            rx: work_rx,
+            shared: engine_shared,
+            window: config.window,
+            queue_cap: config.queue,
+            audit: config.audit,
             audits: 0,
             mismatches: 0,
             subscribers: Vec::new(),
@@ -299,22 +286,17 @@ fn start_engine(
     Ok((shared, work_tx, engine))
 }
 
-/// The daemon's monitored engine at `config.parallelism`: built fresh, or
-/// recovered from the checkpoint directory when one is mounted, together
-/// with the journal that resumes it.
-fn open_engine(
-    topology: &Topology,
-    config: &ServiceConfig,
-) -> io::Result<(ShardedDeltaNet, Option<Journal>)> {
+/// The daemon's session: a monitored sharded engine at
+/// `config.parallelism`, built fresh, or recovered from the checkpoint
+/// directory when one is mounted, together with the journal that resumes it.
+fn open_engine(topology: &Topology, config: &ServiceConfig) -> io::Result<Session> {
     let fresh = || {
-        let mut net = ShardedDeltaNet::with_parallelism(
+        PersistNet::Sharded(Box::new(ShardedDeltaNet::with_parallelism(
             topology.clone(),
             config.engine,
             config.shards,
             config.parallelism,
-        );
-        net.enable_monitor();
-        net
+        )))
     };
     let (mut net, journal) = match &config.checkpoint {
         None => (fresh(), None),
@@ -325,44 +307,37 @@ fn open_engine(
                 topology,
                 RecoveryPolicy::RepairTail,
                 setup.config,
-                || PersistNet::Sharded(Box::new(fresh())),
+                fresh,
             )
             .map_err(|e| io::Error::other(format!("checkpoint directory: {e}")))?;
-            let PersistNet::Sharded(net) = net else {
-                return Err(io::Error::other(
-                    "checkpoint directory holds a single-engine snapshot; \
-                     the daemon requires a sharded engine",
-                ));
-            };
-            (*net, Some(journal))
+            (net, Some(journal))
         }
     };
-    // A restored engine starts from the environment's worker count.
-    net.set_parallelism(config.parallelism);
+    let PersistNet::Sharded(sharded) = &mut net else {
+        return Err(io::Error::other(
+            "checkpoint directory holds a single-engine snapshot; \
+             the daemon requires a sharded engine",
+        ));
+    };
+    // A restored engine starts from the auto worker count.
+    sharded.set_parallelism(config.parallelism);
     if net.monitor_keys().is_none() {
         net.enable_monitor();
     }
-    Ok((net, journal))
+    Ok(Session::new(net, journal))
 }
 
 /// The engine thread's state.
 struct EngineLoop {
-    net: ShardedDeltaNet,
-    /// The durability component, when a checkpoint directory is mounted:
-    /// every window's applied prefix is recorded in it after the engine
-    /// accepted it.
-    journal: Option<Journal>,
+    /// The engine, its journal when a checkpoint directory is mounted, the
+    /// op position (resumed across restarts under durability) and the
+    /// baseline the published transitions are diffed against.
+    session: Session,
     rx: Receiver<WorkItem>,
     shared: Arc<Shared>,
-    /// Transitions pushed by the monitor observer during the current
-    /// window; drained and fanned out after each apply.
-    staging: Arc<Mutex<Vec<MonitorTransitions>>>,
     window: usize,
     queue_cap: usize,
     audit: bool,
-    /// Global 0-based count of ops applied so far (resumes across
-    /// restarts under durability).
-    ops_applied: u64,
     /// Global transitions-event sequence number (seeded from the
     /// recovered op count under durability — monotone across restarts).
     seq: u64,
@@ -437,10 +412,8 @@ impl EngineLoop {
         // Dropping subscribers' senders ends every event pump; a durable
         // engine syncs its log on the way out.
         self.subscribers.clear();
-        if let Some(journal) = self.journal {
-            if let Err(e) = journal.close() {
-                eprintln!("warning: checkpoint close failed: {e}");
-            }
+        if let Err(e) = self.session.close() {
+            eprintln!("warning: checkpoint close failed: {e}");
         }
     }
 
@@ -480,68 +453,45 @@ impl EngineLoop {
             .iter()
             .flat_map(|(_, _, ops, _)| ops.iter().copied())
             .collect();
-        let ops_before = self.ops_applied;
-        let (reports, failure) = match self.net.apply_batch(&all_ops) {
-            Ok(reports) => (reports, None),
-            Err(e) => (Vec::new(), Some(e)),
+        let ops_before = self.session.ops_applied();
+        let (reports, failure) = self.session.apply(&all_ops);
+        let applied = reports.len();
+        // The acks of window ops `offset..upto`, each with its own report.
+        let acks_of = |offset: usize, upto: usize| -> Vec<Json> {
+            (offset..upto)
+                .map(|i| batch_op_ack(ops_before + (i + 1) as u64, &reports[i]))
+                .collect()
         };
-        let applied = failure.as_ref().map_or(all_ops.len(), |e| e.index);
-        self.ops_applied += applied as u64;
-        if let Some(journal) = &mut self.journal {
-            let net = &self.net;
-            journal.record(&all_ops[..applied], |at| Snapshot::of_sharded(net, at));
-        }
 
         let mut offset = 0usize; // window-local index of the item's first op
         let mut iter = window.into_iter();
         for (id, reply, ops, batch) in iter.by_ref() {
             let end = offset + ops.len();
             if end <= applied {
-                // Fully applied. On failure `apply_batch` returns only the
-                // error — no reports exist for the window's applied prefix —
-                // so items fully inside that prefix ack positionally.
-                let line = if failure.is_none() {
-                    let item_reports = &reports[offset..end];
-                    if batch {
-                        let acks = item_reports
-                            .iter()
-                            .enumerate()
-                            .map(|(i, r)| batch_op_ack(ops_before + (offset + i + 1) as u64, r))
-                            .collect();
-                        batch_reply(id, true, ops.len(), acks)
-                    } else {
-                        ok_reply(id, ops_before + end as u64, &item_reports[0])
-                    }
-                } else if batch {
-                    let acks = (0..ops.len())
-                        .map(|i| positional_ack(ops_before + (offset + i + 1) as u64))
-                        .collect();
-                    batch_reply(id, true, ops.len(), acks)
+                let line = if batch {
+                    batch_reply(id, true, ops.len(), acks_of(offset, end))
                 } else {
-                    positional_reply(id, ops_before + end as u64)
+                    ok_reply(id, ops_before + end as u64, &reports[offset])
                 };
                 let _ = reply.send(line.render());
                 offset = end;
                 continue;
             }
-            // This item owns the failure; its applied prefix acks
-            // positionally for the same reason as above.
+            // This item owns the failure; its applied prefix acks like any
+            // other applied op.
             let error = failure.as_ref().expect("partial item implies failure");
             let kind = update_error_kind(&error.error);
             let message = error.error.to_string();
-            let prefix = applied - offset; // ops of this item that applied
             let line = if batch {
-                let mut acks: Vec<Json> = (0..prefix)
-                    .map(|i| positional_ack(ops_before + (offset + i + 1) as u64))
-                    .collect();
+                let mut acks = acks_of(offset, applied);
                 acks.push(batch_op_error(kind, &message));
-                for _ in prefix + 1..ops.len() {
+                for _ in applied + 1..end {
                     acks.push(batch_op_error(
                         "skipped",
                         "an earlier op in this batch failed",
                     ));
                 }
-                batch_reply(id, false, prefix, acks)
+                batch_reply(id, false, applied - offset, acks)
             } else {
                 error_reply(id, kind, &message)
             };
@@ -565,28 +515,20 @@ impl EngineLoop {
         self.publish_transitions(ops_before);
         if self.audit {
             self.audits += 1;
-            let matches = self.net.active_violations().is_some_and(|active| {
-                let mut rescan = self.net.check_all_loops();
-                rescan.extend(self.net.check_all_blackholes());
-                active == rescan
-            });
-            if !matches {
+            if self.session.net().monitor_matches_rescan() != Some(true) {
                 self.mismatches += 1;
             }
         }
     }
 
-    /// Drains the observer staging buffer and fans each transitions event
-    /// out to every subscriber with the drop-with-gap-marker policy.
+    /// Fans the window's transitions, if any, out to every subscriber with
+    /// the drop-with-gap-marker policy.
     fn publish_transitions(&mut self, ops_before: u64) {
-        let drained: Vec<MonitorTransitions> = {
-            let mut staging = self.staging.lock().unwrap();
-            staging.drain(..).collect()
-        };
-        for transitions in drained {
+        let transitions = self.session.transitions();
+        if !transitions.is_empty() {
             self.seq += 1;
-            let line = transitions_event(self.seq, ops_before + 1, self.ops_applied, &transitions)
-                .render();
+            let last_op = self.session.ops_applied();
+            let line = transitions_event(self.seq, ops_before + 1, last_op, &transitions).render();
             for sub in &mut self.subscribers {
                 sub.deliver(&line);
             }
@@ -595,31 +537,32 @@ impl EngineLoop {
     }
 
     fn query(&mut self, id: u64, reply: &Sender<String>, kind: Query) {
+        let session = &mut self.session;
         let line = match kind {
             Query::WhatIf { link, check_loops } => {
-                what_if_reply(id, &self.net.link_failure_impact(link, check_loops))
+                let report = session
+                    .net()
+                    .checker()
+                    .what_if_link_failure(link, check_loops);
+                what_if_reply(id, &report)
             }
             Query::Stats => self.stats(id),
             Query::Snapshot(path) => {
                 // A durable daemon checkpoints into its own directory; a
                 // plain one writes the snapshot where the client asked.
-                let snapshot_at = |at| Snapshot::of_sharded(&self.net, at);
-                let (written, path) = match &mut self.journal {
-                    Some(journal) => (
-                        journal.checkpoint_now(snapshot_at),
-                        journal.dir().map_or(path, |dir| dir.display().to_string()),
-                    ),
-                    None => (
-                        snapshot_at(self.ops_applied).write_to(Path::new(&path)),
-                        path,
-                    ),
+                let dir = session.journal().and_then(|j| j.dir());
+                let dir = dir.map(|dir| dir.display().to_string());
+                let written = match dir {
+                    Some(_) => session.checkpoint_now(),
+                    None => Snapshot::of_net(session.net(), session.ops_applied())
+                        .write_to(Path::new(&path)),
                 };
                 match written {
                     Ok(()) => crate::json::obj(vec![
                         ("id", Json::int(id)),
                         ("ok", Json::Bool(true)),
-                        ("path", Json::str(path)),
-                        ("ops_applied", Json::int(self.ops_applied)),
+                        ("path", Json::str(dir.unwrap_or(path))),
+                        ("ops_applied", Json::int(session.ops_applied())),
                     ]),
                     Err(e) => error_reply(id, "io", &e.to_string()),
                 }
@@ -629,23 +572,27 @@ impl EngineLoop {
     }
 
     fn stats(&self, id: u64) -> Json {
-        let net = &self.net;
-        let violations = self.net.active_violations().map_or(0, |v| v.len());
+        let net = self.session.net();
+        let shards = net.as_sharded().map_or(1, ShardedDeltaNet::shard_count);
+        let net = net.checker();
         crate::json::obj(vec![
             ("id", Json::int(id)),
             ("ok", Json::Bool(true)),
-            ("ops_applied", Json::int(self.ops_applied)),
-            ("rules", Json::int(net.rules().count())),
-            ("atoms", Json::int(net.atom_count())),
-            ("violations", Json::int(violations)),
-            ("shards", Json::int(net.shard_count())),
+            ("ops_applied", Json::int(self.session.ops_applied())),
+            ("rules", Json::int(net.rule_count())),
+            ("atoms", Json::int(net.class_count())),
+            (
+                "violations",
+                Json::int(net.active_violations().map_or(0, |v| v.len())),
+            ),
+            ("shards", Json::int(shards)),
             ("window", Json::int(self.window)),
             ("queue", Json::int(self.queue_cap)),
             ("subscribers", Json::int(self.subscribers.len())),
             ("events", Json::int(self.seq)),
             ("audits", Json::int(self.audits)),
             ("mismatches", Json::int(self.mismatches)),
-            ("durable", Json::Bool(self.journal.is_some())),
+            ("durable", Json::Bool(self.session.journal().is_some())),
         ])
     }
 }
@@ -848,14 +795,8 @@ mod tests {
             monitor_violations: true,
             ..DeltaNetConfig::default()
         };
-        let mut net =
-            ShardedDeltaNet::with_parallelism(topo.clone(), config, 1, Parallelism::fixed(1));
-        net.enable_monitor();
-        let staging: Arc<Mutex<Vec<MonitorTransitions>>> = Arc::default();
-        let sink = Arc::clone(&staging);
-        net.set_monitor_observer(move |t: &MonitorTransitions| {
-            sink.lock().unwrap().push(t.clone());
-        });
+        let net = ShardedDeltaNet::with_parallelism(topo.clone(), config, 1, Parallelism::fixed(1));
+        let session = Session::new(PersistNet::Sharded(Box::new(net)), None);
         let (tx, rx) = mpsc::sync_channel(8);
         let shared = Arc::new(Shared {
             topology: topo,
@@ -863,15 +804,12 @@ mod tests {
             sub_buffer: 4,
         });
         let engine = EngineLoop {
-            net,
-            journal: None,
+            session,
             rx,
             shared,
-            staging,
             window: 32,
             queue_cap: 8,
             audit: false,
-            ops_applied: 0,
             seq: 0,
             audits: 0,
             mismatches: 0,
@@ -899,11 +837,18 @@ mod tests {
         j.get("at").and_then(Json::as_u64)
     }
 
-    /// Regression (review): a coalesced window where one client's request
-    /// fully applies and a *later* client's op fails must ack the applied
-    /// request positionally — not panic slicing the (empty) reports.
+    /// An applied op's ack carries its report, in whatever window it applied.
+    fn assert_has_report(ack: &Json) {
+        for key in ["affected_classes", "changed_links", "violations"] {
+            assert!(ack.get(key).is_some(), "no `{key}` in {}", ack.render());
+        }
+    }
+
+    /// A coalesced window where one client's request fully applies and a
+    /// *later* client's op fails acks the applied request with its report,
+    /// like an op of a clean window.
     #[test]
-    fn failed_window_acks_fully_applied_items_positionally() {
+    fn failed_window_acks_fully_applied_items_with_their_reports() {
         let (mut engine, _tx, a, ab) = test_engine();
         let (good_tx, good_rx) = mpsc::channel();
         let (bad_tx, bad_rx) = mpsc::channel();
@@ -915,6 +860,7 @@ mod tests {
         let good = json(&good_rx);
         assert_eq!(is_ok(&good), Some(true), "{}", good.render());
         assert_eq!(at(&good), Some(1), "{}", good.render());
+        assert_has_report(&good);
         let bad = json(&bad_rx);
         assert_eq!(is_ok(&bad), Some(false), "{}", bad.render());
         assert_eq!(
@@ -923,13 +869,13 @@ mod tests {
             "{}",
             bad.render()
         );
-        assert_eq!(engine.ops_applied, 1);
+        assert_eq!(engine.session.ops_applied(), 1);
         assert!(engine.pending.is_empty());
     }
 
-    /// The batch shape of the same window: the fully-applied batch acks
-    /// positionally per op, the failing batch keeps applied-prefix acks,
-    /// and the request behind the failure re-queues untouched.
+    /// The batch shape of the same window: the fully-applied batch and the
+    /// failing batch's applied prefix ack per op with their reports, and
+    /// the request behind the failure re-queues untouched.
     #[test]
     fn failed_window_batch_acks_and_requeues_later_items() {
         let (mut engine, _tx, a, ab) = test_engine();
@@ -953,12 +899,14 @@ mod tests {
         assert_eq!(acks.len(), 2);
         assert_eq!(at(&acks[0]), Some(1));
         assert_eq!(at(&acks[1]), Some(2));
+        acks.iter().for_each(assert_has_report);
 
         let second = json(&second_rx);
         assert_eq!(is_ok(&second), Some(false), "{}", second.render());
         assert_eq!(second.get("applied").and_then(Json::as_u64), Some(1));
         let acks = second.get("acks").and_then(Json::as_arr).expect("acks");
         assert_eq!(at(&acks[0]), Some(3));
+        assert_has_report(&acks[0]);
         assert_eq!(
             acks[1].get("kind").and_then(Json::as_str),
             Some("unknown_rule")
@@ -968,7 +916,7 @@ mod tests {
         // The third request's op was not applied; it waits in `pending`
         // and acks normally (with report deltas) in its follow-up window.
         assert!(third_rx.try_recv().is_err());
-        assert_eq!(engine.ops_applied, 3);
+        assert_eq!(engine.session.ops_applied(), 3);
         let Some(WorkItem::Ops {
             id,
             reply,
@@ -984,11 +932,7 @@ mod tests {
         let third = json(&third_rx);
         assert_eq!(is_ok(&third), Some(true), "{}", third.render());
         assert_eq!(at(&third), Some(4), "{}", third.render());
-        assert!(
-            third.get("affected_classes").is_some(),
-            "clean-window acks carry report deltas: {}",
-            third.render()
-        );
+        assert_has_report(&third);
     }
 
     /// Regression: a durable restart keeps `--workers`. The engine
@@ -1013,11 +957,14 @@ mod tests {
                 }),
                 ..ServiceConfig::default()
             };
-            let (net, journal) = open_engine(&topo, &config).expect("build or recover");
-            let journal = journal.expect("a checkpoint dir mounts a journal");
+            let mut session = open_engine(&topo, &config).expect("build or recover");
+            let journal = session
+                .journal()
+                .expect("a checkpoint dir mounts a journal");
             assert_eq!(journal.checkpoints_written(), u64::from(fresh));
+            let net = session.net().as_sharded().expect("the daemon runs sharded");
             assert_eq!(net.parallelism().workers(), workers);
-            journal.close().expect("close the journal");
+            session.close().expect("close the journal");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
