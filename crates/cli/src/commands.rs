@@ -169,7 +169,8 @@ pub fn help() -> String {
                  [--topo <file> --trace <file> [--batch <n>]] [--stats] [--shutdown]\n\
                  Push requests to a running daemon and print a JSON summary of the\n\
                  acks. --send streams raw ndjson lines; --topo/--trace converts a\n\
-                 trace into batch requests of --batch ops (default 16). --stats\n\
+                 trace into batch requests of --batch ops (default 16, at most\n\
+                 2048, which the daemon's 1 MiB line cap always holds). --stats\n\
                  appends a stats request (its reply, including the audit mismatch\n\
                  count, folds into the summary); --shutdown stops the daemon\n\
        paper     [table2|table3|fig8|table4|table5|appendix-c] [--scale tiny|small|medium]\n\
@@ -1332,6 +1333,15 @@ pub fn client(args: &ParsedArgs) -> Result<String, CommandError> {
         let mut topo = load_topology(topo_path)?;
         let trace = load_trace(args.require("trace")?, &mut topo)?;
         let batch = parse_usize_option(args, "batch")?.unwrap_or(16).max(1);
+        // The daemon's line cap is sized so this many ops always fit.
+        const MAX_BATCH: usize = 2048;
+        if batch > MAX_BATCH {
+            return Err(CommandError::Other(format!(
+                "--batch {batch} is above {MAX_BATCH}, the most ops a request line \
+                 of at most {} bytes is sized for",
+                service::server::MAX_LINE_BYTES
+            )));
+        }
         for chunk in trace.ops().chunks(batch) {
             lines.push(service::batch_request(next_id, chunk, &topo).render());
             next_id += 1;

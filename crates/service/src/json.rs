@@ -1,5 +1,6 @@
-//! A minimal JSON value, parser, and single-line renderer: the ndjson wire
-//! protocol and the `deltanet replay --json` report both go through it.
+//! A minimal JSON value, one pull lexer, and a single-line renderer: the
+//! ndjson wire protocol and the `deltanet replay --json` report both go
+//! through it.
 //!
 //! The workspace's `serde` is an offline stub, so JSON is written and read
 //! by hand here. Integer literals are kept as exact `i128` values — rule
@@ -8,10 +9,22 @@
 //! Nesting is capped at [`MAX_DEPTH`] so a hostile line is a [`JsonError`],
 //! not a stack overflow.
 //!
+//! There is one grammar. `Lexer` reads a line token by token: keys and
+//! strings come back borrowed from the line unless they hold an escape,
+//! numbers come back exact, duplicate keys and the depth cap are enforced
+//! as the containers are walked, and every error names its byte offset.
+//! [`parse`] is a thin tree builder over it; the daemon's request decoder
+//! (`proto::parse_request`) drives it straight into a typed request,
+//! skipping what it does not need with `Lexer::skip_value`, so no tree is
+//! built on the request path.
+//!
 //! The renderer emits one line per value with `"key": value` spacing (a
 //! space after `:` and after `,`), so CI can grep for exact `"key": value`
-//! fragments in daemon output.
+//! fragments in daemon output. `write_escaped` and `write_u64` are its
+//! pieces, shared with the protocol's typed replies, which render in the
+//! same spacing without building a [`Json`].
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A parsed JSON value.
@@ -148,7 +161,24 @@ fn write_float(x: f64, out: &mut String) {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Appends `n` in decimal, the digits [`Json::Int`] renders, without the
+/// formatting machinery.
+pub(crate) fn write_u64(mut n: u64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ascii digits"));
+}
+
+/// Appends `s` as a quoted JSON string, the bytes [`Json::Str`] renders.
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     // Bulk-copy maximal runs that need no escaping (the common case is an
     // entirely clean string — one memcpy).
@@ -198,35 +228,112 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// How deep arrays and objects may nest. The parser recurses once per
-/// level, so without a cap a line of 100 k `[` overflows the stack; the
+/// How deep arrays and objects may nest. The tree builder recurses once
+/// per level, so without a cap a line of 100 k `[` overflows the stack; the
 /// deepest protocol line (a batch of inserts with `sec` intervals) nests 6.
 pub const MAX_DEPTH: usize = 64;
 
 /// Parses one complete JSON value; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos < p.bytes.len() {
-        return Err(p.err("trailing characters after value"));
-    }
+    let mut lexer = Lexer::new(input);
+    let value = tree(&mut lexer)?;
+    lexer.finish()?;
     Ok(value)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// Arrays and objects currently open around `pos`.
-    depth: usize,
+/// Builds the value the lexer is at; recursion is bounded by [`MAX_DEPTH`],
+/// which the lexer enforces as each container opens.
+fn tree(lexer: &mut Lexer<'_>) -> Result<Json, JsonError> {
+    Ok(match lexer.value()? {
+        Token::Null => Json::Null,
+        Token::Bool(b) => Json::Bool(b),
+        Token::Int(n) => Json::Int(n),
+        Token::Float(x) => Json::Float(x),
+        Token::Str(s) => Json::Str(s.into_owned()),
+        Token::Array => {
+            let mut items = Vec::new();
+            while lexer.next_item()? {
+                items.push(tree(lexer)?);
+            }
+            Json::Arr(items)
+        }
+        Token::Object => {
+            let mut pairs = Vec::new();
+            while let Some(key) = lexer.next_key()? {
+                let value = tree(lexer)?;
+                pairs.push((key.into_owned(), value));
+            }
+            Json::Obj(pairs)
+        }
+    })
 }
 
-impl<'a> Parser<'a> {
+/// One value's start as [`Lexer::value`] reads it: a whole scalar, or the
+/// opening bracket of a container whose members the caller then pulls.
+#[derive(Clone, Debug)]
+pub(crate) enum Token<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// An integer literal, exact.
+    Int(i128),
+    /// A literal with a fraction or an exponent.
+    Float(f64),
+    /// A string, borrowed from the input unless it held an escape.
+    Str(Cow<'a, str>),
+    /// `[`: pull the items with [`Lexer::next_item`].
+    Array,
+    /// `{`: pull the keys with [`Lexer::next_key`].
+    Object,
+}
+
+/// A container the lexer is inside.
+struct Open {
+    object: bool,
+    /// Whether a member has been read (the next one needs a `,`).
+    started: bool,
+    /// Where this object's keys start in [`Lexer::keys`].
+    keys_from: usize,
+}
+
+/// The JSON grammar as a pull lexer over one input line.
+///
+/// Call [`value`](Self::value) for each value. After [`Token::Object`],
+/// call [`next_key`](Self::next_key) until it returns `None`, reading (or
+/// [skipping](Self::skip_value)) one value after each key; after
+/// [`Token::Array`], call [`next_item`](Self::next_item) until it returns
+/// `false`, reading one value after each `true`. [`finish`](Self::finish)
+/// then rejects trailing characters. The lexer checks that calls follow
+/// the input, never the other way round: a caller that skips a value it
+/// does not need still gets every syntax error in it.
+pub(crate) struct Lexer<'a> {
+    text: &'a str,
+    bytes: &'a [u8],
+    pos: usize,
+    /// Containers open around `pos`, innermost last; its length is the
+    /// nesting depth.
+    open: Vec<Open>,
+    /// The keys of every open object, innermost object's last, for the
+    /// duplicate check.
+    keys: Vec<Cow<'a, str>>,
+}
+
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `input`.
+    pub(crate) fn new(input: &'a str) -> Lexer<'a> {
+        Lexer {
+            text: input,
+            bytes: input.as_bytes(),
+            pos: 0,
+            open: Vec::new(),
+            keys: Vec::new(),
+        }
+    }
+
+    /// Out of line: errors are off the path a well-formed line takes.
+    #[cold]
+    #[inline(never)]
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             at: self.pos,
@@ -234,20 +341,26 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The length of the run at `pos` whose bytes satisfy `part_of`.
+    #[inline]
+    fn run_len(&self, part_of: impl Fn(u8) -> bool) -> usize {
+        let rest = &self.bytes[self.pos..];
+        rest.iter().position(|&b| !part_of(b)).unwrap_or(rest.len())
+    }
+
+    #[inline]
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
+            self.pos += 1;
         }
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
+    #[inline]
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
@@ -257,51 +370,152 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// Reads the next value: a scalar whole, a container up to and
+    /// including its opening bracket.
+    #[inline]
+    pub(crate) fn value(&mut self) -> Result<Token<'a>, JsonError> {
+        self.skip_ws();
         match self.peek() {
             Some(open @ (b'{' | b'[')) => {
-                if self.depth == MAX_DEPTH {
+                if self.open.len() == MAX_DEPTH {
                     return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
                 }
-                self.depth += 1;
-                let value = if open == b'{' {
-                    self.object()
-                } else {
-                    self.array()
-                };
-                self.depth -= 1;
-                value
+                self.pos += 1;
+                let object = open == b'{';
+                self.open.push(Open {
+                    object,
+                    started: false,
+                    keys_from: self.keys.len(),
+                });
+                Ok(if object { Token::Object } else { Token::Array })
             }
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
+            Some(b'"') => Ok(Token::Str(self.string()?)),
+            Some(b't') => self.literal("true", Token::Bool(true)),
+            Some(b'f') => self.literal("false", Token::Bool(false)),
+            Some(b'n') => self.literal("null", Token::Null),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
+    /// Inside an object: the next key, with the `:` after it consumed, or
+    /// `None` once the closing `}` is read. A key the object already had
+    /// is an error.
+    #[inline]
+    pub(crate) fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if !self.next_member(b'}', "expected `,` or `}`")? {
+            return Ok(None);
+        }
+        let key = self.string()?;
+        let keys_from = self.open.last().map_or(0, |open| open.keys_from);
+        // Protocol objects are small; a linear scan beats a side table.
+        if self.keys[keys_from..].contains(&key) {
+            return Err(self.err(&format!("duplicate key `{key}`")));
+        }
+        self.keys.push(key.clone());
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Inside an array: `true` when another item follows (read it next),
+    /// `false` once the closing `]` is read.
+    #[inline]
+    pub(crate) fn next_item(&mut self) -> Result<bool, JsonError> {
+        self.next_member(b']', "expected `,` or `]`")
+    }
+
+    /// Steps over the `,` before a member or reads the closing bracket.
+    #[inline]
+    fn next_member(&mut self, close: u8, message: &str) -> Result<bool, JsonError> {
+        let open = self
+            .open
+            .last_mut()
+            .expect("a member read outside a container");
+        debug_assert_eq!(
+            open.object,
+            close == b'}',
+            "member read of the wrong container"
+        );
+        let started = std::mem::replace(&mut open.started, true);
+        self.skip_ws();
+        match self.peek() {
+            Some(b) if b == close => {
+                self.pos += 1;
+                let open = self.open.pop().expect("checked above");
+                self.keys.truncate(open.keys_from);
+                Ok(false)
+            }
+            Some(b',') if started => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(true)
+            }
+            _ if started => Err(self.err(message)),
+            _ => Ok(true),
+        }
+    }
+
+    /// Reads and discards the next value, containers included.
+    pub(crate) fn skip_value(&mut self) -> Result<(), JsonError> {
+        match self.value()? {
+            Token::Array | Token::Object => self.skip_rest(),
+            _ => Ok(()),
+        }
+    }
+
+    /// Reads and discards the rest of the innermost open container,
+    /// through its closing bracket. Iterative: the depth cap bounds the
+    /// `open` stack, not the call stack.
+    pub(crate) fn skip_rest(&mut self) -> Result<(), JsonError> {
+        let depth = self.open.len();
+        while self.open.len() >= depth {
+            let object = self.open.last().expect("inside a container").object;
+            let more = if object {
+                self.next_key()?.is_some()
+            } else {
+                self.next_item()?
+            };
+            if more {
+                // A nested container's opening pushes it onto `open`; the
+                // loop then walks it like its parent.
+                self.value()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// After the last value: only whitespace may remain.
+    pub(crate) fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos < self.bytes.len() {
+            return Err(self.err("trailing characters after value"));
+        }
+        Ok(())
+    }
+
+    fn literal(&mut self, word: &str, token: Token<'a>) -> Result<Token<'a>, JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(token)
         } else {
             Err(self.err(&format!("expected `{word}`")))
         }
     }
 
+    #[inline]
     fn skip_digits(&mut self) -> usize {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        self.pos - start
+        let digits = self.run_len(|b| b.is_ascii_digit());
+        self.pos += digits;
+        digits
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    #[inline]
+    fn number(&mut self) -> Result<Token<'a>, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
         let int_start = self.pos;
@@ -314,9 +528,24 @@ impl<'a> Parser<'a> {
         if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
             return self.float_tail(start);
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<i128>()
-            .map(Json::Int)
+        let digits = &self.bytes[int_start..self.pos];
+        if digits.len() <= 18 {
+            // Below 10^18: no overflow check needed, no text round-trip.
+            let n = digits
+                .iter()
+                .fold(0i64, |n, d| n * 10 + i64::from(d - b'0'));
+            return Ok(Token::Int(i128::from(if negative { -n } else { n })));
+        }
+        self.wide_int(start)
+    }
+
+    /// An integer of 19 digits or more (`start..pos`), checked against the
+    /// `i128` range.
+    #[inline(never)]
+    fn wide_int(&self, start: usize) -> Result<Token<'a>, JsonError> {
+        self.text[start..self.pos]
+            .parse::<i128>()
+            .map(Token::Int)
             .map_err(|_| self.err("integer out of range"))
     }
 
@@ -324,7 +553,7 @@ impl<'a> Parser<'a> {
     /// (`start..pos`) is already scanned. Off the protocol's path: every
     /// number on the wire is an integer.
     #[cold]
-    fn float_tail(&mut self, start: usize) -> Result<Json, JsonError> {
+    fn float_tail(&mut self, start: usize) -> Result<Token<'a>, JsonError> {
         if self.peek() == Some(b'.') {
             self.pos += 1;
             if self.skip_digits() == 0 {
@@ -340,37 +569,44 @@ impl<'a> Parser<'a> {
                 return Err(self.err("expected digits in exponent"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
-        match text.parse::<f64>() {
-            Ok(x) if x.is_finite() => Ok(Json::Float(x)),
+        match self.text[start..self.pos].parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Token::Float(x)),
             _ => Err(self.err("number out of range")),
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// The run from `pos` up to the next quote, escape, or control byte
+    /// (slicing at those ASCII bytes never splits a character).
+    #[inline]
+    fn run(&mut self) -> &'a str {
+        let start = self.pos;
+        self.pos += self.run_len(|b| b != b'"' && b != b'\\' && b >= 0x20);
+        &self.text[start..self.pos]
+    }
+
+    #[inline]
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let first = self.run();
+        if self.peek() == Some(b'"') {
+            // No escape: the string is a slice of the input.
+            self.pos += 1;
+            return Ok(Cow::Borrowed(first));
+        }
+        self.escaped_string(first)
+    }
+
+    /// The rest of a string whose run so far, `first`, stopped at an escape
+    /// or a control byte: the string is rebuilt with its escapes decoded.
+    #[inline(never)]
+    fn escaped_string(&mut self, first: &str) -> Result<Cow<'a, str>, JsonError> {
+        let mut out = String::from(first);
         loop {
-            // Bulk-copy the run up to the next quote, escape, or control
-            // byte (the input is a &str, so slicing at these ASCII bytes
-            // stays on char boundaries).
-            let run_start = self.pos;
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            if self.pos > run_start {
-                let run = std::str::from_utf8(&self.bytes[run_start..self.pos])
-                    .map_err(|_| self.err("invalid utf-8"))?;
-                out.push_str(run);
-            }
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -402,66 +638,12 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Only control bytes stop the bulk run above; JSON
-                    // requires them escaped.
+                    // Only control bytes stop a run; JSON requires them
+                    // escaped.
                     return Err(self.err("unescaped control character in string"));
                 }
             }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut pairs: Vec<(String, Json)> = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            // Protocol objects are small; a linear scan beats a side table.
-            if pairs.iter().any(|(k, _)| *k == key) {
-                return Err(self.err(&format!("duplicate key `{key}`")));
-            }
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
+            out.push_str(self.run());
         }
     }
 }
@@ -581,5 +763,28 @@ mod tests {
         let v = parse(r#""a\"b\\c\ndA""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\ndA"));
         assert_eq!(Json::str("a\"b\nc").render(), r#""a\"b\nc""#);
+    }
+
+    /// Duplicates are found on the decoded keys, an escape on either side
+    /// included, and skipping a value finds the same error `parse` does.
+    #[test]
+    fn duplicate_keys_compare_decoded() {
+        for line in [
+            r#"{"a": 1, "a": 2}"#,
+            r#"{"a": 1, "\u0061": 2}"#,
+            r#"{"\u0061": 1, "a": 2}"#,
+            r#"{"x\/": 1, "y": 2, "x/": 3}"#,
+        ] {
+            let err = parse(line).unwrap_err();
+            assert!(err.message.starts_with("duplicate key"), "{line}: {err}");
+            let mut lexer = Lexer::new(line);
+            assert_eq!(lexer.skip_value(), Err(err), "{line}");
+        }
+        for line in [
+            r#"{"a\"": 1, "a": 2}"#,
+            r#"{"a": {"a": 1}, "b": [{"a": 2}]}"#,
+        ] {
+            assert!(parse(line).is_ok(), "{line}");
+        }
     }
 }

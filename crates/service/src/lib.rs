@@ -4,7 +4,8 @@
 //! forwarding updates; this crate turns the [`deltanet`] engine into a
 //! long-running daemon for exactly that:
 //!
-//! * [`json`] — the minimal exact-integer JSON used on the wire.
+//! * [`json`] — the minimal exact-integer JSON used on the wire: one pull
+//!   lexer, which the tree parser and the request decoder both drive.
 //! * [`proto`] — the line-delimited ndjson protocol: `insert` / `remove` /
 //!   `batch` / `what_if` / `snapshot` / `stats` / `subscribe` / `shutdown`
 //!   requests with client ids, structured error replies reusing the

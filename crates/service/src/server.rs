@@ -11,12 +11,16 @@
 //!  subscriber ◀── event pump ◀──(bounded event buffer)─────────┘
 //! ```
 //!
-//! * One **reader** per connection parses ndjson requests, resolves
-//!   node/link references eagerly, and pushes work items into the bounded
-//!   ingest queue. A full queue blocks the reader — and, transitively, the
-//!   client's socket — which is the protocol's explicit backpressure: a
-//!   client can never have more un-acked work in the daemon than the queue
-//!   holds.
+//! * One **reader** per connection reads each request line as bytes into
+//!   one reused buffer, never more than [`MAX_LINE_BYTES`] of it: a longer
+//!   line is answered with a `bad_request` and discarded through its
+//!   newline. [`parse_request`] decodes the line in one pass straight into
+//!   a request, resolving node/link references eagerly; a line that is not
+//!   UTF-8 or not a request is a `bad_request` too, and the connection goes
+//!   on. The reader pushes work items into the bounded ingest queue. A full
+//!   queue blocks the reader — and, transitively, the client's socket —
+//!   which is the protocol's explicit backpressure: a client can never have
+//!   more un-acked work in the daemon than the queue holds.
 //! * The single **engine** thread owns a [`Session`]: the sharded engine
 //!   and, for durability, the [`Journal`](deltanet::Journal) mounted
 //!   beside it. It coalesces consecutive op items into windows of at most
@@ -28,7 +32,9 @@
 //!   came from; the item owning the failure acks the error and `skipped`
 //!   for its remaining ops; and *later* items of the window are put back at
 //!   the front of the queue and applied in a follow-up window — one
-//!   request's bad op never poisons another client's.
+//!   request's bad op never poisons another client's. Each ack is a typed
+//!   [`Reply`](crate::proto::Reply) rendered straight into its line, which
+//!   the reader writes, newline included, in one write.
 //! * After each window the engine thread reads the violation transitions
 //!   from [`Session::transitions`] and fans them out to every subscriber
 //!   through its own bounded buffer via non-blocking sends: a slow consumer
@@ -45,7 +51,8 @@
 use crate::json::Json;
 use crate::proto::{
     batch_op_ack, batch_op_error, batch_reply, error_reply, error_reply_no_id, gap_event, ok_reply,
-    parse_request, transitions_event, update_error_kind, what_if_reply, Request, RequestBody,
+    parse_request, transitions_event, update_error_kind, what_if_reply, BatchAck, ProtoError,
+    Request, RequestBody,
 };
 use deltanet::persist::{self, RecoveryPolicy};
 use deltanet::{
@@ -457,7 +464,7 @@ impl EngineLoop {
         let (reports, failure) = self.session.apply(&all_ops);
         let applied = reports.len();
         // The acks of window ops `offset..upto`, each with its own report.
-        let acks_of = |offset: usize, upto: usize| -> Vec<Json> {
+        let acks_of = |offset: usize, upto: usize| -> Vec<BatchAck> {
             (offset..upto)
                 .map(|i| batch_op_ack(ops_before + (i + 1) as u64, &reports[i]))
                 .collect()
@@ -544,9 +551,9 @@ impl EngineLoop {
                     .net()
                     .checker()
                     .what_if_link_failure(link, check_loops);
-                what_if_reply(id, &report)
+                what_if_reply(id, &report).render()
             }
-            Query::Stats => self.stats(id),
+            Query::Stats => self.stats(id).render(),
             Query::Snapshot(path) => {
                 // A durable daemon checkpoints into its own directory; a
                 // plain one writes the snapshot where the client asked.
@@ -563,12 +570,13 @@ impl EngineLoop {
                         ("ok", Json::Bool(true)),
                         ("path", Json::str(dir.unwrap_or(path))),
                         ("ops_applied", Json::int(session.ops_applied())),
-                    ]),
-                    Err(e) => error_reply(id, "io", &e.to_string()),
+                    ])
+                    .render(),
+                    Err(e) => error_reply(id, "io", &e.to_string()).render(),
                 }
             }
         };
-        let _ = reply.send(line.render());
+        let _ = reply.send(line);
     }
 
     fn stats(&self, id: u64) -> Json {
@@ -633,29 +641,114 @@ fn serve_tcp_connection(
     handle_connection(reader, stream, shared, work_tx)
 }
 
+/// The longest request line the daemon reads, newline excluded: 1 MiB.
+///
+/// It is sized from the largest line the CLI `client` sends: a `batch` of
+/// 2,048 ops, its `--batch` ceiling. The longest op encoding (u64 ids, a
+/// 127-bit width-generic prefix, two 63-bit secondary intervals) is under
+/// 280 bytes, so that batch stays under 600 KiB, and a typical IPv4 op
+/// (~110 bytes) lets ~9,500 ops fit. A longer line is answered with a
+/// `bad_request` naming this cap and discarded through its newline, and
+/// the connection goes on: a client that never sends a newline holds at
+/// most this much of the daemon's memory.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// What [`read_line`] found.
+#[derive(Debug, PartialEq, Eq)]
+enum Framed {
+    /// A line is in the buffer (its newline, and a `\r` before it, removed).
+    Line,
+    /// A line longer than [`MAX_LINE_BYTES`] was read and discarded.
+    TooLong,
+    /// The input ended with no line pending.
+    Eof,
+}
+
+/// Reads the next line into `line` as bytes. Never buffers more than
+/// [`MAX_LINE_BYTES`]: past the cap the rest of the line is consumed and
+/// dropped up to its newline. Bytes are not checked here; the decoder
+/// rejects a line that is not UTF-8.
+fn read_line(reader: &mut impl BufRead, line: &mut Vec<u8>) -> io::Result<Framed> {
+    line.clear();
+    let mut too_long = false;
+    loop {
+        let available = match reader.fill_buf() {
+            Ok(available) => available,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if available.is_empty() {
+            // A final line without a newline still counts.
+            return Ok(match (too_long, line.is_empty()) {
+                (true, _) => Framed::TooLong,
+                (false, true) => Framed::Eof,
+                (false, false) => Framed::Line,
+            });
+        }
+        let newline = available.iter().position(|&b| b == b'\n');
+        let chunk = &available[..newline.unwrap_or(available.len())];
+        if line.len() + chunk.len() > MAX_LINE_BYTES {
+            too_long = true;
+            line.clear();
+        }
+        if !too_long {
+            // Grow geometrically, but never past the cap.
+            let needed = line.len() + chunk.len();
+            if needed > line.capacity() {
+                let target = needed.max(line.capacity() * 2).min(MAX_LINE_BYTES);
+                line.reserve_exact(target - line.len());
+            }
+            line.extend_from_slice(chunk);
+        }
+        let used = chunk.len() + usize::from(newline.is_some());
+        reader.consume(used);
+        if newline.is_some() {
+            if too_long {
+                return Ok(Framed::TooLong);
+            }
+            if line.last() == Some(&b'\r') {
+                line.pop();
+            }
+            return Ok(Framed::Line);
+        }
+    }
+}
+
+/// Writes one reply line, newline included, in a single write.
+fn write_line<W: Write>(writer: &mut W, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
+    writer.flush()
+}
+
 /// Runs the per-connection protocol over any reader/writer pair (a TCP
 /// stream or stdin/stdout). Requests are processed strictly in order; a
 /// `subscribe` turns the connection into an event stream and stops reading.
 fn handle_connection<R: BufRead, W: Write>(
-    reader: R,
+    mut reader: R,
     mut writer: W,
     shared: &Shared,
     work_tx: &SyncSender<WorkItem>,
 ) -> io::Result<()> {
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let request = match parse_request(&line, &shared.topology) {
+    let mut line = Vec::new();
+    loop {
+        let parsed = match read_line(&mut reader, &mut line)? {
+            Framed::Eof => return Ok(()),
+            Framed::Line if line.iter().all(u8::is_ascii_whitespace) => continue,
+            Framed::Line => parse_request(&line, &shared.topology),
+            Framed::TooLong => Err(ProtoError {
+                id: None,
+                message: format!("line longer than MAX_LINE_BYTES ({MAX_LINE_BYTES} bytes)"),
+            }),
+        };
+        let request = match parsed {
             Ok(request) => request,
             Err(e) => {
                 let reply = match e.id {
                     Some(id) => error_reply(id, "bad_request", &e.message),
                     None => error_reply_no_id("bad_request", &e.message),
                 };
-                writeln!(writer, "{}", reply.render())?;
-                writer.flush()?;
+                write_line(&mut writer, reply.render())?;
                 continue;
             }
         };
@@ -691,13 +784,9 @@ fn handle_connection<R: BufRead, W: Write>(
                     kind: Query::WhatIf { link, check_loops },
                 },
                 None => {
-                    let reply = error_reply(
-                        id,
-                        "unknown_link",
-                        &format!("no link {} -> {}", src.0, dst.0),
-                    );
-                    writeln!(writer, "{}", reply.render())?;
-                    writer.flush()?;
+                    let message = format!("no link {} -> {}", src.0, dst.0);
+                    let reply = error_reply(id, "unknown_link", &message);
+                    write_line(&mut writer, reply.render())?;
                     continue;
                 }
             },
@@ -729,8 +818,7 @@ fn handle_connection<R: BufRead, W: Write>(
                 let Ok(ack) = reply_rx.recv() else {
                     return write_shutting_down(&mut writer, id);
                 };
-                writeln!(writer, "{ack}")?;
-                writer.flush()?;
+                write_line(&mut writer, ack)?;
                 // This connection is now an event stream: pump until the
                 // engine drops our sender (shutdown) or the write fails
                 // (client gone). `pace_ms` artificially slows this pump —
@@ -739,10 +827,9 @@ fn handle_connection<R: BufRead, W: Write>(
                     if pace_ms > 0 {
                         thread::sleep(Duration::from_millis(pace_ms));
                     }
-                    if writeln!(writer, "{event}").is_err() {
+                    if write_line(&mut writer, event).is_err() {
                         return Ok(());
                     }
-                    writer.flush().ok();
                 }
                 return Ok(());
             }
@@ -758,17 +845,14 @@ fn handle_connection<R: BufRead, W: Write>(
         let Ok(reply) = reply_rx.recv() else {
             return write_shutting_down(&mut writer, id);
         };
-        writeln!(writer, "{reply}")?;
-        writer.flush()?;
+        write_line(&mut writer, reply)?;
     }
-    Ok(())
 }
 
 /// The reply written when the engine is no longer accepting work.
 fn write_shutting_down<W: Write>(writer: &mut W, id: u64) -> io::Result<()> {
     let reply = error_reply(id, "bad_request", "server is shutting down");
-    writeln!(writer, "{}", reply.render())?;
-    writer.flush()
+    write_line(writer, reply.render())
 }
 
 #[cfg(test)]
@@ -1005,5 +1089,113 @@ mod tests {
         let late = json(&late_rx);
         assert_eq!(is_ok(&late), Some(true), "{}", late.render());
         assert_eq!(at(&late), Some(1), "{}", late.render());
+    }
+
+    /// `left` bytes of `x` with no newline, handed out in 64 KiB reads,
+    /// then `tail`: a client that floods one line before a valid request.
+    struct Flood {
+        left: usize,
+        tail: &'static [u8],
+    }
+
+    impl io::Read for Flood {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.left > 0 {
+                let n = buf.len().min(self.left).min(1 << 16);
+                buf[..n].fill(b'x');
+                self.left -= n;
+                return Ok(n);
+            }
+            let n = buf.len().min(self.tail.len());
+            buf[..n].copy_from_slice(&self.tail[..n]);
+            self.tail = &self.tail[n..];
+            Ok(n)
+        }
+    }
+
+    const STATS: &[u8] = b"\n{\"id\": 2, \"op\": \"stats\"}\r\n";
+
+    fn flood() -> BufReader<Flood> {
+        BufReader::new(Flood {
+            left: 2 * MAX_LINE_BYTES,
+            tail: STATS,
+        })
+    }
+
+    /// Twice the cap with no newline: the reader holds at most the cap,
+    /// drops the line through its newline, and reads the next one whole.
+    #[test]
+    fn capped_reader_never_buffers_past_the_cap() {
+        let mut reader = flood();
+        let mut line = Vec::new();
+        assert_eq!(read_line(&mut reader, &mut line).unwrap(), Framed::TooLong);
+        assert!(line.capacity() <= MAX_LINE_BYTES, "{}", line.capacity());
+        assert_eq!(read_line(&mut reader, &mut line).unwrap(), Framed::Line);
+        assert_eq!(line, br#"{"id": 2, "op": "stats"}"#);
+        assert_eq!(read_line(&mut reader, &mut line).unwrap(), Framed::Eof);
+        // A final line with no newline still counts.
+        let mut reader = BufReader::new(&b"{}"[..]);
+        assert_eq!(read_line(&mut reader, &mut line).unwrap(), Framed::Line);
+        assert_eq!(line, b"{}");
+    }
+
+    /// The connection answers the over-long line with a `bad_request`
+    /// naming the cap, then serves the request behind it.
+    #[test]
+    fn over_long_line_is_a_bad_request_and_the_connection_continues() {
+        let (engine, tx, _, _) = test_engine();
+        let shared = Arc::clone(&engine.shared);
+        let engine = thread::spawn(move || engine.run());
+        let mut out = Vec::new();
+        handle_connection(flood(), &mut out, &shared, &tx).expect("connection");
+        drop(tx);
+        engine.join().expect("engine thread");
+
+        let out = String::from_utf8(out).expect("replies are UTF-8");
+        let replies: Vec<Json> = out.lines().map(|l| parse(l).expect("json")).collect();
+        assert_eq!(replies.len(), 2, "{out}");
+        assert_eq!(replies[0].get("id"), Some(&Json::Null), "{out}");
+        assert_eq!(
+            replies[0].get("kind").and_then(Json::as_str),
+            Some("bad_request")
+        );
+        let error = replies[0]
+            .get("error")
+            .and_then(Json::as_str)
+            .expect("error");
+        assert!(error.contains("MAX_LINE_BYTES"), "{error}");
+        assert_eq!(
+            replies[1].get("id").and_then(Json::as_u64),
+            Some(2),
+            "{out}"
+        );
+        assert_eq!(is_ok(&replies[1]), Some(true), "{out}");
+    }
+
+    /// The largest line the CLI `client` sends — a `batch` of 2,048 ops,
+    /// its `--batch` ceiling — fits the cap at the longest op encoding.
+    #[test]
+    fn largest_client_batch_fits_the_line_cap() {
+        use netmodel::header::SecondaryMatch;
+        use netmodel::interval::Interval;
+        let mut topo = Topology::new();
+        let a = topo.add_node("a");
+        let b = topo.add_node("b");
+        let ab = topo.add_link(a, b);
+        let top = 1u128 << 63;
+        let rule = Rule::forward(
+            RuleId(u64::MAX),
+            IpPrefix::new((1 << 127) - 1, 127, 127),
+            u32::MAX,
+            a,
+            ab,
+        )
+        .with_secondary(SecondaryMatch::new(&[Interval::new(top - 1, top); 2]));
+        let ops = vec![Op::Insert(rule); 2048];
+        let line = crate::proto::batch_request(1, &ops, &topo).render();
+        // The two node ids here are one digit; a u32 id has ten.
+        let longest = line.len() + ops.len() * 2 * 9;
+        assert!(longest < MAX_LINE_BYTES * 6 / 10, "{longest} bytes");
+        assert!(parse_request(&line, &topo).is_ok());
     }
 }
