@@ -626,7 +626,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::BTreeMap;
-    use testutil::{random_ops_multifield, random_topology};
+    use testutil::{random_ops, random_topology, OpGen};
 
     const WIDTH: u8 = 8;
     type Src<'a> = &'a [(u128, u128)];
@@ -924,7 +924,8 @@ mod tests {
         for (seed, sec_widths) in [(0u64, &[6u8][..]), (1, &[4, 3])] {
             let mut rng = StdRng::seed_from_u64(0x5CA_F1E1D ^ seed);
             let topo = random_topology(&mut rng, 5, true);
-            let ops = random_ops_multifield(&mut rng, &topo, 120, WIDTH, sec_widths, 20, 0.3);
+            let gen = OpGen::new(WIDTH, 20, 0.3).with_secondary(sec_widths);
+            let ops = random_ops(&mut rng, &topo, 120, gen);
             let config = DeltaNetConfig {
                 field_width: WIDTH,
                 ..DeltaNetConfig::default()

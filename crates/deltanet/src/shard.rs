@@ -28,8 +28,8 @@
 //! identical to the single-engine answers — but raw class counts
 //! ([`ShardedDeltaNet::class_count`]) can exceed the single engine's by at
 //! most `N - 1`, and `affected_classes` of a boundary-straddling update
-//! counts its split atoms per shard. The differential suite in
-//! `crates/deltanet/tests/sharded_differential.rs` pins both the observable
+//! counts its split atoms per shard. The differential suite in the root
+//! crate's `tests/sharded_differential.rs` pins both the observable
 //! equality and the exact boundary accounting.
 
 use crate::engine::{CompactReport, DeltaNet, DeltaNetConfig};

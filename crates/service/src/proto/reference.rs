@@ -270,11 +270,13 @@ mod differential {
 
     fn ops(rng: &mut StdRng, topo: &Topology, n: usize) -> Vec<Op> {
         let width = *[8, 32].choose(rng).expect("non-empty");
-        if rng.gen_bool(0.5) {
-            testutil::random_ops_multifield(rng, topo, n, width, &[8, 16], 40, 0.3)
+        let gen = testutil::OpGen::new(width, 40, 0.3);
+        let gen = if rng.gen_bool(0.5) {
+            gen.with_secondary(&[8, 16])
         } else {
-            testutil::random_ops(rng, topo, n, width, 40, 0.3)
-        }
+            gen
+        };
+        testutil::random_ops(rng, topo, n, gen)
     }
 
     fn base_request(rng: &mut StdRng, topo: &Topology, id: u64) -> Json {

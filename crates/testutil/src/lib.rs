@@ -1,11 +1,10 @@
 //! Shared, seeded generators for the randomized differential suites.
 //!
-//! Before this crate existed, `tests/differential.rs`,
-//! `crates/deltanet/tests/sharded_differential.rs`,
-//! `crates/deltanet/tests/compaction.rs` and
-//! `crates/deltanet/tests/atom_invariants.rs` each carried their own copy of
-//! the same ad-hoc topology/rule generators, drifting in small ways
-//! (priority ranges, drop-link setup). The shared versions here are:
+//! The suites run on one differential driver in the root crate's
+//! `tests/support/`, which turns a generated op stream into checks against
+//! every engine shape; this crate holds what that driver and `deltanet`'s
+//! own unit tests both need, so it depends on nothing but `netmodel` and
+//! `rand`. The generators are:
 //!
 //! * **Seeded** — every generator is a pure function of the caller's
 //!   [`StdRng`], so a failing case reproduces from its printed seed alone.
@@ -211,38 +210,9 @@ impl OpGen {
 }
 
 /// Generates a complete well-formed trace of exactly `len` operations
-/// (see the module docs for why prefixes of the result shrink cleanly).
-pub fn random_ops(
-    rng: &mut StdRng,
-    topo: &Topology,
-    len: usize,
-    width: u8,
-    max_priority: u32,
-    remove_bias: f64,
-) -> Vec<Op> {
-    let mut gen = OpGen::new(width, max_priority, remove_bias);
-    let mut ops = Vec::with_capacity(len);
-    while ops.len() < len {
-        if let Some(op) = gen.next_op(rng, topo) {
-            ops.push(op);
-        }
-    }
-    ops
-}
-
-/// [`random_ops`] over a multi-field header space: every insertion carries
-/// a [`random_secondary`] match over `sec_widths`, and the prefix-closure
-/// guarantee is unchanged.
-pub fn random_ops_multifield(
-    rng: &mut StdRng,
-    topo: &Topology,
-    len: usize,
-    width: u8,
-    sec_widths: &[u8],
-    max_priority: u32,
-    remove_bias: f64,
-) -> Vec<Op> {
-    let mut gen = OpGen::new(width, max_priority, remove_bias).with_secondary(sec_widths);
+/// drawn from `gen` — single- or multi-field as `gen` is (see the module
+/// docs for why prefixes of the result shrink cleanly).
+pub fn random_ops(rng: &mut StdRng, topo: &Topology, len: usize, mut gen: OpGen) -> Vec<Op> {
     let mut ops = Vec::with_capacity(len);
     while ops.len() < len {
         if let Some(op) = gen.next_op(rng, topo) {
@@ -370,7 +340,7 @@ mod tests {
         let gen = |seed: u64| -> Vec<Op> {
             let mut rng = StdRng::seed_from_u64(seed);
             let topo = random_topology(&mut rng, 4, true);
-            random_ops(&mut rng, &topo, 50, 8, 40, 0.35)
+            random_ops(&mut rng, &topo, 50, OpGen::new(8, 40, 0.35))
         };
         assert_eq!(gen(7), gen(7));
         assert_ne!(gen(7), gen(8));
@@ -380,7 +350,7 @@ mod tests {
     fn traces_are_well_formed_prefix_closed() {
         let mut rng = StdRng::seed_from_u64(42);
         let topo = random_topology(&mut rng, 5, true);
-        let ops = random_ops(&mut rng, &topo, 200, 8, 40, 0.4);
+        let ops = random_ops(&mut rng, &topo, 200, OpGen::new(8, 40, 0.4));
         assert_eq!(ops.len(), 200);
         // Every prefix is well-formed: removals only of live rules, no
         // duplicate inserts, no same-priority overlaps among live rules.

@@ -6,253 +6,70 @@
 //! equivalence classes and forwarding graphs), so agreement between them —
 //! and with the obviously-correct `NetworkFib` oracle — on randomly
 //! generated workloads is strong evidence that both are faithful to the data
-//! plane semantics.
+//! plane semantics. Every churn runs on each of [`shapes`], replaying the
+//! same seeded stream.
 
-use delta_net::prelude::*;
-use deltanet::loops::successor;
+mod support;
+
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use testutil::{random_rule as random_rule_in, random_topology as random_topology_in};
+use rand::SeedableRng;
+use support::{config, run, Oracle, Shape, Stream, END, LOOPS};
+use testutil::{random_ops, random_topology, OpGen};
 
-/// Builds a random strongly-connected topology with `n` switches and one
-/// drop link per switch (shared generator, see the `testutil` crate).
-fn random_topology(rng: &mut StdRng, n: usize) -> Topology {
-    random_topology_in(rng, n, true)
+/// The plain single engine the suite began with, 2 shards, and threshold
+/// compaction on one engine and on 7 shards (7 aligns with no prefix, so
+/// wide rules straddle).
+fn shapes() -> [Shape; 4] {
+    let (plain, compacting) = (config(LOOPS, None, &[]), config(LOOPS, Some(3), &[]));
+    [
+        Shape::new(0, plain),
+        Shape::new(2, plain),
+        Shape::new(0, compacting),
+        Shape::new(7, compacting),
+    ]
 }
 
-/// Generates a random rule over an 8-bit address space (small enough that
-/// the oracle can exhaustively check every address).
-fn random_rule(rng: &mut StdRng, topo: &mut Topology, id: u64) -> Rule {
-    random_rule_in(rng, topo, id, 8, 1000)
-}
-
-/// Every address, at every switch, must be forwarded along the same link by
-/// the reference FIB and by Delta-net's edge labels.
-fn check_labels_against_fib(net: &DeltaNet, fib: &NetworkFib) {
-    let topo = net.topology();
-    for node in topo.switch_nodes() {
-        for addr in 0u128..256 {
-            let expected = fib.table(node).lookup(addr).map(|r| r.link);
-            let atom = net.atoms().atom_of_value(addr);
-            let actual = successor(topo, net.labels(), node, atom);
-            assert_eq!(
-                expected, actual,
-                "divergence at {node} for address {addr}: fib says {expected:?}, labels say {actual:?}"
-            );
+/// `trials` churns of `draws` draws each from the stream seeded `seed`, on
+/// `n`-switch topologies with drop links, 8-bit rules and priorities up to
+/// 1000, checked by `check`.
+fn churn(seed: u64, trials: usize, n: usize, draws: usize, bias: f64, check: (Oracle, usize)) {
+    for shape in shapes() {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for trial in 0..trials {
+            let topo = random_topology(&mut rng, n, true);
+            let stream = Stream::Churn(&mut rng, OpGen::new(8, 1000, bias), draws);
+            let case = format!("seed {seed:#x} trial {trial}");
+            run(&case, &topo, stream, &shape, &[check]);
         }
     }
 }
 
+/// Every address, at every switch, is forwarded along the same link by the
+/// reference FIB and by Delta-net's edge labels.
 #[test]
 fn deltanet_labels_match_reference_fib_under_random_churn() {
-    let mut rng = StdRng::seed_from_u64(0xD1FF);
-    for trial in 0..10 {
-        let mut topo = random_topology(&mut rng, 5);
-        let mut net = DeltaNet::new(
-            topo.clone(),
-            DeltaNetConfig {
-                field_width: 8,
-                check_loops_per_update: false,
-                ..DeltaNetConfig::default()
-            },
-        );
-        let mut fib = NetworkFib::new(topo.clone());
-        let mut live: Vec<Rule> = Vec::new();
-        let mut next_id = 0u64;
-        for step in 0..120 {
-            let remove = !live.is_empty() && rng.gen_bool(0.35);
-            if remove {
-                let idx = rng.gen_range(0..live.len());
-                let rule = live.swap_remove(idx);
-                net.remove_rule(rule.id);
-                fib.remove(rule.id);
-            } else {
-                let rule = random_rule(&mut rng, &mut topo, next_id);
-                next_id += 1;
-                // Avoid the (disallowed) same-priority overlap at one switch.
-                if live.iter().any(|r| r.conflicts_with(&rule)) {
-                    continue;
-                }
-                net.insert_rule(rule);
-                fib.insert(rule);
-                live.push(rule);
-            }
-            if step % 20 == 19 {
-                check_labels_against_fib(&net, &fib);
-            }
-        }
-        check_labels_against_fib(&net, &fib);
-        // trial is only used to vary the RNG stream length.
-        let _ = trial;
-    }
+    churn(0xD1FF, 10, 5, 120, 0.35, (Oracle::Fib, 20));
 }
 
+/// The full-data-plane loop check vs exhaustive tracing of all 256
+/// addresses from every switch, after every op.
 #[test]
 fn loop_reports_agree_with_exhaustive_packet_tracing() {
-    let mut rng = StdRng::seed_from_u64(0x100F);
-    for _ in 0..8 {
-        let mut topo = random_topology(&mut rng, 4);
-        let mut net = DeltaNet::new(
-            topo.clone(),
-            DeltaNetConfig {
-                field_width: 8,
-                check_loops_per_update: true,
-                ..DeltaNetConfig::default()
-            },
-        );
-        let mut fib = NetworkFib::new(topo.clone());
-        let mut live: Vec<Rule> = Vec::new();
-        let mut next_id = 0u64;
-        for _ in 0..60 {
-            let remove = !live.is_empty() && rng.gen_bool(0.3);
-            if remove {
-                let idx = rng.gen_range(0..live.len());
-                let rule = live.swap_remove(idx);
-                net.remove_rule(rule.id);
-                fib.remove(rule.id);
-            } else {
-                let rule = random_rule(&mut rng, &mut topo, next_id);
-                next_id += 1;
-                if live.iter().any(|r| r.conflicts_with(&rule)) {
-                    continue;
-                }
-                net.insert_rule(rule);
-                fib.insert(rule);
-                live.push(rule);
-            }
-            // Full-data-plane loop check vs exhaustive tracing of all 256
-            // addresses from every switch.
-            let deltanet_says_loop = !net.check_all_loops().is_empty();
-            let all_addrs: Vec<u128> = (0..256).collect();
-            let oracle_says_loop = fib.any_loop_among(&all_addrs);
-            assert_eq!(
-                deltanet_says_loop,
-                oracle_says_loop,
-                "loop disagreement with {} rules installed",
-                live.len()
-            );
-        }
-    }
+    churn(0x100F, 8, 4, 60, 0.3, (Oracle::FibLoops, 1));
 }
 
 #[test]
 fn veriflow_and_deltanet_agree_on_per_update_loops() {
-    let mut rng = StdRng::seed_from_u64(0xBEEF);
-    for _ in 0..6 {
-        let mut topo = random_topology(&mut rng, 4);
-        let mut net = DeltaNet::new(
-            topo.clone(),
-            DeltaNetConfig {
-                field_width: 8,
-                check_loops_per_update: true,
-                ..DeltaNetConfig::default()
-            },
-        );
-        let mut vf = VeriflowRi::new(
-            topo.clone(),
-            VeriflowConfig {
-                field_width: 8,
-                check_loops_per_update: true,
-            },
-        );
-        let mut live: Vec<Rule> = Vec::new();
-        let mut next_id = 0u64;
-        for _ in 0..80 {
-            let remove = !live.is_empty() && rng.gen_bool(0.3);
-            let op = if remove {
-                let idx = rng.gen_range(0..live.len());
-                let rule = live.swap_remove(idx);
-                Op::Remove(rule.id)
-            } else {
-                let rule = random_rule(&mut rng, &mut topo, next_id);
-                next_id += 1;
-                if live.iter().any(|r| r.conflicts_with(&rule)) {
-                    continue;
-                }
-                live.push(rule);
-                Op::Insert(rule)
-            };
-            let dn_report = net.apply(&op);
-            let vf_report = vf.apply(&op);
-            // Neither checker may raise a false alarm: whenever one reports
-            // a loop the full-plane audit must confirm a loop exists.
-            if dn_report.has_loop() || vf_report.has_loop() {
-                assert!(
-                    !net.check_all_loops().is_empty(),
-                    "a reported loop must exist in the data plane"
-                );
-            }
-            // Delta-net only re-examines atoms whose ownership changed, so a
-            // loop it reports must also be visible to Veriflow-RI, which
-            // rebuilds the forwarding graphs of the whole affected range.
-            // (The converse does not hold per update: Veriflow may re-report
-            // a pre-existing loop its range happens to overlap.)
-            if dn_report.has_loop() {
-                assert!(
-                    vf_report.has_loop(),
-                    "Delta-net found a loop that Veriflow-RI missed for {op:?}"
-                );
-            }
-        }
-        assert_eq!(net.rule_count(), vf.rule_count());
-    }
+    churn(0xBEEF, 6, 4, 80, 0.3, (Oracle::Veriflow, END));
 }
 
+/// For every link, the packets Delta-net says are *using* the link are
+/// covered by the classes Veriflow-RI finds using it.
 #[test]
 fn whatif_affected_packets_agree_between_checkers() {
     let mut rng = StdRng::seed_from_u64(0xFA11);
-    let mut topo = random_topology(&mut rng, 5);
-    let mut net = DeltaNet::new(
-        topo.clone(),
-        DeltaNetConfig {
-            field_width: 8,
-            check_loops_per_update: false,
-            ..DeltaNetConfig::default()
-        },
-    );
-    let mut vf = VeriflowRi::new(
-        topo.clone(),
-        VeriflowConfig {
-            field_width: 8,
-            check_loops_per_update: false,
-        },
-    );
-    let mut live: Vec<Rule> = Vec::new();
-    let mut next_id = 0u64;
-    while live.len() < 40 {
-        let rule = random_rule(&mut rng, &mut topo, next_id);
-        next_id += 1;
-        if live.iter().any(|r| r.conflicts_with(&rule)) {
-            continue;
-        }
-        net.insert_rule(rule);
-        vf.insert_rule(rule);
-        live.push(rule);
-    }
-    // For every link: the packets Delta-net says are *using* the link must
-    // be exactly the union of the ECs Veriflow-RI finds to be using it.
-    // (Veriflow reports per-rule prefixes as affected packets, which is an
-    // over-approximation, so we compare against its affected classes > 0.)
-    for link in topo.links().iter().map(|l| l.id) {
-        let dn = net.what_if_link_failure(link, false);
-        let vf_rep = vf.what_if_link_failure(link, false);
-        assert_eq!(
-            dn.affected_classes > 0,
-            vf_rep.affected_classes > 0,
-            "link {link:?}: Delta-net sees {} classes, Veriflow-RI sees {}",
-            dn.affected_classes,
-            vf_rep.affected_classes
-        );
-        // Delta-net's affected packets must be covered by Veriflow's
-        // (interval-union of the rules on the link).
-        for iv in &dn.affected_packets {
-            assert!(
-                vf_rep
-                    .affected_packets
-                    .iter()
-                    .any(|big| big.contains_interval(iv)),
-                "link {link:?}: {iv} reported by Delta-net but not covered by Veriflow-RI"
-            );
-        }
-    }
+    let topo = random_topology(&mut rng, 5, true);
+    let ops = Stream::Ops(random_ops(&mut rng, &topo, 40, OpGen::new(8, 1000, 0.0)));
+    let shape = Shape::new(0, config(0, None, &[]));
+    run("seed 0xfa11", &topo, ops, &shape, &[(Oracle::WhatIf, END)]);
 }

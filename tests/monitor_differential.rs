@@ -7,164 +7,74 @@
 //! and its loop verdicts must agree with the independent Veriflow-RI
 //! baseline on the shared workloads.
 //!
-//! All generators come from the shared `testutil` crate: seeded (failures
-//! reproduce from the printed seed) and shrink-friendly (the batched test
-//! consumes a well-formed trace-as-data whose prefixes are themselves
-//! well-formed traces).
+//! Every run goes through the differential driver in `tests/support/`:
+//! seeded (failures name the seed, op, shape and oracle) and shrink-friendly
+//! (the batched test consumes a well-formed trace-as-data whose prefixes are
+//! themselves well-formed traces).
+
+mod support;
 
 use delta_net::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use testutil::{blackholes_by_node, loops_by_cycle, random_ops, random_topology, OpGen};
-
-/// Shard counts exercised by the sharded tests; 7 is deliberately not a
-/// power of two, so boundaries align with no prefix and wide rules straddle.
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
-
-fn monitored_config(compact_threshold: Option<usize>) -> DeltaNetConfig {
-    DeltaNetConfig {
-        field_width: 8,
-        check_loops_per_update: true,
-        compact_threshold,
-        monitor_violations: true,
-        ..DeltaNetConfig::default()
-    }
-}
-
-/// The full-scan oracle in the monitor's rendering order.
-fn full_scan(net: &DeltaNet) -> Vec<InvariantViolation> {
-    let mut out = net.check_all_loops();
-    out.extend(net.check_all_blackholes());
-    out
-}
+use support::Oracle::{Monitor, Single, Veriflow};
+use support::{config, run, Shape, Stream, END, LOOPS, MONITOR};
+use testutil::{random_ops, random_topology, OpGen};
 
 #[test]
 fn monitor_equals_full_scan_oracle_after_every_op_including_compaction() {
-    for seed in 0..6u64 {
-        let mut rng = StdRng::seed_from_u64(0x404170 ^ seed);
+    for i in 0..6u64 {
+        let seed = 0x404170 ^ i;
+        let mut rng = StdRng::seed_from_u64(seed);
         let topo = random_topology(&mut rng, 5, true);
-        // Odd seeds run with aggressive threshold-triggered compaction, so
-        // the equality is also pinned across automatic id renumbering.
-        let threshold = if seed % 2 == 1 { Some(3) } else { None };
-        let mut net = DeltaNet::new(topo.clone(), monitored_config(threshold));
-        let mut gen = OpGen::new(8, 40, 0.35);
-        for step in 0..250 {
-            let Some(op) = gen.next_op(&mut rng, &topo) else {
-                continue;
-            };
-            net.apply(&op);
-            // Bit-exact equality: same grouping, normalization, and order.
-            assert_eq!(
-                net.active_violations().unwrap(),
-                full_scan(&net),
-                "seed {seed} step {step}: monitor diverged from full scans"
-            );
-            if step == 125 {
-                // An explicit mid-trace compaction renumbers every atom id
-                // the monitor holds; the active set must not flicker.
-                let before = net.active_violations().unwrap();
-                net.compact();
-                assert_eq!(
-                    net.active_violations().unwrap(),
-                    before,
-                    "seed {seed}: compaction changed the active violations"
-                );
-                assert_eq!(net.active_violations().unwrap(), full_scan(&net));
-            }
-        }
+        // Odd cases run with aggressive threshold-triggered compaction, so
+        // the equality is also pinned across automatic id renumbering; an
+        // explicit pass after draw 125 renumbers every atom id the monitor
+        // holds, and the active set must not flicker.
+        let threshold = if i % 2 == 1 { Some(3) } else { None };
+        let shape = Shape {
+            compact_every: Some(126),
+            ..Shape::new(0, config(LOOPS | MONITOR, threshold, &[]))
+        };
+        let stream = Stream::Churn(&mut rng, OpGen::new(8, 40, 0.35), 250);
+        let case = format!("seed {seed:#x}");
+        run(&case, &topo, stream, &shape, &[(Monitor, 1)]);
     }
 }
 
+/// The shard-merged live state equals the shard-merged scans after every
+/// window, and the sharded engine is observationally the single engine;
+/// shard-wise compaction renumbers every shard independently, and the merged
+/// active set must survive it unchanged.
 #[test]
 fn sharded_monitor_equals_oracle_under_batched_churn() {
-    for shards in SHARD_COUNTS {
-        let mut rng = StdRng::seed_from_u64(0x5EED ^ (shards as u64) << 4);
+    for shards in [1, 2, 4, 7] {
+        let seed = 0x5EED ^ (shards as u64) << 4;
+        let mut rng = StdRng::seed_from_u64(seed);
         let topo = random_topology(&mut rng, 5, true);
-        let ops = random_ops(&mut rng, &topo, 160, 8, 40, 0.35);
-        let config = monitored_config(None);
-        let mut sharded = ShardedDeltaNet::new(topo.clone(), config, shards);
-        let mut plain = DeltaNet::new(topo.clone(), config);
-        for (w, window) in ops.chunks(16).enumerate() {
-            sharded.apply_batch(window).expect("trace is well-formed");
-            for op in window {
-                plain.apply(op);
-            }
-            let tag = format!("shards {shards} window {w}");
-            // The shard-merged live state equals the shard-merged scans …
-            let active = sharded.active_violations().expect("monitoring is on");
-            assert_eq!(
-                loops_by_cycle(&active),
-                loops_by_cycle(&sharded.check_all_loops()),
-                "{tag}: sharded monitor loops diverge from sharded scans"
-            );
-            assert_eq!(
-                blackholes_by_node(&active),
-                blackholes_by_node(&sharded.check_all_blackholes()),
-                "{tag}: sharded monitor blackholes diverge from sharded scans"
-            );
-            // … and both equal the single-engine oracle at the cycle/node
-            // level (atom numbering differs across the partition).
-            assert_eq!(
-                loops_by_cycle(&active),
-                loops_by_cycle(&plain.check_all_loops()),
-                "{tag}: sharded monitor diverges from the single-engine oracle"
-            );
-            assert_eq!(
-                blackholes_by_node(&active),
-                blackholes_by_node(&plain.check_all_blackholes()),
-                "{tag}: sharded monitor diverges from the single-engine oracle"
-            );
-        }
-        // Shard-wise compaction renumbers every shard independently; the
-        // merged active set must survive it unchanged.
-        let before_loops = loops_by_cycle(&sharded.active_violations().unwrap());
-        let before_holes = blackholes_by_node(&sharded.active_violations().unwrap());
-        sharded.compact();
-        let active = sharded.active_violations().unwrap();
-        assert_eq!(loops_by_cycle(&active), before_loops, "shards {shards}");
-        assert_eq!(blackholes_by_node(&active), before_holes, "shards {shards}");
+        let ops = Stream::Ops(random_ops(&mut rng, &topo, 160, OpGen::new(8, 40, 0.35)));
+        let shape = Shape {
+            window: 16,
+            compact_every: Some(END),
+            ..Shape::new(shards, config(LOOPS | MONITOR, None, &[]))
+        };
+        let oracles = [(Monitor, 16), (Single, 16)];
+        run(&format!("seed {seed:#x}"), &topo, ops, &shape, &oracles);
     }
 }
 
+/// Any per-update loop alarm — from either independent checker — is
+/// visible in the maintained live state at that moment, and the live state
+/// never claims a loop the full-plane audit cannot confirm.
 #[test]
 fn monitor_agrees_with_veriflow_on_shared_workloads() {
-    for seed in 0..4u64 {
-        let mut rng = StdRng::seed_from_u64(0xF10E ^ seed);
+    for seed in (0..4u64).map(|i| 0xF10E ^ i) {
+        let mut rng = StdRng::seed_from_u64(seed);
         let topo = random_topology(&mut rng, 4, true);
-        let mut net = DeltaNet::new(topo.clone(), monitored_config(None));
-        let mut vf = VeriflowRi::new(
-            topo.clone(),
-            VeriflowConfig {
-                field_width: 8,
-                check_loops_per_update: true,
-            },
-        );
-        let mut gen = OpGen::new(8, 40, 0.3);
-        for step in 0..120 {
-            let Some(op) = gen.next_op(&mut rng, &topo) else {
-                continue;
-            };
-            let dn_report = net.apply(&op);
-            let vf_report = vf.apply(&op);
-            let monitor = net.monitor().expect("monitoring is on");
-            // Any per-update loop alarm — from either independent checker —
-            // must be visible in the maintained live state at that moment.
-            if dn_report.has_loop() || vf_report.has_loop() {
-                assert!(
-                    monitor.loop_count() > 0,
-                    "seed {seed} step {step}: a reported loop is missing from the monitor"
-                );
-            }
-            // Delta-net's per-update report never fires without the live
-            // state agreeing, and the live state never claims a loop the
-            // full-plane audit cannot confirm.
-            assert_eq!(
-                monitor.loop_count() > 0,
-                !net.check_all_loops().is_empty(),
-                "seed {seed} step {step}: monitor and audit disagree on loop existence"
-            );
-        }
-        assert_eq!(net.rule_count(), vf.rule_count());
+        let stream = Stream::Churn(&mut rng, OpGen::new(8, 40, 0.3), 120);
+        let shape = Shape::new(0, config(LOOPS | MONITOR, None, &[]));
+        let oracles = [(Veriflow, END), (Monitor, 1)];
+        run(&format!("seed {seed:#x}"), &topo, stream, &shape, &oracles);
     }
 }
 
@@ -172,9 +82,9 @@ fn monitor_agrees_with_veriflow_on_shared_workloads() {
 fn checker_trait_surfaces_active_violations() {
     let mut rng = StdRng::seed_from_u64(0x7A17);
     let topo = random_topology(&mut rng, 4, true);
-    let monitored = DeltaNet::new(topo.clone(), monitored_config(None));
+    let monitored = DeltaNet::new(topo.clone(), config(LOOPS | MONITOR, None, &[]));
     let unmonitored = DeltaNet::with_topology(topo.clone());
-    let sharded = ShardedDeltaNet::new(topo.clone(), monitored_config(None), 3);
+    let sharded = ShardedDeltaNet::new(topo.clone(), config(LOOPS | MONITOR, None, &[]), 3);
     let veriflow = VeriflowRi::new(topo.clone(), VeriflowConfig::default());
     // Through the trait: monitored engines answer, the rest decline.
     let checkers: Vec<(&dyn Checker, bool)> = vec![
@@ -192,13 +102,7 @@ fn checker_trait_surfaces_active_violations() {
         );
     }
     // And a monitored engine's answer through the trait matches the scans.
-    let mut net = DeltaNet::new(topo.clone(), monitored_config(None));
-    let mut gen = OpGen::new(8, 40, 0.3);
-    for _ in 0..40 {
-        if let Some(op) = gen.next_op(&mut rng, &topo) {
-            net.apply(&op);
-        }
-    }
-    let via_trait = Checker::active_violations(&net).unwrap();
-    assert_eq!(via_trait, full_scan(&net));
+    let stream = Stream::Churn(&mut rng, OpGen::new(8, 40, 0.3), 40);
+    let shape = Shape::new(0, config(LOOPS | MONITOR, None, &[]));
+    run("seed 0x7a17", &topo, stream, &shape, &[(Monitor, END)]);
 }

@@ -5,13 +5,17 @@
 //! checkable, so every property is validated against brute force rather than
 //! against another clever data structure.
 
+mod support;
+
 use delta_net::prelude::*;
 use deltanet::atoms::AtomMap;
-use deltanet::loops::successor;
+use deltanet::PersistNet;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
+use support::{config, run, Oracle, Shape, Stream, END};
+use support::{conflict_free, engines, forwarding, label_intervals, random_vec, ring, spec_rules};
 
 /// Cases per property.
 const CASES: u64 = 256;
@@ -28,35 +32,13 @@ fn random_prefix(rng: &mut StdRng) -> IpPrefix {
     IpPrefix::new(rng.gen_range(0..=255), rng.gen_range(0..=8), 8)
 }
 
-/// A vector of `len` draws of `item`, its length drawn from `len`.
-fn random_vec<T>(
-    rng: &mut StdRng,
-    len: Range<usize>,
-    mut item: impl FnMut(&mut StdRng) -> T,
-) -> Vec<T> {
-    let n = rng.gen_range(len);
-    (0..n).map(|_| item(rng)).collect()
-}
-
-/// A bidirectional ring of `n` switches.
-fn ring(n: usize) -> (Topology, Vec<NodeId>) {
-    let mut topo = Topology::new();
-    let nodes = topo.add_nodes("s", n);
-    for i in 0..n {
-        topo.add_bidi_link(nodes[i], nodes[(i + 1) % n]);
-    }
-    (topo, nodes)
-}
-
-fn engine8(topo: &Topology) -> DeltaNet {
-    DeltaNet::new(
-        topo.clone(),
-        DeltaNetConfig {
-            field_width: 8,
-            check_loops_per_update: false,
-            ..DeltaNetConfig::default()
-        },
-    )
+/// A plain 8-bit engine built from `ops` of the case seeded `seed`,
+/// checked against the FIB at the end when `fib` is set.
+fn engine8(seed: u64, topo: &Topology, ops: Vec<Op>, fib: bool) -> PersistNet {
+    let shape = Shape::new(0, config(0, None, &[]));
+    let oracles: &[_] = if fib { &[(Oracle::Fib, END)] } else { &[] };
+    let case = format!("seed {seed:#x}");
+    run(&case, topo, Stream::Ops(ops), &shape, oracles)
 }
 
 /// Atoms always partition the whole field space: consecutive, disjoint,
@@ -137,50 +119,25 @@ fn prefix_interval_matches_bitwise_semantics() {
 fn label_state_is_insertion_order_independent() {
     let (topo, nodes) = ring(4);
     for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0x0de7 ^ case);
+        let seed = 0x0de7 ^ case;
+        let mut rng = StdRng::seed_from_u64(seed);
         // Random, conflict-free rule set over the 8-bit space.
-        let mut rules: Vec<Rule> = Vec::new();
-        let mut id = 0u64;
-        while rules.len() < 20 {
+        let draws = (0..).map(|id| {
             let source = nodes[rng.gen_range(0..4)];
             let prefix = IpPrefix::new(rng.gen_range(0..256), rng.gen_range(0..=8), 8);
             let out = topo.out_links(source);
             let link = out[rng.gen_range(0..out.len())];
-            let priority = rng.gen_range(1..=10_000);
-            let rule = Rule::forward(RuleId(id), prefix, priority, source, link);
-            id += 1;
-            if rules.iter().any(|r| r.conflicts_with(&rule)) {
-                continue;
-            }
-            rules.push(rule);
-        }
-        let mut shuffled = rules.clone();
+            Rule::forward(RuleId(id), prefix, rng.gen_range(1..=10_000), source, link)
+        });
+        let ops = conflict_free(draws, 20);
+        let mut shuffled = ops.clone();
         shuffled.shuffle(&mut rng);
-
-        let build = |ordered: &[Rule]| {
-            let mut net = engine8(&topo);
-            for r in ordered {
-                net.insert_rule(*r);
-            }
-            net
-        };
-        let a = build(&rules);
-        let b = build(&shuffled);
+        let a = engine8(seed, &topo, ops, false);
+        let b = engine8(seed, &topo, shuffled, false);
         // Compare per-link packet sets (atom ids differ, intervals must not).
-        for link in topo.links() {
-            let pa = netmodel::interval::normalize(
-                a.label(link.id)
-                    .iter()
-                    .map(|x| a.atoms().atom_interval(x))
-                    .collect(),
-            );
-            let pb = netmodel::interval::normalize(
-                b.label(link.id)
-                    .iter()
-                    .map(|x| b.atoms().atom_interval(x))
-                    .collect(),
-            );
-            assert_eq!(pa, pb, "case {case}");
+        for link in topo.links().iter().map(|l| l.id) {
+            let labels = |net| label_intervals(engines(net), link);
+            assert_eq!(labels(&a), labels(&b), "case {case}");
         }
     }
 }
@@ -191,19 +148,9 @@ fn label_state_is_insertion_order_independent() {
 #[test]
 fn insert_remove_roundtrip_restores_behaviour() {
     let (topo, nodes) = ring(4);
-    // Per switch and address, the forwarding link.
-    let behaviour = |net: &DeltaNet| -> Vec<Option<LinkId>> {
-        let mut out = Vec::new();
-        for node in net.topology().switch_nodes() {
-            for addr in 0u128..256 {
-                let atom = net.atoms().atom_of_value(addr);
-                out.push(successor(net.topology(), net.labels(), node, atom));
-            }
-        }
-        out
-    };
     for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0x2e30 ^ case);
+        let seed = 0x2e30 ^ case;
+        let mut rng = StdRng::seed_from_u64(seed);
         let draw = |priorities: Range<u32>| {
             move |rng: &mut StdRng| {
                 let prefix = random_prefix(rng);
@@ -213,76 +160,35 @@ fn insert_remove_roundtrip_restores_behaviour() {
         };
         let base = random_vec(&mut rng, 0..12, draw(1..100));
         let extra = random_vec(&mut rng, 1..8, draw(100..200));
-        let mut net = engine8(&topo);
-        let mut id = 0u64;
-        let mut installed: Vec<Rule> = Vec::new();
-        let mut install =
-            |net: &mut DeltaNet,
-             (prefix, priority, node_idx, link_idx): (IpPrefix, u32, usize, usize)|
-             -> Option<Rule> {
-                let source = nodes[node_idx];
-                let out = topo.out_links(source);
-                let link = out[link_idx % out.len()];
-                let rule = Rule::forward(RuleId(id), prefix, priority, source, link);
-                id += 1;
-                if installed.iter().any(|r| r.conflicts_with(&rule)) {
-                    return None;
-                }
-                net.insert_rule(rule);
-                installed.push(rule);
-                Some(rule)
-            };
-        for spec in base {
-            install(&mut net, spec);
-        }
-        let before = behaviour(&net);
-        let added: Vec<Rule> = extra
-            .into_iter()
-            .filter_map(|spec| install(&mut net, spec))
-            .collect();
-        for rule in added.iter().rev() {
-            net.remove_rule(rule.id);
-        }
-        assert_eq!(before, behaviour(&net), "case {case}");
+        let specs = base.len() as u64;
+        let mut ops = spec_rules(&topo, &nodes, base.into_iter().chain(extra), |_| true);
+        let kept = ops.iter().filter(|op| op.rule_id().0 < specs).count();
+        let before = forwarding(&engine8(seed, &topo, ops[..kept].to_vec(), false));
+        let added: Vec<RuleId> = ops[kept..].iter().map(Op::rule_id).collect();
+        ops.extend(added.into_iter().rev().map(Op::Remove));
+        let after = forwarding(&engine8(seed, &topo, ops, false));
+        assert_eq!(before, after, "case {case}");
     }
 }
 
-/// Veriflow-RI's equivalence classes and Delta-net's atoms agree on the
-/// *forwarding behaviour* of every address after the same rule sequence,
-/// checked against the reference FIB.
+/// Delta-net's atoms agree with the reference FIB on the forwarding
+/// behaviour of every address after the same rule sequence.
 #[test]
 fn both_checkers_respect_highest_priority_semantics() {
     let (topo, nodes) = ring(3);
     for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0x4a1e ^ case);
+        let seed = 0x4a1e ^ case;
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Every rule takes its switch's first out-link.
         let specs = random_vec(&mut rng, 1..15, |rng| {
-            (
-                random_prefix(rng),
-                rng.gen_range(1..1000),
-                rng.gen_range(0..3),
-            )
+            let (prefix, priority) = (random_prefix(rng), rng.gen_range(1..1000));
+            (prefix, priority, rng.gen_range(0..3), 0)
         });
-        let mut net = engine8(&topo);
-        let mut fib = NetworkFib::new(topo.clone());
-        let mut installed: Vec<Rule> = Vec::new();
-        for (i, (prefix, priority, node_idx)) in specs.into_iter().enumerate() {
-            let source = nodes[node_idx];
-            let link = topo.out_links(source)[0];
-            let rule = Rule::forward(RuleId(i as u64), prefix, priority, source, link);
-            if installed.iter().any(|r| r.conflicts_with(&rule)) {
-                continue;
-            }
-            net.insert_rule(rule);
-            fib.insert(rule);
-            installed.push(rule);
-        }
-        for node in topo.switch_nodes() {
-            for addr in 0u128..256 {
-                let expected = fib.table(node).lookup(addr).map(|r| r.link);
-                let atom = net.atoms().atom_of_value(addr);
-                let actual = successor(&topo, net.labels(), node, atom);
-                assert_eq!(expected, actual, "case {case}: {node} at {addr}");
-            }
-        }
+        engine8(
+            seed,
+            &topo,
+            spec_rules(&topo, &nodes, specs, |_| true),
+            true,
+        );
     }
 }

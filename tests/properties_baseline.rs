@@ -3,31 +3,25 @@
 //! blackhole detection against exhaustive tracing, and the atom-set bitset
 //! against a `BTreeSet` model.
 
+mod support;
+
 use delta_net::prelude::*;
 use deltanet::atomset::AtomSet;
 use deltanet::AtomId;
-use netmodel::fib::TraceOutcome;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use std::ops::Range;
+use support::{
+    config, random_vec, ring, run, spec_rules, Oracle, Shape, Spec, Stream, END, LOOPS, MONITOR,
+};
 
 /// Cases per property.
 const CASES: u64 = 256;
 
-/// A vector of draws of `item`, its length drawn from `len`.
-fn random_vec<T>(
-    rng: &mut StdRng,
-    len: Range<usize>,
-    mut item: impl FnMut(&mut StdRng) -> T,
-) -> Vec<T> {
-    let n = rng.gen_range(len);
-    (0..n).map(|_| item(rng)).collect()
-}
-
 /// `len` rule specs `(prefix, priority, switch index, link index)` over an
 /// 8-bit space, 4 switches and up to 2 out-links.
-fn random_specs(rng: &mut StdRng, len: Range<usize>) -> Vec<(IpPrefix, u32, usize, usize)> {
+fn random_specs(rng: &mut StdRng, len: Range<usize>) -> Vec<Spec> {
     random_vec(rng, len, |rng| {
         let prefix = IpPrefix::new(rng.gen_range(0..=255), rng.gen_range(0..=8), 8);
         (
@@ -37,16 +31,6 @@ fn random_specs(rng: &mut StdRng, len: Range<usize>) -> Vec<(IpPrefix, u32, usiz
             rng.gen_range(0..2),
         )
     })
-}
-
-/// Builds a 4-switch bidirectional ring over an 8-bit address space.
-fn ring_topology() -> (Topology, Vec<NodeId>) {
-    let mut topo = Topology::new();
-    let nodes = topo.add_nodes("s", 4);
-    for i in 0..4 {
-        topo.add_bidi_link(nodes[i], nodes[(i + 1) % 4]);
-    }
-    (topo, nodes)
 }
 
 /// The atom-set bitset behaves exactly like a `BTreeSet<u32>` model for
@@ -94,131 +78,44 @@ fn atomset_matches_btreeset_model() {
 /// Veriflow-RI's per-update loop verdicts are sound: whenever it reports
 /// a loop, exhaustively tracing every address through the reference FIB
 /// finds one; whenever the FIB has a loop involving the updated prefix,
-/// Veriflow-RI reports it on that update.
+/// Veriflow-RI reports it on that update ([`Oracle::Veriflow`], which also
+/// holds Delta-net's verdicts to Veriflow-RI's).
 #[test]
 fn veriflow_loop_reports_match_oracle() {
     for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0x5f10 ^ case);
+        let seed = 0x5f10 ^ case;
+        let mut rng = StdRng::seed_from_u64(seed);
         let specs = random_specs(&mut rng, 1..20);
-        let (mut topo, nodes) = ring_topology();
+        let (mut topo, nodes) = ring(4);
         for &n in &nodes {
             topo.drop_link(n);
         }
-        let mut vf = VeriflowRi::new(
-            topo.clone(),
-            VeriflowConfig {
-                field_width: 8,
-                check_loops_per_update: true,
-            },
-        );
-        let mut fib = NetworkFib::new(topo.clone());
-        let mut installed: Vec<Rule> = Vec::new();
-        for (i, (prefix, priority, node_idx, link_idx)) in specs.into_iter().enumerate() {
-            let source = nodes[node_idx];
-            let out: Vec<LinkId> = topo
-                .out_links(source)
-                .iter()
-                .copied()
-                .filter(|&l| !topo.is_drop_link(l))
-                .collect();
-            let rule = Rule::forward(
-                RuleId(i as u64),
-                prefix,
-                priority,
-                source,
-                out[link_idx % out.len()],
-            );
-            if installed.iter().any(|r| r.conflicts_with(&rule)) {
-                continue;
-            }
-            let report = vf.insert_rule(rule);
-            fib.insert(rule);
-            installed.push(rule);
-
-            // Oracle: does any address in the inserted prefix loop?
-            let addrs: Vec<u128> = (prefix.interval().lo()..prefix.interval().hi()).collect();
-            let oracle_loop = nodes.iter().any(|&start| {
-                addrs.iter().any(|&a| {
-                    matches!(
-                        fib.trace(start, Packet::to(a)).outcome,
-                        TraceOutcome::Loop(_)
-                    )
-                })
-            });
-            assert_eq!(
-                report.has_loop(),
-                oracle_loop,
-                "case {case}: verdict mismatch after inserting {rule}"
-            );
-        }
+        let ops = Stream::Ops(spec_rules(&topo, &nodes, specs, |&l| !topo.is_drop_link(l)));
+        let shape = Shape::new(0, config(LOOPS, None, &[]));
+        let case = format!("seed {seed:#x}");
+        run(&case, &topo, ops, &shape, &[(Oracle::Veriflow, END)]);
     }
 }
 
 /// Blackhole detection agrees with exhaustive tracing: a switch is
-/// reported iff some address arriving over an in-link dies there.
+/// reported iff some address arriving over an in-link dies there — on the
+/// plain engine, and on a monitored 2-shard one (its monitor too).
 #[test]
 fn blackhole_detection_matches_exhaustive_tracing() {
+    let shapes = [
+        Shape::new(0, config(0, None, &[])),
+        Shape::new(2, config(MONITOR, None, &[])),
+    ];
     for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0xb1ac ^ case);
+        let seed = 0xb1ac ^ case;
+        let mut rng = StdRng::seed_from_u64(seed);
         let specs = random_specs(&mut rng, 1..15);
-        let (topo, nodes) = ring_topology();
-        let mut net = DeltaNet::new(
-            topo.clone(),
-            DeltaNetConfig {
-                field_width: 8,
-                check_loops_per_update: false,
-                ..DeltaNetConfig::default()
-            },
-        );
-        let mut fib = NetworkFib::new(topo.clone());
-        let mut installed: Vec<Rule> = Vec::new();
-        for (i, (prefix, priority, node_idx, link_idx)) in specs.into_iter().enumerate() {
-            let source = nodes[node_idx];
-            let out = topo.out_links(source).to_vec();
-            let rule = Rule::forward(
-                RuleId(i as u64),
-                prefix,
-                priority,
-                source,
-                out[link_idx % out.len()],
-            );
-            if installed.iter().any(|r| r.conflicts_with(&rule)) {
-                continue;
-            }
-            net.insert_rule(rule);
-            fib.insert(rule);
-            installed.push(rule);
+        let (topo, nodes) = ring(4);
+        let ops = spec_rules(&topo, &nodes, specs, |_| true);
+        for shape in &shapes {
+            let (case, ops) = (format!("seed {seed:#x}"), Stream::Ops(ops.clone()));
+            run(&case, &topo, ops, shape, &[(Oracle::Blackholes, END)]);
         }
-
-        let reported: BTreeSet<NodeId> = net
-            .check_all_blackholes()
-            .into_iter()
-            .filter_map(|v| match v {
-                InvariantViolation::Blackhole { node, .. } => Some(node),
-                _ => None,
-            })
-            .collect();
-
-        // Oracle: for every switch, does some address forwarded *to* it by a
-        // neighbour match no rule there?
-        let mut expected: BTreeSet<NodeId> = BTreeSet::new();
-        for &node in &nodes {
-            'addrs: for addr in 0u128..256 {
-                for &in_link in topo.in_links(node) {
-                    let neighbour = topo.link(in_link).src;
-                    let forwarded_here = fib
-                        .table(neighbour)
-                        .lookup(addr)
-                        .map(|r| r.link == in_link)
-                        .unwrap_or(false);
-                    if forwarded_here && fib.table(node).lookup(addr).is_none() {
-                        expected.insert(node);
-                        continue 'addrs;
-                    }
-                }
-            }
-        }
-        assert_eq!(reported, expected, "case {case}");
     }
 }
 
