@@ -342,10 +342,7 @@ impl ReplayEngine {
     fn apply_window(&mut self, ops: &[Op]) -> (Vec<UpdateReport>, Option<ReplayError>) {
         match self {
             ReplayEngine::Net(session) => session.apply(ops),
-            ReplayEngine::Veriflow(vf) => match vf.try_replay(ops) {
-                Ok(reports) => (reports, None),
-                Err(e) => (Vec::new(), Some(e)),
-            },
+            ReplayEngine::Veriflow(vf) => vf.apply_window(ops),
         }
     }
 

@@ -105,7 +105,7 @@ fn replay_timed<C: Checker>(checker: &mut C, ops: &[Op]) -> ReplayResult {
     let mut max_affected = 0usize;
     for op in ops {
         let start = Instant::now();
-        let report: UpdateReport = checker.apply(op);
+        let report: UpdateReport = checker.try_apply(op).expect("a dataset op applies");
         let elapsed = start.elapsed();
         timings.micros.push(elapsed.as_secs_f64() * 1e6);
         if report.has_loop() {

@@ -972,13 +972,6 @@ impl Checker for DeltaNet {
         "delta-net"
     }
 
-    fn apply(&mut self, op: &Op) -> UpdateReport {
-        match op {
-            Op::Insert(rule) => self.insert_rule(*rule),
-            Op::Remove(id) => self.remove_rule(*id),
-        }
-    }
-
     fn try_apply(&mut self, op: &Op) -> Result<UpdateReport, UpdateError> {
         match op {
             Op::Insert(rule) => self.try_insert_rule(*rule),
@@ -1300,7 +1293,8 @@ mod tests {
             Op::Remove(RuleId(2)),
             Op::Remove(RuleId(1)),
         ];
-        let reports = ex.net.replay(&ops);
+        let (reports, failure) = ex.net.apply_window(&ops);
+        assert_eq!(failure, None);
         assert_eq!(reports.len(), 8);
         assert_eq!(ex.net.rule_count(), 0);
         // After removing everything no link carries any atom.
@@ -1522,7 +1516,9 @@ mod tests {
             Op::Remove(RuleId(42)), // bad
             Op::Remove(RuleId(1)),
         ];
-        let err = ex.net.try_replay(&ops).unwrap_err();
+        let (reports, failure) = ex.net.apply_window(&ops);
+        let err = failure.expect("op 2 is malformed");
+        assert_eq!(reports.len(), 2, "one report per applied op");
         assert_eq!(err.index, 2);
         assert_eq!(
             err.error,

@@ -46,17 +46,24 @@
 //!   kernel serves crash recovery ([`persist::recover`] /
 //!   [`persist::recover_dir`] = nearest snapshot + log tail, with torn-tail
 //!   repair under [`RecoveryPolicy::RepairTail`]) and time-travel queries
-//!   ([`persist::violations_at`] / [`persist::violations_at_dir`]).
+//!   ([`persist::violations_at`] / [`persist::violations_at_dir`]); it
+//!   replays the log in windows through the engine's `apply_window`.
 //! * [`session`] — [`Session`]: the one windowed apply loop (engine +
 //!   [`Journal`] + transition baseline) behind the daemon, `deltanet
 //!   replay` and the benchmark's [`LoggedNet`] alias.
 //! * [`shard`] — [`ShardedDeltaNet`]: the engine partitioned across the
 //!   address space so rule updates on disjoint ranges apply concurrently
-//!   (§6: the main loops over atoms are highly parallelizable).
+//!   (§6: the main loops over atoms are highly parallelizable); one op is
+//!   a one-op window through its one validate → route → merge path.
 //! * [`reachability`] — Algorithm 3: all-pairs reachability of all atoms.
 //! * [`query`] — flow queries (which packets can reach B from A) and
 //!   "what if" link-failure analysis (§4.3.2).
 //! * [`lattice`] — the Boolean lattice induced by atoms (Appendix A).
+//!
+//! `Checker` has two write methods: `try_apply` for one op and
+//! `apply_window` for a window, whose applied-prefix contract is stated
+//! once, on the trait. [`DeltaNet`] keeps its inherent Algorithm 1/2
+//! methods (`insert_rule`, `remove_rule` and their `try_` forms).
 //!
 //! ## Quick start
 //!

@@ -1022,7 +1022,7 @@ mod tests {
                         let net = &mut engines[i];
                         let mut reference = net.monitor().unwrap().clone();
                         let passes = net.compactions();
-                        net.apply(&op);
+                        net.try_apply(&op).expect("a routed op applies");
                         let monitor = net.monitor().unwrap();
                         let at = format!("{shards} shards, seed {seed}, step {step}, shard {i}");
                         assert_eq!(
@@ -1093,7 +1093,7 @@ mod tests {
                             continue;
                         };
                         for i in routed(&engines, &op) {
-                            engines[i].apply(&op);
+                            engines[i].try_apply(&op).expect("a routed op applies");
                         }
                         if window % 7 == 3 && slot == len / 2 {
                             for (i, net) in engines.iter_mut().enumerate() {

@@ -27,6 +27,11 @@
 //! operation index. All four run on one segment-replay kernel: a snapshot
 //! + flat log is a one-segment checkpoint directory.
 //!
+//! The kernel replays each log slice in windows through the engine's
+//! [`Checker::apply_window`], the write path a live [`crate::Session`]
+//! drives: a sharded engine recovers through the same validate → route →
+//! merge path that applied the ops.
+//!
 //! The restore path re-validates everything a decoder can get wrong — the
 //! header checksum, structural invariants of every arena
 //! ([`AtomMap::from_parts`], [`crate::owner::Owner::from_cells`]), the
@@ -69,7 +74,7 @@ use crate::monitor::{ViolationKey, ViolationMonitor};
 use crate::owner::{OwnedRule, Owner};
 use crate::shard::ShardedDeltaNet;
 use crate::Labels;
-use netmodel::checker::{Checker, InvariantViolation, ReplayError, UpdateReport};
+use netmodel::checker::{Checker, InvariantViolation};
 use netmodel::header::{SecondaryMatch, MAX_SECONDARY_FIELDS};
 use netmodel::interval::{Bound, Interval};
 use netmodel::ip::IpPrefix;
@@ -1241,27 +1246,6 @@ impl PersistNet {
         }
     }
 
-    /// Applies a window of operations, stopping at the first malformed one:
-    /// the operations before it stay applied and their reports come back,
-    /// one per applied operation, beside the failure — the pinned mid-batch
-    /// semantics of [`ShardedDeltaNet::apply_window`], which the sharded
-    /// variant runs.
-    pub fn apply_window(&mut self, ops: &[Op]) -> (Vec<UpdateReport>, Option<ReplayError>) {
-        match self {
-            PersistNet::Single(n) => {
-                let mut reports = Vec::with_capacity(ops.len());
-                for (index, op) in ops.iter().enumerate() {
-                    match n.try_apply(op) {
-                        Ok(report) => reports.push(report),
-                        Err(error) => return (reports, Some(ReplayError { index, error })),
-                    }
-                }
-                (reports, None)
-            }
-            PersistNet::Sharded(n) => n.apply_window(ops),
-        }
-    }
-
     /// Attaches a violation monitor (idempotent in effect: an existing
     /// monitor is re-seeded from the current plane).
     pub fn enable_monitor(&mut self) {
@@ -2039,9 +2023,15 @@ pub struct RecoveryReport {
     pub segments_replayed: u64,
 }
 
+/// Ops per window when a log slice is replayed: large enough that the
+/// sharded engine routes real windows, small enough that the reports a
+/// window returns stay bounded on a long log.
+const REPLAY_WINDOW: usize = 4096;
+
 /// Applies the records of one log segment — `ops`, whose first record is op
-/// `start` — that fall inside `position..upto`, advancing `position`. A
-/// segment starting past `position` leaves a hole in the history: a
+/// `start` — that fall inside `position..upto`, in windows of
+/// [`REPLAY_WINDOW`] ops ([`Checker::apply_window`]), advancing `position`.
+/// A segment starting past `position` leaves a hole in the history: a
 /// [`PersistError::Mismatch`], as is a logged op the engine rejects.
 fn replay_ops(
     net: &mut PersistNet,
@@ -2057,11 +2047,16 @@ fn replay_ops(
     };
     let skip = usize::try_from(skip).unwrap_or(usize::MAX);
     let take = usize::try_from(upto.saturating_sub(*position)).unwrap_or(usize::MAX);
-    for op in ops.iter().skip(skip).take(take) {
-        net.checker_mut().try_apply(op).map_err(|e| {
-            PersistError::Mismatch(format!("logged op {position} rejected on replay: {e}"))
-        })?;
-        *position += 1;
+    let rest = ops.get(skip..).unwrap_or_default();
+    for window in rest[..take.min(rest.len())].chunks(REPLAY_WINDOW) {
+        let (reports, failure) = net.checker_mut().apply_window(window);
+        *position += reports.len() as u64;
+        if let Some(e) = failure {
+            return Err(PersistError::Mismatch(format!(
+                "logged op {position} rejected on replay: {}",
+                e.error
+            )));
+        }
     }
     Ok(())
 }
@@ -2517,6 +2512,37 @@ mod tests {
                     Err(other) => panic!("{lie}: expected Mismatch, got {other:?}"),
                     Ok(_) => panic!("{lie}: restored"),
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_logged_op_the_engine_rejects_names_its_position() {
+        let mut topo = Topology::new();
+        let a = topo.add_node("a");
+        let b = topo.add_node("b");
+        let link = topo.add_link(a, b);
+        let config = DeltaNetConfig {
+            field_width: 8,
+            ..DeltaNetConfig::default()
+        };
+        let rule = Rule::forward(RuleId(1), IpPrefix::new(0, 1, 8), 5, a, link);
+        // Op 2 removes the rule op 1 already removed.
+        let log = [
+            Op::Insert(rule),
+            Op::Remove(RuleId(1)),
+            Op::Remove(RuleId(1)),
+        ];
+        let sharded = ShardedDeltaNet::new(topo.clone(), config, 2);
+        let sharded = Snapshot::of_net(&PersistNet::Sharded(Box::new(sharded)), 0);
+        // Replayed on one engine, then on two shards.
+        for snapshot in [None, Some(sharded)] {
+            match violations_at(&topo, snapshot, &log, log.len(), config) {
+                Err(PersistError::Mismatch(msg)) => assert!(
+                    msg.starts_with("logged op 2 rejected on replay: removal of unknown rule"),
+                    "{msg}"
+                ),
+                other => panic!("expected Mismatch, got {other:?}"),
             }
         }
     }

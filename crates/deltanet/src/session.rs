@@ -1,8 +1,9 @@
 //! The windowed apply loop every long-lived caller runs — the daemon,
-//! `deltanet replay`, `snapshot --save`: the engine applies a window with
-//! applied-prefix semantics, the [`Journal`] beside it records exactly what
-//! applied (nothing else calls [`Journal::record`]), and the violation
-//! transitions are read on demand, so a caller that never asks pays nothing.
+//! `deltanet replay`, `snapshot --save`: the engine applies a window through
+//! its `Checker::apply_window` (the applied-prefix contract is stated
+//! there), the [`Journal`] beside it records exactly what applied (nothing
+//! else calls [`Journal::record`]), and the violation transitions are read
+//! on demand, so a caller that never asks pays nothing.
 
 use crate::fault::StorageBackend;
 use crate::monitor::{MonitorTransitions, TransitionTracker};
@@ -51,11 +52,12 @@ impl Session {
         Ok(Session::new(net, Some(journal)))
     }
 
-    /// Applies one window ([`PersistNet::apply_window`]) and journals the
-    /// ops that applied: one report per applied op, also when the window
-    /// failed. A journal I/O failure is deferred to [`Session::close`].
+    /// Applies one window ([`PersistNet::checker_mut`]'s `apply_window`)
+    /// and journals the ops that applied: one report per applied op, also
+    /// when the window failed. A journal I/O failure is deferred to
+    /// [`Session::close`].
     pub fn apply(&mut self, ops: &[Op]) -> (Vec<UpdateReport>, Option<ReplayError>) {
-        let (reports, failure) = self.net.apply_window(ops);
+        let (reports, failure) = self.net.checker_mut().apply_window(ops);
         let applied = &ops[..reports.len()];
         self.ops_applied += applied.len() as u64;
         if let Some(journal) = &mut self.journal {
@@ -147,7 +149,7 @@ mod tests {
             Op::Insert(Rule::forward(RuleId(1), prefix, 1, a, ab)),
             Op::Insert(Rule::forward(RuleId(2), prefix, 1, b, ba)),
         ];
-        assert_eq!(net.apply_window(&ops).1, None);
+        assert_eq!(net.checker_mut().apply_window(&ops).1, None);
         (topo, net, a, b)
     }
 

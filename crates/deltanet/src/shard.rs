@@ -13,11 +13,15 @@
 //!
 //! Because shards share no mutable state (disjoint atoms, owners, and label
 //! bits), a *batch* of updates groups by shard and the groups apply
-//! concurrently ([`ShardedDeltaNet::apply_window`]) — the same
-//! scale-by-replicating-the-core-logic move network functions use to scale
-//! across cores. The engine spawns its helper threads once, on the first
-//! window with two busy shard groups; each window moves shard chunks to
-//! them and back through one-slot queues, a hand-off, not a thread spawn.
+//! concurrently — the same scale-by-replicating-the-core-logic move network
+//! functions use to scale across cores. The engine spawns its helper
+//! threads once, on the first window with two busy shard groups; each
+//! window moves shard chunks to them and back through one-slot queues, a
+//! hand-off, not a thread spawn.
+//!
+//! There is one write path: the engine's [`Checker::apply_window`]
+//! validates, routes, applies, merges and notifies the observer, and one
+//! operation ([`Checker::try_apply`]) is a one-op window.
 //!
 //! ## Semantics at shard boundaries
 //!
@@ -58,6 +62,7 @@ use std::thread::{self, JoinHandle};
 /// use netmodel::checker::Checker;
 /// use netmodel::rule::{Rule, RuleId};
 /// use netmodel::topology::Topology;
+/// use netmodel::trace::Op;
 ///
 /// let mut topo = Topology::new();
 /// let s1 = topo.add_node("s1");
@@ -69,9 +74,9 @@ use std::thread::{self, JoinHandle};
 /// let narrow = Rule::forward(RuleId(0), "10.0.0.0/8".parse().unwrap(), 10, s1, link);
 /// // 0.0.0.0/0 covers the whole space: split across all four shards.
 /// let wide = Rule::forward(RuleId(1), "0.0.0.0/0".parse().unwrap(), 1, s1, link);
-/// net.insert_rule(narrow);
-/// let report = net.insert_rule(wide);
-/// assert!(report.violations.is_empty());
+/// let (reports, failure) = net.apply_window(&[Op::Insert(narrow), Op::Insert(wide)]);
+/// assert_eq!(failure, None);
+/// assert!(reports.iter().all(|r| r.violations.is_empty()));
 /// assert_eq!(net.rule_count(), 2);
 /// assert!(net.class_count() >= 4);
 /// ```
@@ -90,7 +95,7 @@ pub struct ShardedDeltaNet {
     /// plus the callback it drives. Runtime wiring, not engine state — it
     /// does not survive [`Clone`] or persistence.
     observer: Option<MonitorObserver>,
-    /// The helper threads of [`ShardedDeltaNet::apply_window`], spawned on
+    /// The helper threads of [`Checker::apply_window`], spawned on
     /// the first window that needs them. Runtime wiring like `observer`:
     /// not cloned, not persisted, dropped by `set_parallelism`.
     pool: Option<ShardWorkers>,
@@ -203,7 +208,7 @@ impl ShardedDeltaNet {
     }
 
     /// [`ShardedDeltaNet::new`] with an explicit worker-count configuration
-    /// for [`ShardedDeltaNet::apply_window`].
+    /// for [`Checker::apply_window`].
     pub fn with_parallelism(
         topology: Topology,
         config: DeltaNetConfig,
@@ -266,7 +271,7 @@ impl ShardedDeltaNet {
     /// every later update maintains them incrementally. In multi-field mode
     /// each shard repairs only the `(primary atom, secondary class)` slices
     /// an update touched — an update routed to one shard never rescans the
-    /// others, and this holds through [`ShardedDeltaNet::apply_window`]'s
+    /// others, and this holds through [`Checker::apply_window`]'s
     /// concurrent per-shard groups, aggregation windows, and
     /// [`ShardedDeltaNet::compact`].
     pub fn enable_monitor(&mut self) {
@@ -275,10 +280,10 @@ impl ShardedDeltaNet {
         }
     }
 
-    /// Registers a monitor-event observer: after every update — a single
-    /// [`ShardedDeltaNet::try_insert_rule`] / `try_remove_rule`, or one
-    /// [`ShardedDeltaNet::apply_window`], including the applied prefix
-    /// of a window that fails mid-batch — the callback receives the
+    /// Registers a monitor-event observer: after every window — one
+    /// [`Checker::apply_window`] or a one-op [`Checker::try_apply`],
+    /// including the applied prefix of a window that fails mid-batch — the
+    /// callback receives the
     /// [`MonitorTransitions`] diff of the merged violation identities, the
     /// push-side equivalent of polling [`ShardedDeltaNet::monitor_keys`].
     /// The callback only fires when at least one identity changed; it runs
@@ -311,8 +316,8 @@ impl ShardedDeltaNet {
 
     /// Diffs the merged violation identities against the observer's last
     /// observation and fires the callback when anything changed. Called at
-    /// the end of every update path (including the applied prefix of a
-    /// failed batch); a no-op without an observer or with monitoring off.
+    /// the end of every window (including the applied prefix of a failed
+    /// one); a no-op without an observer or with monitoring off.
     fn notify_observer(&mut self) {
         if self.observer.is_none() {
             return;
@@ -417,147 +422,8 @@ impl ShardedDeltaNet {
         Ok(())
     }
 
-    /// Algorithm 1, sharded: splits `rule` at the shard boundaries it
-    /// crosses, applies each piece to its shard, and merges the per-shard
-    /// reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a duplicate rule id or an out-of-topology link; use
-    /// [`ShardedDeltaNet::try_insert_rule`] for an error instead.
-    pub fn insert_rule(&mut self, rule: Rule) -> UpdateReport {
-        self.try_insert_rule(rule).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`ShardedDeltaNet::insert_rule`].
-    pub fn try_insert_rule(&mut self, rule: Rule) -> Result<UpdateReport, UpdateError> {
-        self.validate_insert(&rule)?;
-        self.rules.insert(rule.id, rule);
-        let parts: Vec<UpdateReport> = self
-            .shard_span(rule.interval())
-            .map(|s| {
-                self.shards[s]
-                    .try_insert_rule(rule)
-                    .expect("validated insert cannot fail inside a shard")
-            })
-            .collect();
-        let report = merge_update_reports(Some(rule.id), true, parts);
-        self.notify_observer();
-        Ok(report)
-    }
-
-    /// Algorithm 2, sharded: routes the removal to every shard the rule's
-    /// interval touches and merges the per-shard reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no rule with that id is installed; use
-    /// [`ShardedDeltaNet::try_remove_rule`] for an error instead.
-    pub fn remove_rule(&mut self, id: RuleId) -> UpdateReport {
-        self.try_remove_rule(id).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`ShardedDeltaNet::remove_rule`].
-    ///
-    /// The shared registry entry is only removed *after* every touched
-    /// shard has completed its removal: popping it first would strand a
-    /// half-removed rule (registry says gone, shards still own atoms for
-    /// it) if a shard panics partway, and the error path — an unknown id —
-    /// must leave the engine completely untouched.
-    pub fn try_remove_rule(&mut self, id: RuleId) -> Result<UpdateReport, UpdateError> {
-        let rule = *self.rules.get(&id).ok_or(UpdateError::UnknownRule(id))?;
-        let parts: Vec<UpdateReport> = self
-            .shard_span(rule.interval())
-            .map(|s| {
-                self.shards[s]
-                    .try_remove_rule(id)
-                    .expect("registered rule cannot be missing from its shard")
-            })
-            .collect();
-        self.rules.remove(&id);
-        let report = merge_update_reports(Some(id), false, parts);
-        self.notify_observer();
-        Ok(report)
-    }
-
-    /// Applies a window of updates with the per-shard groups running
-    /// concurrently: operations are validated and routed in order (so a
-    /// shard sees its sub-sequence in trace order), the shards split into
-    /// up to [`Parallelism::for_items`] contiguous chunks — chunk 0 applied
-    /// on the calling thread, every other chunk with a routed op moved to
-    /// one of the engine's persistent helper threads — conflict-free,
-    /// because shards share no state, and the per-shard reports merge back
-    /// into one report per operation, in input order. A window with one
-    /// busy shard group applies inline.
-    ///
-    /// A malformed operation (duplicate insert, unknown removal) stops the
-    /// window: like [`Checker::try_replay`], the operations before it stay
-    /// applied, and the window returns their reports — one per applied
-    /// operation — with the error naming the failing index. A panic inside a
-    /// shard resumes here only after every shard is back in place.
-    pub fn apply_window(&mut self, ops: &[Op]) -> (Vec<UpdateReport>, Option<ReplayError>) {
-        let shard_count = self.shards.len();
-        let mut routed: Vec<Vec<(usize, Op)>> = vec![Vec::new(); shard_count];
-        let mut meta: Vec<(Option<RuleId>, bool)> = Vec::with_capacity(ops.len());
-        let mut failure: Option<ReplayError> = None;
-        for (index, op) in ops.iter().enumerate() {
-            let interval = match op {
-                Op::Insert(rule) => match self.validate_insert(rule) {
-                    Ok(()) => {
-                        self.rules.insert(rule.id, *rule);
-                        meta.push((Some(rule.id), true));
-                        rule.interval()
-                    }
-                    Err(error) => {
-                        failure = Some(ReplayError { index, error });
-                        break;
-                    }
-                },
-                Op::Remove(id) => match self.rules.remove(id) {
-                    Some(rule) => {
-                        meta.push((Some(*id), false));
-                        rule.interval()
-                    }
-                    None => {
-                        failure = Some(ReplayError {
-                            index,
-                            error: UpdateError::UnknownRule(*id),
-                        });
-                        break;
-                    }
-                },
-            };
-            for s in self.shard_span(interval) {
-                routed[s].push((index, *op));
-            }
-        }
-
-        let busy = routed.iter().filter(|r| !r.is_empty()).count();
-        let workers = self.parallelism.for_items(busy);
-        let partials = if workers <= 1 {
-            apply_chunk(&mut self.shards, &routed)
-        } else {
-            self.apply_on_workers(routed, workers)
-        };
-
-        // One observation per window — transitions are at batch granularity
-        // (per-op order inside a window is not observable), and a mid-batch
-        // failure still reports the transitions of its applied prefix.
-        self.notify_observer();
-        let mut parts: Vec<Vec<UpdateReport>> = (0..meta.len()).map(|_| Vec::new()).collect();
-        for (index, report) in partials {
-            parts[index].push(report);
-        }
-        let reports = parts
-            .into_iter()
-            .zip(meta)
-            .map(|(p, (rule_id, was_insert))| merge_update_reports(rule_id, was_insert, p))
-            .collect();
-        (reports, failure)
-    }
-
-    /// [`ShardedDeltaNet::apply_window`] as a `Result`: the reports of a
-    /// fully applied window, or the failure of one that stopped early (its
+    /// [`Checker::apply_window`] as a `Result`: the reports of a fully
+    /// applied window, or the failure of one that stopped early (its
     /// applied prefix stays applied).
     pub fn apply_batch(&mut self, ops: &[Op]) -> Result<Vec<UpdateReport>, ReplayError> {
         match self.apply_window(ops) {
@@ -566,7 +432,7 @@ impl ShardedDeltaNet {
         }
     }
 
-    /// The concurrent half of [`ShardedDeltaNet::apply_window`]: splits the
+    /// The concurrent half of [`Checker::apply_window`]: splits the
     /// shards into contiguous chunks of `len.div_ceil(workers)`, sends each
     /// busy chunk after the first to its helper, applies chunk 0 here, and
     /// puts every chunk back in address order before it re-raises a panic
@@ -820,15 +686,85 @@ impl Checker for ShardedDeltaNet {
         "delta-net-sharded"
     }
 
-    fn apply(&mut self, op: &Op) -> UpdateReport {
-        self.try_apply(op).unwrap_or_else(|e| panic!("{e}"))
+    /// A one-op window.
+    fn try_apply(&mut self, op: &Op) -> Result<UpdateReport, UpdateError> {
+        match self.apply_window(std::slice::from_ref(op)) {
+            (mut reports, None) => Ok(reports.pop().expect("an applied op has a report")),
+            (_, Some(failure)) => Err(failure.error),
+        }
     }
 
-    fn try_apply(&mut self, op: &Op) -> Result<UpdateReport, UpdateError> {
-        match op {
-            Op::Insert(rule) => self.try_insert_rule(*rule),
-            Op::Remove(id) => self.try_remove_rule(*id),
+    /// Applies a window with the per-shard groups running concurrently:
+    /// operations are validated and routed in order (so a shard sees its
+    /// sub-sequence in trace order), the shards split into up to
+    /// [`Parallelism::for_items`] contiguous chunks — chunk 0 applied on the
+    /// calling thread, every other chunk with a routed op moved to one of
+    /// the engine's persistent helper threads — conflict-free, because
+    /// shards share no state, and the per-shard reports merge back into one
+    /// report per operation, in input order. A window with one busy shard
+    /// group applies inline. The registry changes as each operation
+    /// validates, so a failing window leaves exactly its applied prefix in
+    /// both the registry and the shards. A panic inside a shard resumes
+    /// here only after every shard is back in place.
+    fn apply_window(&mut self, ops: &[Op]) -> (Vec<UpdateReport>, Option<ReplayError>) {
+        let shard_count = self.shards.len();
+        let mut routed: Vec<Vec<(usize, Op)>> = vec![Vec::new(); shard_count];
+        let mut meta: Vec<(Option<RuleId>, bool)> = Vec::with_capacity(ops.len());
+        let mut failure: Option<ReplayError> = None;
+        for (index, op) in ops.iter().enumerate() {
+            let interval = match op {
+                Op::Insert(rule) => match self.validate_insert(rule) {
+                    Ok(()) => {
+                        self.rules.insert(rule.id, *rule);
+                        meta.push((Some(rule.id), true));
+                        rule.interval()
+                    }
+                    Err(error) => {
+                        failure = Some(ReplayError { index, error });
+                        break;
+                    }
+                },
+                Op::Remove(id) => match self.rules.remove(id) {
+                    Some(rule) => {
+                        meta.push((Some(*id), false));
+                        rule.interval()
+                    }
+                    None => {
+                        failure = Some(ReplayError {
+                            index,
+                            error: UpdateError::UnknownRule(*id),
+                        });
+                        break;
+                    }
+                },
+            };
+            for s in self.shard_span(interval) {
+                routed[s].push((index, *op));
+            }
         }
+
+        let busy = routed.iter().filter(|r| !r.is_empty()).count();
+        let workers = self.parallelism.for_items(busy);
+        let partials = if workers <= 1 {
+            apply_chunk(&mut self.shards, &routed)
+        } else {
+            self.apply_on_workers(routed, workers)
+        };
+
+        // One observation per window — transitions are at batch granularity
+        // (per-op order inside a window is not observable), and a mid-batch
+        // failure still reports the transitions of its applied prefix.
+        self.notify_observer();
+        let mut parts: Vec<Vec<UpdateReport>> = (0..meta.len()).map(|_| Vec::new()).collect();
+        for (index, report) in partials {
+            parts[index].push(report);
+        }
+        let reports = parts
+            .into_iter()
+            .zip(meta)
+            .map(|(p, (rule_id, was_insert))| merge_update_reports(rule_id, was_insert, p))
+            .collect();
+        (reports, failure)
     }
 
     fn what_if_link_failure(&self, link: LinkId, check_loops: bool) -> WhatIfReport {
@@ -870,6 +806,11 @@ mod tests {
         (topo, a, b, l)
     }
 
+    fn insert(net: &mut ShardedDeltaNet, rule: Rule) -> UpdateReport {
+        net.try_apply(&Op::Insert(rule))
+            .expect("a well-formed insert")
+    }
+
     #[test]
     fn boundaries_partition_the_space_evenly() {
         for shards in [1usize, 2, 3, 4, 7, 8] {
@@ -907,7 +848,7 @@ mod tests {
         let mut plain = DeltaNet::with_topology(topo);
         // 0.0.0.0/0 crosses all three interior boundaries.
         let wide = Rule::forward(RuleId(1), prefix("0.0.0.0/0"), 1, a, l);
-        let sharded_report = net.insert_rule(wide);
+        let sharded_report = insert(&mut net, wide);
         let plain_report = plain.insert_rule(wide);
         assert_eq!(sharded_report.changed_links, plain_report.changed_links);
         // One atom per shard vs one atom total.
@@ -916,7 +857,7 @@ mod tests {
         // Observable labels agree.
         assert_eq!(net.label_intervals(l), vec![Interval::new(0, 1u128 << 32)]);
         // Removal undoes it everywhere.
-        net.remove_rule(RuleId(1));
+        net.try_apply(&Op::Remove(RuleId(1))).unwrap();
         assert!(net.label_intervals(l).is_empty());
         assert_eq!(net.rule_count(), 0);
         for shard in net.shards() {
@@ -929,20 +870,20 @@ mod tests {
         let (topo, a, _, l) = two_switch();
         let mut net = ShardedDeltaNet::new(topo, DeltaNetConfig::default(), 2);
         let r = Rule::forward(RuleId(1), prefix("0.0.0.0/1"), 1, a, l);
-        net.insert_rule(r);
+        insert(&mut net, r);
         assert_eq!(
-            net.try_insert_rule(r).unwrap_err(),
+            net.try_apply(&Op::Insert(r)).unwrap_err(),
             UpdateError::DuplicateRule(RuleId(1))
         );
         assert_eq!(
-            net.try_remove_rule(RuleId(9)).unwrap_err(),
+            net.try_apply(&Op::Remove(RuleId(9))).unwrap_err(),
             UpdateError::UnknownRule(RuleId(9))
         );
         let mut bad = r;
         bad.id = RuleId(2);
         bad.link = LinkId(100);
         assert!(matches!(
-            net.try_insert_rule(bad).unwrap_err(),
+            net.try_apply(&Op::Insert(bad)).unwrap_err(),
             UpdateError::UnknownLink { .. }
         ));
         assert_eq!(net.rule_count(), 1);
@@ -988,11 +929,17 @@ mod tests {
                     .collect(),
             );
 
-            let mut sequential = ShardedDeltaNet::new(topo.clone(), config, shards);
+            // One-op windows on one thread: the sequential semantics.
+            let mut sequential = ShardedDeltaNet::with_parallelism(
+                topo.clone(),
+                config,
+                shards,
+                Parallelism::fixed(1),
+            );
             let seq_reports: Vec<UpdateReport> = windows
                 .iter()
                 .flatten()
-                .map(|op| sequential.apply(op))
+                .map(|op| sequential.try_apply(op).expect("well-formed"))
                 .collect();
             // `None`: the worker count changes between windows.
             for workers in [Some(1), Some(2), Some(3), Some(4), None] {
@@ -1028,7 +975,8 @@ mod tests {
             let config = DeltaNetConfig::default();
             let mut net =
                 ShardedDeltaNet::with_parallelism(topo.clone(), config, 2, Parallelism::fixed(2));
-            net.insert_rule(host_in(&net, k, 1, a, l));
+            let victim = host_in(&net, k, 1, a, l);
+            insert(&mut net, victim);
             // Desync shard k behind the registry's back, so the registry
             // routes a removal the shard cannot perform.
             net.shards[k].try_remove_rule(RuleId(1)).unwrap();
@@ -1052,7 +1000,7 @@ mod tests {
             net.apply_batch(&later).expect("fresh rules apply");
             let mut fresh = ShardedDeltaNet::new(topo, config, 2);
             for rule in [bystander, fresh_rules[0], fresh_rules[1]] {
-                fresh.insert_rule(rule);
+                insert(&mut fresh, rule);
             }
             assert_eq!(
                 net.label_intervals(l),
@@ -1137,19 +1085,18 @@ mod tests {
 
     #[test]
     fn try_remove_rule_error_path_leaves_state_untouched() {
-        // The registry entry must only be popped after every touched shard
-        // succeeded; in particular the unknown-id error path must not
-        // change anything at all.
+        // The unknown-id error path of a one-op removal must not change
+        // anything at all: not the registry, not a shard.
         let (topo, a, _, l) = two_switch();
         let mut net = ShardedDeltaNet::new(topo, DeltaNetConfig::default(), 4);
         let wide = Rule::forward(RuleId(1), prefix("0.0.0.0/0"), 1, a, l);
-        net.insert_rule(wide);
+        insert(&mut net, wide);
         let rules_before = net.rule_count();
         let atoms_before = net.atom_count();
         let bytes_before = net.live_bytes();
         let labels_before = net.label_intervals(l);
 
-        let err = net.try_remove_rule(RuleId(99)).unwrap_err();
+        let err = net.try_apply(&Op::Remove(RuleId(99))).unwrap_err();
         assert_eq!(err, UpdateError::UnknownRule(RuleId(99)));
         assert_eq!(net.rule_count(), rules_before);
         assert_eq!(net.atom_count(), atoms_before);
@@ -1161,7 +1108,7 @@ mod tests {
         }
 
         // The real removal still works afterwards and clears every shard.
-        net.try_remove_rule(RuleId(1)).unwrap();
+        net.try_apply(&Op::Remove(RuleId(1))).unwrap();
         assert_eq!(net.rule_count(), 0);
         assert!(net.shards().iter().all(|s| s.rule(RuleId(1)).is_none()));
         assert!(net.label_intervals(l).is_empty());
@@ -1183,7 +1130,7 @@ mod tests {
                 a,
                 l,
             );
-            sharded.insert_rule(r);
+            insert(&mut sharded, r);
             plain.insert_rule(r);
         }
         let plain_live = plain.live_bytes();
@@ -1214,13 +1161,13 @@ mod tests {
         assert_eq!(net.parallelism().workers(), Parallelism::auto().workers());
         let wide = Rule::forward(RuleId(1), prefix("0.0.0.0/0"), 1, a, l);
         let narrow = Rule::forward(RuleId(2), prefix("10.0.0.0/8"), 9, a, l);
-        net.apply(&Op::Insert(wide));
-        net.apply(&Op::Insert(narrow));
+        insert(&mut net, wide);
+        insert(&mut net, narrow);
         assert_eq!(net.rule_count(), 2);
         let whatif = net.what_if_link_failure(l, true);
         assert_eq!(whatif.affected_packets, vec![Interval::new(0, 1u128 << 32)]);
         assert!(net.memory_bytes() > 0);
-        net.apply(&Op::Remove(RuleId(2)));
+        net.try_apply(&Op::Remove(RuleId(2))).unwrap();
         assert!(net.reclaimable_bounds() > 0);
         let report = net.compact();
         assert!(report.merged_atoms > 0);

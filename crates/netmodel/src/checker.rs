@@ -4,6 +4,12 @@
 //! [`Checker`], which is what makes the paper-style head-to-head comparison
 //! (Tables 3–5) and the differential property tests honest: the harness only
 //! speaks this trait.
+//!
+//! A checker has two write methods: [`Checker::try_apply`] for one
+//! operation and [`Checker::apply_window`] for a window of them. The
+//! applied-prefix contract of a failing window is stated once, on
+//! `apply_window`; a checker that applies windows its own way (the sharded
+//! engine) overrides it and keeps that contract.
 
 use crate::interval::Interval;
 use crate::rule::RuleId;
@@ -210,13 +216,26 @@ pub trait Checker {
     fn name(&self) -> &'static str;
 
     /// Applies one operation and checks the configured invariants on the
-    /// affected part of the data plane.
-    fn apply(&mut self, op: &Op) -> UpdateReport;
-
-    /// Fallible form of [`Checker::apply`]: a malformed operation (unknown
-    /// rule removal, duplicate insertion) is reported as an
-    /// [`UpdateError`] without mutating the checker, instead of panicking.
+    /// affected part of the data plane. A malformed operation (unknown rule
+    /// removal, duplicate insertion) is reported as an [`UpdateError`]
+    /// without mutating the checker.
     fn try_apply(&mut self, op: &Op) -> Result<UpdateReport, UpdateError>;
+
+    /// Applies a window of operations in order, stopping at the first
+    /// malformed one. The operations before it stay applied and their
+    /// reports come back, one per applied operation, beside the failure,
+    /// whose index is the failing operation's position in `ops`; the
+    /// failing operation and everything after it are not applied.
+    fn apply_window(&mut self, ops: &[Op]) -> (Vec<UpdateReport>, Option<ReplayError>) {
+        let mut reports = Vec::with_capacity(ops.len());
+        for (index, op) in ops.iter().enumerate() {
+            match self.try_apply(op) {
+                Ok(report) => reports.push(report),
+                Err(error) => return (reports, Some(ReplayError { index, error })),
+            }
+        }
+        (reports, None)
+    }
 
     /// Answers the link-failure "what if" query of §4.3.2: which packets and
     /// which parts of the network are affected if `link` fails? When
@@ -243,24 +262,6 @@ pub trait Checker {
     /// data plane would report.
     fn active_violations(&self) -> Option<Vec<InvariantViolation>> {
         None
-    }
-
-    /// Replays a whole trace, returning one report per operation.
-    fn replay(&mut self, ops: &[Op]) -> Vec<UpdateReport> {
-        ops.iter().map(|op| self.apply(op)).collect()
-    }
-
-    /// Fallible replay: stops at the first malformed operation and reports
-    /// its index. Operations before the failing one stay applied, so a
-    /// caller can resume or inspect the partially replayed state.
-    fn try_replay(&mut self, ops: &[Op]) -> Result<Vec<UpdateReport>, ReplayError> {
-        ops.iter()
-            .enumerate()
-            .map(|(index, op)| {
-                self.try_apply(op)
-                    .map_err(|error| ReplayError { index, error })
-            })
-            .collect()
     }
 }
 

@@ -723,7 +723,8 @@ fn write_line<W: Write>(writer: &mut W, mut line: String) -> io::Result<()> {
 
 /// Runs the per-connection protocol over any reader/writer pair (a TCP
 /// stream or stdin/stdout). Requests are processed strictly in order; a
-/// `subscribe` turns the connection into an event stream and stops reading.
+/// `subscribe` turns the connection into an event stream and stops reading,
+/// and a `shutdown` ends it once its ack is written.
 fn handle_connection<R: BufRead, W: Write>(
     mut reader: R,
     mut writer: W,
@@ -753,6 +754,8 @@ fn handle_connection<R: BufRead, W: Write>(
             }
         };
         let Request { id, body } = request;
+        // The shutdown ack is the connection's last line.
+        let last = matches!(body, RequestBody::Shutdown);
         let (reply_tx, reply_rx) = mpsc::channel();
         let item = match body {
             RequestBody::Insert(rule) => WorkItem::Ops {
@@ -846,6 +849,9 @@ fn handle_connection<R: BufRead, W: Write>(
             return write_shutting_down(&mut writer, id);
         };
         write_line(&mut writer, reply)?;
+        if last {
+            return Ok(());
+        }
     }
 }
 

@@ -260,13 +260,6 @@ impl Checker for VeriflowRi {
         "veriflow-ri"
     }
 
-    fn apply(&mut self, op: &Op) -> UpdateReport {
-        match op {
-            Op::Insert(rule) => self.insert_rule(*rule),
-            Op::Remove(id) => self.remove_rule(*id),
-        }
-    }
-
     fn try_apply(&mut self, op: &Op) -> Result<UpdateReport, UpdateError> {
         match op {
             Op::Insert(rule) => self.try_insert_rule(*rule),

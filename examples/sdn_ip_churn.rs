@@ -30,7 +30,7 @@ fn main() {
         let mut phase_loops = 0;
         for op in trace.ops() {
             let start = std::time::Instant::now();
-            let report = checker.apply(op);
+            let report = checker.try_apply(op).expect("the controller's ops apply");
             latencies_us.push(start.elapsed().as_secs_f64() * 1e6);
             if report.has_loop() {
                 phase_loops += 1;

@@ -45,9 +45,7 @@ fn main() {
     )));
 
     let reports = sharded.apply_batch(&ops).expect("well-formed batch");
-    for op in &ops {
-        single.apply(op);
-    }
+    assert_eq!(single.apply_window(&ops).1, None, "well-formed batch");
 
     println!(
         "applied {} updates across {} shards ({} worker threads available)",

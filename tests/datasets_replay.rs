@@ -11,9 +11,7 @@ fn replay_deltanet(ds: &Dataset, check_loops: bool) -> DeltaNet {
             ..Default::default()
         },
     );
-    for op in ds.trace.ops() {
-        net.apply(op);
-    }
+    assert_eq!(net.apply_window(ds.trace.ops()).1, None);
     net
 }
 
@@ -67,7 +65,7 @@ fn sdn_ip_traces_converge_to_loop_free_data_planes() {
         let mut net = DeltaNet::new(ds.topology.topology.clone(), DeltaNetConfig::default());
         let mut transient_loops = 0usize;
         for op in ds.trace.ops() {
-            let report = net.apply(op);
+            let report = net.try_apply(op).expect("a dataset op applies");
             if report.has_loop() {
                 transient_loops += 1;
                 assert!(
@@ -124,10 +122,8 @@ fn veriflow_and_deltanet_agree_on_rule_counts_across_datasets() {
                 ..Default::default()
             },
         );
-        for op in ds.trace.ops() {
-            net.apply(op);
-            vf.apply(op);
-        }
+        assert_eq!(net.apply_window(ds.trace.ops()).1, None);
+        assert_eq!(vf.apply_window(ds.trace.ops()).1, None);
         assert_eq!(net.rule_count(), vf.rule_count(), "{}", id.name());
     }
 }
@@ -156,12 +152,8 @@ fn trace_text_roundtrip_on_dataset() {
             ..Default::default()
         },
     );
-    for op in ds.trace.ops() {
-        original.apply(op);
-    }
-    for op in parsed.ops() {
-        reparsed.apply(op);
-    }
+    assert_eq!(original.apply_window(ds.trace.ops()).1, None);
+    assert_eq!(reparsed.apply_window(parsed.ops()).1, None);
     assert_eq!(original.rule_count(), reparsed.rule_count());
     assert_eq!(original.atom_count(), reparsed.atom_count());
 }

@@ -7,7 +7,7 @@
 //! and with the obviously-correct `NetworkFib` oracle — on randomly
 //! generated workloads is strong evidence that both are faithful to the data
 //! plane semantics. Every churn runs on each of [`shapes`], replaying the
-//! same seeded stream.
+//! same seeded stream; the FIB oracles also run it in windows.
 
 mod support;
 
@@ -18,22 +18,32 @@ use testutil::{random_ops, random_topology, OpGen};
 
 /// The plain single engine the suite began with, 2 shards, and threshold
 /// compaction on one engine and on 7 shards (7 aligns with no prefix, so
-/// wide rules straddle).
-fn shapes() -> [Shape; 4] {
+/// wide rules straddle); unless `oracle` checks op by op (Veriflow), also
+/// windows of 8 on one engine and on 2 shards, so both `apply_window`
+/// implementations meet it.
+fn shapes(oracle: Oracle) -> Vec<Shape> {
     let (plain, compacting) = (config(LOOPS, None, &[]), config(LOOPS, Some(3), &[]));
-    [
+    let mut shapes = vec![
         Shape::new(0, plain),
         Shape::new(2, plain),
         Shape::new(0, compacting),
         Shape::new(7, compacting),
-    ]
+    ];
+    if oracle != Oracle::Veriflow {
+        let window = |shards| Shape {
+            window: 8,
+            ..Shape::new(shards, plain)
+        };
+        shapes.extend([window(0), window(2)]);
+    }
+    shapes
 }
 
 /// `trials` churns of `draws` draws each from the stream seeded `seed`, on
 /// `n`-switch topologies with drop links, 8-bit rules and priorities up to
 /// 1000, checked by `check`.
 fn churn(seed: u64, trials: usize, n: usize, draws: usize, bias: f64, check: (Oracle, usize)) {
-    for shape in shapes() {
+    for shape in shapes(check.0) {
         let mut rng = StdRng::seed_from_u64(seed);
         for trial in 0..trials {
             let topo = random_topology(&mut rng, n, true);

@@ -65,7 +65,8 @@ fn multifield_snapshot_roundtrip_differential() {
 
 /// A mid-run snapshot (never ahead of the durable log) after op 40 of 80:
 /// recovery replays the other 40 from the log — single-field, then over a
-/// dst × src header space.
+/// dst × src header space. Each run is journaled op by op and, on the same
+/// ops, in windows of 8 (40 is a window boundary).
 #[test]
 fn logged_run_recovers_from_snapshot_plus_log_tail() {
     let mut rng = StdRng::seed_from_u64(0xdec0de);
@@ -73,12 +74,16 @@ fn logged_run_recovers_from_snapshot_plus_log_tail() {
     for sec in [&[][..], &[6]] {
         for kind in ENGINE_KINDS {
             let gen = OpGen::new(8, 40, 0.3).with_secondary(sec);
-            let ops = Stream::Ops(random_ops(&mut rng, &topo, 80, gen));
-            let shape = Shape {
-                journal: Some(40),
-                ..Shape::new(kind, config(MONITOR, None, sec))
-            };
-            run("seed 0xdec0de", &topo, ops, &shape, &[(Restore, END)]);
+            let ops = random_ops(&mut rng, &topo, 80, gen);
+            for window in [0, 8] {
+                let shape = Shape {
+                    window,
+                    journal: Some(40),
+                    ..Shape::new(kind, config(MONITOR, None, sec))
+                };
+                let stream = Stream::Ops(ops.clone());
+                run("seed 0xdec0de", &topo, stream, &shape, &[(Restore, END)]);
+            }
         }
     }
 }

@@ -416,7 +416,7 @@ impl<'a> Run<'a> {
             self.compare_reports(&format!("{}: Single", self.at()), &expected, &report, rule);
         }
         if let Some(vf) = &mut self.vf {
-            let theirs = vf.apply(&op);
+            let theirs = vf.try_apply(&op).expect("Veriflow-RI takes the stream");
             if self.oracles.iter().any(|&(o, _)| o == Oracle::Veriflow) {
                 self.compare_veriflow(&format!("{}: Veriflow", self.at()), op, &report, &theirs);
             }
@@ -732,10 +732,11 @@ fn apply(
     ops: &[Op],
     per_op: bool,
 ) -> (Vec<UpdateReport>, Option<ReplayError>) {
+    let net = net.checker_mut();
     if !per_op {
         return net.apply_window(ops);
     }
-    match net.checker_mut().try_apply(&ops[0]) {
+    match net.try_apply(&ops[0]) {
         Ok(report) => (vec![report], None),
         Err(error) => (Vec::new(), Some(ReplayError { index: 0, error })),
     }
