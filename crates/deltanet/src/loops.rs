@@ -8,16 +8,19 @@
 //! audits — is the one routine [`WalkScratch::walk`], which keeps its
 //! visited marks, path positions and path in generation-stamped vectors of
 //! node-count length and so allocates nothing per walk or per atom. Three
-//! callers differ only in where their walks start:
+//! callers differ in where their walks start and in how a step finds its
+//! next hop ([`Hop`]):
 //!
 //! * [`find_loops_from_seeds`] — the per-update check (§4.3.1 "find in the
 //!   delta-graph all forwarding loops"): one walk per `(link, atom)` pair
 //!   the update added. Cost: Σ walk length over the delta's added pairs.
 //! * [`cycles_for_atoms`] — a dense candidate set (the what-if query of
-//!   §4.3.2, the full audits, seeding a monitor): one word-wise pass over
-//!   the labels collects `label ∩ candidates` as a flat `(atom, source)`
-//!   list, then each atom's walks share visited marks. Cost:
-//!   O(links · atoms/64 + |emitters| log |emitters| + Σ walk length).
+//!   §4.3.2, the full audits, seeding a monitor): the kernel goes atom by
+//!   atom. For each non-zero candidate word it reads every labelled link's
+//!   word once, scatters the hits by bit, and fills each atom's next-hop
+//!   table from them, so each walk step is one table read and the atom's
+//!   walks share visited marks. Cost: O(links · candidate words + Σ
+//!   per-atom hits + Σ walk length), with no sort.
 //! * [`cycles_for_atom_list`] — a short explicit atom list (the monitor
 //!   repair): one `contains` probe per link finds an atom's emitters. Cost:
 //!   O(|atoms| · (links + walk length)), independent of the atom count.
@@ -54,12 +57,22 @@ pub fn successor(
         .find(|&l| labels.contains(l, atom))
 }
 
+/// Where a walk step reads the current atom's next hop.
+#[derive(Clone, Copy)]
+enum Hop<'a> {
+    /// Probes the node's out-links' labels ([`successor`]).
+    Probe(&'a Labels, AtomId),
+    /// Reads the next-hop table [`WalkScratch::set_hop`] filled.
+    Table,
+}
+
 /// Reusable state of the successor walk, owned by whoever walks repeatedly
 /// ([`crate::DeltaNet`] for the per-update check, the
 /// [`crate::monitor::ViolationMonitor`] for its repair) so the steady state
 /// allocates nothing. Marks are generation stamps: every walk takes the
 /// next stamp, and the walks of one atom are the stamps above `floor` — so
 /// starting a walk or an atom is a counter bump, never an O(nodes) clear.
+/// The next-hop table is stamped the same way, per atom.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct WalkScratch {
     /// `stamp[n]`: the last walk that visited node `n`. Equal to `walk`:
@@ -72,32 +85,52 @@ pub(crate) struct WalkScratch {
     path: Vec<NodeId>,
     floor: u32,
     walk: u32,
+    /// `hop[n]`: the link carrying the current atom out of `n`, valid where
+    /// `hop_stamp[n] == atom`.
+    hop: Vec<LinkId>,
+    hop_stamp: Vec<u32>,
+    /// The current atom's generation, bumped by every `begin_atom`.
+    atom: u32,
 }
 
 impl WalkScratch {
     /// Starts the walks of a new atom on a topology of `nodes` nodes:
-    /// forgets the previous atom's visited marks and, the first time (or
-    /// if the topology grew), sizes the three vectors.
+    /// forgets the previous atom's visited marks and next hops and, the
+    /// first time (or if the topology grew), sizes the vectors.
     fn begin_atom(&mut self, nodes: usize) {
         if self.stamp.len() < nodes {
             self.stamp.resize(nodes, 0);
             self.pos.resize(nodes, 0);
+            self.hop.resize(nodes, LinkId(0));
+            self.hop_stamp.resize(nodes, 0);
             self.path.reserve(nodes);
         }
         self.floor = self.walk;
+        if self.atom == u32::MAX {
+            // Generation wrap-around, as in `walk`: forget every next hop.
+            self.hop_stamp.fill(0);
+            self.atom = 0;
+        }
+        self.atom += 1;
     }
 
-    /// Follows `succ` from `start` until the walk leaves the network (no
-    /// successor, or a drop node), joins a node an earlier walk of the same
-    /// atom explored (whatever cycle lies beyond was found then), or
-    /// revisits its own path — in which case the cycle is returned in
-    /// canonical rotation ([`rotate_to_canonical`]).
-    fn walk(
-        &mut self,
-        topology: &Topology,
-        start: NodeId,
-        mut succ: impl FnMut(NodeId) -> Option<LinkId>,
-    ) -> Option<&[NodeId]> {
+    /// Records that `link` carries the current atom out of `node`, unless
+    /// an earlier link did: fed in out-link order, the table keeps the link
+    /// [`successor`] picks.
+    fn set_hop(&mut self, node: NodeId, link: LinkId) {
+        let i = node.index();
+        if self.hop_stamp[i] != self.atom {
+            self.hop_stamp[i] = self.atom;
+            self.hop[i] = link;
+        }
+    }
+
+    /// Follows the next hops `hop` names from `start` until the walk leaves
+    /// the network (no successor, or a drop node), joins a node an earlier
+    /// walk of the same atom explored (whatever cycle lies beyond was found
+    /// then), or revisits its own path — in which case the cycle is
+    /// returned in canonical rotation ([`rotate_to_canonical`]).
+    fn walk(&mut self, topology: &Topology, start: NodeId, hop: Hop) -> Option<&[NodeId]> {
         if self.walk == u32::MAX {
             // Stamp wrap-around: forget everything. Mid-atom this only
             // costs re-exploring nodes; recording a cycle is idempotent.
@@ -122,7 +155,11 @@ impl WalkScratch {
             self.stamp[i] = self.walk;
             self.pos[i] = self.path.len() as u32;
             self.path.push(cur);
-            let next = topology.link(succ(cur)?).dst;
+            let link = match hop {
+                Hop::Probe(labels, atom) => successor(topology, labels, cur, atom),
+                Hop::Table => (self.hop_stamp[i] == self.atom).then(|| self.hop[i]),
+            };
+            let next = topology.link(link?).dst;
             if topology.is_drop_node(next) {
                 return None;
             }
@@ -195,8 +232,7 @@ pub(crate) fn find_loops_from_seeds_in(
         }
         scratch.begin_atom(topology.node_count());
         let start = topology.link(link).src;
-        if let Some(cycle) = scratch.walk(topology, start, |n| successor(topology, labels, n, atom))
-        {
+        if let Some(cycle) = scratch.walk(topology, start, Hop::Probe(labels, atom)) {
             admit(&mut cycles, cycle, atom);
         }
     }
@@ -222,30 +258,88 @@ pub(crate) fn cycles_for_atoms(
     labels: &Labels,
     candidates: &AtomSet,
 ) -> CycleMap {
-    // One word-wise pass over the labelled links lists, per candidate atom,
-    // the switches that emit it; sorted by atom, each atom's walks then run
-    // back to back and share visited marks.
-    let mut emitters: Vec<(AtomId, NodeId)> = Vec::new();
-    for (link, label) in labels.iter() {
-        let src = topology.link(link).src;
-        emitters.extend(label.iter_common(candidates).map(|atom| (atom, src)));
-    }
-    emitters.sort_unstable();
+    cycles_for_atoms_in(&mut WalkScratch::default(), topology, labels, candidates)
+}
 
-    let mut cycles = CycleMap::new();
-    let mut scratch = WalkScratch::default();
-    let mut current = None;
-    for &(atom, start) in &emitters {
-        if current != Some(atom) {
-            scratch.begin_atom(topology.node_count());
-            current = Some(atom);
+/// [`cycles_for_atoms`] on a caller-owned scratch. Set-at-a-time over each
+/// 64-atom candidate word: one pass over the labelled links gathers the
+/// links carrying some of its candidates, a scatter by bit lists each
+/// atom's emitters in out-link order (in 64 rows of at most one entry per
+/// labelled link), and each atom's walks then read its next-hop table.
+fn cycles_for_atoms_in(
+    scratch: &mut WalkScratch,
+    topology: &Topology,
+    labels: &Labels,
+    candidates: &AtomSet,
+) -> CycleMap {
+    // Every labelled link with its source and label words, switch by switch
+    // in out-link order. Labels drop trailing zero words: a word past the
+    // end reads as 0.
+    let mut labelled: Vec<(NodeId, LinkId, &[u64])> = Vec::new();
+    for node in topology.nodes() {
+        for &link in topology.out_links(node) {
+            let words = labels.get(link).words();
+            if !words.is_empty() {
+                labelled.push((node, link, words));
+            }
         }
-        if let Some(cycle) = scratch.walk(topology, start, |n| successor(topology, labels, n, atom))
-        {
-            admit(&mut cycles, cycle, atom);
+    }
+    let mut cycles = CycleMap::new();
+    let mut hits: Vec<(NodeId, LinkId, u64)> = Vec::new();
+    let mut slots: Vec<(NodeId, LinkId)> = Vec::new();
+    for (w, &cand) in candidates.words().iter().enumerate() {
+        if cand == 0 {
+            continue;
+        }
+        hits.clear();
+        let mut carried = 0;
+        for &(node, link, words) in &labelled {
+            let mask = words.get(w).map_or(0, |&word| word & cand);
+            if mask != 0 {
+                hits.push((node, link, mask));
+                carried |= mask;
+            }
+        }
+        // Scatter by bit: bit `b`'s emitters are the first `count[b]`
+        // entries of the `b`-th row of `slots`, in out-link order. The rows
+        // only grow, so `slots` is filled once per call, not per word.
+        let row = hits.len();
+        if slots.len() < 64 * row {
+            slots.resize(64 * row, (NodeId(0), LinkId(0)));
+        }
+        let mut count = [0; 64];
+        for &(node, link, mask) in &hits {
+            for b in bits(mask) {
+                slots[b * row + count[b]] = (node, link);
+                count[b] += 1;
+            }
+        }
+        for b in bits(carried) {
+            let atom = AtomId((w * 64 + b) as u32);
+            let emitters = &slots[b * row..][..count[b]];
+            scratch.begin_atom(topology.node_count());
+            for &(node, link) in emitters {
+                scratch.set_hop(node, link);
+            }
+            for &(node, _) in emitters {
+                if let Some(cycle) = scratch.walk(topology, node, Hop::Table) {
+                    admit(&mut cycles, cycle, atom);
+                }
+            }
         }
     }
     cycles
+}
+
+/// The set bits of `word`, lowest first.
+fn bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            b
+        })
+    })
 }
 
 /// Every forwarding cycle each atom of a short explicit list traverses,
@@ -265,9 +359,7 @@ pub(crate) fn cycles_for_atom_list(
             if !labels.contains(link.id, atom) {
                 continue;
             }
-            if let Some(cycle) =
-                scratch.walk(topology, link.src, |n| successor(topology, labels, n, atom))
-            {
+            if let Some(cycle) = scratch.walk(topology, link.src, Hop::Probe(labels, atom)) {
                 found(cycle, atom);
             }
         }
@@ -314,6 +406,55 @@ pub(crate) fn into_violations(
 mod tests {
     use super::*;
     use netmodel::interval::Interval;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The emitter-sort kernel [`cycles_for_atoms`] replaced, kept as its
+    /// reference: one word-wise pass lists every `(atom, source)` pair of
+    /// `label ∩ candidates`, the list is sorted by atom, and each walk step
+    /// probes the labels ([`successor`]).
+    fn reference_cycles_for_atoms(
+        topology: &Topology,
+        labels: &Labels,
+        candidates: &AtomSet,
+    ) -> CycleMap {
+        let mut emitters: Vec<(AtomId, NodeId)> = Vec::new();
+        for (link, label) in labels.iter() {
+            let src = topology.link(link).src;
+            emitters.extend(label.iter_common(candidates).map(|atom| (atom, src)));
+        }
+        emitters.sort_unstable();
+        let mut cycles = CycleMap::new();
+        let mut scratch = WalkScratch::default();
+        let mut current = None;
+        for &(atom, start) in &emitters {
+            if current != Some(atom) {
+                scratch.begin_atom(topology.node_count());
+                current = Some(atom);
+            }
+            if let Some(cycle) = scratch.walk(topology, start, Hop::Probe(labels, atom)) {
+                admit(&mut cycles, cycle, atom);
+            }
+        }
+        cycles
+    }
+
+    /// Random labels over `atoms` atoms on a random topology with drop
+    /// links. Each link carries each atom with probability `p`, so a switch
+    /// often emits one atom on several links: the kernels must then agree
+    /// on [`successor`]'s pick, the first in out-link order.
+    fn random_plane(rng: &mut StdRng, nodes: usize, atoms: u32, p: f64) -> (Topology, Labels) {
+        let topo = testutil::random_topology(rng, nodes, true);
+        let mut labels = Labels::new();
+        for link in topo.links() {
+            for atom in 0..atoms {
+                if rng.gen_bool(p) {
+                    labels.insert(link.id, AtomId(atom));
+                }
+            }
+        }
+        (topo, labels)
+    }
 
     /// Builds a 3-node topology with a loop s0 -> s1 -> s2 -> s0 for atom 0
     /// and a loop-free path for atom 1.
@@ -489,7 +630,7 @@ mod tests {
         }
         let mut scratch = WalkScratch::default();
         for atom in [AtomId(0), AtomId(1)] {
-            let succ = |node| successor(&topo, &labels, node, atom);
+            let succ = Hop::Probe(&labels, atom);
             scratch.begin_atom(topo.node_count());
             // From the tail the walk finds the cycle, rotated to its
             // smallest node; a second walk of the same atom stops where it
@@ -514,5 +655,87 @@ mod tests {
         let got = find_loops_from_seeds_in(&mut scratch, &topo, &labels, &atoms, &seeds);
         assert_eq!(got, expect);
         assert!(scratch.walk < 3);
+    }
+
+    #[test]
+    fn atom_major_kernel_matches_the_emitter_sort_reference() {
+        let mut rng = StdRng::seed_from_u64(0xA70B);
+        for trial in 0..40 {
+            let (nodes, atoms) = (rng.gen_range(2..9), rng.gen_range(1..300));
+            let p = [0.05, 0.2, 0.5][trial % 3];
+            let (topo, labels) = random_plane(&mut rng, nodes, atoms, p);
+            let all: AtomSet = (0..atoms).map(AtomId).collect();
+            let some: AtomSet = (0..atoms)
+                .filter(|_| rng.gen_bool(0.3))
+                .map(AtomId)
+                .collect();
+            // More words than any label, and an atom no link carries.
+            let wide: AtomSet = [AtomId(0), AtomId(atoms + 70), AtomId(atoms + 200)]
+                .into_iter()
+                .chain(some.iter())
+                .collect();
+            let edges: AtomSet = [63, 64, 127, 128].into_iter().map(AtomId).collect();
+            for candidates in [&all, &some, &wide, &edges] {
+                let expect = reference_cycles_for_atoms(&topo, &labels, candidates);
+                let got = cycles_for_atoms(&topo, &labels, candidates);
+                assert_eq!(
+                    got, expect,
+                    "trial {trial}: {nodes} nodes, {atoms} atoms, p {p}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn word_edge_atoms_and_uncarried_candidates() {
+        // Atoms 63, 64, 127 and 128 loop s0 -> s1 -> s0; atom 5 is a
+        // candidate no link carries.
+        let mut topo = Topology::new();
+        let n = topo.add_nodes("s", 2);
+        let (l01, l10) = (topo.add_link(n[0], n[1]), topo.add_link(n[1], n[0]));
+        let edges = [63, 64, 127, 128].map(AtomId);
+        let mut labels = Labels::new();
+        for atom in edges {
+            labels.insert(l01, atom);
+            labels.insert(l10, atom);
+        }
+        let candidates: AtomSet = edges.into_iter().chain([AtomId(5)]).collect();
+        let got = cycles_for_atoms(&topo, &labels, &candidates);
+        let expect = CycleMap::from([(vec![n[0], n[1]], edges.into_iter().collect())]);
+        assert_eq!(got, expect);
+        assert_eq!(got, reference_cycles_for_atoms(&topo, &labels, &candidates));
+    }
+
+    #[test]
+    fn next_hop_generation_wrap_around_keeps_every_cycle() {
+        // Twenty atoms go s0 -> s1 -> s2 and stop; the last one loops back.
+        let mut topo = Topology::new();
+        let n = topo.add_nodes("s", 3);
+        let l01 = topo.add_link(n[0], n[1]);
+        let l12 = topo.add_link(n[1], n[2]);
+        let l20 = topo.add_link(n[2], n[0]);
+        let mut labels = Labels::new();
+        for atom in (0..20).map(AtomId) {
+            labels.insert(l01, atom);
+            labels.insert(l12, atom);
+        }
+        labels.insert(l20, AtomId(19));
+        let all: AtomSet = (0..20).map(AtomId).collect();
+        let ring = vec![n[0], n[1], n[2]];
+        let expect = CycleMap::from([(ring, AtomSet::from_iter([AtomId(19)]))]);
+        assert_eq!(reference_cycles_for_atoms(&topo, &labels, &all), expect);
+        // Generation 8 left s2 a next hop that no atom before the last one
+        // renews. The generation then wraps three atoms into the scan and
+        // counts to 8 again: a table the wrap did not forget would send the
+        // eleventh atom round the ring.
+        let mut scratch = WalkScratch::default();
+        for _ in 0..8 {
+            scratch.begin_atom(topo.node_count());
+            scratch.set_hop(n[2], l20);
+        }
+        scratch.atom = u32::MAX - 3;
+        let got = cycles_for_atoms_in(&mut scratch, &topo, &labels, &all);
+        assert_eq!(got, expect);
+        assert!(scratch.atom < 20);
     }
 }

@@ -74,12 +74,20 @@ fn veriflow_and_deltanet_agree_on_per_update_loops() {
 }
 
 /// For every link, the packets Delta-net says are *using* the link are
-/// covered by the classes Veriflow-RI finds using it.
+/// covered by the classes Veriflow-RI finds using it, and the loops its
+/// what-if reports are exactly the loops tracing the FIB finds among those
+/// packets (the full scan's, cut): an insert-only stream on one engine and
+/// on 2 and 7 shards, then churn with removals on every shape, threshold
+/// compaction included.
 #[test]
 fn whatif_affected_packets_agree_between_checkers() {
     let mut rng = StdRng::seed_from_u64(0xFA11);
     let topo = random_topology(&mut rng, 5, true);
-    let ops = Stream::Ops(random_ops(&mut rng, &topo, 40, OpGen::new(8, 1000, 0.0)));
-    let shape = Shape::new(0, config(0, None, &[]));
-    run("seed 0xfa11", &topo, ops, &shape, &[(Oracle::WhatIf, END)]);
+    let ops = random_ops(&mut rng, &topo, 40, OpGen::new(8, 1000, 0.0));
+    let shape = |shards| Shape::new(shards, config(0, None, &[]));
+    for shards in [0, 2, 7] {
+        let (stream, check) = (Stream::Ops(ops.clone()), (Oracle::WhatIf, END));
+        run("seed 0xfa11", &topo, stream, &shape(shards), &[check]);
+    }
+    churn(0xFA11, 4, 5, 200, 0.3, (Oracle::WhatIf, 10));
 }

@@ -144,7 +144,9 @@ pub enum Oracle {
     /// cadence: equal rule counts.
     Veriflow,
     /// Every link's what-if packets are covered by a Veriflow-RI twin's
-    /// (which reports the prefixes of the rules on the link).
+    /// (which reports the prefixes of the rules on the link), and its loops
+    /// are those tracing every address through the FIB finds, cut to those
+    /// packets. The full scan's loops are the traced ones uncut.
     WhatIf,
     /// The full scans equal `scan_multifield` over the live rules; checked
     /// after every op, a loop an insert creates must be in its report.
@@ -276,6 +278,7 @@ impl<'a> Run<'a> {
             Oracle::FibLoops,
             Oracle::Blackholes,
             Oracle::Veriflow,
+            Oracle::WhatIf,
         ];
         let one_by_one = shape.shards == 0 && (shape.window == 0 || shape.aggregate);
         let events = one_by_one && oracles.contains(&(Oracle::Monitor, 1));
@@ -594,10 +597,11 @@ impl<'a> Run<'a> {
             }
             Oracle::WhatIf => {
                 let vf = self.vf.as_ref().expect("a Veriflow-RI twin");
+                let traced = traced_loops(fib.expect("a FIB"), addrs);
                 // Veriflow-RI reports the prefixes of the rules on a link, an
                 // over-approximation that must cover Delta-net's packets.
                 for link in topo.links().iter().map(|l| l.id) {
-                    let ours = net.checker().what_if_link_failure(link, false);
+                    let ours = net.checker().what_if_link_failure(link, true);
                     let theirs = vf.what_if_link_failure(link, false);
                     let (a, b) = (ours.affected_classes, theirs.affected_classes);
                     assert_eq!(
@@ -610,7 +614,27 @@ impl<'a> Run<'a> {
                         let covered = covers.any(|big| big.contains_interval(iv));
                         assert!(covered, "{at}: {link:?}: {iv} not covered by Veriflow-RI");
                     }
+                    // The traced loops with each cycle's packets cut to the
+                    // link's: every atom the failure touches is walked, and
+                    // no other.
+                    let affected = &ours.affected_packets;
+                    let cut = |packets: &Vec<Interval>| {
+                        let pieces = packets
+                            .iter()
+                            .flat_map(|p| affected.iter().map(|a| p.intersection(a)));
+                        normalize(pieces.filter(|iv| !iv.is_empty()).collect())
+                    };
+                    let expected: BTreeMap<_, _> = traced
+                        .iter()
+                        .map(|(cycle, packets)| (cycle.clone(), cut(packets)))
+                        .filter(|(_, packets)| !packets.is_empty())
+                        .collect();
+                    let reported = loops_by_cycle(&ours.violations);
+                    assert_eq!(reported, expected, "{at}: {link:?}: what-if loops");
                 }
+                // So the what-if loops are also the full scan's, cut.
+                let scanned = loops_by_cycle(&net.check_all_loops());
+                assert_eq!(scanned, traced, "{at}: full-scan loops vs FIB tracing");
             }
             Oracle::MultiField => {
                 let sec = &config.sec_widths[..config.secondary_count()];
@@ -755,6 +779,27 @@ pub fn engines(net: &PersistNet) -> &[DeltaNet] {
         PersistNet::Single(n) => std::slice::from_ref(n.as_ref()),
         PersistNet::Sharded(n) => n.shards(),
     }
+}
+
+/// Every forwarding cycle tracing `addrs` from every switch through `fib`
+/// finds, in canonical rotation (smallest node first), with the addresses
+/// looping through it.
+fn traced_loops(fib: &NetworkFib, addrs: Range<u128>) -> BTreeMap<Vec<NodeId>, Vec<Interval>> {
+    let mut traced: BTreeMap<Vec<NodeId>, Vec<Interval>> = BTreeMap::new();
+    for node in fib.topology().switch_nodes() {
+        for addr in addrs.clone() {
+            if let TraceOutcome::Loop(mut cycle) = fib.trace(node, Packet::to(addr)).outcome {
+                let first = (0..cycle.len()).min_by_key(|&i| cycle[i]).unwrap_or(0);
+                cycle.rotate_left(first);
+                let packets = traced.entry(cycle).or_default();
+                packets.push(Interval::new(addr, addr + 1));
+            }
+        }
+    }
+    for packets in traced.values_mut() {
+        *packets = normalize(std::mem::take(packets));
+    }
+    traced
 }
 
 /// The link `node` forwards `addr` over, read off the edge labels of the
