@@ -30,6 +30,16 @@ pub enum ArgError {
     UnexpectedPositional(String),
     /// A required option is missing.
     MissingOption(&'static str),
+    /// An argument the command does not read in the form given: an unknown
+    /// name, a value after a flag, or an option without its value.
+    Refused {
+        /// The sub-command.
+        command: String,
+        /// The argument as given.
+        arg: String,
+        /// What is wrong with it.
+        problem: &'static str,
+    },
     /// An option has an invalid value.
     InvalidValue {
         /// The option name.
@@ -47,6 +57,11 @@ impl fmt::Display for ArgError {
             ArgError::MissingCommand => write!(f, "missing command; try `deltanet help`"),
             ArgError::UnexpectedPositional(p) => write!(f, "unexpected argument `{p}`"),
             ArgError::MissingOption(o) => write!(f, "missing required option --{o}"),
+            ArgError::Refused {
+                command,
+                arg,
+                problem,
+            } => write!(f, "`deltanet {command}` {problem}: `{arg}`"),
             ArgError::InvalidValue {
                 option,
                 value,
@@ -92,6 +107,38 @@ impl ParsedArgs {
             }
         }
         Ok(parsed)
+    }
+
+    /// Refuses every argument the command does not read: an unknown
+    /// name, a value given to one of `flags`, or one of `options` given
+    /// without a value. Both lists are space-separated names; a name in
+    /// both may be given either way.
+    pub fn check(&self, options: &str, flags: &str) -> Result<(), ArgError> {
+        let reads = |names: &str, name: &str| names.split_whitespace().any(|n| n == name);
+        let mut given: Vec<_> = self.options.iter().collect();
+        given.sort();
+        let (arg, problem) = if let Some(flag) = self.flags.iter().find(|f| !reads(flags, f)) {
+            let problem = if reads(options, flag) {
+                "needs a value after"
+            } else {
+                "takes no argument"
+            };
+            (format!("--{flag}"), problem)
+        } else if let Some((name, value)) = given.into_iter().find(|(n, _)| !reads(options, n)) {
+            if reads(flags, name) {
+                (format!("--{name} {value}"), "takes no value after the flag")
+            } else {
+                (format!("--{name}"), "takes no argument")
+            }
+        } else {
+            return Ok(());
+        };
+        let command = self.command.clone();
+        Err(ArgError::Refused {
+            command,
+            arg,
+            problem,
+        })
     }
 
     /// The value of a required option.

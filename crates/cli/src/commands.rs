@@ -183,23 +183,52 @@ pub fn help() -> String {
         .to_string()
 }
 
-/// Dispatches a parsed command line.
+/// Dispatches a parsed command line, after refusing any argument the
+/// command does not read: each arm names exactly the options
+/// (`--name value`) and the flags (bare `--name`) its command reads.
 pub fn run(args: &ParsedArgs) -> Result<String, CommandError> {
-    match args.command.as_str() {
-        "generate" => generate(args),
-        "replay" => replay(args),
-        "snapshot" => snapshot(args),
-        "recover" => recover(args),
-        "whatif" => whatif(args),
-        "audit" => audit(args),
-        "serve" => serve(args),
-        "client" => client(args),
-        "paper" => paper(args),
-        "help" | "--help" | "-h" => Ok(help()),
-        other => Err(CommandError::Other(format!(
-            "unknown command `{other}`; try `deltanet help`"
-        ))),
-    }
+    type Command = fn(&ParsedArgs) -> Result<String, CommandError>;
+    let (command, options, flags): (Command, &str, &str) = match args.command.as_str() {
+        "generate" => (generate, "dataset scale out", ""),
+        "replay" => (
+            replay,
+            "topo trace checker compact json shards batch workers check fields from-snapshot \
+             log checkpoint checkpoint-every retain durability",
+            "no-loops compact monitor",
+        ),
+        "snapshot" => (
+            snapshot,
+            "topo trace save load at shards log",
+            "monitor repair-tail",
+        ),
+        "recover" => (
+            recover,
+            "topo dir snapshot log checkpoint-every retain durability",
+            "repair-tail",
+        ),
+        "whatif" => (whatif, "topo trace fields src dst", "loops"),
+        "audit" => (audit, "topo trace fields", ""),
+        "serve" => (
+            serve,
+            "topo port port-file shards window queue sub-buffer workers checkpoint \
+             checkpoint-every retain durability",
+            "stdin audit no-loops",
+        ),
+        "client" => (
+            client,
+            "addr port-file send topo trace batch",
+            "stats shutdown",
+        ),
+        "paper" => (paper, "scale", ""),
+        "help" | "--help" | "-h" => (|_| Ok(help()), "", ""),
+        other => {
+            return Err(CommandError::Other(format!(
+                "unknown command `{other}`; try `deltanet help`"
+            )))
+        }
+    };
+    args.check(options, flags)?;
+    command(args)
 }
 
 fn load_topology(path: &str) -> Result<Topology, CommandError> {
@@ -2225,6 +2254,28 @@ mod tests {
         .unwrap_err();
         assert!(err.to_string().contains("no link"));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unknown_options_and_misused_flags_are_refused_before_any_work() {
+        // The files do not exist, so each refusal comes before they are read.
+        let error = |args: &[&str]| run(&parsed(args)).unwrap_err().to_string();
+        let replay = |extra: &[&str]| {
+            let files = ["--topo", "/no.topo", "--trace", "/no.trace"];
+            error(&[&["replay"][..], &files, extra].concat())
+        };
+        let refused = "`deltanet replay` takes no argument: `--monitr`";
+        assert_eq!(replay(&["--monitr"]), refused);
+        let refused = "`deltanet replay` takes no value after the flag: `--monitor yes`";
+        assert_eq!(replay(&["--monitor", "yes"]), refused);
+        let refused = "`deltanet replay` needs a value after: `--shards`";
+        assert_eq!(replay(&["--shards"]), refused);
+        let serve = error(&["serve", "--topo", "/no.topo", "--windw", "8"]);
+        assert_eq!(serve, "`deltanet serve` takes no argument: `--windw`");
+        // --compact is valid bare and with a value: the missing file fails.
+        for compact in [&["--compact"][..], &["--compact", "3"]] {
+            assert!(replay(compact).starts_with("i/o error"), "{compact:?}");
+        }
     }
 
     #[test]

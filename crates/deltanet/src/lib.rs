@@ -29,8 +29,9 @@
 //!   cross-field loop/blackhole walk kernel), for header spaces declaring
 //!   secondary fields next to the primary one (`[dst, src]`-style
 //!   matching; [`DeltaNetConfig::with_secondary`]).
-//! * [`parallel`] — parallel bulk queries and the shared [`Parallelism`]
-//!   worker-count configuration (the §6 future-work direction).
+//! * [`parallel`] — the parallel bulk what-if query, the merge of
+//!   per-shard violations, and the shared [`Parallelism`] worker-count
+//!   configuration (the §6 future-work direction).
 //! * [`fault`] — the [`StorageBackend`] abstraction all persistence I/O
 //!   goes through: [`FsBackend`] for real files, [`FaultyBackend`] for
 //!   deterministic crash / short-write / fsync-failure injection.
@@ -58,7 +59,6 @@
 //! * [`reachability`] — Algorithm 3: all-pairs reachability of all atoms.
 //! * [`query`] — flow queries (which packets can reach B from A) and
 //!   "what if" link-failure analysis (§4.3.2).
-//! * [`lattice`] — the Boolean lattice induced by atoms (Appendix A).
 //!
 //! `Checker` has two write methods: `try_apply` for one op and
 //! `apply_window` for a window, whose applied-prefix contract is stated
@@ -99,7 +99,6 @@ pub mod delta_graph;
 pub mod engine;
 pub mod fault;
 pub mod labels;
-pub mod lattice;
 pub mod loops;
 pub mod monitor;
 pub mod multifield;
@@ -117,9 +116,7 @@ pub use delta_graph::DeltaGraph;
 pub use engine::{CompactReport, DeltaNet, DeltaNetConfig};
 pub use fault::{FaultPlan, FaultyBackend, FsBackend, StorageBackend};
 pub use labels::Labels;
-pub use monitor::{
-    MonitorEvent, MonitorTransitions, TransitionTracker, ViolationKey, ViolationMonitor,
-};
+pub use monitor::{MonitorTransitions, TransitionTracker, ViolationKey, ViolationMonitor};
 pub use parallel::Parallelism;
 pub use persist::{
     CheckpointConfig, DeltaLog, Durability, Journal, PersistError, PersistNet, RecoveryPolicy,

@@ -42,10 +42,11 @@
 //! 4. **Transitions**: violation identity is the canonical cycle for loops
 //!    and the switch for blackholes. Because drained entries stayed in the
 //!    map, "was tracked before this update" needs no snapshot of the key
-//!    sets: an identity admitted into a vacant slot *appeared*
-//!    ([`MonitorEvent::appeared`]), an entry still empty at the end
-//!    *resolved* ([`MonitorEvent::resolved`]) and is dropped, and a cycle
-//!    that drains and refills within one (aggregated) delta fires nothing.
+//!    sets: an identity admitted into a vacant slot *appeared*, an entry
+//!    still empty at the end *resolved* and is dropped, and a cycle that
+//!    drains and refills within one (aggregated) delta fires nothing. The
+//!    update's transitions are recorded as one [`MonitorTransitions`]
+//!    ([`ViolationMonitor::last_events`]), each list ascending.
 //!
 //! Cost per update: O(|Δ| · (tracked cycles + links + walk length)) bit
 //! probes, where |Δ| is the number of distinct atoms in the delta — for a
@@ -120,39 +121,6 @@ impl fmt::Display for ViolationKey {
     }
 }
 
-/// A violation-set transition produced by one update: a violation identity
-/// that appeared (was raised) or resolved (was retired).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MonitorEvent {
-    /// The violation that changed state.
-    pub key: ViolationKey,
-    /// `true` if the violation appeared with this update, `false` if it
-    /// resolved.
-    pub appeared: bool,
-}
-
-impl MonitorEvent {
-    fn appeared(key: ViolationKey) -> Self {
-        MonitorEvent {
-            key,
-            appeared: true,
-        }
-    }
-
-    fn resolved(key: ViolationKey) -> Self {
-        MonitorEvent {
-            key,
-            appeared: false,
-        }
-    }
-}
-
-impl fmt::Display for MonitorEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {}", if self.appeared { '+' } else { '-' }, self.key)
-    }
-}
-
 /// The violation-identity transitions of one update or batch window:
 /// everything that appeared and everything that resolved, each in ascending
 /// [`ViolationKey`] order. This is the payload pushed to observers
@@ -176,6 +144,12 @@ impl MonitorTransitions {
     /// Total transitions (appeared + resolved).
     pub fn len(&self) -> usize {
         self.appeared.len() + self.resolved.len()
+    }
+
+    /// Empties both lists, keeping their capacity.
+    fn clear(&mut self) {
+        self.appeared.clear();
+        self.resolved.clear();
     }
 }
 
@@ -227,7 +201,7 @@ pub struct ViolationMonitor {
     /// Active blackholes: switch → atoms currently dying there.
     holes: BTreeMap<NodeId, AtomSet>,
     /// The appeared/resolved transitions of the most recent update.
-    events: Vec<MonitorEvent>,
+    events: MonitorTransitions,
     /// Repair scratch, empty between updates and reused across them: the
     /// walk state, the delta's distinct atoms, and the blackhole
     /// `(switch, atom)` candidates, the latter two sorted.
@@ -306,32 +280,30 @@ impl ViolationMonitor {
                 holes_drained |= set.remove(atom) && set.is_empty();
             }
         }
-        let (loops, holes, events) = (&mut self.loops, &mut self.holes, &mut self.events);
-        let mut holes_appeared = 0;
+        let (loops, holes) = (&mut self.loops, &mut self.holes);
+        let appeared = &mut self.events.appeared;
         for &atom in &self.atoms {
-            scan(atom, &mut |found| {
-                let appeared = match found {
-                    Found::Cycle(cycle) => {
-                        loops::admit(loops, cycle, atom).then(|| ViolationKey::Loop(cycle.to_vec()))
+            scan(atom, &mut |found| match found {
+                Found::Cycle(cycle) => {
+                    if loops::admit(loops, cycle, atom) {
+                        appeared.push(ViolationKey::Loop(cycle.to_vec()));
                     }
-                    Found::Hole(node) => loops::admit(holes, &node, atom).then(|| {
-                        holes_appeared += 1;
-                        ViolationKey::Blackhole(node)
-                    }),
-                };
-                events.extend(appeared.map(MonitorEvent::appeared));
+                }
+                Found::Hole(node) => {
+                    if loops::admit(holes, &node, atom) {
+                        appeared.push(ViolationKey::Blackhole(node));
+                    }
+                }
             });
         }
-        // One scan admits loops and blackholes interleaved. Loop keys sort
-        // before blackhole keys, so settling the loops over *all* admitted
-        // events leaves the blackholes' as the tail the second phase owns.
-        settle(loops, events, 0, loops_drained, |cycle| {
+        let resolved = &mut self.events.resolved;
+        settle(&mut self.loops, resolved, loops_drained, |cycle| {
             ViolationKey::Loop(cycle.clone())
         });
-        let first = events.len() - holes_appeared;
-        settle(holes, events, first, holes_drained, |&node| {
+        settle(&mut self.holes, resolved, holes_drained, |&node| {
             ViolationKey::Blackhole(node)
         });
+        self.events.appeared.sort_unstable();
     }
 
     /// Repairs the violation state from one update's delta-graph, recording
@@ -369,7 +341,7 @@ impl ViolationMonitor {
                 drained |= set.remove(atom) && set.is_empty();
             }
         }
-        let (tracked, events) = (&mut self.loops, &mut self.events);
+        let (tracked, appeared) = (&mut self.loops, &mut self.events.appeared);
         loops::cycles_for_atom_list(
             &mut self.walk,
             topology,
@@ -377,11 +349,11 @@ impl ViolationMonitor {
             &self.atoms,
             |cycle, atom| {
                 if loops::admit(tracked, cycle, atom) {
-                    events.push(MonitorEvent::appeared(ViolationKey::Loop(cycle.to_vec())));
+                    appeared.push(ViolationKey::Loop(cycle.to_vec()));
                 }
             },
         );
-        settle(tracked, events, 0, drained, |cycle| {
+        settle(tracked, &mut self.events.resolved, drained, |cycle| {
             ViolationKey::Loop(cycle.clone())
         });
 
@@ -406,21 +378,21 @@ impl ViolationMonitor {
         }
         self.candidates.sort_unstable();
         self.candidates.dedup();
-        let first = self.events.len();
         let mut drained = false;
         for &(node, atom) in &self.candidates {
             if blackholes::is_blackholed_at(topology, labels, node, atom) {
                 if loops::admit(&mut self.holes, &node, atom) {
-                    self.events
-                        .push(MonitorEvent::appeared(ViolationKey::Blackhole(node)));
+                    self.events.appeared.push(ViolationKey::Blackhole(node));
                 }
             } else if let Some(set) = self.holes.get_mut(&node) {
                 drained |= set.remove(atom) && set.is_empty();
             }
         }
-        settle(&mut self.holes, &mut self.events, first, drained, |&node| {
+        let resolved = &mut self.events.resolved;
+        settle(&mut self.holes, resolved, drained, |&node| {
             ViolationKey::Blackhole(node)
         });
+        self.events.appeared.sort_unstable();
     }
 
     /// Rewrites every tracked atom through the remap table of a compaction
@@ -502,7 +474,7 @@ impl ViolationMonitor {
 
     /// The appeared/resolved transitions of the most recent update (empty
     /// after a remap, which never transitions an identity).
-    pub fn last_events(&self) -> &[MonitorEvent] {
+    pub fn last_events(&self) -> &MonitorTransitions {
         &self.events
     }
 
@@ -554,32 +526,28 @@ impl ViolationMonitor {
     }
 }
 
-/// Closes one phase (loops, then blackholes) of
-/// [`ViolationMonitor::apply_update`]. `events[first..]` holds the
-/// identities the phase admitted into vacant slots, in discovery order;
-/// entries that `drained` and were not refilled are still in `tracked`,
-/// empty. Drops those, and leaves the phase's events in the reporting
-/// order: resolved identities, then appeared ones, each ascending.
+/// Closes one phase (loops, then blackholes) of a repair: entries that
+/// `drained` and were not refilled are still in `tracked`, empty. Drops
+/// those, pushing each onto `resolved` in ascending key order. Loop keys
+/// sort before blackhole keys, so the loop phase's resolved identities
+/// followed by the blackhole phase's are ascending too; the repair sorts
+/// its `appeared` list once at its end.
 fn settle<K: Ord>(
     tracked: &mut BTreeMap<K, AtomSet>,
-    events: &mut Vec<MonitorEvent>,
-    first: usize,
+    resolved: &mut Vec<ViolationKey>,
     drained: bool,
     key: impl Fn(&K) -> ViolationKey,
 ) {
-    events[first..].sort_unstable_by(|a, b| a.key.cmp(&b.key));
     if !drained {
         return;
     }
-    let appeared = events.len() - first;
     // `retain` visits in ascending key order.
     tracked.retain(|k, set| {
         if set.is_empty() {
-            events.push(MonitorEvent::resolved(key(k)));
+            resolved.push(key(k));
         }
         !set.is_empty()
     });
-    events[first..].rotate_left(appeared);
 }
 
 #[cfg(test)]
@@ -604,6 +572,20 @@ mod tests {
         DeltaNetConfig {
             monitor_violations: true,
             ..DeltaNetConfig::default()
+        }
+    }
+
+    fn appeared(key: ViolationKey) -> MonitorTransitions {
+        MonitorTransitions {
+            appeared: vec![key],
+            ..MonitorTransitions::default()
+        }
+    }
+
+    fn resolved(key: ViolationKey) -> MonitorTransitions {
+        MonitorTransitions {
+            resolved: vec![key],
+            ..MonitorTransitions::default()
         }
     }
 
@@ -635,11 +617,10 @@ mod tests {
         assert_eq!(monitor.blackhole_count(), 0);
         let events = monitor.last_events();
         assert!(events
+            .appeared
             .iter()
-            .any(|e| e.appeared && matches!(e.key, ViolationKey::Loop(_))));
-        assert!(events
-            .iter()
-            .any(|e| !e.appeared && e.key == ViolationKey::Blackhole(b)));
+            .any(|key| matches!(key, ViolationKey::Loop(_))));
+        assert!(events.resolved.contains(&ViolationKey::Blackhole(b)));
         // The live state equals the full scans, in their concatenation order.
         let mut expect = net.check_all_loops();
         expect.extend(net.check_all_blackholes());
@@ -651,8 +632,9 @@ mod tests {
         assert_eq!(monitor.loop_count(), 0);
         assert!(monitor
             .last_events()
+            .resolved
             .iter()
-            .any(|e| !e.appeared && matches!(e.key, ViolationKey::Loop(_))));
+            .any(|key| matches!(key, ViolationKey::Loop(_))));
         assert_eq!(monitor.active_keys(), vec![ViolationKey::Blackhole(a)]);
     }
 
@@ -672,10 +654,7 @@ mod tests {
         net.insert_rule(Rule::drop(RuleId(2), prefix("10.0.0.0/8"), 1, b, db));
         let monitor = net.monitor().unwrap();
         assert_eq!(monitor.blackhole_count(), 0);
-        assert_eq!(
-            monitor.last_events(),
-            &[MonitorEvent::resolved(ViolationKey::Blackhole(b))]
-        );
+        assert_eq!(monitor.last_events(), &resolved(ViolationKey::Blackhole(b)));
         // Withdrawing the drop rule re-raises it.
         net.remove_rule(RuleId(2));
         assert_eq!(net.monitor().unwrap().blackhole_count(), 1);
@@ -799,16 +778,11 @@ mod tests {
     }
 
     #[test]
-    fn key_and_event_display() {
+    fn violation_key_display() {
         let key = ViolationKey::Loop(vec![NodeId(0), NodeId(1)]);
         assert_eq!(key.to_string(), "forwarding loop through n0 -> n1");
         let key = ViolationKey::Blackhole(NodeId(3));
         assert_eq!(key.to_string(), "blackhole at n3");
-        assert_eq!(
-            MonitorEvent::appeared(key.clone()).to_string(),
-            "+ blackhole at n3"
-        );
-        assert_eq!(MonitorEvent::resolved(key).to_string(), "- blackhole at n3");
     }
 
     /// The dense repair that [`ViolationMonitor::apply_update`] replaced,
@@ -880,30 +854,10 @@ mod tests {
             self.holes.retain(|_, set| !set.is_empty());
 
             // 3. Transitions at the violation-identity level.
-            for cycle in &loops_before {
-                if !self.loops.contains_key(cycle) {
-                    self.events
-                        .push(MonitorEvent::resolved(ViolationKey::Loop(cycle.clone())));
-                }
-            }
-            for cycle in self.loops.keys() {
-                if !loops_before.contains(cycle) {
-                    self.events
-                        .push(MonitorEvent::appeared(ViolationKey::Loop(cycle.clone())));
-                }
-            }
-            for &node in &holes_before {
-                if !self.holes.contains_key(&node) {
-                    self.events
-                        .push(MonitorEvent::resolved(ViolationKey::Blackhole(node)));
-                }
-            }
-            for &node in self.holes.keys() {
-                if !holes_before.contains(&node) {
-                    self.events
-                        .push(MonitorEvent::appeared(ViolationKey::Blackhole(node)));
-                }
-            }
+            let before = loops_before.into_iter().map(ViolationKey::Loop);
+            let before = before.chain(holes_before.into_iter().map(ViolationKey::Blackhole));
+            self.events = TransitionTracker::starting_from(before.collect())
+                .observe(self.active_keys().into_iter().collect());
         }
     }
 
@@ -930,10 +884,7 @@ mod tests {
         let agg = net.take_aggregate();
         external.apply_update(net.topology(), net.labels(), &agg);
         let cycle = ViolationKey::Loop(vec![a, b]);
-        assert_eq!(
-            external.last_events(),
-            &[MonitorEvent::appeared(cycle.clone())]
-        );
+        assert_eq!(external.last_events(), &appeared(cycle.clone()));
 
         net.begin_aggregate();
         net.remove_rule(RuleId(3));
@@ -961,10 +912,7 @@ mod tests {
         net.remove_rule(RuleId(4));
         let monitor = net.monitor().unwrap();
         assert_eq!(monitor.loop_count(), 1);
-        assert_eq!(
-            monitor.last_events(),
-            &[MonitorEvent::appeared(ViolationKey::Blackhole(b))]
-        );
+        assert_eq!(monitor.last_events(), &appeared(ViolationKey::Blackhole(b)));
     }
 
     /// One engine per shard range, routed by hand so the test knows which

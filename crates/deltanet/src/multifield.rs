@@ -845,6 +845,28 @@ mod tests {
     }
 
     #[test]
+    fn the_full_loop_audit_finds_a_loop_no_label_walk_shows() {
+        // s0 and s1 forward everything to each other; a higher-priority
+        // deny at s0 takes sources [10, 20) out. Labels are a primary-field
+        // projection, so at s0 the deny owns every label bit and a label
+        // walk sees no loop — while every other source rides s0 -> s1 -> s0.
+        let (mut net, s, next, drop) = ring(2, &[8]);
+        let all = IpPrefix::new(0, 0, WIDTH);
+        net.insert_rule(Rule::forward(RuleId(0), all, 1, s[0], next[0]));
+        net.insert_rule(Rule::forward(RuleId(1), all, 1, s[1], next[1]));
+        let deny = Rule::drop(RuleId(2), all, 10, s[0], drop[0]);
+        net.insert_rule(deny.with_secondary(sec(&[(10, 20)])));
+        assert!(loops::find_all_loops(net.topology(), net.labels(), net.atoms()).is_empty());
+        assert_eq!(
+            net.check_all_loops(),
+            vec![InvariantViolation::ForwardingLoop {
+                nodes: vec![s[0], s[1]],
+                packets: vec![Interval::new(0, 256)],
+            }]
+        );
+    }
+
+    #[test]
     fn a_deny_shadowed_by_a_higher_priority_wildcard_wins_nothing() {
         let (mut net, s, next, drop) = ring(2, &[6]);
         net.insert_rule(fwd(0, 10, s[0], next[0], &[]));

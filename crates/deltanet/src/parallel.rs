@@ -2,23 +2,21 @@
 //!
 //! "One advantage of Delta-net is that its main loops over atoms in
 //! Algorithm 1 and 2 are highly parallelizable" (§6). The *query* side —
-//! what-if analysis of many links, loop audits over many atoms — lives here:
-//! it only reads the persistent edge-labelled graph, so it partitions across
-//! threads with no synchronization beyond the final merge (a multi-field
-//! plane, whose loops the labels do not describe, is audited sequentially
-//! by its own kernel instead). The *update*
-//! side is parallelized by [`crate::shard::ShardedDeltaNet`], which
-//! partitions the address space itself so disjoint shards apply rule updates
-//! concurrently; both sides size their thread pools from the same
-//! [`Parallelism`] configuration, so a run pinned to `N` workers behaves
-//! identically across query and update code.
+//! what-if analysis of many links — lives here: it only reads the
+//! persistent edge-labelled graph, so it partitions across threads with no
+//! synchronization beyond collecting the reports. The *update* side is
+//! parallelized by [`crate::shard::ShardedDeltaNet`], which partitions the
+//! address space itself so disjoint shards apply rule updates concurrently
+//! (its per-shard answers are combined by [`merge_violations`]); both sides
+//! size their thread pools from the same [`Parallelism`] configuration, so
+//! a run pinned to `N` workers behaves identically across query and update
+//! code.
 //!
-//! The read-side bulk queries here still use `std::thread::scope`; shard
+//! The read-side bulk query here still uses `std::thread::scope`; shard
 //! writes run on the persistent helper threads each sharded engine owns.
 //! Neither uses `unsafe`, an external dependency or a global thread pool.
 
 use crate::engine::DeltaNet;
-use crate::loops;
 use netmodel::checker::{InvariantViolation, WhatIfReport};
 use netmodel::interval::normalize;
 use netmodel::topology::LinkId;
@@ -149,54 +147,10 @@ pub fn what_if_many_with(
     results.into_iter().map(|r| r.expect("filled")).collect()
 }
 
-/// Audits the whole data plane for forwarding loops by partitioning the atom
-/// space across threads. Produces the same set of violations as
-/// [`DeltaNet::check_all_loops`], merely faster on large atom counts.
-/// Worker count from [`Parallelism::auto`]; use
-/// [`check_all_loops_parallel_with`] to pin it.
-///
-/// The partitions walk edge labels, which under secondary header fields
-/// are a projection that misses and invents loops (see
-/// [`crate::multifield`]), so a multi-field plane takes the sequential scan
-/// whatever the worker count.
-pub fn check_all_loops_parallel(net: &DeltaNet) -> Vec<InvariantViolation> {
-    check_all_loops_parallel_with(net, Parallelism::auto())
-}
-
-/// [`check_all_loops_parallel`] with an explicit worker-count configuration.
-pub fn check_all_loops_parallel_with(
-    net: &DeltaNet,
-    parallelism: Parallelism,
-) -> Vec<InvariantViolation> {
-    let all_atoms: Vec<crate::atoms::AtomId> = net.atoms().iter().map(|(a, _)| a).collect();
-    let workers = parallelism.for_items(all_atoms.len() / 64 + 1);
-    if workers <= 1 || net.is_multifield() {
-        return net.check_all_loops();
-    }
-    let chunk = all_atoms.len().div_ceil(workers);
-    let mut partial: Vec<Vec<InvariantViolation>> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for work in all_atoms.chunks(chunk) {
-            handles.push(scope.spawn(move || {
-                let subset: crate::atomset::AtomSet = work.iter().copied().collect();
-                loops::find_loops_for_atoms(net.topology(), net.labels(), net.atoms(), &subset)
-            }));
-        }
-        for h in handles {
-            partial.push(h.join().expect("loop-audit worker panicked"));
-        }
-    });
-    // The same cycle may be found from different atom partitions; merge to
-    // one violation per cycle with the packets combined.
-    merge_violations(partial.into_iter().flatten())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::DeltaNetConfig;
-    use netmodel::header::SecondaryMatch;
     use netmodel::interval::Interval;
     use netmodel::ip::IpPrefix;
     use netmodel::rule::{Rule, RuleId};
@@ -206,7 +160,7 @@ mod tests {
         s.parse().unwrap()
     }
 
-    fn ring_net(with_loop: bool) -> DeltaNet {
+    fn ring_net() -> DeltaNet {
         let mut topo = Topology::new();
         let n = topo.add_nodes("s", 4);
         for i in 0..4 {
@@ -219,8 +173,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let limit = if with_loop { 4 } else { 3 };
-        for i in 0..limit {
+        for i in 0..3 {
             let src = netmodel::topology::NodeId(i as u32);
             let link = net.topology().out_links(src)[0];
             net.insert_rule(Rule::forward(
@@ -247,68 +200,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_loop_audit_matches_sequential() {
-        for with_loop in [false, true] {
-            for workers in [1, 2, 5] {
-                let net = ring_net(with_loop);
-                let seq = net.check_all_loops();
-                let par = check_all_loops_parallel_with(&net, Parallelism::fixed(workers));
-                assert_eq!(
-                    seq.len(),
-                    par.len(),
-                    "with_loop={with_loop} workers={workers}"
-                );
-                if with_loop {
-                    assert!(!par.is_empty());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_loop_audit_of_a_multifield_plane_matches_sequential() {
-        // n0 and n1 forward everything to each other; a higher-priority
-        // deny at n0 takes sources [10, 20) out. Labels are a primary-field
-        // projection, so at n0 the deny owns every label bit and a label
-        // walk sees no loop — while every other source rides n0 -> n1 -> n0.
-        let mut topo = Topology::new();
-        let n = topo.add_nodes("n", 2);
-        let (l01, l10) = (topo.add_link(n[0], n[1]), topo.add_link(n[1], n[0]));
-        let drop0 = topo.drop_link(n[0]);
-        let config = DeltaNetConfig {
-            field_width: 8,
-            check_loops_per_update: false,
-            ..Default::default()
-        };
-        let mut net = DeltaNet::new(topo, config.with_secondary(&[8]));
-        let all = IpPrefix::new(0, 0, 8);
-        net.insert_rule(Rule::forward(RuleId(0), all, 1, n[0], l01));
-        net.insert_rule(Rule::forward(RuleId(1), all, 1, n[1], l10));
-        let sources = SecondaryMatch::new(&[Interval::new(10, 20)]);
-        net.insert_rule(Rule::drop(RuleId(2), all, 10, n[0], drop0).with_secondary(sources));
-        // Enough atoms that two workers would each be handed a partition.
-        for i in 0..200 {
-            let host = IpPrefix::new(i, 8, 8);
-            net.insert_rule(Rule::forward(RuleId(100 + i as u64), host, 2, n[1], l10));
-        }
-        assert_eq!(net.atom_count(), 201);
-        let seq = net.check_all_loops();
-        assert_eq!(
-            seq,
-            vec![InvariantViolation::ForwardingLoop {
-                nodes: vec![n[0], n[1]],
-                packets: vec![Interval::new(0, 256)],
-            }]
-        );
-        for workers in [1, 2, 5] {
-            let par = check_all_loops_parallel_with(&net, Parallelism::fixed(workers));
-            assert_eq!(par, seq, "workers={workers}");
-        }
-    }
-
-    #[test]
     fn what_if_many_matches_single_queries() {
-        let net = ring_net(false);
+        let net = ring_net();
         let links: Vec<LinkId> = net.topology().links().iter().map(|l| l.id).collect();
         for workers in [1, 3, 16] {
             let bulk = what_if_many_with(&net, &links, false, Parallelism::fixed(workers));
@@ -325,7 +218,7 @@ mod tests {
 
     #[test]
     fn what_if_many_empty_input() {
-        let net = ring_net(false);
+        let net = ring_net();
         assert!(what_if_many(&net, &[], true).is_empty());
     }
 

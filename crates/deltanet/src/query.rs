@@ -10,12 +10,11 @@
 //! at most one owning rule per atom), so single-pair queries walk successor
 //! chains; the all-pairs variant lives in [`crate::reachability`].
 //!
-//! In a multi-field configuration, atoms — and therefore query answers —
-//! are the *primary-field projection*: the returned intervals cover every
-//! packet whose primary field can flow, assuming its secondary fields
-//! satisfy the owning rules along the path. Cross-field refinement (which
-//! secondary value classes actually traverse a path) is the job of
-//! [`crate::multifield`], which intersects secondary matches at check time.
+//! A multi-field engine is refused ([`FlowQuery::new`] returns `None`): its
+//! labels are a primary-field projection, so a label walk would report
+//! packets on paths that no secondary class actually takes. Cross-field
+//! answers are the job of [`crate::multifield`], which intersects secondary
+//! matches at check time.
 
 use crate::atoms::AtomId;
 use crate::atomset::AtomSet;
@@ -49,9 +48,10 @@ pub struct FlowQuery<'a> {
 }
 
 impl<'a> FlowQuery<'a> {
-    /// Creates a query handle borrowing the checker's state.
-    pub fn new(net: &'a DeltaNet) -> Self {
-        FlowQuery { net }
+    /// Creates a query handle borrowing the checker's state, or `None` for
+    /// a multi-field engine (see the module docs).
+    pub fn new(net: &'a DeltaNet) -> Option<Self> {
+        (!net.is_multifield()).then_some(FlowQuery { net })
     }
 
     /// The atoms leaving `node` on any link (the packets `node` forwards).
@@ -179,6 +179,8 @@ impl<'a> FlowQuery<'a> {
 mod tests {
     use super::*;
     use crate::engine::DeltaNetConfig;
+    use crate::reachability::ReachabilityMatrix;
+    use netmodel::header::SecondaryMatch;
     use netmodel::ip::IpPrefix;
     use netmodel::rule::{Rule, RuleId};
     use netmodel::topology::Topology;
@@ -215,7 +217,7 @@ mod tests {
     #[test]
     fn packets_from_to_covers_both_branches() {
         let (net, n) = diamond();
-        let q = FlowQuery::new(&net);
+        let q = FlowQuery::new(&net).unwrap();
         let answer = q.packets_from_to(n[0], n[3]);
         assert!(!answer.is_empty());
         // Everything in 10.0.0.0/8 except the dropped /16 reaches s3.
@@ -230,7 +232,7 @@ mod tests {
     #[test]
     fn dropped_slice_does_not_reach() {
         let (net, n) = diamond();
-        let q = FlowQuery::new(&net);
+        let q = FlowQuery::new(&net).unwrap();
         let answer = q.packets_from_to(n[0], n[3]);
         let dropped = prefix("10.5.0.0/16").interval();
         assert!(answer.packets.iter().all(|iv| !iv.overlaps(&dropped)));
@@ -239,7 +241,7 @@ mod tests {
     #[test]
     fn reachable_nodes_from_source() {
         let (net, n) = diamond();
-        let q = FlowQuery::new(&net);
+        let q = FlowQuery::new(&net).unwrap();
         let mut reach = q.reachable_nodes(n[0]);
         reach.sort();
         assert_eq!(reach, vec![n[1], n[2], n[3]]);
@@ -250,7 +252,7 @@ mod tests {
     #[test]
     fn isolation_and_waypointing() {
         let (net, n) = diamond();
-        let q = FlowQuery::new(&net);
+        let q = FlowQuery::new(&net).unwrap();
         assert!(!q.isolated(n[0], n[3]));
         assert!(q.isolated(n[3], n[0]));
         // Traffic from s1 to s3 goes direct, so it trivially traverses s1
@@ -265,7 +267,7 @@ mod tests {
     #[test]
     fn packets_on_link_matches_labels() {
         let (net, n) = diamond();
-        let q = FlowQuery::new(&net);
+        let q = FlowQuery::new(&net).unwrap();
         let l01 = net.topology().link_between(n[0], n[1]).unwrap();
         let on_l01 = q.packets_on_link(l01);
         assert_eq!(on_l01, vec![prefix("10.0.0.0/9").interval()]);
@@ -279,7 +281,7 @@ mod tests {
     #[test]
     fn atoms_leaving_union_of_out_links() {
         let (net, n) = diamond();
-        let q = FlowQuery::new(&net);
+        let q = FlowQuery::new(&net).unwrap();
         let leaving = q.atoms_leaving(n[0]);
         let expected: u128 = normalize(
             leaving
@@ -291,5 +293,28 @@ mod tests {
         .map(|iv| iv.len())
         .sum();
         assert_eq!(expected, 1u128 << 24); // all of 10.0.0.0/8
+    }
+
+    #[test]
+    fn a_multifield_engine_is_refused() {
+        // s0 sends sources [0, 8) to s1, and s1 sends only sources [8, 16)
+        // on to s2: no packet reaches s2 from s0. The labels are a
+        // primary-field projection and chain s0 -> s1 -> s2 anyway.
+        let mut topo = Topology::new();
+        let n = topo.add_nodes("s", 3);
+        let l01 = topo.add_link(n[0], n[1]);
+        let l12 = topo.add_link(n[1], n[2]);
+        let all = IpPrefix::new(0, 0, 8);
+        let sources = |lo, hi| SecondaryMatch::new(&[Interval::new(lo, hi)]);
+        let config = DeltaNetConfig {
+            field_width: 8,
+            ..DeltaNetConfig::default()
+        };
+        let mut net = DeltaNet::new(topo, config.with_secondary(&[8]));
+        net.insert_rule(Rule::forward(RuleId(1), all, 1, n[0], l01).with_secondary(sources(0, 8)));
+        net.insert_rule(Rule::forward(RuleId(2), all, 1, n[1], l12).with_secondary(sources(8, 16)));
+        assert!(!net.label(l01).is_empty() && !net.label(l12).is_empty());
+        assert!(FlowQuery::new(&net).is_none());
+        assert!(ReachabilityMatrix::compute(&net).is_none());
     }
 }

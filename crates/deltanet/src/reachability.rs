@@ -13,12 +13,15 @@
 //! whole packet equivalence classes per hop. The complexity is
 //! `O(K · |V|³)`, which is intended for pre-deployment, Datalog-style
 //! queries (design goal 3, §2.2) rather than the per-update hot path.
+//!
+//! A multi-field engine is refused ([`ReachabilityMatrix::compute`] returns
+//! `None`): its labels are a primary-field projection, so the closure
+//! would chain hops that no secondary class takes end to end.
 
 use crate::atomset::AtomSet;
 use crate::engine::DeltaNet;
-use crate::labels::Labels;
 use netmodel::interval::{normalize, Interval};
-use netmodel::topology::{NodeId, Topology};
+use netmodel::topology::NodeId;
 
 /// The all-pairs reachability matrix over atoms.
 #[derive(Clone, Debug)]
@@ -29,13 +32,13 @@ pub struct ReachabilityMatrix {
 }
 
 impl ReachabilityMatrix {
-    /// Runs Algorithm 3 over a checker's current edge-labelled graph.
-    pub fn compute(net: &DeltaNet) -> Self {
-        Self::compute_from(net.topology(), net.labels())
-    }
-
-    /// Runs Algorithm 3 over an explicit topology and label store.
-    pub fn compute_from(topology: &Topology, labels: &Labels) -> Self {
+    /// Runs Algorithm 3 over a checker's current edge-labelled graph, or
+    /// returns `None` for a multi-field engine (see the module docs).
+    pub fn compute(net: &DeltaNet) -> Option<Self> {
+        if net.is_multifield() {
+            return None;
+        }
+        let (topology, labels) = (net.topology(), net.labels());
         let n = topology.node_count();
         let mut cells: Vec<AtomSet> = vec![AtomSet::new(); n * n];
 
@@ -69,7 +72,7 @@ impl ReachabilityMatrix {
                 }
             }
         }
-        ReachabilityMatrix { nodes: n, cells }
+        Some(ReachabilityMatrix { nodes: n, cells })
     }
 
     /// The atoms that can flow from `src` to `dst` (over one or more hops).
@@ -110,6 +113,7 @@ mod tests {
     use crate::engine::DeltaNetConfig;
     use netmodel::ip::IpPrefix;
     use netmodel::rule::{Rule, RuleId};
+    use netmodel::topology::Topology;
 
     fn prefix(s: &str) -> IpPrefix {
         s.parse().unwrap()
@@ -133,7 +137,7 @@ mod tests {
     #[test]
     fn one_hop_and_transitive_reachability() {
         let (net, n) = chain();
-        let m = ReachabilityMatrix::compute(&net);
+        let m = ReachabilityMatrix::compute(&net).unwrap();
         assert!(m.can_reach(n[0], n[1]));
         assert!(m.can_reach(n[1], n[2]));
         assert!(m.can_reach(n[0], n[2]), "transitive closure missing");
@@ -144,7 +148,7 @@ mod tests {
     #[test]
     fn drop_rule_removes_packets_from_transitive_flow() {
         let (net, n) = chain();
-        let m = ReachabilityMatrix::compute(&net);
+        let m = ReachabilityMatrix::compute(&net).unwrap();
         // 10.1.0.0/16 is dropped at s1, so it reaches s1 but not s2.
         let to_s1 = m.reachable_packets(&net, n[0], n[1]);
         let to_s2 = m.reachable_packets(&net, n[0], n[2]);
@@ -159,7 +163,7 @@ mod tests {
     #[test]
     fn reachability_matches_paper_example_shape() {
         let (net, n) = chain();
-        let m = ReachabilityMatrix::compute(&net);
+        let m = ReachabilityMatrix::compute(&net).unwrap();
         assert_eq!(m.node_count(), net.topology().node_count());
         // Pairs with flow: 0->1, 1->2, 0->2, 1->drop, 0->drop.
         assert_eq!(m.reachable_pair_count(), 5);
@@ -174,7 +178,7 @@ mod tests {
         let mut topo = Topology::new();
         topo.add_nodes("s", 4);
         let net = DeltaNet::with_topology(topo);
-        let m = ReachabilityMatrix::compute(&net);
+        let m = ReachabilityMatrix::compute(&net).unwrap();
         assert_eq!(m.reachable_pair_count(), 0);
     }
 
@@ -198,7 +202,7 @@ mod tests {
         net.insert_rule(Rule::forward(RuleId(1), prefix("0.0.0.0/0"), 1, n[0], l01));
         net.insert_rule(Rule::forward(RuleId(2), prefix("0.0.0.0/0"), 1, n[1], l12));
         net.insert_rule(Rule::forward(RuleId(3), prefix("0.0.0.0/0"), 1, n[2], l20));
-        let m = ReachabilityMatrix::compute(&net);
+        let m = ReachabilityMatrix::compute(&net).unwrap();
         for &i in &n {
             for &j in &n {
                 if i != j {

@@ -4,8 +4,9 @@
 //! destination address), remarking that the interval representation
 //! generalizes. This module is that generalization: a [`HeaderSpace`]
 //! declares which fields a data plane matches on (e.g. `[dst]`,
-//! `[dst, src]`, `[dst, src, dport]`), and a [`HeaderMatch`] carries one
-//! half-closed interval per declared field.
+//! `[dst, src]`, `[dst, src, dport]`), and a [`SecondaryMatch`] carries a
+//! rule's half-closed interval for each secondary field it constrains (the
+//! primary interval is the rule's prefix).
 //!
 //! The first field is the **primary** field: it is the axis the atom
 //! machinery, the labels, and shard partitioning run on, exactly as in the
@@ -32,47 +33,9 @@ pub const MAX_SECONDARY_FIELDS: usize = 2;
 /// the full 1–127-bit range of the `u128` atom machinery.
 pub const MAX_SECONDARY_WIDTH: u8 = 63;
 
-/// Identifies one field of a header space by position: field 0 is the
-/// primary field, fields `1..` are secondary.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct FieldId(pub u8);
-
-impl FieldId {
-    /// The primary field (the destination address in the paper's datasets).
-    pub const DST: FieldId = FieldId(0);
-    /// Conventional name for the first secondary field.
-    pub const SRC: FieldId = FieldId(1);
-    /// Conventional name for the second secondary field.
-    pub const DPORT: FieldId = FieldId(2);
-
-    /// The field's position as an index.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-
-    /// Conventional display name for the field position.
-    pub fn name(self) -> &'static str {
-        match self.0 {
-            0 => "dst",
-            1 => "src",
-            2 => "dport",
-            _ => "field",
-        }
-    }
-}
-
-impl fmt::Debug for FieldId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name())
-    }
-}
-
-impl fmt::Display for FieldId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name())
-    }
-}
+/// Display names of the field positions: the primary field first, then
+/// the secondaries.
+const FIELD_NAMES: [&str; 1 + MAX_SECONDARY_FIELDS] = ["dst", "src", "dport"];
 
 /// The declared shape of a data plane's match space: the bit-width of the
 /// primary field plus the widths of zero or more secondary fields.
@@ -87,11 +50,6 @@ impl HeaderSpace {
     /// shape, and the fast path throughout the engines.
     pub fn single(width: u8) -> Self {
         HeaderSpace::new(&[width])
-    }
-
-    /// A two-field `[dst, src]` space.
-    pub fn dst_src(dst_width: u8, src_width: u8) -> Self {
-        HeaderSpace::new(&[dst_width, src_width])
     }
 
     /// A space over the given field widths (primary first).
@@ -140,29 +98,10 @@ impl HeaderSpace {
         self.count as usize - 1
     }
 
-    /// Whether this is the single-field (paper) shape.
-    #[inline]
-    pub fn is_single_field(&self) -> bool {
-        self.count == 1
-    }
-
     /// Width in bits of the primary field.
     #[inline]
     pub fn primary_width(&self) -> u8 {
         self.widths[0]
-    }
-
-    /// Width in bits of secondary field `i` (0-based among the secondaries).
-    #[inline]
-    pub fn secondary_width(&self, i: usize) -> u8 {
-        debug_assert!(i < self.secondary_count());
-        self.widths[1 + i]
-    }
-
-    /// The full interval `[0 : 2^width)` of secondary field `i`.
-    #[inline]
-    pub fn secondary_full(&self, i: usize) -> Interval {
-        Interval::new(0, 1u128 << self.secondary_width(i))
     }
 
     /// The field widths, primary first.
@@ -174,11 +113,11 @@ impl HeaderSpace {
 impl fmt::Debug for HeaderSpace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for i in 0..self.field_count() {
+        for (i, (name, width)) in FIELD_NAMES.iter().zip(self.widths()).enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
-            write!(f, "{}:{}", FieldId(i as u8), self.widths[i])?;
+            write!(f, "{name}:{width}")?;
         }
         write!(f, "]")
     }
@@ -330,7 +269,7 @@ impl fmt::Debug for SecondaryMatch {
             if i > 0 {
                 write!(f, " ")?;
             }
-            write!(f, "{}={}:{}", FieldId(1 + i as u8), iv.lo(), iv.hi())?;
+            write!(f, "{}={}:{}", FIELD_NAMES[1 + i], iv.lo(), iv.hi())?;
         }
         Ok(())
     }
@@ -342,53 +281,6 @@ impl fmt::Display for SecondaryMatch {
     }
 }
 
-/// A complete multi-field match: the primary interval plus the secondary
-/// constraints — `interval(r)` generalized to N fields.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct HeaderMatch {
-    /// The primary-field interval.
-    pub primary: Interval,
-    /// The secondary-field constraints.
-    pub secondary: SecondaryMatch,
-}
-
-impl HeaderMatch {
-    /// A match over the given primary interval and secondary constraints.
-    pub fn new(primary: Interval, secondary: SecondaryMatch) -> Self {
-        HeaderMatch { primary, secondary }
-    }
-
-    /// A single-field match (no secondary constraints).
-    pub fn single(primary: Interval) -> Self {
-        HeaderMatch {
-            primary,
-            secondary: SecondaryMatch::default(),
-        }
-    }
-
-    /// Whether a header with the given primary value and secondary values
-    /// is matched.
-    #[inline]
-    pub fn contains(&self, primary: Bound, secondary: &[Bound]) -> bool {
-        self.primary.contains(primary) && self.secondary.matches(secondary)
-    }
-
-    /// Whether two matches overlap on every field.
-    pub fn overlaps(&self, other: &HeaderMatch) -> bool {
-        self.primary.overlaps(&other.primary) && self.secondary.overlaps(&other.secondary)
-    }
-}
-
-impl fmt::Debug for HeaderMatch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.secondary.is_empty() {
-            write!(f, "{}", self.primary)
-        } else {
-            write!(f, "{} {}", self.primary, self.secondary)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,17 +288,14 @@ mod tests {
     #[test]
     fn space_shapes() {
         let s = HeaderSpace::single(32);
-        assert!(s.is_single_field());
         assert_eq!(s.field_count(), 1);
         assert_eq!(s.secondary_count(), 0);
         assert_eq!(s.primary_width(), 32);
         assert_eq!(s.widths(), &[32]);
 
-        let ds = HeaderSpace::dst_src(32, 16);
-        assert!(!ds.is_single_field());
+        let ds = HeaderSpace::new(&[32, 16]);
         assert_eq!(ds.secondary_count(), 1);
-        assert_eq!(ds.secondary_width(0), 16);
-        assert_eq!(ds.secondary_full(0), Interval::new(0, 1 << 16));
+        assert_eq!(ds.widths(), &[32, 16]);
         assert_eq!(ds.to_string(), "[dst:32, src:16]");
 
         let three = HeaderSpace::new(&[32, 32, 16]);
@@ -465,29 +354,5 @@ mod tests {
         let two = SecondaryMatch::new(&[Interval::new(15, 35), Interval::new(0, 4)]);
         assert!(m.overlaps(&two));
         assert_eq!(two.to_string(), "src=15:35 dport=0:4");
-    }
-
-    #[test]
-    fn header_match_contains_and_overlaps() {
-        let hm = HeaderMatch::new(
-            Interval::new(0, 100),
-            SecondaryMatch::new(&[Interval::new(5, 10)]),
-        );
-        assert!(hm.contains(50, &[7]));
-        assert!(!hm.contains(50, &[10]));
-        assert!(!hm.contains(100, &[7]));
-        let single = HeaderMatch::single(Interval::new(50, 60));
-        assert!(hm.overlaps(&single));
-        assert_eq!(format!("{single:?}"), "[50 : 60)");
-        assert!(format!("{hm:?}").contains("src=5:10"));
-    }
-
-    #[test]
-    fn field_ids() {
-        assert_eq!(FieldId::DST.to_string(), "dst");
-        assert_eq!(FieldId::SRC.to_string(), "src");
-        assert_eq!(FieldId::DPORT.to_string(), "dport");
-        assert_eq!(FieldId(7).name(), "field");
-        assert_eq!(FieldId::SRC.index(), 1);
     }
 }

@@ -47,7 +47,7 @@ pub mod trace;
 
 pub use checker::{Checker, InvariantViolation, UpdateReport, WhatIfReport};
 pub use fib::ForwardingTable;
-pub use header::{FieldId, HeaderMatch, HeaderSpace, SecondaryMatch, MAX_SECONDARY_FIELDS};
+pub use header::{HeaderSpace, SecondaryMatch, MAX_SECONDARY_FIELDS};
 pub use interval::Interval;
 pub use ip::{IpPrefix, PrefixParseError};
 pub use packet::Packet;

@@ -13,7 +13,7 @@
 //! secondary field and behaves exactly as in the single-field engine;
 //! [`Rule::with_secondary`] layers the extra constraints on.
 
-use crate::header::{HeaderMatch, SecondaryMatch};
+use crate::header::SecondaryMatch;
 use crate::interval::{Bound, Interval};
 use crate::ip::IpPrefix;
 use crate::packet::Packet;
@@ -161,12 +161,6 @@ impl Rule {
         !self.sec.is_empty()
     }
 
-    /// The rule's complete multi-field match condition.
-    #[inline]
-    pub fn header_match(&self) -> HeaderMatch {
-        HeaderMatch::new(self.interval(), self.sec)
-    }
-
     /// Whether this rule matches a concrete header: the primary value must
     /// lie in the prefix and every constrained secondary field's value in
     /// its interval.
@@ -281,7 +275,7 @@ mod tests {
         assert!(!r.matches_values(0x0b00_0001, &[150]));
         assert!(r.matches_packet(&Packet::to(0x0a00_0001).with_field(0, 150)));
         assert!(!r.matches_packet(&Packet::to(0x0a00_0001)));
-        assert_eq!(r.header_match().primary, p.interval());
+        assert_eq!(r.interval(), p.interval());
         assert!(r.to_string().contains("src=100:200"));
     }
 

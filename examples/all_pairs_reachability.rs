@@ -45,7 +45,7 @@ fn main() {
 
     // Algorithm 3: the all-pairs reachability of every atom.
     let start = std::time::Instant::now();
-    let matrix = ReachabilityMatrix::compute(&net);
+    let matrix = ReachabilityMatrix::compute(&net).expect("a single-field engine");
     println!(
         "Algorithm 3 over {} nodes took {:.2} ms; {} reachable (src, dst) pairs",
         matrix.node_count(),
@@ -64,7 +64,7 @@ fn main() {
     );
 
     // Policy questions answered from the persistent state.
-    let q = FlowQuery::new(&net);
+    let q = FlowQuery::new(&net).expect("a single-field engine");
     let core0 = topo.topology.node_by_name("core0").unwrap();
     println!(
         "acc0 -> acc1 always traverses core0? {}",

@@ -51,7 +51,7 @@ fn main() {
     }
 
     // 4. Ask the persistent flow API what travels on each link.
-    let q = deltanet::query::FlowQuery::new(&net);
+    let q = deltanet::query::FlowQuery::new(&net).expect("a single-field engine");
     for (name, link) in [("s1->s2", l12), ("s2->s3", l23), ("s1->s4", l14)] {
         println!("packets on {name}: {:?}", q.packets_on_link(link));
     }

@@ -6,7 +6,7 @@
 //! downstream users can depend on a single crate:
 //!
 //! * [`deltanet`] — the Delta-net engine (atoms, edge labels, Algorithms
-//!   1–3, queries, lattice).
+//!   1–3, queries, live violation monitoring).
 //! * [`veriflow_ri`] — the Veriflow-RI baseline checker.
 //! * [`netmodel`] — prefixes, intervals, topologies, rules, traces, and the
 //!   shared [`netmodel::Checker`] trait.
@@ -33,12 +33,12 @@ pub use workloads;
 /// Convenience prelude bringing the most common types into scope.
 pub mod prelude {
     pub use deltanet::{
-        AtomId, AtomMap, AtomSet, DeltaNet, DeltaNetConfig, MonitorEvent, Parallelism,
+        AtomId, AtomMap, AtomSet, DeltaNet, DeltaNetConfig, MonitorTransitions, Parallelism,
         ReachabilityMatrix, ShardedDeltaNet, ViolationKey, ViolationMonitor,
     };
     pub use netmodel::checker::{Checker, InvariantViolation, UpdateReport, WhatIfReport};
     pub use netmodel::fib::NetworkFib;
-    pub use netmodel::header::{FieldId, HeaderMatch, HeaderSpace, SecondaryMatch};
+    pub use netmodel::header::{HeaderSpace, SecondaryMatch};
     pub use netmodel::interval::Interval;
     pub use netmodel::ip::IpPrefix;
     pub use netmodel::packet::Packet;

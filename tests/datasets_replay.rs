@@ -195,7 +195,7 @@ fn whatif_on_airtel_data_plane_reports_affected_flows() {
 fn reachability_matrix_on_four_switch_data_plane() {
     let ds = workloads::build(DatasetId::FourSwitch, ScaleProfile::Tiny);
     let net = replay_deltanet(&ds, false);
-    let matrix = ReachabilityMatrix::compute(&net);
+    let matrix = ReachabilityMatrix::compute(&net).expect("a single-field engine");
     // The ring with SDN-IP routing lets every switch reach every other.
     let switches: Vec<NodeId> = net.topology().switch_nodes().collect();
     let mut reachable_pairs = 0;

@@ -5,15 +5,31 @@
 
 use std::process::Command;
 
-const EXAMPLES: [&str; 7] = [
+const EXAMPLES: [&str; 6] = [
     "quickstart",
-    "lattice_demo",
     "whatif_link_failure",
     "all_pairs_reachability",
     "failure_sweep",
     "sdn_ip_churn",
     "sharded_updates",
 ];
+
+/// `EXAMPLES` names every file in `examples/`, so an example added or
+/// deleted without updating the list fails here instead of going unrun.
+#[test]
+fn the_list_names_every_example() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples");
+    let mut stems: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("read {}: {e}", dir.display()))
+        .map(|entry| entry.expect("a directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "rs"))
+        .map(|path| path.file_stem().unwrap().to_string_lossy().into_owned())
+        .collect();
+    stems.sort();
+    let mut listed = EXAMPLES.to_vec();
+    listed.sort();
+    assert_eq!(listed, stems);
+}
 
 /// Runs each example through `cargo run --example` (a cache hit for the
 /// build, since `cargo test` already compiled them) and asserts a clean exit

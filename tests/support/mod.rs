@@ -18,8 +18,8 @@
 use deltanet::loops::successor;
 use deltanet::persist;
 use deltanet::{
-    CompactReport, DeltaNet, DeltaNetConfig, Durability, FsBackend, Journal, MonitorTransitions,
-    Parallelism, PersistNet, Session, ShardedDeltaNet, Snapshot, TransitionTracker, ViolationKey,
+    CompactReport, DeltaNet, DeltaNetConfig, Durability, FsBackend, Journal, Parallelism,
+    PersistNet, Session, ShardedDeltaNet, Snapshot, TransitionTracker, ViolationKey,
 };
 use netmodel::checker::{Checker, InvariantViolation, ReplayError, UpdateReport};
 use netmodel::fib::{NetworkFib, TraceOutcome};
@@ -663,7 +663,7 @@ impl<'a> Run<'a> {
                     return;
                 };
                 let compactions = single.compactions();
-                let events = single.monitor().expect("monitored").last_events().to_vec();
+                let events = single.monitor().expect("monitored").last_events().clone();
                 let Some((tracker, seen, due @ true)) = &mut self.events else {
                     return;
                 };
@@ -671,13 +671,7 @@ impl<'a> Run<'a> {
                 // A compaction pass at the end of the op remaps the monitor,
                 // which forgets the op's events; the tracker has moved on.
                 if compactions == *seen {
-                    let side = |appeared| {
-                        let of_side = events.iter().filter(|e| e.appeared == appeared);
-                        of_side.map(|e| e.key.clone()).collect()
-                    };
-                    let (appeared, resolved) = (side(true), side(false));
-                    let reported = MonitorTransitions { appeared, resolved };
-                    assert_eq!(reported, expected, "{at}: events diverged from scans");
+                    assert_eq!(events, expected, "{at}: events diverged from scans");
                 }
                 (*seen, *due) = (compactions, false);
             }
@@ -697,7 +691,7 @@ impl<'a> Run<'a> {
                 };
                 assert_eq!(state(net), state(twin), "{at}: restored-vs-uninterrupted");
                 if let (true, PersistNet::Single(a), PersistNet::Single(b)) = (fed, net, twin) {
-                    let events = |n: &DeltaNet| n.monitor().map(|m| m.last_events().to_vec());
+                    let events = |n: &DeltaNet| n.monitor().map(|m| m.last_events().clone());
                     let events = (events(a), events(b));
                     assert_eq!(events.0, events.1, "{at}: restored-vs-uninterrupted events");
                 }
