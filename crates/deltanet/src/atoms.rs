@@ -24,6 +24,7 @@
 //! is what lets Delta-net represent every Boolean combination of rules
 //! without ever recomputing equivalence classes from scratch.
 
+use crate::atomset::AtomSet;
 use netmodel::interval::{Bound, Interval};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -89,6 +90,11 @@ pub struct AtomMerge {
 /// The value marking a dead (reclaimed) atom id in the remap table returned
 /// by [`AtomMap::renumber`].
 pub const REMAP_DEAD: u32 = u32::MAX;
+
+/// [`AtomMap::packets_of`] walks `M` rather than sorting once the set holds
+/// at least one atom in this many. Measured on one x86-64 core over random
+/// sets of 1 k – 100 k-atom maps, the two cost the same at about a quarter.
+const DENSE_PACKETS_RATIO: usize = 4;
 
 /// The ordered map `M` of interval bounds to atom identifiers.
 ///
@@ -365,6 +371,32 @@ impl AtomMap {
             .iter()
             .filter(|(_, &a)| a != AtomId::INF)
             .map(move |(_, &a)| (a, self.intervals[a.index()]))
+    }
+
+    /// The packets of the live atoms in `set` as normalized intervals
+    /// (sorted, adjacent atoms merged) — how every report renders an atom
+    /// set. Atoms are disjoint, so only neighbours in address order can
+    /// merge. A sparse set sorts its atoms' intervals; a set holding at
+    /// least one in `DENSE_PACKETS_RATIO` of the atoms walks `M` in
+    /// address order instead, testing membership, which needs no sort.
+    pub fn packets_of(&self, set: &AtomSet) -> Vec<Interval> {
+        let mut out: Vec<Interval> = Vec::new();
+        let mut extend = |iv: Interval| match out.last_mut() {
+            Some(last) if last.hi() == iv.lo() => *last = Interval::new(last.lo(), iv.hi()),
+            _ => out.push(iv),
+        };
+        if set.len() * DENSE_PACKETS_RATIO >= self.atom_count() {
+            for &atom in self.map.values() {
+                if set.contains(atom) {
+                    extend(self.intervals[atom.index()]);
+                }
+            }
+        } else {
+            let mut intervals: Vec<Interval> = set.iter().map(|a| self.atom_interval(a)).collect();
+            intervals.sort_unstable_by_key(Interval::lo);
+            intervals.into_iter().for_each(extend);
+        }
+        out
     }
 
     /// Whether a bound is currently a key of `M` (used by tests and the
@@ -849,6 +881,46 @@ mod tests {
         assert_eq!(m.atom_interval(first), iv(0, 40));
         assert_eq!(m.atom_count(), 2);
         assert_eq!(m.free.len(), 3);
+    }
+
+    #[test]
+    fn packets_of_matches_the_normalized_gather_on_both_sides_of_the_cutover() {
+        use netmodel::interval::normalize;
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let mut m = AtomMap::new(10);
+        for lo in (0..1000).step_by(3) {
+            m.create_atoms(iv(lo, lo + 2));
+        }
+        // Merges free ids, leaving their old intervals stale in the table;
+        // the splits after them reuse some of those ids.
+        for bound in (30..600).step_by(9) {
+            m.remove_bound(bound).expect("a multiple of 3 is a bound");
+        }
+        let freed = m.free_list().len();
+        for lo in 1001..1020 {
+            m.create_atoms(iv(lo, lo + 1));
+        }
+        assert!((1..freed).contains(&m.free_list().len()));
+        let count = m.atom_count();
+        let cutover = count.div_ceil(DENSE_PACKETS_RATIO);
+        let mut live: Vec<AtomId> = m.iter().map(|(a, _)| a).collect();
+        let mut rng = StdRng::seed_from_u64(0x9AC7);
+        for size in [0, 1, 2, cutover - 1, cutover, cutover + 1, count / 2, count] {
+            for _ in 0..8 {
+                live.shuffle(&mut rng);
+                let set: AtomSet = live[..size].iter().copied().collect();
+                let gather = set.iter().map(|a| m.atom_interval(a)).collect();
+                assert_eq!(
+                    m.packets_of(&set),
+                    normalize(gather),
+                    "{size} of {count} atoms"
+                );
+            }
+        }
+        assert!((cutover - 1) * DENSE_PACKETS_RATIO < count);
+        assert!(cutover * DENSE_PACKETS_RATIO >= count);
     }
 
     #[test]

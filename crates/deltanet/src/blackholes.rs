@@ -41,7 +41,6 @@ use crate::atoms::AtomMap;
 use crate::atomset::AtomSet;
 use crate::labels::Labels;
 use netmodel::checker::InvariantViolation;
-use netmodel::interval::normalize;
 use netmodel::topology::{NodeId, Topology};
 
 /// The atoms blackholed at `node`: arriving over some in-link but neither
@@ -83,26 +82,23 @@ pub(crate) fn is_blackholed_at(
             .any(|&l| labels.contains(l, atom))
 }
 
-/// Renders per-node blackholed atom sets as sorted [`InvariantViolation`]s —
-/// shared by the full scan and the monitor so their reports are
-/// bit-identical. Empty sets are skipped.
+/// Renders per-node blackholed atom sets, given in node order, as
+/// [`InvariantViolation`]s in their `Ord` order — shared by the full scan
+/// and the monitor so their reports are bit-identical. Empty sets are
+/// skipped.
 pub(crate) fn render_blackholes<'a>(
     holes: impl IntoIterator<Item = (NodeId, &'a AtomSet)>,
     atoms: &AtomMap,
 ) -> Vec<InvariantViolation> {
-    let mut out: Vec<InvariantViolation> = holes
+    let out: Vec<InvariantViolation> = holes
         .into_iter()
         .filter(|(_, set)| !set.is_empty())
-        .map(|(node, set)| {
-            let packets = normalize(
-                set.iter()
-                    .map(|a| atoms.atom_interval(a))
-                    .collect::<Vec<_>>(),
-            );
-            InvariantViolation::Blackhole { node, packets }
+        .map(|(node, set)| InvariantViolation::Blackhole {
+            node,
+            packets: atoms.packets_of(set),
         })
         .collect();
-    out.sort_by_cached_key(|v| format!("{v:?}"));
+    debug_assert!(out.windows(2).all(|w| w[0] < w[1]), "nodes out of order");
     out
 }
 

@@ -34,7 +34,7 @@ use crate::multifield::{MfView, MultiField};
 use crate::owner::Owner;
 use netmodel::checker::{Checker, UpdateError, UpdateReport, WhatIfReport};
 use netmodel::header::{HeaderSpace, MAX_SECONDARY_FIELDS};
-use netmodel::interval::{normalize, Interval};
+use netmodel::interval::Interval;
 use netmodel::rule::{Rule, RuleId};
 use netmodel::topology::{LinkId, Topology};
 use netmodel::trace::Op;
@@ -871,12 +871,7 @@ impl DeltaNet {
     /// using `link`, and which other links carry any of those packets.
     pub fn link_failure_impact(&self, link: LinkId, check_loops: bool) -> WhatIfReport {
         let affected = self.labels.get(link);
-        let affected_packets = normalize(
-            affected
-                .iter()
-                .map(|a| self.atoms.atom_interval(a))
-                .collect::<Vec<_>>(),
-        );
+        let affected_packets = self.atoms.packets_of(affected);
         let mut affected_links: Vec<LinkId> = Vec::new();
         for (other, label) in self.labels.iter() {
             if other != link && label.intersects(affected) {
@@ -1003,7 +998,7 @@ impl Checker for DeltaNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netmodel::interval::Interval;
+    use netmodel::interval::{normalize, Interval};
     use netmodel::ip::IpPrefix;
     use netmodel::rule::Action;
     use netmodel::topology::NodeId;

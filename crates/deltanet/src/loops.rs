@@ -17,10 +17,16 @@
 //! * [`cycles_for_atoms`] — a dense candidate set (the what-if query of
 //!   §4.3.2, the full audits, seeding a monitor): the kernel goes atom by
 //!   atom. For each non-zero candidate word it reads every labelled link's
-//!   word once, scatters the hits by bit, and fills each atom's next-hop
-//!   table from them, so each walk step is one table read and the atom's
-//!   walks share visited marks. Cost: O(links · candidate words + Σ
-//!   per-atom hits + Σ walk length), with no sort.
+//!   word once, keeping per link the atoms it is its switch's first hop
+//!   for. A bit-parallel exit filter then decides for the whole word which
+//!   atoms can loop: the set of atoms whose walk from a switch leaves the
+//!   network (at a drop link, or at a switch with no hop) is propagated
+//!   backwards over the word's hits by a worklist. Only the atoms that
+//!   never leave are scattered by bit into per-atom next-hop tables and
+//!   walked, so each walk step is one table read and the atom's walks
+//!   share visited marks; a walk that leaves would have recorded nothing.
+//!   Cost: O(links · candidate words + 64 · hits + Σ looping atoms' hits +
+//!   Σ their walk length), with no sort and no walk of a loop-free atom.
 //! * [`cycles_for_atom_list`] — a short explicit atom list (the monitor
 //!   repair): one `contains` probe per link finds an atom's emitters. Cost:
 //!   O(|atoms| · (links + walk length)), independent of the atom count.
@@ -33,7 +39,6 @@ use crate::atoms::{AtomId, AtomMap};
 use crate::atomset::AtomSet;
 use crate::labels::Labels;
 use netmodel::checker::InvariantViolation;
-use netmodel::interval::normalize;
 use netmodel::topology::{LinkId, NodeId, Topology};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -236,7 +241,7 @@ pub(crate) fn find_loops_from_seeds_in(
             admit(&mut cycles, cycle, atom);
         }
     }
-    into_violations(cycles, atoms)
+    render_loops(&cycles, atoms)
 }
 
 /// Finds all forwarding loops that involve any of the given atoms anywhere
@@ -248,7 +253,7 @@ pub fn find_loops_for_atoms(
     atoms: &AtomMap,
     candidates: &AtomSet,
 ) -> Vec<InvariantViolation> {
-    into_violations(cycles_for_atoms(topology, labels, candidates), atoms)
+    render_loops(&cycles_for_atoms(topology, labels, candidates), atoms)
 }
 
 /// The cycle-level core of [`find_loops_for_atoms`]: every forwarding cycle
@@ -263,43 +268,64 @@ pub(crate) fn cycles_for_atoms(
 
 /// [`cycles_for_atoms`] on a caller-owned scratch. Set-at-a-time over each
 /// 64-atom candidate word: one pass over the labelled links gathers the
-/// links carrying some of its candidates, a scatter by bit lists each
-/// atom's emitters in out-link order (in 64 rows of at most one entry per
-/// labelled link), and each atom's walks then read its next-hop table.
+/// links carrying some of its candidates, the [`ExitFilter`] narrows each
+/// to the atoms that can loop from its switch, a scatter by bit lists each
+/// such atom's emitters (in 64 rows of at most one entry per hit), and each
+/// atom's walks then read its next-hop table.
 fn cycles_for_atoms_in(
     scratch: &mut WalkScratch,
     topology: &Topology,
     labels: &Labels,
     candidates: &AtomSet,
 ) -> CycleMap {
-    // Every labelled link with its source and label words, switch by switch
-    // in out-link order. Labels drop trailing zero words: a word past the
-    // end reads as 0.
-    let mut labelled: Vec<(NodeId, LinkId, &[u64])> = Vec::new();
+    // Every labelled link with its source, its destination (`None` for the
+    // drop sink) and its label words, switch by switch in out-link order.
+    // Labels drop trailing zero words: a word past the end reads as 0.
+    let mut labelled: Vec<(NodeId, LinkId, Option<NodeId>, &[u64])> = Vec::new();
     for node in topology.nodes() {
         for &link in topology.out_links(node) {
             let words = labels.get(link).words();
             if !words.is_empty() {
-                labelled.push((node, link, words));
+                let dst = topology.link(link).dst;
+                let next = (!topology.is_drop_node(dst)).then_some(dst);
+                labelled.push((node, link, next, words));
             }
         }
     }
+    let mut filter = ExitFilter::new(topology.node_count());
     let mut cycles = CycleMap::new();
-    let mut hits: Vec<(NodeId, LinkId, u64)> = Vec::new();
+    let mut hits: Vec<Hit> = Vec::new();
     let mut slots: Vec<(NodeId, LinkId)> = Vec::new();
     for (w, &cand) in candidates.words().iter().enumerate() {
         if cand == 0 {
             continue;
         }
+        // A switch forwards an atom on its first out-link carrying it
+        // ([`successor`]), so each hit keeps only the atoms no earlier link
+        // of its switch took.
         hits.clear();
-        let mut carried = 0;
-        for &(node, link, words) in &labelled {
-            let mask = words.get(w).map_or(0, |&word| word & cand);
+        let (mut taken, mut at) = (0, None);
+        for &(node, link, next, words) in &labelled {
+            if at != Some(node) {
+                at = Some(node);
+                taken = 0;
+            }
+            let mask = words.get(w).map_or(0, |&word| word & cand) & !taken;
             if mask != 0 {
-                hits.push((node, link, mask));
-                carried |= mask;
+                hits.push(Hit {
+                    node,
+                    link,
+                    next,
+                    mask,
+                });
+                taken |= mask;
             }
         }
+        let looping = filter.keep_looping(&mut hits);
+        if looping == 0 {
+            continue;
+        }
+        hits.retain(|hit| hit.mask != 0);
         // Scatter by bit: bit `b`'s emitters are the first `count[b]`
         // entries of the `b`-th row of `slots`, in out-link order. The rows
         // only grow, so `slots` is filled once per call, not per word.
@@ -308,13 +334,13 @@ fn cycles_for_atoms_in(
             slots.resize(64 * row, (NodeId(0), LinkId(0)));
         }
         let mut count = [0; 64];
-        for &(node, link, mask) in &hits {
-            for b in bits(mask) {
-                slots[b * row + count[b]] = (node, link);
+        for hit in &hits {
+            for b in bits(hit.mask) {
+                slots[b * row + count[b]] = (hit.node, hit.link);
                 count[b] += 1;
             }
         }
-        for b in bits(carried) {
+        for b in bits(looping) {
             let atom = AtomId((w * 64 + b) as u32);
             let emitters = &slots[b * row..][..count[b]];
             scratch.begin_atom(topology.node_count());
@@ -329,6 +355,108 @@ fn cycles_for_atoms_in(
         }
     }
     cycles
+}
+
+/// A labelled link carrying some atoms of the current candidate word: the
+/// atoms (`mask`) for which it is its switch's hop.
+#[derive(Clone, Copy)]
+struct Hit {
+    node: NodeId,
+    link: LinkId,
+    /// The link's destination; `None` for the drop sink.
+    next: Option<NodeId>,
+    mask: u64,
+}
+
+/// No hit: the end of an in-edge list, or an empty one.
+const NO_HIT: u32 = u32::MAX;
+
+/// Decides for a whole candidate word at once which atoms can loop, so
+/// [`cycles_for_atoms_in`] walks only those. `exits[n]` holds the word's
+/// atoms whose walk from `n` leaves the network: at a switch with no hop
+/// for the atom, or over a drop link. It is the least solution of
+/// `exits[n] = (atoms without a hop at n) ∪ ⋃ over n's hits h to a switch
+/// (h.mask ∩ exits[h.next]) ∪ ⋃ over n's drop hits h (h.mask)`, which the
+/// worklist propagates backwards over the word's hits. A node's set grows
+/// at most 64 times and each growth reads its in-hits once, so a word
+/// costs O(64 · hits). Only the bits of some hit's mask are ever read, so
+/// `exits` rests at all ones, the value of a switch without hits, and
+/// returns there after every word.
+struct ExitFilter {
+    exits: Vec<u64>,
+    /// `head[m]`: the first hit into `m`, chained through `next_in`.
+    head: Vec<u32>,
+    next_in: Vec<u32>,
+    queued: Vec<bool>,
+    work: Vec<NodeId>,
+}
+
+impl ExitFilter {
+    fn new(nodes: usize) -> Self {
+        ExitFilter {
+            exits: vec![u64::MAX; nodes],
+            head: vec![NO_HIT; nodes],
+            next_in: Vec::new(),
+            queued: vec![false; nodes],
+            work: Vec::new(),
+        }
+    }
+
+    /// Narrows each hit's mask to the atoms that never leave the network
+    /// from its switch and returns their union. An atom's walk from such a
+    /// switch stays on such switches and ends in a cycle; a walk from any
+    /// other switch records nothing, so dropping it loses no cycle.
+    fn keep_looping(&mut self, hits: &mut [Hit]) -> u64 {
+        self.next_in.clear();
+        for (i, hit) in hits.iter().enumerate() {
+            self.next_in.push(NO_HIT);
+            match hit.next {
+                // Over a drop link the hit's atoms exit: they stay set.
+                None => {}
+                // Over a link to a switch they exit if they exit there.
+                Some(m) => {
+                    self.exits[hit.node.index()] &= !hit.mask;
+                    let head = &mut self.head[m.index()];
+                    if *head == NO_HIT {
+                        self.queued[m.index()] = true;
+                        self.work.push(m);
+                    }
+                    self.next_in[i] = *head;
+                    *head = i as u32;
+                }
+            }
+        }
+        while let Some(m) = self.work.pop() {
+            self.queued[m.index()] = false;
+            let out = self.exits[m.index()];
+            let mut i = self.head[m.index()];
+            while i != NO_HIT {
+                let hit = &hits[i as usize];
+                let n = hit.node.index();
+                let add = hit.mask & out & !self.exits[n];
+                if add != 0 {
+                    self.exits[n] |= add;
+                    if !self.queued[n] {
+                        self.queued[n] = true;
+                        self.work.push(hit.node);
+                    }
+                }
+                i = self.next_in[i as usize];
+            }
+        }
+        let mut looping = 0;
+        for hit in hits.iter_mut() {
+            hit.mask &= !self.exits[hit.node.index()];
+            looping |= hit.mask;
+        }
+        for hit in hits.iter() {
+            self.exits[hit.node.index()] = u64::MAX;
+            if let Some(m) = hit.next {
+                self.head[m.index()] = NO_HIT;
+            }
+        }
+        looping
+    }
 }
 
 /// The set bits of `word`, lowest first.
@@ -376,29 +504,22 @@ pub fn find_all_loops(
     find_loops_for_atoms(topology, labels, atoms, &all)
 }
 
-/// Renders a cycle → atoms map as sorted [`InvariantViolation`]s — shared by
-/// the full scans and the monitor so their reports are bit-identical.
-pub(crate) fn into_violations(
-    cycles: impl IntoIterator<Item = (Vec<NodeId>, AtomSet)>,
+/// Renders cycle → atoms pairs, given in cycle order (a [`CycleMap`]'s
+/// iteration order), as [`InvariantViolation`]s in their `Ord` order —
+/// shared by the full scans and the monitor so their reports are
+/// bit-identical.
+pub(crate) fn render_loops<'a>(
+    cycles: impl IntoIterator<Item = (&'a Vec<NodeId>, &'a AtomSet)>,
     atoms: &AtomMap,
 ) -> Vec<InvariantViolation> {
-    let mut out: Vec<InvariantViolation> = cycles
+    let out: Vec<InvariantViolation> = cycles
         .into_iter()
-        .map(|(nodes, atom_set)| {
-            let intervals = normalize(
-                atom_set
-                    .iter()
-                    .map(|a| atoms.atom_interval(a))
-                    .collect::<Vec<_>>(),
-            );
-            InvariantViolation::ForwardingLoop {
-                nodes,
-                packets: intervals,
-            }
+        .map(|(nodes, set)| InvariantViolation::ForwardingLoop {
+            nodes: nodes.clone(),
+            packets: atoms.packets_of(set),
         })
         .collect();
-    // Deterministic order for reporting and tests.
-    out.sort_by_cached_key(|v| format!("{v:?}"));
+    debug_assert!(out.windows(2).all(|w| w[0] < w[1]), "cycles out of order");
     out
 }
 
@@ -657,6 +778,127 @@ mod tests {
         assert!(scratch.walk < 3);
     }
 
+    /// Hand-built planes over 130 atoms (three candidate words), one per
+    /// edge case of the exit filter. Atom `a` behaves by `a % k`.
+    fn filter_edge_planes() -> Vec<(&'static str, Topology, Labels)> {
+        let carry = |labels: &mut Labels, links: &[LinkId], atom: u32| {
+            for &link in links {
+                labels.insert(link, AtomId(atom));
+            }
+        };
+        let mut planes = Vec::new();
+
+        // s0 -> s1 -> s2, where an atom takes a drop link, loops back to s0
+        // or finds no hop.
+        let mut topo = Topology::new();
+        let n = topo.add_nodes("s", 3);
+        let (l01, l12) = (topo.add_link(n[0], n[1]), topo.add_link(n[1], n[2]));
+        let (l20, drop2) = (topo.add_link(n[2], n[0]), topo.drop_link(n[2]));
+        let mut labels = Labels::new();
+        for a in 0..130 {
+            let last = [Some(drop2), Some(l20), None][a as usize % 3];
+            carry(&mut labels, &[l01, l12], a);
+            carry(&mut labels, last.as_slice(), a);
+        }
+        planes.push(("drop links and missing hops", topo, labels));
+
+        // Two links of one switch carry the same atom, the first wins:
+        // s0's out-links are s0 -> s1, s0 -> s2, drop; s1's are drop,
+        // s1 -> s0.
+        let mut topo = Topology::new();
+        let n = topo.add_nodes("s", 3);
+        let (l01, l02) = (topo.add_link(n[0], n[1]), topo.add_link(n[0], n[2]));
+        let drop0 = topo.drop_link(n[0]);
+        let drop1 = topo.drop_link(n[1]);
+        let (l10, l20) = (topo.add_link(n[1], n[0]), topo.add_link(n[2], n[0]));
+        let mut labels = Labels::new();
+        for a in 0..130 {
+            let links: &[LinkId] = match a % 5 {
+                0 => &[l01, l02, drop1, l10, l20], // exits at s1's drop
+                1 => &[l02, l20],                  // loops s0 -> s2
+                2 => &[l02, drop0, l20],           // s0 -> s2 beats the drop
+                3 => &[l01, l10],                  // loops s0 -> s1
+                _ => &[drop0, l01, l10, l02, l20], // s0 -> s1 beats the drop
+            };
+            carry(&mut labels, links, a);
+        }
+        planes.push(("first link wins", topo, labels));
+
+        // Tails s0 -> s1 and s4 -> s1 into s1 -> s2 -> s3, which loops back
+        // to s2 or, for every other atom, has no hop.
+        let mut topo = Topology::new();
+        let n = topo.add_nodes("s", 5);
+        let tails = [topo.add_link(n[0], n[1]), topo.add_link(n[4], n[1])];
+        let (l12, l23) = (topo.add_link(n[1], n[2]), topo.add_link(n[2], n[3]));
+        let l32 = topo.add_link(n[3], n[2]);
+        let mut labels = Labels::new();
+        for a in 0..130 {
+            carry(&mut labels, &tails, a);
+            carry(&mut labels, &[l12, l23], a);
+            if a % 2 == 0 {
+                carry(&mut labels, &[l32], a);
+            }
+        }
+        planes.push(("loop behind a tail", topo, labels));
+
+        // A 200-node chain s199 -> s198 -> ... -> s0, against node order,
+        // ending at s0 in a drop link, a loop s0 <-> s1 or no hop.
+        let mut topo = Topology::new();
+        let n = topo.add_nodes("s", 200);
+        let chain: Vec<LinkId> = (1..200).map(|i| topo.add_link(n[i], n[i - 1])).collect();
+        let (drop0, l01) = (topo.drop_link(n[0]), topo.add_link(n[0], n[1]));
+        let mut labels = Labels::new();
+        for a in 0..130 {
+            let last = [Some(drop0), Some(l01), None][a as usize % 3];
+            carry(&mut labels, &chain, a);
+            carry(&mut labels, last.as_slice(), a);
+        }
+        planes.push(("200-node chain against node order", topo, labels));
+        planes
+    }
+
+    /// The atom-major kernel and the reference find the same cycles for
+    /// every candidate set, on the plane `plane` over `atoms` atoms.
+    fn assert_kernels_agree(
+        rng: &mut StdRng,
+        plane: &str,
+        (topo, labels): (&Topology, &Labels),
+        atoms: u32,
+    ) {
+        let all: AtomSet = (0..atoms).map(AtomId).collect();
+        let some: AtomSet = (0..atoms)
+            .filter(|_| rng.gen_bool(0.3))
+            .map(AtomId)
+            .collect();
+        // More words than any label, and an atom no link carries.
+        let wide: AtomSet = [AtomId(0), AtomId(atoms + 70), AtomId(atoms + 200)]
+            .into_iter()
+            .chain(some.iter())
+            .collect();
+        let edges: AtomSet = [63, 64, 127, 128].into_iter().map(AtomId).collect();
+        for (name, candidates) in [
+            ("all", &all),
+            ("some", &some),
+            ("wide", &wide),
+            ("edges", &edges),
+        ] {
+            let expect = reference_cycles_for_atoms(topo, labels, candidates);
+            let mut scratch = WalkScratch::default();
+            let got = cycles_for_atoms_in(&mut scratch, topo, labels, candidates);
+            assert_eq!(got, expect, "{plane}: {name} candidates");
+            // The exit filter is exact: the kernel walks the looping atoms
+            // (one generation each) and no other.
+            let looping = expect
+                .values()
+                .fold(AtomSet::new(), |acc, set| acc.union(set));
+            assert_eq!(
+                scratch.atom as usize,
+                looping.len(),
+                "{plane}: {name} candidates: atoms walked"
+            );
+        }
+    }
+
     #[test]
     fn atom_major_kernel_matches_the_emitter_sort_reference() {
         let mut rng = StdRng::seed_from_u64(0xA70B);
@@ -664,25 +906,20 @@ mod tests {
             let (nodes, atoms) = (rng.gen_range(2..9), rng.gen_range(1..300));
             let p = [0.05, 0.2, 0.5][trial % 3];
             let (topo, labels) = random_plane(&mut rng, nodes, atoms, p);
-            let all: AtomSet = (0..atoms).map(AtomId).collect();
-            let some: AtomSet = (0..atoms)
-                .filter(|_| rng.gen_bool(0.3))
-                .map(AtomId)
-                .collect();
-            // More words than any label, and an atom no link carries.
-            let wide: AtomSet = [AtomId(0), AtomId(atoms + 70), AtomId(atoms + 200)]
-                .into_iter()
-                .chain(some.iter())
-                .collect();
-            let edges: AtomSet = [63, 64, 127, 128].into_iter().map(AtomId).collect();
-            for candidates in [&all, &some, &wide, &edges] {
-                let expect = reference_cycles_for_atoms(&topo, &labels, candidates);
-                let got = cycles_for_atoms(&topo, &labels, candidates);
-                assert_eq!(
-                    got, expect,
-                    "trial {trial}: {nodes} nodes, {atoms} atoms, p {p}"
-                );
-            }
+            let plane = format!("trial {trial}: {nodes} nodes, {atoms} atoms, p {p}");
+            assert_kernels_agree(&mut rng, &plane, (&topo, &labels), atoms);
+        }
+        for (plane, topo, labels) in filter_edge_planes() {
+            let all: AtomSet = (0..130).map(AtomId).collect();
+            let loops = reference_cycles_for_atoms(&topo, &labels, &all);
+            let looping = loops
+                .values()
+                .fold(AtomSet::new(), |acc, set| acc.union(set));
+            assert!(
+                (1..130).contains(&looping.len()),
+                "{plane}: some atoms loop and some do not"
+            );
+            assert_kernels_agree(&mut rng, plane, (&topo, &labels), 130);
         }
     }
 
@@ -708,26 +945,33 @@ mod tests {
 
     #[test]
     fn next_hop_generation_wrap_around_keeps_every_cycle() {
-        // Twenty atoms go s0 -> s1 -> s2 and stop; the last one loops back.
+        // Atoms 0..10 loop s0 <-> s1; atoms 10..20 loop s1 <-> s2, so every
+        // atom passes the exit filter and is walked. No atom uses s2 -> s0.
         let mut topo = Topology::new();
         let n = topo.add_nodes("s", 3);
         let l01 = topo.add_link(n[0], n[1]);
+        let l10 = topo.add_link(n[1], n[0]);
         let l12 = topo.add_link(n[1], n[2]);
+        let l21 = topo.add_link(n[2], n[1]);
         let l20 = topo.add_link(n[2], n[0]);
         let mut labels = Labels::new();
-        for atom in (0..20).map(AtomId) {
-            labels.insert(l01, atom);
-            labels.insert(l12, atom);
+        for atom in 0..20 {
+            let ring = if atom < 10 { [l01, l10] } else { [l12, l21] };
+            for link in ring {
+                labels.insert(link, AtomId(atom));
+            }
         }
-        labels.insert(l20, AtomId(19));
         let all: AtomSet = (0..20).map(AtomId).collect();
-        let ring = vec![n[0], n[1], n[2]];
-        let expect = CycleMap::from([(ring, AtomSet::from_iter([AtomId(19)]))]);
+        let expect = CycleMap::from([
+            (vec![n[0], n[1]], (0..10).map(AtomId).collect()),
+            (vec![n[1], n[2]], (10..20).map(AtomId).collect()),
+        ]);
         assert_eq!(reference_cycles_for_atoms(&topo, &labels, &all), expect);
-        // Generation 8 left s2 a next hop that no atom before the last one
-        // renews. The generation then wraps three atoms into the scan and
-        // counts to 8 again: a table the wrap did not forget would send the
-        // eleventh atom round the ring.
+        // Generation 8 left s2 the stale hop s2 -> s0. The generation then
+        // wraps three atoms into the scan and counts to 8 again at atom 10,
+        // the first to use s2: a table the wrap did not forget would keep
+        // the stale hop over s2 -> s1, and atom 10's walk would leave s2
+        // for s0, which has no hop for it.
         let mut scratch = WalkScratch::default();
         for _ in 0..8 {
             scratch.begin_atom(topo.node_count());

@@ -435,10 +435,7 @@ impl ViolationMonitor {
     /// The loop half of [`ViolationMonitor::active_violations`] — all of
     /// `check_all_loops()` on a multi-field engine.
     pub(crate) fn loop_violations(&self, atoms: &AtomMap) -> Vec<InvariantViolation> {
-        loops::into_violations(
-            self.loops.iter().map(|(c, s)| (c.clone(), s.clone())),
-            atoms,
-        )
+        loops::render_loops(&self.loops, atoms)
     }
 
     /// The blackhole half of [`ViolationMonitor::active_violations`].

@@ -585,7 +585,7 @@ impl MultiField {
         // adding a single label bit), so the check is seeded from the rule.
         let violations = if check {
             let cycles = self.walk.loops_from_rule(view, rule, interval);
-            loops::into_violations(cycles, view.atoms)
+            loops::render_loops(&cycles, view.atoms)
         } else {
             Vec::new()
         };

@@ -144,13 +144,7 @@ impl<'a> FlowQuery<'a> {
     /// The packets (as intervals) currently forwarded along `link` — the
     /// constant-time edge-centric API of §3.3.
     pub fn packets_on_link(&self, link: LinkId) -> Vec<Interval> {
-        normalize(
-            self.net
-                .label(link)
-                .iter()
-                .map(|a| self.net.atoms().atom_interval(a))
-                .collect(),
-        )
+        self.net.atoms().packets_of(self.net.label(link))
     }
 
     /// Whether traffic from `src` to `dst` always traverses `waypoint`

@@ -20,7 +20,7 @@
 
 use crate::atomset::AtomSet;
 use crate::engine::DeltaNet;
-use netmodel::interval::{normalize, Interval};
+use netmodel::interval::Interval;
 use netmodel::topology::NodeId;
 
 /// The all-pairs reachability matrix over atoms.
@@ -88,12 +88,7 @@ impl ReachabilityMatrix {
     /// The packets that can flow from `src` to `dst`, as normalized
     /// destination-address intervals (resolved against the checker's atoms).
     pub fn reachable_packets(&self, net: &DeltaNet, src: NodeId, dst: NodeId) -> Vec<Interval> {
-        normalize(
-            self.reachable(src, dst)
-                .iter()
-                .map(|a| net.atoms().atom_interval(a))
-                .collect(),
-        )
+        net.atoms().packets_of(self.reachable(src, dst))
     }
 
     /// Number of nodes covered by the matrix.

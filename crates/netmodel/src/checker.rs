@@ -109,7 +109,11 @@ impl std::error::Error for ReplayError {
 }
 
 /// A violation of a network-wide invariant found while checking an update.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// The derived `Ord` is the one order every checker reports violations in:
+/// forwarding loops before blackholes, then by node cycle (or node), then
+/// by packet intervals. Node ids compare as numbers, so `n2` precedes `n10`.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum InvariantViolation {
     /// A forwarding loop: packets in `packets` injected anywhere on the
     /// cycle revisit `nodes` forever.

@@ -231,7 +231,7 @@ impl VeriflowRi {
                 }
             }
         }
-        violations.sort_by_cached_key(|v| format!("{v:?}"));
+        violations.sort_unstable();
         violations.dedup();
         WhatIfReport {
             link: Some(link),

@@ -882,10 +882,16 @@ fn assert_observationally_equal(plain: &DeltaNet, net: &PersistNet, exact_atoms:
             verdicts.0, verdicts.1,
             "{at}: what-if loop verdicts diverge on {link:?}"
         );
+        // Every engine reports in the one `Ord` order of violations.
+        assert_eq!(
+            a.violations, b.violations,
+            "{at}: what-if violations diverge on {link:?}"
+        );
     }
     let mut scan = plain.check_all_loops();
     scan.extend(plain.check_all_blackholes());
     assert_equivalent(&format!("{at}: full scans"), &full_scan(net), &scan);
+    assert_eq!(full_scan(net), scan, "{at}: full scans diverge");
     if let Some(active) = plain.active_violations() {
         assert_eq!(active, scan, "{at}: plain monitor diverges from scans");
     }
