@@ -23,7 +23,8 @@
 //! `apply_batch` windows, §3.3 aggregation windows, and a snapshot →
 //! restore → continue leg — the combinations the multi-field code touches.
 //! Every leg runs on the differential driver in `tests/support/`
-//! ([`Oracle::MultiField`], [`Oracle::Monitor`], [`Oracle::Restore`]);
+//! ([`Oracle::MultiField`], [`Oracle::Monitor`], [`Oracle::Restore`], and
+//! [`Oracle::Single`] on the sharded leg);
 //! everything is seeded, and a failure names its seed, op, shape and oracle.
 
 mod support;
@@ -32,7 +33,7 @@ use delta_net::deltanet::PersistNet;
 use delta_net::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use support::Oracle::{Monitor, MultiField, Restore};
+use support::Oracle::{Monitor, MultiField, Restore, Single};
 use support::{assert_equivalent, config, full_scan, run, Shape, Stream, END, LOOPS, MONITOR};
 use testutil::{random_ops, random_topology, OpGen};
 
@@ -82,7 +83,9 @@ fn single_engine_matches_oracle_and_monitor() {
 }
 
 /// Monitor seeds go through `apply_batch` windows, so the repair also runs
-/// under the concurrent per-shard groups; the others apply op by op.
+/// under the concurrent per-shard groups; the others apply op by op. Every
+/// seed is also observationally equal to one plain engine fed the same ops
+/// ([`Single`]).
 #[test]
 fn sharded_engine_matches_oracle_at_every_shard_count() {
     for &shards in &SHARD_COUNTS {
@@ -94,8 +97,8 @@ fn sharded_engine_matches_oracle_at_every_shard_count() {
                 window: if monitor { 10 } else { 0 },
                 ..Shape::new(shards, config(checks(monitor), compact, &SEC_WIDTHS))
             };
-            let all = [(MultiField, 10), (Monitor, 10)];
-            let oracles = if monitor { &all[..] } else { &all[..1] };
+            let all = [(MultiField, 10), (Single, 10), (Monitor, 10)];
+            let oracles = if monitor { &all[..] } else { &all[..2] };
             run(&format!("seed {seed:#x}"), &topo, ops, &shape, oracles);
         }
     }

@@ -4,17 +4,21 @@
 //! the monitor's `active_violations()` bit-for-bit, full loop/blackhole
 //! rescans and `state_digest` — and must stay identical when both keep
 //! applying the same ops afterwards ([`Restore`] of the driver in
-//! `tests/support/`). Runs through a `Session` (a journal beside the
-//! engine) recover from nearest snapshot + log tail, time-travel queries
-//! agree with a fresh replay, and corrupted or truncated artifacts fail with
-//! clean errors, never panics.
+//! `tests/support/`). A journaled run (a `Session` on the harness's
+//! in-memory disk) recovers from a mid-run snapshot + log tail, op by op
+//! and in windows; time-travel queries agree with a fresh replay; and on
+//! real files, corrupted or truncated artifacts fail with clean errors,
+//! never panics, and a window failing mid-way logs exactly its applied
+//! prefix. Logs cut at a byte are `crash_consistency.rs`'s.
 
 mod support;
 
 use std::fs;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use deltanet::persist::{self, read_log, PersistError};
-use deltanet::{DeltaNetConfig, Session, Snapshot};
+use deltanet::{DeltaNetConfig, Durability, FsBackend, Journal, Session, Snapshot};
 use netmodel::ip::IpPrefix;
 use netmodel::rule::{Rule, RuleId};
 use netmodel::topology::Topology;
@@ -22,7 +26,7 @@ use netmodel::trace::Op;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use support::Oracle::Restore;
-use support::{assert_state_eq, config, flat_journal, run, temp_dir, Shape, Stream, END, MONITOR};
+use support::{assert_state_eq, config, run, Log, Shape, Stream, END, MONITOR};
 use testutil::{random_ops, random_topology, OpGen};
 
 /// `0` builds a plain single engine; `n > 0` builds `n` shards.
@@ -78,7 +82,7 @@ fn logged_run_recovers_from_snapshot_plus_log_tail() {
             for window in [0, 8] {
                 let shape = Shape {
                     window,
-                    journal: Some(40),
+                    journal: Some(Log::Flat { snapshot: 40 }),
                     ..Shape::new(kind, config(MONITOR, None, sec))
                 };
                 let stream = Stream::Ops(ops.clone());
@@ -211,4 +215,18 @@ fn logged_batch_failure_logs_exactly_the_applied_prefix() {
     let fresh = run("mid-batch", &topo, Stream::Ops(replayable), &shape, &[]);
     assert_state_eq(session.net(), &fresh, "post-failure log replay");
     fs::remove_dir_all(&dir).ok();
+}
+
+/// A fresh directory under the system temp dir, unique per process and call.
+fn temp_dir(tag: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("deltanet-{}-{tag}-{n}", std::process::id()));
+    fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// A flat journal over a real log file at the default durability.
+fn flat_journal(path: &Path) -> Journal {
+    Journal::flat(Box::new(FsBackend), path, 0, Durability::default()).unwrap()
 }

@@ -10,16 +10,20 @@
 //! ```
 //!
 //! The suites' address space is 8 bits wide ([`config`]), so the FIB
-//! oracles trace every address exhaustively.
+//! oracles trace every address exhaustively. A journaled shape writes to an
+//! in-memory [`FaultyBackend`], which [`Oracle::Crash`] cuts at a byte and
+//! recovers.
 
 // Each suite compiles this module on its own and uses a slice of it.
 #![allow(dead_code)]
 
+use deltanet::fault::StorageBackend;
 use deltanet::loops::successor;
-use deltanet::persist;
+use deltanet::persist::{self, encode_record, read_log_with, TornTail};
 use deltanet::{
-    CompactReport, DeltaNet, DeltaNetConfig, Durability, FsBackend, Journal, Parallelism,
-    PersistNet, Session, ShardedDeltaNet, Snapshot, TransitionTracker, ViolationKey,
+    CheckpointConfig, CompactReport, DeltaNet, DeltaNetConfig, Durability, FaultPlan,
+    FaultyBackend, Journal, Parallelism, PersistError, PersistNet, RecoveryPolicy, Session,
+    ShardedDeltaNet, Snapshot, TransitionTracker, ViolationKey,
 };
 use netmodel::checker::{Checker, InvariantViolation, ReplayError, UpdateReport};
 use netmodel::fib::{NetworkFib, TraceOutcome};
@@ -30,12 +34,10 @@ use netmodel::rule::{Rule, RuleId};
 use netmodel::topology::{LinkId, NodeId, Topology};
 use netmodel::trace::Op;
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use testutil::{blackholes_by_node, loops_by_cycle, OpGen};
 use veriflow_ri::{scan_multifield, VeriflowConfig, VeriflowRi};
 
@@ -74,9 +76,26 @@ pub struct Shape {
     /// just before them, then fed the same ops — so the last twin takes the
     /// whole tail.
     pub restore: Option<(usize, usize)>,
-    /// Ops apply through a [`Session`] journaling into a log file, with a
-    /// snapshot file written after op `k`; the run ends by recovering both.
-    pub journal: Option<usize>,
+    /// Ops apply through a [`Session`] whose journal writes to an in-memory
+    /// [`FaultyBackend`] at [`Durability::FsyncPerBatch`] and is synced after
+    /// every window; the run ends by recovering it ([`persist::recover_with`]
+    /// or [`persist::recover_dir`]) to the live engine's state.
+    pub journal: Option<Log>,
+    /// The journal's disk dies once this many bytes are appended
+    /// ([`FaultPlan::crash_at_byte`]): the stream stops after the window
+    /// whose sync fails, and [`Oracle::Crash`] recovers what survived.
+    pub crash_at_byte: Option<u64>,
+}
+
+/// How a journaled [`Shape`] lays out its history.
+#[derive(Clone, Copy, Debug)]
+pub enum Log {
+    /// One flat log, with a snapshot at op 0 and, if op `snapshot` ends a
+    /// window, another there.
+    Flat { snapshot: usize },
+    /// A checkpoint directory ([`Journal::checkpointed`]): a new segment
+    /// and a snapshot every `every` ops, the newest `retain` snapshots kept.
+    Checkpointed { every: u64, retain: usize },
 }
 
 impl Shape {
@@ -89,6 +108,7 @@ impl Shape {
             compact_every: None,
             restore: None,
             journal: None,
+            crash_at_byte: None,
         }
     }
 
@@ -165,6 +185,20 @@ pub enum Oracle {
     /// forks, when it is replaced after taking ops, and at the end (after
     /// the final compaction), as does the journal's recovery.
     Restore,
+    /// The journal's final segment, cut at a byte, recovers to exactly the
+    /// ops its whole records hold (or, below a newer checkpoint, to that
+    /// checkpoint). At the cadence the cut is a seed-chosen byte inside the
+    /// last window's records; at the end, a torn header, every record
+    /// boundary and sampled mid-record bytes. Each cut recovers under
+    /// [`RecoveryPolicy::Strict`], which must fail naming the tear, and
+    /// [`RecoveryPolicy::RepairTail`], which must truncate the file to it
+    /// and land on the restore contract ([`assert_state_eq`]) with an engine
+    /// of the shape fed the salvaged ops one by one. A checkpoint directory
+    /// must also fall back past a corrupt newest snapshot to exactly the
+    /// newest intact one, and refuse a torn non-final segment. On a shape
+    /// with [`Shape::crash_at_byte`], what the dead disk kept recovers to at
+    /// least the acknowledged ops.
+    Crash,
 }
 
 /// Applies `stream` to a fresh `shape` over `topo`, checking it with
@@ -195,6 +229,9 @@ pub fn run(
     let per_op = shape.window == 0 || shape.aggregate;
     for window in ops.chunks(if per_op { 1 } else { shape.window }) {
         run.step(window);
+        if run.disk.as_ref().is_some_and(|disk| disk.backend.crashed()) {
+            break;
+        }
     }
     run.finish()
 }
@@ -205,10 +242,9 @@ struct Run<'a> {
     topo: &'a Topology,
     shape: Shape,
     oracles: &'a [(Oracle, usize)],
-    /// The engine, unless the journal's [`Session`] holds it (beside the
-    /// journal's directory).
+    /// The engine, unless the journal's [`Session`] holds it.
     net: Option<PersistNet>,
-    session: Option<(Session, PathBuf)>,
+    disk: Option<Disk<'a>>,
     /// The restore twin, and whether it has applied an op since its fork.
     twin: Option<(PersistNet, bool)>,
     /// The restore cadence `k` and the draw of the last fork.
@@ -261,12 +297,10 @@ impl<'a> Run<'a> {
             wants(Oracle::Restore),
             "Restore checks a twin or a journal"
         );
-        let (mut net, mut session) = (Some(shape.build(topo)), None);
-        if shape.journal.is_some() {
-            let dir = temp_dir("journal");
-            let journal = flat_journal(&dir.join("run.dnlog"));
-            session = Some((Session::new(net.take().unwrap(), Some(journal)), dir));
-        }
+        let (net, disk) = match shape.journal {
+            Some(log) => (None, Some(Disk::new(topo, shape, log))),
+            None => (Some(shape.build(topo)), None),
+        };
         let mut plain = config;
         plain.compact_threshold = None;
         let vf = VeriflowConfig {
@@ -288,7 +322,7 @@ impl<'a> Run<'a> {
             shape,
             oracles,
             net,
-            session,
+            disk,
             twin: None,
             forks: None,
             plain: wants(Oracle::Single).then(|| DeltaNet::new(topo.clone(), plain)),
@@ -318,8 +352,8 @@ impl<'a> Run<'a> {
     }
 
     fn net(&self) -> &PersistNet {
-        match &self.session {
-            Some((session, _)) => session.net(),
+        match &self.disk {
+            Some(disk) => disk.session.net(),
             None => self.net.as_ref().expect("the run holds its engine"),
         }
     }
@@ -338,8 +372,8 @@ impl<'a> Run<'a> {
             self.single_mut().begin_aggregate();
         }
         let per_op = n == 0 || aggregate;
-        let (reports, failure) = match (&mut self.session, &mut self.net) {
-            (Some((session, _)), _) => session.apply(&ops),
+        let (reports, failure) = match (&mut self.disk, &mut self.net) {
+            (Some(disk), _) => disk.apply(&ops),
             (None, net) => apply(net.as_mut().unwrap(), &ops, per_op),
         };
         assert_eq!(failure, None, "{}: the stream is well-formed", self.at());
@@ -379,11 +413,8 @@ impl<'a> Run<'a> {
         if forks {
             self.fork();
         }
-        let snapshot_due = self.shape.journal == Some(self.applied);
-        if let (Some((session, dir)), true) = (&mut self.session, snapshot_due) {
-            session.journal_mut().expect("mounted").sync().unwrap();
-            let snapshot = Snapshot::of_net(session.net(), self.applied as u64);
-            snapshot.write_to(&dir.join("run.dnsnap")).unwrap();
+        if let Some(disk) = &mut self.disk {
+            disk.snapshot_if_due();
         }
     }
 
@@ -696,6 +727,9 @@ impl<'a> Run<'a> {
                     assert_eq!(events.0, events.1, "{at}: restored-vs-uninterrupted events");
                 }
             }
+            Oracle::Crash => {
+                self.disk.as_mut().expect("a journal").cut(&at, false);
+            }
         }
     }
 
@@ -708,7 +742,8 @@ impl<'a> Run<'a> {
         }
         let oracles = self.oracles;
         for (i, &(oracle, _)) in oracles.iter().enumerate() {
-            if self.fresh & 1 << i == 0 {
+            // The journal's end holds the crash sweep instead.
+            if self.fresh & 1 << i == 0 && oracle != Oracle::Crash {
                 self.check(oracle);
             }
         }
@@ -726,20 +761,351 @@ impl<'a> Run<'a> {
             let tame = format!("sec-splitting windows: {splits}, windows with removes: {removes}");
             assert!(splits > 0 && removes > 0, "{at}: trace too tame ({tame})");
         }
-        let Some((mut session, dir)) = self.session.take() else {
+        let Some(disk) = self.disk.take() else {
             return self.net.take().expect("the run holds its engine");
         };
-        session.close().expect("the journal closes");
-        let (snapshot, log) = (dir.join("run.dnsnap"), dir.join("run.dnlog"));
-        let (recovered, total) = persist::recover(self.topo, &snapshot, &log).expect("recovers");
-        assert_eq!(total, self.applied as u64, "{at}: Restore: ops recovered");
-        assert_state_eq(
-            session.net(),
-            &recovered,
-            &format!("{at}: Restore: recovered"),
-        );
-        fs::remove_dir_all(dir).ok();
+        let crash = oracles.iter().any(|&(o, _)| o == Oracle::Crash);
+        disk.finish(&at, crash)
+    }
+}
+
+/// Where a journal's files live on its in-memory disk: a checkpoint
+/// directory, or a flat journal's log and snapshot.
+const DIR: &str = "/journal";
+const LOG: &str = "/journal/run.dnlog";
+const SNAPSHOT: &str = "/journal/run.dnsnap";
+
+/// A journaled run's disk: the [`Session`] writing to it, and what
+/// [`Oracle::Crash`] needs to cut it and recover.
+struct Disk<'a> {
+    topo: &'a Topology,
+    shape: Shape,
+    session: Session,
+    /// The in-memory disk; every cut recovers from a copy of its files.
+    backend: FaultyBackend,
+    /// The ops the session applied, in order; how many the last window
+    /// added; and how many the last successful sync acknowledged.
+    history: Vec<Op>,
+    window: usize,
+    acked: usize,
+    /// The log header's length: a new log's length, before any record.
+    header: u64,
+    /// A flat log's snapshots so far, by op position.
+    snapshots: Vec<(usize, Vec<u8>)>,
+    /// An engine of the shape fed the first `.1` ops of `history` one by one.
+    prefix: (PersistNet, usize),
+}
+
+impl<'a> Disk<'a> {
+    fn new(topo: &'a Topology, shape: Shape, log: Log) -> Self {
+        let plan = FaultPlan {
+            crash_at_byte: shape.crash_at_byte,
+            ..FaultPlan::default()
+        };
+        let backend = FaultyBackend::with_plan(plan);
+        let (net, to) = (shape.build(topo), Box::new(backend.clone()));
+        let journal = match log {
+            Log::Flat { .. } => Journal::flat(to, Path::new(LOG), 0, Durability::FsyncPerBatch),
+            Log::Checkpointed { every, retain } => {
+                let initial = Snapshot::of_net(&net, 0);
+                Journal::checkpointed(to, Path::new(DIR), &initial, checkpoints(every, retain))
+            }
+        };
+        let mut disk = Disk {
+            topo,
+            shape,
+            session: Session::new(net, Some(journal.expect("the journal opens"))),
+            backend,
+            history: Vec::new(),
+            window: 0,
+            acked: 0,
+            header: 0,
+            snapshots: Vec::new(),
+            prefix: (shape.build(topo), 0),
+        };
+        disk.snapshot_if_due();
+        let empty = disk.backend.surviving(&disk.segment_path()).expect("a log");
+        assert!(empty.starts_with(b"DNLG"), "a log starts with its magic");
+        disk.header = empty.len() as u64;
+        disk
+    }
+
+    /// The final segment's first op and the newest checkpoint's (0 and 0 for
+    /// a flat log, and once the journal is closed).
+    fn tail(&self) -> (usize, usize) {
+        let at = |j: &Journal| (j.segment_start() as usize, j.last_checkpoint() as usize);
+        self.session.journal().map_or((0, 0), at)
+    }
+
+    /// The final log segment: the flat log, or the directory's newest.
+    fn segment_path(&self) -> PathBuf {
+        match self.shape.journal {
+            Some(Log::Checkpointed { .. }) => {
+                Path::new(DIR).join(format!("log-{:012}.dnlog", self.tail().0))
+            }
+            _ => PathBuf::from(LOG),
+        }
+    }
+
+    /// Applies a window through the session and syncs the journal: a sync
+    /// that succeeds acknowledges the window, and one that fails must be
+    /// the planned crash.
+    fn apply(&mut self, ops: &[Op]) -> (Vec<UpdateReport>, Option<ReplayError>) {
+        let (reports, failure) = self.session.apply(ops);
+        self.window = reports.len();
+        self.history.extend_from_slice(&ops[..self.window]);
+        match self.session.journal_mut().expect("a journal").sync() {
+            Ok(()) => self.acked = self.history.len(),
+            Err(PersistError::Io(_)) if self.backend.crashed() => {}
+            Err(e) => panic!("the journal syncs: {e}"),
+        }
+        (reports, failure)
+    }
+
+    /// Snapshots a flat log's engine at op 0, and at its `snapshot` op once
+    /// that is acknowledged (never ahead of the durable log). Planted, not
+    /// written: a snapshot takes none of a crash's budget.
+    fn snapshot_if_due(&mut self) {
+        let n = self.history.len();
+        let Some(Log::Flat { snapshot }) = self.shape.journal else {
+            return;
+        };
+        if (n == 0 || n == snapshot) && n == self.acked {
+            let bytes = Snapshot::of_net(self.session.net(), n as u64).to_bytes();
+            self.backend.plant(Path::new(SNAPSHOT), bytes.clone());
+            self.snapshots.push((n, bytes));
+        }
+    }
+
+    /// Where the final segment's records end: its header's end, then each
+    /// record's.
+    fn ends(&self) -> Vec<u64> {
+        let mut ends = vec![self.header];
+        for op in &self.history[self.tail().0..] {
+            ends.push(ends[ends.len() - 1] + encode_record(op).len() as u64);
+        }
+        ends
+    }
+
+    /// Cuts the final segment and recovers. Mid-run the cut is a byte
+    /// inside the last window's records (in a freshly rotated segment
+    /// holding none of them: inside its header), drawn by a generator seeded
+    /// with the op count; at the `end`, a torn header, every record
+    /// boundary, and the first and middle bytes of every 7th record.
+    fn cut(&mut self, at: &str, end: bool) {
+        // A dead disk is recovered as it died, at the end.
+        if self.backend.crashed() {
+            return;
+        }
+        let (ends, path, n) = (self.ends(), self.segment_path(), self.history.len());
+        let len = self.backend.surviving(&path).expect("a log").len() as u64;
+        assert_eq!(len, ends[ends.len() - 1], "{at}: {} length", path.display());
+        let mut cuts = Vec::new();
+        if end {
+            cuts.push(self.header - 2);
+            for (i, w) in ends.windows(2).enumerate() {
+                if i % 7 == 0 && w[1] - w[0] > 2 {
+                    cuts.extend([w[0] + 1, w[0] + (w[1] - w[0]) / 2]);
+                }
+            }
+            cuts.extend(&ends);
+            cuts.sort_unstable();
+        } else {
+            let lo = ends[(n - self.window).saturating_sub(self.tail().0)];
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            cuts.push(rng.gen_range(if lo < len { lo } else { 0 }..len));
+        }
+        for cut in cuts {
+            self.recover_cut(cut, at);
+        }
+    }
+
+    /// A copy of the disk whose final segment keeps its first `cut` bytes;
+    /// a flat log's snapshot is the newest at or before op `salvaged`.
+    fn stage(&self, cut: u64, salvaged: usize) -> FaultyBackend {
+        let staged = FaultyBackend::new();
+        for path in self.backend.clone().list_dir(Path::new(DIR)).unwrap() {
+            staged.plant(&path, self.backend.surviving(&path).unwrap());
+        }
+        let path = self.segment_path();
+        let mut bytes = self.backend.surviving(&path).expect("a log");
+        bytes.truncate(cut as usize);
+        staged.plant(&path, bytes);
+        let mut older = self.snapshots.iter().rev();
+        if let Some((_, bytes)) = older.find(|&&(n, _)| n <= salvaged) {
+            staged.plant(Path::new(SNAPSHOT), bytes.clone());
+        }
+        staged
+    }
+
+    /// Recovers `disk` under `policy`: the engine, its op position, and the
+    /// torn tail repaired.
+    fn recover(
+        &self,
+        disk: &FaultyBackend,
+        policy: RecoveryPolicy,
+    ) -> Result<(PersistNet, usize, Option<TornTail>), PersistError> {
+        let (snapshot, log, topo) = (Path::new(SNAPSHOT), Path::new(LOG), self.topo);
+        let Some(Log::Checkpointed { every, retain }) = self.shape.journal else {
+            let recovered = persist::recover_with(topo, &mut disk.clone(), snapshot, log, policy);
+            return recovered.map(|(net, n, tail)| (net, n as usize, tail));
+        };
+        let (to, config) = (Box::new(disk.clone()), checkpoints(every, retain));
+        let (net, _, report) = persist::recover_dir(to, Path::new(DIR), topo, policy, config)?;
+        Ok((net, report.ops_incorporated as usize, report.torn))
+    }
+
+    /// Recovers copies of the disk whose final segment keeps only its first
+    /// `cut` bytes: under `Strict`, which must fail naming the tear if the
+    /// cut tore a record or the header; under `RepairTail`, which must
+    /// truncate the segment to its whole records and land on the restore
+    /// contract with the prefix engine. Returns the engine repaired and its
+    /// op position.
+    fn recover_cut(&mut self, cut: u64, at: &str) -> (PersistNet, usize) {
+        let (ends, path, header) = (self.ends(), self.segment_path(), self.header);
+        let at = format!("{at}: cut at byte {cut} of {}", path.display());
+        // The whole records kept, and where the last of them ends.
+        let (salvaged, tear) = match ends.partition_point(|&end| end <= cut) {
+            0 => (0, 0),
+            n => (n - 1, ends[n - 1]),
+        };
+        let torn = cut < header || cut != tear;
+        // Below a newer checkpoint, the checkpoint's state wins.
+        let (segment, checkpoint) = self.tail();
+        let position = (segment + salvaged).max(checkpoint);
+        let strict = match self.recover(&self.stage(cut, salvaged), RecoveryPolicy::Strict) {
+            Err(e @ PersistError::Corrupt(_)) if torn => {
+                let byte = if cut < header { cut } else { tear };
+                let names = e.to_string().contains(&format!("at byte {byte} of"));
+                assert!(names, "{at}: Strict must name the tear at byte {byte}: {e}");
+                None
+            }
+            Ok((net, n, None)) if !torn => Some((net, n)),
+            Err(e) => panic!("{at}: Strict: {e}"),
+            Ok(_) => panic!("{at}: Strict recovered a torn segment, or reported a tear"),
+        };
+        let disk = self.stage(cut, salvaged);
+        let (net, n, tail) = self
+            .recover(&disk, RecoveryPolicy::RepairTail)
+            .unwrap_or_else(|e| panic!("{at}: RepairTail: {e}"));
+        assert_eq!(n, position, "{at}: ops recovered");
+        assert_eq!(tail.map(|t| t.offset), torn.then_some(tear), "{at}: tear");
+        let kept = disk.surviving(&path).expect("a log").len() as u64;
+        assert_eq!(kept, tear.max(header), "{at}: file length after repair");
+        let reread = read_log_with(&mut disk.clone(), &path, RecoveryPolicy::Strict);
+        let reread = reread.unwrap_or_else(|e| panic!("{at}: the repaired log reads: {e}"));
+        let whole = &self.history[segment..][..salvaged];
+        assert_eq!(reread.ops, whole, "{at}: the repaired log's records");
+        self.advance(position);
+        assert_state_eq(&self.prefix.0, &net, &at);
+        if let Some((strict, n)) = strict {
+            let digests = (persist::state_digest(&strict), persist::state_digest(&net));
+            assert_eq!((n, digests.0), (position, digests.1), "{at}: Strict");
+        }
+        (net, n)
+    }
+
+    /// Feeds the prefix engine up to op `n`, from a fresh one if it is past.
+    fn advance(&mut self, n: usize) {
+        if self.prefix.1 > n {
+            self.prefix = (self.shape.build(self.topo), 0);
+        }
+        let (net, at) = &mut self.prefix;
+        for op in &self.history[*at..n] {
+            let applied = net.checker_mut().try_apply(op);
+            applied.expect("the prefix engine takes the journaled ops");
+        }
+        *at = n;
+    }
+
+    /// With the newest snapshot corrupt, a checkpoint directory recovers
+    /// from exactly the newest intact one; with the segment before the
+    /// final one torn as well, recovery must refuse it.
+    fn fall_back(&mut self, at: &str, (every, retain): (u64, usize)) {
+        let at = format!("{at}: snapshot fallback");
+        let files = self.backend.clone().list_dir(Path::new(DIR)).unwrap();
+        let is_snapshot = |p: &&PathBuf| p.extension().is_some_and(|e| e == "dnsnap");
+        let (snapshots, segments): (Vec<_>, Vec<_>) = files.iter().partition(is_snapshot);
+        let counts = format!("{} snapshots, {} segments", snapshots.len(), segments.len());
+        assert!(snapshots.len() > 1 && segments.len() > 1, "{at}: {counts}");
+        let [.., intact, newest] = snapshots[..] else {
+            unreachable!("two snapshots or more")
+        };
+        let intact = Snapshot::read_from_backend(&mut self.backend.clone(), intact);
+        let intact = intact.expect("an intact snapshot").ops_applied();
+        let corrupt = || {
+            let disk = self.stage(u64::MAX, 0);
+            let mut bytes = disk.surviving(newest).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x20;
+            disk.plant(newest, bytes);
+            disk
+        };
+        let (fallen, torn) = (corrupt(), corrupt());
+        let (topo, dir, n) = (self.topo, Path::new(DIR), self.history.len());
+        let (policy, config) = (RecoveryPolicy::RepairTail, checkpoints(every, retain));
+        let recovered = persist::recover_dir(Box::new(fallen), dir, topo, policy, config);
+        let (net, _, report) = recovered.unwrap_or_else(|e| panic!("{at}: {e}"));
+        let fell = (report.snapshots_skipped, report.baseline_ops);
+        assert_eq!(fell, (1, intact), "{at}: (snapshots skipped, baseline)");
+        assert_eq!(report.ops_incorporated, n as u64, "{at}: ops recovered");
+        self.advance(n);
+        assert_state_eq(&self.prefix.0, &net, &at);
+        let segment = segments[segments.len() - 2];
+        let bytes = torn.surviving(segment).unwrap();
+        torn.plant(segment, bytes[..bytes.len() - 3].to_vec());
+        let name = segment.file_name().unwrap().to_str().unwrap();
+        match persist::recover_dir(Box::new(torn), dir, topo, policy, config) {
+            Err(PersistError::Corrupt(msg)) if msg.contains(name) => {}
+            Err(e) => panic!("{at}: a torn {name} must be corruption naming it: {e}"),
+            Ok(_) => panic!("{at}: a torn {name} recovered"),
+        }
+    }
+
+    /// The end of the stream: with `crash`, the end-of-stream cuts (and a
+    /// checkpoint directory's fallback); then the journal closes and the
+    /// disk recovers. After a planned crash that is what the dead disk
+    /// kept, which must hold the acknowledged ops; otherwise the whole
+    /// disk, which must equal the live engine.
+    fn finish(mut self, at: &str, crash: bool) -> PersistNet {
+        let (crashed, crash_at) = (self.backend.crashed(), format!("{at}: Crash"));
+        if crash && !crashed {
+            self.cut(&crash_at, true);
+            if let Some(Log::Checkpointed { every, retain }) = self.shape.journal {
+                self.fall_back(&crash_at, (every, retain));
+            }
+        }
+        let closed = self.session.close();
+        let planned = self.shape.crash_at_byte.is_some();
+        assert_eq!(crashed, planned, "{crash_at}: the disk died");
+        if crashed {
+            assert!(closed.is_err(), "{crash_at}: a dead disk cannot close");
+            self.backend.reboot();
+            let kept = self.backend.surviving(&self.segment_path()).expect("a log");
+            let (net, n) = self.recover_cut(kept.len() as u64, &crash_at);
+            let acked = self.acked;
+            assert!(
+                n >= acked,
+                "{crash_at}: {n} ops recovered, {acked} acknowledged"
+            );
+            return net;
+        }
+        closed.expect("the journal closes");
+        let recovered = self.recover(&self.backend, RecoveryPolicy::Strict);
+        let (recovered, n, _) = recovered.unwrap_or_else(|e| panic!("{at}: Restore: {e}"));
+        assert_eq!(n, self.history.len(), "{at}: Restore: ops recovered");
+        let at = format!("{at}: Restore: recovered");
+        assert_state_eq(self.session.net(), &recovered, &at);
         recovered
+    }
+}
+
+/// A checkpoint directory's cadence and retention, synced per window.
+pub fn checkpoints(every: u64, retain: usize) -> CheckpointConfig {
+    CheckpointConfig {
+        every_ops: every,
+        retain,
+        durability: Durability::FsyncPerBatch,
     }
 }
 
@@ -992,18 +1358,4 @@ pub fn ring(n: usize) -> (Topology, Vec<NodeId>) {
         topo.add_bidi_link(nodes[i], nodes[(i + 1) % n]);
     }
     (topo, nodes)
-}
-
-/// A fresh directory under the system temp dir, unique per process and call.
-pub fn temp_dir(tag: &str) -> PathBuf {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("deltanet-{}-{tag}-{n}", std::process::id()));
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// A flat journal over a real log file at the default durability.
-pub fn flat_journal(path: &Path) -> Journal {
-    Journal::flat(Box::new(FsBackend), path, 0, Durability::default()).unwrap()
 }
