@@ -380,11 +380,11 @@ mod tests {
 
     #[test]
     fn usize_option_parsing() {
-        let p = parse(&["replay", "--shards", "4"]).unwrap();
-        assert_eq!(parse_usize_option(&p, "shards").unwrap(), Some(4));
-        assert_eq!(parse_usize_option(&p, "batch").unwrap(), None);
-        let p = parse(&["replay", "--shards", "many"]).unwrap();
-        assert!(parse_usize_option(&p, "shards").is_err());
+        let p = parse(&["replay", "--batch", "4"]).unwrap();
+        assert_eq!(parse_usize_option(&p, "batch").unwrap(), Some(4));
+        assert_eq!(parse_usize_option(&p, "compact").unwrap(), None);
+        let p = parse(&["replay", "--batch", "many"]).unwrap();
+        assert!(parse_usize_option(&p, "batch").is_err());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::topo_text;
 use deltanet::persist::{self, RecoveryPolicy, TornTail};
 use deltanet::{
     CheckpointConfig, DeltaNet, DeltaNetConfig, Durability, FsBackend, Journal, MonitorTransitions,
-    Parallelism, PersistError, PersistNet, Session, ShardedDeltaNet, Snapshot, ViolationKey,
+    PersistError, PersistNet, Session, Snapshot, ViolationKey,
 };
 use netmodel::checker::{Checker, InvariantViolation, ReplayError, UpdateReport};
 use netmodel::interval::Interval;
@@ -88,18 +88,16 @@ pub fn help() -> String {
                  Generate one of the eight evaluation datasets (or the flapping-prefix\n\
                  `churn` workload) as <name>.topo + <name>.trace\n\
        replay    --topo <file> --trace <file> [--checker deltanet|veriflow] [--no-loops]\n\
-                 [--compact [<threshold>]] [--json <file>] [--shards <n>] [--batch <w>]\n\
-                 [--workers <n>] [--check blackholes] [--monitor] [--fields <spec>]\n\
-                 [--from-snapshot <file>] [--log <file> [--durability buffered|flush|fsync]]\n\
+                 [--compact [<threshold>]] [--json <file>] [--batch <w>] [--check blackholes]\n\
+                 [--monitor] [--fields <spec>] [--from-snapshot <file>]\n\
+                 [--log <file> [--durability buffered|flush|fsync]]\n\
                  [--checkpoint <dir> [--checkpoint-every <n>] [--retain <n>]]\n\
                  Replay a trace through a checker and print Table-3 style statistics;\n\
                  with --json, also write them as one line of JSON.\n\
                  --compact enables automatic atom compaction (deltanet only): a removal\n\
                  leaving >= <threshold> reclaimable bounds (default 1024) triggers a pass.\n\
-                 --shards partitions the address space across <n> independent engines\n\
-                 (deltanet only); with --batch, updates apply in windows of <w> with the\n\
-                 per-shard groups running concurrently (--workers caps the threads;\n\
-                 default: one per CPU). --check blackholes audits the final data plane for\n\
+                 --batch applies updates in windows of <w> ops, timed per window, on\n\
+                 one engine. --check blackholes audits the final data plane for\n\
                  blackholes after the replay. --monitor (deltanet only) maintains the\n\
                  live loop+blackhole violation set incrementally (multi-field planes\n\
                  repair per touched slice), streams appeared/resolved transitions per\n\
@@ -113,10 +111,10 @@ pub fn help() -> String {
                  secondary fields per rule; single-field traces replay unchanged.\n\
                  --from-snapshot restores a saved snapshot and replays the trace on top\n\
                  of it (deltanet only; the engine shape and config come from the\n\
-                 snapshot, so --shards/--compact cannot be combined with it). --log\n\
+                 snapshot, so --compact/--fields cannot be combined with it). --log\n\
                  appends every successfully applied op to a binary delta log; on a\n\
                  mid-trace failure the log holds exactly the applied prefix, so\n\
-                 `snapshot --load --log` recovery reproduces the post-failure state.\n\
+                 `recover --snapshot --log` reproduces the post-failure state.\n\
                  Malformed operations (unknown rule removal, duplicate insert) are\n\
                  reported with their line position instead of crashing the replay.\n\
                  --durability picks how hard each batch is pushed to disk: buffered\n\
@@ -127,34 +125,29 @@ pub fn help() -> String {
                  every --checkpoint-every ops (default 1024), keeping --retain\n\
                  snapshots (default 2), so recovery time stays bounded. The dir\n\
                  must be fresh: one holding an earlier run's artifacts is refused\n\
-       snapshot  --topo <file> --trace <file> --save <file> [--shards <n>] [--monitor]\n\
-                 [--log <file>]\n\
+       snapshot  --topo <file> --trace <file> --save <file> [--monitor] [--log <file>]\n\
                  Replay the trace and save its final engine state as a checksummed\n\
                  binary snapshot; with --log, also write the ops to a delta log\n\
-                 (together they form a recovery pair)\n\
-       snapshot  --topo <file> --load <file> [--log <file>] [--repair-tail]\n\
-                 Restore a snapshot and print its state; with --log, recover by\n\
-                 replaying the log tail past the snapshot's position. --repair-tail\n\
-                 truncates a torn log tail to the longest valid checksummed prefix\n\
-                 instead of failing\n\
+                 (together they form a recovery pair for `recover`)\n\
        snapshot  --topo <file> --log <file> --at <n> [--load <file>]\n\
                  Time-travel: the violations active after exactly n logged ops,\n\
                  replayed forward from the snapshot when one is given\n\
-       recover   --topo <file> (--snapshot <file> --log <file> | --dir <ckpt-dir>)\n\
+       recover   --topo <file> (--snapshot <file> [--log <file>] | --dir <ckpt-dir>)\n\
                  [--repair-tail]\n\
-                 Recover engine state after a crash. With --snapshot/--log, restore\n\
-                 the snapshot and replay the log tail; with --dir, recover from a\n\
-                 checkpoint directory (newest usable snapshot + log segments, falling\n\
-                 back past corrupt snapshots). The default policy is strict: a torn\n\
-                 or corrupt log record fails, naming the byte offset. --repair-tail\n\
-                 instead truncates the torn tail and reports what was salvaged\n\
+                 Restore engine state and print it. With --snapshot, restore the\n\
+                 snapshot, and with --log also replay the log tail past it; with\n\
+                 --dir, recover from a checkpoint directory (newest usable snapshot +\n\
+                 log segments, falling back past corrupt snapshots). The default\n\
+                 policy is strict: a torn or corrupt log record fails, naming the byte\n\
+                 offset. --repair-tail instead truncates the torn tail and reports\n\
+                 what was salvaged\n\
        whatif    --topo <file> --trace <file> --src <node-id> --dst <node-id> [--loops]\n\
                  Load the trace's final data plane and analyse the failure of link src->dst\n\
        audit     --topo <file> --trace <file> [--fields <spec>]\n\
                  Load the final data plane and report all forwarding loops and blackholes\n\
-       serve     --topo <file> [--port <p>] [--port-file <file>] [--stdin] [--shards <n>]\n\
-                 [--window <w>] [--queue <n>] [--sub-buffer <n>] [--workers <n>] [--audit]\n\
-                 [--no-loops] [--checkpoint <dir> [--checkpoint-every <n>] [--retain <n>]\n\
+       serve     --topo <file> [--port <p>] [--port-file <file>] [--stdin] [--window <w>]\n\
+                 [--queue <n>] [--sub-buffer <n>] [--audit] [--no-loops]\n\
+                 [--checkpoint <dir> [--checkpoint-every <n>] [--retain <n>]\n\
                  [--durability buffered|flush|fsync]]\n\
                  Run the verification daemon: line-delimited ndjson requests (insert/\n\
                  remove/batch/what_if/snapshot/stats/subscribe/shutdown) over TCP (or\n\
@@ -164,7 +157,9 @@ pub fn help() -> String {
                  (counted in stats as audits/mismatches). --port 0 (default) picks an\n\
                  ephemeral port; --port-file writes the bound port for discovery.\n\
                  --checkpoint mounts durable snapshots+logs: an existing directory is\n\
-                 recovered and the op stream resumes from it\n\
+                 recovered and the op stream resumes from it. Options not given take\n\
+                 the daemon's defaults (service::ServiceConfig::default()), one engine\n\
+                 shard included\n\
        client    (--addr <host:port> | --port-file <file>) [--send <file.ndjson>]\n\
                  [--topo <file> --trace <file> [--batch <n>]] [--stats] [--shutdown]\n\
                  Push requests to a running daemon and print a JSON summary of the\n\
@@ -192,15 +187,11 @@ pub fn run(args: &ParsedArgs) -> Result<String, CommandError> {
         "generate" => (generate, "dataset scale out", ""),
         "replay" => (
             replay,
-            "topo trace checker compact json shards batch workers check fields from-snapshot \
-             log checkpoint checkpoint-every retain durability",
+            "topo trace checker compact json batch check fields from-snapshot log checkpoint \
+             checkpoint-every retain durability",
             "no-loops compact monitor",
         ),
-        "snapshot" => (
-            snapshot,
-            "topo trace save load at shards log",
-            "monitor repair-tail",
-        ),
+        "snapshot" => (snapshot, "topo trace save load at log", "monitor"),
         "recover" => (
             recover,
             "topo dir snapshot log checkpoint-every retain durability",
@@ -210,8 +201,8 @@ pub fn run(args: &ParsedArgs) -> Result<String, CommandError> {
         "audit" => (audit, "topo trace fields", ""),
         "serve" => (
             serve,
-            "topo port port-file shards window queue sub-buffer workers checkpoint \
-             checkpoint-every retain durability",
+            "topo port port-file window queue sub-buffer checkpoint checkpoint-every retain \
+             durability",
             "stdin audit no-loops",
         ),
         "client" => (
@@ -315,24 +306,6 @@ fn describe_violation(v: &InvariantViolation, width: u8) -> String {
         }
     }
     out
-}
-
-/// A fresh Delta-net engine of the shape `--shards` asks for.
-fn build_net(
-    topo: Topology,
-    config: DeltaNetConfig,
-    shards: Option<usize>,
-    parallelism: Parallelism,
-) -> PersistNet {
-    match shards {
-        Some(n) => PersistNet::Sharded(Box::new(ShardedDeltaNet::with_parallelism(
-            topo,
-            config,
-            n,
-            parallelism,
-        ))),
-        None => PersistNet::Single(Box::new(DeltaNet::new(topo, config))),
-    }
 }
 
 /// The engine a replay runs through: a Delta-net [`Session`] (the engine
@@ -446,21 +419,16 @@ impl TransitionLog {
     }
 }
 
-/// The `--shards` / `--batch` / `--check blackholes` fields of the replay
-/// report, in that order, each only when the option was given.
+/// The `--batch` / `--check blackholes` fields of the replay report, in
+/// that order, each only when the option was given.
 fn shape_fields(
-    shards: Option<usize>,
     batch: Option<usize>,
     blackholes: Option<&[InvariantViolation]>,
 ) -> Vec<(&'static str, Json)> {
-    [
-        ("shards", shards),
-        ("batch", batch),
-        ("blackholes", blackholes.map(<[_]>::len)),
-    ]
-    .into_iter()
-    .filter_map(|(key, n)| Some((key, Json::int(n?))))
-    .collect()
+    [("batch", batch), ("blackholes", blackholes.map(<[_]>::len))]
+        .into_iter()
+        .filter_map(|(key, n)| Some((key, Json::int(n?))))
+        .collect()
 }
 
 /// The `deltanet-replay-v1` report: schema and checker, the Table-3 summary
@@ -492,9 +460,7 @@ pub fn replay(args: &ParsedArgs) -> Result<String, CommandError> {
     } else {
         None
     };
-    let shards = parse_usize_option(args, "shards")?;
     let batch = parse_usize_option(args, "batch")?;
-    let workers = parse_usize_option(args, "workers")?;
     let check_blackholes = match args.options.get("check").map(String::as_str) {
         None => false,
         Some("blackholes") => true,
@@ -531,11 +497,6 @@ pub fn replay(args: &ParsedArgs) -> Result<String, CommandError> {
                 .to_string(),
         ));
     }
-    if (batch.is_some() || workers.is_some()) && shards.is_none() {
-        return Err(CommandError::Other(
-            "--batch/--workers require --shards".to_string(),
-        ));
-    }
     if args.has_flag("no-loops") && from_snapshot.is_some() {
         return Err(CommandError::Other(
             "--no-loops has no effect with --from-snapshot: the per-update loop-check \
@@ -543,12 +504,11 @@ pub fn replay(args: &ParsedArgs) -> Result<String, CommandError> {
                 .to_string(),
         ));
     }
-    if [shards, batch].into_iter().flatten().any(|n| n == 0) {
+    if batch == Some(0) {
         return Err(CommandError::Other(
-            "--shards/--batch must be at least 1".to_string(),
+            "--batch must be at least 1".to_string(),
         ));
     }
-    let parallelism = workers.map_or_else(Parallelism::auto, Parallelism::fixed);
 
     let checkpoint = match &checkpoint_dir {
         Some(_) => Some(checkpoint_config(args)?),
@@ -560,9 +520,9 @@ pub fn replay(args: &ParsedArgs) -> Result<String, CommandError> {
         "deltanet" => {
             let net = match &from_snapshot {
                 Some(snap_path) => {
-                    if shards.is_some() || compact_threshold.is_some() || fields.is_some() {
+                    if compact_threshold.is_some() || fields.is_some() {
                         return Err(CommandError::Other(
-                            "--shards/--compact/--fields come from the snapshot and cannot be \
+                            "--compact/--fields come from the snapshot and cannot be \
                              combined with --from-snapshot"
                                 .to_string(),
                         ));
@@ -595,7 +555,7 @@ pub fn replay(args: &ParsedArgs) -> Result<String, CommandError> {
                     if let Some(f) = &fields {
                         config = apply_fields(config, f);
                     }
-                    build_net(topo, config, shards, parallelism)
+                    PersistNet::Single(Box::new(DeltaNet::new(topo, config)))
                 }
             };
             // The journal mounted beside the engine: a flat delta log (--log)
@@ -624,7 +584,6 @@ pub fn replay(args: &ParsedArgs) -> Result<String, CommandError> {
         }
         "veriflow" | "veriflow-ri" => {
             if compact_threshold.is_some()
-                || shards.is_some()
                 || check_blackholes
                 || monitor
                 || fields.is_some()
@@ -633,8 +592,8 @@ pub fn replay(args: &ParsedArgs) -> Result<String, CommandError> {
                 || checkpoint_dir.is_some()
             {
                 return Err(CommandError::Other(
-                    "--compact/--shards/--check/--monitor/--fields/--from-snapshot/--log/\
-                     --checkpoint are only supported by the deltanet checker"
+                    "--compact/--check/--monitor/--fields/--from-snapshot/--log/--checkpoint \
+                     are only supported by the deltanet checker"
                         .to_string(),
                 ));
             }
@@ -656,9 +615,9 @@ pub fn replay(args: &ParsedArgs) -> Result<String, CommandError> {
     let mut timings = Timings::with_capacity(trace.len());
     let mut loops = 0usize;
     let mut transitions = monitor.then(TransitionLog::default);
-    // One windowed loop: --batch windows apply their shard groups
-    // concurrently, and an unbatched replay is a window of one. Per-op time
-    // is the window average, so the summary statistics keep their shape.
+    // One windowed loop: an unbatched replay is a window of one. Per-op
+    // time is the window average, so the summary statistics keep their
+    // shape.
     let mut offset = 0usize;
     for chunk in trace.ops().chunks(batch.unwrap_or(1)) {
         let start = Instant::now();
@@ -743,7 +702,7 @@ pub fn replay(args: &ParsedArgs) -> Result<String, CommandError> {
                 ("compactions", Json::int(passes)),
             ]);
         }
-        fields.extend(shape_fields(shards, batch, blackhole_report.as_deref()));
+        fields.extend(shape_fields(batch, blackhole_report.as_deref()));
         if from_snapshot.is_some() {
             fields.push(("resumed_from_op", Json::int(baseline_ops)));
         }
@@ -802,15 +761,8 @@ pub fn replay(args: &ParsedArgs) -> Result<String, CommandError> {
              compaction passes:  {passes}\n"
         ));
     }
-    if let Some(n) = shards {
-        out.push_str(&format!("shards:             {n}"));
-        match batch {
-            Some(w) => out.push_str(&format!(
-                " (batched x{w}, {} workers)\n",
-                parallelism.workers()
-            )),
-            None => out.push('\n'),
-        }
+    if let Some(w) = batch {
+        out.push_str(&format!("batch:              {w} ops per window\n"));
     }
     if from_snapshot.is_some() {
         out.push_str(&format!("resumed from snapshot: op {baseline_ops}\n"));
@@ -906,30 +858,9 @@ fn recovery_policy(args: &ParsedArgs) -> RecoveryPolicy {
     }
 }
 
-/// Recovers a snapshot + flat log pair and reports the result — the shared
-/// body of `recover --snapshot --log` and `snapshot --load --log`.
-fn recover_pair(
-    args: &ParsedArgs,
-    topo: &Topology,
-    snap_path: &str,
-    log_path: &str,
-) -> Result<String, CommandError> {
-    let (net, total, torn) = persist::recover_with(
-        topo,
-        &mut FsBackend,
-        Path::new(snap_path),
-        Path::new(log_path),
-        recovery_policy(args),
-    )?;
-    Ok(format!(
-        "ops incorporated: {total}\n{}{}",
-        describe_torn(torn.as_ref()),
-        describe_persist_net(&net)
-    ))
-}
-
-/// `deltanet recover` — crash recovery from a snapshot + log pair or a
-/// checkpoint directory, with strict or tail-repairing torn-log handling.
+/// `deltanet recover` — restore a snapshot, recover a snapshot + log pair,
+/// or recover a checkpoint directory, with strict or tail-repairing
+/// torn-log handling.
 pub fn recover(args: &ParsedArgs) -> Result<String, CommandError> {
     let topo = load_topology(args.require("topo")?)?;
     if let Some(dir) = args.options.get("dir") {
@@ -969,14 +900,36 @@ pub fn recover(args: &ParsedArgs) -> Result<String, CommandError> {
     } else {
         let snap_path = args.require("snapshot").map_err(|_| {
             CommandError::Other(
-                "recover needs either --dir <ckpt-dir> or --snapshot <file> --log <file>"
+                "recover needs either --dir <ckpt-dir> or --snapshot <file> [--log <file>]"
                     .to_string(),
             )
         })?;
-        let log_path = args.require("log")?;
+        let (source, (net, total, torn)) = match args.options.get("log") {
+            Some(log_path) => (
+                format!("{snap_path} + {log_path}"),
+                persist::recover_with(
+                    &topo,
+                    &mut FsBackend,
+                    Path::new(snap_path),
+                    Path::new(log_path),
+                    recovery_policy(args),
+                )?,
+            ),
+            None if args.has_flag("repair-tail") => {
+                return Err(CommandError::Other(
+                    "--repair-tail requires --log (it repairs the log's torn tail)".to_string(),
+                ))
+            }
+            None => {
+                let snap = Snapshot::read_from(Path::new(snap_path))?;
+                let at = snap.ops_applied();
+                (snap_path.to_string(), (snap.restore(&topo)?, at, None))
+            }
+        };
         Ok(format!(
-            "recovered {snap_path} + {log_path}\n{}",
-            recover_pair(args, &topo, snap_path, log_path)?
+            "recovered {source}\nops incorporated: {total}\n{}{}",
+            describe_torn(torn.as_ref()),
+            describe_persist_net(&net)
         ))
     }
 }
@@ -992,23 +945,22 @@ fn describe_torn(torn: Option<&TornTail>) -> String {
     }
 }
 
-/// `deltanet snapshot` — save, restore/recover, or time-travel snapshots.
+/// `deltanet snapshot` — save a snapshot, or time-travel through a log.
 ///
-/// Three modes, selected by which options are given: `--save <file>`
-/// replays a trace and writes its final state; `--load <file>` restores a
-/// snapshot (recovering through the `--log` tail when one is given);
-/// `--at <n>` answers a time-travel query against a delta log.
+/// Two modes, selected by which options are given: `--save <file>`
+/// replays a trace and writes its final state; `--at <n>` answers a
+/// time-travel query against a delta log (from `--load <file>` when given).
+/// Restoring and recovering a snapshot is `deltanet recover`.
 pub fn snapshot(args: &ParsedArgs) -> Result<String, CommandError> {
     let save = args.options.get("save").cloned();
     let load = args.options.get("load").cloned();
     let at = parse_usize_option(args, "at")?;
     match (save, load, at) {
         (Some(out), None, None) => snapshot_save(args, &out),
-        (None, Some(path), None) => snapshot_load(args, &path),
         (None, load, Some(op_n)) => snapshot_at(args, load.as_deref(), op_n),
         _ => Err(CommandError::Other(
-            "snapshot expects exactly one of --save <file>, --load <file>, or --at <n> \
-             (--at may be combined with --load); try `deltanet help`"
+            "snapshot expects exactly one of --save <file> or --at <n> [--load <file>]; \
+             restore a snapshot with `deltanet recover --snapshot <file>`"
                 .to_string(),
         )),
     }
@@ -1019,18 +971,12 @@ pub fn snapshot(args: &ParsedArgs) -> Result<String, CommandError> {
 fn snapshot_save(args: &ParsedArgs, out_path: &str) -> Result<String, CommandError> {
     let mut topo = load_topology(args.require("topo")?)?;
     let trace = load_trace(args.require("trace")?, &mut topo)?;
-    let shards = parse_usize_option(args, "shards")?;
-    if shards == Some(0) {
-        return Err(CommandError::Other(
-            "--shards must be at least 1".to_string(),
-        ));
-    }
     let config = DeltaNetConfig {
         check_loops_per_update: false,
         monitor_violations: args.has_flag("monitor"),
         ..Default::default()
     };
-    let net = build_net(topo, config, shards, Parallelism::auto());
+    let net = PersistNet::Single(Box::new(DeltaNet::new(topo, config)));
     // A flat journal beside the engine, as `replay --log` mounts one: it
     // records exactly the ops the engine accepted.
     let journal = match args.options.get("log") {
@@ -1066,29 +1012,6 @@ fn snapshot_save(args: &ParsedArgs, out_path: &str) -> Result<String, CommandErr
         out.push_str(&format!("delta log: {ops_applied} ops -> {log_path}\n"));
     }
     Ok(out)
-}
-
-/// `snapshot --load`: restore, or recover through the log tail (repairing a
-/// torn tail when `--repair-tail` is given).
-fn snapshot_load(args: &ParsedArgs, snap_path: &str) -> Result<String, CommandError> {
-    let topo = load_topology(args.require("topo")?)?;
-    let state = match args.options.get("log") {
-        Some(log_path) => recover_pair(args, &topo, snap_path, log_path)?,
-        None => {
-            if args.has_flag("repair-tail") {
-                return Err(CommandError::Other(
-                    "--repair-tail requires --log (it repairs the log's torn tail)".to_string(),
-                ));
-            }
-            let snap = Snapshot::read_from(Path::new(snap_path))?;
-            let at = snap.ops_applied();
-            format!(
-                "ops incorporated: {at}\n{}",
-                describe_persist_net(&snap.restore(&topo)?)
-            )
-        }
-    };
-    Ok(format!("restored {snap_path}\n{state}"))
 }
 
 /// `snapshot --at`: the violations active after exactly `op_n` logged ops.
@@ -1263,17 +1186,17 @@ pub fn paper(args: &ParsedArgs) -> Result<String, CommandError> {
 /// `deltanet serve` — run the verification daemon (see `crates/service`).
 pub fn serve(args: &ParsedArgs) -> Result<String, CommandError> {
     let topo = load_topology(args.require("topo")?)?;
-    let shards = parse_usize_option(args, "shards")?.unwrap_or(2);
-    let window = parse_usize_option(args, "window")?.unwrap_or(32);
-    let queue = parse_usize_option(args, "queue")?.unwrap_or(128);
-    let sub_buffer = parse_usize_option(args, "sub-buffer")?.unwrap_or(256);
-    if [shards, window, queue, sub_buffer].contains(&0) {
+    // Every value the command line leaves out, the shard count included,
+    // is the daemon's own default.
+    let defaults = service::ServiceConfig::default();
+    let window = parse_usize_option(args, "window")?.unwrap_or(defaults.window);
+    let queue = parse_usize_option(args, "queue")?.unwrap_or(defaults.queue);
+    let sub_buffer = parse_usize_option(args, "sub-buffer")?.unwrap_or(defaults.sub_buffer);
+    if [window, queue, sub_buffer].contains(&0) {
         return Err(CommandError::Other(
-            "--shards/--window/--queue/--sub-buffer must be at least 1".to_string(),
+            "--window/--queue/--sub-buffer must be at least 1".to_string(),
         ));
     }
-    let workers = parse_usize_option(args, "workers")?;
-    let parallelism = workers.map_or_else(Parallelism::auto, Parallelism::fixed);
     let checkpoint_dir = args.options.get("checkpoint").cloned();
     if (args.options.contains_key("checkpoint-every")
         || args.options.contains_key("retain")
@@ -1294,16 +1217,14 @@ pub fn serve(args: &ParsedArgs) -> Result<String, CommandError> {
     let config = service::ServiceConfig {
         engine: DeltaNetConfig {
             check_loops_per_update: !args.has_flag("no-loops"),
-            monitor_violations: true,
-            ..Default::default()
+            ..defaults.engine
         },
-        shards,
-        parallelism,
         window,
         queue,
         sub_buffer,
         audit: args.has_flag("audit"),
         checkpoint,
+        ..defaults
     };
 
     if args.has_flag("stdin") {
@@ -1450,6 +1371,7 @@ pub fn client(args: &ParsedArgs) -> Result<String, CommandError> {
 mod tests {
     use super::*;
     use crate::args::ParsedArgs;
+    use deltanet::ShardedDeltaNet;
 
     fn parsed(args: &[&str]) -> ParsedArgs {
         ParsedArgs::parse(args.iter().map(|s| s.to_string())).unwrap()
@@ -1692,8 +1614,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_replay_matches_single_engine_statistics() {
-        let dir = temp_dir("sharded");
+    fn batched_replay_matches_unbatched_counts() {
+        let dir = temp_dir("batched");
         let out = dir.to_str().unwrap().to_string();
         run(&parsed(&[
             "generate",
@@ -1707,64 +1629,52 @@ mod tests {
         .unwrap();
         let topo = dir.join("4switch.topo").to_str().unwrap().to_string();
         let trace = dir.join("4switch.trace").to_str().unwrap().to_string();
-        let json_path = dir.join("sharded.json");
-        let json_arg = json_path.to_str().unwrap().to_string();
+        let unbatched_json = dir.join("unbatched.json").to_str().unwrap().to_string();
+        let batched_json = dir.join("batched.json").to_str().unwrap().to_string();
 
-        // Per-op sharded replay.
-        let r = run(&parsed(&[
-            "replay", "--topo", &topo, "--trace", &trace, "--shards", "3",
+        // --batch needs no other option, and windows of 8 leave every
+        // count of the op-by-op replay as it was.
+        run(&parsed(&[
+            "replay",
+            "--topo",
+            &topo,
+            "--trace",
+            &trace,
+            "--json",
+            &unbatched_json,
         ]))
         .unwrap();
-        assert!(r.contains("delta-net-sharded"), "{r}");
-        assert!(r.contains("shards:             3"), "{r}");
-
-        // Batched sharded replay with a pinned worker count and JSON output.
         let b = run(&parsed(&[
             "replay",
             "--topo",
             &topo,
             "--trace",
             &trace,
-            "--shards",
-            "4",
             "--batch",
-            "16",
-            "--workers",
-            "2",
+            "8",
             "--json",
-            &json_arg,
+            &batched_json,
         ]))
         .unwrap();
-        assert!(b.contains("batched x16, 2 workers"), "{b}");
-        let report = read_report(&json_path);
-        assert_eq!(int(&report, "shards"), 4);
-        assert_eq!(int(&report, "batch"), 16);
-        assert_eq!(text(&report, "checker"), "delta-net-sharded");
+        assert!(b.contains("batch:              8 ops per window"), "{b}");
+        let (unbatched, batched) = (read_report(&unbatched_json), read_report(&batched_json));
+        assert_eq!(int(&batched, "batch"), 8);
+        assert_eq!(text(&batched, "checker"), "delta-net");
+        for key in [
+            "operations",
+            "packet_classes",
+            "rules",
+            "ops_with_loops",
+            "allocated_atoms",
+        ] {
+            assert_eq!(int(&batched, key), int(&unbatched, key), "{key}");
+        }
 
-        // Guard rails.
         let err = run(&parsed(&[
-            "replay", "--topo", &topo, "--trace", &trace, "--batch", "8",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("require --shards"), "{err}");
-        let err = run(&parsed(&[
-            "replay", "--topo", &topo, "--trace", &trace, "--shards", "2", "--batch", "0",
+            "replay", "--topo", &topo, "--trace", &trace, "--batch", "0",
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("at least 1"), "{err}");
-        let err = run(&parsed(&[
-            "replay",
-            "--topo",
-            &topo,
-            "--trace",
-            &trace,
-            "--checker",
-            "veriflow",
-            "--shards",
-            "2",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("only supported"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1786,25 +1696,21 @@ mod tests {
         let json_path = dir.join("blackhole.json");
         let json_arg = json_path.to_str().unwrap().to_string();
 
-        // Both the single and the sharded engine find exactly one blackhole.
-        for extra in [&[][..], &["--shards", "2"][..]] {
-            let mut argv = vec![
-                "replay",
-                "--topo",
-                &topo,
-                "--trace",
-                &trace,
-                "--check",
-                "blackholes",
-                "--json",
-                &json_arg,
-            ];
-            argv.extend_from_slice(extra);
-            let r = run(&parsed(&argv)).unwrap();
-            assert!(r.contains("blackholes:         1"), "{r}");
-            assert!(r.contains("blackhole at n2"), "{r}");
-            assert_eq!(int(&read_report(&json_path), "blackholes"), 1);
-        }
+        let r = run(&parsed(&[
+            "replay",
+            "--topo",
+            &topo,
+            "--trace",
+            &trace,
+            "--check",
+            "blackholes",
+            "--json",
+            &json_arg,
+        ]))
+        .unwrap();
+        assert!(r.contains("blackholes:         1"), "{r}");
+        assert!(r.contains("blackhole at n2"), "{r}");
+        assert_eq!(int(&read_report(&json_path), "blackholes"), 1);
 
         // Unknown --check values and veriflow are rejected.
         let err = run(&parsed(&[
@@ -1856,31 +1762,28 @@ mod tests {
             .to_string();
         assert!(err.contains("secondary header field"), "{err}");
 
-        // With --fields, single and sharded replays verify the dst x src
-        // plane; the blackhole report renders the primary axis dotted-quad.
-        for extra in [&[][..], &["--shards", "2"][..]] {
-            let mut argv = vec![
-                "replay",
-                "--topo",
-                &topo,
-                "--trace",
-                &trace,
-                "--fields",
-                "dst,src:8",
-                "--check",
-                "blackholes",
-                "--monitor",
-            ];
-            argv.extend_from_slice(extra);
-            let r = run(&parsed(&argv)).unwrap();
-            assert!(r.contains("blackhole at n2"), "{r}");
-            assert!(r.contains("[10.0.0.0 : 11.0.0.0)"), "{r}");
-            assert!(
-                r.contains("incremental vs rescan: 3 cross-checks, 0 mismatches"),
-                "{r}"
-            );
-            assert!(r.contains("monitor matches full rescan: yes"), "{r}");
-        }
+        // With --fields, the replay verifies the dst x src plane; the
+        // blackhole report renders the primary axis dotted-quad.
+        let r = run(&parsed(&[
+            "replay",
+            "--topo",
+            &topo,
+            "--trace",
+            &trace,
+            "--fields",
+            "dst,src:8",
+            "--check",
+            "blackholes",
+            "--monitor",
+        ]))
+        .unwrap();
+        assert!(r.contains("blackhole at n2"), "{r}");
+        assert!(r.contains("[10.0.0.0 : 11.0.0.0)"), "{r}");
+        assert!(
+            r.contains("incremental vs rescan: 3 cross-checks, 0 mismatches"),
+            "{r}"
+        );
+        assert!(r.contains("monitor matches full rescan: yes"), "{r}");
 
         // audit accepts the same declaration.
         let a = run(&parsed(&[
@@ -1971,38 +1874,34 @@ mod tests {
         let json_path = dir.join("monitor.json");
         let json_arg = json_path.to_str().unwrap().to_string();
 
-        // Single-engine and sharded monitored replays stream the same story.
-        for extra in [&[][..], &["--shards", "3"][..]] {
-            let mut argv = vec![
-                "replay",
-                "--topo",
-                &topo,
-                "--trace",
-                &trace,
-                "--monitor",
-                "--json",
-                &json_arg,
-            ];
-            argv.extend_from_slice(extra);
-            let r = run(&parsed(&argv)).unwrap();
-            assert!(r.contains("+ forwarding loop through n0 -> n1"), "{r}");
-            assert!(r.contains("- forwarding loop through n0 -> n1"), "{r}");
-            assert!(r.contains("+ blackhole at n1"), "{r}");
-            assert!(r.contains("monitor matches full rescan: yes"), "{r}");
-            assert!(
-                r.contains("violations active:  1 (0 loops, 1 blackholes)"),
-                "{r}"
-            );
-            let report = read_report(&json_path);
-            assert_eq!(int(&report, "monitor_loops"), 0);
-            assert_eq!(int(&report, "monitor_blackholes"), 1);
-            assert_eq!(
-                report.get("monitor_matches_rescan"),
-                Some(&Json::Bool(true))
-            );
-        }
+        let r = run(&parsed(&[
+            "replay",
+            "--topo",
+            &topo,
+            "--trace",
+            &trace,
+            "--monitor",
+            "--json",
+            &json_arg,
+        ]))
+        .unwrap();
+        assert!(r.contains("+ forwarding loop through n0 -> n1"), "{r}");
+        assert!(r.contains("- forwarding loop through n0 -> n1"), "{r}");
+        assert!(r.contains("+ blackhole at n1"), "{r}");
+        assert!(r.contains("monitor matches full rescan: yes"), "{r}");
+        assert!(
+            r.contains("violations active:  1 (0 loops, 1 blackholes)"),
+            "{r}"
+        );
+        let report = read_report(&json_path);
+        assert_eq!(int(&report, "monitor_loops"), 0);
+        assert_eq!(int(&report, "monitor_blackholes"), 1);
+        assert_eq!(
+            report.get("monitor_matches_rescan"),
+            Some(&Json::Bool(true))
+        );
 
-        // Batched sharded replay reports at window granularity.
+        // A batched replay reports at window granularity.
         let b = run(&parsed(&[
             "replay",
             "--topo",
@@ -2010,8 +1909,6 @@ mod tests {
             "--trace",
             &trace,
             "--monitor",
-            "--shards",
-            "2",
             "--batch",
             "2",
         ]))
@@ -2071,7 +1968,7 @@ mod tests {
         // Plain restore and log-tail recovery agree (the log holds exactly
         // the snapshotted ops, so the tail is empty).
         for extra in [&[][..], &["--log", &log][..]] {
-            let mut argv = vec!["snapshot", "--topo", &topo, "--load", &snap];
+            let mut argv = vec!["recover", "--topo", &topo, "--snapshot", &snap];
             argv.extend_from_slice(extra);
             let l = run(&parsed(&argv)).unwrap();
             assert!(l.contains("ops incorporated: 2"), "{l}");
@@ -2139,8 +2036,8 @@ mod tests {
             &tail,
             "--from-snapshot",
             &snap,
-            "--shards",
-            "2",
+            "--compact",
+            "1",
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("cannot be combined"), "{err}");
@@ -2177,8 +2074,14 @@ mod tests {
             err.to_string().contains("--no-loops has no effect"),
             "{err}"
         );
-        let err = run(&parsed(&["snapshot", "--topo", &topo])).unwrap_err();
-        assert!(err.to_string().contains("exactly one of"), "{err}");
+        // Restoring is `recover`'s job: a bare --load is no snapshot mode.
+        for argv in [
+            &["snapshot", "--topo", &topo][..],
+            &["snapshot", "--topo", &topo, "--load", &snap],
+        ] {
+            let err = run(&parsed(argv)).unwrap_err();
+            assert!(err.to_string().contains("exactly one of"), "{err}");
+        }
         let err = run(&parsed(&[
             "replay",
             "--topo",
@@ -2197,7 +2100,7 @@ mod tests {
         bytes.truncate(bytes.len() - 4);
         std::fs::write(&bad, bytes).unwrap();
         let bad = bad.to_str().unwrap().to_string();
-        let err = run(&parsed(&["snapshot", "--topo", &topo, "--load", &bad])).unwrap_err();
+        let err = run(&parsed(&["recover", "--topo", &topo, "--snapshot", &bad])).unwrap_err();
         assert!(err.to_string().contains("corrupt"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -2268,10 +2171,29 @@ mod tests {
         assert_eq!(replay(&["--monitr"]), refused);
         let refused = "`deltanet replay` takes no value after the flag: `--monitor yes`";
         assert_eq!(replay(&["--monitor", "yes"]), refused);
-        let refused = "`deltanet replay` needs a value after: `--shards`";
-        assert_eq!(replay(&["--shards"]), refused);
+        let refused = "`deltanet replay` needs a value after: `--batch`";
+        assert_eq!(replay(&["--batch"]), refused);
         let serve = error(&["serve", "--topo", "/no.topo", "--windw", "8"]);
         assert_eq!(serve, "`deltanet serve` takes no argument: `--windw`");
+        // The shard and worker counts are no options: one engine shard,
+        // and Parallelism::auto() wherever workers are spawned.
+        let files = ["--topo", "/no.topo", "--trace", "/no.trace"];
+        for argv in [
+            [&["replay"][..], &files, &["--shards", "2"]].concat(),
+            [
+                &["snapshot"][..],
+                &files,
+                &["--save", "/no.snap", "--shards", "2"],
+            ]
+            .concat(),
+            vec!["serve", "--topo", "/no.topo", "--shards", "2"],
+            [&["replay"][..], &files, &["--workers", "2"]].concat(),
+            vec!["serve", "--topo", "/no.topo", "--workers", "2"],
+        ] {
+            let (command, option) = (argv[0], argv[argv.len() - 2]);
+            let refused = format!("`deltanet {command}` takes no argument: `{option}`");
+            assert_eq!(error(&argv), refused);
+        }
         // --compact is valid bare and with a value: the missing file fails.
         for compact in [&["--compact"][..], &["--compact", "3"]] {
             assert!(replay(compact).starts_with("i/o error"), "{compact:?}");
@@ -2350,49 +2272,26 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("torn"), "{err}");
-        let err = run(&parsed(&[
-            "snapshot", "--topo", &topo, "--load", &snap, "--log", &log,
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("torn"), "{err}");
 
-        for cmd in [
-            &[
-                "recover",
-                "--topo",
-                &topo,
-                "--snapshot",
-                &snap,
-                "--log",
-                &log,
-                "--repair-tail",
-            ][..],
-            &[
-                "snapshot",
-                "--topo",
-                &topo,
-                "--load",
-                &snap,
-                "--log",
-                &log,
-                "--repair-tail",
-            ][..],
-        ] {
-            // Repair truncates on disk, so re-tear before each command.
-            let mut bytes = std::fs::read(&log).unwrap();
-            bytes.truncate(clean_len as usize);
-            bytes.extend_from_slice(&[0x09, 0xAB]);
-            std::fs::write(&log, &bytes).unwrap();
-            let r = run(&parsed(cmd)).unwrap();
-            assert!(r.contains("ops incorporated: 2"), "{r}");
-            assert!(
-                r.contains(&format!(
-                    "torn tail repaired: truncated at byte {clean_len} (2 bytes dropped)"
-                )),
-                "{r}"
-            );
-            assert!(r.contains("forwarding loop"), "{r}");
-        }
+        let r = run(&parsed(&[
+            "recover",
+            "--topo",
+            &topo,
+            "--snapshot",
+            &snap,
+            "--log",
+            &log,
+            "--repair-tail",
+        ]))
+        .unwrap();
+        assert!(r.contains("ops incorporated: 2"), "{r}");
+        assert!(
+            r.contains(&format!(
+                "torn tail repaired: truncated at byte {clean_len} (2 bytes dropped)"
+            )),
+            "{r}"
+        );
+        assert!(r.contains("forwarding loop"), "{r}");
         // Repair truncated the file back to the clean prefix.
         assert_eq!(std::fs::metadata(&log).unwrap().len(), clean_len);
 
@@ -2400,10 +2299,10 @@ mod tests {
         let err = run(&parsed(&["recover", "--topo", &topo])).unwrap_err();
         assert!(err.to_string().contains("either --dir"), "{err}");
         let err = run(&parsed(&[
-            "snapshot",
+            "recover",
             "--topo",
             &topo,
-            "--load",
+            "--snapshot",
             &snap,
             "--repair-tail",
         ]))
@@ -2632,6 +2531,50 @@ mod tests {
     }
 
     #[test]
+    fn recover_dir_restores_a_sharded_checkpoint_directory() {
+        // The daemon's checkpoint directories hold a sharded engine (one
+        // shard by default, more through the library), and `recover --dir`
+        // restores whatever shape their snapshots hold.
+        let dir = temp_dir("sharded-ckpt");
+        let topo_path = dir.join("loop.topo");
+        std::fs::write(&topo_path, "node a\nnode b\nlink 0 1\nlink 1 0\n").unwrap();
+        let topo_arg = topo_path.to_str().unwrap().to_string();
+        let mut topo = load_topology(&topo_arg).unwrap();
+        let trace =
+            Trace::parse("I 1 0 1 10.0.0.0/8 1\nI 2 1 0 10.0.0.0/8 1\n", &mut topo).unwrap();
+        let config = DeltaNetConfig {
+            monitor_violations: true,
+            ..Default::default()
+        };
+        let net = PersistNet::Sharded(Box::new(ShardedDeltaNet::new(topo, config, 2)));
+        let ckpt = dir.join("ckpt");
+        let every_op = CheckpointConfig {
+            every_ops: 1,
+            ..Default::default()
+        };
+        let snapshot = Snapshot::of_net(&net, 0);
+        let journal =
+            Journal::checkpointed(Box::new(FsBackend), &ckpt, &snapshot, every_op).unwrap();
+        let mut session = Session::new(net, Some(journal));
+        assert!(session.apply(trace.ops()).1.is_none());
+        session.close().unwrap();
+
+        let r = run(&parsed(&[
+            "recover",
+            "--topo",
+            &topo_arg,
+            "--dir",
+            ckpt.to_str().unwrap(),
+        ]))
+        .unwrap();
+        assert!(r.contains("ops incorporated:   2"), "{r}");
+        assert!(r.contains("engine: delta-net-sharded x2"), "{r}");
+        assert!(r.contains("violations active: 1"), "{r}");
+        assert!(r.contains("forwarding loop"), "{r}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn replay_checkpoint_carries_the_full_report() {
         // --checkpoint is a journal beside the same replay loop, so the
         // report is the common one — monitor stream, cross-check and
@@ -2658,8 +2601,6 @@ mod tests {
             &topo,
             "--trace",
             &trace,
-            "--shards",
-            "2",
             "--batch",
             "16",
             "--monitor",

@@ -26,9 +26,13 @@ use std::collections::BTreeMap;
 /// batch updates) may use.
 ///
 /// The single knob replaces the old per-call `available_parallelism`
-/// heuristic, so measured runs are reproducible: construct one value — from
-/// the CLI's `--workers`, [`Parallelism::auto`], or explicitly — and pass it
-/// everywhere. The worker count is always at least 1.
+/// heuristic, so measured runs are reproducible: construct one value —
+/// [`Parallelism::auto`] (what the CLI and the daemon use) or an explicit
+/// count — and pass it everywhere. The worker count is always at least 1.
+///
+/// It does not pick a shard count: two shards failed their measured rule
+/// (ROADMAP item 2), so the CLI and the daemon run one shard whatever this
+/// reports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Parallelism {
     workers: usize,

@@ -55,9 +55,14 @@ pub struct ServiceConfig {
     /// Engine configuration (`monitor_violations` is forced on — the
     /// subscription surface requires the monitor).
     pub engine: DeltaNetConfig,
-    /// Number of address-space shards (≥ 1).
+    /// Number of address-space shards (≥ 1). The default is 1: two shards
+    /// did not pass the measured rule for write-path sharding (≥1.3× over
+    /// one shard on two CPUs at some window ≤512, in ≥9 of 10 paired runs;
+    /// ROADMAP item 2), so the daemon runs one shard unless a caller of
+    /// the library asks for more.
     pub shards: usize,
-    /// Worker threads for per-window shard groups.
+    /// Worker threads for per-window shard groups
+    /// ([`Parallelism::auto`] by default).
     pub parallelism: Parallelism,
     /// Maximum ops coalesced into one [`Session::apply`] window (≥ 1).
     pub window: usize,
@@ -77,7 +82,7 @@ impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
         ServiceConfig {
             engine: DeltaNetConfig::default(),
-            shards: 2,
+            shards: 1,
             parallelism: Parallelism::auto(),
             window: 32,
             queue: 128,
@@ -457,8 +462,8 @@ mod tests {
         assert_has_report(&third);
     }
 
-    /// Regression: a durable restart keeps `--workers`. The engine
-    /// recovered from a checkpoint directory used to run at the
+    /// Regression: a durable restart keeps its configured parallelism.
+    /// The engine recovered from a checkpoint directory used to run at the
     /// environment's worker count instead of the configured one.
     #[test]
     fn recovered_engine_keeps_the_configured_parallelism() {
@@ -472,6 +477,7 @@ mod tests {
         // The first pass starts the directory, the second recovers from it.
         for (workers, fresh) in [(3, true), (7, false)] {
             let config = ServiceConfig {
+                shards: 2,
                 parallelism: Parallelism::fixed(workers),
                 checkpoint: Some(CheckpointSetup {
                     dir: dir.clone(),
@@ -490,6 +496,20 @@ mod tests {
             session.close().expect("close the journal");
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The default daemon runs one shard: two did not pass the measured
+    /// sharding rule (ROADMAP item 2), and `deltanet serve` passes the
+    /// default through.
+    #[test]
+    fn default_daemon_runs_one_shard() {
+        let core = Core::new(Topology::new(), ServiceConfig::default()).expect("build");
+        let net = core
+            .session
+            .net()
+            .as_sharded()
+            .expect("the daemon runs sharded");
+        assert_eq!(net.shard_count(), 1);
     }
 
     /// Regression (review): work the daemon already accepted — queued
