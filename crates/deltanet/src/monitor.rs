@@ -69,14 +69,23 @@
 //!
 //! With secondary header fields declared, a violation is a property of a
 //! `(primary atom, secondary class)` pair that no label describes, so the
-//! engine does not hand this monitor a delta-graph. It names the atoms an
-//! update touched and a per-atom scan over every class
-//! ([`ViolationMonitor::rescan_atoms`], fed by
-//! [`crate::multifield::ClassWalk::scan_atom`]); steps 1 and 4 above run
-//! unchanged around it, so the tracked state stays keyed by primary atom
-//! alone — `loops[C] ∋ α` iff α rides C in *some* class — and events keep
-//! their identity-level meaning. A full scan is that same per-atom scan
-//! over every atom into an empty monitor ([`ViolationMonitor::seeded`]), so
+//! engine does not hand this monitor a delta-graph. It names each atom the
+//! update can have changed once, with a [`Scope`]
+//! ([`ViolationMonitor::rescan_atoms`]), and a kernel scan re-decides that
+//! scope over every class. An atom
+//! a split created is scanned whole: retired from every cycle and switch,
+//! and walked from every emitter. Any other atom is repaired at the rule's
+//! source `s`, the one switch whose forwarding changed: it is retired only
+//! from cycles through `s` and from the switches `s` decides or forwards
+//! into, and only those are re-decided. A cycle avoiding `s` and a
+//! blackhole anywhere else rest on decisions the update did not touch, so
+//! their tracked membership is still exact (the repair contract in
+//! [`crate::multifield`] has the argument, and the shadowed atoms the
+//! engine skips outright). Steps 1 and 4 above run unchanged around the
+//! scan, so the tracked state stays keyed by primary atom alone —
+//! `loops[C] ∋ α` iff α rides C in *some* class — and events keep their
+//! identity-level meaning. A full scan is the whole-atom scan over every
+//! atom into an empty monitor ([`ViolationMonitor::seeded`]), so
 //! `tests/multifield_differential.rs` pins state and events, after every
 //! operation, against the kernel run from scratch — and that scan against
 //! the stateless Veriflow-RI cross product.
@@ -87,7 +96,7 @@ use crate::blackholes;
 use crate::delta_graph::DeltaGraph;
 use crate::labels::Labels;
 use crate::loops::{self, CycleMap, WalkScratch};
-use crate::multifield::Found;
+use crate::multifield::{Found, Scope};
 use netmodel::checker::InvariantViolation;
 use netmodel::topology::{NodeId, Topology};
 use std::collections::{BTreeMap, BTreeSet};
@@ -239,51 +248,67 @@ impl ViolationMonitor {
     }
 
     /// A monitor seeded by one [`ViolationMonitor::rescan_atoms`] pass over
-    /// `atoms` — the multi-field full scan
+    /// `atoms`, each scanned whole — the multi-field full scan
     /// ([`crate::multifield::MultiField::scan`]). The seeding itself is not
     /// an update: no events are left behind.
     pub(crate) fn seeded(
-        atoms: impl Iterator<Item = AtomId>,
-        scan: impl FnMut(AtomId, &mut dyn FnMut(Found<'_>)),
+        atoms: impl Iterator<Item = AtomId> + Clone,
+        mut scan: impl FnMut(AtomId, &mut dyn FnMut(Found<'_>)),
     ) -> Self {
         let mut monitor = ViolationMonitor::new();
-        monitor.rescan_atoms(atoms, scan);
+        let whole = atoms.map(|atom| (atom, Scope::Whole));
+        monitor.rescan_atoms(whole, |atom, _, found| scan(atom, found));
         monitor.events.clear();
         monitor
     }
 
     /// The multi-field repair: the same retire → re-admit → settle
-    /// sequence as [`ViolationMonitor::apply_update`], with the atoms and
-    /// the per-atom scan supplied by the engine. A multi-field violation
-    /// depends on cross-field intersections no label walk sees, so the
-    /// engine names the `touched` atoms (the update's interval plus its
-    /// split atoms) and `scan` reports everything one atom currently
-    /// violates ([`crate::multifield::ClassWalk::scan_atom`]); transitions
-    /// are recorded at the identity level exactly as for a delta-graph.
-    pub(crate) fn rescan_atoms(
+    /// sequence as [`ViolationMonitor::apply_update`], with the atoms, how
+    /// much of each to re-decide, and the scan supplied by the engine. A
+    /// multi-field violation depends on cross-field intersections no label
+    /// walk sees, so the engine names each atom once with its [`Scope`]
+    /// (see the repair contract in [`crate::multifield`]): the atom is
+    /// retired from the cycles and switches its scope covers, and `scan`
+    /// reports what the atom violates there now
+    /// ([`crate::multifield::ClassWalk::scan_atom`] or
+    /// [`crate::multifield::ClassWalk::scan_at`]). Transitions are recorded
+    /// at the identity level exactly as for a delta-graph.
+    pub(crate) fn rescan_atoms<'a>(
         &mut self,
-        touched: impl Iterator<Item = AtomId>,
-        mut scan: impl FnMut(AtomId, &mut dyn FnMut(Found<'_>)),
+        atoms: impl Iterator<Item = (AtomId, Scope<'a>)> + Clone,
+        mut scan: impl FnMut(AtomId, Scope<'a>, &mut dyn FnMut(Found<'_>)),
     ) {
         self.events.clear();
-        self.atoms.clear();
-        self.atoms.extend(touched);
-        self.atoms.sort_unstable();
-        self.atoms.dedup();
-
         let (mut loops_drained, mut holes_drained) = (false, false);
-        for &atom in &self.atoms {
-            for set in self.loops.values_mut() {
-                loops_drained |= set.remove(atom) && set.is_empty();
-            }
-            for set in self.holes.values_mut() {
-                holes_drained |= set.remove(atom) && set.is_empty();
+        let retire = |set: &mut AtomSet, atom| set.remove(atom) && set.is_empty();
+        for (atom, scope) in atoms.clone() {
+            match scope {
+                Scope::Whole => {
+                    for set in self.loops.values_mut() {
+                        loops_drained |= retire(set, atom);
+                    }
+                    for set in self.holes.values_mut() {
+                        holes_drained |= retire(set, atom);
+                    }
+                }
+                Scope::At { source, near } => {
+                    for (cycle, set) in &mut self.loops {
+                        if cycle.contains(&source) {
+                            loops_drained |= retire(set, atom);
+                        }
+                    }
+                    for node in near {
+                        if let Some(set) = self.holes.get_mut(node) {
+                            holes_drained |= retire(set, atom);
+                        }
+                    }
+                }
             }
         }
         let (loops, holes) = (&mut self.loops, &mut self.holes);
         let appeared = &mut self.events.appeared;
-        for &atom in &self.atoms {
-            scan(atom, &mut |found| match found {
+        for (atom, scope) in atoms {
+            scan(atom, scope, &mut |found| match found {
                 Found::Cycle(cycle) => {
                     if loops::admit(loops, cycle, atom) {
                         appeared.push(ViolationKey::Loop(cycle.to_vec()));

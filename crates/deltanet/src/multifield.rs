@@ -39,8 +39,8 @@
 //! count. The per-update check, the monitor repair and the full scans
 //! ([`MultiField::scan`], behind `check_all_loops` /
 //! `check_all_blackholes`, `enable_monitor` and the snapshot-restore
-//! verification) all run it; a full scan is the repair's per-atom scan over
-//! every atom, on a scratch kernel of its own.
+//! verification) all run it; a full scan is the repair's whole-atom scan
+//! over every atom, on a scratch kernel of its own.
 //!
 //! Two references evaluate the predicate **tuple at a time** — one
 //! successor walk per `(α, c)` pair — and share no code with the kernel:
@@ -60,19 +60,42 @@
 //!
 //! ## The repair contract
 //!
-//! The monitor tracks `loops[C] ∋ α ⇔ ∃c. C is a cycle of F_{α,c}`
-//! (likewise blackholes per switch). One rule update changes `F_{α,c}` only
-//! at the rule's source and only for atoms of its (clip-adjusted) interval;
-//! atoms created by splits are recomputed, never inherited; a secondary
-//! split refines the classes without changing any `∃c`. So the engine
-//! retires the interval's atoms and the split atoms from the monitor,
-//! re-scans each over *every* class ([`ClassWalk::scan_atom`] — as cheap as
-//! scanning the changed classes alone), and re-admits what it finds
-//! ([`crate::monitor::ViolationMonitor::rescan_atoms`]). No per-class state
-//! is kept anywhere. The per-update check is the same walk started at the
-//! rule's source with the rule's own classes
+//! The monitor tracks `loops[C] ∋ α ⇔ ∃c. C is a cycle of F_{α,c}`, and
+//! `holes[n] ∋ α ⇔ ∃c` forwarded into switch n with no decision there. One
+//! rule update at `s = source(r)` changes `F_{α,c}` only at `s`, and only
+//! for atoms of its (clip-adjusted) interval. A secondary split refines the
+//! classes without changing any `∃c`. The paper's observation that an
+//! update touches a small part of the network therefore holds per atom as
+//! well, and the repair ([`crate::monitor::ViolationMonitor::rescan_atoms`])
+//! re-decides only that part, the whole class set at a time:
+//!
+//! * **Split atoms** are new: the monitor tracks nothing for them, so each
+//!   is scanned whole ([`Scope::Whole`], [`ClassWalk::scan_atom`]): retired
+//!   everywhere, partitioned at every emitter, and walked from every
+//!   emitter.
+//! * **Loops** of an atom that existed before ([`Scope::At`],
+//!   [`ClassWalk::scan_at`]): it is
+//!   retired only from tracked cycles through `s`, and one walk from `s`
+//!   over every class re-admits it. A cycle that avoids `s` is made of
+//!   forwarding decisions the update did not touch, so its membership
+//!   stands. A cycle through `s` that some class rides after the update is
+//!   found by that class's walk from `s`, which follows the class round the
+//!   cycle back to its start.
+//! * **Blackholes** of such an atom are re-decided at `s` (its decisions
+//!   changed) and at the switches at the far ends of `s`'s out-links (what
+//!   `s` forwards into them changed), each judged from the winner groups of
+//!   its in-neighbours. At any other switch, neither its own decisions nor
+//!   what arrives there changed.
+//! * **Shadowing**: an atom is skipped entirely when a rule above `r` in
+//!   its owner cell at `s` admits every class `r` admits. Then `r` wins no
+//!   class of the atom with or without it installed, and `F_{α,c}` does not
+//!   change at all.
+//!
+//! No per-class state is kept anywhere. The per-update check is the same
+//! walk started at `s` with the rule's own classes
 //! ([`ClassWalk::loops_from_rule`]): any loop the update closes routes
-//! through that node.
+//! through that node. It walks shadowed atoms too: the loops it reports
+//! are the ones the rule's classes ride, whoever wins them.
 //!
 //! Two things are deliberately *not* multi-field aware:
 //!
@@ -122,6 +145,19 @@ const _: () = assert!(MAX_SECONDARY_FIELDS == 2);
 pub(crate) enum Found<'a> {
     Cycle(&'a [NodeId]),
     Hole(NodeId),
+}
+
+/// How much of one atom's tracked violations a repair re-decides (see the
+/// repair contract in the module docs).
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Scope<'a> {
+    /// All of them, from every emitter: for an atom whose tracked state
+    /// says nothing — one a split created, or any atom of a full scan.
+    Whole,
+    /// What a rule change at `source` can move: the cycles through
+    /// `source`, and the blackholes at `near` (`source` and the switches
+    /// at the far ends of its out-links).
+    At { source: NodeId, near: &'a [NodeId] },
 }
 
 /// One node on the walk's current path. Its carried class set is the
@@ -392,17 +428,12 @@ impl ClassWalk {
         }
     }
 
-    /// Every violation of `atom` over all secondary classes: one winner
-    /// partition per emitter, the blackholes that fall out of it (a group
-    /// lands where some of its classes have no winner), and one walk per
-    /// emitter. The module docs' two predicates restricted to the atom; a
-    /// finding may be reported more than once.
-    pub(crate) fn scan_atom(
-        &mut self,
-        view: &MfView<'_>,
-        atom: AtomId,
-        found: &mut dyn FnMut(Found<'_>),
-    ) {
+    /// Every violation of `atom` over all secondary classes ([`Scope::Whole`]):
+    /// one winner partition per emitter, the blackholes that fall out of it
+    /// (a group lands where some of its classes have no winner), and one
+    /// walk per emitter. The module docs' two predicates restricted to the
+    /// atom; a finding may be reported more than once.
+    fn scan_atom(&mut self, view: &MfView<'_>, atom: AtomId, found: &mut dyn FnMut(Found<'_>)) {
         self.begin_atom();
         for (node, _) in view.owner.sources(atom) {
             self.touch(view, atom, node);
@@ -410,24 +441,60 @@ impl ClassWalk {
         // Only emitters have groups, and they are all partitioned by now:
         // touching a landing node adds none.
         for g in 0..self.group_dst.len() {
-            let Some(dst) = self.group_dst[g] else {
-                continue;
-            };
-            self.touch(view, atom, dst);
-            self.set
-                .copy_from_slice(&self.group_sets[row(g, self.words)]);
-            let (start, end) = self.groups_of[dst.index()];
-            for handled in start as usize..end as usize {
-                and_not(&mut self.set, &self.group_sets[row(handled, self.words)]);
-            }
-            if !is_zero(&self.set) {
-                found(Found::Hole(dst));
+            if let Some(dst) = self.group_dst[g] {
+                if self.dies_at(view, atom, g, dst) {
+                    found(Found::Hole(dst));
+                }
             }
         }
         for (node, _) in view.owner.sources(atom) {
             self.set.copy_from_slice(&self.full);
             self.walk(view, atom, node, found);
         }
+    }
+
+    /// The violations of `atom` a rule change at `source` can have moved
+    /// ([`Scope::At`]), over all secondary classes: each `near` switch's
+    /// blackhole, judged from the winner groups of its in-neighbours, and
+    /// every cycle one walk from `source` closes. A finding may be reported
+    /// more than once.
+    fn scan_at(
+        &mut self,
+        view: &MfView<'_>,
+        atom: AtomId,
+        source: NodeId,
+        near: &[NodeId],
+        found: &mut dyn FnMut(Found<'_>),
+    ) {
+        self.begin_atom();
+        'near: for &node in near {
+            for &link in view.topology.in_links(node) {
+                let from = view.topology.link(link).src;
+                self.touch(view, atom, from);
+                let (start, end) = self.groups_of[from.index()];
+                for g in start as usize..end as usize {
+                    if self.group_dst[g] == Some(node) && self.dies_at(view, atom, g, node) {
+                        found(Found::Hole(node));
+                        continue 'near;
+                    }
+                }
+            }
+        }
+        self.set.copy_from_slice(&self.full);
+        self.walk(view, atom, source, found);
+    }
+
+    /// Whether some class of group `g`, which lands on `dst`, has no winner
+    /// there.
+    fn dies_at(&mut self, view: &MfView<'_>, atom: AtomId, g: usize, dst: NodeId) -> bool {
+        self.touch(view, atom, dst);
+        self.set
+            .copy_from_slice(&self.group_sets[row(g, self.words)]);
+        let (start, end) = self.groups_of[dst.index()];
+        for handled in start as usize..end as usize {
+            and_not(&mut self.set, &self.group_sets[row(handled, self.words)]);
+        }
+        !is_zero(&self.set)
     }
 
     /// Per-update seeded loop check for one inserted or removed rule.
@@ -474,6 +541,10 @@ pub(crate) struct MultiField {
     atoms: Vec<AtomMap>,
     books: Vec<BoundRefs>,
     walk: ClassWalk,
+    /// Repair scratch, reused across updates: the updated switch's `near`
+    /// set and the atoms repaired at it ([`Scope::At`]).
+    near: Vec<NodeId>,
+    local: Vec<AtomId>,
 }
 
 impl MultiField {
@@ -490,6 +561,8 @@ impl MultiField {
             walk: ClassWalk::new(&atoms, nodes),
             atoms,
             books,
+            near: Vec::new(),
+            local: Vec::new(),
         })
     }
 
@@ -590,28 +663,66 @@ impl MultiField {
             Vec::new()
         };
         if let Some(monitor) = monitor {
-            // What the update can have changed (the repair contract): the
-            // interval's atoms and the split atoms, the one past the
-            // interval's high bound included.
-            let touched = view
-                .atoms
-                .iter_atoms_of(interval)
-                .chain(splits.iter().map(|pair| pair.new));
+            // The repair contract: a split's new atoms are scanned whole;
+            // every other atom of the interval is repaired at the rule's
+            // source, unless a rule above it there shadows it.
+            let (topology, source) = (view.topology, rule.source);
+            let out = topology.out_links(source).iter();
+            let ends = out.map(|&link| topology.link(link).dst);
+            self.near.clear();
+            self.near.push(source);
+            self.near
+                .extend(ends.filter(|&n| !topology.is_drop_node(n)));
+            self.near.sort_unstable();
+            self.near.dedup();
+            let split = |atom| splits.iter().any(|pair| pair.new == atom);
+            let kept = |&atom: &AtomId| !split(atom) && !shadowed(view, rule, atom);
+            self.local.clear();
+            self.local
+                .extend(view.atoms.iter_atoms_of(interval).filter(kept));
+            let at = Scope::At {
+                source,
+                near: &self.near,
+            };
+            let whole = splits.iter().map(|pair| (pair.new, Scope::Whole));
+            let local = self.local.iter().map(|&atom| (atom, at));
             let walk = &mut self.walk;
-            monitor.rescan_atoms(touched, |atom, found| walk.scan_atom(view, atom, found));
+            monitor.rescan_atoms(whole.chain(local), |atom, scope, found| match scope {
+                Scope::Whole => walk.scan_atom(view, atom, found),
+                Scope::At { source, near } => walk.scan_at(view, atom, source, near, found),
+            });
         }
         violations
     }
 
     /// The full scan, and the only read entry point: a monitor seeded from
-    /// the current plane by the per-atom scan every update repairs with,
-    /// over every atom. Scans take `&self`, so the walk runs on a scratch
-    /// kernel; the live one's scratch stays the update path's.
+    /// the current plane by the whole-atom scan a split atom is repaired
+    /// with, over every atom. Scans take `&self`, so the walk runs on a
+    /// scratch kernel; the live one's scratch stays the update path's.
     pub(crate) fn scan(&self, view: &MfView<'_>) -> ViolationMonitor {
         let mut walk = ClassWalk::new(&self.atoms, view.topology.node_count());
         let atoms = view.atoms.iter().map(|(atom, _)| atom);
         ViolationMonitor::seeded(atoms, |atom, found| walk.scan_atom(view, atom, found))
     }
+}
+
+/// Whether a rule above `rule` in `atom`'s cell at the rule's source admits
+/// every class `rule` admits. Then `rule` wins no class of the atom, with or
+/// without it installed, and the update leaves the atom's forwarding as it
+/// was.
+fn shadowed(view: &MfView<'_>, rule: &Rule, atom: AtomId) -> bool {
+    let Some(cell) = view.owner.get(atom, rule.source) else {
+        return false;
+    };
+    let key = (rule.priority, rule.id);
+    let above = cell.as_slice().iter().rev();
+    above
+        .take_while(|owned| (owned.priority, owned.id) > key)
+        .any(|owned| {
+            view.rules
+                .get(&owned.id)
+                .is_some_and(|above| above.sec.covers(&rule.sec))
+        })
 }
 
 #[cfg(test)]
@@ -791,15 +902,28 @@ mod tests {
         (cycles, holes)
     }
 
-    /// What the shipping full scans see: the maps inside a from-scratch
-    /// [`MultiField::scan`] monitor.
-    fn production_scan(net: &DeltaNet) -> Scan {
-        let (cycles, holes) = net.fresh_monitor().export_parts();
+    /// The maps inside `monitor`.
+    fn maps(monitor: &ViolationMonitor) -> Scan {
+        let (cycles, holes) = monitor.export_parts();
         let set = AtomSet::from_raw_words;
         (
             cycles.into_iter().map(|(c, w)| (c, set(w))).collect(),
             holes.into_iter().map(|(n, w)| (n, set(w))).collect(),
         )
+    }
+
+    /// What the shipping full scans see: the maps inside a from-scratch
+    /// [`MultiField::scan`] monitor.
+    fn production_scan(net: &DeltaNet) -> Scan {
+        maps(&net.fresh_monitor())
+    }
+
+    /// The live monitor's maps after an update, which must be exactly what
+    /// a fresh kernel (and the reference) finds in the plane.
+    fn repaired(net: &DeltaNet) -> Scan {
+        let live = maps(net.monitor().expect("the fixture is monitored"));
+        assert_eq!(live, kernel_scan(net));
+        live
     }
 
     /// How many cycles a seeded walk from `source` finds for the fixture
@@ -939,6 +1063,83 @@ mod tests {
         walk.stamp.fill(u32::MAX - 1);
         assert_eq!(scan_all(&mut walk, &view), expected);
         assert!(walk.generation < 16);
+    }
+
+    // The repair contract, one fixture per rule. Each plane is built, then
+    // monitored, so the update under test is repaired incrementally, and
+    // every atom it touches existed before it: the repair runs at the
+    // updated switch, never over a whole split atom.
+
+    #[test]
+    fn a_hole_appears_and_clears_at_the_far_end_of_the_updated_switch() {
+        // s1 discards sources [0, 16) and has nothing for the rest. Once s0
+        // forwards the prefix to s1, the rest dies at s1: a switch whose
+        // own rules the update did not touch.
+        let (mut net, s, next, drop) = ring(2, &[6]);
+        net.insert_rule(deny(1, 1, s[1], drop[1], &[(0, 16)]));
+        net.enable_monitor();
+        let feed = fwd(0, 1, s[0], next[0], &[]);
+        net.insert_rule(feed);
+        assert_eq!(repaired(&net).1.keys().collect::<Vec<_>>(), vec![&s[1]]);
+        net.remove_rule(feed.id);
+        assert!(repaired(&net).1.is_empty());
+    }
+
+    #[test]
+    fn a_tracked_cycle_that_avoids_the_updated_switch_survives() {
+        // s1 and s2 bounce the prefix between them; s0, off the cycle,
+        // starts and stops discarding it. No class s0 decides reaches the
+        // cycle, so a walk from s0 cannot re-admit the atom to it.
+        let mut topo = Topology::new();
+        let s = topo.add_nodes("s", 3);
+        let (there, back) = (topo.add_link(s[1], s[2]), topo.add_link(s[2], s[1]));
+        topo.add_link(s[0], s[1]);
+        let discard = topo.drop_link(s[0]);
+        let config = DeltaNetConfig {
+            field_width: WIDTH,
+            monitor_violations: true,
+            ..DeltaNetConfig::default()
+        };
+        let mut net = DeltaNet::new(topo, config.with_secondary(&[6]));
+        net.insert_rule(fwd(1, 1, s[1], there, &[]));
+        net.insert_rule(fwd(2, 1, s[2], back, &[(0, 32)]));
+        let cycle = vec![s[1], s[2]];
+        assert_eq!(repaired(&net).0.keys().collect::<Vec<_>>(), vec![&cycle]);
+        let off_cycle = deny(0, 1, s[0], discard, &[]);
+        net.insert_rule(off_cycle);
+        assert_eq!(repaired(&net).0.keys().collect::<Vec<_>>(), vec![&cycle]);
+        net.remove_rule(off_cycle.id);
+        assert_eq!(repaired(&net).0.keys().collect::<Vec<_>>(), vec![&cycle]);
+        assert!(net.monitor().unwrap().last_events().is_empty());
+    }
+
+    #[test]
+    fn only_a_higher_rule_whose_match_covers_the_update_shadows_it() {
+        // s0 sends everything to s1, which discards sources [0, 16) above
+        // all else and has nothing for the rest: they die at s1.
+        let (mut net, s, next, drop) = ring(2, &[6]);
+        net.insert_rule(fwd(0, 1, s[0], next[0], &[]));
+        net.insert_rule(deny(1, 9, s[1], drop[1], &[(0, 16)]));
+        net.enable_monitor();
+        let before = repaired(&net);
+        assert_eq!(before.1.keys().collect::<Vec<_>>(), vec![&s[1]]);
+        // Sources [0, 8) sit inside the deny's match: the rule sending
+        // them back wins nothing, and nothing moves.
+        let covered = fwd(2, 4, s[1], next[1], &[(0, 8)]);
+        net.insert_rule(covered);
+        assert_eq!(repaired(&net), before);
+        assert!(net.monitor().unwrap().last_events().is_empty());
+        // A wildcard below the same deny wins [16, 64): they now ride the
+        // ring, and no longer die at s1.
+        let uncovered = fwd(3, 5, s[1], next[1], &[]);
+        net.insert_rule(uncovered);
+        let closed = repaired(&net);
+        assert_eq!(closed.0.keys().collect::<Vec<_>>(), vec![&s]);
+        assert!(closed.1.is_empty());
+        net.remove_rule(uncovered.id);
+        assert_eq!(repaired(&net), before);
+        net.remove_rule(covered.id);
+        assert_eq!(repaired(&net), before);
     }
 
     #[test]

@@ -23,10 +23,11 @@ use testutil::alloc_count::{allocated_bytes, CountingAlloc};
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Rule ids of the probes (the multi-field plane has a third).
+/// Rule ids of the probes (the multi-field plane has two more).
 const PROBE: RuleId = RuleId(1_000_001);
 const CLOSER: RuleId = RuleId(1_000_002);
 const PLUG: RuleId = RuleId(1_000_003);
+const SHADOWED: RuleId = RuleId(1_000_004);
 
 struct Plane {
     net: DeltaNet,
@@ -187,6 +188,10 @@ struct MfPlane {
     /// Closes s0 -> t -> s0 for one source block of a prefix of its own:
     /// its flap raises and retires a loop no other atom rides.
     looper: Rule,
+    /// Sends the looping prefix on round the ring from s2, below the deny
+    /// for the same source block: the deny wins every class the rule
+    /// admits, so its flap moves nothing, and the repair skips its atom.
+    shadowed: Rule,
 }
 
 struct Pair {
@@ -259,8 +264,9 @@ fn mf_plane(filler_rules: u32) -> MfPlane {
     let bounced = prefix("172.19.0.0/16");
     nets.install(|id| Rule::forward(id, bounced, 1, t, from_t));
     let looper = Rule::forward(CLOSER, bounced, 5, s[0], to_t).with_secondary(src(8, 16));
+    let shadowed = Rule::forward(SHADOWED, looping, 0, s[2], ring[2]).with_secondary(src(0, 8));
     // One flap of each probe, so its atoms exist before the filler's.
-    for rule in [probe, plug, looper] {
+    for rule in [probe, plug, looper, shadowed] {
         nets.install(|_| rule);
         nets.full.remove_rule(rule.id);
         nets.bare.remove_rule(rule.id);
@@ -278,6 +284,7 @@ fn mf_plane(filler_rules: u32) -> MfPlane {
         probe,
         plug,
         looper,
+        shadowed,
     }
 }
 
@@ -309,9 +316,10 @@ fn multifield_repair_and_check_allocate_by_the_update_not_the_plane() {
         let mut plane = mf_plane(filler_rules);
         atoms.push(plane.nets.full.atom_count());
         let (probe, plug, looper) = (plane.probe, plane.plug, plane.looper);
+        let shadowed = plane.shadowed;
         // Cold: the first repairs size the kernel's and the monitor's
         // scratch.
-        for rule in [probe, plug, looper] {
+        for rule in [probe, plug, looper, shadowed] {
             plane.flap(rule);
         }
         // Warm: an update that transitions no identity allocates nothing
@@ -327,6 +335,8 @@ fn multifield_repair_and_check_allocate_by_the_update_not_the_plane() {
         plane.nets.full.insert_rule(plug);
         assert_ne!(holes(&plane.nets.full), unplugged, "the plug moves an atom");
         plane.nets.full.remove_rule(plug.id);
+        // Nor does one whose every class a higher rule wins.
+        assert_eq!(plane.flap(shadowed), [(0, 0), (0, 0)]);
 
         // An update that does move an identity pays for the identity: the
         // cycle, its atom set, the event, the report.

@@ -261,6 +261,15 @@ impl SecondaryMatch {
         let shared = self.count.min(other.count) as usize;
         (0..shared).all(|i| self.lo[i] < other.hi[i] && other.lo[i] < self.hi[i])
     }
+
+    /// Whether `self` matches every value `other` matches: each field
+    /// `self` constrains, `other` constrains to a sub-interval. A field
+    /// only `self` constrains is never covered, even by its full range.
+    pub fn covers(&self, other: &SecondaryMatch) -> bool {
+        self.count <= other.count
+            && (0..self.count as usize)
+                .all(|i| self.lo[i] <= other.lo[i] && other.hi[i] <= self.hi[i])
+    }
 }
 
 impl fmt::Debug for SecondaryMatch {
@@ -354,5 +363,15 @@ mod tests {
         let two = SecondaryMatch::new(&[Interval::new(15, 35), Interval::new(0, 4)]);
         assert!(m.overlaps(&two));
         assert_eq!(two.to_string(), "src=15:35 dport=0:4");
+
+        // A wildcard covers everything and is covered only by a wildcard.
+        assert!(none.covers(&m) && none.covers(&none));
+        assert!(!m.covers(&none));
+        let inner = SecondaryMatch::new(&[Interval::new(12, 20), Interval::new(0, 4)]);
+        assert!(m.covers(&inner) && !inner.covers(&m));
+        assert!(!m.covers(&two), "15:35 reaches past 20");
+        let both = SecondaryMatch::new(&[Interval::new(10, 20), Interval::new(0, 8)]);
+        assert!(both.covers(&inner));
+        assert!(!both.covers(&m), "a field only the outer match constrains");
     }
 }
