@@ -366,7 +366,7 @@ impl AtomMap {
 
     /// All (atom, interval) pairs in increasing address order, excluding the
     /// `α∞` sentinel. Intended for reporting and tests, not the hot path.
-    pub fn iter(&self) -> impl Iterator<Item = (AtomId, Interval)> + Clone + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (AtomId, Interval)> + '_ {
         self.map
             .iter()
             .filter(|(_, &a)| a != AtomId::INF)

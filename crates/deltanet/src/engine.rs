@@ -751,7 +751,8 @@ impl DeltaNet {
                 rules: &self.rules,
             };
             let monitor = self.monitor.as_mut();
-            mf.finish_update(&view, &rule, interval, &delta.splits, check, monitor)
+            let splits = &delta.splits;
+            mf.finish_update(&view, &rule, interval, splits, was_insert, check, monitor)
         } else {
             let violations = if check {
                 loops::find_loops_from_seeds_in(

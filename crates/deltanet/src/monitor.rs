@@ -69,34 +69,34 @@
 //!
 //! With secondary header fields declared, a violation is a property of a
 //! `(primary atom, secondary class)` pair that no label describes, so the
-//! engine does not hand this monitor a delta-graph. It names each atom the
-//! update can have changed once, with a [`Scope`]
-//! ([`ViolationMonitor::rescan_atoms`]), and a kernel scan re-decides that
-//! scope over every class. An atom
-//! a split created is scanned whole: retired from every cycle and switch,
-//! and walked from every emitter. Any other atom is repaired at the rule's
-//! source `s`, the one switch whose forwarding changed: it is retired only
-//! from cycles through `s` and from the switches `s` decides or forwards
-//! into, and only those are re-decided. A cycle avoiding `s` and a
-//! blackhole anywhere else rest on decisions the update did not touch, so
-//! their tracked membership is still exact (the repair contract in
-//! [`crate::multifield`] has the argument, and the shadowed atoms the
-//! engine skips outright). Steps 1 and 4 above run unchanged around the
-//! scan, so the tracked state stays keyed by primary atom alone —
-//! `loops[C] ∋ α` iff α rides C in *some* class — and events keep their
-//! identity-level meaning. A full scan is the whole-atom scan over every
-//! atom into an empty monitor ([`ViolationMonitor::seeded`]), so
-//! `tests/multifield_differential.rs` pins state and events, after every
-//! operation, against the kernel run from scratch — and that scan against
-//! the stateless Veriflow-RI cross product.
+//! engine does not hand this monitor a delta-graph. A rule update changes
+//! forwarding only at its source `s`, so the engine repairs the update in
+//! one pass at `s` ([`ViolationMonitor::repair_at`]): a split's new atom
+//! first inherits its old atom's tracked state, then each atom of the
+//! rule's interval that the update can move is retired only from cycles
+//! through `s` and from the switches `s` decides or forwards into, and a
+//! kernel scan from `s` re-decides those, told whether the atom was
+//! tracked at each switch so a blackhole is judged only where what `s`
+//! changed leaves it open. A cycle avoiding `s` and a blackhole anywhere
+//! else rest on decisions the update did not touch, so their tracked
+//! membership is still exact (the repair contract in [`crate::multifield`]
+//! has the argument, and the shadowed atoms the engine skips outright).
+//! Step 4 above runs unchanged around the scan, so the tracked state stays
+//! keyed by primary atom alone — `loops[C] ∋ α` iff α rides C in *some*
+//! class — and events keep their identity-level meaning. A full scan walks
+//! every atom from every emitter into an empty monitor
+//! ([`ViolationMonitor::seeded`]), so `tests/multifield_differential.rs`
+//! pins state and events, after every operation, against the kernel run
+//! from scratch — and that scan against the stateless Veriflow-RI cross
+//! product.
 
-use crate::atoms::{AtomId, AtomMap, REMAP_DEAD};
+use crate::atoms::{AtomId, AtomMap, DeltaPair, REMAP_DEAD};
 use crate::atomset::AtomSet;
 use crate::blackholes;
 use crate::delta_graph::DeltaGraph;
 use crate::labels::Labels;
 use crate::loops::{self, CycleMap, WalkScratch};
-use crate::multifield::{Found, Scope};
+use crate::multifield::Found;
 use netmodel::checker::InvariantViolation;
 use netmodel::topology::{NodeId, Topology};
 use std::collections::{BTreeMap, BTreeSet};
@@ -213,10 +213,13 @@ pub struct ViolationMonitor {
     events: MonitorTransitions,
     /// Repair scratch, empty between updates and reused across them: the
     /// walk state, the delta's distinct atoms, and the blackhole
-    /// `(switch, atom)` candidates, the latter two sorted.
+    /// `(switch, atom)` candidates, the latter two sorted; for a
+    /// multi-field repair, each switch around the updated one with whether
+    /// the atom at hand was tracked there.
     walk: WalkScratch,
     atoms: Vec<AtomId>,
     candidates: Vec<(NodeId, AtomId)>,
+    tracked: Vec<(NodeId, bool)>,
 }
 
 impl ViolationMonitor {
@@ -247,68 +250,73 @@ impl ViolationMonitor {
         }
     }
 
-    /// A monitor seeded by one [`ViolationMonitor::rescan_atoms`] pass over
-    /// `atoms`, each scanned whole — the multi-field full scan
-    /// ([`crate::multifield::MultiField::scan`]). The seeding itself is not
-    /// an update: no events are left behind.
+    /// A monitor holding what `scan` finds for each of `atoms` — the
+    /// multi-field full scan ([`crate::multifield::MultiField::scan`]),
+    /// whose `scan` walks an atom from every emitter. The seeding itself is
+    /// not an update: no events are left behind.
     pub(crate) fn seeded(
-        atoms: impl Iterator<Item = AtomId> + Clone,
+        atoms: impl Iterator<Item = AtomId>,
         mut scan: impl FnMut(AtomId, &mut dyn FnMut(Found<'_>)),
     ) -> Self {
         let mut monitor = ViolationMonitor::new();
-        let whole = atoms.map(|atom| (atom, Scope::Whole));
-        monitor.rescan_atoms(whole, |atom, _, found| scan(atom, found));
-        monitor.events.clear();
+        let (loops, holes) = (&mut monitor.loops, &mut monitor.holes);
+        for atom in atoms {
+            scan(atom, &mut |found| {
+                match found {
+                    Found::Cycle(cycle) => loops::admit(loops, cycle, atom),
+                    Found::Hole(node) => loops::admit(holes, &node, atom),
+                };
+            });
+        }
         monitor
     }
 
-    /// The multi-field repair: the same retire → re-admit → settle
-    /// sequence as [`ViolationMonitor::apply_update`], with the atoms, how
-    /// much of each to re-decide, and the scan supplied by the engine. A
-    /// multi-field violation depends on cross-field intersections no label
-    /// walk sees, so the engine names each atom once with its [`Scope`]
-    /// (see the repair contract in [`crate::multifield`]): the atom is
-    /// retired from the cycles and switches its scope covers, and `scan`
-    /// reports what the atom violates there now
-    /// ([`crate::multifield::ClassWalk::scan_atom`] or
-    /// [`crate::multifield::ClassWalk::scan_at`]). Transitions are recorded
-    /// at the identity level exactly as for a delta-graph.
-    pub(crate) fn rescan_atoms<'a>(
+    /// The multi-field repair of one rule update at `source` (the repair
+    /// contract in [`crate::multifield`]): the same retire → re-admit →
+    /// settle sequence as [`ViolationMonitor::apply_update`], with the
+    /// scan supplied by the engine. First each split's new atom takes its
+    /// old atom's tracked cycles and holes, pair by pair in creation order.
+    /// Then each of `atoms` is retired from the cycles through `source` and
+    /// the holes at `near`, and `scan` reports what it violates there now,
+    /// given each `near` switch with whether the atom was tracked there.
+    /// Transitions are recorded at the identity level exactly as for a
+    /// delta-graph.
+    pub(crate) fn repair_at(
         &mut self,
-        atoms: impl Iterator<Item = (AtomId, Scope<'a>)> + Clone,
-        mut scan: impl FnMut(AtomId, Scope<'a>, &mut dyn FnMut(Found<'_>)),
+        splits: &[DeltaPair],
+        atoms: &[AtomId],
+        source: NodeId,
+        near: &[NodeId],
+        mut scan: impl FnMut(AtomId, &[(NodeId, bool)], &mut dyn FnMut(Found<'_>)),
     ) {
         self.events.clear();
-        let (mut loops_drained, mut holes_drained) = (false, false);
-        let retire = |set: &mut AtomSet, atom| set.remove(atom) && set.is_empty();
-        for (atom, scope) in atoms.clone() {
-            match scope {
-                Scope::Whole => {
-                    for set in self.loops.values_mut() {
-                        loops_drained |= retire(set, atom);
-                    }
-                    for set in self.holes.values_mut() {
-                        holes_drained |= retire(set, atom);
-                    }
-                }
-                Scope::At { source, near } => {
-                    for (cycle, set) in &mut self.loops {
-                        if cycle.contains(&source) {
-                            loops_drained |= retire(set, atom);
-                        }
-                    }
-                    for node in near {
-                        if let Some(set) = self.holes.get_mut(node) {
-                            holes_drained |= retire(set, atom);
-                        }
-                    }
+        for pair in splits {
+            for set in self.loops.values_mut().chain(self.holes.values_mut()) {
+                if set.contains(pair.old) {
+                    set.insert(pair.new);
                 }
             }
         }
-        let (loops, holes) = (&mut self.loops, &mut self.holes);
-        let appeared = &mut self.events.appeared;
-        for (atom, scope) in atoms {
-            scan(atom, scope, &mut |found| match found {
+        let (mut loops_drained, mut holes_drained) = (false, false);
+        for &atom in atoms {
+            for (cycle, set) in &mut self.loops {
+                if cycle.contains(&source) && set.remove(atom) {
+                    loops_drained |= set.is_empty();
+                }
+            }
+            self.tracked.clear();
+            for &node in near {
+                let set = self.holes.get_mut(&node);
+                let was = set.is_some_and(|set| {
+                    let was = set.remove(atom);
+                    holes_drained |= was && set.is_empty();
+                    was
+                });
+                self.tracked.push((node, was));
+            }
+            let (loops, holes) = (&mut self.loops, &mut self.holes);
+            let appeared = &mut self.events.appeared;
+            scan(atom, &self.tracked, &mut |found| match found {
                 Found::Cycle(cycle) => {
                     if loops::admit(loops, cycle, atom) {
                         appeared.push(ViolationKey::Loop(cycle.to_vec()));

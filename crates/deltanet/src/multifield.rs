@@ -39,15 +39,19 @@
 //! count. The per-update check, the monitor repair and the full scans
 //! ([`MultiField::scan`], behind `check_all_loops` /
 //! `check_all_blackholes`, `enable_monitor` and the snapshot-restore
-//! verification) all run it; a full scan is the repair's whole-atom scan
-//! over every atom, on a scratch kernel of its own.
+//! verification) all run it; a full scan walks every atom from every
+//! emitter ([`ClassWalk::scan_atom`]) on a scratch kernel of its own.
 //!
-//! Two references evaluate the predicate **tuple at a time** — one
+//! Three references evaluate the predicate **tuple at a time** — one
 //! successor walk per `(α, c)` pair — and share no code with the kernel:
 //!
 //! * `reference_scan`, in this module's tests, reads the same owner cells
 //!   the kernel does and is compared against it as exact maps, fixture by
 //!   fixture and after every op of a seeded churn.
+//! * `reference_check`, beside it, follows every class the updated rule
+//!   admits from the rule's source, atom by atom of its interval, and is
+//!   what each op's per-update report is held to in that churn, monitored
+//!   and unmonitored.
 //! * `veriflow_ri::scan_multifield` is stateless — it recomputes every
 //!   class of every field from the live rule set alone, sharing no owner
 //!   cells either — and is what `tests/multifield_differential.rs` holds
@@ -64,38 +68,46 @@
 //! `holes[n] ∋ α ⇔ ∃c` forwarded into switch n with no decision there. One
 //! rule update at `s = source(r)` changes `F_{α,c}` only at `s`, and only
 //! for atoms of its (clip-adjusted) interval. A secondary split refines the
-//! classes without changing any `∃c`. The paper's observation that an
-//! update touches a small part of the network therefore holds per atom as
-//! well, and the repair ([`crate::monitor::ViolationMonitor::rescan_atoms`])
-//! re-decides only that part, the whole class set at a time:
+//! classes without changing any `∃c`. So a monitored update
+//! ([`MultiField::finish_update`],
+//! [`crate::monitor::ViolationMonitor::repair_at`]) is one pass per atom of
+//! the interval at `s`, the whole class set at a time. The pass skips an
+//! atom where a rule above `r` in its owner cell at `s` admits every class
+//! `r` admits: `r` wins no class of it with or without it installed, so
+//! `F_{α,c}` does not change at all. Any other atom is retired only from
+//! tracked cycles through `s` and from the holes at `near` (`s` and the far
+//! ends of its out-links): a cycle avoiding `s` and a hole anywhere else
+//! rest on decisions the update did not touch. Then three rules, each
+//! exact, re-decide the rest:
 //!
-//! * **Split atoms** are new: the monitor tracks nothing for them, so each
-//!   is scanned whole ([`Scope::Whole`], [`ClassWalk::scan_atom`]): retired
-//!   everywhere, partitioned at every emitter, and walked from every
-//!   emitter.
-//! * **Loops** of an atom that existed before ([`Scope::At`],
-//!   [`ClassWalk::scan_at`]): it is
-//!   retired only from tracked cycles through `s`, and one walk from `s`
-//!   over every class re-admits it. A cycle that avoids `s` is made of
-//!   forwarding decisions the update did not touch, so its membership
-//!   stands. A cycle through `s` that some class rides after the update is
-//!   found by that class's walk from `s`, which follows the class round the
-//!   cycle back to its start.
-//! * **Blackholes** of such an atom are re-decided at `s` (its decisions
-//!   changed) and at the switches at the far ends of `s`'s out-links (what
-//!   `s` forwards into them changed), each judged from the winner groups of
-//!   its in-neighbours. At any other switch, neither its own decisions nor
-//!   what arrives there changed.
-//! * **Shadowing**: an atom is skipped entirely when a rule above `r` in
-//!   its owner cell at `s` admits every class `r` admits. Then `r` wins no
-//!   class of the atom with or without it installed, and `F_{α,c}` does not
-//!   change at all.
+//! * **Split atoms inherit.** A split's new atom takes its old atom's
+//!   tracked cycles and holes, pair by pair in creation order (a chained
+//!   split copies A→B→C), and is then repaired like any other atom of the
+//!   interval; an upper split's new atom lies outside it and is not
+//!   repaired at all. *Sound:* the split cloned the old atom's owner cells,
+//!   so before the update the new atom forwarded exactly like it.
+//! * **The check rides the repair's walk.** One walk from `s` carries every
+//!   class and re-admits each cycle some class closes; a cycle whose
+//!   closing classes meet the rule's also goes into the per-update check.
+//!   *Sound:* each class has one successor per node, so it follows one path
+//!   from `s` whatever else is carried, and closes the same cycles as on a
+//!   walk carrying only the rule's classes.
+//! * **Blackholes around `s` are decided from what changed.** At `s`, an
+//!   insert only adds winners and a removal only takes them away: after an
+//!   insert an atom untracked there has no hole, after a removal a tracked
+//!   one keeps it, and otherwise the hole is judged from all of `s`'s
+//!   in-neighbours. At an out-neighbour `n ≠ s`, a class of `s`'s groups
+//!   that dies at `n` is a hole; else an atom untracked at `n` has none,
+//!   and a tracked one is re-judged from `n`'s other in-neighbours.
+//!   *Sound:* what arrives at `s` from elsewhere and every decision at
+//!   `n` are unchanged, and a class `s` sends to itself has a winner there.
 //!
-//! No per-class state is kept anywhere. The per-update check is the same
-//! walk started at `s` with the rule's own classes
-//! ([`ClassWalk::loops_from_rule`]): any loop the update closes routes
-//! through that node. It walks shadowed atoms too: the loops it reports
-//! are the ones the rule's classes ride, whoever wins them.
+//! No per-class state is kept anywhere. An atom the pass skips still gets
+//! the check's standalone walk, started at `s` with the rule's own classes
+//! ([`ClassWalk::loops_from_rule`], which is also the whole check of an
+//! unmonitored engine): any loop the update closes routes through that
+//! node, and the loops it reports are the ones the rule's classes ride,
+//! whoever wins them.
 //!
 //! Two things are deliberately *not* multi-field aware:
 //!
@@ -145,19 +157,6 @@ const _: () = assert!(MAX_SECONDARY_FIELDS == 2);
 pub(crate) enum Found<'a> {
     Cycle(&'a [NodeId]),
     Hole(NodeId),
-}
-
-/// How much of one atom's tracked violations a repair re-decides (see the
-/// repair contract in the module docs).
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Scope<'a> {
-    /// All of them, from every emitter: for an atom whose tracked state
-    /// says nothing — one a split created, or any atom of a full scan.
-    Whole,
-    /// What a rule change at `source` can move: the cycles through
-    /// `source`, and the blackholes at `near` (`source` and the switches
-    /// at the far ends of its out-links).
-    At { source: NodeId, near: &'a [NodeId] },
 }
 
 /// One node on the walk's current path. Its carried class set is the
@@ -216,6 +215,12 @@ pub(crate) struct ClassWalk {
     remaining: Vec<u64>,
     /// The cycle being reported, in canonical rotation.
     cycle: Vec<NodeId>,
+    /// The classes the updated rule admits while its per-update check
+    /// runs, else none ([`ClassWalk::begin_check`]).
+    rule: Vec<u64>,
+    /// The per-update check's result, reused across updates: every cycle
+    /// a walk closed with some of `rule`'s classes, and its atoms.
+    checked: CycleMap,
 }
 
 fn is_zero(set: &[u64]) -> bool {
@@ -281,6 +286,7 @@ impl ClassWalk {
         self.visited.resize(self.stamp.len() * self.words, 0);
         self.set.resize(self.words, 0);
         self.remaining.resize(self.words, 0);
+        self.rule.resize(self.words, 0);
     }
 
     /// Forgets the previous atom's per-node state and winner groups.
@@ -361,7 +367,8 @@ impl ClassWalk {
 
     /// Carries `self.set` into `node`. Classes reaching a node on the
     /// current path close the cycle from there on — they are a subset of
-    /// every set carried since, so each rode every hop of it. Otherwise
+    /// every set carried since, so each rode every hop of it — and the
+    /// check admits the cycle when some of them are the rule's. Otherwise
     /// the classes that have not explored the node yet are pushed as a new
     /// frame; the rest found whatever lies beyond the first time.
     fn enter(
@@ -378,6 +385,9 @@ impl ClassWalk {
             let on_cycle = &self.frames[self.pos[i] as usize..];
             self.cycle.extend(on_cycle.iter().map(|frame| frame.node));
             loops::rotate_to_canonical(&mut self.cycle);
+            if self.set.iter().zip(&self.rule).any(|(s, r)| s & r != 0) {
+                loops::admit(&mut self.checked, &self.cycle[..], atom);
+            }
             found(Found::Cycle(&self.cycle));
             return;
         }
@@ -428,11 +438,11 @@ impl ClassWalk {
         }
     }
 
-    /// Every violation of `atom` over all secondary classes ([`Scope::Whole`]):
-    /// one winner partition per emitter, the blackholes that fall out of it
-    /// (a group lands where some of its classes have no winner), and one
-    /// walk per emitter. The module docs' two predicates restricted to the
-    /// atom; a finding may be reported more than once.
+    /// Every violation of `atom` over all secondary classes — the full
+    /// scan's unit: one winner partition per emitter, the blackholes that
+    /// fall out of it (a group lands where some of its classes have no
+    /// winner), and one walk per emitter. The module docs' two predicates
+    /// restricted to the atom; a finding may be reported more than once.
     fn scan_atom(&mut self, view: &MfView<'_>, atom: AtomId, found: &mut dyn FnMut(Found<'_>)) {
         self.begin_atom();
         for (node, _) in view.owner.sources(atom) {
@@ -453,35 +463,68 @@ impl ClassWalk {
         }
     }
 
-    /// The violations of `atom` a rule change at `source` can have moved
-    /// ([`Scope::At`]), over all secondary classes: each `near` switch's
-    /// blackhole, judged from the winner groups of its in-neighbours, and
-    /// every cycle one walk from `source` closes. A finding may be reported
-    /// more than once.
+    /// The repair of one atom after a rule at `source` was inserted
+    /// (`was_insert`) or removed, over all secondary classes (the repair
+    /// contract in the module docs): the blackhole at each `near` switch,
+    /// decided from what `source` changed and from whether the atom was
+    /// tracked there before, and every cycle one walk from `source`
+    /// closes. A finding may be reported more than once.
     fn scan_at(
         &mut self,
         view: &MfView<'_>,
         atom: AtomId,
         source: NodeId,
-        near: &[NodeId],
+        near: &[(NodeId, bool)],
+        was_insert: bool,
         found: &mut dyn FnMut(Found<'_>),
     ) {
         self.begin_atom();
-        'near: for &node in near {
-            for &link in view.topology.in_links(node) {
-                let from = view.topology.link(link).src;
-                self.touch(view, atom, from);
-                let (start, end) = self.groups_of[from.index()];
-                for g in start as usize..end as usize {
-                    if self.group_dst[g] == Some(node) && self.dies_at(view, atom, g, node) {
-                        found(Found::Hole(node));
-                        continue 'near;
-                    }
+        for &(node, was) in near {
+            let hole = if node == source {
+                // An insert only adds winners here, a removal only takes
+                // them away: one of the two settles the hole as it was.
+                if was != was_insert {
+                    was
+                } else {
+                    self.fed_hole(view, atom, node, None)
                 }
+            } else {
+                self.dies_from(view, atom, source, node)
+                    || was && self.fed_hole(view, atom, node, Some(source))
+            };
+            if hole {
+                found(Found::Hole(node));
             }
         }
         self.set.copy_from_slice(&self.full);
         self.walk(view, atom, source, found);
+    }
+
+    /// Whether an in-neighbour of `node` other than `except` sends it a
+    /// class that has no winner there.
+    fn fed_hole(
+        &mut self,
+        view: &MfView<'_>,
+        atom: AtomId,
+        node: NodeId,
+        except: Option<NodeId>,
+    ) -> bool {
+        let topology = view.topology;
+        let feeds = topology
+            .in_links(node)
+            .iter()
+            .map(|&link| topology.link(link).src);
+        feeds
+            .filter(|&from| Some(from) != except)
+            .any(|from| self.dies_from(view, atom, from, node))
+    }
+
+    /// Whether some class `from` sends into `node` has no winner there.
+    fn dies_from(&mut self, view: &MfView<'_>, atom: AtomId, from: NodeId, node: NodeId) -> bool {
+        self.touch(view, atom, from);
+        let (start, end) = self.groups_of[from.index()];
+        (start as usize..end as usize)
+            .any(|g| self.group_dst[g] == Some(node) && self.dies_at(view, atom, g, node))
     }
 
     /// Whether some class of group `g`, which lands on `dst`, has no winner
@@ -495,6 +538,25 @@ impl ClassWalk {
             and_not(&mut self.set, &self.group_sets[row(handled, self.words)]);
         }
         !is_zero(&self.set)
+    }
+
+    /// Starts an update's per-update check: the classes `sec` admits are
+    /// the rule's, or none when there is no check to run, and nothing is
+    /// checked yet.
+    fn begin_check(&mut self, sec: Option<&SecondaryMatch>) {
+        self.checked.clear();
+        match sec {
+            Some(sec) => Self::admitted(&self.lows, sec, &mut self.rule),
+            None => self.rule.fill(0),
+        }
+    }
+
+    /// The check's standalone walk of one atom: the rule's own classes
+    /// from `source`, so every cycle it closes is the check's.
+    fn check_from(&mut self, view: &MfView<'_>, atom: AtomId, source: NodeId) {
+        self.begin_atom();
+        self.set.copy_from_slice(&self.rule);
+        self.walk(view, atom, source, &mut |_| {});
     }
 
     /// Per-update seeded loop check for one inserted or removed rule.
@@ -512,18 +574,12 @@ impl ClassWalk {
         view: &MfView<'_>,
         rule: &Rule,
         interval: Interval,
-    ) -> CycleMap {
-        let mut cycles = CycleMap::new();
+    ) -> &CycleMap {
+        self.begin_check(Some(&rule.sec));
         for atom in view.atoms.iter_atoms_of(interval) {
-            self.begin_atom();
-            Self::admitted(&self.lows, &rule.sec, &mut self.set);
-            self.walk(view, atom, rule.source, &mut |found| {
-                if let Found::Cycle(cycle) = found {
-                    loops::admit(&mut cycles, cycle, atom);
-                }
-            });
+            self.check_from(view, atom, rule.source);
         }
-        cycles
+        &self.checked
     }
 }
 
@@ -542,7 +598,8 @@ pub(crate) struct MultiField {
     books: Vec<BoundRefs>,
     walk: ClassWalk,
     /// Repair scratch, reused across updates: the updated switch's `near`
-    /// set and the atoms repaired at it ([`Scope::At`]).
+    /// set (itself and the far ends of its out-links) and the atoms
+    /// repaired at it.
     near: Vec<NodeId>,
     local: Vec<AtomId>,
 }
@@ -639,16 +696,20 @@ impl MultiField {
             .sum()
     }
 
-    /// The tail of one update: the per-update loop check (when `check`),
-    /// then the repair of `monitor` — see the repair contract in the module
-    /// docs. `interval` is the (clip-adjusted) interval the update ran on
-    /// and `splits` the primary atoms it split.
+    /// The tail of one update: the per-update loop check (when `check`)
+    /// and the repair of `monitor`, in one pass per atom at the rule's
+    /// source — see the repair contract in the module docs. `interval` is
+    /// the (clip-adjusted) interval the update ran on, `splits` the primary
+    /// atoms it split, in creation order, and `was_insert` says which way
+    /// the rule went.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn finish_update(
         &mut self,
         view: &MfView<'_>,
         rule: &Rule,
         interval: Interval,
         splits: &[DeltaPair],
+        was_insert: bool,
         check: bool,
         monitor: Option<&mut ViolationMonitor>,
     ) -> Vec<InvariantViolation> {
@@ -656,17 +717,10 @@ impl MultiField {
         // cross-field intersection (labels are a primary-field projection,
         // and a secondary-constrained update can close a loop without
         // adding a single label bit), so the check is seeded from the rule.
-        let violations = if check {
-            let cycles = self.walk.loops_from_rule(view, rule, interval);
-            loops::render_loops(&cycles, view.atoms)
-        } else {
-            Vec::new()
-        };
+        let walk = &mut self.walk;
         if let Some(monitor) = monitor {
-            // The repair contract: a split's new atoms are scanned whole;
-            // every other atom of the interval is repaired at the rule's
-            // source, unless a rule above it there shadows it.
             let (topology, source) = (view.topology, rule.source);
+            walk.begin_check(check.then_some(&rule.sec));
             let out = topology.out_links(source).iter();
             let ends = out.map(|&link| topology.link(link).dst);
             self.near.clear();
@@ -675,30 +729,37 @@ impl MultiField {
                 .extend(ends.filter(|&n| !topology.is_drop_node(n)));
             self.near.sort_unstable();
             self.near.dedup();
-            let split = |atom| splits.iter().any(|pair| pair.new == atom);
-            let kept = |&atom: &AtomId| !split(atom) && !shadowed(view, rule, atom);
+            // A shadowed atom's forwarding does not change, so only the
+            // check walks it.
             self.local.clear();
-            self.local
-                .extend(view.atoms.iter_atoms_of(interval).filter(kept));
-            let at = Scope::At {
+            for atom in view.atoms.iter_atoms_of(interval) {
+                if !shadowed(view, rule, atom) {
+                    self.local.push(atom);
+                } else if check {
+                    walk.check_from(view, atom, source);
+                }
+            }
+            monitor.repair_at(
+                splits,
+                &self.local,
                 source,
-                near: &self.near,
-            };
-            let whole = splits.iter().map(|pair| (pair.new, Scope::Whole));
-            let local = self.local.iter().map(|&atom| (atom, at));
-            let walk = &mut self.walk;
-            monitor.rescan_atoms(whole.chain(local), |atom, scope, found| match scope {
-                Scope::Whole => walk.scan_atom(view, atom, found),
-                Scope::At { source, near } => walk.scan_at(view, atom, source, near, found),
-            });
+                &self.near,
+                |atom, near, found| walk.scan_at(view, atom, source, near, was_insert, found),
+            );
+        } else if check {
+            walk.loops_from_rule(view, rule, interval);
         }
-        violations
+        if check {
+            loops::render_loops(&walk.checked, view.atoms)
+        } else {
+            Vec::new()
+        }
     }
 
     /// The full scan, and the only read entry point: a monitor seeded from
-    /// the current plane by the whole-atom scan a split atom is repaired
-    /// with, over every atom. Scans take `&self`, so the walk runs on a
-    /// scratch kernel; the live one's scratch stays the update path's.
+    /// the current plane by the whole-atom scan of every atom. Scans take
+    /// `&self`, so the walk runs on a scratch kernel; the live one's
+    /// scratch stays the update path's.
     pub(crate) fn scan(&self, view: &MfView<'_>) -> ViolationMonitor {
         let mut walk = ClassWalk::new(&self.atoms, view.topology.node_count());
         let atoms = view.atoms.iter().map(|(atom, _)| atom);
@@ -734,6 +795,7 @@ mod tests {
     use netmodel::ip::IpPrefix;
     use netmodel::rule::Action;
     use netmodel::topology::LinkId;
+    use netmodel::trace::Op;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::BTreeMap;
@@ -888,6 +950,36 @@ mod tests {
             }
         }
         (cycles, holes)
+    }
+
+    /// The tuple-at-a-time per-update check for `rule`, just inserted into
+    /// or removed from `net`: every class the rule admits, of every atom of
+    /// its interval, followed hop by hop from the rule's source until it
+    /// leaves the network or returns to its own path. Shares nothing with
+    /// [`ClassWalk`] but the owner cells it reads.
+    fn reference_check(net: &DeltaNet, rule: &Rule) -> Vec<InvariantViolation> {
+        let view = net.mf_view();
+        let mut cycles = CycleMap::new();
+        let classes = class_witnesses(net.secondary_atoms());
+        let admitted = classes.iter().filter(|&class| rule.sec.matches(class));
+        for class in admitted {
+            for atom in view.atoms.iter_atoms_of(rule.interval()) {
+                let mut path: Vec<NodeId> = Vec::new();
+                let mut current = Some(rule.source);
+                while let Some(node) = current {
+                    if let Some(pos) = path.iter().position(|&on_path| on_path == node) {
+                        let mut cycle = path[pos..].to_vec();
+                        loops::rotate_to_canonical(&mut cycle);
+                        loops::admit(&mut cycles, &cycle[..], atom);
+                        break;
+                    }
+                    path.push(node);
+                    let link = successor(&view, node, atom, class);
+                    current = link.map(|link| view.topology.link(link).dst);
+                }
+            }
+        }
+        loops::render_loops(&cycles, view.atoms)
     }
 
     /// Scans every atom of `net` with a fresh kernel; the union must be
@@ -1114,6 +1206,74 @@ mod tests {
     }
 
     #[test]
+    fn a_hole_fed_by_another_in_neighbour_survives_the_updated_switch_leaving() {
+        // m sends the prefix into n, which has nothing for it: a hole. s
+        // starts and stops feeding n too; the hole is m's all along.
+        let mut topo = Topology::new();
+        let [s, m, n] = [0, 1, 2].map(|i| topo.add_node(format!("s{i}")));
+        let (s_n, m_n) = (topo.add_link(s, n), topo.add_link(m, n));
+        let config = DeltaNetConfig {
+            field_width: WIDTH,
+            ..DeltaNetConfig::default()
+        };
+        let mut net = DeltaNet::new(topo, config.with_secondary(&[6]));
+        net.insert_rule(fwd(1, 1, m, m_n, &[]));
+        net.enable_monitor();
+        let feed = fwd(0, 1, s, s_n, &[(0, 16)]);
+        for update in [Op::Insert(feed), Op::Remove(feed.id)] {
+            net.try_apply(&update).unwrap();
+            assert_eq!(repaired(&net).1.keys().collect::<Vec<_>>(), vec![&n]);
+            assert!(net.monitor().unwrap().last_events().is_empty());
+        }
+    }
+
+    #[test]
+    fn an_insert_at_the_updated_switch_clears_its_hole() {
+        // s0 sends the prefix to s1, which has nothing for it until a
+        // deny there handles every class.
+        let (mut net, s, next, drop) = ring(2, &[6]);
+        net.insert_rule(fwd(0, 1, s[0], next[0], &[]));
+        net.enable_monitor();
+        assert_eq!(repaired(&net).1.keys().collect::<Vec<_>>(), vec![&s[1]]);
+        net.insert_rule(deny(1, 1, s[1], drop[1], &[]));
+        assert!(repaired(&net).1.is_empty());
+    }
+
+    #[test]
+    fn a_removal_at_the_updated_switch_opens_a_hole_there() {
+        // s1 denies every class s0 sends it, until the deny goes.
+        let (mut net, s, next, drop) = ring(2, &[6]);
+        net.insert_rule(fwd(0, 1, s[0], next[0], &[]));
+        let deny_all = deny(1, 1, s[1], drop[1], &[]);
+        net.insert_rule(deny_all);
+        net.enable_monitor();
+        assert!(repaired(&net).1.is_empty());
+        net.remove_rule(deny_all.id);
+        assert_eq!(repaired(&net).1.keys().collect::<Vec<_>>(), vec![&s[1]]);
+    }
+
+    #[test]
+    fn a_chained_split_inherits_its_old_atoms_hole_from_a_to_b_to_c() {
+        // The prefix [0, 16) is one atom A, dying at s1. A rule for [4, 8)
+        // at s2 splits A at 4 (A → B = [4, 16)) and then B at 8 (B → C =
+        // [8, 16)). C lies outside the rule's interval and is not
+        // repaired: only B's copy of A's hole tells it where it dies.
+        let (mut net, s, next, _) = ring(3, &[6]);
+        net.insert_rule(fwd(0, 1, s[0], next[0], &[]));
+        net.enable_monitor();
+        let narrow = IpPrefix::new(4, 6, WIDTH);
+        net.insert_rule(Rule::forward(RuleId(1), narrow, 1, s[2], next[2]));
+        let splits = &net.last_delta().splits;
+        assert_eq!(splits.len(), 2);
+        assert_eq!(
+            splits[0].new, splits[1].old,
+            "the second split cuts the first's new atom"
+        );
+        let (_, holes) = repaired(&net);
+        assert_eq!(holes[&s[1]].len(), 3);
+    }
+
+    #[test]
     fn only_a_higher_rule_whose_match_covers_the_update_shadows_it() {
         // s0 sends everything to s1, which discards sources [0, 16) above
         // all else and has nothing for the rest: they die at s1.
@@ -1144,35 +1304,54 @@ mod tests {
 
     #[test]
     fn production_scans_equal_the_reference_after_every_op_of_a_seeded_churn() {
+        // On an unmonitored and a monitored engine alike, each op's
+        // per-update report and the full scans, and the monitored engine's
+        // live state, each against its tuple-at-a-time reference.
         for (seed, sec_widths) in [(0u64, &[6u8][..]), (1, &[4, 3])] {
             let mut rng = StdRng::seed_from_u64(0x5CA_F1E1D ^ seed);
             let topo = random_topology(&mut rng, 5, true);
             let gen = OpGen::new(WIDTH, 20, 0.3).with_secondary(sec_widths);
             let ops = random_ops(&mut rng, &topo, 120, gen);
-            let config = DeltaNetConfig {
-                field_width: WIDTH,
-                ..DeltaNetConfig::default()
-            };
-            let mut net = DeltaNet::new(topo, config.with_secondary(sec_widths));
-            let (mut with_loops, mut with_holes, mut merged) = (0, 0, 0);
-            for (i, op) in ops.iter().enumerate() {
-                net.try_apply(op)
-                    .unwrap_or_else(|e| panic!("seed {seed} op {i} rejected: {e}"));
-                if i == ops.len() / 2 {
-                    // Renumbers the primary atoms and the classes under
-                    // both implementations.
-                    merged = net.compact().merged_atoms;
+            for monitored in [false, true] {
+                let config = DeltaNetConfig {
+                    field_width: WIDTH,
+                    monitor_violations: monitored,
+                    ..DeltaNetConfig::default()
+                };
+                let mut net = DeltaNet::new(topo.clone(), config.with_secondary(sec_widths));
+                let (mut reported, mut with_loops, mut with_holes, mut merged) = (0, 0, 0, 0);
+                for (i, op) in ops.iter().enumerate() {
+                    let at = format!("seed {seed}, monitored {monitored}, op {i}");
+                    let rule = match op {
+                        Op::Insert(rule) => *rule,
+                        Op::Remove(id) => *net.rule(*id).expect("the churn removes live rules"),
+                    };
+                    let report = net
+                        .try_apply(op)
+                        .unwrap_or_else(|e| panic!("{at} rejected: {e}"));
+                    assert_eq!(report.violations, reference_check(&net, &rule), "{at}");
+                    reported += usize::from(!report.violations.is_empty());
+                    if i == ops.len() / 2 {
+                        // Renumbers the primary atoms and the classes under
+                        // both implementations.
+                        merged = net.compact().merged_atoms;
+                    }
+                    let reference = reference_scan(&net);
+                    if monitored {
+                        assert_eq!(maps(net.monitor().unwrap()), reference, "{at}");
+                    }
+                    let scan = production_scan(&net);
+                    assert_eq!(scan, reference, "{at}");
+                    with_loops += usize::from(!scan.0.is_empty());
+                    with_holes += usize::from(!scan.1.is_empty());
                 }
-                let scan = production_scan(&net);
-                assert_eq!(scan, reference_scan(&net), "seed {seed} op {i}");
-                with_loops += usize::from(!scan.0.is_empty());
-                with_holes += usize::from(!scan.1.is_empty());
+                assert!(
+                    reported > 0 && with_loops > 0 && with_holes > 0 && merged > 0,
+                    "seed {seed}: trace too tame ({reported} reports with loops, \
+                     {with_loops} ops with loops, {with_holes} with blackholes, \
+                     {merged} atoms merged)"
+                );
             }
-            assert!(
-                with_loops > 0 && with_holes > 0 && merged > 0,
-                "seed {seed}: trace too tame ({with_loops} ops with loops, \
-                 {with_holes} with blackholes, {merged} atoms merged)"
-            );
         }
     }
 
