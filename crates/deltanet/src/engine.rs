@@ -26,10 +26,11 @@
 //! presentation.
 
 use crate::atoms::{AtomMap, BoundRefs, DeltaPair};
+use crate::blackholes;
 use crate::delta_graph::DeltaGraph;
 use crate::labels::Labels;
-use crate::loops::{self, WalkScratch};
-use crate::monitor::ViolationMonitor;
+use crate::loops::{self, CycleMap, WalkScratch};
+use crate::monitor::{Found, ViolationMonitor};
 use crate::multifield::{MfView, MultiField};
 use crate::owner::Owner;
 use netmodel::checker::{Checker, UpdateError, UpdateReport, WhatIfReport};
@@ -65,8 +66,8 @@ pub struct DeltaNetConfig {
     /// under rule churn.
     pub compact_threshold: Option<usize>,
     /// Whether to maintain the current set of forwarding-loop and blackhole
-    /// violations as live state, updated incrementally from every update's
-    /// delta-graph (see [`crate::monitor::ViolationMonitor`]). Off by
+    /// violations as live state, repaired incrementally by every update
+    /// (see [`crate::monitor::ViolationMonitor`]). Off by
     /// default; a monitor can also be attached to a running engine with
     /// [`DeltaNet::enable_monitor`].
     pub monitor_violations: bool,
@@ -217,8 +218,9 @@ pub struct DeltaNet {
     /// allocation. Invariant: empty between updates (taken at the start of
     /// `insert_rule`, cleared and put back before the update returns).
     pair_scratch: Vec<DeltaPair>,
-    /// Scratch of the per-update loop check's successor walks, reused for
-    /// the same reason (see [`loops::WalkScratch`]).
+    /// Scratch of the successor walks of the per-update loop check and the
+    /// single-field monitor repair, reused for the same reason (see
+    /// [`loops::WalkScratch`]).
     walk_scratch: WalkScratch,
     /// When `Some(range)`, this engine owns only that contiguous slice of
     /// the address space: every applied rule interval is intersected with it
@@ -227,7 +229,7 @@ pub struct DeltaNet {
     clip: Option<Interval>,
     /// The incrementally maintained violation state, when monitoring is on
     /// ([`DeltaNetConfig::monitor_violations`] or
-    /// [`DeltaNet::enable_monitor`]). Fed by every update's delta-graph in
+    /// [`DeltaNet::enable_monitor`]). Repaired by every update in
     /// [`DeltaNet::finish_update`]; remapped across [`DeltaNet::compact`].
     monitor: Option<ViolationMonitor>,
 }
@@ -727,11 +729,20 @@ impl DeltaNet {
         }
     }
 
-    /// Shared tail of both algorithms: run the configured per-update checks
-    /// on the delta-graph, feed the monitor, remember the delta, and build
-    /// the report. `rule` is the inserted/removed rule and `interval` the
-    /// (possibly shard-clipped) interval the update ran on — the
-    /// multi-field paths need the rule itself, not just its id.
+    /// Shared tail of both algorithms: run the configured per-update check,
+    /// repair the monitor, remember the delta, and build the report. `rule`
+    /// is the inserted/removed rule and `interval` the (possibly
+    /// shard-clipped) interval the update ran on — the multi-field paths
+    /// need the rule itself, not just its id.
+    ///
+    /// A monitored update is one pass at `rule.source`, whatever the header
+    /// shape ([`ViolationMonitor::repair_at`]): every changed pair leaves
+    /// that switch. On a single-field engine each delta atom is walked once
+    /// from it, and the cycles those walks close are the per-update check —
+    /// after the update an atom has an out-link there iff it has an added
+    /// pair, so they are the walks [`loops::find_loops_from_seeds_in`]
+    /// makes, which an unmonitored engine runs instead. Blackholes are
+    /// re-judged only at the `near` switches, from the labels.
     fn finish_update(
         &mut self,
         delta: DeltaGraph,
@@ -753,22 +764,34 @@ impl DeltaNet {
             let monitor = self.monitor.as_mut();
             let splits = &delta.splits;
             mf.finish_update(&view, &rule, interval, splits, was_insert, check, monitor)
+        } else if let Some(monitor) = self.monitor.as_mut() {
+            let (topology, labels, source) = (&self.topology, &self.labels, rule.source);
+            let walk = &mut self.walk_scratch;
+            let mut checked = CycleMap::new();
+            monitor.repair_delta_at(topology, &delta, source, |atom, near, found| {
+                for &(node, _) in near {
+                    if blackholes::is_blackholed_at(topology, labels, node, atom) {
+                        found(Found::Hole(node));
+                    }
+                }
+                if let Some(cycle) = loops::walk_from(walk, topology, labels, source, atom) {
+                    if check {
+                        loops::admit(&mut checked, cycle, atom);
+                    }
+                    found(Found::Cycle(cycle));
+                }
+            });
+            loops::render_loops(&checked, &self.atoms)
+        } else if check {
+            loops::find_loops_from_seeds_in(
+                &mut self.walk_scratch,
+                &self.topology,
+                &self.labels,
+                &self.atoms,
+                &delta.added,
+            )
         } else {
-            let violations = if check {
-                loops::find_loops_from_seeds_in(
-                    &mut self.walk_scratch,
-                    &self.topology,
-                    &self.labels,
-                    &self.atoms,
-                    &delta.added,
-                )
-            } else {
-                Vec::new()
-            };
-            if let Some(monitor) = self.monitor.as_mut() {
-                monitor.apply_update(&self.topology, &self.labels, &delta);
-            }
-            violations
+            Vec::new()
         };
         let report = UpdateReport {
             rule_id: Some(rule.id),

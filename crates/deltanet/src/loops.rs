@@ -7,13 +7,14 @@
 //! per-update check, the monitor repair, the what-if scan and the full
 //! audits — is the one routine [`WalkScratch::walk`], which keeps its
 //! visited marks, path positions and path in generation-stamped vectors of
-//! node-count length and so allocates nothing per walk or per atom. Three
+//! node-count length and so allocates nothing per walk or per atom. Four
 //! callers differ in where their walks start and in how a step finds its
 //! next hop ([`Hop`]):
 //!
-//! * [`find_loops_from_seeds`] — the per-update check (§4.3.1 "find in the
-//!   delta-graph all forwarding loops"): one walk per `(link, atom)` pair
-//!   the update added. Cost: Σ walk length over the delta's added pairs.
+//! * [`find_loops_from_seeds`] — the per-update check of an unmonitored
+//!   engine (§4.3.1 "find in the delta-graph all forwarding loops"): one
+//!   walk per `(link, atom)` pair the update added. Cost: Σ walk length
+//!   over the delta's added pairs.
 //! * [`cycles_for_atoms`] — a dense candidate set (the what-if query of
 //!   §4.3.2, the full audits, seeding a monitor): the kernel goes atom by
 //!   atom. For each non-zero candidate word it reads every labelled link's
@@ -27,9 +28,15 @@
 //!   share visited marks; a walk that leaves would have recorded nothing.
 //!   Cost: O(links · candidate words + 64 · hits + Σ looping atoms' hits +
 //!   Σ their walk length), with no sort and no walk of a loop-free atom.
+//! * [`walk_from`] — one atom from one switch (the single-field monitor
+//!   repair of a rule update, walking each atom of its delta from the
+//!   rule's source; the walks that close a cycle are also the update's
+//!   per-update check). Cost: one walk.
 //! * [`cycles_for_atom_list`] — a short explicit atom list (the monitor
-//!   repair): one `contains` probe per link finds an atom's emitters. Cost:
-//!   O(|atoms| · (links + walk length)), independent of the atom count.
+//!   repair of an *aggregated* delta-graph, whose pairs may leave any
+//!   switch): one `contains` probe per link finds an atom's emitters.
+//!   Cost: O(|atoms| · (links + walk length)), independent of the atom
+//!   count.
 //!
 //! Detected loops are reported as [`InvariantViolation::ForwardingLoop`]
 //! with the cycle's nodes and the affected destination addresses as
@@ -235,13 +242,27 @@ pub(crate) fn find_loops_from_seeds_in(
             // aggregated delta-graph.
             continue;
         }
-        scratch.begin_atom(topology.node_count());
         let start = topology.link(link).src;
-        if let Some(cycle) = scratch.walk(topology, start, Hop::Probe(labels, atom)) {
+        if let Some(cycle) = walk_from(scratch, topology, labels, start, atom) {
             admit(&mut cycles, cycle, atom);
         }
     }
     render_loops(&cycles, atoms)
+}
+
+/// The one walk of `atom` from `start`, probing the labels: the cycle it
+/// closes, in canonical rotation, if any. The single-field monitor repair
+/// walks each atom of a rule update once from the rule's source, and its
+/// cycles are also the update's per-update check.
+pub(crate) fn walk_from<'s>(
+    scratch: &'s mut WalkScratch,
+    topology: &Topology,
+    labels: &Labels,
+    start: NodeId,
+    atom: AtomId,
+) -> Option<&'s [NodeId]> {
+    scratch.begin_atom(topology.node_count());
+    scratch.walk(topology, start, Hop::Probe(labels, atom))
 }
 
 /// Finds all forwarding loops that involve any of the given atoms anywhere
@@ -471,9 +492,10 @@ fn bits(mut word: u64) -> impl Iterator<Item = usize> {
 }
 
 /// Every forwarding cycle each atom of a short explicit list traverses,
-/// handed to `found` as `(canonical cycle, atom)` — the monitor repair's
-/// entry point. An atom's emitters come from one `contains` probe per link,
-/// so the cost depends on the list and the topology, not the atom count.
+/// handed to `found` as `(canonical cycle, atom)` — the walk of the monitor
+/// repair of an aggregated delta-graph. An atom's emitters come from one
+/// `contains` probe per link, so the cost depends on the list and the
+/// topology, not the atom count.
 pub(crate) fn cycles_for_atom_list(
     scratch: &mut WalkScratch,
     topology: &Topology,

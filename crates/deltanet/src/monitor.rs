@@ -1,5 +1,5 @@
 //! Incremental violation monitoring: forwarding loops and blackholes
-//! maintained as *live state*, updated from each update's delta-graph.
+//! maintained as *live state*, repaired by each update.
 //!
 //! The per-update checks of §4.3.1 answer "did this update create a loop?"
 //! but forget the answer immediately: a long-lived deployment that wants to
@@ -7,9 +7,9 @@
 //! plane (`check_all_loops` + `check_all_blackholes`), paying O(plane) per
 //! query under churn. [`ViolationMonitor`] turns the per-update increment
 //! into the unit of work instead: it holds the current violation set and
-//! repairs it from each [`DeltaGraph`], so reading the active set is O(1)
-//! in the size of the network and maintenance is proportional to the
-//! update's footprint, not the plane.
+//! repairs it from each update, so reading the active set is O(1) in the
+//! size of the network and maintenance is proportional to the update's
+//! footprint, not the plane.
 //!
 //! ## How the repair works
 //!
@@ -22,69 +22,93 @@
 //!   no out-link does — so `(n, α)` can only change when a changed
 //!   `(link, α)` pair has n as an endpoint.
 //!
-//! So the atoms of a delta — those with a changed `(link, α)` pair plus
-//! every atom created by a *split* — are the only ones whose membership
-//! can differ from the tracked state, and [`ViolationMonitor::apply_update`]
-//! handles exactly them, as a short sorted list (never a bitset over the
-//! atom range):
+//! A rule update changes labels only on the out-links of its source
+//! `s = source(r)` (§3, Algorithms 1–2): every pair of its delta-graph
+//! leaves `s`, and a cycle it closes or breaks runs through `s`. So the
+//! engine repairs each update in one pass at `s`,
+//! [`ViolationMonitor::repair_at`], over the delta's atoms (those of its
+//! changed pairs, as a short sorted list — never a bitset over the atom
+//! range) and the `near` switches (`s` and the far ends of its non-drop
+//! out-links). Each step is exact per update:
 //!
-//! 1. **Retire**: remove each listed atom from every tracked cycle, one
-//!    bit probe per `(cycle, atom)`. A cycle whose set drains stays in the
-//!    map, empty, until step 4.
-//! 2. **Re-walk**: for each listed atom, one `contains` probe per link
-//!    finds the switches that emit it, and the successor walk from each
-//!    ([`crate::loops::cycles_for_atom_list`] — the same walk routine and
-//!    the same generation-stamped scratch as the per-update check and the
-//!    full scans) re-admits the atom to whatever cycle it now closes.
-//! 3. **Blackholes**: re-check the predicate at the `(endpoint, atom)`
-//!    pairs the delta touched — split atoms at every switch, since their
-//!    labels are inherited rather than enumerated — kept as a sorted list.
+//! 1. **Inherit**: each split's new atom takes its old atom's tracked
+//!    cycles and holes, pair by pair in creation order (a chained split
+//!    copies A→B→C). A new atom outside the delta is done. *Sound:* the
+//!    split cloned the old atom's owner cells and labels before any label
+//!    changed, so the new atom violated exactly what the old one did.
+//! 2. **Retire**: remove each delta atom from the tracked cycles through
+//!    `s` and the holes at `near`. A cycle or hole whose set drains stays
+//!    in the map, empty, until step 4. *Sound:* a cycle avoiding `s` uses
+//!    only links whose labels did not change, and the predicate at a switch
+//!    outside `near` reads none of them.
+//! 3. **Re-admit**: one successor walk from `s`
+//!    ([`crate::loops::walk_from`] — the same walk routine and
+//!    generation-stamped scratch as the per-update check and the full
+//!    scans) re-admits the atom to the cycle it now closes: if `s` lies on
+//!    the atom's cycle, its functional graph returns there from `s`. The
+//!    blackhole predicate ([`crate::blackholes::is_blackholed_at`]) is
+//!    re-judged at each `near` switch. The cycles these walks close are
+//!    also the update's per-update check: after the update a delta atom
+//!    has an out-link at `s` iff it has an added pair there, so they are
+//!    exactly the walks of [`crate::loops::find_loops_from_seeds`] (which
+//!    an unmonitored engine runs instead).
 //! 4. **Transitions**: violation identity is the canonical cycle for loops
 //!    and the switch for blackholes. Because drained entries stayed in the
 //!    map, "was tracked before this update" needs no snapshot of the key
 //!    sets: an identity admitted into a vacant slot *appeared*, an entry
 //!    still empty at the end *resolved* and is dropped, and a cycle that
-//!    drains and refills within one (aggregated) delta fires nothing. The
-//!    update's transitions are recorded as one [`MonitorTransitions`]
+//!    drains and refills within one update fires nothing. The update's
+//!    transitions are recorded as one [`MonitorTransitions`]
 //!    ([`ViolationMonitor::last_events`]), each list ascending.
 //!
-//! Cost per update: O(|Δ| · (tracked cycles + links + walk length)) bit
-//! probes, where |Δ| is the number of distinct atoms in the delta — for a
-//! rule update one or two — plus O(switches) blackhole probes per split.
-//! Nothing depends on the number of atoms in the plane, and with the
-//! scratch warm an update that transitions no identity allocates nothing
-//! (`tests/footprint.rs` pins both by counting allocated bytes).
+//! Cost per update: O(tracked identities) bit probes per split, plus, per
+//! delta atom — for a rule update one or two — O(tracked cycles + walk
+//! length + links of the `near` switches). Nothing depends on the number
+//! of atoms in the plane, and with the scratch warm an update that
+//! transitions no identity allocates nothing beyond what its per-update
+//! check reports (`tests/footprint.rs` pins both by counting allocated
+//! bytes, against an unmonitored twin).
 //!
-//! Because the repair goes through the walk of [`crate::loops`] and
-//! [`crate::blackholes::is_blackholed_at`] — the same primitives as the
-//! full scans — [`ViolationMonitor::active_violations`] is bit-identical to
+//! Because the repair goes through the walk of [`crate::loops`] and the
+//! blackhole predicate — the same primitives as the full scans —
+//! [`ViolationMonitor::active_violations`] is bit-identical to
 //! `check_all_loops() ++ check_all_blackholes()` after every operation; the
 //! randomized differential suite (`tests/monitor_differential.rs`) pins
 //! this, including across [`crate::DeltaNet::compact`] renumbering (via
-//! [`ViolationMonitor::remap`]) and under sharding, and a unit-test
-//! differential pins state *and* event sequence against the dense
-//! reference repair this one replaced.
+//! [`ViolationMonitor::remap`]) and under sharding. A unit-test
+//! differential pins state *and* event sequence against a dense reference
+//! repair, and every op's report against an unmonitored twin's; one
+//! fixture per rule above fails if that rule is broken.
+//!
+//! ## Aggregated delta-graphs
+//!
+//! A delta-graph aggregated over several updates (§3.3,
+//! [`crate::DeltaNet::begin_aggregate`] / [`crate::DeltaNet::take_aggregate`])
+//! has pairs leaving any switch, and its splits may follow label changes
+//! earlier in the same window, so nothing can be inherited. An external
+//! monitor repairs from one with [`ViolationMonitor::apply_update`]: every
+//! delta atom and every split's new atom is retired from *every* tracked
+//! cycle and re-walked from each switch that emits it
+//! ([`crate::loops::cycles_for_atom_list`], one `contains` probe per link),
+//! and the blackhole predicate is re-checked at the endpoints of the
+//! changed pairs and, for split atoms, at every switch. Step 4 above
+//! applies unchanged. Cost per window: O(|Δ| · (tracked cycles + links +
+//! walk length)) bit probes, where |Δ| is the number of distinct atoms in
+//! the delta, plus O(switches) blackhole probes per split.
 //!
 //! ## Multi-field engines
 //!
 //! With secondary header fields declared, a violation is a property of a
-//! `(primary atom, secondary class)` pair that no label describes, so the
-//! engine does not hand this monitor a delta-graph. A rule update changes
-//! forwarding only at its source `s`, so the engine repairs the update in
-//! one pass at `s` ([`ViolationMonitor::repair_at`]): a split's new atom
-//! first inherits its old atom's tracked state, then each atom of the
-//! rule's interval that the update can move is retired only from cycles
-//! through `s` and from the switches `s` decides or forwards into, and a
-//! kernel scan from `s` re-decides those, told whether the atom was
-//! tracked at each switch so a blackhole is judged only where what `s`
-//! changed leaves it open. A cycle avoiding `s` and a blackhole anywhere
-//! else rest on decisions the update did not touch, so their tracked
-//! membership is still exact (the repair contract in [`crate::multifield`]
-//! has the argument, and the shadowed atoms the engine skips outright).
-//! Step 4 above runs unchanged around the scan, so the tracked state stays
-//! keyed by primary atom alone — `loops[C] ∋ α` iff α rides C in *some*
-//! class — and events keep their identity-level meaning. A full scan walks
-//! every atom from every emitter into an empty monitor
+//! `(primary atom, secondary class)` pair that no label describes. The
+//! repair is the same pass at `s`, with two differences: its atoms are
+//! those of the rule's interval that the update can move, and the scan is
+//! the set-at-a-time kernel's, told whether the atom was tracked at each
+//! `near` switch so a blackhole is judged only where what `s` changed
+//! leaves it open (the repair contract in [`crate::multifield`] has the
+//! argument, and the shadowed atoms the engine skips outright). The tracked
+//! state stays keyed by primary atom alone — `loops[C] ∋ α` iff α rides C
+//! in *some* class — and events keep their identity-level meaning. A full
+//! scan walks every atom from every emitter into an empty monitor
 //! ([`ViolationMonitor::seeded`]), so `tests/multifield_differential.rs`
 //! pins state and events, after every operation, against the kernel run
 //! from scratch — and that scan against the stateless Veriflow-RI cross
@@ -96,7 +120,6 @@ use crate::blackholes;
 use crate::delta_graph::DeltaGraph;
 use crate::labels::Labels;
 use crate::loops::{self, CycleMap, WalkScratch};
-use crate::multifield::Found;
 use netmodel::checker::InvariantViolation;
 use netmodel::topology::{NodeId, Topology};
 use std::collections::{BTreeMap, BTreeSet};
@@ -198,6 +221,14 @@ impl TransitionTracker {
     }
 }
 
+/// What one per-atom repair scan found: the atom loops on a canonical
+/// cycle, or dies at a switch (on a multi-field engine: in at least one
+/// secondary class).
+pub(crate) enum Found<'a> {
+    Cycle(&'a [NodeId]),
+    Hole(NodeId),
+}
+
 /// The live violation state: every forwarding loop and blackhole currently
 /// present in the data plane, maintained incrementally (see the module
 /// docs). Created empty alongside an empty engine
@@ -211,11 +242,10 @@ pub struct ViolationMonitor {
     holes: BTreeMap<NodeId, AtomSet>,
     /// The appeared/resolved transitions of the most recent update.
     events: MonitorTransitions,
-    /// Repair scratch, empty between updates and reused across them: the
-    /// walk state, the delta's distinct atoms, and the blackhole
-    /// `(switch, atom)` candidates, the latter two sorted; for a
-    /// multi-field repair, each switch around the updated one with whether
-    /// the atom at hand was tracked there.
+    /// Repair scratch, reused across updates: the walk state, the delta's
+    /// distinct atoms, and the blackhole `(switch, atom)` candidates, the
+    /// latter two sorted; for a repair at one switch, each of its `near`
+    /// switches with whether the atom at hand was tracked there.
     walk: WalkScratch,
     atoms: Vec<AtomId>,
     candidates: Vec<(NodeId, AtomId)>,
@@ -271,22 +301,22 @@ impl ViolationMonitor {
         monitor
     }
 
-    /// The multi-field repair of one rule update at `source` (the repair
-    /// contract in [`crate::multifield`]): the same retire → re-admit →
-    /// settle sequence as [`ViolationMonitor::apply_update`], with the
-    /// scan supplied by the engine. First each split's new atom takes its
-    /// old atom's tracked cycles and holes, pair by pair in creation order.
-    /// Then each of `atoms` is retired from the cycles through `source` and
-    /// the holes at `near`, and `scan` reports what it violates there now,
-    /// given each `near` switch with whether the atom was tracked there.
-    /// Transitions are recorded at the identity level exactly as for a
-    /// delta-graph.
+    /// The repair of one rule update at `source`, for both header shapes
+    /// (see the module docs): the same retire → re-admit → settle sequence
+    /// as [`ViolationMonitor::apply_update`], with the scan supplied by the
+    /// engine. First each split's new atom takes its old atom's tracked
+    /// cycles and holes, pair by pair in creation order. Then each of
+    /// `atoms` is retired from the cycles through `source` and the holes at
+    /// its `near` switches ([`near`]), and `scan` reports what it violates
+    /// there now, given each `near` switch with whether the atom was tracked
+    /// there. Transitions are recorded at the identity level exactly as for
+    /// a delta-graph.
     pub(crate) fn repair_at(
         &mut self,
+        topology: &Topology,
         splits: &[DeltaPair],
         atoms: &[AtomId],
         source: NodeId,
-        near: &[NodeId],
         mut scan: impl FnMut(AtomId, &[(NodeId, bool)], &mut dyn FnMut(Found<'_>)),
     ) {
         self.events.clear();
@@ -297,6 +327,10 @@ impl ViolationMonitor {
                 }
             }
         }
+        if atoms.is_empty() {
+            return;
+        }
+        near(topology, source, &mut self.tracked);
         let (mut loops_drained, mut holes_drained) = (false, false);
         for &atom in atoms {
             for (cycle, set) in &mut self.loops {
@@ -304,15 +338,13 @@ impl ViolationMonitor {
                     loops_drained |= set.is_empty();
                 }
             }
-            self.tracked.clear();
-            for &node in near {
-                let set = self.holes.get_mut(&node);
-                let was = set.is_some_and(|set| {
+            for (node, was) in &mut self.tracked {
+                let set = self.holes.get_mut(node);
+                *was = set.is_some_and(|set| {
                     let was = set.remove(atom);
                     holes_drained |= was && set.is_empty();
                     was
                 });
-                self.tracked.push((node, was));
             }
             let (loops, holes) = (&mut self.loops, &mut self.holes);
             let appeared = &mut self.events.appeared;
@@ -339,13 +371,37 @@ impl ViolationMonitor {
         self.events.appeared.sort_unstable();
     }
 
-    /// Repairs the violation state from one update's delta-graph, recording
-    /// the appeared/resolved transitions (readable via
-    /// [`ViolationMonitor::last_events`] until the next update).
+    /// The single-field repair of one rule update at `source`:
+    /// [`ViolationMonitor::repair_at`] over `delta`'s atoms — those of its
+    /// changed pairs, every one of which leaves `source` — with the
+    /// update's splits. A split's new atom outside the changed pairs only
+    /// inherits.
+    pub(crate) fn repair_delta_at(
+        &mut self,
+        topology: &Topology,
+        delta: &DeltaGraph,
+        source: NodeId,
+        scan: impl FnMut(AtomId, &[(NodeId, bool)], &mut dyn FnMut(Found<'_>)),
+    ) {
+        let mut atoms = std::mem::take(&mut self.atoms);
+        atoms.clear();
+        let changed = delta.added.iter().chain(&delta.removed);
+        atoms.extend(changed.map(|&(_, atom)| atom));
+        atoms.sort_unstable();
+        atoms.dedup();
+        self.repair_at(topology, &delta.splits, &atoms, source, scan);
+        self.atoms = atoms;
+    }
+
+    /// Repairs the violation state from a delta-graph aggregated over one
+    /// or more updates ([`crate::DeltaNet::take_aggregate`]; see "Aggregated
+    /// delta-graphs" in the module docs), recording the appeared/resolved
+    /// transitions (readable via [`ViolationMonitor::last_events`] until the
+    /// next repair). An engine's own monitor is repaired per update at the
+    /// updated switch instead.
     ///
-    /// `labels` must be the *post-update* edge labels of the engine that
-    /// produced `delta` — exactly what [`crate::DeltaNet`] passes when
-    /// feeding its monitor.
+    /// `labels` must be the edge labels of the engine that produced `delta`
+    /// as they stand after its last update.
     pub fn apply_update(&mut self, topology: &Topology, labels: &Labels, delta: &DeltaGraph) {
         self.events.clear();
         // The atoms whose violation membership may differ from the tracked
@@ -556,6 +612,24 @@ impl ViolationMonitor {
     }
 }
 
+/// Fills `near` with the switches whose blackholes a rule update at
+/// `source` can change — `source` and the far ends of its out-links, drop
+/// sinks excepted, ascending — each flagged untracked. The update changes
+/// labels only on `source`'s out-links, and the predicate at a switch reads
+/// only its own links.
+fn near(topology: &Topology, source: NodeId, near: &mut Vec<(NodeId, bool)>) {
+    near.clear();
+    near.push((source, false));
+    let ends = topology.out_links(source).iter();
+    let ends = ends.map(|&link| topology.link(link).dst);
+    near.extend(
+        ends.filter(|&n| !topology.is_drop_node(n))
+            .map(|n| (n, false)),
+    );
+    near.sort_unstable();
+    near.dedup();
+}
+
 /// Closes one phase (loops, then blackholes) of a repair: entries that
 /// `drained` and were not refilled are still in `tracked`, empty. Drops
 /// those, pushing each onto `resolved` in ascending key order. Loop keys
@@ -588,6 +662,7 @@ mod tests {
     use netmodel::interval::Bound;
     use netmodel::ip::IpPrefix;
     use netmodel::rule::{Rule, RuleId};
+    use netmodel::topology::LinkId;
     use netmodel::trace::Op;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -945,6 +1020,115 @@ mod tests {
         assert_eq!(monitor.last_events(), &appeared(ViolationKey::Blackhole(b)));
     }
 
+    /// The repair contract's fixtures, on a switch `a` with a drop link and
+    /// the cycle b -> c -> b for 10/8 beside it. The updates are all at
+    /// `a`; the cycle avoids it.
+    fn beside_a_cycle() -> (DeltaNet, [NodeId; 3], LinkId, LinkId) {
+        let mut topo = Topology::new();
+        let [a, b, c] = ["a", "b", "c"].map(|name| topo.add_node(name));
+        let ab = topo.add_link(a, b);
+        let bc = topo.add_link(b, c);
+        let cb = topo.add_link(c, b);
+        let drop_a = topo.drop_link(a);
+        let mut net = DeltaNet::new(topo, monitored());
+        let p = prefix("10.0.0.0/8");
+        net.insert_rule(Rule::forward(RuleId(1), p, 1, b, bc));
+        net.insert_rule(Rule::forward(RuleId(2), p, 1, c, cb));
+        assert_eq!(
+            net.monitor().unwrap().active_keys(),
+            [ViolationKey::Loop(vec![b, c])]
+        );
+        (net, [a, b, c], ab, drop_a)
+    }
+
+    /// Asserts the update left no transition and the live state equal to
+    /// the full scans — whose loop packets cover all of 10/8.
+    fn unmoved(net: &DeltaNet) {
+        let monitor = net.monitor().unwrap();
+        assert!(
+            monitor.last_events().is_empty(),
+            "{:?}",
+            monitor.last_events()
+        );
+        assert_eq!(net.active_violations().unwrap(), full_scan(net));
+        let loops = net.check_all_loops();
+        let InvariantViolation::ForwardingLoop { packets, .. } = &loops[0] else {
+            panic!("{loops:?}");
+        };
+        let p = prefix("10.0.0.0/8");
+        assert_eq!(packets, &[p.interval()]);
+    }
+
+    #[test]
+    fn a_cycle_avoiding_the_updated_switch_keeps_the_atom_rerouted_there() {
+        // a feeds 10/8 into the cycle, then drops it instead: the atom's
+        // pair a -> b goes, yet it still rides b -> c -> b, which no label
+        // of a's out-links decides.
+        let (mut net, [a, ..], ab, drop_a) = beside_a_cycle();
+        let p = prefix("10.0.0.0/8");
+        net.insert_rule(Rule::forward(RuleId(3), p, 1, a, ab));
+        let report = net.insert_rule(Rule::drop(RuleId(4), p, 5, a, drop_a));
+        assert_eq!(report.changed_links.len(), 2, "the atom moved at a");
+        assert!(report.violations.is_empty());
+        unmoved(&net);
+    }
+
+    #[test]
+    fn a_split_atom_keeps_its_old_atoms_loop_elsewhere() {
+        // Drops at a split the looping atom without touching the cycle's
+        // labels: first an upper split, whose new atom lies outside the
+        // rule and is only inherited, then a lower split, whose new atom is
+        // inside it and is repaired at a after inheriting.
+        let (mut net, [a, ..], _, drop_a) = beside_a_cycle();
+        net.insert_rule(Rule::drop(RuleId(3), prefix("10.0.0.0/9"), 1, a, drop_a));
+        assert_eq!(net.last_delta().splits.len(), 1);
+        unmoved(&net);
+        net.insert_rule(Rule::drop(RuleId(4), prefix("10.192.0.0/10"), 1, a, drop_a));
+        assert_eq!(net.last_delta().splits.len(), 1);
+        unmoved(&net);
+    }
+
+    #[test]
+    fn a_chained_split_inherits_from_atom_to_atom() {
+        // A /10 strictly inside the looping /8 splits twice: A -> B at its
+        // low bound, then B -> C at its high one. C's loop comes from B,
+        // which had it only from A a moment before.
+        let (mut net, [a, ..], _, drop_a) = beside_a_cycle();
+        net.insert_rule(Rule::drop(RuleId(3), prefix("10.64.0.0/10"), 1, a, drop_a));
+        let splits = &net.last_delta().splits;
+        assert_eq!(splits.len(), 2);
+        assert_eq!(
+            splits[1].old, splits[0].new,
+            "the second split splits the first's atom"
+        );
+        unmoved(&net);
+    }
+
+    #[test]
+    fn a_hole_fed_by_another_in_neighbour_outlives_the_updated_switchs_feed() {
+        // s and m both send 10/8 to n, which has no rule for it. s stops:
+        // n still receives the atom from m, so the hole stays.
+        let mut topo = Topology::new();
+        let [s, m, n] = ["s", "m", "n"].map(|name| topo.add_node(name));
+        let sn = topo.add_link(s, n);
+        let mn = topo.add_link(m, n);
+        let mut net = DeltaNet::new(topo, monitored());
+        let p = prefix("10.0.0.0/8");
+        net.insert_rule(Rule::forward(RuleId(1), p, 1, s, sn));
+        net.insert_rule(Rule::forward(RuleId(2), p, 1, m, mn));
+        let hole = [ViolationKey::Blackhole(n)];
+        assert_eq!(net.monitor().unwrap().active_keys(), hole);
+        net.remove_rule(RuleId(1));
+        let monitor = net.monitor().unwrap();
+        assert!(
+            monitor.last_events().is_empty(),
+            "{:?}",
+            monitor.last_events()
+        );
+        assert_eq!(monitor.active_keys(), hole);
+        assert_eq!(net.active_violations().unwrap(), full_scan(&net));
+    }
+
     /// One engine per shard range, routed by hand so the test knows which
     /// engines an op touched (and can reach each engine's delta-graphs).
     fn shard_engines(topo: &Topology, config: DeltaNetConfig, shards: usize) -> Vec<DeltaNet> {
@@ -976,10 +1160,13 @@ mod tests {
 
     #[test]
     fn per_op_repair_matches_dense_reference_in_state_and_events() {
-        // The engine's own monitor is the repair under test, fed one
-        // delta-graph per op (splits included) and remapped by explicit and
-        // threshold-triggered compaction. The reference starts every op as
-        // a clone of it, so it needs no remap of its own.
+        // The engine's own monitor is the repair under test: one pass at
+        // the updated switch per op (splits included), remapped by explicit
+        // and threshold-triggered compaction. The reference starts every op
+        // as a clone of it and is fed the op's delta-graph, so it needs no
+        // remap of its own. Each shard engine also has an unmonitored twin
+        // fed the same op: the per-update check that rides the repair's
+        // walk must report exactly what the twin's seeded check does.
         for shards in SHARD_COUNTS {
             for seed in 0..4u64 {
                 let mut rng = StdRng::seed_from_u64(0x15_0001 ^ (shards as u64) << 8 ^ seed);
@@ -990,8 +1177,13 @@ mod tests {
                     ..monitored()
                 };
                 let mut engines = shard_engines(&topo, config, shards);
+                let unmonitored = DeltaNetConfig {
+                    monitor_violations: false,
+                    ..config
+                };
+                let mut twins = shard_engines(&topo, unmonitored, shards);
                 let mut gen = OpGen::new(8, 40, 0.35);
-                let mut compared = 0;
+                let (mut compared, mut looping) = (0, 0);
                 for step in 0..200 {
                     let Some(op) = gen.next_op(&mut rng, &topo) else {
                         continue;
@@ -1000,9 +1192,14 @@ mod tests {
                         let net = &mut engines[i];
                         let mut reference = net.monitor().unwrap().clone();
                         let passes = net.compactions();
-                        net.try_apply(&op).expect("a routed op applies");
-                        let monitor = net.monitor().unwrap();
+                        let report = net.try_apply(&op).expect("a routed op applies");
                         let at = format!("{shards} shards, seed {seed}, step {step}, shard {i}");
+                        let twin = twins[i].try_apply(&op).expect("the twin applies it too");
+                        assert_eq!(report.violations, twin.violations, "{at}");
+                        assert_eq!(report.affected_classes, twin.affected_classes, "{at}");
+                        assert_eq!(report.changed_links, twin.changed_links, "{at}");
+                        looping += usize::from(report.has_loop());
+                        let monitor = net.monitor().unwrap();
                         assert_eq!(
                             monitor.active_violations(net.atoms()),
                             full_scan(net),
@@ -1023,9 +1220,13 @@ mod tests {
                             net.compact();
                             assert_eq!(net.active_violations().unwrap(), full_scan(net));
                         }
+                        for twin in &mut twins {
+                            twin.compact();
+                        }
                     }
                 }
                 assert!(compared > 100, "only {compared} ops compared");
+                assert!(looping > 0, "no op reported a loop");
             }
         }
     }

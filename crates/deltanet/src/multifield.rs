@@ -127,7 +127,7 @@
 use crate::atoms::{AtomId, AtomMap, BoundRefs, DeltaPair};
 use crate::delta_graph::DeltaGraph;
 use crate::loops::{self, CycleMap};
-use crate::monitor::ViolationMonitor;
+use crate::monitor::{Found, ViolationMonitor};
 use crate::owner::{Owner, SourceRules};
 use netmodel::checker::InvariantViolation;
 use netmodel::header::{SecondaryMatch, MAX_SECONDARY_FIELDS};
@@ -151,13 +151,6 @@ pub(crate) struct MfView<'a> {
 // The rank-range product in `ClassWalk::admitted` is written out for two
 // secondary fields; a third needs one more loop level there.
 const _: () = assert!(MAX_SECONDARY_FIELDS == 2);
-
-/// What one per-atom scan found: the atom loops on a canonical cycle, or
-/// dies at a switch, in at least one secondary class.
-pub(crate) enum Found<'a> {
-    Cycle(&'a [NodeId]),
-    Hole(NodeId),
-}
 
 /// One node on the walk's current path. Its carried class set is the
 /// frame's row of `ClassWalk::frame_sets`.
@@ -597,10 +590,8 @@ pub(crate) struct MultiField {
     atoms: Vec<AtomMap>,
     books: Vec<BoundRefs>,
     walk: ClassWalk,
-    /// Repair scratch, reused across updates: the updated switch's `near`
-    /// set (itself and the far ends of its out-links) and the atoms
-    /// repaired at it.
-    near: Vec<NodeId>,
+    /// Repair scratch, reused across updates: the atoms repaired at the
+    /// updated switch.
     local: Vec<AtomId>,
 }
 
@@ -618,7 +609,6 @@ impl MultiField {
             walk: ClassWalk::new(&atoms, nodes),
             atoms,
             books,
-            near: Vec::new(),
             local: Vec::new(),
         })
     }
@@ -719,16 +709,8 @@ impl MultiField {
         // adding a single label bit), so the check is seeded from the rule.
         let walk = &mut self.walk;
         if let Some(monitor) = monitor {
-            let (topology, source) = (view.topology, rule.source);
+            let source = rule.source;
             walk.begin_check(check.then_some(&rule.sec));
-            let out = topology.out_links(source).iter();
-            let ends = out.map(|&link| topology.link(link).dst);
-            self.near.clear();
-            self.near.push(source);
-            self.near
-                .extend(ends.filter(|&n| !topology.is_drop_node(n)));
-            self.near.sort_unstable();
-            self.near.dedup();
             // A shadowed atom's forwarding does not change, so only the
             // check walks it.
             self.local.clear();
@@ -740,10 +722,10 @@ impl MultiField {
                 }
             }
             monitor.repair_at(
+                view.topology,
                 splits,
                 &self.local,
                 source,
-                &self.near,
                 |atom, near, found| walk.scan_at(view, atom, source, near, was_insert, found),
             );
         } else if check {

@@ -45,6 +45,10 @@ fn prefix(s: &str) -> IpPrefix {
 }
 
 fn plane(filler_rules: u32) -> Plane {
+    plane_with(filler_rules, DeltaNetConfig::default())
+}
+
+fn plane_with(filler_rules: u32, config: DeltaNetConfig) -> Plane {
     let mut topo = Topology::new();
     let s: Vec<NodeId> = topo.add_nodes("s", 3);
     let t = topo.add_node("t");
@@ -54,7 +58,7 @@ fn plane(filler_rules: u32) -> Plane {
     let to_t = topo.add_link(s[0], t);
     let drop_t = topo.drop_link(t);
     let drop_s2 = topo.drop_link(s[2]);
-    let mut net = DeltaNet::with_topology(topo);
+    let mut net = DeltaNet::new(topo, config);
     let mut next_id = 0;
     let mut id = || {
         next_id += 1;
@@ -149,6 +153,73 @@ fn monitor_repair_allocation_is_independent_of_the_atom_count() {
     }
     assert_eq!(cold[0], cold[1], "cold repair bytes: 1 k vs 64 k atoms");
     assert!(cold[0][0][0] > 0, "the first repair sizes the scratch");
+}
+
+#[test]
+fn engine_repair_allocates_what_the_unmonitored_check_does() {
+    // The engine's own repair, at the updated switch with the per-update
+    // check riding its walk: `full` monitors, `bare` is the same engine
+    // without a monitor, fed the same operations. Neither flap moves an
+    // identity, so a warm repair allocates nothing beyond the check — the
+    // closer's insert reports the loop it rejoins on both engines alike.
+    for (filler_rules, min_atoms) in [(500, 1_000), (32_000, 64_000)] {
+        let monitored = DeltaNetConfig {
+            monitor_violations: true,
+            ..DeltaNetConfig::default()
+        };
+        let Plane {
+            net: mut full,
+            probe,
+            closer,
+        } = plane_with(filler_rules, monitored);
+        let mut bare = plane(filler_rules).net;
+        assert!(full.allocated_atoms() >= min_atoms);
+        let monitor = full.monitor().expect("monitoring is on");
+        assert_eq!((monitor.loop_count(), monitor.blackhole_count()), (1, 1));
+        // Toggles `rule` twice on both engines; returns, per toggle, the
+        // bytes each allocated and whether the update reported a loop.
+        let mut flap = |rule: Rule| -> [(u64, u64, bool); 2] {
+            std::array::from_fn(|_| {
+                let toggle = |net: &mut DeltaNet| {
+                    if net.rule(rule.id).is_some() {
+                        allocated_bytes(|| net.remove_rule(rule.id))
+                    } else {
+                        allocated_bytes(|| net.insert_rule(rule))
+                    }
+                };
+                let ((full_bytes, report), (bare_bytes, twin)) =
+                    (toggle(&mut full), toggle(&mut bare));
+                assert_eq!(report, twin);
+                let monitor = full.monitor().expect("monitoring is on");
+                assert!(
+                    monitor.last_events().is_empty(),
+                    "the probes move no identity"
+                );
+                (full_bytes, bare_bytes, report.has_loop())
+            })
+        };
+        // Cold: the first repairs size the monitor's scratch.
+        flap(probe);
+        flap(closer);
+        let [out, back] = flap(probe);
+        assert_eq!(
+            (out.0, back.0),
+            (out.1, back.1),
+            "probe: full vs bare bytes"
+        );
+        let [out, back] = flap(closer);
+        assert_eq!(
+            (out.0, back.0),
+            (out.1, back.1),
+            "closer: full vs bare bytes"
+        );
+        assert!(!out.2 && back.2, "the closer's insert reports its loop");
+        assert!(back.1 > 0, "the reported loop allocates on both");
+
+        let mut expect = full.check_all_loops();
+        expect.extend(full.check_all_blackholes());
+        assert_eq!(full.active_violations(), Some(expect));
+    }
 }
 
 #[test]
