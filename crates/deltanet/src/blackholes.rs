@@ -65,19 +65,22 @@ pub(crate) fn blackholed_atoms_at(topology: &Topology, labels: &Labels, node: No
 }
 
 /// Whether the single atom `atom` is blackholed at `node` — the point form
-/// of [`blackholed_atoms_at`] used by the monitor's per-delta re-checks.
+/// of [`blackholed_atoms_at`] the monitor's window repair re-judges at each
+/// switch around the updated ones.
 pub(crate) fn is_blackholed_at(
     topology: &Topology,
     labels: &Labels,
     node: NodeId,
     atom: crate::atoms::AtomId,
 ) -> bool {
-    topology
-        .in_links(node)
+    // Out-links first: a switch that forwards the atom, the common case
+    // on a routed plane, is decided by the first hit.
+    !topology
+        .out_links(node)
         .iter()
         .any(|&l| labels.contains(l, atom))
-        && !topology
-            .out_links(node)
+        && topology
+            .in_links(node)
             .iter()
             .any(|&l| labels.contains(l, atom))
 }

@@ -25,19 +25,18 @@
 //! atoms, owners, and labels behave bit-identically to the paper's
 //! presentation.
 
-use crate::atoms::{AtomMap, BoundRefs, DeltaPair};
-use crate::blackholes;
+use crate::atoms::{AtomId, AtomMap, BoundRefs, DeltaPair};
 use crate::delta_graph::DeltaGraph;
 use crate::labels::Labels;
-use crate::loops::{self, CycleMap, WalkScratch};
-use crate::monitor::{Found, ViolationMonitor};
+use crate::loops::{self, WalkScratch};
+use crate::monitor::ViolationMonitor;
 use crate::multifield::{MfView, MultiField};
 use crate::owner::Owner;
-use netmodel::checker::{Checker, UpdateError, UpdateReport, WhatIfReport};
+use netmodel::checker::{Checker, ReplayError, UpdateError, UpdateReport, WhatIfReport};
 use netmodel::header::{HeaderSpace, MAX_SECONDARY_FIELDS};
 use netmodel::interval::Interval;
 use netmodel::rule::{Rule, RuleId};
-use netmodel::topology::{LinkId, Topology};
+use netmodel::topology::{LinkId, NodeId, Topology};
 use netmodel::trace::Op;
 use std::collections::HashMap;
 
@@ -218,9 +217,8 @@ pub struct DeltaNet {
     /// allocation. Invariant: empty between updates (taken at the start of
     /// `insert_rule`, cleared and put back before the update returns).
     pair_scratch: Vec<DeltaPair>,
-    /// Scratch of the successor walks of the per-update loop check and the
-    /// single-field monitor repair, reused for the same reason (see
-    /// [`loops::WalkScratch`]).
+    /// Scratch of the successor walks of the per-update loop check, reused
+    /// for the same reason (see [`loops::WalkScratch`]).
     walk_scratch: WalkScratch,
     /// When `Some(range)`, this engine owns only that contiguous slice of
     /// the address space: every applied rule interval is intersected with it
@@ -229,9 +227,43 @@ pub struct DeltaNet {
     clip: Option<Interval>,
     /// The incrementally maintained violation state, when monitoring is on
     /// ([`DeltaNetConfig::monitor_violations`] or
-    /// [`DeltaNet::enable_monitor`]). Repaired by every update in
-    /// [`DeltaNet::finish_update`]; remapped across [`DeltaNet::compact`].
+    /// [`DeltaNet::enable_monitor`]). Single-field, repaired once per window
+    /// from `window` ([`DeltaNet::close_window`]); multi-field, per update
+    /// in [`DeltaNet::finish_update`]. Remapped across [`DeltaNet::compact`].
     monitor: Option<ViolationMonitor>,
+    /// What the open window owes a single-field monitor. Empty between
+    /// windows.
+    window: WindowRecord,
+}
+
+/// What the updates of one window changed, for the single-field monitor
+/// repair at its close: the atoms whose labels they changed, the switches
+/// whose out-links' labels they changed (`rule.source` of each update that
+/// changed a label), and their atom splits, in creation order. The buffers
+/// are reused from window to window.
+#[derive(Clone, Debug, Default)]
+struct WindowRecord {
+    atoms: Vec<AtomId>,
+    sources: Vec<NodeId>,
+    splits: Vec<DeltaPair>,
+}
+
+impl WindowRecord {
+    fn clear(&mut self) {
+        self.atoms.clear();
+        self.sources.clear();
+        self.splits.clear();
+    }
+}
+
+/// Empties the record of the window it guards when dropped — also when an
+/// update panics mid-window, so no later window repairs from its leftovers.
+struct WindowGuard<'a>(&'a mut DeltaNet);
+
+impl Drop for WindowGuard<'_> {
+    fn drop(&mut self) {
+        self.0.window.clear();
+    }
 }
 
 impl DeltaNet {
@@ -426,11 +458,13 @@ impl DeltaNet {
     }
 
     /// Whether an aggregation window opened by [`DeltaNet::begin_aggregate`]
-    /// is currently in progress. The violation monitor is repaired per
-    /// update even inside a window, so state captured mid-window is still
-    /// monitor-consistent — but automatic compaction is deferred, so
-    /// callers scheduling maintenance (like checkpoint snapshots) may
-    /// prefer window boundaries.
+    /// is currently in progress. The violation monitor does not depend on
+    /// it: it is repaired at the close of every [`Checker::apply_window`]
+    /// and every one-op update, so state captured between them is
+    /// monitor-consistent whether or not an aggregation is open — but
+    /// automatic compaction is deferred while one is, so callers scheduling
+    /// maintenance (like checkpoint snapshots) may prefer aggregation
+    /// boundaries.
     pub fn is_aggregating(&self) -> bool {
         self.aggregate.is_some()
     }
@@ -474,8 +508,16 @@ impl DeltaNet {
     /// Fallible form of [`DeltaNet::insert_rule`]: a duplicate rule id, an
     /// out-of-topology link, or (on a [`DeltaNet::clipped`] engine) a rule
     /// that does not intersect the shard range is reported as an
-    /// [`UpdateError`] without touching the engine state.
+    /// [`UpdateError`] without touching the engine state. A one-op window.
     pub fn try_insert_rule(&mut self, rule: Rule) -> Result<UpdateReport, UpdateError> {
+        let report = self.insert_in_window(rule)?;
+        self.close_window();
+        Ok(report)
+    }
+
+    /// [`DeltaNet::try_insert_rule`] inside an open window: the monitor
+    /// repair is left to the window's close.
+    fn insert_in_window(&mut self, rule: Rule) -> Result<UpdateReport, UpdateError> {
         if self.rules.contains_key(&rule.id) {
             return Err(UpdateError::DuplicateRule(rule.id));
         }
@@ -599,8 +641,16 @@ impl DeltaNet {
     /// Fallible form of [`DeltaNet::remove_rule`]: an unknown rule id is
     /// reported as an [`UpdateError`] without touching the engine state, so
     /// trace replay survives malformed input (double withdrawals, traces
-    /// referencing rules that were never installed).
+    /// referencing rules that were never installed). A one-op window.
     pub fn try_remove_rule(&mut self, id: RuleId) -> Result<UpdateReport, UpdateError> {
+        let report = self.remove_in_window(id)?;
+        self.close_window();
+        Ok(report)
+    }
+
+    /// [`DeltaNet::try_remove_rule`] inside an open window. A compaction
+    /// the removal triggers repairs the window so far first.
+    fn remove_in_window(&mut self, id: RuleId) -> Result<UpdateReport, UpdateError> {
         let rule = match self.rules.remove(&id) {
             Some(rule) => rule,
             None => return Err(UpdateError::UnknownRule(id)),
@@ -671,15 +721,17 @@ impl DeltaNet {
     ///
     /// Atom ids are *not stable* across a compaction: ids obtained before
     /// the pass (label snapshots, delta-graphs) must not be used afterwards.
-    /// [`DeltaNet::last_delta`] is therefore reset to empty. An in-progress
-    /// aggregate (automatic compaction is deferred while one is open, so
-    /// only an explicit call reaches this case) is *remapped* through the
-    /// pass's renumbering table instead of being discarded
-    /// ([`DeltaGraph::remap`]): the window's surviving label changes stay
-    /// in the aggregate under their new ids, so a consumer of
+    /// An open window's monitor repair therefore runs first, under the ids
+    /// its updates recorded, and [`DeltaNet::last_delta`] is reset to
+    /// empty. An in-progress aggregate (automatic compaction is deferred
+    /// while one is open, so only an explicit call reaches this case) is
+    /// *remapped* through the pass's renumbering table instead of being
+    /// discarded ([`DeltaGraph::remap`]): the window's surviving label
+    /// changes stay in the aggregate under their new ids, so a consumer of
     /// [`DeltaNet::take_aggregate`] — e.g. an external violation monitor —
     /// still sees every change the window made.
     pub fn compact(&mut self) -> CompactReport {
+        self.close_window();
         let allocated_before = self.atoms.allocated_atoms();
         let bytes_before = self.memory_estimate();
 
@@ -730,19 +782,18 @@ impl DeltaNet {
     }
 
     /// Shared tail of both algorithms: run the configured per-update check,
-    /// repair the monitor, remember the delta, and build the report. `rule`
-    /// is the inserted/removed rule and `interval` the (possibly
+    /// account for the monitor, remember the delta, and build the report.
+    /// `rule` is the inserted/removed rule and `interval` the (possibly
     /// shard-clipped) interval the update ran on — the multi-field paths
     /// need the rule itself, not just its id.
     ///
-    /// A monitored update is one pass at `rule.source`, whatever the header
-    /// shape ([`ViolationMonitor::repair_at`]): every changed pair leaves
-    /// that switch. On a single-field engine each delta atom is walked once
-    /// from it, and the cycles those walks close are the per-update check —
-    /// after the update an atom has an out-link there iff it has an added
-    /// pair, so they are the walks [`loops::find_loops_from_seeds_in`]
-    /// makes, which an unmonitored engine runs instead. Blackholes are
-    /// re-judged only at the `near` switches, from the labels.
+    /// A multi-field update repairs its monitor here, in one pass at
+    /// `rule.source` ([`MultiField::finish_update`]). A single-field one
+    /// runs the check an unmonitored engine runs
+    /// ([`loops::find_loops_from_seeds_in`] over the added pairs) and, when
+    /// monitored, appends its changed atoms, its source if it changed a
+    /// label, and its splits to the window's record, which
+    /// [`DeltaNet::close_window`] repairs from once.
     fn finish_update(
         &mut self,
         delta: DeltaGraph,
@@ -764,34 +815,27 @@ impl DeltaNet {
             let monitor = self.monitor.as_mut();
             let splits = &delta.splits;
             mf.finish_update(&view, &rule, interval, splits, was_insert, check, monitor)
-        } else if let Some(monitor) = self.monitor.as_mut() {
-            let (topology, labels, source) = (&self.topology, &self.labels, rule.source);
-            let walk = &mut self.walk_scratch;
-            let mut checked = CycleMap::new();
-            monitor.repair_delta_at(topology, &delta, source, |atom, near, found| {
-                for &(node, _) in near {
-                    if blackholes::is_blackholed_at(topology, labels, node, atom) {
-                        found(Found::Hole(node));
-                    }
-                }
-                if let Some(cycle) = loops::walk_from(walk, topology, labels, source, atom) {
-                    if check {
-                        loops::admit(&mut checked, cycle, atom);
-                    }
-                    found(Found::Cycle(cycle));
-                }
-            });
-            loops::render_loops(&checked, &self.atoms)
-        } else if check {
-            loops::find_loops_from_seeds_in(
-                &mut self.walk_scratch,
-                &self.topology,
-                &self.labels,
-                &self.atoms,
-                &delta.added,
-            )
         } else {
-            Vec::new()
+            if self.monitor.is_some() {
+                let window = &mut self.window;
+                let changed = delta.added.iter().chain(&delta.removed);
+                window.atoms.extend(changed.map(|&(_, atom)| atom));
+                if !delta.is_empty() {
+                    window.sources.push(rule.source);
+                }
+                window.splits.extend_from_slice(&delta.splits);
+            }
+            if check {
+                loops::find_loops_from_seeds_in(
+                    &mut self.walk_scratch,
+                    &self.topology,
+                    &self.labels,
+                    &self.atoms,
+                    &delta.added,
+                )
+            } else {
+                Vec::new()
+            }
         };
         let report = UpdateReport {
             rule_id: Some(rule.id),
@@ -805,6 +849,61 @@ impl DeltaNet {
         }
         self.last_delta = delta;
         report
+    }
+
+    /// Applies `ops` in order as one window, handing each report to
+    /// `report`, and stops at the first that fails: the ops before it stay
+    /// applied, and the failure comes back with its position in `ops`. Each
+    /// op runs its per-update check as it applies; a single-field monitor
+    /// is repaired once, at the close, over what the applied ops changed
+    /// ([`DeltaNet::close_window`]). A window that applies nothing leaves
+    /// the monitor untouched.
+    pub(crate) fn apply_ops<'o>(
+        &mut self,
+        ops: impl IntoIterator<Item = &'o Op>,
+        mut report: impl FnMut(UpdateReport),
+    ) -> Option<ReplayError> {
+        let window = WindowGuard(self);
+        let mut failure = None;
+        let mut applied = 0;
+        for (index, op) in ops.into_iter().enumerate() {
+            let result = match op {
+                Op::Insert(rule) => window.0.insert_in_window(*rule),
+                Op::Remove(id) => window.0.remove_in_window(*id),
+            };
+            match result {
+                Ok(done) => report(done),
+                Err(error) => {
+                    failure = Some(ReplayError { index, error });
+                    break;
+                }
+            }
+            applied += 1;
+        }
+        if applied > 0 {
+            window.0.close_window();
+        }
+        failure
+    }
+
+    /// Closes a window: one repair of a single-field monitor over the
+    /// window's record ([`ViolationMonitor::repair_labels`]), which then
+    /// empties. Its events are the window's transitions. A no-op without a
+    /// monitor or on a multi-field engine, whose monitor is repaired per
+    /// update.
+    fn close_window(&mut self) {
+        let (Some(monitor), None) = (self.monitor.as_mut(), &self.mf) else {
+            return;
+        };
+        let window = &mut self.window;
+        monitor.repair_labels(
+            &self.topology,
+            &self.labels,
+            &window.splits,
+            &mut window.atoms,
+            &mut window.sources,
+        );
+        window.clear();
     }
 
     /// Number of atoms (packet classes) currently represented.
@@ -962,6 +1061,7 @@ impl DeltaNet {
             walk_scratch: WalkScratch::default(),
             clip: parts.clip,
             monitor: parts.monitor,
+            window: WindowRecord::default(),
         }
     }
 }
@@ -969,8 +1069,9 @@ impl DeltaNet {
 /// The persistent pieces of one engine, handed to [`DeltaNet::from_parts`]
 /// by [`DeltaNet::new`] and by the snapshot restore path
 /// ([`crate::persist`]). Transient per-update state (last delta-graph, open
-/// aggregation window, scratch buffers) is intentionally absent: a snapshot
-/// is only taken between updates, where that state is empty.
+/// aggregation window, window record, scratch buffers) is intentionally
+/// absent: a snapshot is only taken between windows, where that state is
+/// empty.
 pub(crate) struct EngineParts {
     pub topology: Topology,
     pub config: DeltaNetConfig,
@@ -991,11 +1092,21 @@ impl Checker for DeltaNet {
         "delta-net"
     }
 
+    /// A one-op window.
     fn try_apply(&mut self, op: &Op) -> Result<UpdateReport, UpdateError> {
         match op {
             Op::Insert(rule) => self.try_insert_rule(*rule),
             Op::Remove(id) => self.try_remove_rule(*id),
         }
+    }
+
+    /// Applies the window's ops in order, each reporting and checked on its
+    /// own, and repairs a single-field monitor once at the close — over the
+    /// applied prefix when an op fails ([`DeltaNet::apply_ops`]).
+    fn apply_window(&mut self, ops: &[Op]) -> (Vec<UpdateReport>, Option<ReplayError>) {
+        let mut reports = Vec::with_capacity(ops.len());
+        let failure = self.apply_ops(ops, |report| reports.push(report));
+        (reports, failure)
     }
 
     fn what_if_link_failure(&self, link: LinkId, check_loops: bool) -> WhatIfReport {
@@ -1545,6 +1656,83 @@ mod tests {
         );
         // The prefix before the bad op stayed applied.
         assert_eq!(ex.net.rule_count(), 2);
+    }
+
+    fn monitored(compact_threshold: Option<usize>) -> DeltaNetConfig {
+        DeltaNetConfig {
+            monitor_violations: true,
+            compact_threshold,
+            ..DeltaNetConfig::default()
+        }
+    }
+
+    /// Asserts `net`'s live violations are those the full scans find.
+    fn monitor_matches_scans(net: &DeltaNet) {
+        let mut scans = net.check_all_loops();
+        scans.extend(net.check_all_blackholes());
+        assert_eq!(net.active_violations(), Some(scans));
+    }
+
+    #[test]
+    fn a_failing_window_repairs_exactly_its_applied_prefix() {
+        // a sends 10/8 and then 192/8 to b, which has no rule: one hole.
+        // The third op fails, so the fourth (a rule at b that would plug
+        // the hole) never applies; the window still closes over the two
+        // applied ops, and its events are theirs.
+        let mut topo = Topology::new();
+        let [a, b] = [topo.add_node("a"), topo.add_node("b")];
+        let ab = topo.add_link(a, b);
+        let drop_b = topo.drop_link(b);
+        let mut net = DeltaNet::new(topo, monitored(None));
+        let ops = [
+            Op::Insert(Rule::forward(RuleId(1), prefix("10.0.0.0/8"), 1, a, ab)),
+            Op::Insert(Rule::forward(RuleId(2), prefix("192.0.0.0/8"), 1, a, ab)),
+            Op::Remove(RuleId(42)),
+            Op::Insert(Rule::drop(RuleId(3), prefix("0.0.0.0/0"), 1, b, drop_b)),
+        ];
+        let (reports, failure) = net.apply_window(&ops);
+        assert_eq!((reports.len(), failure.map(|f| f.index)), (2, Some(2)));
+        assert_eq!(net.rule_count(), 2);
+        monitor_matches_scans(&net);
+        let monitor = net.monitor().unwrap();
+        let hole = crate::monitor::ViolationKey::Blackhole(b);
+        assert_eq!(monitor.active_keys(), std::slice::from_ref(&hole));
+        assert_eq!(monitor.last_events().appeared, [hole]);
+        // A window whose first op fails applies nothing and leaves the
+        // monitor, events included, as it was.
+        let before = monitor.last_events().clone();
+        let (reports, failure) = net.apply_window(&ops[2..]);
+        assert_eq!((reports.len(), failure.map(|f| f.index)), (0, Some(0)));
+        assert_eq!(net.monitor().unwrap().last_events(), &before);
+    }
+
+    #[test]
+    fn a_threshold_compaction_inside_a_window_repairs_first() {
+        // a drops everything by default and 5/8 by a rule of its own.
+        // Inside one window: a sends 20/8 to b (a hole there); the 5/8 rule
+        // goes, which moves no label but makes two bounds reclaimable, and
+        // the pass it triggers renumbers 20/8's atom; a sends 30/8 to b,
+        // whose new atom takes the id 20/8's had. The window's first op is
+        // repaired before the pass, under the id it recorded; repairing it
+        // after would repair 30/8's atom twice and miss 20/8's.
+        let mut topo = Topology::new();
+        let [a, b] = [topo.add_node("a"), topo.add_node("b")];
+        let ab = topo.add_link(a, b);
+        let drop_a = topo.drop_link(a);
+        let mut net = DeltaNet::new(topo, monitored(Some(1)));
+        net.insert_rule(Rule::drop(RuleId(0), prefix("0.0.0.0/0"), 0, a, drop_a));
+        net.insert_rule(Rule::drop(RuleId(1), prefix("5.0.0.0/8"), 1, a, drop_a));
+        assert!(net.monitor().unwrap().is_clean());
+        let ops = [
+            Op::Insert(Rule::forward(RuleId(2), prefix("20.0.0.0/8"), 1, a, ab)),
+            Op::Remove(RuleId(1)),
+            Op::Insert(Rule::forward(RuleId(3), prefix("30.0.0.0/8"), 1, a, ab)),
+        ];
+        assert_eq!(net.apply_window(&ops).1, None);
+        assert_eq!(net.compactions(), 1, "the pass ran inside the window");
+        monitor_matches_scans(&net);
+        let hole = crate::monitor::ViolationKey::Blackhole(b);
+        assert_eq!(net.monitor().unwrap().active_keys(), [hole]);
     }
 
     #[test]

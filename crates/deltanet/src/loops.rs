@@ -7,7 +7,7 @@
 //! per-update check, the monitor repair, the what-if scan and the full
 //! audits — is the one routine [`WalkScratch::walk`], which keeps its
 //! visited marks, path positions and path in generation-stamped vectors of
-//! node-count length and so allocates nothing per walk or per atom. Four
+//! node-count length and so allocates nothing per walk or per atom. Three
 //! callers differ in where their walks start and in how a step finds its
 //! next hop ([`Hop`]):
 //!
@@ -28,15 +28,11 @@
 //!   share visited marks; a walk that leaves would have recorded nothing.
 //!   Cost: O(links · candidate words + 64 · hits + Σ looping atoms' hits +
 //!   Σ their walk length), with no sort and no walk of a loop-free atom.
-//! * [`walk_from`] — one atom from one switch (the single-field monitor
-//!   repair of a rule update, walking each atom of its delta from the
-//!   rule's source; the walks that close a cycle are also the update's
-//!   per-update check). Cost: one walk.
-//! * [`cycles_for_atom_list`] — a short explicit atom list (the monitor
-//!   repair of an *aggregated* delta-graph, whose pairs may leave any
-//!   switch): one `contains` probe per link finds an atom's emitters.
-//!   Cost: O(|atoms| · (links + walk length)), independent of the atom
-//!   count.
+//! * [`walks_from`] — one atom from several switches, sharing visited
+//!   marks (the single-field monitor repair of a window or of an
+//!   aggregated delta-graph, walking each repaired atom from every switch
+//!   whose out-links changed). Cost: at most one pass over the nodes per
+//!   atom, however many starts.
 //!
 //! Detected loops are reported as [`InvariantViolation::ForwardingLoop`]
 //! with the cycle's nodes and the affected destination addresses as
@@ -243,26 +239,34 @@ pub(crate) fn find_loops_from_seeds_in(
             continue;
         }
         let start = topology.link(link).src;
-        if let Some(cycle) = walk_from(scratch, topology, labels, start, atom) {
+        walks_from(scratch, topology, labels, &[start], atom, |cycle| {
             admit(&mut cycles, cycle, atom);
-        }
+        });
     }
     render_loops(&cycles, atoms)
 }
 
-/// The one walk of `atom` from `start`, probing the labels: the cycle it
-/// closes, in canonical rotation, if any. The single-field monitor repair
-/// walks each atom of a rule update once from the rule's source, and its
-/// cycles are also the update's per-update check.
-pub(crate) fn walk_from<'s>(
-    scratch: &'s mut WalkScratch,
+/// The walks of `atom` from each of `starts` in turn, probing the labels,
+/// with shared visited marks: a walk that reaches a node an earlier one
+/// explored stops there, so all of them together visit each node at most
+/// once. Each cycle they close is handed to `found` once, in canonical
+/// rotation. The single-field monitor repair walks each repaired atom from
+/// every switch its window updated: the first walk that reaches a cycle
+/// of the atom through any of them goes round it.
+pub(crate) fn walks_from(
+    scratch: &mut WalkScratch,
     topology: &Topology,
     labels: &Labels,
-    start: NodeId,
+    starts: &[NodeId],
     atom: AtomId,
-) -> Option<&'s [NodeId]> {
+    mut found: impl FnMut(&[NodeId]),
+) {
     scratch.begin_atom(topology.node_count());
-    scratch.walk(topology, start, Hop::Probe(labels, atom))
+    for &start in starts {
+        if let Some(cycle) = scratch.walk(topology, start, Hop::Probe(labels, atom)) {
+            found(cycle);
+        }
+    }
 }
 
 /// Finds all forwarding loops that involve any of the given atoms anywhere
@@ -489,31 +493,6 @@ fn bits(mut word: u64) -> impl Iterator<Item = usize> {
             b
         })
     })
-}
-
-/// Every forwarding cycle each atom of a short explicit list traverses,
-/// handed to `found` as `(canonical cycle, atom)` — the walk of the monitor
-/// repair of an aggregated delta-graph. An atom's emitters come from one
-/// `contains` probe per link, so the cost depends on the list and the
-/// topology, not the atom count.
-pub(crate) fn cycles_for_atom_list(
-    scratch: &mut WalkScratch,
-    topology: &Topology,
-    labels: &Labels,
-    atoms: &[AtomId],
-    mut found: impl FnMut(&[NodeId], AtomId),
-) {
-    for &atom in atoms {
-        scratch.begin_atom(topology.node_count());
-        for link in topology.links() {
-            if !labels.contains(link.id, atom) {
-                continue;
-            }
-            if let Some(cycle) = scratch.walk(topology, link.src, Hop::Probe(labels, atom)) {
-                found(cycle, atom);
-            }
-        }
-    }
 }
 
 /// Checks the entire data plane for forwarding loops over all atoms.

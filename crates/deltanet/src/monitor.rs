@@ -24,77 +24,91 @@
 //!
 //! A rule update changes labels only on the out-links of its source
 //! `s = source(r)` (§3, Algorithms 1–2): every pair of its delta-graph
-//! leaves `s`, and a cycle it closes or breaks runs through `s`. So the
-//! engine repairs each update in one pass at `s`,
-//! [`ViolationMonitor::repair_at`], over the delta's atoms (those of its
-//! changed pairs, as a short sorted list — never a bitset over the atom
-//! range) and the `near` switches (`s` and the far ends of its non-drop
-//! out-links). Each step is exact per update:
+//! leaves `s`, and a cycle it closes or breaks runs through `s`. A window of
+//! updates ([`netmodel::checker::Checker::apply_window`]; one update is a
+//! one-op window) therefore changes labels only on the out-links of its
+//! sources `S`, the switches its updates changed a label at. The engine
+//! records, per update, the atoms of its changed pairs, its source and its
+//! splits, and repairs once when the window closes
+//! ([`ViolationMonitor::repair_labels`] over [`ViolationMonitor::repair_at`]),
+//! over the window's distinct atoms (a short sorted list — never a bitset
+//! over the atom range) and `near(S)`: the sources and the far ends of their
+//! non-drop out-links. Under churn a window touches each atom many times,
+//! and the repair handles it once. Each step is exact per window:
 //!
 //! 1. **Inherit**: each split's new atom takes its old atom's tracked
 //!    cycles and holes, pair by pair in creation order (a chained split
-//!    copies A→B→C). A new atom outside the delta is done. *Sound:* the
-//!    split cloned the old atom's owner cells and labels before any label
-//!    changed, so the new atom violated exactly what the old one did.
-//! 2. **Retire**: remove each delta atom from the tracked cycles through
-//!    `s` and the holes at `near`. A cycle or hole whose set drains stays
-//!    in the map, empty, until step 4. *Sound:* a cycle avoiding `s` uses
-//!    only links whose labels did not change, and the predicate at a switch
-//!    outside `near` reads none of them.
-//! 3. **Re-admit**: one successor walk from `s`
-//!    ([`crate::loops::walk_from`] — the same walk routine and
-//!    generation-stamped scratch as the per-update check and the full
-//!    scans) re-admits the atom to the cycle it now closes: if `s` lies on
-//!    the atom's cycle, its functional graph returns there from `s`. The
+//!    copies A→B→C). The new atom is repaired too if its old atom is —
+//!    checked in creation order, so a chain follows — and is done
+//!    otherwise. *Sound:* labels change only on out-links of `S`, so a new
+//!    atom's labels differ from its old atom's pre-window labels only
+//!    there, and not at all if the old atom changed nowhere in the window.
+//! 2. **Retire**: remove each repaired atom from the tracked cycles through
+//!    any source and from the holes at `near(S)`; each tracked cycle is
+//!    tested against `S` once, whatever the number of atoms. A cycle or
+//!    hole whose set drains stays in the map, empty, until step 4. *Sound:*
+//!    a cycle avoiding `S` uses only links whose labels did not change, and
+//!    the predicate at a switch outside `near(S)` reads none of them.
+//! 3. **Re-admit**: per atom, successor walks from each source with shared
+//!    visited marks ([`crate::loops::walks_from`] — the same walk routine
+//!    and generation-stamped scratch as the per-update check and the full
+//!    scans, at most one pass over the nodes) re-admit the atom to the
+//!    cycles it now closes: the first walk that reaches a cycle through a
+//!    source goes round it, since the atom's graph is functional. The
 //!    blackhole predicate ([`crate::blackholes::is_blackholed_at`]) is
-//!    re-judged at each `near` switch. The cycles these walks close are
-//!    also the update's per-update check: after the update a delta atom
-//!    has an out-link at `s` iff it has an added pair there, so they are
-//!    exactly the walks of [`crate::loops::find_loops_from_seeds`] (which
-//!    an unmonitored engine runs instead).
+//!    re-judged at each `near(S)` switch. Each update's own per-update
+//!    check is the one an unmonitored engine runs
+//!    ([`crate::loops::find_loops_from_seeds`]), so reports do not depend
+//!    on monitoring.
 //! 4. **Transitions**: violation identity is the canonical cycle for loops
 //!    and the switch for blackholes. Because drained entries stayed in the
-//!    map, "was tracked before this update" needs no snapshot of the key
+//!    map, "was tracked before this window" needs no snapshot of the key
 //!    sets: an identity admitted into a vacant slot *appeared*, an entry
 //!    still empty at the end *resolved* and is dropped, and a cycle that
-//!    drains and refills within one update fires nothing. The update's
-//!    transitions are recorded as one [`MonitorTransitions`]
-//!    ([`ViolationMonitor::last_events`]), each list ascending.
+//!    drains and refills within one repair fires nothing — nor does a flap
+//!    that nets to nothing inside the window. The window's transitions are
+//!    recorded as one [`MonitorTransitions`]
+//!    ([`ViolationMonitor::last_events`]), each list ascending. A
+//!    compaction inside a window repairs the window so far first, so the
+//!    recorded ids never cross a renumbering; the pass's remap forgets
+//!    those events.
 //!
-//! Cost per update: O(tracked identities) bit probes per split, plus, per
-//! delta atom — for a rule update one or two — O(tracked cycles + walk
-//! length + links of the `near` switches). Nothing depends on the number
-//! of atoms in the plane, and with the scratch warm an update that
+//! Cost per window: O(tracked identities) bit probes per split, plus
+//! O(tracked cycles · cycle length) to test them against `S`, plus, per
+//! distinct repaired atom, O(cycles through `S` + nodes + links of the
+//! `near(S)` switches). Nothing depends on the number of atoms in the
+//! plane, and with the scratch and the window record warm a window that
 //! transitions no identity allocates nothing beyond what its per-update
-//! check reports (`tests/footprint.rs` pins both by counting allocated
+//! checks report (`tests/footprint.rs` pins both by counting allocated
 //! bytes, against an unmonitored twin).
 //!
 //! Because the repair goes through the walk of [`crate::loops`] and the
 //! blackhole predicate — the same primitives as the full scans —
 //! [`ViolationMonitor::active_violations`] is bit-identical to
-//! `check_all_loops() ++ check_all_blackholes()` after every operation; the
+//! `check_all_loops() ++ check_all_blackholes()` after every window; the
 //! randomized differential suite (`tests/monitor_differential.rs`) pins
-//! this, including across [`crate::DeltaNet::compact`] renumbering (via
-//! [`ViolationMonitor::remap`]) and under sharding. A unit-test
-//! differential pins state *and* event sequence against a dense reference
-//! repair, and every op's report against an unmonitored twin's; one
-//! fixture per rule above fails if that rule is broken.
+//! this, with the window's events against the diff of the scans around it,
+//! including across [`crate::DeltaNet::compact`] renumbering (via
+//! [`ViolationMonitor::remap`]) and under sharding. Unit-test
+//! differentials pin state *and* event sequence against a dense reference
+//! repair, one-op windows and seeded windows of up to 16 ops alike, and
+//! every op's report against an unmonitored twin's; one fixture per rule
+//! above fails if that rule is broken.
 //!
 //! ## Aggregated delta-graphs
 //!
 //! A delta-graph aggregated over several updates (§3.3,
 //! [`crate::DeltaNet::begin_aggregate`] / [`crate::DeltaNet::take_aggregate`])
-//! has pairs leaving any switch, and its splits may follow label changes
-//! earlier in the same window, so nothing can be inherited. An external
-//! monitor repairs from one with [`ViolationMonitor::apply_update`]: every
-//! delta atom and every split's new atom is retired from *every* tracked
-//! cycle and re-walked from each switch that emits it
-//! ([`crate::loops::cycles_for_atom_list`], one `contains` probe per link),
-//! and the blackhole predicate is re-checked at the endpoints of the
-//! changed pairs and, for split atoms, at every switch. Step 4 above
-//! applies unchanged. Cost per window: O(|Δ| · (tracked cycles + links +
-//! walk length)) bit probes, where |Δ| is the number of distinct atoms in
-//! the delta, plus O(switches) blackhole probes per split.
+//! is repaired from by an external monitor with
+//! [`ViolationMonitor::apply_update`], and that is the same pass: its
+//! atoms are those of the aggregate's pairs, its sources the `src` of each
+//! changed link, its splits the aggregate's. One thing differs. The
+//! aggregate is canonical — an insert and a removal of the same pair in
+//! the window cancel — so a split that cloned one half of a cancelled pair
+//! leaves a new atom that differs from its old atom on a link no net pair
+//! names. One label comparison per split, over every link, finds those
+//! links: the new atom is repaired and their sources join `S`. Cost per
+//! window: the pass above plus O(links) bit probes per split.
 //!
 //! ## Multi-field engines
 //!
@@ -240,15 +254,14 @@ pub struct ViolationMonitor {
     loops: CycleMap,
     /// Active blackholes: switch → atoms currently dying there.
     holes: BTreeMap<NodeId, AtomSet>,
-    /// The appeared/resolved transitions of the most recent update.
+    /// The appeared/resolved transitions of the most recent repair.
     events: MonitorTransitions,
-    /// Repair scratch, reused across updates: the walk state, the delta's
-    /// distinct atoms, and the blackhole `(switch, atom)` candidates, the
-    /// latter two sorted; for a repair at one switch, each of its `near`
-    /// switches with whether the atom at hand was tracked there.
+    /// Repair scratch, reused across repairs: the walk state; the atoms and
+    /// sources of an aggregated delta-graph; and each `near` switch with
+    /// whether the atom at hand was tracked there.
     walk: WalkScratch,
     atoms: Vec<AtomId>,
-    candidates: Vec<(NodeId, AtomId)>,
+    sources: Vec<NodeId>,
     tracked: Vec<(NodeId, bool)>,
 }
 
@@ -301,22 +314,21 @@ impl ViolationMonitor {
         monitor
     }
 
-    /// The repair of one rule update at `source`, for both header shapes
-    /// (see the module docs): the same retire → re-admit → settle sequence
-    /// as [`ViolationMonitor::apply_update`], with the scan supplied by the
-    /// engine. First each split's new atom takes its old atom's tracked
-    /// cycles and holes, pair by pair in creation order. Then each of
-    /// `atoms` is retired from the cycles through `source` and the holes at
-    /// its `near` switches ([`near`]), and `scan` reports what it violates
-    /// there now, given each `near` switch with whether the atom was tracked
-    /// there. Transitions are recorded at the identity level exactly as for
-    /// a delta-graph.
+    /// The repair over a set of updated switches, for both header shapes
+    /// (see the module docs): inherit → retire → re-admit → settle, with the
+    /// scan supplied by the caller. First each split's new atom takes its
+    /// old atom's tracked cycles and holes, pair by pair in creation order.
+    /// Then each of `atoms` is retired from the tracked cycles through any
+    /// of `sources` (sorted and distinct) and from the holes at their `near`
+    /// switches ([`near`]), and `scan` reports what it violates there now,
+    /// given each `near` switch with whether the atom was tracked there.
+    /// Transitions are recorded at the identity level.
     pub(crate) fn repair_at(
         &mut self,
         topology: &Topology,
         splits: &[DeltaPair],
         atoms: &[AtomId],
-        source: NodeId,
+        sources: &[NodeId],
         mut scan: impl FnMut(AtomId, &[(NodeId, bool)], &mut dyn FnMut(Found<'_>)),
     ) {
         self.events.clear();
@@ -330,14 +342,18 @@ impl ViolationMonitor {
         if atoms.is_empty() {
             return;
         }
-        near(topology, source, &mut self.tracked);
+        near(topology, sources, &mut self.tracked);
         let (mut loops_drained, mut holes_drained) = (false, false);
-        for &atom in atoms {
-            for (cycle, set) in &mut self.loops {
-                if cycle.contains(&source) && set.remove(atom) {
+        // One test per tracked cycle, whatever the number of atoms.
+        let through = |cycle: &Vec<NodeId>| cycle.iter().any(|n| sources.binary_search(n).is_ok());
+        for (_, set) in self.loops.iter_mut().filter(|(cycle, _)| through(cycle)) {
+            for &atom in atoms {
+                if set.remove(atom) {
                     loops_drained |= set.is_empty();
                 }
             }
+        }
+        for &atom in atoms {
             for (node, was) in &mut self.tracked {
                 let set = self.holes.get_mut(node);
                 *was = set.is_some_and(|set| {
@@ -371,117 +387,94 @@ impl ViolationMonitor {
         self.events.appeared.sort_unstable();
     }
 
-    /// The single-field repair of one rule update at `source`:
-    /// [`ViolationMonitor::repair_at`] over `delta`'s atoms — those of its
-    /// changed pairs, every one of which leaves `source` — with the
-    /// update's splits. A split's new atom outside the changed pairs only
-    /// inherits.
-    pub(crate) fn repair_delta_at(
+    /// The single-field repair of a window: [`ViolationMonitor::repair_at`]
+    /// from the labels, over `atoms` (those whose labels changed) and
+    /// `sources` (the switches whose out-links' labels changed), both sorted
+    /// and deduplicated in place. A split's new atom is repaired too if its
+    /// old atom is — checked in creation order, so a chain A→B→C follows —
+    /// and otherwise only inherits. Each atom is walked from every source
+    /// with shared marks ([`loops::walks_from`]) and judged by the blackhole
+    /// predicate at each `near` switch.
+    ///
+    /// `labels` are the edge labels after the window. The repair is exact
+    /// when each atom's labels differ from those it had before the window
+    /// (a split's new atom: its old atom's) only on out-links of `sources`,
+    /// and not at all unless the atom is in `atoms` or is a split's new
+    /// atom whose old atom is.
+    pub(crate) fn repair_labels(
         &mut self,
         topology: &Topology,
-        delta: &DeltaGraph,
-        source: NodeId,
-        scan: impl FnMut(AtomId, &[(NodeId, bool)], &mut dyn FnMut(Found<'_>)),
+        labels: &Labels,
+        splits: &[DeltaPair],
+        atoms: &mut Vec<AtomId>,
+        sources: &mut Vec<NodeId>,
     ) {
-        let mut atoms = std::mem::take(&mut self.atoms);
-        atoms.clear();
-        let changed = delta.added.iter().chain(&delta.removed);
-        atoms.extend(changed.map(|&(_, atom)| atom));
+        sources.sort_unstable();
+        sources.dedup();
         atoms.sort_unstable();
         atoms.dedup();
-        self.repair_at(topology, &delta.splits, &atoms, source, scan);
-        self.atoms = atoms;
+        let changed = atoms.len();
+        for pair in splits {
+            let (sorted, joined) = atoms.split_at(changed);
+            if sorted.binary_search(&pair.old).is_ok() || joined.contains(&pair.old) {
+                atoms.push(pair.new);
+            }
+        }
+        if atoms.len() > changed {
+            atoms.sort_unstable();
+            atoms.dedup();
+        }
+        let mut walk = std::mem::take(&mut self.walk);
+        self.repair_at(topology, splits, atoms, sources, |atom, near, found| {
+            for &(node, _) in near {
+                if blackholes::is_blackholed_at(topology, labels, node, atom) {
+                    found(Found::Hole(node));
+                }
+            }
+            loops::walks_from(&mut walk, topology, labels, sources, atom, |cycle| {
+                found(Found::Cycle(cycle));
+            });
+        });
+        self.walk = walk;
     }
 
     /// Repairs the violation state from a delta-graph aggregated over one
     /// or more updates ([`crate::DeltaNet::take_aggregate`]; see "Aggregated
     /// delta-graphs" in the module docs), recording the appeared/resolved
     /// transitions (readable via [`ViolationMonitor::last_events`] until the
-    /// next repair). An engine's own monitor is repaired per update at the
-    /// updated switch instead.
+    /// next repair). It is the engine's own window repair
+    /// ([`ViolationMonitor::repair_labels`]) over the delta's atoms, the
+    /// sources of its changed links and its splits.
     ///
     /// `labels` must be the edge labels of the engine that produced `delta`
     /// as they stand after its last update.
     pub fn apply_update(&mut self, topology: &Topology, labels: &Labels, delta: &DeltaGraph) {
-        self.events.clear();
-        // The atoms whose violation membership may differ from the tracked
-        // state: atoms with changed labels, plus every atom created by a
-        // split. Split atoms are *recomputed* from the current labels, never
-        // inferred from their old atom's tracked membership — on an
-        // aggregated delta-graph (§3.3) the split may have happened after
-        // label changes earlier in the same window, so the tracked (pre-
-        // window) membership of the old atom says nothing about the new one.
-        self.atoms.clear();
-        let changed = delta.added.iter().chain(&delta.removed);
-        self.atoms.extend(changed.clone().map(|&(_, atom)| atom));
-        self.atoms.extend(delta.splits.iter().map(|pair| pair.new));
-        if self.atoms.is_empty() {
-            return;
+        let mut atoms = std::mem::take(&mut self.atoms);
+        let mut sources = std::mem::take(&mut self.sources);
+        atoms.clear();
+        sources.clear();
+        for &(link, atom) in delta.added.iter().chain(&delta.removed) {
+            atoms.push(atom);
+            sources.push(topology.link(link).src);
         }
-        self.atoms.sort_unstable();
-        self.atoms.dedup();
-
-        // 1. Loops: retire every listed atom from every tracked cycle, then
-        // re-admit whatever a fresh walk (the full scan's own routine)
-        // finds for exactly those atoms.
-        let mut drained = false;
-        for set in self.loops.values_mut() {
-            for &atom in &self.atoms {
-                drained |= set.remove(atom) && set.is_empty();
-            }
-        }
-        let (tracked, appeared) = (&mut self.loops, &mut self.events.appeared);
-        loops::cycles_for_atom_list(
-            &mut self.walk,
-            topology,
-            labels,
-            &self.atoms,
-            |cycle, atom| {
-                if loops::admit(tracked, cycle, atom) {
-                    appeared.push(ViolationKey::Loop(cycle.to_vec()));
-                }
-            },
-        );
-        settle(tracked, &mut self.events.resolved, drained, |cycle| {
-            ViolationKey::Loop(cycle.clone())
-        });
-
-        // 2. Blackholes: the predicate at (n, α) reads only the labels of
-        // n's in- and out-links for α, so for changed pairs the candidates
-        // are exactly their endpoints; a split atom (which has labels
-        // wherever its old atom did, possibly edited later in the window)
-        // is re-checked at every switch. Drop-node sinks are never switches
-        // (see `blackholes` module docs) and are skipped.
-        self.candidates.clear();
-        for &(link, atom) in changed {
-            let link = topology.link(link);
-            for node in [link.src, link.dst] {
-                if !topology.is_drop_node(node) {
-                    self.candidates.push((node, atom));
-                }
-            }
-        }
+        // The net delta forgot the pairs that cancelled, and a split may
+        // have cloned one half of such a pair: its new atom can differ from
+        // its old atom on links no net pair names. One label comparison per
+        // split finds them. After a compaction inside the window a split
+        // may read `old == new`: the old atom is gone and the new one
+        // inherits nothing, so it differs wherever it has a label.
         for pair in &delta.splits {
-            self.candidates
-                .extend(topology.switch_nodes().map(|node| (node, pair.new)));
-        }
-        self.candidates.sort_unstable();
-        self.candidates.dedup();
-        let mut drained = false;
-        for &(node, atom) in &self.candidates {
-            if blackholes::is_blackholed_at(topology, labels, node, atom) {
-                if loops::admit(&mut self.holes, &node, atom) {
-                    self.events.appeared.push(ViolationKey::Blackhole(node));
+            let base = (pair.old != pair.new).then_some(pair.old);
+            for link in topology.links() {
+                let old = base.is_some_and(|old| labels.contains(link.id, old));
+                if labels.contains(link.id, pair.new) != old {
+                    atoms.push(pair.new);
+                    sources.push(link.src);
                 }
-            } else if let Some(set) = self.holes.get_mut(&node) {
-                drained |= set.remove(atom) && set.is_empty();
             }
         }
-        let resolved = &mut self.events.resolved;
-        settle(&mut self.holes, resolved, drained, |&node| {
-            ViolationKey::Blackhole(node)
-        });
-        self.events.appeared.sort_unstable();
+        self.repair_labels(topology, labels, &delta.splits, &mut atoms, &mut sources);
+        (self.atoms, self.sources) = (atoms, sources);
     }
 
     /// Rewrites every tracked atom through the remap table of a compaction
@@ -558,8 +551,10 @@ impl ViolationMonitor {
         self.loops.is_empty() && self.holes.is_empty()
     }
 
-    /// The appeared/resolved transitions of the most recent update (empty
-    /// after a remap, which never transitions an identity).
+    /// The appeared/resolved transitions of the most recent repair (empty
+    /// after a remap, which never transitions an identity): an engine's
+    /// last window on a single-field engine — one update is a one-op
+    /// window — and its last update on a multi-field one.
     pub fn last_events(&self) -> &MonitorTransitions {
         &self.events
     }
@@ -612,20 +607,22 @@ impl ViolationMonitor {
     }
 }
 
-/// Fills `near` with the switches whose blackholes a rule update at
-/// `source` can change — `source` and the far ends of its out-links, drop
-/// sinks excepted, ascending — each flagged untracked. The update changes
-/// labels only on `source`'s out-links, and the predicate at a switch reads
-/// only its own links.
-fn near(topology: &Topology, source: NodeId, near: &mut Vec<(NodeId, bool)>) {
+/// Fills `near` with the switches whose blackholes updates at `sources`
+/// can change — the sources and the far ends of their out-links, drop
+/// sinks excepted, ascending — each flagged untracked. The updates change
+/// labels only on the sources' out-links, and the predicate at a switch
+/// reads only its own links.
+fn near(topology: &Topology, sources: &[NodeId], near: &mut Vec<(NodeId, bool)>) {
     near.clear();
-    near.push((source, false));
-    let ends = topology.out_links(source).iter();
-    let ends = ends.map(|&link| topology.link(link).dst);
-    near.extend(
-        ends.filter(|&n| !topology.is_drop_node(n))
-            .map(|n| (n, false)),
-    );
+    for &source in sources {
+        near.push((source, false));
+        let ends = topology.out_links(source).iter();
+        let ends = ends.map(|&link| topology.link(link).dst);
+        near.extend(
+            ends.filter(|&n| !topology.is_drop_node(n))
+                .map(|n| (n, false)),
+        );
+    }
     near.sort_unstable();
     near.dedup();
 }
@@ -666,7 +663,7 @@ mod tests {
     use netmodel::trace::Op;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeSet, HashMap};
     use testutil::{random_topology, OpGen};
 
     fn prefix(s: &str) -> IpPrefix {
@@ -1129,6 +1126,165 @@ mod tests {
         assert_eq!(net.active_violations().unwrap(), full_scan(&net));
     }
 
+    /// The identities a full scan of `net` finds.
+    fn scan_keys(net: &DeltaNet) -> BTreeSet<ViolationKey> {
+        net.fresh_monitor().active_keys().into_iter().collect()
+    }
+
+    /// Applies `ops` as one window of `net`, which takes them all, and
+    /// asserts the live state equals the full scans after it and the
+    /// window's events are the diff of the scans around it; returns them.
+    fn window(net: &mut DeltaNet, ops: &[Op]) -> MonitorTransitions {
+        let mut scans = TransitionTracker::starting_from(scan_keys(net));
+        let (reports, failure) = net.apply_window(ops);
+        assert_eq!((reports.len(), failure), (ops.len(), None));
+        assert_eq!(net.active_violations().unwrap(), full_scan(net));
+        let events = net.monitor().unwrap().last_events().clone();
+        assert_eq!(events, scans.observe(scan_keys(net)));
+        events
+    }
+
+    #[test]
+    fn a_split_of_an_atom_changed_earlier_in_the_window_is_repaired() {
+        // a starts sending 10/8 to b, which has no rule for it; then a
+        // lower rule for 10.128/9 splits the atom without moving it. The
+        // new atom's old atom changed earlier in the window, so it is
+        // repaired too — inheriting alone would give it the old atom's
+        // pre-window state, and the hole would cover only 10.0/9.
+        let mut topo = Topology::new();
+        let [a, b, c] = ["a", "b", "c"].map(|name| topo.add_node(name));
+        let ab = topo.add_link(a, b);
+        let ac = topo.add_link(a, c);
+        let mut net = DeltaNet::new(topo, monitored());
+        let events = window(
+            &mut net,
+            &[
+                Op::Insert(Rule::forward(RuleId(1), prefix("10.0.0.0/8"), 5, a, ab)),
+                Op::Insert(Rule::forward(RuleId(2), prefix("10.128.0.0/9"), 1, a, ac)),
+            ],
+        );
+        assert!(net.last_delta().is_empty() && !net.last_delta().splits.is_empty());
+        assert_eq!(events, appeared(ViolationKey::Blackhole(b)));
+    }
+
+    #[test]
+    fn a_cycle_through_two_sources_of_a_window_is_retired_at_either() {
+        // 10/8 loops a -> b -> a. One window drops it at a and also
+        // updates b and c, the window's highest source, which the cycle
+        // avoids: the cycle runs through a and b, so the atom is retired
+        // from it and the loop resolves.
+        let mut topo = Topology::new();
+        let [a, b, c] = ["a", "b", "c"].map(|name| topo.add_node(name));
+        let ab = topo.add_link(a, b);
+        let ba = topo.add_link(b, a);
+        let ca = topo.add_link(c, a);
+        let drop_a = topo.drop_link(a);
+        let mut net = DeltaNet::new(topo, monitored());
+        let p = prefix("10.0.0.0/8");
+        net.insert_rule(Rule::forward(RuleId(1), p, 1, a, ab));
+        net.insert_rule(Rule::forward(RuleId(2), p, 1, b, ba));
+        assert_eq!(
+            scan_keys(&net),
+            BTreeSet::from([ViolationKey::Loop(vec![a, b])])
+        );
+        let events = window(
+            &mut net,
+            &[
+                Op::Insert(Rule::drop(RuleId(3), p, 5, a, drop_a)),
+                Op::Insert(Rule::forward(RuleId(4), prefix("192.0.0.0/8"), 1, b, ba)),
+                Op::Insert(Rule::forward(RuleId(5), prefix("172.0.0.0/8"), 1, c, ca)),
+            ],
+        );
+        let expect = MonitorTransitions {
+            appeared: vec![ViolationKey::Blackhole(a)],
+            resolved: vec![ViolationKey::Loop(vec![a, b])],
+        };
+        assert_eq!(events, expect);
+    }
+
+    #[test]
+    fn a_hole_past_one_source_that_another_source_feeds_is_judged() {
+        // In one window t starts sending 10/8 to s, and s sends it on to
+        // n, which has no rule for it. n is an out-neighbour of s only —
+        // not of t, the window's highest source — and the hole there is
+        // judged all the same.
+        let mut topo = Topology::new();
+        let [s, n, t] = ["s", "n", "t"].map(|name| topo.add_node(name));
+        let sn = topo.add_link(s, n);
+        let ts = topo.add_link(t, s);
+        let mut net = DeltaNet::new(topo, monitored());
+        let p = prefix("10.0.0.0/8");
+        let events = window(
+            &mut net,
+            &[
+                Op::Insert(Rule::forward(RuleId(1), p, 1, s, sn)),
+                Op::Insert(Rule::forward(RuleId(2), p, 1, t, ts)),
+            ],
+        );
+        assert_eq!(events, appeared(ViolationKey::Blackhole(n)));
+    }
+
+    #[test]
+    fn a_flap_inside_one_window_fires_no_events() {
+        // b sends 10/8 to a, which has no rule for it. Inside one window a
+        // closes the loop (resolving the hole), a second prefix joins the
+        // loop and leaves it, dying at a on the way out, and a opens the
+        // loop again: every transition is undone before the window closes
+        // (the last op alone would resolve the loop and raise the hole),
+        // so nothing fires.
+        let (mut net, a, b) = two_node_net();
+        let ab = net.topology().link_between(a, b).unwrap();
+        let ba = net.topology().link_between(b, a).unwrap();
+        let p = prefix("10.0.0.0/8");
+        net.insert_rule(Rule::forward(RuleId(1), p, 1, b, ba));
+        let hole = ViolationKey::Blackhole(a);
+        assert_eq!(
+            net.monitor().unwrap().active_keys(),
+            std::slice::from_ref(&hole)
+        );
+        let closer = Rule::forward(RuleId(2), p, 1, a, ab);
+        let q = prefix("192.0.0.0/8");
+        let events = window(
+            &mut net,
+            &[
+                Op::Insert(closer),
+                Op::Insert(Rule::forward(RuleId(3), q, 1, a, ab)),
+                Op::Insert(Rule::forward(RuleId(4), q, 1, b, ba)),
+                Op::Remove(RuleId(3)),
+                Op::Remove(RuleId(4)),
+                Op::Remove(closer.id),
+            ],
+        );
+        assert!(events.is_empty(), "{events:?}");
+        assert_eq!(net.monitor().unwrap().active_keys(), [hole]);
+    }
+
+    #[test]
+    fn an_aggregate_split_beside_a_cancelled_pair_is_repaired_from_its_labels() {
+        // a sends 10/8 to b (no rule there); a higher rule on the same link
+        // for 10.128/9 splits the atom without moving it; the first rule
+        // goes. The net delta-graph has no pair left — the 10/8 atom's pair
+        // cancelled — but the split's new atom still rides a -> b and dies
+        // at b: the label comparison of the split finds it.
+        let mut topo = Topology::new();
+        let [a, b] = ["a", "b"].map(|name| topo.add_node(name));
+        let ab = topo.add_link(a, b);
+        let mut net = DeltaNet::with_topology(topo);
+        let mut external = ViolationMonitor::new();
+        net.begin_aggregate();
+        net.insert_rule(Rule::forward(RuleId(1), prefix("10.0.0.0/8"), 1, a, ab));
+        net.insert_rule(Rule::forward(RuleId(2), prefix("10.128.0.0/9"), 5, a, ab));
+        net.remove_rule(RuleId(1));
+        let agg = net.take_aggregate();
+        assert!(agg.is_empty() && !agg.splits.is_empty());
+        external.apply_update(net.topology(), net.labels(), &agg);
+        assert_eq!(external.active_violations(net.atoms()), full_scan(&net));
+        assert_eq!(
+            external.last_events(),
+            &appeared(ViolationKey::Blackhole(b))
+        );
+    }
+
     /// One engine per shard range, routed by hand so the test knows which
     /// engines an op touched (and can reach each engine's delta-graphs).
     fn shard_engines(topo: &Topology, config: DeltaNetConfig, shards: usize) -> Vec<DeltaNet> {
@@ -1160,13 +1316,14 @@ mod tests {
 
     #[test]
     fn per_op_repair_matches_dense_reference_in_state_and_events() {
-        // The engine's own monitor is the repair under test: one pass at
-        // the updated switch per op (splits included), remapped by explicit
-        // and threshold-triggered compaction. The reference starts every op
-        // as a clone of it and is fed the op's delta-graph, so it needs no
-        // remap of its own. Each shard engine also has an unmonitored twin
-        // fed the same op: the per-update check that rides the repair's
-        // walk must report exactly what the twin's seeded check does.
+        // The engine's own monitor is the repair under test: each op is a
+        // one-op window, repaired at its close at the updated switch
+        // (splits included), remapped by explicit and threshold-triggered
+        // compaction. The reference starts every op as a clone of it and
+        // is fed the op's delta-graph, so it needs no remap of its own.
+        // Each shard engine also has an unmonitored twin fed the same op:
+        // the monitored engine's per-update check must report exactly what
+        // the twin's does.
         for shards in SHARD_COUNTS {
             for seed in 0..4u64 {
                 let mut rng = StdRng::seed_from_u64(0x15_0001 ^ (shards as u64) << 8 ^ seed);
@@ -1227,6 +1384,127 @@ mod tests {
                 }
                 assert!(compared > 100, "only {compared} ops compared");
                 assert!(looping > 0, "no op reported a loop");
+            }
+        }
+    }
+
+    #[test]
+    fn window_repair_matches_dense_reference_in_state_and_events() {
+        // The windowed twin of the differential above: each shard engine
+        // applies its routed share of a seeded window of 1–16 ops as one
+        // window, and its monitor is repaired once, at the close. After
+        // every window the state must equal the full scans and, unless a
+        // compaction pass remapped the monitor inside it, the events their
+        // diff. Even windows run inside an aggregation, so the dense
+        // reference can repair from the window's net delta-graph: state and
+        // events must equal its. Odd windows may compact at the threshold
+        // mid-window. Every op's report must equal an unmonitored twin's.
+        for shards in SHARD_COUNTS {
+            for seed in 0..4u64 {
+                let mut rng = StdRng::seed_from_u64(0x15_0003 ^ (shards as u64) << 8 ^ seed);
+                let topo = random_topology(&mut rng, 5, true);
+                let config = DeltaNetConfig {
+                    field_width: 8,
+                    compact_threshold: (seed % 2 == 1).then_some(3),
+                    ..monitored()
+                };
+                let mut engines = shard_engines(&topo, config, shards);
+                let unmonitored = DeltaNetConfig {
+                    monitor_violations: false,
+                    ..config
+                };
+                let mut twins = shard_engines(&topo, unmonitored, shards);
+                let mut gen = OpGen::new(8, 40, 0.35);
+                // The engines each live rule was routed to.
+                let mut homes: HashMap<RuleId, Vec<usize>> = HashMap::new();
+                let (mut diffed, mut compared, mut transitions) = (0, 0, 0);
+                for window in 0..60 {
+                    let mut groups = vec![Vec::new(); shards];
+                    for _ in 0..rng.gen_range(1..=16) {
+                        let Some(op) = gen.next_op(&mut rng, &topo) else {
+                            continue;
+                        };
+                        let home = match op {
+                            Op::Insert(rule) => {
+                                let home = routed(&engines, &op);
+                                homes.insert(rule.id, home.clone());
+                                home
+                            }
+                            Op::Remove(id) => homes.remove(&id).expect("a live rule"),
+                        };
+                        for i in home {
+                            groups[i].push(op);
+                        }
+                    }
+                    let aggregate = window % 2 == 0;
+                    for (i, ops) in groups.iter().enumerate() {
+                        if ops.is_empty() {
+                            continue;
+                        }
+                        let at =
+                            format!("{shards} shards, seed {seed}, window {window}, shard {i}");
+                        let (net, twin) = (&mut engines[i], &mut twins[i]);
+                        let mut reference = net.monitor().unwrap().clone();
+                        let mut scans = TransitionTracker::starting_from(scan_keys(net));
+                        let passes = net.compactions();
+                        if aggregate {
+                            net.begin_aggregate();
+                            twin.begin_aggregate();
+                        }
+                        let (reports, failure) = net.apply_window(ops);
+                        assert_eq!((reports.len(), failure), (ops.len(), None), "{at}");
+                        let (expected, failure) = twin.apply_window(ops);
+                        assert_eq!(failure, None, "{at}");
+                        for (report, twin) in reports.iter().zip(&expected) {
+                            assert_eq!(report.violations, twin.violations, "{at}");
+                            assert_eq!(report.affected_classes, twin.affected_classes, "{at}");
+                            assert_eq!(report.changed_links, twin.changed_links, "{at}");
+                        }
+                        let monitor = net.monitor().unwrap();
+                        assert_eq!(
+                            monitor.active_violations(net.atoms()),
+                            full_scan(net),
+                            "{at}"
+                        );
+                        if net.compactions() == passes {
+                            let events = scans.observe(scan_keys(net));
+                            assert_eq!(monitor.last_events(), &events, "{at}");
+                            transitions += events.len();
+                            diffed += 1;
+                        }
+                        if !aggregate {
+                            continue;
+                        }
+                        // Closing the aggregation may run the deferred pass.
+                        let agg = net.take_aggregate();
+                        twin.take_aggregate();
+                        let monitor = net.monitor().unwrap();
+                        assert_eq!(
+                            monitor.active_violations(net.atoms()),
+                            full_scan(net),
+                            "{at}"
+                        );
+                        if net.compactions() == passes {
+                            reference.reference_repair(net.topology(), net.labels(), &agg);
+                            assert!(monitor.state_eq(&reference), "{at}");
+                            assert_eq!(monitor.last_events(), reference.last_events(), "{at}");
+                            compared += 1;
+                        }
+                    }
+                    if window == 20 {
+                        for net in engines.iter_mut().chain(&mut twins) {
+                            net.compact();
+                        }
+                        for net in &engines {
+                            assert_eq!(net.active_violations().unwrap(), full_scan(net));
+                        }
+                    }
+                }
+                assert!(
+                    diffed > 40 && compared > 10,
+                    "{diffed} diffed, {compared} compared"
+                );
+                assert!(transitions > 0, "no window transitioned an identity");
             }
         }
     }

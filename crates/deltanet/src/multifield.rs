@@ -725,7 +725,7 @@ impl MultiField {
                 view.topology,
                 splits,
                 &self.local,
-                source,
+                &[source],
                 |atom, near, found| walk.scan_at(view, atom, source, near, was_insert, found),
             );
         } else if check {

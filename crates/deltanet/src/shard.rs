@@ -268,11 +268,14 @@ impl ShardedDeltaNet {
 
     /// Attaches a violation monitor to every shard, each seeded from its
     /// own data plane with one full scan (see [`DeltaNet::enable_monitor`]);
-    /// every later update maintains them incrementally. In multi-field mode
-    /// each shard repairs only the `(primary atom, secondary class)` slices
-    /// an update touched — an update routed to one shard never rescans the
-    /// others, and this holds through [`Checker::apply_window`]'s
-    /// concurrent per-shard groups, aggregation windows, and
+    /// every later window maintains them incrementally. Each shard applies
+    /// its routed group of a [`Checker::apply_window`] as one window of its
+    /// own, so a single-field shard repairs once per window, over the atoms
+    /// and switches its group touched; in multi-field mode each shard
+    /// repairs, per update, only the `(primary atom, secondary class)`
+    /// slices the update touched. Either way a window routed to one shard
+    /// never rescans the others, and this holds through the concurrent
+    /// per-shard groups, aggregation windows, and
     /// [`ShardedDeltaNet::compact`].
     pub fn enable_monitor(&mut self) {
         for shard in &mut self.shards {
@@ -632,16 +635,22 @@ impl ShardedDeltaNet {
     }
 }
 
-/// Applies each shard's routed sub-sequence, tagging each report with the
-/// batch index of its operation; reports come out in shard order.
+/// Applies each shard's routed sub-sequence as one window of that shard
+/// ([`DeltaNet::apply_ops`]: its monitor is repaired once, at the close),
+/// tagging each report with the batch index of its operation; reports come
+/// out in shard order. An op the registry validated cannot fail in its
+/// shard: if one does, the shard's window closes over its applied prefix
+/// before the panic.
 fn apply_chunk(shards: &mut [DeltaNet], groups: &[Vec<(usize, Op)>]) -> Vec<(usize, UpdateReport)> {
     let mut reports = Vec::new();
     for (shard, group) in shards.iter_mut().zip(groups) {
-        for &(index, op) in group {
-            let report = shard
-                .try_apply(&op)
-                .expect("validated op cannot fail inside a shard");
-            reports.push((index, report));
+        let mut indices = group.iter().map(|&(index, _)| index);
+        let ops = group.iter().map(|(_, op)| op);
+        let failure = shard.apply_ops(ops, |report| {
+            reports.push((indices.next().expect("one report per op"), report));
+        });
+        if let Some(failure) = failure {
+            panic!("validated op cannot fail inside a shard: {}", failure.error);
         }
     }
     reports

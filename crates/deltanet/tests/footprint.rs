@@ -157,11 +157,12 @@ fn monitor_repair_allocation_is_independent_of_the_atom_count() {
 
 #[test]
 fn engine_repair_allocates_what_the_unmonitored_check_does() {
-    // The engine's own repair, at the updated switch with the per-update
-    // check riding its walk: `full` monitors, `bare` is the same engine
-    // without a monitor, fed the same operations. Neither flap moves an
-    // identity, so a warm repair allocates nothing beyond the check — the
-    // closer's insert reports the loop it rejoins on both engines alike.
+    // The engine's own repair of a one-op window, at the updated switch:
+    // `full` monitors, `bare` is the same engine without a monitor, fed
+    // the same operations, and both run the same per-update check. Neither
+    // flap moves an identity, so a warm repair allocates nothing beyond the
+    // check — the closer's insert reports the loop it rejoins on both
+    // engines alike.
     for (filler_rules, min_atoms) in [(500, 1_000), (32_000, 64_000)] {
         let monitored = DeltaNetConfig {
             monitor_violations: true,
@@ -215,6 +216,58 @@ fn engine_repair_allocates_what_the_unmonitored_check_does() {
         );
         assert!(!out.2 && back.2, "the closer's insert reports its loop");
         assert!(back.1 > 0, "the reported loop allocates on both");
+
+        let mut expect = full.check_all_loops();
+        expect.extend(full.check_all_blackholes());
+        assert_eq!(full.active_violations(), Some(expect));
+    }
+}
+
+#[test]
+fn engine_window_repair_allocates_what_the_unmonitored_window_does() {
+    // One `apply_window` carries the probe's and the closer's flaps; the
+    // monitored engine repairs once at its close, over both sources, from
+    // a window record whose buffers the first window sized. Warm, it
+    // allocates exactly what the unmonitored twin's window does — the
+    // reports, and the loop the closer's insert reports on both.
+    use netmodel::checker::Checker;
+    use netmodel::trace::Op;
+    for (filler_rules, min_atoms) in [(500, 1_000), (32_000, 64_000)] {
+        let monitored = DeltaNetConfig {
+            monitor_violations: true,
+            ..DeltaNetConfig::default()
+        };
+        let Plane {
+            net: mut full,
+            probe,
+            closer,
+        } = plane_with(filler_rules, monitored);
+        let mut bare = plane(filler_rules).net;
+        assert!(full.allocated_atoms() >= min_atoms);
+        let ops = [
+            Op::Insert(probe),
+            Op::Remove(CLOSER),
+            Op::Insert(closer),
+            Op::Remove(PROBE),
+        ];
+        let mut window = || {
+            let (full_bytes, (reports, failure)) = allocated_bytes(|| full.apply_window(&ops));
+            let (bare_bytes, twin) = allocated_bytes(|| bare.apply_window(&ops));
+            assert_eq!((&reports, &failure), (&twin.0, &twin.1));
+            assert_eq!(failure, None);
+            assert!(
+                reports[2].has_loop(),
+                "the closer's insert reports its loop"
+            );
+            let monitor = full.monitor().expect("monitoring is on");
+            assert!(monitor.last_events().is_empty(), "the window nets out");
+            (full_bytes, bare_bytes)
+        };
+        // Cold: the first window sizes the record and the monitor's scratch.
+        window();
+        let (full_bytes, bare_bytes) = window();
+        assert_eq!(full_bytes, bare_bytes, "window: full vs bare bytes");
+        assert!(bare_bytes > 0, "the reports allocate on both");
 
         let mut expect = full.check_all_loops();
         expect.extend(full.check_all_blackholes());

@@ -1,11 +1,11 @@
 //! Randomized differential-oracle suite for incremental violation
-//! monitoring: after **every** operation of a random churn trace —
-//! insertions, removals, batched windows, explicit and threshold-triggered
-//! compaction, at 1/2/4/7 shards — the incrementally maintained
-//! [`ViolationMonitor`] state must equal the full-scan oracle
-//! (`check_all_loops` + `check_all_blackholes` recomputed from scratch),
-//! and its loop verdicts must agree with the independent Veriflow-RI
-//! baseline on the shared workloads.
+//! monitoring: after **every** operation or window of a random churn
+//! trace — insertions, removals, batched windows, explicit and
+//! threshold-triggered compaction, on one engine and at 1/2/4/7 shards —
+//! the incrementally maintained [`ViolationMonitor`] state must equal the
+//! full-scan oracle (`check_all_loops` + `check_all_blackholes` recomputed
+//! from scratch), and its loop verdicts must agree with the independent
+//! Veriflow-RI baseline on the shared workloads.
 //!
 //! Every run goes through the differential driver in `tests/support/`:
 //! seeded (failures name the seed, op, shape and oracle) and shrink-friendly
@@ -39,6 +39,30 @@ fn monitor_equals_full_scan_oracle_after_every_op_including_compaction() {
         let stream = Stream::Churn(&mut rng, OpGen::new(8, 40, 0.35), 250);
         let case = format!("seed {seed:#x}");
         run(&case, &topo, stream, &shape, &[(Monitor, 1)]);
+    }
+}
+
+/// One engine in windows of 16: the live state equals the full scans after
+/// every window, and the window's events — recorded by its one repair, at
+/// the close — are the diff of the scans around it, while every op's
+/// report matches a plain engine's. Odd seeds compact at a threshold, so
+/// passes also land inside windows (which repair what came before them
+/// first).
+#[test]
+fn one_engine_window_events_are_the_diff_of_the_scans_around_it() {
+    for i in 0..4u64 {
+        let seed = 0x0E_0416 ^ i;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let topo = random_topology(&mut rng, 5, true);
+        let threshold = if i % 2 == 1 { Some(3) } else { None };
+        let shape = Shape {
+            window: 16,
+            compact_every: Some(END),
+            ..Shape::new(0, config(LOOPS | MONITOR, threshold, &[]))
+        };
+        let stream = Stream::Churn(&mut rng, OpGen::new(8, 40, 0.35), 240);
+        let oracles = [(Monitor, 1), (Single, 16)];
+        run(&format!("seed {seed:#x}"), &topo, stream, &shape, &oracles);
     }
 }
 

@@ -172,7 +172,9 @@ pub enum Oracle {
     /// after every op, a loop an insert creates must be in its report.
     MultiField,
     /// The monitor's state equals a fresh full scan; on one engine checked
-    /// after every op, its events are the diff of successive scans.
+    /// after every op — or, single-field, after every window, whose one
+    /// repair at the close records the window's transitions — its events
+    /// are the diff of successive scans.
     Monitor,
     /// Observational equality with a plain engine fed the same ops, which
     /// never compacts on its own: per-update reports, then labels, what-if,
@@ -257,9 +259,9 @@ struct Run<'a> {
     step: usize,
     /// The last op and its report.
     last: Option<(Op, UpdateReport)>,
-    /// For [`Oracle::Monitor`] after every op of one engine: the scans' keys
-    /// so far, the engine's compaction count then, and whether an op has
-    /// applied since.
+    /// For [`Oracle::Monitor`] after every op or window of one engine: the
+    /// scans' keys so far, the engine's compaction count then, and whether
+    /// an op has applied since.
     events: Option<(TransitionTracker, usize, bool)>,
     /// Ops applied at the last [`Oracle::MultiField`] check, and its loops.
     loops_seen: (usize, BTreeMap<Vec<NodeId>, Vec<Interval>>),
@@ -314,8 +316,9 @@ impl<'a> Run<'a> {
             Oracle::Veriflow,
             Oracle::WhatIf,
         ];
-        let one_by_one = shape.shards == 0 && (shape.window == 0 || shape.aggregate);
-        let events = one_by_one && oracles.contains(&(Oracle::Monitor, 1));
+        let per_op = shape.window == 0 || shape.aggregate;
+        let diffed = shape.shards == 0 && (per_op || config.secondary_count() == 0);
+        let events = diffed && oracles.contains(&(Oracle::Monitor, 1));
         Run {
             case,
             topo,
@@ -699,8 +702,9 @@ impl<'a> Run<'a> {
                     return;
                 };
                 let expected = tracker.observe(scan.iter().map(key).collect());
-                // A compaction pass at the end of the op remaps the monitor,
-                // which forgets the op's events; the tracker has moved on.
+                // A compaction pass in or at the end of the op or window
+                // remaps the monitor, which forgets the events before it;
+                // the tracker has moved on.
                 if compactions == *seen {
                     assert_eq!(events, expected, "{at}: events diverged from scans");
                 }
