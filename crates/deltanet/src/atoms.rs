@@ -418,93 +418,13 @@ impl AtomMap {
     /// which counts allocated capacity). A function of the logical state
     /// alone — two maps holding the same bounds, ids and free list report
     /// the same value regardless of how their allocations grew — which is
-    /// what lets a snapshot-restored engine reproduce the live engine's
-    /// byte accounting exactly.
+    /// what lets a snapshot-restored engine reproduce the byte accounting
+    /// of an engine built fresh from the same rules exactly.
     pub fn live_bytes(&self) -> usize {
         let entry = std::mem::size_of::<Bound>() + std::mem::size_of::<AtomId>() + 16;
         self.map.len() * entry
             + self.intervals.len() * std::mem::size_of::<Interval>()
             + self.free.len() * std::mem::size_of::<AtomId>()
-    }
-
-    /// Every `(bound, atom id)` entry of `M` in ascending bound order,
-    /// *excluding* the structural `MAX ↦ α∞` sentinel (it is implied by the
-    /// field width). The snapshot export of the map.
-    pub fn export_entries(&self) -> Vec<(Bound, AtomId)> {
-        self.map
-            .iter()
-            .filter(|(_, &a)| a != AtomId::INF)
-            .map(|(&b, &a)| (b, a))
-            .collect()
-    }
-
-    /// The reclaimed-id free list, most recently freed last. Order matters:
-    /// it is a stack, and replay determinism after a restore depends on the
-    /// next split popping the same id the live engine would.
-    pub fn free_list(&self) -> &[AtomId] {
-        &self.free
-    }
-
-    /// Rebuilds an atom map from snapshot parts: the field width, the id
-    /// table size (`allocated_atoms`), the `M` entries of
-    /// [`AtomMap::export_entries`] and the free list of
-    /// [`AtomMap::free_list`]. Validates the structural invariants —
-    /// ascending bounds starting at `0`, unique live ids, live ids and free
-    /// ids together covering `0..allocated` exactly once — and returns a
-    /// description of the first violation otherwise, so a corrupted
-    /// snapshot surfaces as a clean error.
-    pub fn from_parts(
-        width: u8,
-        allocated: usize,
-        entries: &[(Bound, AtomId)],
-        free: Vec<AtomId>,
-    ) -> Result<AtomMap, String> {
-        if width == 0 || width > 127 {
-            return Err(format!("unsupported field width {width}"));
-        }
-        let max = 1u128 << width;
-        if entries.first().map(|&(b, _)| b) != Some(0) {
-            return Err("atom map must start at bound 0".to_string());
-        }
-        if entries.len() + free.len() != allocated {
-            return Err(format!(
-                "atom table size mismatch: {} live + {} free != {allocated} allocated",
-                entries.len(),
-                free.len()
-            ));
-        }
-        let mut seen = vec![false; allocated];
-        let mut claim = |atom: AtomId| -> Result<(), String> {
-            match seen.get_mut(atom.index()) {
-                Some(slot) if !*slot => {
-                    *slot = true;
-                    Ok(())
-                }
-                Some(_) => Err(format!("atom id {atom} occurs twice")),
-                None => Err(format!("atom id {atom} outside table of {allocated}")),
-            }
-        };
-        let mut map = BTreeMap::new();
-        let mut intervals = vec![Interval::new(0, 0); allocated];
-        for (i, &(bound, atom)) in entries.iter().enumerate() {
-            let next = entries.get(i + 1).map(|&(b, _)| b).unwrap_or(max);
-            if bound >= next {
-                return Err(format!("atom bounds not ascending at {bound}"));
-            }
-            claim(atom)?;
-            intervals[atom.index()] = Interval::new(bound, next);
-            map.insert(bound, atom);
-        }
-        for &atom in &free {
-            claim(atom)?;
-        }
-        map.insert(max, AtomId::INF);
-        Ok(AtomMap {
-            map,
-            intervals,
-            free,
-            max,
-        })
     }
 }
 
@@ -606,50 +526,6 @@ impl BoundRefs {
 
     /// Key + count + per-entry hash-table overhead.
     const ENTRY_BYTES: usize = std::mem::size_of::<Bound>() + 4 + 8;
-
-    /// The snapshot export: the reference counts in ascending bound order,
-    /// and the reclaimable counter.
-    pub fn export_parts(&self) -> (Vec<(Bound, u32)>, usize) {
-        let mut refs: Vec<(Bound, u32)> = self.refs.iter().map(|(&b, &c)| (b, c)).collect();
-        refs.sort_unstable_by_key(|&(bound, _)| bound);
-        (refs, self.reclaimable)
-    }
-
-    /// Rebuilds the books of `atoms` from snapshot parts, trusting neither:
-    /// the books are recomputed from `holders` — the interval of every
-    /// holder, as it was acquired — by starting with every interior bound
-    /// of `atoms` dead and acquiring each, and the stored parts must agree
-    /// with the recomputation. Otherwise a description of the first
-    /// disagreement is returned, so a snapshot that lies about its counts
-    /// surfaces as a clean error instead of an underflow many updates
-    /// later.
-    pub fn from_parts(
-        atoms: &AtomMap,
-        holders: impl IntoIterator<Item = Interval>,
-        refs: &[(Bound, u32)],
-        reclaimable: usize,
-    ) -> Result<BoundRefs, String> {
-        let mut books = BoundRefs {
-            refs: HashMap::new(),
-            reclaimable: atoms.interior_bounds().count(),
-        };
-        for interval in holders {
-            books.acquire(atoms, interval);
-        }
-        if let Some(bound) = books.refs.keys().find(|&&b| !atoms.contains_bound(b)) {
-            return Err(format!("referenced bound {bound} is not a key of M"));
-        }
-        let (recounted, dead) = books.export_parts();
-        if recounted != refs {
-            return Err("bound refcounts disagree with the live rules".to_string());
-        }
-        if dead != reclaimable {
-            return Err(format!(
-                "reclaimable counter is {reclaimable} but {dead} interior bounds are unreferenced"
-            ));
-        }
-        Ok(books)
-    }
 }
 
 #[cfg(test)]
@@ -898,11 +774,11 @@ mod tests {
         for bound in (30..600).step_by(9) {
             m.remove_bound(bound).expect("a multiple of 3 is a bound");
         }
-        let freed = m.free_list().len();
+        let freed = m.free.len();
         for lo in 1001..1020 {
             m.create_atoms(iv(lo, lo + 1));
         }
-        assert!((1..freed).contains(&m.free_list().len()));
+        assert!((1..freed).contains(&m.free.len()));
         let count = m.atom_count();
         let cutover = count.div_ceil(DENSE_PACKETS_RATIO);
         let mut live: Vec<AtomId> = m.iter().map(|(a, _)| a).collect();
@@ -1034,15 +910,21 @@ mod tests {
                     recount.count(),
                     "seed {seed} step {step}"
                 );
-                let (refs, reclaimable) = books.export_parts();
-                assert!(refs.windows(2).all(|w| w[0].0 < w[1].0));
-                for &(bound, count) in &refs {
+                for (&bound, &count) in &books.refs {
+                    assert!(m.contains_bound(bound), "seed {seed} step {step}");
                     assert_eq!(count as usize, held(bound), "seed {seed} step {step}");
                 }
-                let rebuilt =
-                    BoundRefs::from_parts(&m, holders.iter().copied(), &refs, reclaimable)
-                        .unwrap_or_else(|e| panic!("seed {seed} step {step}: {e}"));
-                assert_eq!(rebuilt.export_parts(), (refs, reclaimable));
+                // The books of the same holders acquired afresh, with every
+                // interior bound dead to start with.
+                let mut rebuilt = BoundRefs {
+                    refs: HashMap::new(),
+                    reclaimable: m.interior_bounds().count(),
+                };
+                for &holder in &holders {
+                    rebuilt.acquire(&m, holder);
+                }
+                assert_eq!(rebuilt.refs, books.refs, "seed {seed} step {step}");
+                assert_eq!(rebuilt.reclaimable, books.reclaimable);
                 assert_eq!(rebuilt.live_bytes(), books.live_bytes());
             }
         }

@@ -232,19 +232,6 @@ impl AtomSet {
         })
     }
 
-    /// Rebuilds a set from raw backing words (the inverse of
-    /// [`AtomSet::words`]), recomputing the cached population count and
-    /// trimming trailing zero words. Used by the snapshot restore path so a
-    /// deserialized label is word-identical to the one that was saved.
-    pub fn from_raw_words(words: Vec<u64>) -> AtomSet {
-        let mut set = AtomSet {
-            len: words.iter().map(|w| w.count_ones() as usize).sum(),
-            words,
-        };
-        set.trim_trailing_zeros();
-        set
-    }
-
     /// The backing words (64 atoms per word), trailing zero words trimmed.
     /// Used by the bench memory accounting to report *live* bytes — bits the
     /// set actually addresses — next to the allocated capacity of

@@ -269,23 +269,25 @@ impl Drop for WindowGuard<'_> {
 impl DeltaNet {
     /// Creates a checker over the given topology.
     pub fn new(topology: Topology, config: DeltaNetConfig) -> Self {
-        let secondary = config.sec_widths[..config.secondary_count()]
-            .iter()
-            .map(|&width| (AtomMap::new(width), BoundRefs::default()))
-            .collect();
-        DeltaNet::from_parts(EngineParts {
+        let secondary = &config.sec_widths[..config.secondary_count()];
+        DeltaNet {
+            mf: MultiField::new(secondary, topology.node_count()),
             atoms: AtomMap::new(config.field_width),
             owner: Owner::new(),
             labels: Labels::with_links(topology.link_count()),
             rules: HashMap::new(),
             books: BoundRefs::default(),
-            secondary,
             compactions: 0,
+            last_delta: DeltaGraph::new(),
+            aggregate: None,
+            pair_scratch: Vec::with_capacity(2),
+            walk_scratch: WalkScratch::default(),
             clip: None,
             monitor: config.monitor_violations.then(ViolationMonitor::new),
+            window: WindowRecord::default(),
             topology,
             config,
-        })
+        }
     }
 
     /// Creates a checker with the default configuration (IPv4, per-update
@@ -333,8 +335,7 @@ impl DeltaNet {
     /// The interval of `rule` an engine clipped to `clip` is responsible
     /// for — and holds bound references on: the rule's interval intersected
     /// with the clip range, or the full interval for a stand-alone engine.
-    /// Snapshot restore recomputes the books from these.
-    pub(crate) fn clipped_interval(clip: Option<Interval>, rule: &Rule) -> Interval {
+    fn clipped_interval(clip: Option<Interval>, rule: &Rule) -> Interval {
         match clip {
             Some(clip) => rule.interval().intersection(&clip),
             None => rule.interval(),
@@ -419,9 +420,9 @@ impl DeltaNet {
     /// A monitor seeded from the current data plane with one full scan —
     /// the one place the engine's header-space shape picks the scan: the
     /// label walk single-field, the set-at-a-time kernel over every atom
-    /// ([`MultiField::scan`]) multi-field. What `enable_monitor` attaches,
-    /// what snapshot restore verifies a persisted monitor against, and what
-    /// the multi-field `check_all_*` render.
+    /// ([`MultiField::scan`]) multi-field. What `enable_monitor` attaches
+    /// (also to an engine restored from a snapshot) and what the
+    /// multi-field `check_all_*` render.
     pub(crate) fn fresh_monitor(&self) -> ViolationMonitor {
         match &self.mf {
             Some(mf) => mf.scan(&self.mf_view()),
@@ -521,18 +522,16 @@ impl DeltaNet {
         if self.rules.contains_key(&rule.id) {
             return Err(UpdateError::DuplicateRule(rule.id));
         }
-        if rule.link.index() >= self.topology.link_count() {
-            return Err(UpdateError::UnknownLink {
-                rule: rule.id,
-                link: rule.link,
-            });
+        match self.topology.links().get(rule.link.index()) {
+            Some(link) if link.src == rule.source => {}
+            _ => {
+                return Err(UpdateError::UnknownLink {
+                    rule: rule.id,
+                    link: rule.link,
+                })
+            }
         }
         self.config.validate_rule_fields(&rule)?;
-        debug_assert_eq!(
-            self.topology.link(rule.link).src,
-            rule.source,
-            "rule source does not match its link"
-        );
 
         let interval = Self::clipped_interval(self.clip, &rule);
         if interval.is_empty() {
@@ -940,7 +939,9 @@ impl DeltaNet {
         self.atoms.allocated_atoms()
     }
 
-    /// Number of compaction passes run so far (explicit and automatic).
+    /// Number of compaction passes run so far (explicit and automatic). An
+    /// engine restored from a snapshot counts from 0: the snapshot holds
+    /// its rules, not its history.
     pub fn compactions(&self) -> usize {
         self.compactions
     }
@@ -950,9 +951,9 @@ impl DeltaNet {
     /// allocated capacity, so churn-induced over-allocation is visible as
     /// the gap between the two. A function of the logical state alone,
     /// which makes it one of the fields the persistence round-trip tests
-    /// compare exactly between a live engine and its snapshot restore —
-    /// derived state (the violation monitor, the walk scratch) is
-    /// therefore excluded.
+    /// compare exactly between a snapshot restore and an engine built
+    /// fresh from the same rules — derived state (the violation monitor,
+    /// the walk scratch) is therefore excluded.
     pub fn live_bytes(&self) -> usize {
         self.atoms.live_bytes()
             + self.owner.live_bytes()
@@ -1031,60 +1032,19 @@ impl DeltaNet {
         self.config
     }
 
-    /// Every field's lattice with its §3.2.2 books, primary first
-    /// (snapshot export).
-    pub(crate) fn lattices(&self) -> impl Iterator<Item = (&AtomMap, &BoundRefs)> {
-        let secondary = self.mf.iter().flat_map(MultiField::lattices);
-        std::iter::once((&self.atoms, &self.books)).chain(secondary)
+    /// Replaces the configuration of an engine whose field widths and
+    /// compaction threshold it already has: snapshot restore builds the
+    /// engine with the per-update check and monitor off, applies the
+    /// registry, and then sets the snapshot's own flags this way.
+    pub(crate) fn set_config(&mut self, config: DeltaNetConfig) {
+        debug_assert!(
+            config.field_width == self.config.field_width
+                && config.sec_widths == self.config.sec_widths
+                && config.compact_threshold == self.config.compact_threshold,
+            "only the check and monitor flags change"
+        );
+        self.config = config;
     }
-
-    /// Assembles an engine from its persistent parts — empty ones for a new
-    /// engine, a snapshot's for a restored one — around fresh transient
-    /// state. Restored parts must come from a consistent export of one
-    /// engine: `books` already contains the clip pins of a shard (so this
-    /// constructor must *not* re-seed them the way [`DeltaNet::clipped`]
-    /// does), and `compactions` carries the exported counter verbatim.
-    pub(crate) fn from_parts(parts: EngineParts) -> DeltaNet {
-        DeltaNet {
-            mf: MultiField::new(parts.secondary, parts.topology.node_count()),
-            topology: parts.topology,
-            config: parts.config,
-            atoms: parts.atoms,
-            owner: parts.owner,
-            labels: parts.labels,
-            rules: parts.rules,
-            books: parts.books,
-            compactions: parts.compactions,
-            last_delta: DeltaGraph::new(),
-            aggregate: None,
-            pair_scratch: Vec::with_capacity(2),
-            walk_scratch: WalkScratch::default(),
-            clip: parts.clip,
-            monitor: parts.monitor,
-            window: WindowRecord::default(),
-        }
-    }
-}
-
-/// The persistent pieces of one engine, handed to [`DeltaNet::from_parts`]
-/// by [`DeltaNet::new`] and by the snapshot restore path
-/// ([`crate::persist`]). Transient per-update state (last delta-graph, open
-/// aggregation window, window record, scratch buffers) is intentionally
-/// absent: a snapshot is only taken between windows, where that state is
-/// empty.
-pub(crate) struct EngineParts {
-    pub topology: Topology,
-    pub config: DeltaNetConfig,
-    pub clip: Option<Interval>,
-    pub atoms: AtomMap,
-    pub owner: Owner,
-    pub labels: Labels,
-    pub rules: HashMap<RuleId, Rule>,
-    pub books: BoundRefs,
-    /// Per secondary field, its lattice and books.
-    pub secondary: Vec<(AtomMap, BoundRefs)>,
-    pub compactions: usize,
-    pub monitor: Option<ViolationMonitor>,
 }
 
 impl Checker for DeltaNet {

@@ -98,36 +98,6 @@ impl Labels {
             + self.per_link.iter().map(AtomSet::live_bytes).sum::<usize>()
     }
 
-    /// Exports the label store for a snapshot: the number of allocated link
-    /// slots plus, for every link with a non-empty label, the raw backing
-    /// words of its atom set. Slot count matters because the len-based byte
-    /// accounting counts empty slots too.
-    pub fn export_parts(&self) -> (usize, Vec<(LinkId, Vec<u64>)>) {
-        let parts = self
-            .iter()
-            .map(|(link, set)| (link, set.words().to_vec()))
-            .collect();
-        (self.per_link.len(), parts)
-    }
-
-    /// Rebuilds a label store from the export of [`Labels::export_parts`].
-    /// Word-identical to the saved store: non-empty labels get their exact
-    /// words back (via [`AtomSet::from_raw_words`]), every other slot up to
-    /// `capacity` is an empty set.
-    pub fn from_parts(capacity: usize, parts: Vec<(LinkId, Vec<u64>)>) -> Result<Labels, String> {
-        let mut per_link: Vec<AtomSet> = (0..capacity).map(|_| AtomSet::new()).collect();
-        for (link, words) in parts {
-            let slot = per_link
-                .get_mut(link.index())
-                .ok_or_else(|| format!("label for {link} outside capacity {capacity}"))?;
-            if !slot.is_empty() {
-                return Err(format!("duplicate label entry for {link}"));
-            }
-            *slot = AtomSet::from_raw_words(words);
-        }
-        Ok(Labels { per_link })
-    }
-
     /// Releases excess capacity of every label (see
     /// [`AtomSet::shrink_to_fit`]); useful after a removal-heavy phase.
     pub fn shrink_to_fit(&mut self) {
@@ -203,13 +173,13 @@ mod tests {
         l.insert(LinkId(3), AtomId(5));
         let got: Vec<(LinkId, usize)> = l.iter().map(|(id, s)| (id, s.len())).collect();
         assert_eq!(got, vec![(LinkId(1), 1), (LinkId(3), 2)]);
-        assert_eq!(l.export_parts().0, 4);
+        assert_eq!(l.per_link.len(), 4);
     }
 
     #[test]
     fn with_links_preallocates() {
         let l = Labels::with_links(10);
-        assert_eq!(l.export_parts().0, 10);
+        assert_eq!(l.per_link.len(), 10);
         assert_eq!(l.iter().count(), 0);
     }
 

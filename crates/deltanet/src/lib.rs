@@ -36,8 +36,9 @@
 //!   goes through: [`FsBackend`] for real files, [`FaultyBackend`] for
 //!   deterministic crash / short-write / fsync-failure injection.
 //! * [`persist`] — crash-consistent snapshot + delta-log persistence:
-//!   checksummed binary snapshots written atomically and restored to a
-//!   [`PersistNet`] (an enum over the two engines, not a third one: only
+//!   checksummed snapshots of the rule set, written atomically and
+//!   restored — by applying the rules through the engine's validated write
+//!   path — to a [`PersistNet`] (an enum over the two engines, not a third one: only
 //!   [`DeltaNet`] and [`ShardedDeltaNet`] implement `Checker`, reached
 //!   through [`PersistNet::checker`]), and a [`Journal`] mounted beside an
 //!   engine (not wrapped around it) — the one way durability is mounted: a

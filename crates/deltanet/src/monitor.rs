@@ -559,51 +559,18 @@ impl ViolationMonitor {
         &self.events
     }
 
-    /// Exports the tracked violation state for a snapshot: the active loops
-    /// as `(canonical cycle, raw atom-set words)` and the active blackholes
-    /// as `(switch, raw atom-set words)`. Events are transient per-update
-    /// state and are not exported.
-    #[allow(clippy::type_complexity)]
-    pub fn export_parts(&self) -> (Vec<(Vec<NodeId>, Vec<u64>)>, Vec<(NodeId, Vec<u64>)>) {
-        let loops = self
-            .loops
-            .iter()
-            .map(|(c, s)| (c.clone(), s.words().to_vec()))
-            .collect();
-        let holes = self
-            .holes
-            .iter()
-            .map(|(&n, s)| (n, s.words().to_vec()))
-            .collect();
-        (loops, holes)
-    }
-
-    /// Rebuilds a monitor from the export of
-    /// [`ViolationMonitor::export_parts`], with an empty event list.
-    pub fn from_parts(
-        loops: Vec<(Vec<NodeId>, Vec<u64>)>,
-        holes: Vec<(NodeId, Vec<u64>)>,
-    ) -> ViolationMonitor {
-        ViolationMonitor {
-            loops: loops
-                .into_iter()
-                .map(|(c, w)| (c, AtomSet::from_raw_words(w)))
-                .collect(),
-            holes: holes
-                .into_iter()
-                .map(|(n, w)| (n, AtomSet::from_raw_words(w)))
-                .collect(),
-            ..ViolationMonitor::default()
-        }
-    }
-
     /// Whether two monitors track the same violation state — same loop
     /// cycles, same blackhole switches, logically equal atom sets (events
-    /// are ignored). The restore path uses this to verify a deserialized
-    /// monitor bit-for-bit against a fresh full-scan seed of the restored
-    /// data plane.
-    pub fn state_eq(&self, other: &ViolationMonitor) -> bool {
+    /// are ignored): the comparator of the monitor differentials.
+    #[cfg(test)]
+    pub(crate) fn state_eq(&self, other: &ViolationMonitor) -> bool {
         self.loops == other.loops && self.holes == other.holes
+    }
+
+    /// The tracked loop and blackhole maps, for the tests' comparisons.
+    #[cfg(test)]
+    pub(crate) fn maps(&self) -> (&CycleMap, &BTreeMap<NodeId, AtomSet>) {
+        (&self.loops, &self.holes)
     }
 }
 

@@ -38,8 +38,8 @@
 //! hop, so the walk costs a few word operations per hop whatever the class
 //! count. The per-update check, the monitor repair and the full scans
 //! ([`MultiField::scan`], behind `check_all_loops` /
-//! `check_all_blackholes`, `enable_monitor` and the snapshot-restore
-//! verification) all run it; a full scan walks every atom from every
+//! `check_all_blackholes` and `enable_monitor`, also on an engine restored
+//! from a snapshot) all run it; a full scan walks every atom from every
 //! emitter ([`ClassWalk::scan_atom`]) on a scratch kernel of its own.
 //!
 //! Three references evaluate the predicate **tuple at a time** — one
@@ -57,8 +57,8 @@
 //!   cells either — and is what `tests/multifield_differential.rs` holds
 //!   the full scans to after every operation.
 //!
-//! What the live monitor is compared with in that suite, the restore check
-//! and the benchmark's `acl-multifield` oracle is therefore the kernel run
+//! What the live monitor is compared with in that suite and the
+//! benchmark's `acl-multifield` oracle is therefore the kernel run
 //! from scratch: incremental versus from-scratch, not kernel versus
 //! reference.
 //!
@@ -596,19 +596,18 @@ pub(crate) struct MultiField {
 }
 
 impl MultiField {
-    /// The component over the given per-field `(lattice, books)` pairs —
-    /// fresh ones for a new engine, restored ones from a snapshot — for a
-    /// topology of `nodes` nodes. `None` when no secondary field is
-    /// declared.
-    pub(crate) fn new(lattices: Vec<(AtomMap, BoundRefs)>, nodes: usize) -> Option<MultiField> {
-        if lattices.is_empty() {
+    /// The component over fresh lattices of the given secondary field
+    /// widths, for a topology of `nodes` nodes. `None` when no secondary
+    /// field is declared.
+    pub(crate) fn new(widths: &[u8], nodes: usize) -> Option<MultiField> {
+        if widths.is_empty() {
             return None;
         }
-        let (atoms, books): (Vec<_>, Vec<_>) = lattices.into_iter().unzip();
+        let atoms: Vec<AtomMap> = widths.iter().map(|&width| AtomMap::new(width)).collect();
         Some(MultiField {
             walk: ClassWalk::new(&atoms, nodes),
+            books: vec![BoundRefs::default(); atoms.len()],
             atoms,
-            books,
             local: Vec::new(),
         })
     }
@@ -616,11 +615,6 @@ impl MultiField {
     /// The secondary lattices, in field order.
     pub(crate) fn atoms(&self) -> &[AtomMap] {
         &self.atoms
-    }
-
-    /// Each lattice with its books, in field order (snapshot export).
-    pub(crate) fn lattices(&self) -> impl Iterator<Item = (&AtomMap, &BoundRefs)> {
-        self.atoms.iter().zip(&self.books)
     }
 
     /// The insert half of an update: per constrained field, reference the
@@ -674,16 +668,19 @@ impl MultiField {
     /// walk scratch is derived state and excluded, see
     /// [`crate::DeltaNet::live_bytes`]).
     pub(crate) fn live_bytes(&self) -> usize {
-        self.lattices()
-            .map(|(atoms, books)| atoms.live_bytes() + books.live_bytes())
-            .sum()
+        let atoms: usize = self.atoms.iter().map(AtomMap::live_bytes).sum();
+        atoms + self.books.iter().map(BoundRefs::live_bytes).sum::<usize>()
     }
 
     /// Estimated heap usage of the lattices and books.
     pub(crate) fn memory_bytes(&self) -> usize {
-        self.lattices()
-            .map(|(atoms, books)| atoms.memory_bytes() + books.memory_bytes())
-            .sum()
+        let atoms: usize = self.atoms.iter().map(AtomMap::memory_bytes).sum();
+        atoms
+            + self
+                .books
+                .iter()
+                .map(BoundRefs::memory_bytes)
+                .sum::<usize>()
     }
 
     /// The tail of one update: the per-update loop check (when `check`)
@@ -978,12 +975,8 @@ mod tests {
 
     /// The maps inside `monitor`.
     fn maps(monitor: &ViolationMonitor) -> Scan {
-        let (cycles, holes) = monitor.export_parts();
-        let set = AtomSet::from_raw_words;
-        (
-            cycles.into_iter().map(|(c, w)| (c, set(w))).collect(),
-            holes.into_iter().map(|(n, w)| (n, set(w))).collect(),
-        )
+        let (cycles, holes) = monitor.maps();
+        (cycles.clone(), holes.clone())
     }
 
     /// What the shipping full scans see: the maps inside a from-scratch

@@ -149,49 +149,13 @@ impl SourceRules {
 
     /// Heap bytes addressed by live entries: zero while inline, entry count
     /// times entry size once spilled. Unlike [`SourceRules::memory_bytes`]
-    /// this depends only on the logical state (entries + spilled flag), so a
-    /// snapshot-restored cell reports the same value as the live one.
+    /// this depends only on the logical state (entries + spilled flag), so
+    /// two cells that went through the same inserts report the same value.
     pub fn live_bytes(&self) -> usize {
         if self.inline_len == SPILLED {
             self.spill.len() * std::mem::size_of::<OwnedRule>()
         } else {
             0
-        }
-    }
-
-    /// Rebuilds a cell from its sorted entries and spilled flag (the inverse
-    /// of [`SourceRules::as_slice`] + [`SourceRules::is_spilled`]). Validates
-    /// that entries are strictly increasing by `(priority, id)` and that the
-    /// flag is representable — a non-spilled cell fits the inline buffer, a
-    /// spilled cell is non-empty ("a spilled cell stays spilled until it
-    /// empties") — returning a description of the violation otherwise.
-    pub fn from_entries(entries: &[OwnedRule], spilled: bool) -> Result<SourceRules, String> {
-        if entries.windows(2).any(|w| w[0].key() >= w[1].key()) {
-            return Err("owner cell entries not strictly sorted".to_string());
-        }
-        if spilled {
-            if entries.is_empty() {
-                return Err("spilled owner cell cannot be empty".to_string());
-            }
-            Ok(SourceRules {
-                inline_len: SPILLED,
-                inline: [OwnedRule::EMPTY; INLINE_RULES],
-                spill: entries.to_vec(),
-            })
-        } else {
-            if entries.len() > INLINE_RULES {
-                return Err(format!(
-                    "inline owner cell holds {} entries (max {INLINE_RULES})",
-                    entries.len()
-                ));
-            }
-            let mut inline = [OwnedRule::EMPTY; INLINE_RULES];
-            inline[..entries.len()].copy_from_slice(entries);
-            Ok(SourceRules {
-                inline_len: entries.len() as u8,
-                inline,
-                spill: Vec::new(),
-            })
         }
     }
 
@@ -448,7 +412,8 @@ impl Owner {
 
     /// Heap bytes addressed by live entries — the len-based counterpart of
     /// [`Owner::memory_bytes`], a function of the logical state alone so a
-    /// snapshot round-trip reproduces it exactly.
+    /// snapshot restore reproduces an engine rebuilt from the same rules
+    /// exactly.
     pub fn live_bytes(&self) -> usize {
         let mut bytes = self.per_atom.len() * std::mem::size_of::<Vec<SourceSlot>>();
         for slots in &self.per_atom {
@@ -456,44 +421,6 @@ impl Owner {
             bytes += slots.iter().map(|s| s.rules.live_bytes()).sum::<usize>();
         }
         bytes
-    }
-
-    /// Exports the full arena for a snapshot: one entry per allocated atom,
-    /// each a NodeId-sorted list of `(source, spilled, entries)` cells.
-    /// Empty cells are included — the engine never prunes them, and the
-    /// len-based byte accounting counts them — so the export is exactly what
-    /// [`Owner::from_cells`] needs to rebuild a logically identical arena.
-    pub fn export_cells(&self) -> Vec<Vec<(NodeId, bool, Vec<OwnedRule>)>> {
-        self.per_atom
-            .iter()
-            .map(|slots| {
-                slots
-                    .iter()
-                    .map(|s| (s.source, s.rules.is_spilled(), s.rules.as_slice().to_vec()))
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Rebuilds an arena from the export of [`Owner::export_cells`],
-    /// validating per-cell entry order (via [`SourceRules::from_entries`])
-    /// and the NodeId-sorted slot invariant.
-    pub fn from_cells(cells: Vec<Vec<(NodeId, bool, Vec<OwnedRule>)>>) -> Result<Owner, String> {
-        let mut per_atom = Vec::with_capacity(cells.len());
-        for atom_cells in cells {
-            if atom_cells.windows(2).any(|w| w[0].0 >= w[1].0) {
-                return Err("owner slots not strictly NodeId-sorted".to_string());
-            }
-            let mut slots = Vec::with_capacity(atom_cells.len());
-            for (source, spilled, entries) in atom_cells {
-                slots.push(SourceSlot {
-                    source,
-                    rules: SourceRules::from_entries(&entries, spilled)?,
-                });
-            }
-            per_atom.push(slots);
-        }
-        Ok(Owner { per_atom })
     }
 }
 
@@ -640,7 +567,7 @@ mod tests {
         }
         assert!(o.memory_bytes() > before);
         assert_eq!(o.total_entries(), 200);
-        assert_eq!(o.export_cells().len(), 50);
+        assert_eq!(o.per_atom.len(), 50);
         assert_eq!(o.spilled_cells(), 0);
     }
 
@@ -656,7 +583,7 @@ mod tests {
         assert_eq!(o.spilled_cells(), 2);
         assert_eq!(o.get(AtomId(5), NodeId(0)).unwrap().len(), INLINE_RULES + 2);
         // ensure_atom extended the arena to cover atoms 1..=5 as well.
-        assert_eq!(o.export_cells().len(), 6);
+        assert_eq!(o.per_atom.len(), 6);
         assert_eq!(o.sources(AtomId(3)).count(), 0);
     }
 
@@ -671,7 +598,7 @@ mod tests {
         assert_eq!(o.sources(AtomId(2)).count(), 0);
         let remap = [0, u32::MAX, u32::MAX, u32::MAX, 1];
         o.remap(&remap, 2);
-        assert_eq!(o.export_cells().len(), 2);
+        assert_eq!(o.per_atom.len(), 2);
         assert_eq!(
             o.get(AtomId(0), NodeId(1)).unwrap().highest().unwrap().id,
             rid(1)

@@ -6,12 +6,13 @@
 //! of two artifacts:
 //!
 //! * a **snapshot** ([`Snapshot`]): a compact, versioned, checksummed
-//!   binary image of the *full* engine state — atom bounds, owner arena,
-//!   edge labels, rule registry, configuration, garbage-collection
-//!   bookkeeping, and the monitor's active violation set — for a single
-//!   [`DeltaNet`] or a [`ShardedDeltaNet`] (per-shard sections sharing one
-//!   rule registry, since a boundary-straddling rule is one rule), restored
-//!   as a [`PersistNet`] — that enum, not a third engine;
+//!   record of the engine's *rule set* — its configuration, the sorted
+//!   rule registry, whether it was monitored and its shard count — for a
+//!   single [`DeltaNet`] or a [`ShardedDeltaNet`], restored as a
+//!   [`PersistNet`] — that enum, not a third engine. Everything else an
+//!   engine holds (atoms, owners, labels, the §3.2.2 books, the monitor's
+//!   violations) is a function of its rules, so a snapshot stores none of
+//!   it;
 //! * a **delta log** ([`DeltaLog`]): an append-only record of the update
 //!   operations applied *after* some snapshot, written by a [`Journal`]
 //!   mounted beside the engine in a [`crate::Session`] — the one way
@@ -19,6 +20,19 @@
 //!   log is write-behind — an operation is recorded only once the engine
 //!   accepted it — so the log's contents are exactly the applied ops even
 //!   when a batch fails midway.
+//!
+//! Restore ([`Snapshot::restore`]) rebuilds a fresh engine of the
+//! snapshot's shape and applies the registry, in id order, through the
+//! engine's own validated write path ([`Checker::apply_window`], with the
+//! per-update check off), then attaches a monitor with one full scan if the
+//! snapshot was monitored. A rule the engine refuses is a
+//! [`PersistError::Corrupt`] naming it, so a corrupt snapshot that passes
+//! its checksum fails the way a bad op fails, never as a panic or a wrong
+//! answer. The restored engine equals, bit for bit, an engine built fresh
+//! from the same rules in id order; against the engine the snapshot was
+//! taken of it agrees on every rule, every link's packets and every active
+//! violation ([`state_digest`]) — its atoms differ only by the bounds of
+//! removed rules the live engine had not compacted yet.
 //!
 //! Recovery ([`recover`], [`recover_dir`]) is then "load nearest snapshot,
 //! replay the log tail"; time-travel ([`violations_at`],
@@ -32,19 +46,13 @@
 //! drives: a sharded engine recovers through the same validate → route →
 //! merge path that applied the ops.
 //!
-//! The restore path re-validates everything a decoder can get wrong — the
-//! header checksum, structural invariants of every arena
-//! ([`AtomMap::from_parts`], [`crate::owner::Owner::from_cells`]), the
-//! garbage-collection books of every lattice, which are recomputed from the
-//! section's own rules rather than trusted ([`BoundRefs::from_parts`]), and
-//! the monitor's violation set, which is checked **bit-for-bit** against a
-//! fresh full scan of the restored data plane
-//! ([`ViolationMonitor::state_eq`]) — so a corrupted or truncated artifact
-//! surfaces as a clean [`PersistError`], never as a wrong answer.
+//! Older artifacts (snapshot formats 1 and 3) still load: their decoders
+//! read the configuration and the registry and skip the arena sections
+//! that followed, which the trailer checksum already covered. A sharded
+//! one must have been split evenly, as [`ShardedDeltaNet::new`] splits.
 //!
-//! The container is deliberately dependency-free: LEB128 varints for the
-//! dense integer arenas, raw little-endian words for the label bitsets,
-//! and an FNV-1a 64 trailer checksum.
+//! The container is deliberately dependency-free: LEB128 varints and an
+//! FNV-1a 64 trailer checksum.
 //!
 //! ## Crash consistency
 //!
@@ -62,26 +70,23 @@
 //!   (`Buffered` / `FlushPerBatch` / `FsyncPerBatch`);
 //! * the read path is self-healing: [`RecoveryPolicy::RepairTail`] keeps
 //!   the longest valid checksummed prefix, truncates the torn tail, and
-//!   reports exactly how many ops were salvaged — recovery always lands
-//!   bit-identical to some applied prefix, never invents ops;
+//!   reports exactly how many ops were salvaged — recovery always lands on
+//!   the rules of some applied prefix, never invents ops;
 //! * a checkpointing journal ([`Journal::checkpointed`]) bounds recovery
 //!   time by auto-snapshotting every N ops with log rotation and retention.
 
-use crate::atoms::{AtomId, AtomMap, BoundRefs};
-use crate::engine::{DeltaNet, DeltaNetConfig, EngineParts};
+use crate::engine::{DeltaNet, DeltaNetConfig};
 use crate::fault::{FsBackend, StorageBackend};
-use crate::monitor::{ViolationKey, ViolationMonitor};
-use crate::owner::{OwnedRule, Owner};
-use crate::shard::ShardedDeltaNet;
-use crate::Labels;
+use crate::monitor::ViolationKey;
+use crate::shard::{even_boundaries, ShardedDeltaNet};
 use netmodel::checker::{Checker, InvariantViolation};
-use netmodel::header::{SecondaryMatch, MAX_SECONDARY_FIELDS};
-use netmodel::interval::{Bound, Interval};
+use netmodel::header::{SecondaryMatch, MAX_SECONDARY_FIELDS, MAX_SECONDARY_WIDTH};
+use netmodel::interval::{normalize, Interval};
 use netmodel::ip::IpPrefix;
 use netmodel::rule::{Action, Rule, RuleId};
 use netmodel::topology::{LinkId, NodeId, Topology};
 use netmodel::trace::Op;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -89,11 +94,11 @@ use std::path::{Path, PathBuf};
 const SNAPSHOT_MAGIC: &[u8; 4] = b"DNSP";
 /// Magic bytes opening a delta-log file.
 const LOG_MAGIC: &[u8; 4] = b"DNLG";
-/// Format version of the snapshot container. Version 3 added the header
-/// space (secondary field widths), per-rule secondary matches, and the
-/// per-field secondary lattice sections; version 1 snapshots still load as
-/// single-field engines.
-const FORMAT_VERSION: u8 = 3;
+/// Format version of the snapshot container. Version 4 holds the rule set
+/// and nothing derived from it; version 3 added the header space (secondary
+/// field widths) and per-rule secondary matches. Versions 1 and 3 still
+/// load through their registries (version 1 as single-field engines).
+const FORMAT_VERSION: u8 = 4;
 /// Oldest snapshot format this build still reads.
 const MIN_FORMAT_VERSION: u8 = 1;
 /// Format version of the delta-log container. Version 2 introduced
@@ -193,12 +198,12 @@ pub enum PersistError {
     /// The underlying file operation failed.
     Io(std::io::Error),
     /// The artifact's bytes are not a well-formed snapshot or log:
-    /// truncation, a checksum mismatch, or a structural invariant violated
-    /// by the decoded state.
+    /// truncation, a checksum mismatch, a field out of range, or a
+    /// snapshot rule the engine refuses.
     Corrupt(String),
     /// The artifact is well-formed but inconsistent with its surroundings:
     /// wrong topology, a log shorter than the snapshot's operation count,
-    /// or a restored monitor that disagrees with a fresh scan.
+    /// or a logged op the engine refuses on replay.
     Mismatch(String),
 }
 
@@ -228,7 +233,7 @@ impl From<std::io::Error> for PersistError {
 }
 
 // ---------------------------------------------------------------------------
-// Binary primitives: LEB128 varints, raw words, FNV-1a 64.
+// Binary primitives: LEB128 varints, FNV-1a 64.
 // ---------------------------------------------------------------------------
 
 /// FNV-1a 64 over a byte slice — the trailer checksum of both containers.
@@ -276,13 +281,6 @@ impl Writer {
                 return;
             }
             self.buf.push(byte | 0x80);
-        }
-    }
-
-    fn words(&mut self, words: &[u64]) {
-        self.varint(words.len() as u64);
-        for &w in words {
-            self.buf.extend_from_slice(&w.to_le_bytes());
         }
     }
 
@@ -375,20 +373,6 @@ impl<'a> Reader<'a> {
         self.id32("link id exceeds 32 bits").map(LinkId)
     }
 
-    fn words(&mut self) -> Result<Vec<u64>, PersistError> {
-        let n = self.len()?;
-        let mut words = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let end = self.pos + 8;
-            let Some(bytes) = self.buf.get(self.pos..end) else {
-                return self.corrupt("truncated word array");
-            };
-            words.push(u64::from_le_bytes(bytes.try_into().expect("8 bytes")));
-            self.pos = end;
-        }
-        Ok(words)
-    }
-
     fn finish(&self) -> Result<(), PersistError> {
         if self.pos != self.buf.len() {
             return self.corrupt("trailing garbage after snapshot body");
@@ -435,442 +419,45 @@ fn write_atomic(
 // Snapshot
 // ---------------------------------------------------------------------------
 
-/// One field's lattice as a snapshot carries it, for the primary and every
-/// secondary field alike: the *atoms half* (`M` with its id table and free
-/// list) and the *books half* (the §3.2.2 reference counts and reclaimable
-/// counter). The halves are coded separately because the primary field's
-/// sit either side of the owner cells and labels on the wire.
-struct LatticeSection {
-    allocated: usize,
-    entries: Vec<(Bound, AtomId)>,
-    free: Vec<AtomId>,
-    refs: Vec<(Bound, u32)>,
-    reclaimable: usize,
-}
+/// The most shards a snapshot may declare. Restore builds every shard
+/// before it applies a rule, so a corrupt count must not be trusted to
+/// size that loop.
+const MAX_SHARDS: usize = 1024;
 
-impl LatticeSection {
-    fn export((atoms, books): (&AtomMap, &BoundRefs)) -> LatticeSection {
-        let (refs, reclaimable) = books.export_parts();
-        LatticeSection {
-            allocated: atoms.allocated_atoms(),
-            entries: atoms.export_entries(),
-            free: atoms.free_list().to_vec(),
-            refs,
-            reclaimable,
-        }
-    }
-
-    fn encode_atoms(&self, w: &mut Writer) {
-        w.varint(self.allocated as u64);
-        w.varint(self.entries.len() as u64);
-        for &(bound, atom) in &self.entries {
-            w.varint_wide(bound);
-            w.varint(u64::from(atom.0));
-        }
-        w.varint(self.free.len() as u64);
-        for atom in &self.free {
-            w.varint(u64::from(atom.0));
-        }
-    }
-
-    fn encode_books(&self, w: &mut Writer) {
-        w.varint(self.refs.len() as u64);
-        for &(bound, count) in &self.refs {
-            w.varint_wide(bound);
-            w.varint(u64::from(count));
-        }
-        w.varint(self.reclaimable as u64);
-    }
-
-    /// Decodes the atoms half; the books half is filled in by
-    /// [`LatticeSection::decode_books`] when the reader reaches it.
-    fn decode_atoms(r: &mut Reader<'_>) -> Result<LatticeSection, PersistError> {
-        let atom_id = |r: &mut Reader<'_>| r.id32("atom id exceeds 32 bits").map(AtomId);
-        let allocated = r.len()?;
-        let entry_count = r.len()?;
-        let mut entries = Vec::with_capacity(entry_count.min(1024));
-        for _ in 0..entry_count {
-            entries.push((r.varint_wide()?, atom_id(r)?));
-        }
-        let free_count = r.len()?;
-        let mut free = Vec::with_capacity(free_count.min(1024));
-        for _ in 0..free_count {
-            free.push(atom_id(r)?);
-        }
-        Ok(LatticeSection {
-            allocated,
-            entries,
-            free,
-            refs: Vec::new(),
-            reclaimable: 0,
-        })
-    }
-
-    fn decode_books(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
-        let ref_count = r.len()?;
-        self.refs = Vec::with_capacity(ref_count.min(1024));
-        for _ in 0..ref_count {
-            let bound = r.varint_wide()?;
-            let count = r.id32("bound refcount exceeds 32 bits")?;
-            self.refs.push((bound, count));
-        }
-        self.reclaimable = r.len()?;
-        Ok(())
-    }
-
-    /// Rebuilds the `width`-bit lattice and its books, validating the map's
-    /// structural invariants and verifying the stored books against a
-    /// recomputation from `holders` — the intervals referencing this
-    /// field's bounds ([`BoundRefs::from_parts`]). `field` names the
-    /// lattice in the error.
-    fn restore(
-        self,
-        field: &str,
-        width: u8,
-        holders: impl IntoIterator<Item = Interval>,
-    ) -> Result<(AtomMap, BoundRefs), PersistError> {
-        let corrupt = |what: String| PersistError::Corrupt(format!("{field} lattice: {what}"));
-        let atoms = AtomMap::from_parts(width, self.allocated, &self.entries, self.free)
-            .map_err(corrupt)?;
-        let books = BoundRefs::from_parts(&atoms, holders, &self.refs, self.reclaimable)
-            .map_err(corrupt)?;
-        Ok((atoms, books))
-    }
-}
-
-/// The decoded per-engine state of one snapshot section: everything a
-/// single (possibly clipped) [`DeltaNet`] needs to be rebuilt exactly.
-struct EngineSection {
-    clip: Option<Interval>,
-    rule_ids: Vec<RuleId>,
-    lattice: LatticeSection,
-    owner_cells: Vec<Vec<(NodeId, bool, Vec<OwnedRule>)>>,
-    label_capacity: usize,
-    labels: Vec<(LinkId, Vec<u64>)>,
-    compactions: usize,
-    /// One lattice per secondary field — no owner cells or labels (format
-    /// v3; absent from v1 sections).
-    sec: Vec<LatticeSection>,
-    #[allow(clippy::type_complexity)]
-    monitor: Option<(Vec<(Vec<NodeId>, Vec<u64>)>, Vec<(NodeId, Vec<u64>)>)>,
-}
-
-impl EngineSection {
-    fn export(net: &DeltaNet) -> EngineSection {
-        let mut rule_ids: Vec<RuleId> = net.rules().map(|r| r.id).collect();
-        rule_ids.sort_unstable();
-        let (label_capacity, labels) = net.labels().export_parts();
-        let mut lattices = net.lattices().map(LatticeSection::export);
-        EngineSection {
-            clip: net.clip(),
-            rule_ids,
-            lattice: lattices.next().expect("the primary lattice comes first"),
-            owner_cells: net.owner().export_cells(),
-            label_capacity,
-            labels,
-            compactions: net.compactions(),
-            sec: lattices.collect(),
-            monitor: net.monitor().map(ViolationMonitor::export_parts),
-        }
-    }
-
-    fn encode(&self, w: &mut Writer) {
-        match self.clip {
-            Some(clip) => {
-                w.bool(true);
-                w.varint_wide(clip.lo());
-                w.varint_wide(clip.hi());
-            }
-            None => w.bool(false),
-        }
-        w.varint(self.rule_ids.len() as u64);
-        for id in &self.rule_ids {
-            w.varint(id.0);
-        }
-        self.lattice.encode_atoms(w);
-        w.varint(self.owner_cells.len() as u64);
-        for slots in &self.owner_cells {
-            w.varint(slots.len() as u64);
-            for (source, spilled, entries) in slots {
-                w.varint(u64::from(source.0));
-                w.bool(*spilled);
-                w.varint(entries.len() as u64);
-                for e in entries {
-                    w.varint(u64::from(e.priority));
-                    w.varint(e.id.0);
-                    w.varint(u64::from(e.link.0));
-                }
-            }
-        }
-        w.varint(self.label_capacity as u64);
-        w.varint(self.labels.len() as u64);
-        for (link, words) in &self.labels {
-            w.varint(u64::from(link.0));
-            w.words(words);
-        }
-        self.lattice.encode_books(w);
-        w.varint(self.compactions as u64);
-        w.varint(self.sec.len() as u64);
-        for sec in &self.sec {
-            sec.encode_atoms(w);
-            sec.encode_books(w);
-        }
-        match &self.monitor {
-            Some((loops, holes)) => {
-                w.bool(true);
-                w.varint(loops.len() as u64);
-                for (cycle, words) in loops {
-                    w.varint(cycle.len() as u64);
-                    for node in cycle {
-                        w.varint(u64::from(node.0));
-                    }
-                    w.words(words);
-                }
-                w.varint(holes.len() as u64);
-                for (node, words) in holes {
-                    w.varint(u64::from(node.0));
-                    w.words(words);
-                }
-            }
-            None => w.bool(false),
-        }
-    }
-
-    /// `has_sec` is true for format-v3 sections, which carry the secondary
-    /// lattice block; v1 sections decode with no secondary fields.
-    fn decode(r: &mut Reader<'_>, has_sec: bool) -> Result<EngineSection, PersistError> {
-        let clip = if r.bool()? {
-            let lo = r.varint_wide()?;
-            let hi = r.varint_wide()?;
-            if lo >= hi {
-                return r.corrupt("inverted clip range");
-            }
-            Some(Interval::new(lo, hi))
-        } else {
-            None
-        };
-        let rule_count = r.len()?;
-        let mut rule_ids = Vec::with_capacity(rule_count.min(1024));
-        for _ in 0..rule_count {
-            rule_ids.push(RuleId(r.varint()?));
-        }
-        let mut lattice = LatticeSection::decode_atoms(r)?;
-        let atom_count = r.len()?;
-        let mut owner_cells = Vec::with_capacity(atom_count.min(1024));
-        for _ in 0..atom_count {
-            let slot_count = r.len()?;
-            let mut slots = Vec::with_capacity(slot_count.min(1024));
-            for _ in 0..slot_count {
-                let source = r.node_id()?;
-                let spilled = r.bool()?;
-                let entry_count = r.len()?;
-                let mut entries = Vec::with_capacity(entry_count.min(1024));
-                for _ in 0..entry_count {
-                    let priority = r.id32("priority exceeds 32 bits")?;
-                    let id = RuleId(r.varint()?);
-                    let link = r.link_id()?;
-                    entries.push(OwnedRule { priority, id, link });
-                }
-                slots.push((source, spilled, entries));
-            }
-            owner_cells.push(slots);
-        }
-        let label_capacity = r.len()?;
-        let label_count = r.len()?;
-        let mut labels = Vec::with_capacity(label_count.min(1024));
-        for _ in 0..label_count {
-            labels.push((r.link_id()?, r.words()?));
-        }
-        lattice.decode_books(r)?;
-        let compactions = r.len()?;
-        let field_count = if has_sec { r.len()? } else { 0 };
-        let mut sec = Vec::with_capacity(field_count.min(1024));
-        for _ in 0..field_count {
-            let mut field = LatticeSection::decode_atoms(r)?;
-            field.decode_books(r)?;
-            sec.push(field);
-        }
-        let monitor = if r.bool()? {
-            let loop_count = r.len()?;
-            let mut loops = Vec::with_capacity(loop_count.min(1024));
-            for _ in 0..loop_count {
-                let cycle_len = r.len()?;
-                let mut cycle = Vec::with_capacity(cycle_len.min(1024));
-                for _ in 0..cycle_len {
-                    cycle.push(r.node_id()?);
-                }
-                loops.push((cycle, r.words()?));
-            }
-            let hole_count = r.len()?;
-            let mut holes = Vec::with_capacity(hole_count.min(1024));
-            for _ in 0..hole_count {
-                holes.push((r.node_id()?, r.words()?));
-            }
-            Some((loops, holes))
-        } else {
-            None
-        };
-        Ok(EngineSection {
-            clip,
-            rule_ids,
-            lattice,
-            owner_cells,
-            label_capacity,
-            labels,
-            compactions,
-            sec,
-            monitor,
-        })
-    }
-
-    /// Rebuilds one engine from this section, validating every structural
-    /// invariant, verifying each lattice's books against a recomputation
-    /// from the section's own rules and — when the section carries a
-    /// monitor — the restored violation set bit-for-bit against a fresh
-    /// full scan of the restored data plane.
-    fn restore(
-        self,
-        topology: &Topology,
-        config: DeltaNetConfig,
-        registry: &HashMap<RuleId, Rule>,
-    ) -> Result<DeltaNet, PersistError> {
-        let owner = Owner::from_cells(self.owner_cells).map_err(PersistError::Corrupt)?;
-        let labels =
-            Labels::from_parts(self.label_capacity, self.labels).map_err(PersistError::Corrupt)?;
-        let mut rules = HashMap::with_capacity(self.rule_ids.len());
-        for id in self.rule_ids {
-            let rule = registry.get(&id).ok_or_else(|| {
-                PersistError::Corrupt(format!("engine section references unregistered {id:?}"))
-            })?;
-            if DeltaNet::clipped_interval(self.clip, rule).is_empty() {
-                return Err(PersistError::Corrupt(format!(
-                    "engine section holds {id:?}, which lies outside its clip"
-                )));
-            }
-            rules.insert(id, *rule);
-        }
-        if self.sec.len() != config.secondary_count() {
-            return Err(PersistError::Mismatch(format!(
-                "engine section carries {} secondary lattice(s) but the \
-                 snapshot config declares {}",
-                self.sec.len(),
-                config.secondary_count()
-            )));
-        }
-        // The holders of the primary bounds are what the engine acquired:
-        // every rule's clip-adjusted interval, plus the clip pins of a shard.
-        let clip = self.clip;
-        let held = rules
-            .values()
-            .map(|rule| DeltaNet::clipped_interval(clip, rule))
-            .chain(clip);
-        let (atoms, books) = self.lattice.restore("primary", config.field_width, held)?;
-        let mut secondary = Vec::with_capacity(self.sec.len());
-        for (field, sec) in self.sec.into_iter().enumerate() {
-            let held = rules.values().filter_map(|rule| rule.sec.get(field));
-            let name = format!("secondary field {field}");
-            secondary.push(sec.restore(&name, config.sec_widths[field], held)?);
-        }
-        let monitor = self
-            .monitor
-            .map(|(loops, holes)| ViolationMonitor::from_parts(loops, holes));
-        let net = DeltaNet::from_parts(EngineParts {
-            topology: topology.clone(),
-            config,
-            clip,
-            atoms,
-            owner,
-            labels,
-            rules,
-            books,
-            secondary,
-            compactions: self.compactions,
-            monitor,
-        });
-        // A restored monitor is verified against a fresh scan of the fully
-        // assembled engine, so the check dispatches on the header-space
-        // shape exactly like `enable_monitor` would.
-        if let Some(restored) = net.monitor() {
-            if !restored.state_eq(&net.fresh_monitor()) {
-                return Err(PersistError::Mismatch(
-                    "restored monitor disagrees with a fresh scan of the restored plane"
-                        .to_string(),
-                ));
-            }
-        }
-        Ok(net)
-    }
-}
-
-/// The decoded engine layout of a snapshot.
-enum SnapshotKind {
-    /// One stand-alone engine.
-    Single(Box<EngineSection>),
-    /// A sharded engine: the boundary table plus one section per shard.
-    Sharded {
-        boundaries: Vec<Bound>,
-        shards: Vec<EngineSection>,
-    },
-}
-
-/// A decoded snapshot of the full engine state at some point in the update
-/// stream, created by [`Snapshot::of_single`] / [`Snapshot::of_sharded`]
-/// (or [`Snapshot::of_net`]) and turned back into a live engine by
-/// [`Snapshot::restore`].
+/// A decoded snapshot: the rule set of an engine at some point in the
+/// update stream, captured by [`Snapshot::of_net`] and turned back into a
+/// live engine by [`Snapshot::restore`].
 pub struct Snapshot {
     node_count: usize,
     link_count: usize,
     config: DeltaNetConfig,
     ops_applied: u64,
+    /// The installed rules, in ascending id order.
     registry: Vec<Rule>,
-    kind: SnapshotKind,
+    /// Whether the engine maintained a violation monitor.
+    monitored: bool,
+    /// `0` for a stand-alone engine, else the shard count of an evenly
+    /// split [`ShardedDeltaNet`].
+    shards: usize,
 }
 
 impl Snapshot {
-    /// Captures the full state of a stand-alone engine. `ops_applied` is
-    /// the number of update operations applied so far — the log position
-    /// this snapshot corresponds to.
-    pub fn of_single(net: &DeltaNet, ops_applied: u64) -> Snapshot {
-        let mut registry: Vec<Rule> = net.rules().copied().collect();
-        registry.sort_unstable_by_key(|r| r.id);
-        Snapshot {
-            node_count: net.topology().node_count(),
-            link_count: net.topology().link_count(),
-            config: net.config(),
-            ops_applied,
-            registry,
-            kind: SnapshotKind::Single(Box::new(EngineSection::export(net))),
-        }
-    }
-
-    /// Captures the full state of a sharded engine: one section per shard
-    /// plus the shared rule registry, serialized once (each section only
-    /// stores the ids of the rules it holds a clipped piece of).
-    pub fn of_sharded(net: &ShardedDeltaNet, ops_applied: u64) -> Snapshot {
-        let mut registry: Vec<Rule> = net.rules().copied().collect();
-        registry.sort_unstable_by_key(|r| r.id);
-        let ranges = net.shard_ranges();
-        let mut boundaries: Vec<Bound> = ranges.iter().map(Interval::lo).collect();
-        boundaries.push(ranges.last().expect("at least one shard").hi());
-        let config = net.shards()[0].config();
-        Snapshot {
-            node_count: net.topology().node_count(),
-            link_count: net.topology().link_count(),
-            config,
-            ops_applied,
-            registry,
-            kind: SnapshotKind::Sharded {
-                boundaries,
-                shards: net.shards().iter().map(EngineSection::export).collect(),
-            },
-        }
-    }
-
-    /// Captures whichever engine a [`PersistNet`] wraps.
+    /// Captures the rule set of whichever engine a [`PersistNet`] wraps.
+    /// `ops_applied` is the number of update operations applied so far —
+    /// the log position this snapshot corresponds to.
     pub fn of_net(net: &PersistNet, ops_applied: u64) -> Snapshot {
-        match net {
-            PersistNet::Single(n) => Snapshot::of_single(n, ops_applied),
-            PersistNet::Sharded(n) => Snapshot::of_sharded(n, ops_applied),
+        let (engine, shards) = match net {
+            PersistNet::Single(n) => (n.as_ref(), 0),
+            PersistNet::Sharded(n) => (&n.shards()[0], n.shard_count()),
+        };
+        Snapshot {
+            node_count: engine.topology().node_count(),
+            link_count: engine.topology().link_count(),
+            config: engine.config(),
+            ops_applied,
+            registry: sorted_rules(net),
+            monitored: engine.monitor().is_some(),
+            shards,
         }
     }
 
@@ -888,10 +475,7 @@ impl Snapshot {
     /// Number of shards of the snapshotted engine (1 for a stand-alone
     /// engine).
     pub fn shard_count(&self) -> usize {
-        match &self.kind {
-            SnapshotKind::Single(_) => 1,
-            SnapshotKind::Sharded { shards, .. } => shards.len(),
-        }
+        self.shards.max(1)
     }
 
     /// Serializes the snapshot: versioned header, varint-encoded body,
@@ -902,48 +486,23 @@ impl Snapshot {
         w.u8(FORMAT_VERSION);
         w.varint(self.node_count as u64);
         w.varint(self.link_count as u64);
-        w.u8(self.config.field_width);
-        w.bool(self.config.check_loops_per_update);
-        w.bool(self.config.monitor_violations);
-        match self.config.compact_threshold {
-            Some(t) => {
-                w.bool(true);
-                w.varint(t as u64);
-            }
-            None => w.bool(false),
-        }
-        let secondary = self.config.secondary_count();
-        w.u8(secondary as u8);
-        for &width in &self.config.sec_widths[..secondary] {
-            w.u8(width);
-        }
+        encode_config(&mut w, &self.config);
         w.varint(self.ops_applied);
         w.varint(self.registry.len() as u64);
         for rule in &self.registry {
             encode_rule(&mut w, rule);
         }
-        match &self.kind {
-            SnapshotKind::Single(section) => {
-                w.u8(0);
-                section.encode(&mut w);
-            }
-            SnapshotKind::Sharded { boundaries, shards } => {
-                w.u8(1);
-                w.varint(shards.len() as u64);
-                for &b in boundaries {
-                    w.varint_wide(b);
-                }
-                for section in shards {
-                    section.encode(&mut w);
-                }
-            }
-        }
+        w.bool(self.monitored);
+        w.varint(self.shards as u64);
         w.seal()
     }
 
-    /// Deserializes a snapshot, verifying the magic, version, and trailer
-    /// checksum. Structural validation of the decoded state happens in
-    /// [`Snapshot::restore`].
+    /// Deserializes a snapshot, verifying the magic, version, trailer
+    /// checksum, configuration and the registry's id order. Format 1 and 3
+    /// snapshots decode too: after their registry come a layout tag (and,
+    /// sharded, the shard boundaries, which must be the even split) and
+    /// the engine sections, which are skipped. They restore monitored iff
+    /// their configuration enables monitoring.
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, PersistError> {
         let body = checked_body(bytes, "snapshot")?;
         let mut r = Reader::new(body);
@@ -960,67 +519,54 @@ impl Snapshot {
         let has_sec = version >= 3;
         let node_count = r.len()?;
         let link_count = r.len()?;
-        let field_width = r.u8()?;
-        let check_loops_per_update = r.bool()?;
-        let monitor_violations = r.bool()?;
-        let compact_threshold = if r.bool()? { Some(r.len()?) } else { None };
-        let mut sec_widths = [0u8; MAX_SECONDARY_FIELDS];
-        if has_sec {
-            let secondary = usize::from(r.u8()?);
-            if secondary > sec_widths.len() {
-                return r.corrupt("snapshot declares too many secondary fields");
-            }
-            for slot in &mut sec_widths[..secondary] {
-                let width = r.u8()?;
-                if width == 0 || width > 127 {
-                    return r.corrupt("secondary field width outside 1..=127");
-                }
-                *slot = width;
-            }
-        }
-        let config = DeltaNetConfig {
-            field_width,
-            check_loops_per_update,
-            compact_threshold,
-            monitor_violations,
-            sec_widths,
-        };
+        let config = decode_config(&mut r, has_sec)?;
         let ops_applied = r.varint()?;
         let rule_count = r.len()?;
-        let mut registry = Vec::with_capacity(rule_count.min(1024));
+        let mut registry: Vec<Rule> = Vec::with_capacity(rule_count.min(1024));
         for _ in 0..rule_count {
-            registry.push(decode_rule(&mut r, Some(field_width), has_sec)?);
-        }
-        let kind = match r.u8()? {
-            0 => SnapshotKind::Single(Box::new(EngineSection::decode(&mut r, has_sec)?)),
-            1 => {
-                let shard_count = r.len()?;
-                if shard_count == 0 {
-                    return r.corrupt("sharded snapshot with zero shards");
-                }
-                let mut boundaries = Vec::with_capacity(shard_count + 1);
-                for _ in 0..=shard_count {
-                    boundaries.push(r.varint_wide()?);
-                }
-                if boundaries.windows(2).any(|w| w[0] >= w[1]) {
-                    return r.corrupt("shard boundaries not strictly increasing");
-                }
-                let mut shards = Vec::with_capacity(shard_count);
-                for _ in 0..shard_count {
-                    shards.push(EngineSection::decode(&mut r, has_sec)?);
-                }
-                SnapshotKind::Sharded { boundaries, shards }
+            let rule = decode_rule(&mut r, Some(config.field_width), has_sec)?;
+            if registry.last().is_some_and(|last| last.id >= rule.id) {
+                return r.corrupt("registry ids not strictly increasing");
             }
-            _ => return r.corrupt("invalid engine-kind tag"),
+            registry.push(rule);
+        }
+        let (monitored, shards) = if version >= 4 {
+            let monitored = r.bool()?;
+            let shards = r.len()?;
+            r.finish()?;
+            (monitored, shards)
+        } else {
+            let shards = match r.u8()? {
+                0 => 0,
+                1 => {
+                    let shards = r.len()?;
+                    let mut boundaries = Vec::new();
+                    for _ in 0..=shards {
+                        boundaries.push(r.varint_wide()?);
+                    }
+                    if shards == 0 || shards > MAX_SHARDS {
+                        return r.corrupt("implausible shard count");
+                    }
+                    if boundaries != even_boundaries(config.field_width, shards) {
+                        return r.corrupt("shard boundaries are not the even split");
+                    }
+                    shards
+                }
+                _ => return r.corrupt("invalid engine-kind tag"),
+            };
+            (config.monitor_violations, shards)
         };
-        r.finish()?;
+        if shards > MAX_SHARDS || shards as u128 > 1u128 << config.field_width {
+            return r.corrupt("implausible shard count");
+        }
         Ok(Snapshot {
             node_count,
             link_count,
             config,
             ops_applied,
             registry,
-            kind,
+            monitored,
+            shards,
         })
     }
 
@@ -1054,7 +600,54 @@ impl Snapshot {
         Snapshot::from_bytes(&backend.read(path)?)
     }
 
-    fn check_topology(&self, topology: &Topology) -> Result<(), PersistError> {
+    /// Rebuilds a live engine over the given topology (snapshots store a
+    /// topology fingerprint, not the topology itself): a fresh engine of
+    /// the snapshot's shape takes the registry in id order through
+    /// [`Checker::apply_window`] with the per-update check and the monitor
+    /// off; then the snapshot's configuration is set and, if it was
+    /// monitored, a monitor attached with one full scan. A rule the engine
+    /// refuses is a [`PersistError::Corrupt`] naming it.
+    pub fn restore(self, topology: &Topology) -> Result<PersistNet, PersistError> {
+        let quiet = DeltaNetConfig {
+            check_loops_per_update: false,
+            monitor_violations: false,
+            ..self.config
+        };
+        let mut net = self.engine(topology, quiet)?;
+        let inserts: Vec<Op> = self.registry.iter().map(|&rule| Op::Insert(rule)).collect();
+        for (i, window) in inserts.chunks(REPLAY_WINDOW).enumerate() {
+            if let (_, Some(failure)) = net.checker_mut().apply_window(window) {
+                let id = self.registry[i * REPLAY_WINDOW + failure.index].id;
+                return Err(PersistError::Corrupt(format!(
+                    "snapshot registry rule {id:?} refused: {}",
+                    failure.error
+                )));
+            }
+        }
+        match &mut net {
+            PersistNet::Single(n) => n.set_config(self.config),
+            PersistNet::Sharded(n) => n.set_config(self.config),
+        }
+        if self.monitored {
+            net.enable_monitor();
+        }
+        Ok(net)
+    }
+
+    /// An *empty* engine of the same shape as the snapshotted one — same
+    /// configuration, same shard count — used by [`violations_at`] when
+    /// the requested point in time lies before the snapshot.
+    pub fn fresh_like(&self, topology: &Topology) -> Result<PersistNet, PersistError> {
+        self.engine(topology, self.config)
+    }
+
+    /// An empty engine of the snapshot's shape over `topology`, with
+    /// `config`.
+    fn engine(
+        &self,
+        topology: &Topology,
+        config: DeltaNetConfig,
+    ) -> Result<PersistNet, PersistError> {
         if topology.node_count() != self.node_count || topology.link_count() != self.link_count {
             return Err(PersistError::Mismatch(format!(
                 "snapshot was taken over a {}-node / {}-link topology, \
@@ -1065,71 +658,74 @@ impl Snapshot {
                 topology.link_count()
             )));
         }
-        Ok(())
+        let topology = topology.clone();
+        Ok(match self.shards {
+            0 => PersistNet::Single(Box::new(DeltaNet::new(topology, config))),
+            n => PersistNet::Sharded(Box::new(ShardedDeltaNet::new(topology, config, n))),
+        })
     }
+}
 
-    /// Rebuilds a live engine from the snapshot over the given topology
-    /// (snapshots store a topology fingerprint, not the topology itself).
-    /// Every arena is re-validated on the way in, and a restored monitor is
-    /// verified bit-for-bit against a fresh full scan.
-    pub fn restore(self, topology: &Topology) -> Result<PersistNet, PersistError> {
-        self.check_topology(topology)?;
-        let registry: HashMap<RuleId, Rule> = self.registry.iter().map(|r| (r.id, *r)).collect();
-        match self.kind {
-            SnapshotKind::Single(section) => {
-                if section.clip.is_some() {
-                    return Err(PersistError::Corrupt(
-                        "stand-alone engine section carries a shard clip".to_string(),
-                    ));
-                }
-                let net = section.restore(topology, self.config, &registry)?;
-                if net.rule_count() != registry.len() {
-                    return Err(PersistError::Corrupt(
-                        "registry and engine rule sets disagree".to_string(),
-                    ));
-                }
-                Ok(PersistNet::Single(Box::new(net)))
+/// The configuration as a snapshot and [`state_digest`] write it.
+fn encode_config(w: &mut Writer, config: &DeltaNetConfig) {
+    w.u8(config.field_width);
+    w.bool(config.check_loops_per_update);
+    w.bool(config.monitor_violations);
+    match config.compact_threshold {
+        Some(t) => {
+            w.bool(true);
+            w.varint(t as u64);
+        }
+        None => w.bool(false),
+    }
+    let secondary = config.secondary_count();
+    w.u8(secondary as u8);
+    for &width in &config.sec_widths[..secondary] {
+        w.u8(width);
+    }
+}
+
+/// Decodes [`encode_config`]'s record, validating every width; `has_sec`
+/// is false for format 1, which predates the secondary widths.
+fn decode_config(r: &mut Reader<'_>, has_sec: bool) -> Result<DeltaNetConfig, PersistError> {
+    let field_width = r.u8()?;
+    if field_width == 0 || field_width > 127 {
+        return r.corrupt("field width outside 1..=127");
+    }
+    let check_loops_per_update = r.bool()?;
+    let monitor_violations = r.bool()?;
+    let compact_threshold = if r.bool()? { Some(r.len()?) } else { None };
+    let mut sec_widths = [0u8; MAX_SECONDARY_FIELDS];
+    if has_sec {
+        let secondary = usize::from(r.u8()?);
+        if secondary > sec_widths.len() {
+            return r.corrupt("snapshot declares too many secondary fields");
+        }
+        for slot in &mut sec_widths[..secondary] {
+            let width = r.u8()?;
+            if width == 0 || width > MAX_SECONDARY_WIDTH {
+                return r.corrupt("secondary field width outside the supported range");
             }
-            SnapshotKind::Sharded { boundaries, shards } => {
-                if boundaries.len() != shards.len() + 1 {
-                    return Err(PersistError::Corrupt(
-                        "shard boundary table does not match shard count".to_string(),
-                    ));
-                }
-                let mut engines = Vec::with_capacity(shards.len());
-                for (i, section) in shards.into_iter().enumerate() {
-                    let expected = Interval::new(boundaries[i], boundaries[i + 1]);
-                    if section.clip != Some(expected) {
-                        return Err(PersistError::Corrupt(format!(
-                            "shard {i} clip disagrees with the boundary table"
-                        )));
-                    }
-                    engines.push(section.restore(topology, self.config, &registry)?);
-                }
-                let rules: HashMap<RuleId, Rule> = registry;
-                Ok(PersistNet::Sharded(Box::new(
-                    ShardedDeltaNet::from_restored(topology.clone(), boundaries, engines, rules),
-                )))
-            }
+            *slot = width;
         }
     }
+    Ok(DeltaNetConfig {
+        field_width,
+        check_loops_per_update,
+        compact_threshold,
+        monitor_violations,
+        sec_widths,
+    })
+}
 
-    /// An *empty* engine of the same shape as the snapshotted one — same
-    /// configuration, same kind, same shard boundaries — used by
-    /// [`violations_at`] when the requested point in time lies before the
-    /// snapshot.
-    pub fn fresh_like(&self, topology: &Topology) -> Result<PersistNet, PersistError> {
-        self.check_topology(topology)?;
-        match &self.kind {
-            SnapshotKind::Single(_) => Ok(PersistNet::Single(Box::new(DeltaNet::new(
-                topology.clone(),
-                self.config,
-            )))),
-            SnapshotKind::Sharded { shards, .. } => Ok(PersistNet::Sharded(Box::new(
-                ShardedDeltaNet::new(topology.clone(), self.config, shards.len()),
-            ))),
-        }
-    }
+/// The installed rules of `net`, in ascending id order.
+fn sorted_rules(net: &PersistNet) -> Vec<Rule> {
+    let mut rules: Vec<Rule> = match net {
+        PersistNet::Single(n) => n.rules().copied().collect(),
+        PersistNet::Sharded(n) => n.rules().copied().collect(),
+    };
+    rules.sort_unstable_by_key(|rule| rule.id);
+    rules
 }
 
 fn encode_rule(w: &mut Writer, rule: &Rule) {
@@ -1189,7 +785,7 @@ fn decode_rule(
             if lo >= hi {
                 return r.corrupt("inverted secondary interval");
             }
-            if hi > 1 << netmodel::header::MAX_SECONDARY_WIDTH {
+            if hi > 1 << MAX_SECONDARY_WIDTH {
                 return r.corrupt("secondary bound exceeds the field range");
             }
             intervals.push(Interval::new(lo, hi));
@@ -2228,8 +1824,8 @@ pub fn recover_with(
 /// snapshot (falling back to older ones past corrupt artifacts), replays
 /// the log segments from there, repairing the final segment's torn tail per
 /// `policy`, and returns the engine with a [`Journal`] that resumes the
-/// directory. Recovery never invents ops: the recovered state is
-/// bit-identical to the engine state after some applied prefix.
+/// directory. Recovery never invents ops: the recovered engine holds the
+/// rules, and so the plane, of the engine after some applied prefix.
 pub fn recover_dir(
     mut backend: Box<dyn StorageBackend>,
     dir: &Path,
@@ -2303,12 +1899,40 @@ pub fn open_dir(
     }
 }
 
-/// A stable digest of the *full* serialized engine state — bit-identical
-/// states (atoms, owner arenas, labels, registry, monitor set) produce the
-/// same digest. Used by the crash suites to assert that recovery landed
-/// exactly on an applied prefix.
+/// A stable digest of what an engine means, not how it is laid out: its
+/// configuration, its rules in id order, every link's packets as
+/// normalized intervals (merged across shards) and its active violations.
+/// Atom ids, atom granularity and the shard count do not enter it, so an
+/// engine and its snapshot restore digest alike, as do two engines fed the
+/// same ops in different windows or shard counts. Used by the persistence
+/// suites to assert that recovery landed on an applied prefix.
 pub fn state_digest(net: &PersistNet) -> u64 {
-    fnv1a(&Snapshot::of_net(net, 0).to_bytes())
+    let mut w = Writer::default();
+    encode_config(&mut w, &net.config());
+    for rule in sorted_rules(net) {
+        encode_rule(&mut w, &rule);
+    }
+    let engines = match net {
+        PersistNet::Single(n) => std::slice::from_ref(n.as_ref()),
+        PersistNet::Sharded(n) => n.shards(),
+    };
+    for link in engines[0].topology().links() {
+        let of = |e: &DeltaNet| e.atoms().packets_of(e.label(link.id));
+        let packets = normalize(engines.iter().flat_map(of).collect());
+        w.varint(packets.len() as u64);
+        for packet in packets {
+            w.varint_wide(packet.lo());
+            w.varint_wide(packet.hi());
+        }
+    }
+    match net.checker().active_violations() {
+        Some(active) => {
+            w.bool(true);
+            w.buf.extend_from_slice(format!("{active:?}").as_bytes());
+        }
+        None => w.bool(false),
+    }
+    fnv1a(&w.buf)
 }
 
 /// The active violation set of a replayed, monitored engine.
@@ -2388,134 +2012,6 @@ pub fn violations_at_dir(
 mod tests {
     use super::*;
 
-    /// A monitored shard of a `dst:8 × src:6` plane (clip `[0 : 128)`) after
-    /// five inserts and a removal, so both lattices hold referenced bounds,
-    /// a clip pin and a reclaimable bound.
-    fn shard() -> (Topology, DeltaNet) {
-        shard_over(&[6])
-    }
-
-    /// [`shard`] over the given secondary widths; with none, the same
-    /// rules unconstrained on a single-field engine. Either way `[96 : 128)`
-    /// loops between `a` and `b` — under `src:6` only for sources
-    /// `[8 : 16)`, every other source dying at `a`, which no label shows —
-    /// and each switch blackholes what the other sends it unanswered.
-    fn shard_over(sec_widths: &[u8]) -> (Topology, DeltaNet) {
-        let mut topo = Topology::new();
-        let a = topo.add_node("a");
-        let b = topo.add_node("b");
-        let (ab, ba) = topo.add_bidi_link(a, b);
-        let config = DeltaNetConfig {
-            field_width: 8,
-            monitor_violations: true,
-            ..DeltaNetConfig::default()
-        }
-        .with_secondary(sec_widths);
-        let mut net = DeltaNet::clipped(topo.clone(), config, Interval::new(0, 128));
-        let src = |lo, hi| match sec_widths {
-            [] => SecondaryMatch::default(),
-            _ => SecondaryMatch::new(&[Interval::new(lo, hi)]),
-        };
-        let rule = |id, value, len, source, link| {
-            Rule::forward(RuleId(id), IpPrefix::new(value, len, 8), 5, source, link)
-        };
-        net.insert_rule(rule(1, 0, 4, a, ab).with_secondary(src(8, 16)));
-        net.insert_rule(rule(2, 16, 4, b, ba).with_secondary(src(8, 40)));
-        net.insert_rule(rule(3, 64, 3, a, ab).with_secondary(src(24, 32)));
-        net.insert_rule(rule(4, 96, 2, b, ba));
-        net.insert_rule(rule(5, 96, 2, a, ab).with_secondary(src(8, 16)));
-        net.remove_rule(RuleId(3));
-        assert!(net.reclaimable_bounds() > sec_widths.len());
-        (topo, net)
-    }
-
-    fn restore_tampered(
-        (topo, net): (Topology, DeltaNet),
-        tamper: impl FnOnce(&mut EngineSection),
-    ) -> Result<DeltaNet, PersistError> {
-        let registry = net.rules().map(|rule| (rule.id, *rule)).collect();
-        let mut section = EngineSection::export(&net);
-        tamper(&mut section);
-        section.restore(&topo, net.config(), &registry)
-    }
-
-    #[test]
-    fn restore_recomputes_the_books_and_rejects_a_section_that_lies_about_them() {
-        let (_, live) = shard();
-        let restored = restore_tampered(shard(), |_| {}).expect("the untampered section restores");
-        assert_eq!(restored.reclaimable_bounds(), live.reclaimable_bounds());
-        assert_eq!(restored.live_bytes(), live.live_bytes());
-
-        type Tamper = fn(&mut EngineSection);
-        let lies: [(&str, &str, Tamper); 6] = [
-            ("primary counter", "primary", |s| s.lattice.reclaimable += 1),
-            ("secondary counter", "secondary field 0", |s| {
-                s.sec[0].reclaimable -= 1
-            }),
-            ("refcount of 0", "primary", |s| s.lattice.refs[1].1 = 0),
-            ("dropped ref entry", "secondary field 0", |s| {
-                s.sec[0].refs.pop();
-            }),
-            ("ref on a bound M lacks", "primary", |s| {
-                let (last, _) = *s.lattice.refs.last().unwrap();
-                s.lattice.refs.push((last + 1, 1));
-            }),
-            ("rule bound missing from M", "secondary field 0", |s| {
-                // Bound 8 of rules 1, 2 and 5 leaves M; its atom id goes onto
-                // the free list so the id table itself stays consistent.
-                let at = s.sec[0].entries.iter().position(|&(b, _)| b == 8).unwrap();
-                let (_, atom) = s.sec[0].entries.remove(at);
-                s.sec[0].free.push(atom);
-            }),
-        ];
-        for (lie, field, tamper) in lies {
-            match restore_tampered(shard(), tamper) {
-                Err(PersistError::Corrupt(msg)) => {
-                    assert!(msg.contains(field), "{lie}: error names no field: {msg}")
-                }
-                Err(other) => panic!("{lie}: expected Corrupt, got {other:?}"),
-                Ok(_) => panic!("{lie}: restored"),
-            }
-        }
-    }
-
-    #[test]
-    fn restore_rejects_a_monitor_the_restored_plane_does_not_scan_to() {
-        type Tamper = fn(&mut EngineSection);
-        let lies: [(&str, Tamper); 3] = [
-            ("an atom added to a blackhole set", |s| {
-                // The looping atom, at the switch that does not blackhole it.
-                let (loops, holes) = s.monitor.as_mut().unwrap();
-                holes[1].1[0] |= loops[0].1[0];
-            }),
-            ("a dropped loop entry", |s| {
-                s.monitor.as_mut().unwrap().0.pop();
-            }),
-            ("a cycle the plane does not have", |s| {
-                let loops = &mut s.monitor.as_mut().unwrap().0;
-                loops.push((vec![NodeId(0)], vec![1]));
-            }),
-        ];
-        for sec_widths in [&[6][..], &[]] {
-            let live = shard_over(sec_widths).1;
-            let active = live.active_violations().expect("the fixture is monitored");
-            let loops = active.iter().filter(|v| v.is_loop()).count();
-            assert_eq!((loops, active.len()), (1, 3), "{active:?}");
-            let restored = restore_tampered(shard_over(sec_widths), |_| {})
-                .expect("the untampered section restores");
-            assert_eq!(restored.active_violations(), Some(active));
-            for (lie, tamper) in lies {
-                match restore_tampered(shard_over(sec_widths), tamper) {
-                    Err(PersistError::Mismatch(msg)) => {
-                        assert!(msg.contains("restored monitor disagrees"), "{lie}: {msg}")
-                    }
-                    Err(other) => panic!("{lie}: expected Mismatch, got {other:?}"),
-                    Ok(_) => panic!("{lie}: restored"),
-                }
-            }
-        }
-    }
-
     #[test]
     fn a_logged_op_the_engine_rejects_names_its_position() {
         let mut topo = Topology::new();
@@ -2543,6 +2039,64 @@ mod tests {
                     "{msg}"
                 ),
                 other => panic!("expected Mismatch, got {other:?}"),
+            }
+        }
+    }
+
+    /// A rule whose source is not its link's source (a, a link of b's) is
+    /// refused like a link outside the topology: as a logged op, recovery
+    /// names its position; in a snapshot registry, restore names the rule.
+    /// Neither panics, on one engine or on two shards.
+    #[test]
+    fn a_rule_off_its_links_source_is_refused_from_a_log_and_a_snapshot() {
+        use crate::fault::FaultyBackend;
+        let mut topo = Topology::new();
+        let [a, b, c] = [topo.add_node("a"), topo.add_node("b"), topo.add_node("c")];
+        let (ab, bc) = (topo.add_link(a, b), topo.add_link(b, c));
+        topo.add_link(c, a);
+        let prefix: IpPrefix = "10.0.0.0/8".parse().unwrap();
+        let good = Rule::forward(RuleId(1), prefix, 10, a, ab);
+        let stray = Rule::forward(RuleId(2), prefix, 10, a, bc);
+        let config = DeltaNetConfig::default();
+        let single = PersistNet::Single(Box::new(DeltaNet::new(topo.clone(), config)));
+        let sharded = ShardedDeltaNet::new(topo.clone(), config, 2);
+        for net in [single, PersistNet::Sharded(Box::new(sharded))] {
+            let shards = net.as_sharded().map_or(0, ShardedDeltaNet::shard_count);
+            let empty = Snapshot::of_net(&net, 0);
+            let disk = FaultyBackend::new();
+            let (snap, log) = (Path::new("/d/s.dnsnap"), Path::new("/d/s.dnlog"));
+            disk.plant(snap, empty.to_bytes());
+            let mut bytes = Vec::from(LOG_MAGIC.as_slice());
+            bytes.push(LOG_FORMAT_VERSION);
+            for op in [Op::Insert(good), Op::Insert(stray)] {
+                bytes.extend_from_slice(&encode_record(&op));
+            }
+            disk.plant(log, bytes);
+            let policy = RecoveryPolicy::Strict;
+            match recover_with(&topo, &mut disk.clone(), snap, log, policy) {
+                Err(PersistError::Mismatch(msg)) => assert!(
+                    msg.starts_with(
+                        "logged op 1 rejected on replay: rule r2 references unknown link"
+                    ),
+                    "{shards} shards: {msg}"
+                ),
+                Err(e) => panic!("{shards} shards: expected Mismatch, got {e:?}"),
+                Ok(_) => panic!("{shards} shards: the stray rule replayed"),
+            }
+            let holding = Snapshot {
+                registry: vec![good, stray],
+                ..Snapshot::of_net(&net, 0)
+            };
+            let decoded = Snapshot::from_bytes(&holding.to_bytes()).expect("decodes");
+            match decoded.restore(&topo) {
+                Err(PersistError::Corrupt(msg)) => assert!(
+                    msg.starts_with(
+                        "snapshot registry rule r2 refused: rule r2 references unknown link"
+                    ),
+                    "{shards} shards: {msg}"
+                ),
+                Err(e) => panic!("{shards} shards: expected Corrupt, got {e:?}"),
+                Ok(_) => panic!("{shards} shards: the stray rule restored"),
             }
         }
     }

@@ -167,7 +167,7 @@ impl Drop for ShardWorkers {
 impl Clone for ShardedDeltaNet {
     /// Clones the engine state. An attached monitor observer and the
     /// helper threads are runtime wiring and are *not* cloned — the copy
-    /// starts with neither, like a snapshot-restored engine.
+    /// starts with neither, like a new engine.
     fn clone(&self) -> Self {
         ShardedDeltaNet {
             topology: self.topology.clone(),
@@ -221,12 +221,7 @@ impl ShardedDeltaNet {
             (shards as u128) <= max,
             "cannot split {max} addresses into {shards} shards"
         );
-        // floor(max * i / shards) without overflowing u128.
-        let q = max / shards as u128;
-        let r = max % shards as u128;
-        let boundaries: Vec<Bound> = (0..=shards as u128)
-            .map(|i| q * i + (r * i) / shards as u128)
-            .collect();
+        let boundaries = even_boundaries(config.field_width, shards);
         let shards = boundaries
             .windows(2)
             .map(|w| DeltaNet::clipped(topology.clone(), config, Interval::new(w[0], w[1])))
@@ -237,30 +232,6 @@ impl ShardedDeltaNet {
             shards,
             rules: HashMap::new(),
             parallelism,
-            observer: None,
-            pool: None,
-        }
-    }
-
-    /// Rebuilds a sharded engine from snapshot parts: the boundary table,
-    /// the already-restored shard engines (in address order, each clipped to
-    /// its boundary range) and the shared rule registry. The worker count is
-    /// [`Parallelism::auto`] — it is runtime configuration, not state (an
-    /// owner with its own setting applies it with
-    /// [`ShardedDeltaNet::set_parallelism`]).
-    pub(crate) fn from_restored(
-        topology: Topology,
-        boundaries: Vec<Bound>,
-        shards: Vec<DeltaNet>,
-        rules: HashMap<RuleId, Rule>,
-    ) -> Self {
-        debug_assert_eq!(boundaries.len(), shards.len() + 1);
-        ShardedDeltaNet {
-            topology,
-            boundaries,
-            shards,
-            rules,
-            parallelism: Parallelism::auto(),
             observer: None,
             pool: None,
         }
@@ -358,6 +329,13 @@ impl ShardedDeltaNet {
         self.shards[0].config()
     }
 
+    /// [`DeltaNet::set_config`] on every shard.
+    pub(crate) fn set_config(&mut self, config: DeltaNetConfig) {
+        for shard in &mut self.shards {
+            shard.set_config(config);
+        }
+    }
+
     /// Whether any shard has an open aggregation window (see
     /// [`DeltaNet::is_aggregating`]).
     pub fn is_aggregating(&self) -> bool {
@@ -411,11 +389,14 @@ impl ShardedDeltaNet {
         if self.rules.contains_key(&rule.id) {
             return Err(UpdateError::DuplicateRule(rule.id));
         }
-        if rule.link.index() >= self.topology.link_count() {
-            return Err(UpdateError::UnknownLink {
-                rule: rule.id,
-                link: rule.link,
-            });
+        match self.topology.links().get(rule.link.index()) {
+            Some(link) if link.src == rule.source => {}
+            _ => {
+                return Err(UpdateError::UnknownLink {
+                    rule: rule.id,
+                    link: rule.link,
+                })
+            }
         }
         // Field validation must happen here, not inside a shard: a rule
         // constraining undeclared secondary fields would otherwise reach
@@ -633,6 +614,20 @@ impl ShardedDeltaNet {
             + self.rules.capacity()
                 * (std::mem::size_of::<RuleId>() + std::mem::size_of::<Rule>() + 8)
     }
+}
+
+/// The boundaries of `shards` equal contiguous ranges of the `width`-bit
+/// field space, `floor(2^width * i / shards)` for `i` in `0..=shards` — the
+/// one split [`ShardedDeltaNet::new`] makes, and what a snapshot's shard
+/// count stands for.
+pub(crate) fn even_boundaries(width: u8, shards: usize) -> Vec<Bound> {
+    let max: Bound = 1u128 << width;
+    // floor(max * i / shards) without overflowing u128.
+    let q = max / shards as u128;
+    let r = max % shards as u128;
+    (0..=shards as u128)
+        .map(|i| q * i + (r * i) / shards as u128)
+        .collect()
 }
 
 /// Applies each shard's routed sub-sequence as one window of that shard

@@ -1,8 +1,8 @@
 //! Back-compat: pre-multi-field artifacts (format v1 snapshots, format v2
-//! delta logs) committed under `tests/fixtures/` must keep loading as
-//! single-field engines, bit-identically to a fresh replay of the same
-//! trace — and a multi-field operation replayed into such an engine must
-//! fail with a clean [`PersistError::Mismatch`], never a panic.
+//! delta logs) committed under `tests/fixtures/` must keep loading, through
+//! their rule registries, as single-field engines that equal a fresh replay
+//! of the same trace — and a multi-field operation replayed into such an
+//! engine must fail with a clean [`PersistError::Mismatch`], never a panic.
 //!
 //! The fixture files were generated by the v2-era code from the exact
 //! topology and trace replicated below ([`fixture_topology`] /
@@ -12,12 +12,14 @@
 //! regenerated, so any accidental format change that breaks old artifacts
 //! fails here first.
 //!
-//! `v3-mf-fixture.dnsnap` pins what the v2 pair cannot: the secondary
-//! lattice block and the sharded kind. It was written by the code of the
-//! commit before the lattice codec moved (PR 22's parent) from
-//! [`mf_fixture_net`] after [`MF_SNAPSHOT_AT`] operations of
-//! [`mf_fixture_ops`] — 2 shards, `dst:32 × 8 × 6`, monitored, one explicit
-//! `compact()` on the way.
+//! `v3-mf-fixture.dnsnap` pins what the v2 pair cannot: per-rule secondary
+//! matches and the sharded kind, whose arena sections (the secondary
+//! lattices among them) a restore now skips. It was written by the
+//! format-3 code from [`mf_fixture_net`] after [`MF_SNAPSHOT_AT`]
+//! operations of [`mf_fixture_ops`] — 2 shards, `dst:32 × 8 × 6`,
+//! monitored, one explicit `compact()` on the way.
+//! `v4-mf-fixture.dnsnap` is the format-4 image of the same engine: its
+//! rule set, configuration, monitor flag and shard count.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -151,7 +153,7 @@ fn v2_artifacts_recover_bit_identically_to_fresh_replay() {
     };
     assert_eq!(config.secondary_count(), 0);
 
-    // Fresh replay of the replicated trace lands on the identical state.
+    // Fresh replay of the replicated trace lands on the same plane.
     let mut fresh = PersistNet::Single(Box::new(DeltaNet::new(topo.clone(), config)));
     for op in &ops {
         fresh.checker_mut().try_apply(op).unwrap();
@@ -161,6 +163,24 @@ fn v2_artifacts_recover_bit_identically_to_fresh_replay() {
         persist::state_digest(&fresh),
         "recovered state differs from a fresh replay"
     );
+    // The snapshot's six rules were inserted in id order and none was
+    // removed before it, so the rebuild retraces the replay's first six
+    // ops and the two engines are identical down to atom ids.
+    let (PersistNet::Single(a), PersistNet::Single(b)) = (&recovered, &fresh) else {
+        unreachable!("both engines are single")
+    };
+    let atoms = |n: &DeltaNet| n.atoms().iter().collect::<Vec<_>>();
+    assert_eq!(atoms(a), atoms(b), "atoms");
+    let labels = |n: &DeltaNet| {
+        let ids = |set: &deltanet::AtomSet| set.iter().collect::<Vec<_>>();
+        n.labels()
+            .iter()
+            .map(|(l, set)| (l, ids(set)))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(labels(a), labels(b), "labels");
+    let books = |n: &DeltaNet| (n.allocated_atoms(), n.live_bytes(), n.reclaimable_bounds());
+    assert_eq!(books(a), books(b), "allocation, live bytes and books");
 }
 
 #[test]
@@ -321,13 +341,18 @@ fn mf_replay(net: &mut PersistNet, ops: &[Op], from: usize, to: usize) {
     }
 }
 
+/// The v3 fixture restores through its registry, re-encodes byte for byte
+/// to the committed v4 image — which is also what a fresh replay of the
+/// fixture's trace encodes to, and which re-encodes to itself — and the
+/// restored engine stays on a fresh replay's plane over 30 further ops.
 #[test]
 fn v3_multifield_sharded_snapshot_restores_and_reencodes_byte_for_byte() {
     let (topo, _) = fixture_topology();
     let ops = mf_fixture_ops(&topo);
-    let committed = fs::read(fixture("v3-mf-fixture.dnsnap")).unwrap();
+    let v3 = fs::read(fixture("v3-mf-fixture.dnsnap")).unwrap();
+    let v4 = fs::read(fixture("v4-mf-fixture.dnsnap")).unwrap();
 
-    let snap = Snapshot::from_bytes(&committed).unwrap();
+    let snap = Snapshot::from_bytes(&v3).unwrap();
     assert_eq!(snap.ops_applied(), MF_SNAPSHOT_AT as u64);
     assert_eq!(
         (snap.shard_count(), snap.config().secondary_count()),
@@ -337,18 +362,33 @@ fn v3_multifield_sharded_snapshot_restores_and_reencodes_byte_for_byte() {
     assert!(restored.monitor_keys().is_some());
     assert_eq!(
         Snapshot::of_net(&restored, MF_SNAPSHOT_AT as u64).to_bytes(),
-        committed,
-        "the restored engine no longer encodes to the committed bytes"
+        v4,
+        "the restored engine no longer encodes to the committed v4 bytes"
+    );
+    let decoded = Snapshot::from_bytes(&v4).unwrap();
+    assert_eq!(
+        decoded.to_bytes(),
+        v4,
+        "v4 decode + encode is not byte-stable"
+    );
+    let from_v4 = decoded.restore(&topo).unwrap();
+    assert_eq!(
+        persist::state_digest(&from_v4),
+        persist::state_digest(&restored)
     );
 
-    // The restored engine and a fresh replay of the whole trace stay in
-    // lock-step over 30 further operations.
+    // The restored engine and a fresh replay of the whole trace stay on
+    // one plane over 30 further operations.
     let mut fresh = mf_fixture_net(&topo);
     mf_replay(&mut fresh, &ops, 0, MF_SNAPSHOT_AT);
     assert_eq!(
         Snapshot::of_net(&fresh, MF_SNAPSHOT_AT as u64).to_bytes(),
-        committed,
-        "a fresh replay no longer lands on the committed bytes"
+        v4,
+        "a fresh replay no longer lands on the committed v4 bytes"
+    );
+    assert_eq!(
+        persist::state_digest(&restored),
+        persist::state_digest(&fresh)
     );
     mf_replay(&mut fresh, &ops, MF_SNAPSHOT_AT, ops.len());
     mf_replay(&mut restored, &ops, MF_SNAPSHOT_AT, ops.len());

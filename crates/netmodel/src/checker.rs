@@ -29,7 +29,8 @@ pub enum UpdateError {
     UnknownRule(RuleId),
     /// An insertion reused a rule id that is already installed.
     DuplicateRule(RuleId),
-    /// An insertion referenced a link outside the checker's topology.
+    /// An insertion referenced a link outside the checker's topology, or a
+    /// link that does not leave the rule's source switch.
     UnknownLink {
         /// The offending rule.
         rule: RuleId,
@@ -65,7 +66,10 @@ impl fmt::Display for UpdateError {
             UpdateError::UnknownRule(id) => write!(f, "removal of unknown rule {id:?}"),
             UpdateError::DuplicateRule(id) => write!(f, "rule {id:?} inserted twice"),
             UpdateError::UnknownLink { rule, link } => {
-                write!(f, "rule {rule:?} references unknown link {link:?}")
+                write!(
+                    f,
+                    "rule {rule:?} references unknown link {link:?}: no such link leaves its source"
+                )
             }
             UpdateError::OutsideShard { rule, range } => {
                 write!(f, "rule {rule:?} does not intersect shard range {range}")

@@ -142,7 +142,7 @@ fn p(s: &str) -> PathBuf {
 /// prefix. The cells after the first four are also cut inside a window
 /// every 16 ops.
 #[test]
-fn crash_point_sweep_recovers_bit_identical_to_salvaged_prefix() {
+fn crash_point_sweep_recovers_the_salvaged_prefix() {
     let mut rng = StdRng::seed_from_u64(0xc4a5_4001);
     let topo = random_topology(&mut rng, 5, true);
     let case = "seed 0xfeed_beef";

@@ -1,15 +1,18 @@
 //! Persistence round-trip differential tests: randomized traces are
 //! snapshotted every few operations (single engine and 1/2/4 shards); the
-//! restored twin must match the live engine on atom counts, `live_bytes`,
-//! the monitor's `active_violations()` bit-for-bit, full loop/blackhole
-//! rescans and `state_digest` — and must stay identical when both keep
-//! applying the same ops afterwards ([`Restore`] of the driver in
-//! `tests/support/`). A journaled run (a `Session` on the harness's
-//! in-memory disk) recovers from a mid-run snapshot + log tail, op by op
-//! and in windows; time-travel queries agree with a fresh replay; and on
-//! real files, corrupted or truncated artifacts fail with clean errors,
+//! snapshot must re-encode byte for byte, the restored twin must be
+//! bit-identical to an engine built fresh from the live engine's rules in
+//! id order, and it must match the live engine on its rules, the monitor's
+//! `active_violations()`, full loop/blackhole rescans and `state_digest` —
+//! and keep matching while both apply the same ops afterwards ([`Restore`]
+//! of the driver in `tests/support/`). A journaled run (a `Session` on the
+//! harness's in-memory disk) recovers from a mid-run snapshot + log tail,
+//! op by op and in windows; time-travel queries agree with a fresh replay;
+//! on real files, corrupted or truncated artifacts fail with clean errors,
 //! never panics, and a window failing mid-way logs exactly its applied
-//! prefix. Logs cut at a byte are `crash_consistency.rs`'s.
+//! prefix; and every single-byte mutant of a snapshot whose checksum is
+//! re-sealed restores or is refused, never panics. Logs cut at a byte are
+//! `crash_consistency.rs`'s.
 
 mod support;
 
@@ -18,16 +21,17 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use deltanet::persist::{self, read_log, PersistError};
-use deltanet::{DeltaNetConfig, Durability, FsBackend, Journal, Session, Snapshot};
+use deltanet::{DeltaNetConfig, Durability, FsBackend, Journal, PersistNet, Session, Snapshot};
 use netmodel::ip::IpPrefix;
 use netmodel::rule::{Rule, RuleId};
-use netmodel::topology::Topology;
+use netmodel::topology::{NodeId, Topology};
 use netmodel::trace::Op;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use support::Oracle::Restore;
 use support::{assert_state_eq, config, run, Log, Shape, Stream, END, MONITOR};
-use testutil::{random_ops, random_topology, OpGen};
+use testutil::{random_ops, random_rule, random_secondary, random_topology, OpGen};
 
 /// `0` builds a plain single engine; `n > 0` builds `n` shards.
 const ENGINE_KINDS: [usize; 4] = [0, 1, 2, 4];
@@ -215,6 +219,112 @@ fn logged_batch_failure_logs_exactly_the_applied_prefix() {
     let fresh = run("mid-batch", &topo, Stream::Ops(replayable), &shape, &[]);
     assert_state_eq(session.net(), &fresh, "post-failure log replay");
     fs::remove_dir_all(&dir).ok();
+}
+
+/// Every single-byte mutant of two snapshots — a monitored `dst × src`
+/// one of the current format, and the committed format-3 fixture of a
+/// 2-shard monitored `dst × 8 × 6` engine — with its byte moved by ±1 and
+/// its checksum re-sealed, so that decoding goes past the trailer. Each is
+/// restored and, if it restores, takes a 5-op churn and a compaction; none
+/// may panic.
+#[test]
+fn every_resealed_single_byte_mutant_restores_or_is_refused_without_panicking() {
+    let mut rng = StdRng::seed_from_u64(0x5eed_0022);
+    let topo = random_topology(&mut rng, 5, true);
+    let gen = OpGen::new(8, 40, 0.3).with_secondary(&[6]);
+    let ops = Stream::Ops(random_ops(&mut rng, &topo, 40, gen));
+    let shape = Shape::new(0, config(MONITOR, None, &[6]));
+    let net = run("seed 0x5eed_0022", &topo, ops, &shape, &[]);
+    let current = Snapshot::of_net(&net, 40).to_bytes();
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("crates/deltanet/tests/fixtures/v3-mf-fixture.dnsnap");
+    let v3 = fs::read(fixture).unwrap();
+    let mut report = Vec::new();
+    for (name, bytes, topo) in [("v4", current, topo), ("v3", v3, fixture_ring())] {
+        let (mut refused, mut restored, mut panics) = (0, 0, Vec::new());
+        let body = bytes.len() - 8;
+        for at in 0..body {
+            for delta in [1u8, 255] {
+                let mut mutant = bytes[..body].to_vec();
+                mutant[at] = mutant[at].wrapping_add(delta);
+                let sum = fnv1a(&mutant);
+                mutant.extend_from_slice(&sum.to_le_bytes());
+                let topo = &topo;
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    let mut net = Snapshot::from_bytes(&mutant)?.restore(topo)?;
+                    churn(&mut net, topo, at as u64);
+                    Ok::<_, PersistError>(())
+                }));
+                match outcome {
+                    Ok(Ok(())) => restored += 1,
+                    Ok(Err(_)) => refused += 1,
+                    Err(_) => panics.push((at, delta)),
+                }
+            }
+        }
+        report.push(format!(
+            "{name}: {} mutants, {refused} refused, {restored} restored, {} panics {panics:?}",
+            2 * body,
+            panics.len()
+        ));
+        assert!(refused > 0 && restored > 0, "{}", report.join("; "));
+    }
+    let report = report.join("; ");
+    eprintln!("{report}");
+    assert!(!report.contains("panics [("), "{report}");
+}
+
+/// Five ops against a restored engine — the removal of its two lowest
+/// rule ids, two random inserts over its own header space, and the removal
+/// of the first insert — each allowed to fail, then a compaction.
+fn churn(net: &mut PersistNet, topo: &Topology, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let config = net.config();
+    let sec = &config.sec_widths[..config.secondary_count()];
+    let mut ids: Vec<RuleId> = match net {
+        PersistNet::Single(n) => n.rules().map(|r| r.id).collect(),
+        PersistNet::Sharded(n) => n.rules().map(|r| r.id).collect(),
+    };
+    ids.sort_unstable();
+    let mut ops: Vec<Op> = ids.iter().take(2).map(|&id| Op::Remove(id)).collect();
+    for id in [1 << 40, (1 << 40) + 1] {
+        let rule = random_rule(&mut rng, topo, id, config.field_width, 40);
+        ops.push(Op::Insert(
+            rule.with_secondary(random_secondary(&mut rng, sec)),
+        ));
+    }
+    ops.push(Op::Remove(RuleId(1 << 40)));
+    for op in &ops {
+        let _ = net.checker_mut().try_apply(op);
+    }
+    match net {
+        PersistNet::Single(n) => n.compact(),
+        PersistNet::Sharded(n) => n.compact(),
+    };
+}
+
+/// The topology of the committed fixtures: a bidirectional 4-ring with a
+/// drop link at every switch.
+fn fixture_ring() -> Topology {
+    let mut topo = Topology::new();
+    let n: Vec<NodeId> = topo.add_nodes("s", 4);
+    for i in 0..4 {
+        topo.add_bidi_link(n[i], n[(i + 1) % 4]);
+    }
+    for node in topo.switch_nodes().collect::<Vec<_>>() {
+        topo.drop_link(node);
+    }
+    topo
+}
+
+/// FNV-1a 64, the snapshot trailer's checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
 }
 
 /// A fresh directory under the system temp dir, unique per process and call.

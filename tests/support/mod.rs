@@ -182,10 +182,13 @@ pub enum Oracle {
     /// the shape may have compacted on its own since the last explicit pass;
     /// under a threshold, an id table within it of the live atoms.
     Single,
-    /// The restore twin tracks the engine's counts, monitor and events; each
-    /// twin meets the whole restore contract ([`assert_state_eq`]) when it
-    /// forks, when it is replaced after taking ops, and at the end (after
-    /// the final compaction), as does the journal's recovery.
+    /// The restore twin tracks the engine's rule count, monitor, events and
+    /// [`persist::state_digest`]. Each twin is born bit-identical to an
+    /// engine built fresh from the engine's rules ([`assert_rebuilt`]) from
+    /// a snapshot that re-encodes byte for byte, and meets the semantic
+    /// contract ([`assert_state_eq`]) when it forks, when it is replaced
+    /// after taking ops, and at the end (after the final compaction), as
+    /// does the journal's recovery.
     Restore,
     /// The journal's final segment, cut at a byte, recovers to exactly the
     /// ops its whole records hold (or, below a newer checkpoint, to that
@@ -194,8 +197,8 @@ pub enum Oracle {
     /// boundary and sampled mid-record bytes. Each cut recovers under
     /// [`RecoveryPolicy::Strict`], which must fail naming the tear, and
     /// [`RecoveryPolicy::RepairTail`], which must truncate the file to it
-    /// and land on the restore contract ([`assert_state_eq`]) with an engine
-    /// of the shape fed the salvaged ops one by one. A checkpoint directory
+    /// and land on the semantic contract ([`assert_state_eq`]) with an
+    /// engine of the shape fed the salvaged ops one by one. A checkpoint directory
     /// must also fall back past a corrupt newest snapshot to exactly the
     /// newest intact one, and refuse a torn non-final segment. On a shape
     /// with [`Shape::crash_at_byte`], what the dead disk kept recovers to at
@@ -559,8 +562,8 @@ impl<'a> Run<'a> {
     }
 
     /// Replaces the twin with one restored from the engine's snapshot; a
-    /// twin that has taken ops since its own fork meets the whole contract
-    /// first.
+    /// twin that has taken ops since its own fork meets the semantic
+    /// contract first.
     fn fork(&mut self) {
         if let Some((twin, true)) = &self.twin {
             assert_state_eq(self.net(), twin, &format!("{}: Restore: fed", self.at()));
@@ -568,6 +571,7 @@ impl<'a> Run<'a> {
         let (at, ops) = (format!("{}: Restore: fork", self.at()), self.applied as u64);
         let bytes = Snapshot::of_net(self.net(), ops).to_bytes();
         let snapshot = Snapshot::from_bytes(&bytes).expect("snapshot decodes");
+        assert_eq!(snapshot.to_bytes(), bytes, "{at}: re-encoding");
         assert_eq!(snapshot.ops_applied(), ops, "{at}");
         let fields = (
             snapshot.config().secondary_count(),
@@ -575,6 +579,7 @@ impl<'a> Run<'a> {
         );
         assert_eq!(fields.0, fields.1, "{at}: secondary fields");
         let twin = snapshot.restore(self.topo).expect("snapshot restores");
+        assert_rebuilt(self.net(), &twin, &self.shape, self.topo, &at);
         assert_state_eq(self.net(), &twin, &at);
         self.twin = Some((twin, false));
     }
@@ -715,14 +720,15 @@ impl<'a> Run<'a> {
                 assert_observationally_equal(plain, net, self.aligned, &at);
             }
             // The whole restore contract holds at each fork and at the end;
-            // in between, the twin's counts, monitor and events track.
+            // in between, the twin's rules, monitor, digest and events track.
             Oracle::Restore => {
                 let Some((twin, fed)) = &self.twin else {
                     return;
                 };
                 let state = |n: &PersistNet| {
                     let c = n.checker();
-                    (c.rule_count(), c.class_count(), c.active_violations())
+                    let digest = persist::state_digest(n);
+                    (c.rule_count(), c.active_violations(), digest)
                 };
                 assert_eq!(state(net), state(twin), "{at}: restored-vs-uninterrupted");
                 if let (true, PersistNet::Single(a), PersistNet::Single(b)) = (fed, net, twin) {
@@ -1280,14 +1286,14 @@ fn assert_observationally_equal(plain: &DeltaNet, net: &PersistNet, exact_atoms:
     }
 }
 
-/// The restore contract: logical state, memory accounting, the monitor's
-/// violations, from-scratch rescans and the serialized state all agree.
+/// The restore contract's semantic half: the rules, the monitor's
+/// violations, from-scratch rescans and [`persist::state_digest`] (rules,
+/// every link's packets, violations) all agree. Atom ids and granularity
+/// may differ: a restore holds no bound of a removed rule the live engine
+/// had not compacted away yet.
 pub fn assert_state_eq(live: &PersistNet, restored: &PersistNet, at: &str) {
     let (a, b) = (live.checker(), restored.checker());
     assert_eq!(a.rule_count(), b.rule_count(), "{at}: rule_count");
-    assert_eq!(a.class_count(), b.class_count(), "{at}: atom count");
-    let bytes = |net| engines(net).iter().map(DeltaNet::live_bytes).sum::<usize>();
-    assert_eq!(bytes(live), bytes(restored), "{at}: live_bytes");
     let active = (a.active_violations(), b.active_violations());
     assert_eq!(active.0, active.1, "{at}: monitor violation set");
     assert_equivalent(
@@ -1296,7 +1302,72 @@ pub fn assert_state_eq(live: &PersistNet, restored: &PersistNet, at: &str) {
         &full_scan(live),
     );
     let digests = (persist::state_digest(live), persist::state_digest(restored));
-    assert_eq!(digests.0, digests.1, "{at}: serialized states diverge");
+    assert_eq!(digests.0, digests.1, "{at}: state digests diverge");
+}
+
+/// The restore contract's exact half: `restored` is bit-identical — every
+/// atom with its id and interval, every owner cell, every label's atom
+/// ids, atom counts, `live_bytes`, reclaimable bounds, violations — to an
+/// engine of `shape` built fresh from `live`'s rules, inserted one by one
+/// in id order.
+pub fn assert_rebuilt(
+    live: &PersistNet,
+    restored: &PersistNet,
+    shape: &Shape,
+    topo: &Topology,
+    at: &str,
+) {
+    let mut rules: Vec<Rule> = match live {
+        PersistNet::Single(n) => n.rules().copied().collect(),
+        PersistNet::Sharded(n) => n.rules().copied().collect(),
+    };
+    rules.sort_unstable_by_key(|rule| rule.id);
+    let mut fresh = shape.build(topo);
+    for rule in rules {
+        let applied = fresh.checker_mut().try_apply(&Op::Insert(rule));
+        applied.unwrap_or_else(|e| panic!("{at}: the rebuild takes {:?}: {e}", rule.id));
+    }
+    if live.monitor_keys().is_some() && fresh.monitor_keys().is_none() {
+        fresh.enable_monitor();
+    }
+    let (want, got) = (image(&fresh), image(restored));
+    assert_eq!(want.len(), got.len(), "{at}: Restore: image shapes");
+    for (want, got) in want.iter().zip(&got) {
+        assert_eq!(
+            got, want,
+            "{at}: Restore: not the engine rebuilt from the rules"
+        );
+    }
+}
+
+/// Every arena of `net`, engine by engine, in a comparable form.
+fn image(net: &PersistNet) -> Vec<String> {
+    let mut out = vec![
+        format!("{:?}", net.config()),
+        format!("{:?}", net.checker().active_violations()),
+    ];
+    for e in engines(net) {
+        out.push(format!(
+            "{:?}: {} atoms, {} allocated, {} live bytes, {} reclaimable, {} compactions",
+            e.clip(),
+            e.atom_count(),
+            e.allocated_atoms(),
+            e.live_bytes(),
+            e.reclaimable_bounds(),
+            e.compactions()
+        ));
+        let lattices = std::iter::once(e.atoms()).chain(e.secondary_atoms());
+        out.extend(lattices.map(|m| format!("{:?}", m.iter().collect::<Vec<_>>())));
+        for (link, label) in e.labels().iter() {
+            out.push(format!("{link:?}: {:?}", label.iter().collect::<Vec<_>>()));
+        }
+        for (atom, _) in e.atoms().iter() {
+            let cells = e.owner().sources(atom);
+            let cells: Vec<_> = cells.map(|(at, rules)| (at, rules.as_slice())).collect();
+            out.push(format!("{atom:?}: {cells:?}"));
+        }
+    }
+    out
 }
 
 /// The first `n` of `rules` that conflict with no rule kept before them (a
