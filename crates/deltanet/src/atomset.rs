@@ -173,6 +173,18 @@ impl AtomSet {
         changed
     }
 
+    /// In-place union with the atoms `bits` of word `w` (atoms `64·w` to
+    /// `64·w + 63`), for callers that work a word of atoms at a time.
+    #[inline]
+    pub(crate) fn or_word(&mut self, w: usize, bits: u64) {
+        debug_assert!(bits != 0, "an empty word would leave a trailing zero word");
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        self.len += (bits & !self.words[w]).count_ones() as usize;
+        self.words[w] |= bits;
+    }
+
     /// In-place intersection: `self ← self ∩ other`.
     pub fn intersect_with(&mut self, other: &AtomSet) {
         let mut len = 0usize;

@@ -2,37 +2,34 @@
 //!
 //! Per atom, forwarding is deterministic: at any switch, at most one
 //! outgoing link carries a given atom (the link of the rule that owns the
-//! atom there), so the α-restricted graph is a functional graph and loop
-//! detection is a successor walk. Every walk in this module — the
-//! per-update check, the monitor repair, the what-if scan and the full
-//! audits — is the one routine [`WalkScratch::walk`], which keeps its
-//! visited marks, path positions and path in generation-stamped vectors of
-//! node-count length and so allocates nothing per walk or per atom. Three
-//! callers differ in where their walks start and in how a step finds its
-//! next hop ([`Hop`]):
+//! atom there), so the α-restricted graph is a functional graph. Loop
+//! detection reads it three ways:
 //!
 //! * [`find_loops_from_seeds`] — the per-update check of an unmonitored
 //!   engine (§4.3.1 "find in the delta-graph all forwarding loops"): one
-//!   walk per `(link, atom)` pair the update added. Cost: Σ walk length
-//!   over the delta's added pairs.
-//! * [`cycles_for_atoms`] — a dense candidate set (the what-if query of
-//!   §4.3.2, the full audits, seeding a monitor): the kernel goes atom by
-//!   atom. For each non-zero candidate word it reads every labelled link's
-//!   word once, keeping per link the atoms it is its switch's first hop
-//!   for. A bit-parallel exit filter then decides for the whole word which
-//!   atoms can loop: the set of atoms whose walk from a switch leaves the
-//!   network (at a drop link, or at a switch with no hop) is propagated
-//!   backwards over the word's hits by a worklist. Only the atoms that
-//!   never leave are scattered by bit into per-atom next-hop tables and
-//!   walked, so each walk step is one table read and the atom's walks
-//!   share visited marks; a walk that leaves would have recorded nothing.
-//!   Cost: O(links · candidate words + 64 · hits + Σ looping atoms' hits +
-//!   Σ their walk length), with no sort and no walk of a loop-free atom.
+//!   successor walk per `(link, atom)` pair the update added. Cost: Σ walk
+//!   length over the delta's added pairs.
 //! * [`walks_from`] — one atom from several switches, sharing visited
 //!   marks (the single-field monitor repair of a window or of an
 //!   aggregated delta-graph, walking each repaired atom from every switch
 //!   whose out-links changed). Cost: at most one pass over the nodes per
 //!   atom, however many starts.
+//! * [`cycles_for_atoms`] — a dense candidate set (the what-if query of
+//!   §4.3.2, the full audits, seeding a monitor): the same walks, for the
+//!   64 atoms of a candidate word at once. One pass over the labelled links
+//!   keeps per link the word's atoms it is its switch's first hop for. A
+//!   depth-first search from every switch then carries as one mask the
+//!   atoms not yet seen there, splits it at each hop by the hit that
+//!   carries each atom on, stops an atom where it was seen before, and
+//!   closes a cycle where atoms meet their own path; a cycle is admitted for
+//!   all the atoms that close it together in one map probe. Cost:
+//!   O(links · candidate words + 64 · hits), with no sort and no per-atom
+//!   step.
+//!
+//! The first two share one routine, [`WalkScratch::walk`], which keeps its
+//! visited marks, path positions and path in generation-stamped vectors of
+//! node-count length and so allocates nothing per walk or per atom. The
+//! third keeps the same marks per switch as one word of atoms.
 //!
 //! Detected loops are reported as [`InvariantViolation::ForwardingLoop`]
 //! with the cycle's nodes and the affected destination addresses as
@@ -65,22 +62,12 @@ pub fn successor(
         .find(|&l| labels.contains(l, atom))
 }
 
-/// Where a walk step reads the current atom's next hop.
-#[derive(Clone, Copy)]
-enum Hop<'a> {
-    /// Probes the node's out-links' labels ([`successor`]).
-    Probe(&'a Labels, AtomId),
-    /// Reads the next-hop table [`WalkScratch::set_hop`] filled.
-    Table,
-}
-
 /// Reusable state of the successor walk, owned by whoever walks repeatedly
 /// ([`crate::DeltaNet`] for the per-update check, the
 /// [`crate::monitor::ViolationMonitor`] for its repair) so the steady state
 /// allocates nothing. Marks are generation stamps: every walk takes the
 /// next stamp, and the walks of one atom are the stamps above `floor` — so
 /// starting a walk or an atom is a counter bump, never an O(nodes) clear.
-/// The next-hop table is stamped the same way, per atom.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct WalkScratch {
     /// `stamp[n]`: the last walk that visited node `n`. Equal to `walk`:
@@ -93,52 +80,33 @@ pub(crate) struct WalkScratch {
     path: Vec<NodeId>,
     floor: u32,
     walk: u32,
-    /// `hop[n]`: the link carrying the current atom out of `n`, valid where
-    /// `hop_stamp[n] == atom`.
-    hop: Vec<LinkId>,
-    hop_stamp: Vec<u32>,
-    /// The current atom's generation, bumped by every `begin_atom`.
-    atom: u32,
 }
 
 impl WalkScratch {
     /// Starts the walks of a new atom on a topology of `nodes` nodes:
-    /// forgets the previous atom's visited marks and next hops and, the
-    /// first time (or if the topology grew), sizes the vectors.
+    /// forgets the previous atom's visited marks and, the first time (or if
+    /// the topology grew), sizes the vectors.
     fn begin_atom(&mut self, nodes: usize) {
         if self.stamp.len() < nodes {
             self.stamp.resize(nodes, 0);
             self.pos.resize(nodes, 0);
-            self.hop.resize(nodes, LinkId(0));
-            self.hop_stamp.resize(nodes, 0);
             self.path.reserve(nodes);
         }
         self.floor = self.walk;
-        if self.atom == u32::MAX {
-            // Generation wrap-around, as in `walk`: forget every next hop.
-            self.hop_stamp.fill(0);
-            self.atom = 0;
-        }
-        self.atom += 1;
     }
 
-    /// Records that `link` carries the current atom out of `node`, unless
-    /// an earlier link did: fed in out-link order, the table keeps the link
-    /// [`successor`] picks.
-    fn set_hop(&mut self, node: NodeId, link: LinkId) {
-        let i = node.index();
-        if self.hop_stamp[i] != self.atom {
-            self.hop_stamp[i] = self.atom;
-            self.hop[i] = link;
-        }
-    }
-
-    /// Follows the next hops `hop` names from `start` until the walk leaves
-    /// the network (no successor, or a drop node), joins a node an earlier
-    /// walk of the same atom explored (whatever cycle lies beyond was found
-    /// then), or revisits its own path — in which case the cycle is
-    /// returned in canonical rotation ([`rotate_to_canonical`]).
-    fn walk(&mut self, topology: &Topology, start: NodeId, hop: Hop) -> Option<&[NodeId]> {
+    /// Follows `atom`'s successors ([`successor`]) from `start` until the
+    /// walk leaves the network (no successor, or a drop node), joins a node
+    /// an earlier walk of the same atom explored (whatever cycle lies beyond
+    /// was found then), or revisits its own path — in which case the cycle
+    /// is returned in canonical rotation ([`rotate_to_canonical`]).
+    fn walk(
+        &mut self,
+        topology: &Topology,
+        labels: &Labels,
+        start: NodeId,
+        atom: AtomId,
+    ) -> Option<&[NodeId]> {
         if self.walk == u32::MAX {
             // Stamp wrap-around: forget everything. Mid-atom this only
             // costs re-exploring nodes; recording a cycle is idempotent.
@@ -163,11 +131,7 @@ impl WalkScratch {
             self.stamp[i] = self.walk;
             self.pos[i] = self.path.len() as u32;
             self.path.push(cur);
-            let link = match hop {
-                Hop::Probe(labels, atom) => successor(topology, labels, cur, atom),
-                Hop::Table => (self.hop_stamp[i] == self.atom).then(|| self.hop[i]),
-            };
-            let next = topology.link(link?).dst;
+            let next = topology.link(successor(topology, labels, cur, atom)?).dst;
             if topology.is_drop_node(next) {
                 return None;
             }
@@ -189,20 +153,31 @@ pub(crate) fn rotate_to_canonical(cycle: &mut [NodeId]) {
 
 /// Records that `atom` belongs to the violation identified by `key` (a
 /// canonical cycle; for the monitor also a blackhole switch); returns
-/// whether the identity was absent from the map. Looks the key up in
-/// borrowed form, so only a new identity allocates.
+/// whether the identity was absent from the map.
 pub(crate) fn admit<K, Q>(tracked: &mut BTreeMap<K, AtomSet>, key: &Q, atom: AtomId) -> bool
+where
+    K: Ord + Borrow<Q>,
+    Q: Ord + ToOwned<Owned = K> + ?Sized,
+{
+    admit_word(tracked, key, atom.index() / 64, 1 << (atom.index() % 64))
+}
+
+/// [`admit`] for the atoms `bits` of word `w` at once. Looks the key up in
+/// borrowed form, so only a new identity allocates.
+fn admit_word<K, Q>(tracked: &mut BTreeMap<K, AtomSet>, key: &Q, w: usize, bits: u64) -> bool
 where
     K: Ord + Borrow<Q>,
     Q: Ord + ToOwned<Owned = K> + ?Sized,
 {
     match tracked.get_mut(key) {
         Some(set) => {
-            set.insert(atom);
+            set.or_word(w, bits);
             false
         }
         None => {
-            tracked.insert(key.to_owned(), AtomSet::from_iter([atom]));
+            let mut set = AtomSet::new();
+            set.or_word(w, bits);
+            tracked.insert(key.to_owned(), set);
             true
         }
     }
@@ -263,7 +238,7 @@ pub(crate) fn walks_from(
 ) {
     scratch.begin_atom(topology.node_count());
     for &start in starts {
-        if let Some(cycle) = scratch.walk(topology, start, Hop::Probe(labels, atom)) {
+        if let Some(cycle) = scratch.walk(topology, labels, start, atom) {
             found(cycle);
         }
     }
@@ -288,98 +263,7 @@ pub(crate) fn cycles_for_atoms(
     labels: &Labels,
     candidates: &AtomSet,
 ) -> CycleMap {
-    cycles_for_atoms_in(&mut WalkScratch::default(), topology, labels, candidates)
-}
-
-/// [`cycles_for_atoms`] on a caller-owned scratch. Set-at-a-time over each
-/// 64-atom candidate word: one pass over the labelled links gathers the
-/// links carrying some of its candidates, the [`ExitFilter`] narrows each
-/// to the atoms that can loop from its switch, a scatter by bit lists each
-/// such atom's emitters (in 64 rows of at most one entry per hit), and each
-/// atom's walks then read its next-hop table.
-fn cycles_for_atoms_in(
-    scratch: &mut WalkScratch,
-    topology: &Topology,
-    labels: &Labels,
-    candidates: &AtomSet,
-) -> CycleMap {
-    // Every labelled link with its source, its destination (`None` for the
-    // drop sink) and its label words, switch by switch in out-link order.
-    // Labels drop trailing zero words: a word past the end reads as 0.
-    let mut labelled: Vec<(NodeId, LinkId, Option<NodeId>, &[u64])> = Vec::new();
-    for node in topology.nodes() {
-        for &link in topology.out_links(node) {
-            let words = labels.get(link).words();
-            if !words.is_empty() {
-                let dst = topology.link(link).dst;
-                let next = (!topology.is_drop_node(dst)).then_some(dst);
-                labelled.push((node, link, next, words));
-            }
-        }
-    }
-    let mut filter = ExitFilter::new(topology.node_count());
-    let mut cycles = CycleMap::new();
-    let mut hits: Vec<Hit> = Vec::new();
-    let mut slots: Vec<(NodeId, LinkId)> = Vec::new();
-    for (w, &cand) in candidates.words().iter().enumerate() {
-        if cand == 0 {
-            continue;
-        }
-        // A switch forwards an atom on its first out-link carrying it
-        // ([`successor`]), so each hit keeps only the atoms no earlier link
-        // of its switch took.
-        hits.clear();
-        let (mut taken, mut at) = (0, None);
-        for &(node, link, next, words) in &labelled {
-            if at != Some(node) {
-                at = Some(node);
-                taken = 0;
-            }
-            let mask = words.get(w).map_or(0, |&word| word & cand) & !taken;
-            if mask != 0 {
-                hits.push(Hit {
-                    node,
-                    link,
-                    next,
-                    mask,
-                });
-                taken |= mask;
-            }
-        }
-        let looping = filter.keep_looping(&mut hits);
-        if looping == 0 {
-            continue;
-        }
-        hits.retain(|hit| hit.mask != 0);
-        // Scatter by bit: bit `b`'s emitters are the first `count[b]`
-        // entries of the `b`-th row of `slots`, in out-link order. The rows
-        // only grow, so `slots` is filled once per call, not per word.
-        let row = hits.len();
-        if slots.len() < 64 * row {
-            slots.resize(64 * row, (NodeId(0), LinkId(0)));
-        }
-        let mut count = [0; 64];
-        for hit in &hits {
-            for b in bits(hit.mask) {
-                slots[b * row + count[b]] = (hit.node, hit.link);
-                count[b] += 1;
-            }
-        }
-        for b in bits(looping) {
-            let atom = AtomId((w * 64 + b) as u32);
-            let emitters = &slots[b * row..][..count[b]];
-            scratch.begin_atom(topology.node_count());
-            for &(node, link) in emitters {
-                scratch.set_hop(node, link);
-            }
-            for &(node, _) in emitters {
-                if let Some(cycle) = scratch.walk(topology, node, Hop::Table) {
-                    admit(&mut cycles, cycle, atom);
-                }
-            }
-        }
-    }
-    cycles
+    WordSearch::new(topology.node_count()).cycles(topology, labels, candidates)
 }
 
 /// A labelled link carrying some atoms of the current candidate word: the
@@ -387,112 +271,164 @@ fn cycles_for_atoms_in(
 #[derive(Clone, Copy)]
 struct Hit {
     node: NodeId,
-    link: LinkId,
     /// The link's destination; `None` for the drop sink.
     next: Option<NodeId>,
     mask: u64,
 }
 
-/// No hit: the end of an in-edge list, or an empty one.
+/// No hit: a switch without hits in the word, or one off the search path.
 const NO_HIT: u32 = u32::MAX;
 
-/// Decides for a whole candidate word at once which atoms can loop, so
-/// [`cycles_for_atoms_in`] walks only those. `exits[n]` holds the word's
-/// atoms whose walk from `n` leaves the network: at a switch with no hop
-/// for the atom, or over a drop link. It is the least solution of
-/// `exits[n] = (atoms without a hop at n) ∪ ⋃ over n's hits h to a switch
-/// (h.mask ∩ exits[h.next]) ∪ ⋃ over n's drop hits h (h.mask)`, which the
-/// worklist propagates backwards over the word's hits. A node's set grows
-/// at most 64 times and each growth reads its in-hits once, so a word
-/// costs O(64 · hits). Only the bits of some hit's mask are ever read, so
-/// `exits` rests at all ones, the value of a switch without hits, and
-/// returns there after every word.
-struct ExitFilter {
-    exits: Vec<u64>,
-    /// `head[m]`: the first hit into `m`, chained through `next_in`.
-    head: Vec<u32>,
-    next_in: Vec<u32>,
-    queued: Vec<bool>,
-    work: Vec<NodeId>,
+/// The per-switch state of [`cycles_for_atoms`]'s search over one candidate
+/// word. Between words every vector rests at its idle value (0 or
+/// [`NO_HIT`]): only the switches with hits in the word are set, and
+/// [`WordSearch::cycles`] resets exactly those.
+struct WordSearch {
+    /// `first[n]`: the index of `n`'s first hit; its other out-hits follow.
+    first: Vec<u32>,
+    /// `seen[n]`: the word's atoms the search has already carried into `n`.
+    seen: Vec<u64>,
+    /// `pos[n]`: `n`'s index in `path` while it is on the path.
+    pos: Vec<u32>,
+    /// The search's path from its start and, per path switch, the next hit
+    /// to try and the atoms that came this way.
+    path: Vec<NodeId>,
+    frames: Vec<(usize, u64)>,
+    /// The cycle being admitted, in canonical rotation.
+    cycle: Vec<NodeId>,
+    /// Search steps (switches entered and hits read) since it was built.
+    #[cfg(test)]
+    steps: usize,
 }
 
-impl ExitFilter {
+impl WordSearch {
     fn new(nodes: usize) -> Self {
-        ExitFilter {
-            exits: vec![u64::MAX; nodes],
-            head: vec![NO_HIT; nodes],
-            next_in: Vec::new(),
-            queued: vec![false; nodes],
-            work: Vec::new(),
+        WordSearch {
+            first: vec![NO_HIT; nodes],
+            seen: vec![0; nodes],
+            pos: vec![NO_HIT; nodes],
+            path: Vec::new(),
+            frames: Vec::new(),
+            cycle: Vec::new(),
+            #[cfg(test)]
+            steps: 0,
         }
     }
 
-    /// Narrows each hit's mask to the atoms that never leave the network
-    /// from its switch and returns their union. An atom's walk from such a
-    /// switch stays on such switches and ends in a cycle; a walk from any
-    /// other switch records nothing, so dropping it loses no cycle.
-    fn keep_looping(&mut self, hits: &mut [Hit]) -> u64 {
-        self.next_in.clear();
+    /// Every cycle any candidate traverses, word by word: the gather, then
+    /// [`WordSearch::search`].
+    fn cycles(&mut self, topology: &Topology, labels: &Labels, candidates: &AtomSet) -> CycleMap {
+        // Every labelled link with its source, its destination (`None` for
+        // the drop sink) and its label words, switch by switch in out-link
+        // order. Labels drop trailing zero words: a word past the end reads
+        // as 0.
+        let mut labelled: Vec<(NodeId, Option<NodeId>, &[u64])> = Vec::new();
+        for node in topology.nodes() {
+            for &link in topology.out_links(node) {
+                let words = labels.get(link).words();
+                if !words.is_empty() {
+                    let dst = topology.link(link).dst;
+                    labelled.push((node, (!topology.is_drop_node(dst)).then_some(dst), words));
+                }
+            }
+        }
+        let mut cycles = CycleMap::new();
+        let mut hits: Vec<Hit> = Vec::new();
+        for (w, &cand) in candidates.words().iter().enumerate() {
+            if cand == 0 {
+                continue;
+            }
+            // A switch forwards an atom on its first out-link carrying it
+            // ([`successor`]), so each hit keeps only the atoms no earlier
+            // link of its switch took.
+            hits.clear();
+            let (mut taken, mut at) = (0, None);
+            for &(node, next, words) in &labelled {
+                if at != Some(node) {
+                    at = Some(node);
+                    taken = 0;
+                }
+                let mask = words.get(w).map_or(0, |&word| word & cand) & !taken;
+                if mask != 0 {
+                    if taken == 0 {
+                        self.first[node.index()] = hits.len() as u32;
+                    }
+                    hits.push(Hit { node, next, mask });
+                    taken |= mask;
+                }
+            }
+            self.search(&hits, w, &mut cycles);
+            for hit in &hits {
+                self.first[hit.node.index()] = NO_HIT;
+                self.seen[hit.node.index()] = 0;
+            }
+        }
+        cycles
+    }
+
+    /// Admits every cycle the word's atoms traverse into `cycles`: the
+    /// successor walks of all 64 atoms at once, from every switch in turn,
+    /// with shared visited marks. A depth-first search from switch `n0`
+    /// carries the atoms not yet seen there as one mask, which each hop
+    /// splits by the hit that carries each atom on. Atoms that reach a
+    /// switch on the current path close a cycle: all of them came the whole
+    /// path, so the cycle is the path from that switch on, and it is
+    /// admitted for all of them in one map probe. Atoms that reach a switch
+    /// where they were seen stop there, as whatever lies beyond was searched
+    /// then ([`WalkScratch::walk`]'s rule). An atom enters a switch at most
+    /// once, so a switch is entered at most 64 times and a word costs
+    /// O(64 · hits) hit reads.
+    fn search(&mut self, hits: &[Hit], w: usize, cycles: &mut CycleMap) {
         for (i, hit) in hits.iter().enumerate() {
-            self.next_in.push(NO_HIT);
-            match hit.next {
-                // Over a drop link the hit's atoms exit: they stay set.
-                None => {}
-                // Over a link to a switch they exit if they exit there.
-                Some(m) => {
-                    self.exits[hit.node.index()] &= !hit.mask;
-                    let head = &mut self.head[m.index()];
-                    if *head == NO_HIT {
-                        self.queued[m.index()] = true;
-                        self.work.push(m);
+            if self.first[hit.node.index()] == i as u32 {
+                self.enter(hit.node, i, !self.seen[hit.node.index()]);
+            }
+            while let Some((at, mask)) = self.frames.last_mut() {
+                let node = self.path[self.path.len() - 1];
+                #[cfg(test)]
+                {
+                    self.steps += 1;
+                }
+                let Some(hit) = hits.get(*at).filter(|hit| hit.node == node) else {
+                    self.pos[node.index()] = NO_HIT;
+                    self.frames.pop();
+                    self.path.pop();
+                    continue;
+                };
+                *at += 1;
+                let (Some(m), bits) = (hit.next, hit.mask & *mask) else {
+                    continue;
+                };
+                if bits == 0 {
+                    continue;
+                }
+                match self.pos[m.index()] {
+                    NO_HIT => {
+                        let first = self.first[m.index()];
+                        if first != NO_HIT {
+                            self.enter(m, first as usize, bits & !self.seen[m.index()]);
+                        }
                     }
-                    self.next_in[i] = *head;
-                    *head = i as u32;
+                    on_path => {
+                        self.cycle.clear();
+                        self.cycle.extend_from_slice(&self.path[on_path as usize..]);
+                        rotate_to_canonical(&mut self.cycle);
+                        admit_word(cycles, &self.cycle[..], w, bits);
+                    }
                 }
             }
         }
-        while let Some(m) = self.work.pop() {
-            self.queued[m.index()] = false;
-            let out = self.exits[m.index()];
-            let mut i = self.head[m.index()];
-            while i != NO_HIT {
-                let hit = &hits[i as usize];
-                let n = hit.node.index();
-                let add = hit.mask & out & !self.exits[n];
-                if add != 0 {
-                    self.exits[n] |= add;
-                    if !self.queued[n] {
-                        self.queued[n] = true;
-                        self.work.push(hit.node);
-                    }
-                }
-                i = self.next_in[i as usize];
-            }
-        }
-        let mut looping = 0;
-        for hit in hits.iter_mut() {
-            hit.mask &= !self.exits[hit.node.index()];
-            looping |= hit.mask;
-        }
-        for hit in hits.iter() {
-            self.exits[hit.node.index()] = u64::MAX;
-            if let Some(m) = hit.next {
-                self.head[m.index()] = NO_HIT;
-            }
-        }
-        looping
     }
-}
 
-/// The set bits of `word`, lowest first.
-fn bits(mut word: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (word != 0).then(|| {
-            let b = word.trailing_zeros() as usize;
-            word &= word - 1;
-            b
-        })
-    })
+    /// Carries `atoms` into switch `n`, whose out-hits start at `first`.
+    fn enter(&mut self, n: NodeId, first: usize, atoms: u64) {
+        if atoms != 0 {
+            self.seen[n.index()] |= atoms;
+            self.pos[n.index()] = self.path.len() as u32;
+            self.path.push(n);
+            self.frames.push((first, atoms));
+        }
+    }
 }
 
 /// Checks the entire data plane for forwarding loops over all atoms.
@@ -554,7 +490,7 @@ mod tests {
                 scratch.begin_atom(topology.node_count());
                 current = Some(atom);
             }
-            if let Some(cycle) = scratch.walk(topology, start, Hop::Probe(labels, atom)) {
+            if let Some(cycle) = scratch.walk(topology, labels, start, atom) {
                 admit(&mut cycles, cycle, atom);
             }
         }
@@ -752,13 +688,13 @@ mod tests {
         }
         let mut scratch = WalkScratch::default();
         for atom in [AtomId(0), AtomId(1)] {
-            let succ = Hop::Probe(&labels, atom);
             scratch.begin_atom(topo.node_count());
             // From the tail the walk finds the cycle, rotated to its
             // smallest node; a second walk of the same atom stops where it
             // joins the first, and the next atom starts from a clean slate.
-            assert_eq!(scratch.walk(&topo, n[0], succ), Some(&[n[1], n[2]][..]));
-            assert_eq!(scratch.walk(&topo, n[2], succ), None);
+            let cycle = scratch.walk(&topo, &labels, n[0], atom);
+            assert_eq!(cycle, Some(&[n[1], n[2]][..]));
+            assert_eq!(scratch.walk(&topo, &labels, n[2], atom), None);
         }
     }
 
@@ -780,8 +716,9 @@ mod tests {
     }
 
     /// Hand-built planes over 130 atoms (three candidate words), one per
-    /// edge case of the exit filter. Atom `a` behaves by `a % k`.
-    fn filter_edge_planes() -> Vec<(&'static str, Topology, Labels)> {
+    /// edge case of the word-wide search. Atom `a` behaves by
+    /// `a % k`, or by its range.
+    fn kernel_edge_planes() -> Vec<(&'static str, Topology, Labels)> {
         let carry = |labels: &mut Labels, links: &[LinkId], atom: u32| {
             for &link in links {
                 labels.insert(link, AtomId(atom));
@@ -855,10 +792,93 @@ mod tests {
             carry(&mut labels, last.as_slice(), a);
         }
         planes.push(("200-node chain against node order", topo, labels));
+
+        // Even atoms loop twice, s0 <-> s1 and s2 <-> s3, in two components;
+        // odd atoms find no hop at s1 and s3.
+        let mut topo = Topology::new();
+        let n = topo.add_nodes("s", 4);
+        let (l01, l10) = (topo.add_link(n[0], n[1]), topo.add_link(n[1], n[0]));
+        let (l23, l32) = (topo.add_link(n[2], n[3]), topo.add_link(n[3], n[2]));
+        let mut labels = Labels::new();
+        for a in 0..130 {
+            let links: &[LinkId] = match a % 2 {
+                0 => &[l01, l10, l23, l32],
+                _ => &[l01, l23],
+            };
+            carry(&mut labels, links, a);
+        }
+        planes.push(("one atom, two cycles in two components", topo, labels));
+
+        // The tail s1 -> s0 -> s2 passes s0, below the cycle s2 <-> s3 it
+        // enters, which every other atom lacks the hop s3 -> s2 to close.
+        let mut topo = Topology::new();
+        let n = topo.add_nodes("s", 4);
+        let tail = [topo.add_link(n[1], n[0]), topo.add_link(n[0], n[2])];
+        let (l23, l32) = (topo.add_link(n[2], n[3]), topo.add_link(n[3], n[2]));
+        let mut labels = Labels::new();
+        for a in 0..130 {
+            carry(&mut labels, &tail, a);
+            carry(&mut labels, &[l23], a);
+            if a % 2 == 0 {
+                carry(&mut labels, &[l32], a);
+            }
+        }
+        planes.push(("tail through a switch below its cycle", topo, labels));
+
+        // Self-loops: at s0, or at s1 behind the tail s0 -> s1; the rest
+        // leave s1 by its drop link.
+        let mut topo = Topology::new();
+        let n = topo.add_nodes("s", 2);
+        let (l00, l01) = (topo.add_link(n[0], n[0]), topo.add_link(n[0], n[1]));
+        let (l11, drop1) = (topo.add_link(n[1], n[1]), topo.drop_link(n[1]));
+        let mut labels = Labels::new();
+        for a in 0..130 {
+            let links: &[LinkId] = match a % 3 {
+                0 => &[l00],
+                1 => &[l01, l11],
+                _ => &[l01, drop1],
+            };
+            carry(&mut labels, links, a);
+        }
+        planes.push(("self-loops", topo, labels));
+
+        // One cycle s0 -> s1 -> s2 -> s0 whose atoms, 60..68 and 124..130,
+        // straddle two word edges; the rest leave s2 by its drop link.
+        let mut topo = Topology::new();
+        let n = topo.add_nodes("s", 3);
+        let (l01, l12) = (topo.add_link(n[0], n[1]), topo.add_link(n[1], n[2]));
+        let (l20, drop2) = (topo.add_link(n[2], n[0]), topo.drop_link(n[2]));
+        let mut labels = Labels::new();
+        for a in 0..130 {
+            let last = if (60..68).contains(&a) || a >= 124 {
+                l20
+            } else {
+                drop2
+            };
+            carry(&mut labels, &[l01, l12, last], a);
+        }
+        planes.push(("one cycle across word edges", topo, labels));
+
+        // Even atoms loop s0 <-> s1 and are dropped at s2, which s3 feeds;
+        // odd atoms leave s1 by its drop link.
+        let mut topo = Topology::new();
+        let n = topo.add_nodes("s", 4);
+        let (l01, l10) = (topo.add_link(n[0], n[1]), topo.add_link(n[1], n[0]));
+        let (drop1, drop2) = (topo.drop_link(n[1]), topo.drop_link(n[2]));
+        let l32 = topo.add_link(n[3], n[2]);
+        let mut labels = Labels::new();
+        for a in 0..130 {
+            let links: &[LinkId] = match a % 2 {
+                0 => &[l01, l10, drop2, l32],
+                _ => &[l01, drop1],
+            };
+            carry(&mut labels, links, a);
+        }
+        planes.push(("on a cycle at one switch, dropped at another", topo, labels));
         planes
     }
 
-    /// The atom-major kernel and the reference find the same cycles for
+    /// The word-wide search and the reference find the same cycles for
     /// every candidate set, on the plane `plane` over `atoms` atoms.
     fn assert_kernels_agree(
         rng: &mut StdRng,
@@ -877,26 +897,18 @@ mod tests {
             .chain(some.iter())
             .collect();
         let edges: AtomSet = [63, 64, 127, 128].into_iter().map(AtomId).collect();
+        // Every cycle of consecutive atoms loses some of them.
+        let odd: AtomSet = (1..atoms).step_by(2).map(AtomId).collect();
         for (name, candidates) in [
             ("all", &all),
             ("some", &some),
             ("wide", &wide),
             ("edges", &edges),
+            ("odd", &odd),
         ] {
             let expect = reference_cycles_for_atoms(topo, labels, candidates);
-            let mut scratch = WalkScratch::default();
-            let got = cycles_for_atoms_in(&mut scratch, topo, labels, candidates);
+            let got = cycles_for_atoms(topo, labels, candidates);
             assert_eq!(got, expect, "{plane}: {name} candidates");
-            // The exit filter is exact: the kernel walks the looping atoms
-            // (one generation each) and no other.
-            let looping = expect
-                .values()
-                .fold(AtomSet::new(), |acc, set| acc.union(set));
-            assert_eq!(
-                scratch.atom as usize,
-                looping.len(),
-                "{plane}: {name} candidates: atoms walked"
-            );
         }
     }
 
@@ -910,7 +922,7 @@ mod tests {
             let plane = format!("trial {trial}: {nodes} nodes, {atoms} atoms, p {p}");
             assert_kernels_agree(&mut rng, &plane, (&topo, &labels), atoms);
         }
-        for (plane, topo, labels) in filter_edge_planes() {
+        for (plane, topo, labels) in kernel_edge_planes() {
             let all: AtomSet = (0..130).map(AtomId).collect();
             let loops = reference_cycles_for_atoms(&topo, &labels, &all);
             let looping = loops
@@ -945,42 +957,40 @@ mod tests {
     }
 
     #[test]
-    fn next_hop_generation_wrap_around_keeps_every_cycle() {
-        // Atoms 0..10 loop s0 <-> s1; atoms 10..20 loop s1 <-> s2, so every
-        // atom passes the exit filter and is walked. No atom uses s2 -> s0.
-        let mut topo = Topology::new();
-        let n = topo.add_nodes("s", 3);
-        let l01 = topo.add_link(n[0], n[1]);
-        let l10 = topo.add_link(n[1], n[0]);
-        let l12 = topo.add_link(n[1], n[2]);
-        let l21 = topo.add_link(n[2], n[1]);
-        let l20 = topo.add_link(n[2], n[0]);
-        let mut labels = Labels::new();
-        for atom in 0..20 {
-            let ring = if atom < 10 { [l01, l10] } else { [l12, l21] };
-            for link in ring {
-                labels.insert(link, AtomId(atom));
+    fn search_steps_stay_linear_in_the_hits_on_a_long_tail() {
+        // A 4,096-switch chain feeds a 2-cycle, and all 64 atoms of one
+        // word take it. Along node order (s0 -> ... -> s4095 -> s4096 <->
+        // s4097) one search from s0 covers it; against it (s4097 -> ... ->
+        // s2 -> s1 <-> s0) every switch of the chain starts a search, and
+        // each must stop where the one before it passed, or the searches
+        // take ~4,096² / 2 steps.
+        for along in [true, false] {
+            let mut topo = Topology::new();
+            let n = topo.add_nodes("s", 4098);
+            let s = |i: usize| n[if along { i } else { 4097 - i }];
+            let mut links: Vec<LinkId> = (0..4097).map(|i| topo.add_link(s(i), s(i + 1))).collect();
+            links.push(topo.add_link(s(4097), s(4096)));
+            let mut labels = Labels::new();
+            for &link in &links {
+                for atom in 0..64 {
+                    labels.insert(link, AtomId(atom));
+                }
             }
+            let all: AtomSet = (0..64).map(AtomId).collect();
+            let mut search = WordSearch::new(topo.node_count());
+            let got = search.cycles(&topo, &labels, &all);
+            let cycle = if along {
+                vec![n[4096], n[4097]]
+            } else {
+                vec![n[0], n[1]]
+            };
+            assert_eq!(got, CycleMap::from([(cycle, all)]), "along {along}");
+            let bound = 64 * links.len() + topo.node_count();
+            assert!(
+                search.steps <= bound,
+                "along {along}: {} steps > {bound}",
+                search.steps
+            );
         }
-        let all: AtomSet = (0..20).map(AtomId).collect();
-        let expect = CycleMap::from([
-            (vec![n[0], n[1]], (0..10).map(AtomId).collect()),
-            (vec![n[1], n[2]], (10..20).map(AtomId).collect()),
-        ]);
-        assert_eq!(reference_cycles_for_atoms(&topo, &labels, &all), expect);
-        // Generation 8 left s2 the stale hop s2 -> s0. The generation then
-        // wraps three atoms into the scan and counts to 8 again at atom 10,
-        // the first to use s2: a table the wrap did not forget would keep
-        // the stale hop over s2 -> s1, and atom 10's walk would leave s2
-        // for s0, which has no hop for it.
-        let mut scratch = WalkScratch::default();
-        for _ in 0..8 {
-            scratch.begin_atom(topo.node_count());
-            scratch.set_hop(n[2], l20);
-        }
-        scratch.atom = u32::MAX - 3;
-        let got = cycles_for_atoms_in(&mut scratch, &topo, &labels, &all);
-        assert_eq!(got, expect);
-        assert!(scratch.atom < 20);
     }
 }

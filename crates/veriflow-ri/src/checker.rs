@@ -129,18 +129,21 @@ impl VeriflowRi {
         self.try_insert_rule(rule).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible form of [`VeriflowRi::insert_rule`]: a duplicate rule id or
-    /// an out-of-topology link is reported as an [`UpdateError`] without
-    /// touching the checker state.
+    /// Fallible form of [`VeriflowRi::insert_rule`]: a duplicate rule id, or
+    /// a link outside the topology or not leaving the rule's source, is
+    /// reported as an [`UpdateError`] without touching the checker state.
     pub fn try_insert_rule(&mut self, rule: Rule) -> Result<UpdateReport, UpdateError> {
         if self.rules.contains_key(&rule.id) {
             return Err(UpdateError::DuplicateRule(rule.id));
         }
-        if rule.link.index() >= self.topology.link_count() {
-            return Err(UpdateError::UnknownLink {
-                rule: rule.id,
-                link: rule.link,
-            });
+        match self.topology.links().get(rule.link.index()) {
+            Some(link) if link.src == rule.source => {}
+            _ => {
+                return Err(UpdateError::UnknownLink {
+                    rule: rule.id,
+                    link: rule.link,
+                })
+            }
         }
         self.trie.insert(&rule.prefix, rule.id);
         self.rules.insert(rule.id, rule);
@@ -410,6 +413,30 @@ mod tests {
         assert_eq!(vf.rule_count(), 0);
         assert!(vf.memory_bytes() > 0);
         assert_eq!(vf.name(), "veriflow-ri");
+    }
+
+    #[test]
+    fn a_rule_off_its_links_source_is_refused_untouched() {
+        // Rule r at a forwards on b's link b -> c, which both Delta-net
+        // engines refuse as an unknown link.
+        let mut topo = Topology::new();
+        let [a, b, c] = [topo.add_node("a"), topo.add_node("b"), topo.add_node("c")];
+        let (ab, bc) = (topo.add_link(a, b), topo.add_link(b, c));
+        let mut vf = VeriflowRi::with_topology(topo);
+        let stray = Rule::forward(RuleId(1), p("10.0.0.0/8"), 10, a, bc);
+        assert_eq!(
+            vf.try_insert_rule(stray),
+            Err(UpdateError::UnknownLink {
+                rule: RuleId(1),
+                link: bc
+            })
+        );
+        assert_eq!(vf.rule_count(), 0);
+        assert!(vf.rule(RuleId(1)).is_none());
+        assert_eq!(vf.max_affected_ecs(), 0);
+        // Nothing of it is left behind: the id is free for a valid rule.
+        let rep = vf.insert_rule(Rule::forward(RuleId(1), p("10.0.0.0/8"), 10, a, ab));
+        assert_eq!(rep.affected_classes, 1);
     }
 
     #[test]
