@@ -352,6 +352,10 @@ fn fig8(rows: &[Table3Row]) -> String {
 /// How many link-failure queries to pose per dataset in Table 4.
 const WHATIF_QUERIES_PER_DATASET: usize = 25;
 
+/// Timed passes of those queries per Table 4 column; the column reports
+/// the fastest, so two builds compare on more than one noisy pass.
+const WHATIF_PASSES: usize = 5;
+
 /// **Table 4** — average "what if this link fails" query time for
 /// Veriflow-RI, Delta-net, and Delta-net with loop checking.
 fn table4(scale: ScaleProfile) -> String {
@@ -382,22 +386,38 @@ fn table4(scale: ScaleProfile) -> String {
             continue;
         }
 
-        let time_queries = |f: &dyn Fn(LinkId)| -> f64 {
+        // One timed pass of the queries, in ms per query; each column is
+        // the fastest of its passes. A Delta-net pass runs on a fresh copy
+        // of the engine, made outside the timer, so each +Loops pass starts
+        // with an empty loop memo, as the first query after a write does,
+        // and both Delta-net columns query the same kind of copy.
+        let pass = |f: &dyn Fn(LinkId)| -> f64 {
             let start = Instant::now();
             for &l in &queries {
                 f(l);
             }
             start.elapsed().as_secs_f64() * 1e3 / queries.len() as f64
         };
-        let vf_ms = time_queries(&|l| {
-            let _ = vf.what_if_link_failure(l, false);
+        let fastest = |run: &dyn Fn() -> f64| {
+            (0..WHATIF_PASSES)
+                .map(|_| run())
+                .fold(f64::INFINITY, f64::min)
+        };
+        let on_copy = |check_loops: bool| {
+            fastest(&|| {
+                let copy = net.clone();
+                pass(&|l| {
+                    let _ = copy.what_if_link_failure(l, check_loops);
+                })
+            })
+        };
+        let vf_ms = fastest(&|| {
+            pass(&|l| {
+                let _ = vf.what_if_link_failure(l, false);
+            })
         });
-        let dn_ms = time_queries(&|l| {
-            let _ = net.what_if_link_failure(l, false);
-        });
-        let dn_loops_ms = time_queries(&|l| {
-            let _ = net.what_if_link_failure(l, true);
-        });
+        let dn_ms = on_copy(false);
+        let dn_loops_ms = on_copy(true);
 
         rows.push(vec![
             ds.id.name().to_string(),
@@ -409,8 +429,11 @@ fn table4(scale: ScaleProfile) -> String {
         ]);
     }
     format!(
-        "Table 4: link-failure \"what if\" queries, average per-query time in ms \
-         ({WHATIF_QUERIES_PER_DATASET} most-used links per data plane, scale: {scale:?})\n\n{}",
+        "Table 4: link-failure \"what if\" queries, average per-query time in ms, \
+         fastest of {WHATIF_PASSES} passes ({WHATIF_QUERIES_PER_DATASET} most-used links per \
+         data plane, scale: {scale:?}). +Loops is the amortised cost of the \
+         {WHATIF_QUERIES_PER_DATASET} queries on one plane version: each pass starts on a fresh \
+         copy of the engine, whose loop memo is empty.\n\n{}",
         render_table(
             &[
                 "Data plane",

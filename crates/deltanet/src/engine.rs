@@ -26,9 +26,10 @@
 //! presentation.
 
 use crate::atoms::{AtomId, AtomMap, BoundRefs, DeltaPair};
+use crate::atomset::AtomSet;
 use crate::delta_graph::DeltaGraph;
 use crate::labels::Labels;
-use crate::loops::{self, WalkScratch};
+use crate::loops::{self, CycleMap, WalkScratch};
 use crate::monitor::ViolationMonitor;
 use crate::multifield::{MfView, MultiField};
 use crate::owner::Owner;
@@ -39,6 +40,7 @@ use netmodel::rule::{Rule, RuleId};
 use netmodel::topology::{LinkId, NodeId, Topology};
 use netmodel::trace::Op;
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Configuration of a [`DeltaNet`] instance.
 #[derive(Clone, Copy, Debug)]
@@ -234,6 +236,86 @@ pub struct DeltaNet {
     /// What the open window owes a single-field monitor. Empty between
     /// windows.
     window: WindowRecord,
+    /// The what-if query's forwarding cycles on the current plane version
+    /// ([`DeltaNet::link_failure_impact`]); emptied by every write that can
+    /// change a label.
+    loop_memo: LoopMemo,
+}
+
+/// The loop memo of the what-if query: the atoms whose forwarding cycles
+/// are known (`decided`) and those atoms' cycles. Both are functions of
+/// the labels alone, so the memo holds until the next write; a clone starts
+/// empty.
+///
+/// Queries take `&DeltaNet` and may run on several threads at once
+/// ([`crate::parallel::what_if_many`]), hence the mutex. A lock poisoned by
+/// a panicking query is taken over as it is: cycles are merged before their
+/// atoms are marked decided, so a search cut short leaves `decided`
+/// unchanged, and merging the same cycles again is idempotent.
+#[derive(Debug, Default)]
+struct LoopMemo(Mutex<MemoState>);
+
+#[derive(Debug, Default)]
+struct MemoState {
+    decided: AtomSet,
+    cycles: CycleMap,
+}
+
+impl Clone for LoopMemo {
+    fn clone(&self) -> Self {
+        LoopMemo::default()
+    }
+}
+
+impl LoopMemo {
+    fn lock(&self) -> MutexGuard<'_, MemoState> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Forgets everything; takes no lock (the write path holds `&mut`).
+    /// An empty memo, the common case between writes, is left untouched.
+    fn clear(&mut self) {
+        let state = self.0.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if !(state.decided.is_empty() && state.cycles.is_empty()) {
+            state.decided.clear();
+            state.cycles.clear();
+        }
+    }
+
+    /// Every forwarding cycle an atom of `atoms` traverses, with the atoms
+    /// of `atoms` that traverse it — what [`loops::cycles_for_atoms`] on
+    /// `atoms` returns, searching only the atoms not decided yet. The
+    /// search runs outside the lock, so concurrent queries overlap.
+    fn cycles_of(&self, topology: &Topology, labels: &Labels, atoms: &AtomSet) -> CycleMap {
+        let missing = atoms.difference(&self.lock().decided);
+        if !missing.is_empty() {
+            let found = loops::cycles_for_atoms(topology, labels, &missing);
+            let mut state = self.lock();
+            for (cycle, looping) in found {
+                state.cycles.entry(cycle).or_default().union_with(&looping);
+            }
+            state.decided.union_with(&missing);
+        }
+        let state = self.lock();
+        state
+            .cycles
+            .iter()
+            .filter(|(_, looping)| looping.intersects(atoms))
+            .map(|(cycle, looping)| (cycle.clone(), looping.intersection(atoms)))
+            .collect()
+    }
+
+    fn memory_bytes(&self) -> usize {
+        let state = self.lock();
+        state.decided.memory_bytes()
+            + state
+                .cycles
+                .iter()
+                .map(|(cycle, looping)| {
+                    cycle.capacity() * std::mem::size_of::<NodeId>() + looping.memory_bytes()
+                })
+                .sum::<usize>()
+    }
 }
 
 /// What the updates of one window changed, for the single-field monitor
@@ -285,6 +367,7 @@ impl DeltaNet {
             clip: None,
             monitor: config.monitor_violations.then(ViolationMonitor::new),
             window: WindowRecord::default(),
+            loop_memo: LoopMemo::default(),
             topology,
             config,
         }
@@ -551,6 +634,7 @@ impl DeltaNet {
     /// validated the rule and computed the interval this engine owns.
     fn apply_insert(&mut self, rule: Rule, interval: Interval) -> UpdateReport {
         let mut delta = DeltaGraph::new();
+        self.loop_memo.clear();
 
         // Garbage-collection bookkeeping (§3.2.2): reference the rule's
         // bounds — before `create_atoms_into` mutates `M`, so a bound that
@@ -667,6 +751,7 @@ impl DeltaNet {
     /// the rule table and its (possibly shard-clipped) interval computed.
     fn apply_remove(&mut self, rule: Rule, interval: Interval) -> UpdateReport {
         let mut delta = DeltaGraph::new();
+        self.loop_memo.clear();
 
         // One owner lookup per atom: the post-removal successor is read from
         // the same mutable borrow instead of a second `get_mut`.
@@ -733,6 +818,7 @@ impl DeltaNet {
         self.close_window();
         let allocated_before = self.atoms.allocated_atoms();
         let bytes_before = self.memory_estimate();
+        self.loop_memo.clear();
 
         // Phase 1 — merge: drop every unreferenced interior bound. The
         // freed (upper) atom rides exactly one link per owning source — its
@@ -953,7 +1039,7 @@ impl DeltaNet {
     /// which makes it one of the fields the persistence round-trip tests
     /// compare exactly between a snapshot restore and an engine built
     /// fresh from the same rules — derived state (the violation monitor,
-    /// the walk scratch) is therefore excluded.
+    /// the walk scratch, the what-if loop memo) is therefore excluded.
     pub fn live_bytes(&self) -> usize {
         self.atoms.live_bytes()
             + self.owner.live_bytes()
@@ -993,6 +1079,15 @@ impl DeltaNet {
 
     /// The what-if link-failure query (§4.3.2): which packets (atoms) are
     /// using `link`, and which other links carry any of those packets.
+    ///
+    /// With `check_loops`, also the forwarding loops those atoms traverse,
+    /// exactly as [`loops::find_loops_for_atoms`] on `label(link)` reports
+    /// them. They are answered from the engine's loop memo: the atoms whose
+    /// cycles an earlier query found, and those cycles. Only the atoms of
+    /// the label the memo lacks are searched, so on one plane version each
+    /// atom is searched once, however many of its links are queried. Any
+    /// write that can change a label (a rule insertion or removal, a
+    /// compaction) empties the memo.
     pub fn link_failure_impact(&self, link: LinkId, check_loops: bool) -> WhatIfReport {
         let affected = self.labels.get(link);
         let affected_packets = self.atoms.packets_of(affected);
@@ -1003,7 +1098,10 @@ impl DeltaNet {
             }
         }
         let violations = if check_loops {
-            loops::find_loops_for_atoms(&self.topology, &self.labels, &self.atoms, affected)
+            let cycles = self
+                .loop_memo
+                .cycles_of(&self.topology, &self.labels, affected);
+            loops::render_loops(&cycles, &self.atoms)
         } else {
             Vec::new()
         };
@@ -1016,7 +1114,8 @@ impl DeltaNet {
         }
     }
 
-    /// Estimated heap memory used by the engine's internal state.
+    /// Estimated heap memory used by the engine's internal state, the
+    /// what-if loop memo included.
     pub fn memory_estimate(&self) -> usize {
         self.atoms.memory_bytes()
             + self.owner.memory_bytes()
@@ -1025,6 +1124,7 @@ impl DeltaNet {
                 * (std::mem::size_of::<RuleId>() + std::mem::size_of::<Rule>() + 8)
             + self.books.memory_bytes()
             + self.mf.as_ref().map_or(0, MultiField::memory_bytes)
+            + self.loop_memo.memory_bytes()
     }
 
     /// This engine's configuration.
@@ -1097,6 +1197,8 @@ mod tests {
     use netmodel::ip::IpPrefix;
     use netmodel::rule::Action;
     use netmodel::topology::NodeId;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn prefix(s: &str) -> IpPrefix {
         s.parse().unwrap()
@@ -1347,6 +1449,137 @@ mod tests {
         let empty = ex.net.link_failure_impact(ex.l12, true);
         let l12_atoms = ex.net.label(ex.l12).len();
         assert_eq!(empty.affected_classes, l12_atoms);
+    }
+
+    /// A triangle s0 -> s1 -> s2 -> s0 and its three hops, each a rule on
+    /// 10.0.0.0/8 — so installing or removing one splits no atom a query
+    /// has already decided.
+    fn triangle() -> (DeltaNet, [LinkId; 3], [Rule; 3]) {
+        let mut topo = Topology::new();
+        let s = topo.add_nodes("s", 3);
+        let links = [0, 1, 2].map(|i| topo.add_link(s[i], s[(i + 1) % 3]));
+        let rules = [0, 1, 2]
+            .map(|i| Rule::forward(RuleId(i as u64), prefix("10.0.0.0/8"), 1, s[i], links[i]));
+        (DeltaNet::with_topology(topo), links, rules)
+    }
+
+    #[test]
+    fn what_if_memo_sees_a_loop_an_insert_closes() {
+        let (mut net, links, rules) = triangle();
+        net.insert_rule(rules[0]);
+        net.insert_rule(rules[1]);
+        assert!(net
+            .link_failure_impact(links[0], true)
+            .violations
+            .is_empty());
+        // The loop runs through the atom the query above decided.
+        net.insert_rule(rules[2]);
+        let report = net.link_failure_impact(links[0], true);
+        assert_eq!(report.violations.len(), 1);
+        assert_eq!(report.violations, net.check_all_loops());
+    }
+
+    #[test]
+    fn what_if_memo_forgets_a_loop_a_removal_breaks() {
+        let (mut net, links, rules) = triangle();
+        for rule in rules {
+            net.insert_rule(rule);
+        }
+        assert_eq!(net.link_failure_impact(links[0], true).violations.len(), 1);
+        net.remove_rule(rules[2].id);
+        assert!(net
+            .link_failure_impact(links[0], true)
+            .violations
+            .is_empty());
+    }
+
+    #[test]
+    fn what_if_memo_after_compact_answers_like_a_fresh_engine() {
+        // A removed rule below the loop's prefix leaves dead bounds there,
+        // so the compaction renumbers the looping atom down onto an id the
+        // queries before it decided as loop-free. A wide rule at s0 keeps
+        // those atoms on a label to be queried.
+        let (mut net, links, rules) = triangle();
+        let s = [0, 1].map(|i| net.topology().link(links[i]).src);
+        let side = Rule::forward(RuleId(8), prefix("1.0.0.0/8"), 1, s[1], links[1]);
+        let wide = Rule::forward(RuleId(9), prefix("0.0.0.0/4"), 0, s[0], links[0]);
+        net.insert_rule(side);
+        for rule in rules {
+            net.insert_rule(rule);
+        }
+        net.insert_rule(wide);
+        net.remove_rule(side.id);
+        for link in links {
+            assert_eq!(net.link_failure_impact(link, true).violations.len(), 1);
+        }
+        assert!(net.compact().merged_atoms > 0);
+        let mut fresh = DeltaNet::with_topology(net.topology().clone());
+        for rule in rules.into_iter().chain([wide]) {
+            fresh.insert_rule(rule);
+        }
+        for link in links {
+            let report = net.link_failure_impact(link, true);
+            assert_eq!(report, fresh.link_failure_impact(link, true), "{link:?}");
+        }
+    }
+
+    #[test]
+    fn what_if_memo_matches_a_fresh_search_under_random_ops() {
+        // Random ops, compactions and queries interleaved on looped random
+        // planes: after every query the memo has decided the queried
+        // label, and its cycles cut to that label are what a search of the
+        // label from scratch finds.
+        let mut queries = 0;
+        let mut looping = 0;
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(0x4d45_4d4f ^ seed);
+            let topo = testutil::random_topology(&mut rng, 5, true);
+            let config = DeltaNetConfig {
+                field_width: 8,
+                check_loops_per_update: false,
+                compact_threshold: (seed % 2 == 1).then_some(4),
+                ..DeltaNetConfig::default()
+            };
+            let mut net = DeltaNet::new(topo.clone(), config);
+            let mut gen = testutil::OpGen::new(8, 40, 0.35);
+            for step in 0..300 {
+                let at = format!("seed {seed}, step {step}");
+                match rng.gen_range(0..20) {
+                    0 => {
+                        net.compact();
+                    }
+                    1..=11 => {
+                        if let Some(op) = gen.next_op(&mut rng, &topo) {
+                            net.try_apply(&op).expect("a generated op applies");
+                        }
+                    }
+                    _ => {
+                        let link = LinkId(rng.gen_range(0..topo.link_count()) as u32);
+                        let report = net.link_failure_impact(link, true);
+                        let label = net.label(link);
+                        let labels = net.labels();
+                        let expect = loops::find_loops_for_atoms(&topo, labels, net.atoms(), label);
+                        assert_eq!(report.violations, expect, "{at}");
+                        let fresh = loops::cycles_for_atoms(&topo, labels, label);
+                        let memo = net.loop_memo.lock();
+                        assert!(label.is_subset_of(&memo.decided), "{at}");
+                        let cut: CycleMap = memo
+                            .cycles
+                            .iter()
+                            .map(|(cycle, atoms)| (cycle.clone(), atoms.intersection(label)))
+                            .filter(|(_, atoms)| !atoms.is_empty())
+                            .collect();
+                        assert_eq!(cut, fresh, "{at}");
+                        queries += 1;
+                        looping += usize::from(!expect.is_empty());
+                    }
+                }
+            }
+        }
+        assert!(
+            queries > 500 && looping > 50,
+            "{queries} queries, {looping} with loops"
+        );
     }
 
     #[test]

@@ -126,3 +126,15 @@ pub use persist::{
 pub use reachability::ReachabilityMatrix;
 pub use session::{LoggedNet, Session};
 pub use shard::ShardedDeltaNet;
+
+// A `DeltaNet` answers queries through `&self` from several threads at once
+// (`parallel::what_if_many`), so it must stay `Sync`: its what-if loop memo
+// sits behind a mutex for that. A `ShardedDeltaNet` moves between threads
+// but is not shared: its observer callback and its workers' reply queues
+// are not `Sync`.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    const fn send<T: Send>() {}
+    send_sync::<DeltaNet>();
+    send::<ShardedDeltaNet>();
+};

@@ -14,8 +14,7 @@
 //!   aggregated delta-graph, walking each repaired atom from every switch
 //!   whose out-links changed). Cost: at most one pass over the nodes per
 //!   atom, however many starts.
-//! * [`cycles_for_atoms`] — a dense candidate set (the what-if query of
-//!   §4.3.2, the full audits, seeding a monitor): the same walks, for the
+//! * [`cycles_for_atoms`] — a dense candidate set: the same walks, for the
 //!   64 atoms of a candidate word at once. One pass over the labelled links
 //!   keeps per link the word's atoms it is its switch's first hop for. A
 //!   depth-first search from every switch then carries as one mask the
@@ -24,7 +23,12 @@
 //!   closes a cycle where atoms meet their own path; a cycle is admitted for
 //!   all the atoms that close it together in one map probe. Cost:
 //!   O(links · candidate words + 64 · hits), with no sort and no per-atom
-//!   step.
+//!   step. Its callers: the what-if query of §4.3.2, through the engine's
+//!   loop memo ([`crate::DeltaNet::link_failure_impact`]), which searches
+//!   only the failed link's atoms it has not decided since the last write;
+//!   the full audits ([`find_all_loops`], [`find_loops_for_atoms`]); and
+//!   seeding a monitor ([`crate::ViolationMonitor::from_state`]). The last
+//!   two run the kernel directly, so they are the memo's reference.
 //!
 //! The first two share one routine, [`WalkScratch::walk`], which keeps its
 //! visited marks, path positions and path in generation-stamped vectors of
@@ -245,8 +249,8 @@ pub(crate) fn walks_from(
 }
 
 /// Finds all forwarding loops that involve any of the given atoms anywhere
-/// in the network — used by the what-if link-failure query (§4.3.2) and the
-/// full-data-plane audits in the tests.
+/// in the network — the what-if link-failure query (§4.3.2) without the
+/// engine's loop memo, and the full-data-plane audits.
 pub fn find_loops_for_atoms(
     topology: &Topology,
     labels: &Labels,

@@ -4,8 +4,10 @@
 //! Algorithm 1 and 2 are highly parallelizable" (§6). The *query* side —
 //! what-if analysis of many links — lives here: it only reads the
 //! persistent edge-labelled graph, so it partitions across threads with no
-//! synchronization beyond collecting the reports. The *update* side is
-//! parallelized by [`crate::shard::ShardedDeltaNet`], which partitions the
+//! synchronization beyond collecting the reports and the engine's loop
+//! memo, which the workers fill together under its lock (each search runs
+//! outside it). The *update* side is parallelized by
+//! [`crate::shard::ShardedDeltaNet`], which partitions the
 //! address space itself so disjoint shards apply rule updates concurrently
 //! (its per-shard answers are combined by [`merge_violations`]); both sides
 //! size their thread pools from the same [`Parallelism`] configuration, so
@@ -164,7 +166,10 @@ mod tests {
         s.parse().unwrap()
     }
 
-    fn ring_net() -> DeltaNet {
+    /// A 4-switch ring with 10.0.0.0/8 forwarded clockwise at three
+    /// switches, or at all four when `closed` (a forwarding loop), plus
+    /// many disjoint /16s.
+    fn ring_net(closed: bool) -> DeltaNet {
         let mut topo = Topology::new();
         let n = topo.add_nodes("s", 4);
         for i in 0..4 {
@@ -177,7 +182,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        for i in 0..3 {
+        for i in 0..if closed { 4 } else { 3 } {
             let src = netmodel::topology::NodeId(i as u32);
             let link = net.topology().out_links(src)[0];
             net.insert_rule(Rule::forward(
@@ -205,7 +210,7 @@ mod tests {
 
     #[test]
     fn what_if_many_matches_single_queries() {
-        let net = ring_net();
+        let net = ring_net(false);
         let links: Vec<LinkId> = net.topology().links().iter().map(|l| l.id).collect();
         for workers in [1, 3, 16] {
             let bulk = what_if_many_with(&net, &links, false, Parallelism::fixed(workers));
@@ -218,11 +223,28 @@ mod tests {
                 );
             }
         }
+        // Loop checks on the closed ring: two workers fill the engine's one
+        // loop memo at once. Each report equals a single query's on a copy
+        // of the engine, and its loops are what the kernel finds directly.
+        let looped = ring_net(true);
+        let bulk = what_if_many_with(&looped, &links, true, Parallelism::fixed(2));
+        let single = looped.clone();
+        for (report, &link) in bulk.iter().zip(&links) {
+            assert_eq!(*report, single.link_failure_impact(link, true), "{link:?}");
+            let direct = crate::loops::find_loops_for_atoms(
+                looped.topology(),
+                looped.labels(),
+                looped.atoms(),
+                looped.label(link),
+            );
+            assert_eq!(report.violations, direct, "{link:?}");
+            assert_eq!(report.violations.len(), 1, "{link:?}");
+        }
     }
 
     #[test]
     fn what_if_many_empty_input() {
-        let net = ring_net();
+        let net = ring_net(false);
         assert!(what_if_many(&net, &[], true).is_empty());
     }
 
