@@ -61,8 +61,7 @@ pub struct DeltaNetConfig {
     pub check_loops_per_update: bool,
     /// When `Some(t)`, a rule removal that leaves at least `max(t, 1)`
     /// reclaimable interval bounds triggers an automatic
-    /// [`DeltaNet::compact`] pass (deferred while a delta-graph aggregation
-    /// is in progress). `None` (the default) matches the paper's
+    /// [`DeltaNet::compact`] pass. `None` (the default) matches the paper's
     /// presentation: atoms only ever split, and memory grows monotonically
     /// under rule churn.
     pub compact_threshold: Option<usize>,
@@ -212,8 +211,6 @@ pub struct DeltaNet {
     compactions: usize,
     /// The delta-graph of the most recent update.
     last_delta: DeltaGraph,
-    /// An aggregation buffer for multi-update delta-graphs (§3.3).
-    aggregate: Option<DeltaGraph>,
     /// Scratch buffer for the delta-pairs of an update, reused across
     /// updates so the steady-state hot path performs no per-update
     /// allocation. Invariant: empty between updates (taken at the start of
@@ -230,7 +227,7 @@ pub struct DeltaNet {
     /// The incrementally maintained violation state, when monitoring is on
     /// ([`DeltaNetConfig::monitor_violations`] or
     /// [`DeltaNet::enable_monitor`]). Single-field, repaired once per window
-    /// from `window` ([`DeltaNet::close_window`]); multi-field, per update
+    /// from `window` ([`DeltaNet::repair_window`]); multi-field, per update
     /// in [`DeltaNet::finish_update`]. Remapped across [`DeltaNet::compact`].
     monitor: Option<ViolationMonitor>,
     /// What the open window owes a single-field monitor. Empty between
@@ -331,6 +328,10 @@ struct WindowRecord {
 }
 
 impl WindowRecord {
+    fn is_empty(&self) -> bool {
+        self.atoms.is_empty() && self.sources.is_empty() && self.splits.is_empty()
+    }
+
     fn clear(&mut self) {
         self.atoms.clear();
         self.sources.clear();
@@ -361,7 +362,6 @@ impl DeltaNet {
             books: BoundRefs::default(),
             compactions: 0,
             last_delta: DeltaGraph::new(),
-            aggregate: None,
             pair_scratch: Vec::with_capacity(2),
             walk_scratch: WalkScratch::default(),
             clip: None,
@@ -534,43 +534,10 @@ impl DeltaNet {
         self.rules.values()
     }
 
-    /// Starts aggregating delta-graphs: until [`DeltaNet::take_aggregate`]
-    /// is called, every update's delta-graph is merged into one (§3.3:
-    /// "multiple rule updates may be aggregated into a delta-graph").
-    pub fn begin_aggregate(&mut self) {
-        self.aggregate = Some(DeltaGraph::new());
-    }
-
-    /// Whether an aggregation window opened by [`DeltaNet::begin_aggregate`]
-    /// is currently in progress. The violation monitor does not depend on
-    /// it: it is repaired at the close of every [`Checker::apply_window`]
-    /// and every one-op update, so state captured between them is
-    /// monitor-consistent whether or not an aggregation is open — but
-    /// automatic compaction is deferred while one is, so callers scheduling
-    /// maintenance (like checkpoint snapshots) may prefer aggregation
-    /// boundaries.
-    pub fn is_aggregating(&self) -> bool {
-        self.aggregate.is_some()
-    }
-
-    /// Stops aggregating and returns the combined delta-graph, canonicalized
-    /// to its net effect ([`DeltaGraph::canonicalize`]: same-window
-    /// insert+remove pairs cancel). Any automatic compaction deferred while
-    /// the aggregation was in progress runs now, so a threshold crossed
-    /// mid-aggregation is not silently dropped.
-    pub fn take_aggregate(&mut self) -> DeltaGraph {
-        let mut aggregate = self.aggregate.take().unwrap_or_default();
-        aggregate.canonicalize();
-        self.maybe_auto_compact();
-        aggregate
-    }
-
-    /// Runs a compaction pass if the configured threshold is crossed and no
-    /// aggregation is in progress (the aggregate holds atom ids a pass
-    /// would invalidate).
+    /// Runs a compaction pass if the configured threshold is crossed.
     fn maybe_auto_compact(&mut self) {
         if let Some(threshold) = self.config.compact_threshold {
-            if self.reclaimable_bounds() >= threshold.max(1) && self.aggregate.is_none() {
+            if self.reclaimable_bounds() >= threshold.max(1) {
                 self.compact();
             }
         }
@@ -807,15 +774,13 @@ impl DeltaNet {
     /// the pass (label snapshots, delta-graphs) must not be used afterwards.
     /// An open window's monitor repair therefore runs first, under the ids
     /// its updates recorded, and [`DeltaNet::last_delta`] is reset to
-    /// empty. An in-progress aggregate (automatic compaction is deferred
-    /// while one is open, so only an explicit call reaches this case) is
-    /// *remapped* through the pass's renumbering table instead of being
-    /// discarded ([`DeltaGraph::remap`]): the window's surviving label
-    /// changes stay in the aggregate under their new ids, so a consumer of
-    /// [`DeltaNet::take_aggregate`] — e.g. an external violation monitor —
-    /// still sees every change the window made.
+    /// empty. The monitor's events are keyed by cycle and switch, so they
+    /// stand: a pass inside a window folds nothing away, and one between
+    /// windows leaves the last window's events as they were.
     pub fn compact(&mut self) -> CompactReport {
-        self.close_window();
+        if !self.window.is_empty() {
+            self.repair_window();
+        }
         let allocated_before = self.atoms.allocated_atoms();
         let bytes_before = self.memory_estimate();
         self.loop_memo.clear();
@@ -844,14 +809,9 @@ impl DeltaNet {
             monitor.remap(&remap);
         }
 
-        // Delta-graph state recorded before the pass refers to stale ids:
-        // the last delta is reset (it describes a completed update), but an
-        // open aggregate is rewritten in place — discarding it would lose
-        // the window's changes for whoever takes it.
+        // The last delta refers to stale ids: it describes a completed
+        // update, and is reset.
         self.last_delta = DeltaGraph::new();
-        if let Some(agg) = self.aggregate.as_mut() {
-            agg.remap(&remap);
-        }
 
         // Secondary lattices: the same merge + renumber per field.
         let sec_merged = self.mf.as_mut().map_or(0, MultiField::compact);
@@ -878,7 +838,7 @@ impl DeltaNet {
     /// ([`loops::find_loops_from_seeds_in`] over the added pairs) and, when
     /// monitored, appends its changed atoms, its source if it changed a
     /// label, and its splits to the window's record, which
-    /// [`DeltaNet::close_window`] repairs from once.
+    /// [`DeltaNet::repair_window`] repairs from once.
     fn finish_update(
         &mut self,
         delta: DeltaGraph,
@@ -929,9 +889,6 @@ impl DeltaNet {
             changed_links: delta.changed_links(),
             violations,
         };
-        if let Some(agg) = self.aggregate.as_mut() {
-            agg.merge(&delta);
-        }
         self.last_delta = delta;
         report
     }
@@ -971,12 +928,23 @@ impl DeltaNet {
         failure
     }
 
-    /// Closes a window: one repair of a single-field monitor over the
-    /// window's record ([`ViolationMonitor::repair_labels`]), which then
-    /// empties. Its events are the window's transitions. A no-op without a
-    /// monitor or on a multi-field engine, whose monitor is repaired per
-    /// update.
+    /// Closes a window that applied ops: its single-field repair
+    /// ([`DeltaNet::repair_window`]), then the monitor's events are sealed.
+    /// They are the window's transitions, and stand until the next window
+    /// that applies an op.
     fn close_window(&mut self) {
+        self.repair_window();
+        if let Some(monitor) = self.monitor.as_mut() {
+            monitor.seal();
+        }
+    }
+
+    /// One repair of a single-field monitor over the open window's record
+    /// ([`ViolationMonitor::repair_labels`]), which then empties; its
+    /// events fold into those of the window's earlier repairs. A no-op
+    /// without a monitor or on a multi-field engine, whose monitor is
+    /// repaired per update.
+    fn repair_window(&mut self) {
         let (Some(monitor), None) = (self.monitor.as_mut(), &self.mf) else {
             return;
         };
@@ -1193,6 +1161,7 @@ impl Checker for DeltaNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor::{MonitorTransitions, ViolationKey};
     use netmodel::interval::{normalize, Interval};
     use netmodel::ip::IpPrefix;
     use netmodel::rule::Action;
@@ -1583,26 +1552,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_delta_graph_collects_multiple_updates() {
-        let mut ex = paper_example();
-        let (r1, r2, r3, r4) = figure2_rules(&ex);
-        ex.net.begin_aggregate();
-        for r in [r1, r2, r3, r4] {
-            ex.net.insert_rule(r);
-        }
-        let agg = ex.net.take_aggregate();
-        assert!(!agg.is_empty());
-        // The aggregate spans every link that ever gained an atom.
-        let links = agg.changed_links();
-        assert!(links.contains(&ex.l12));
-        assert!(links.contains(&ex.l14));
-        assert!(links.contains(&ex.l23));
-        assert!(links.contains(&ex.l34));
-        // A second take returns an empty aggregate.
-        assert!(ex.net.take_aggregate().is_empty());
-    }
-
-    #[test]
     fn checker_trait_replay_roundtrip() {
         let mut ex = paper_example();
         let (r1, r2, r3, r4) = figure2_rules(&ex);
@@ -1925,7 +1874,91 @@ mod tests {
         assert_eq!(net.compactions(), 1, "the pass ran inside the window");
         monitor_matches_scans(&net);
         let hole = crate::monitor::ViolationKey::Blackhole(b);
-        assert_eq!(net.monitor().unwrap().active_keys(), [hole]);
+        let monitor = net.monitor().unwrap();
+        assert_eq!(monitor.active_keys(), std::slice::from_ref(&hole));
+        assert_eq!(monitor.last_events().appeared, [hole]);
+    }
+
+    /// A fresh engine under `config` and a window for it: `a -> b` and
+    /// `b -> a` close a loop on 10/8 at its second op, then `c` drops 192/8
+    /// and the drop goes again, leaving two bounds to reclaim. Returns the
+    /// events the window must leave: the loop appeared.
+    fn loop_then_churn(config: DeltaNetConfig) -> (DeltaNet, Vec<Op>, MonitorTransitions) {
+        let mut topo = Topology::new();
+        let [a, b, c] = ["a", "b", "c"].map(|name| topo.add_node(name));
+        let (ab, ba) = (topo.add_link(a, b), topo.add_link(b, a));
+        let drop_c = topo.drop_link(c);
+        let p = prefix("10.0.0.0/8");
+        let ops = vec![
+            Op::Insert(Rule::forward(RuleId(1), p, 1, a, ab)),
+            Op::Insert(Rule::forward(RuleId(2), p, 1, b, ba)),
+            Op::Insert(Rule::drop(RuleId(3), prefix("192.0.0.0/8"), 1, c, drop_c)),
+            Op::Remove(RuleId(3)),
+        ];
+        let events = MonitorTransitions {
+            appeared: vec![ViolationKey::Loop(vec![a, b])],
+            resolved: vec![],
+        };
+        (DeltaNet::new(topo, config), ops, events)
+    }
+
+    #[test]
+    fn a_multifield_window_reports_a_loop_its_first_ops_closed() {
+        // Repaired per op, the window's repairs fold into one event list:
+        // the last op, which changes no violation, does not replace it.
+        let (mut net, ops, closed) = loop_then_churn(monitored(None).with_secondary(&[4]));
+        assert_eq!(net.apply_window(&ops).1, None);
+        monitor_matches_scans(&net);
+        assert_eq!(net.monitor().unwrap().last_events(), &closed);
+    }
+
+    #[test]
+    fn a_compaction_after_a_window_keeps_its_events() {
+        let (mut net, ops, closed) = loop_then_churn(monitored(None));
+        assert_eq!(net.apply_window(&ops).1, None);
+        assert_eq!(net.monitor().unwrap().last_events(), &closed);
+        assert!(net.compact().merged_atoms > 0);
+        monitor_matches_scans(&net);
+        assert_eq!(net.monitor().unwrap().last_events(), &closed);
+    }
+
+    #[test]
+    fn a_threshold_pass_inside_a_window_keeps_the_events_before_it() {
+        // The removal triggers the pass; the window goes on after it with
+        // an op that changes no violation.
+        let (mut net, mut ops, closed) = loop_then_churn(monitored(Some(1)));
+        let drop_c = net.topology().out_links(NodeId(2))[0];
+        ops.push(Op::Insert(Rule::drop(
+            RuleId(4),
+            prefix("172.16.0.0/12"),
+            1,
+            NodeId(2),
+            drop_c,
+        )));
+        assert_eq!(net.apply_window(&ops).1, None);
+        assert_eq!(net.compactions(), 1, "the pass ran inside the window");
+        monitor_matches_scans(&net);
+        assert_eq!(net.monitor().unwrap().last_events(), &closed);
+    }
+
+    #[test]
+    fn a_loop_raised_before_a_pass_and_cleared_after_it_nets_out() {
+        // A first window leaves events behind: a -> b for 172.16/12 dies at
+        // b. The second raises the loop, passes, and breaks it again at b,
+        // where 10/8 now dies too; the hole there stood all along.
+        let (mut net, mut ops, _) = loop_then_churn(monitored(Some(1)));
+        let [a, b] = [NodeId(0), NodeId(1)];
+        let ab = net.topology().link_between(a, b).unwrap();
+        let stray = Rule::forward(RuleId(9), prefix("172.16.0.0/12"), 1, a, ab);
+        assert_eq!(net.apply_window(&[Op::Insert(stray)]).1, None);
+        let hole = ViolationKey::Blackhole(b);
+        assert_eq!(net.monitor().unwrap().last_events().appeared, [hole]);
+        ops.push(Op::Remove(RuleId(2)));
+        assert_eq!(net.apply_window(&ops).1, None);
+        assert_eq!(net.compactions(), 1, "the pass ran inside the window");
+        monitor_matches_scans(&net);
+        let events = net.monitor().unwrap().last_events();
+        assert!(events.is_empty(), "{events:?}");
     }
 
     #[test]
@@ -2040,76 +2073,6 @@ mod tests {
             net.atom_count()
         );
         assert!(net.reclaimable_bounds() < 4 + 2);
-    }
-
-    #[test]
-    fn begin_aggregate_defers_automatic_compaction() {
-        let mut ex = paper_example();
-        ex.net.config.compact_threshold = Some(1);
-        let (r1, _, _, r4) = figure2_rules(&ex);
-        ex.net.begin_aggregate();
-        ex.net.insert_rule(r1);
-        ex.net.insert_rule(r4);
-        ex.net.remove_rule(RuleId(4));
-        ex.net.remove_rule(RuleId(1));
-        // Garbage accrued but no pass ran while aggregating.
-        assert!(ex.net.reclaimable_bounds() > 0);
-        assert_eq!(ex.net.compactions(), 0);
-        // The deferred pass runs when the aggregate is taken, after the
-        // returned delta-graph (which holds pre-compaction ids) is detached.
-        let agg = ex.net.take_aggregate();
-        assert!(!agg.is_empty());
-        assert_eq!(ex.net.compactions(), 1);
-        assert_eq!(ex.net.reclaimable_bounds(), 0);
-        assert_eq!(ex.net.atom_count(), 1);
-    }
-
-    #[test]
-    fn explicit_compact_inside_aggregation_window_remaps_the_aggregate() {
-        // Regression: an explicit `compact()` while an aggregation window is
-        // open used to clear the pending aggregate along with `last_delta`,
-        // silently dropping every change recorded so far in the window. The
-        // pass must instead remap the aggregate's atom ids so the window
-        // survives renumbering.
-        let mut topo = Topology::new();
-        let a = topo.add_node("a");
-        let b = topo.add_node("b");
-        let ab = topo.add_link(a, b);
-        let ba = topo.add_link(b, a);
-        let mut net = DeltaNet::with_topology(topo);
-        let mut external = ViolationMonitor::new();
-
-        net.begin_aggregate();
-        // A loop on 10/8 recorded in the open window.
-        net.insert_rule(Rule::forward(RuleId(1), prefix("10.0.0.0/8"), 1, a, ab));
-        net.insert_rule(Rule::forward(RuleId(2), prefix("10.0.0.0/8"), 1, b, ba));
-        // Churn a narrower rule so its bounds go dead and a compaction pass
-        // has atoms to renumber.
-        net.insert_rule(Rule::forward(RuleId(3), prefix("10.128.0.0/9"), 9, a, ab));
-        net.remove_rule(RuleId(3));
-        assert!(net.reclaimable_bounds() > 0);
-        let report = net.compact();
-        assert!(report.merged_atoms > 0);
-        assert!(report.allocated_after < report.allocated_before);
-        // The window continues across the pass.
-        net.insert_rule(Rule::forward(RuleId(4), prefix("192.0.0.0/8"), 1, a, ab));
-        let agg = net.take_aggregate();
-
-        // The pre-compaction changes are still in the aggregate, and every
-        // atom id in it is valid post-renumbering.
-        assert!(!agg.is_empty());
-        let allocated = net.allocated_atoms() as u32;
-        for &(_, atom) in agg.added.iter().chain(agg.removed.iter()) {
-            assert!(atom.0 < allocated, "stale atom id {atom:?} in aggregate");
-        }
-        // The remapped aggregate must repair a monitor bit-identically to a
-        // from-scratch rescan — the differential that fails if the window's
-        // contents were dropped or left holding stale ids.
-        external.apply_update(net.topology(), net.labels(), &agg);
-        let mut expect = net.check_all_loops();
-        expect.extend(net.check_all_blackholes());
-        assert_eq!(external.active_violations(net.atoms()), expect);
-        assert_eq!(external.loop_count(), 1);
     }
 
     #[test]

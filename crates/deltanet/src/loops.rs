@@ -10,10 +10,9 @@
 //!   successor walk per `(link, atom)` pair the update added. Cost: Σ walk
 //!   length over the delta's added pairs.
 //! * [`walks_from`] — one atom from several switches, sharing visited
-//!   marks (the single-field monitor repair of a window or of an
-//!   aggregated delta-graph, walking each repaired atom from every switch
-//!   whose out-links changed). Cost: at most one pass over the nodes per
-//!   atom, however many starts.
+//!   marks (the single-field monitor repair of a window, walking each
+//!   repaired atom from every switch whose out-links changed). Cost: at
+//!   most one pass over the nodes per atom, however many starts.
 //! * [`cycles_for_atoms`] — a dense candidate set: the same walks, for the
 //!   64 atoms of a candidate word at once. One pass over the labelled links
 //!   keeps per link the word's atoms it is its switch's first hop for. A
@@ -213,8 +212,8 @@ pub(crate) fn find_loops_from_seeds_in(
     let mut cycles = CycleMap::new();
     for &(link, atom) in seeds {
         if !labels.contains(link, atom) {
-            // The seed may have been superseded by a later change in an
-            // aggregated delta-graph.
+            // A pair the labels no longer hold closes nothing: the seeds
+            // may span several updates, a later one undoing an earlier.
             continue;
         }
         let start = topology.link(link).src;

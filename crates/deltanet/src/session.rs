@@ -2,8 +2,8 @@
 //! `deltanet replay`, `snapshot --save`: the engine applies a window through
 //! its `Checker::apply_window` (the applied-prefix contract is stated
 //! there), the [`Journal`] beside it records exactly what applied (nothing
-//! else calls [`Journal::record`]), and the violation transitions are read
-//! on demand, so a caller that never asks pays nothing.
+//! else calls [`Journal::record`]), and the violation transitions are
+//! taken on demand: one engine's window events, folded since the last ask.
 
 use crate::fault::StorageBackend;
 use crate::monitor::{MonitorTransitions, TransitionTracker};
@@ -12,12 +12,15 @@ use netmodel::checker::{ReplayError, UpdateReport};
 use netmodel::trace::Op;
 use std::path::Path;
 
-/// An engine, an optional [`Journal`] beside it, and the violation set its
-/// [`Session::transitions`] are diffed against.
+/// An engine, an optional [`Journal`] beside it, and what its
+/// [`Session::transitions`] are taken from.
 pub struct Session {
     net: PersistNet,
     journal: Option<Journal>,
-    /// `None` when the engine is not monitored.
+    /// One monitored engine's window events, folded since the last call.
+    pending: MonitorTransitions,
+    /// Monitored shards, two of which can hold the same loop: the merged
+    /// violation set of the last call, diffed.
     tracker: Option<TransitionTracker>,
     ops_applied: u64,
 }
@@ -32,8 +35,13 @@ impl Session {
     /// violation set now (a restored engine's standing violations do not
     /// "appear"); the op position is the journal's, or 0 without one.
     pub fn new(net: PersistNet, journal: Option<Journal>) -> Session {
+        let tracker = match &net {
+            PersistNet::Single(_) => None,
+            PersistNet::Sharded(net) => net.monitor_keys().map(TransitionTracker::starting_from),
+        };
         Session {
-            tracker: net.monitor_keys().map(TransitionTracker::starting_from),
+            pending: MonitorTransitions::default(),
+            tracker,
             ops_applied: journal.as_ref().map_or(0, Journal::ops_applied),
             net,
             journal,
@@ -55,9 +63,15 @@ impl Session {
     /// Applies one window ([`PersistNet::checker_mut`]'s `apply_window`)
     /// and journals the ops that applied: one report per applied op, also
     /// when the window failed. A journal I/O failure is deferred to
-    /// [`Session::close`].
+    /// [`Session::close`]. One engine's window events, if it applied an op,
+    /// fold into those pending for [`Session::transitions`].
     pub fn apply(&mut self, ops: &[Op]) -> (Vec<UpdateReport>, Option<ReplayError>) {
         let (reports, failure) = self.net.checker_mut().apply_window(ops);
+        if let (PersistNet::Single(net), false) = (&self.net, reports.is_empty()) {
+            if let Some(monitor) = net.monitor() {
+                self.pending.absorb(monitor.last_events().clone());
+            }
+        }
         let applied = &ops[..reports.len()];
         self.ops_applied += applied.len() as u64;
         if let Some(journal) = &mut self.journal {
@@ -76,11 +90,12 @@ impl Session {
     }
 
     /// The violation identities that appeared and resolved since the last
-    /// call (or construction); empty when the engine is not monitored.
+    /// call (or construction); empty when the engine is not monitored. On
+    /// one engine, its windows' events, folded; on shards, a set diff.
     pub fn transitions(&mut self) -> MonitorTransitions {
-        match (&mut self.tracker, self.net.monitor_keys()) {
-            (Some(tracker), Some(keys)) => tracker.observe(keys),
-            _ => MonitorTransitions::default(),
+        match &mut self.tracker {
+            Some(tracker) => tracker.observe(self.net.monitor_keys().expect("monitored shards")),
+            None => std::mem::take(&mut self.pending),
         }
     }
 
@@ -183,6 +198,14 @@ mod tests {
             assert!(
                 session.transitions().is_empty(),
                 "{shards} shards: since the last call"
+            );
+            // A window that applies nothing adds nothing, though the
+            // engine's last events are still the window's before it.
+            let (reports, failure) = session.apply(&[Op::Remove(RuleId(2))]);
+            assert_eq!((reports.len(), failure.map(|f| f.index)), (0, Some(0)));
+            assert!(
+                session.transitions().is_empty(),
+                "{shards} shards: an empty window"
             );
         }
     }

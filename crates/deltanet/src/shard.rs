@@ -246,8 +246,7 @@ impl ShardedDeltaNet {
     /// repairs, per update, only the `(primary atom, secondary class)`
     /// slices the update touched. Either way a window routed to one shard
     /// never rescans the others, and this holds through the concurrent
-    /// per-shard groups, aggregation windows, and
-    /// [`ShardedDeltaNet::compact`].
+    /// per-shard groups and [`ShardedDeltaNet::compact`].
     pub fn enable_monitor(&mut self) {
         for shard in &mut self.shards {
             shard.enable_monitor();
@@ -334,12 +333,6 @@ impl ShardedDeltaNet {
         for shard in &mut self.shards {
             shard.set_config(config);
         }
-    }
-
-    /// Whether any shard has an open aggregation window (see
-    /// [`DeltaNet::is_aggregating`]).
-    pub fn is_aggregating(&self) -> bool {
-        self.shards.iter().any(DeltaNet::is_aggregating)
     }
 
     /// The contiguous address range owned by each shard, in address order.

@@ -20,7 +20,7 @@
 //!
 //! Runs over the stand-alone engine and 1/2/4/7-way sharded engines, with
 //! monitoring on and off, compaction on and off, per-op applies and
-//! `apply_batch` windows, §3.3 aggregation windows, and a snapshot →
+//! `apply_batch` windows (§3.3's aggregation), and a snapshot →
 //! restore → continue leg — the combinations the multi-field code touches.
 //! Every leg runs on the differential driver in `tests/support/`
 //! ([`Oracle::MultiField`], [`Oracle::Monitor`], [`Oracle::Restore`], and
@@ -157,25 +157,46 @@ fn acl_workload_replays_and_matches_oracle() {
 }
 
 /// §3.3 aggregation windows under multi-field monitoring: a batch of
-/// secondary-splitting inserts and removes lands inside one window; the
-/// monitor, repaired per update even inside a window, must be bit-identical
-/// to the full scans after every op, and the scans must match the stateless
-/// oracle at every window boundary. Automatic compaction is deferred while
-/// a window is open, so an explicit `compact()` afterwards checks the
-/// monitor remap and the walk kernel's class renumbering too.
+/// secondary-splitting inserts and removes lands inside one `apply_window`;
+/// the monitor, repaired per update and folding the window's events into
+/// one list, must be bit-identical to the full scans and its events their
+/// diff after every window, also when the threshold compacts inside one,
+/// and the scans must match the stateless oracle at every window boundary.
+/// An explicit `compact()` at the end checks the monitor remap and the walk
+/// kernel's class renumbering too.
 #[test]
 fn aggregation_window_with_secondary_splits_matches_oracle() {
     for seed in (0..3u64).map(|i| 0xA66_F1E1D ^ i) {
         let (topo, ops) = churn(seed, 5, 90, &SEC_WIDTHS);
+        let config = config(LOOPS | MONITOR, Some(4), &SEC_WIDTHS);
         let shape = Shape {
             window: 9,
-            aggregate: true,
             compact_every: Some(END),
-            ..Shape::new(0, config(LOOPS | MONITOR, Some(4), &SEC_WIDTHS))
+            ..Shape::new(0, config)
         };
+        let Stream::Ops(list) = &ops else {
+            unreachable!("churn draws ops as data")
+        };
+        assert_untame(&topo, config, list, 9);
         let oracles = [(Monitor, 1), (MultiField, 9)];
         run(&format!("seed {seed:#x}"), &topo, ops, &shape, &oracles);
     }
+}
+
+/// Asserts `ops`, in windows of `window`, hold a window with a removal and
+/// one that grows a secondary lattice: the window paths those exercise
+/// (a pass, a secondary split under a window's later repair) are reached.
+fn assert_untame(topo: &Topology, config: DeltaNetConfig, ops: &[Op], window: usize) {
+    let mut net = DeltaNet::new(topo.clone(), config);
+    let (mut removing, mut growing) = (0, 0);
+    for ops in ops.chunks(window) {
+        let before = net.secondary_atoms()[0].atom_count();
+        assert_eq!(net.apply_window(ops).1, None);
+        removing += usize::from(ops.iter().any(|op| matches!(op, Op::Remove(_))));
+        growing += usize::from(net.secondary_atoms()[0].atom_count() > before);
+    }
+    let tame = format!("windows with removes: {removing}, growing a lattice: {growing}");
+    assert!(removing > 0 && growing > 0, "trace too tame ({tame})");
 }
 
 /// A loop closed in exactly one secondary class must surface as exactly

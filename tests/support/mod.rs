@@ -64,10 +64,6 @@ pub struct Shape {
     /// `0`: ops apply one by one (`try_apply`); `n`: in windows of `n`
     /// (`apply_window`).
     pub window: usize,
-    /// The windows are §3.3 aggregation windows of one engine: each op
-    /// applies and is checked on its own between `begin_aggregate` and
-    /// `take_aggregate`.
-    pub aggregate: bool,
     /// An explicit compaction pass on every engine of the run after every
     /// `k`-th draw and after the last ([`END`]: after the last only).
     pub compact_every: Option<usize>,
@@ -104,7 +100,6 @@ impl Shape {
             shards,
             config,
             window: 0,
-            aggregate: false,
             compact_every: None,
             restore: None,
             journal: None,
@@ -172,9 +167,9 @@ pub enum Oracle {
     /// after every op, a loop an insert creates must be in its report.
     MultiField,
     /// The monitor's state equals a fresh full scan; on one engine checked
-    /// after every op — or, single-field, after every window, whose one
-    /// repair at the close records the window's transitions — its events
-    /// are the diff of successive scans.
+    /// after every op or window, of either header shape, its events are the
+    /// diff of successive scans — across every compaction pass, inside the
+    /// window or explicit after it.
     Monitor,
     /// Observational equality with a plain engine fed the same ops, which
     /// never compacts on its own: per-update reports, then labels, what-if,
@@ -231,8 +226,7 @@ pub fn run(
         let before = ops.iter().rev().find(|&&(s, _)| s + tail < draws);
         before.map(|&(last, _)| (k, last))
     });
-    let per_op = shape.window == 0 || shape.aggregate;
-    for window in ops.chunks(if per_op { 1 } else { shape.window }) {
+    for window in ops.chunks(shape.window.max(1)) {
         run.step(window);
         if run.disk.as_ref().is_some_and(|disk| disk.backend.crashed()) {
             break;
@@ -263,18 +257,13 @@ struct Run<'a> {
     /// The last op and its report.
     last: Option<(Op, UpdateReport)>,
     /// For [`Oracle::Monitor`] after every op or window of one engine: the
-    /// scans' keys so far, the engine's compaction count then, and whether
-    /// an op has applied since.
-    events: Option<(TransitionTracker, usize, bool)>,
+    /// scans' keys so far, and whether an op has applied since.
+    events: Option<(TransitionTracker, bool)>,
     /// Ops applied at the last [`Oracle::MultiField`] check, and its loops.
     loops_seen: (usize, BTreeMap<Vec<NodeId>, Vec<Interval>>),
     /// Whether atom counts compare exactly: the shape cannot have compacted
     /// on its own since the last explicit pass.
     aligned: bool,
-    /// Aggregation windows with secondary splits and with removals, and
-    /// whether the open one has removed a rule.
-    tame: [usize; 2],
-    removing: bool,
     /// The oracles (by bit) that have checked the state since the last op.
     fresh: u64,
 }
@@ -319,9 +308,7 @@ impl<'a> Run<'a> {
             Oracle::Veriflow,
             Oracle::WhatIf,
         ];
-        let per_op = shape.window == 0 || shape.aggregate;
-        let diffed = shape.shards == 0 && (per_op || config.secondary_count() == 0);
-        let events = diffed && oracles.contains(&(Oracle::Monitor, 1));
+        let events = shape.shards == 0 && oracles.contains(&(Oracle::Monitor, 1));
         Run {
             case,
             topo,
@@ -342,11 +329,9 @@ impl<'a> Run<'a> {
             applied: 0,
             step: 0,
             last: None,
-            events: events.then(|| (TransitionTracker::new(), 0, false)),
+            events: events.then(|| (TransitionTracker::default(), false)),
             loops_seen: (0, BTreeMap::new()),
             aligned: true,
-            tame: [0; 2],
-            removing: false,
             fresh: 0,
         }
     }
@@ -364,20 +349,9 @@ impl<'a> Run<'a> {
         }
     }
 
-    fn single_mut(&mut self) -> &mut DeltaNet {
-        match self.net.as_mut() {
-            Some(PersistNet::Single(net)) => net,
-            _ => panic!("aggregation windows run on one engine, outside a session"),
-        }
-    }
-
     fn step(&mut self, window: &[(usize, Op)]) {
         let ops: Vec<Op> = window.iter().map(|&(_, op)| op).collect();
-        let (n, aggregate) = (self.shape.window, self.shape.aggregate);
-        if aggregate && self.applied % n == 0 {
-            self.single_mut().begin_aggregate();
-        }
-        let per_op = n == 0 || aggregate;
+        let per_op = self.shape.window == 0;
         let (reports, failure) = match (&mut self.disk, &mut self.net) {
             (Some(disk), _) => disk.apply(&ops),
             (None, net) => apply(net.as_mut().unwrap(), &ops, per_op),
@@ -396,9 +370,6 @@ impl<'a> Run<'a> {
         for (&(step, op), report) in window.iter().zip(reports) {
             (self.applied, self.step) = (self.applied + 1, step);
             self.update(op, report);
-        }
-        if aggregate && self.applied % n == 0 {
-            self.take_aggregate();
         }
         let hit = |every: usize| window.iter().any(|&(s, _)| (s + 1) % every == 0);
         let compact = self.shape.compact_every.is_some_and(hit);
@@ -432,7 +403,6 @@ impl<'a> Run<'a> {
                 rule
             }
             Op::Remove(id) => {
-                self.removing = true;
                 let at = self.live.iter().position(|r| r.id == id);
                 self.live.swap_remove(at.expect("a live rule"))
             }
@@ -447,7 +417,7 @@ impl<'a> Run<'a> {
         }
         self.aligned &= self.shape.config.compact_threshold.is_none();
         if let Some(events) = &mut self.events {
-            events.2 = true;
+            events.1 = true;
         }
         if let Some(plain) = &mut self.plain {
             let expected = plain
@@ -528,12 +498,6 @@ impl<'a> Run<'a> {
             let at = format!("{at}: verdict mismatch after inserting {rule}");
             assert_eq!(theirs.has_loop(), traced, "{at}");
         }
-    }
-
-    fn take_aggregate(&mut self) {
-        let splits = !self.single_mut().take_aggregate().sec_splits.is_empty();
-        self.tame[0] += usize::from(splits);
-        self.tame[1] += usize::from(std::mem::take(&mut self.removing));
     }
 
     /// An explicit compaction pass on every engine; the monitor's state
@@ -701,19 +665,13 @@ impl<'a> Run<'a> {
                 let PersistNet::Single(single) = net else {
                     return;
                 };
-                let compactions = single.compactions();
                 let events = single.monitor().expect("monitored").last_events().clone();
-                let Some((tracker, seen, due @ true)) = &mut self.events else {
+                let Some((tracker, due @ true)) = &mut self.events else {
                     return;
                 };
                 let expected = tracker.observe(scan.iter().map(key).collect());
-                // A compaction pass in or at the end of the op or window
-                // remaps the monitor, which forgets the events before it;
-                // the tracker has moved on.
-                if compactions == *seen {
-                    assert_eq!(events, expected, "{at}: events diverged from scans");
-                }
-                (*seen, *due) = (compactions, false);
+                assert_eq!(events, expected, "{at}: events diverged from scans");
+                *due = false;
             }
             Oracle::Single => {
                 let plain = self.plain.as_ref().expect("a plain twin");
@@ -746,10 +704,6 @@ impl<'a> Run<'a> {
     /// The end of the stream: every oracle, then the final compaction and
     /// every oracle again, then the journal's recovery.
     fn finish(mut self) -> PersistNet {
-        if self.shape.aggregate && self.single_mut().is_aggregating() {
-            self.take_aggregate();
-            self.fresh = 0;
-        }
         let oracles = self.oracles;
         for (i, &(oracle, _)) in oracles.iter().enumerate() {
             // The journal's end holds the crash sweep instead.
@@ -765,11 +719,6 @@ impl<'a> Run<'a> {
         if let Some((twin, fed)) = &self.twin {
             assert!(*fed, "{at}: Restore: the last twin took no ops");
             assert_state_eq(self.net(), twin, &format!("{at}: Restore"));
-        }
-        if self.shape.aggregate && self.shape.config.secondary_count() > 0 {
-            let [splits, removes] = self.tame;
-            let tame = format!("sec-splitting windows: {splits}, windows with removes: {removes}");
-            assert!(splits > 0 && removes > 0, "{at}: trace too tame ({tame})");
         }
         let Some(disk) = self.disk.take() else {
             return self.net.take().expect("the run holds its engine");
