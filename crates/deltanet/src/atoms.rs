@@ -94,7 +94,7 @@ pub const REMAP_DEAD: u32 = u32::MAX;
 /// [`AtomMap::packets_of`] walks `M` rather than sorting once the set holds
 /// at least one atom in this many. Measured on one x86-64 core over random
 /// sets of 1 k – 100 k-atom maps, the two cost the same at about a quarter.
-const DENSE_PACKETS_RATIO: usize = 4;
+pub(crate) const DENSE_PACKETS_RATIO: usize = 4;
 
 /// The ordered map `M` of interval bounds to atom identifiers.
 ///
@@ -261,7 +261,7 @@ impl AtomMap {
         Some(DeltaPair { old, new })
     }
 
-    /// The inverse of [`AtomMap::insert_bound`] — the merge step of the
+    /// The inverse of `AtomMap::insert_bound` — the merge step of the
     /// compaction pass (§3.2.2 remark): removes `bound` from `M`, so the
     /// atom starting at `bound` is absorbed by its lower neighbour, whose
     /// interval grows accordingly. The absorbed id goes onto the free list.
@@ -374,11 +374,13 @@ impl AtomMap {
     }
 
     /// The packets of the live atoms in `set` as normalized intervals
-    /// (sorted, adjacent atoms merged) — how every report renders an atom
-    /// set. Atoms are disjoint, so only neighbours in address order can
-    /// merge. A sparse set sorts its atoms' intervals; a set holding at
-    /// least one in `DENSE_PACKETS_RATIO` of the atoms walks `M` in
-    /// address order instead, testing membership, which needs no sort.
+    /// (sorted, adjacent atoms merged) — how the reports of the write path
+    /// (per-update checks, the monitor, scans) render an atom set. Atoms
+    /// are disjoint, so only neighbours in address order can merge. A
+    /// sparse set sorts its atoms' intervals; a set holding at least one in
+    /// `DENSE_PACKETS_RATIO` of the atoms walks `M` in address order
+    /// instead, testing membership, which needs no sort. The what-if query
+    /// renders through an `AddressOrder` built once per plane version.
     pub fn packets_of(&self, set: &AtomSet) -> Vec<Interval> {
         let mut out: Vec<Interval> = Vec::new();
         let mut extend = |iv: Interval| match out.last_mut() {
@@ -397,6 +399,20 @@ impl AtomMap {
             intervals.into_iter().for_each(extend);
         }
         out
+    }
+
+    /// The address order of the current map ([`AddressOrder`]), in one walk
+    /// of `M`.
+    pub(crate) fn address_order(&self) -> AddressOrder {
+        let mut rank = vec![REMAP_DEAD; self.intervals.len()];
+        let mut lo = Vec::with_capacity(self.map.len());
+        for (&bound, &atom) in &self.map {
+            if atom != AtomId::INF {
+                rank[atom.index()] = lo.len() as u32;
+            }
+            lo.push(bound);
+        }
+        AddressOrder { rank, lo }
     }
 
     /// Whether a bound is currently a key of `M` (used by tests and the
@@ -426,6 +442,69 @@ impl AtomMap {
             + self.intervals.len() * std::mem::size_of::<Interval>()
             + self.free.len() * std::mem::size_of::<AtomId>()
     }
+}
+
+/// The live atoms of an [`AtomMap`] in address order, as of one version of
+/// the map: `rank[id]` is an atom's position among the keys of `M`
+/// ([`REMAP_DEAD`] for a freed id), and `lo[position]` is that key, the
+/// atom's lower bound, with `MAX` last. Atoms tile the field, so a run of
+/// consecutive ranks `[s, e)` is the interval `[lo[s] : lo[e])`. Any change
+/// to `M` makes the order stale: whoever keeps one must drop it on every
+/// split, merge and renumbering.
+#[derive(Debug)]
+pub(crate) struct AddressOrder {
+    rank: Vec<u32>,
+    lo: Vec<Bound>,
+}
+
+impl AddressOrder {
+    /// [`AtomMap::packets_of`] of the live atoms `atoms`, with neither a
+    /// sort nor a walk of `M`: each atom's rank bit is set in a bitset over
+    /// the ranks, and each run of set bits is one interval. O(atoms given +
+    /// atom count / 64).
+    pub(crate) fn packets_of(&self, atoms: impl IntoIterator<Item = AtomId>) -> Vec<Interval> {
+        // The last bit, `MAX`'s position, is never set: every run ends.
+        let mut bits = vec![0u64; self.lo.len().div_ceil(64)];
+        for atom in atoms {
+            let rank = self.rank[atom.index()];
+            debug_assert_ne!(rank, REMAP_DEAD, "{atom:?} is not a live atom");
+            bits[rank as usize / 64] |= 1 << (rank % 64);
+        }
+        // One interval per run: a set bit whose lower neighbour is clear.
+        let mut carry = 0;
+        let runs = bits.iter().fold(0, |runs, &word| {
+            let starts = word & !(word << 1 | carry);
+            carry = word >> 63;
+            runs + starts.count_ones() as usize
+        });
+        let mut out = Vec::with_capacity(runs);
+        let mut from = 0;
+        while let Some(start) = next_bit(&bits, from, 0) {
+            let end = next_bit(&bits, start, !0).expect("MAX's bit is clear");
+            out.push(Interval::new(self.lo[start], self.lo[end]));
+            from = end;
+        }
+        out
+    }
+
+    /// Heap bytes of the two tables (allocated capacity).
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.rank.capacity() * std::mem::size_of::<u32>()
+            + self.lo.capacity() * std::mem::size_of::<Bound>()
+    }
+}
+
+/// The first position at or after `from` whose bit in `bits`, XORed with
+/// `flip`'s, is set: with `flip` 0 the next set bit, with `!0` the next
+/// clear one.
+fn next_bit(bits: &[u64], from: usize, flip: u64) -> Option<usize> {
+    let mut w = from / 64;
+    let mut word = (bits.get(w)? ^ flip) & (!0 << (from % 64));
+    while word == 0 {
+        w += 1;
+        word = bits.get(w)? ^ flip;
+    }
+    Some(w * 64 + word.trailing_zeros() as usize)
 }
 
 /// The §3.2.2 garbage-collection books of one [`AtomMap`]: how many holders
@@ -797,6 +876,41 @@ mod tests {
         }
         assert!((cutover - 1) * DENSE_PACKETS_RATIO < count);
         assert!(cutover * DENSE_PACKETS_RATIO >= count);
+    }
+
+    #[test]
+    fn address_order_renders_like_packets_of_across_splits_merges_and_renumbering() {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xAD0E);
+        let mut m = AtomMap::new(12);
+        for round in 0..60 {
+            // Splits, then merges that free ids (some reused by the next
+            // round's splits), and now and then a renumbering.
+            for _ in 0..rng.gen_range(1..40) {
+                let lo = rng.gen_range(0..4095);
+                m.create_atoms(iv(lo, rng.gen_range(lo + 1..=4096)));
+            }
+            let mut bounds: Vec<Bound> = m.interior_bounds().collect();
+            bounds.shuffle(&mut rng);
+            for &bound in &bounds[..bounds.len() / 3] {
+                m.remove_bound(bound).expect("an interior bound of M");
+            }
+            if round % 7 == 6 {
+                m.renumber();
+            }
+            let order = m.address_order();
+            let mut live: Vec<AtomId> = m.iter().map(|(a, _)| a).collect();
+            let count = live.len();
+            for size in [0, 1, 2, count / 8, count / 2, count - 1, count] {
+                live.shuffle(&mut rng);
+                let set: AtomSet = live[..size].iter().copied().collect();
+                let at = format!("round {round}, {size} of {count} atoms");
+                assert_eq!(order.packets_of(set.iter()), m.packets_of(&set), "{at}");
+            }
+        }
+        assert!(!m.free.is_empty(), "the last rounds leave freed ids");
     }
 
     #[test]

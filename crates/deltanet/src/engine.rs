@@ -18,14 +18,14 @@
 //! When the configuration declares *secondary* header fields
 //! ([`DeltaNetConfig::sec_widths`] — e.g. a source address next to the
 //! destination), the engine additionally holds one
-//! [`crate::multifield::MultiField`] — a lattice and books per secondary
+//! `crate::multifield::MultiField` — a lattice and books per secondary
 //! field plus the cross-field walk kernel — and dispatches every check
 //! through it. The default single-field configuration holds `None`: every
 //! multi-field statement in this file is behind an `if let Some(mf)`, and
 //! atoms, owners, and labels behave bit-identically to the paper's
 //! presentation.
 
-use crate::atoms::{AtomId, AtomMap, BoundRefs, DeltaPair};
+use crate::atoms::{AddressOrder, AtomId, AtomMap, BoundRefs, DeltaPair};
 use crate::atomset::AtomSet;
 use crate::delta_graph::DeltaGraph;
 use crate::labels::Labels;
@@ -33,14 +33,16 @@ use crate::loops::{self, CycleMap, WalkScratch};
 use crate::monitor::ViolationMonitor;
 use crate::multifield::{MfView, MultiField};
 use crate::owner::Owner;
-use netmodel::checker::{Checker, ReplayError, UpdateError, UpdateReport, WhatIfReport};
+use netmodel::checker::{
+    Checker, InvariantViolation, ReplayError, UpdateError, UpdateReport, WhatIfReport,
+};
 use netmodel::header::{HeaderSpace, MAX_SECONDARY_FIELDS};
 use netmodel::interval::Interval;
 use netmodel::rule::{Rule, RuleId};
 use netmodel::topology::{LinkId, NodeId, Topology};
 use netmodel::trace::Op;
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Configuration of a [`DeltaNet`] instance.
 #[derive(Clone, Copy, Debug)]
@@ -233,27 +235,32 @@ pub struct DeltaNet {
     /// What the open window owes a single-field monitor. Empty between
     /// windows.
     window: WindowRecord,
-    /// The what-if query's forwarding cycles on the current plane version
-    /// ([`DeltaNet::link_failure_impact`]); emptied by every write that can
-    /// change a label.
+    /// The what-if query's address order and forwarding cycles on the
+    /// current plane version ([`DeltaNet::link_failure_impact`]); emptied
+    /// by every write that can change a label or an atom.
     loop_memo: LoopMemo,
 }
 
-/// The loop memo of the what-if query: the atoms whose forwarding cycles
-/// are known (`decided`) and those atoms' cycles. Both are functions of
-/// the labels alone, so the memo holds until the next write; a clone starts
-/// empty.
+/// The memo of the what-if query on the current plane version: `None`
+/// until a query runs after a write, then the plane's address order and
+/// the atoms whose forwarding cycles are known (`decided`) with those
+/// atoms' cycles. All three are functions of `M` and the labels alone, so
+/// the memo holds until the next write, which empties it whole; a clone
+/// starts empty.
 ///
 /// Queries take `&DeltaNet` and may run on several threads at once
-/// ([`crate::parallel::what_if_many`]), hence the mutex. A lock poisoned by
-/// a panicking query is taken over as it is: cycles are merged before their
-/// atoms are marked decided, so a search cut short leaves `decided`
-/// unchanged, and merging the same cycles again is idempotent.
+/// ([`crate::parallel::what_if_many`]), hence the mutex; the order is an
+/// `Arc`, so a query renders its failed link's packets outside the lock. A
+/// lock poisoned by a panicking query is taken over as it is: the order is
+/// complete once it is in the memo, cycles are merged before their atoms
+/// are marked decided, so a search cut short leaves `decided` unchanged,
+/// and merging the same cycles again is idempotent.
 #[derive(Debug, Default)]
-struct LoopMemo(Mutex<MemoState>);
+struct LoopMemo(Mutex<Option<MemoState>>);
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct MemoState {
+    order: Arc<AddressOrder>,
     decided: AtomSet,
     cycles: CycleMap,
 }
@@ -265,53 +272,79 @@ impl Clone for LoopMemo {
 }
 
 impl LoopMemo {
-    fn lock(&self) -> MutexGuard<'_, MemoState> {
+    fn lock(&self) -> MutexGuard<'_, Option<MemoState>> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Forgets everything; takes no lock (the write path holds `&mut`).
-    /// An empty memo, the common case between writes, is left untouched.
+    /// An empty memo, the common case between writes, costs one test.
     fn clear(&mut self) {
         let state = self.0.get_mut().unwrap_or_else(PoisonError::into_inner);
-        if !(state.decided.is_empty() && state.cycles.is_empty()) {
-            state.decided.clear();
-            state.cycles.clear();
+        if state.is_some() {
+            *state = None;
         }
     }
 
-    /// Every forwarding cycle an atom of `atoms` traverses, with the atoms
-    /// of `atoms` that traverse it — what [`loops::cycles_for_atoms`] on
-    /// `atoms` returns, searching only the atoms not decided yet. The
-    /// search runs outside the lock, so concurrent queries overlap.
-    fn cycles_of(&self, topology: &Topology, labels: &Labels, atoms: &AtomSet) -> CycleMap {
-        let missing = atoms.difference(&self.lock().decided);
-        if !missing.is_empty() {
-            let found = loops::cycles_for_atoms(topology, labels, &missing);
-            let mut state = self.lock();
+    /// The address order of the plane and, with `check_loops`, every
+    /// forwarding loop an atom of `atoms` traverses, rendered through that
+    /// order — what [`loops::find_loops_for_atoms`] on `atoms` reports. The
+    /// first query after a write builds the order. Only the atoms of
+    /// `atoms` not decided yet are searched, outside the lock, so
+    /// concurrent queries overlap; a query whose atoms are all decided
+    /// takes the lock once.
+    fn query(
+        &self,
+        net: &DeltaNet,
+        atoms: &AtomSet,
+        check_loops: bool,
+    ) -> (Arc<AddressOrder>, Vec<InvariantViolation>) {
+        let mut guard = self.lock();
+        let mut state = guard.get_or_insert_with(|| MemoState {
+            order: Arc::new(net.atoms.address_order()),
+            decided: AtomSet::new(),
+            cycles: CycleMap::new(),
+        });
+        if check_loops && !atoms.is_subset_of(&state.decided) {
+            let missing = atoms.difference(&state.decided);
+            drop(guard);
+            let found = loops::cycles_for_atoms(&net.topology, &net.labels, &missing);
+            guard = self.lock();
+            state = guard
+                .as_mut()
+                .expect("only a write, under `&mut`, empties the memo");
             for (cycle, looping) in found {
                 state.cycles.entry(cycle).or_default().union_with(&looping);
             }
             state.decided.union_with(&missing);
         }
-        let state = self.lock();
-        state
-            .cycles
-            .iter()
-            .filter(|(_, looping)| looping.intersects(atoms))
-            .map(|(cycle, looping)| (cycle.clone(), looping.intersection(atoms)))
-            .collect()
+        let loops = if check_loops {
+            state
+                .cycles
+                .iter()
+                .filter(|(_, looping)| looping.intersects(atoms))
+                .map(|(cycle, looping)| InvariantViolation::ForwardingLoop {
+                    nodes: cycle.clone(),
+                    packets: state.order.packets_of(looping.iter_common(atoms)),
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        (Arc::clone(&state.order), loops)
     }
 
     fn memory_bytes(&self) -> usize {
-        let state = self.lock();
-        state.decided.memory_bytes()
-            + state
-                .cycles
-                .iter()
-                .map(|(cycle, looping)| {
-                    cycle.capacity() * std::mem::size_of::<NodeId>() + looping.memory_bytes()
-                })
-                .sum::<usize>()
+        self.lock().as_ref().map_or(0, |state| {
+            state.order.memory_bytes()
+                + state.decided.memory_bytes()
+                + state
+                    .cycles
+                    .iter()
+                    .map(|(cycle, looping)| {
+                        cycle.capacity() * std::mem::size_of::<NodeId>() + looping.memory_bytes()
+                    })
+                    .sum::<usize>()
+        })
     }
 }
 
@@ -491,7 +524,7 @@ impl DeltaNet {
 
     /// Attaches a violation monitor to a running engine, seeding it from
     /// the current data plane with one full scan
-    /// ([`DeltaNet::fresh_monitor`]); every later update maintains it
+    /// (`DeltaNet::fresh_monitor`); every later update maintains it
     /// incrementally. Replaces any existing monitor. Engines created with
     /// [`DeltaNetConfig::monitor_violations`] start monitored without the
     /// scan.
@@ -1021,7 +1054,7 @@ impl DeltaNet {
     /// delta-graph). Used by offline audits and the differential tests. On
     /// a multi-field engine labels cannot answer this (see
     /// [`crate::multifield`]), so it is the loop half of a from-scratch
-    /// [`DeltaNet::fresh_monitor`], rendered as
+    /// `DeltaNet::fresh_monitor`, rendered as
     /// [`DeltaNet::active_violations`] renders the live one; violations
     /// still report primary-field packet intervals (the union over all
     /// secondary classes that loop).
@@ -1050,29 +1083,27 @@ impl DeltaNet {
     ///
     /// With `check_loops`, also the forwarding loops those atoms traverse,
     /// exactly as [`loops::find_loops_for_atoms`] on `label(link)` reports
-    /// them. They are answered from the engine's loop memo: the atoms whose
-    /// cycles an earlier query found, and those cycles. Only the atoms of
-    /// the label the memo lacks are searched, so on one plane version each
-    /// atom is searched once, however many of its links are queried. Any
-    /// write that can change a label (a rule insertion or removal, a
-    /// compaction) empties the memo.
+    /// them. They are answered from the engine's what-if memo: the atoms
+    /// whose cycles an earlier query found, and those cycles. Only the atoms
+    /// of the label the memo lacks are searched, so on one plane version
+    /// each atom is searched once, however many of its links are queried.
+    ///
+    /// Packets are rendered through the memo's address order of the plane,
+    /// built by the first query after a write: each atom set becomes runs
+    /// of consecutive address ranks, with no sort and no walk of `M`, and
+    /// reads exactly as [`AtomMap::packets_of`] would render it. Any write
+    /// that can change a label or an atom (a rule insertion or removal, a
+    /// compaction) empties the memo, order included.
     pub fn link_failure_impact(&self, link: LinkId, check_loops: bool) -> WhatIfReport {
         let affected = self.labels.get(link);
-        let affected_packets = self.atoms.packets_of(affected);
+        let (order, violations) = self.loop_memo.query(self, affected, check_loops);
+        let affected_packets = order.packets_of(affected.iter());
         let mut affected_links: Vec<LinkId> = Vec::new();
         for (other, label) in self.labels.iter() {
             if other != link && label.intersects(affected) {
                 affected_links.push(other);
             }
         }
-        let violations = if check_loops {
-            let cycles = self
-                .loop_memo
-                .cycles_of(&self.topology, &self.labels, affected);
-            loops::render_loops(&cycles, &self.atoms)
-        } else {
-            Vec::new()
-        };
         WhatIfReport {
             link: Some(link),
             affected_classes: affected.len(),
@@ -1130,7 +1161,7 @@ impl Checker for DeltaNet {
 
     /// Applies the window's ops in order, each reporting and checked on its
     /// own, and repairs a single-field monitor once at the close — over the
-    /// applied prefix when an op fails ([`DeltaNet::apply_ops`]).
+    /// applied prefix when an op fails (`DeltaNet::apply_ops`).
     fn apply_window(&mut self, ops: &[Op]) -> (Vec<UpdateReport>, Option<ReplayError>) {
         let mut reports = Vec::with_capacity(ops.len());
         let failure = self.apply_ops(ops, |report| reports.push(report));
@@ -1493,13 +1524,55 @@ mod tests {
     }
 
     #[test]
+    fn what_if_memo_renders_an_atom_an_insert_splits_at_its_new_bounds() {
+        // The loop's atom 10.0.0.0/8 is rendered, and then an insert at s0
+        // splits it and sends its upper half to a drop link: the next
+        // report shows the lower half, in its affected packets and in its
+        // loop. An address order kept from before the split would render
+        // the atom at its old bounds.
+        let mut topo = Topology::new();
+        let s = topo.add_nodes("s", 3);
+        let links = [0, 1, 2].map(|i| topo.add_link(s[i], s[(i + 1) % 3]));
+        let drop = topo.drop_link(s[0]);
+        let mut net = DeltaNet::with_topology(topo);
+        for i in 0..3 {
+            net.insert_rule(Rule::forward(
+                RuleId(i as u64),
+                prefix("10.0.0.0/8"),
+                1,
+                s[i],
+                links[i],
+            ));
+        }
+        let whole = vec![Interval::new(0x0a00_0000, 0x0b00_0000)];
+        let report = net.link_failure_impact(links[0], true);
+        assert_eq!(report.affected_packets, whole);
+        assert_eq!(report.violations, net.check_all_loops());
+        net.insert_rule(Rule::drop(RuleId(9), prefix("10.128.0.0/9"), 5, s[0], drop));
+        let lower = vec![Interval::new(0x0a00_0000, 0x0a80_0000)];
+        let report = net.link_failure_impact(links[0], true);
+        assert_eq!(report.affected_packets, lower);
+        assert_eq!(
+            report.violations,
+            vec![InvariantViolation::ForwardingLoop {
+                nodes: s.clone(),
+                packets: lower,
+            }]
+        );
+        assert_eq!(report.violations, net.check_all_loops());
+    }
+
+    #[test]
     fn what_if_memo_matches_a_fresh_search_under_random_ops() {
         // Random ops, compactions and queries interleaved on looped random
         // planes: after every query the memo has decided the queried
-        // label, and its cycles cut to that label are what a search of the
-        // label from scratch finds.
+        // label, its cycles cut to that label are what a search of the
+        // label from scratch finds, and its address order renders the
+        // label and each loop as `AtomMap::packets_of` does, on both sides
+        // of that function's sparse/dense cutover.
         let mut queries = 0;
         let mut looping = 0;
+        let mut dense = 0;
         for seed in 0..6u64 {
             let mut rng = StdRng::seed_from_u64(0x4d45_4d4f ^ seed);
             let topo = testutil::random_topology(&mut rng, 5, true);
@@ -1527,10 +1600,13 @@ mod tests {
                         let report = net.link_failure_impact(link, true);
                         let label = net.label(link);
                         let labels = net.labels();
-                        let expect = loops::find_loops_for_atoms(&topo, labels, net.atoms(), label);
+                        let atoms = net.atoms();
+                        assert_eq!(report.affected_packets, atoms.packets_of(label), "{at}");
+                        let expect = loops::find_loops_for_atoms(&topo, labels, atoms, label);
                         assert_eq!(report.violations, expect, "{at}");
                         let fresh = loops::cycles_for_atoms(&topo, labels, label);
                         let memo = net.loop_memo.lock();
+                        let memo = memo.as_ref().expect("a query fills the memo");
                         assert!(label.is_subset_of(&memo.decided), "{at}");
                         let cut: CycleMap = memo
                             .cycles
@@ -1538,16 +1614,26 @@ mod tests {
                             .map(|(cycle, atoms)| (cycle.clone(), atoms.intersection(label)))
                             .filter(|(_, atoms)| !atoms.is_empty())
                             .collect();
+                        for (violation, set) in report.violations.iter().zip(cut.values()) {
+                            let InvariantViolation::ForwardingLoop { packets, .. } = violation
+                            else {
+                                panic!("{at}: {violation:?} is not a loop");
+                            };
+                            assert_eq!(*packets, atoms.packets_of(set), "{at}");
+                        }
                         assert_eq!(cut, fresh, "{at}");
                         queries += 1;
                         looping += usize::from(!expect.is_empty());
+                        dense += usize::from(
+                            label.len() * crate::atoms::DENSE_PACKETS_RATIO >= atoms.atom_count(),
+                        );
                     }
                 }
             }
         }
         assert!(
-            queries > 500 && looping > 50,
-            "{queries} queries, {looping} with loops"
+            queries > 500 && looping > 50 && (50..queries - 50).contains(&dense),
+            "{queries} queries, {looping} with loops, {dense} dense labels"
         );
     }
 

@@ -9,11 +9,11 @@
 //!   engine (§4.3.1 "find in the delta-graph all forwarding loops"): one
 //!   successor walk per `(link, atom)` pair the update added. Cost: Σ walk
 //!   length over the delta's added pairs.
-//! * [`walks_from`] — one atom from several switches, sharing visited
+//! * `walks_from` — one atom from several switches, sharing visited
 //!   marks (the single-field monitor repair of a window, walking each
 //!   repaired atom from every switch whose out-links changed). Cost: at
 //!   most one pass over the nodes per atom, however many starts.
-//! * [`cycles_for_atoms`] — a dense candidate set: the same walks, for the
+//! * `cycles_for_atoms` — a dense candidate set: the same walks, for the
 //!   64 atoms of a candidate word at once. One pass over the labelled links
 //!   keeps per link the word's atoms it is its switch's first hop for. A
 //!   depth-first search from every switch then carries as one mask the
@@ -29,7 +29,7 @@
 //!   seeding a monitor ([`crate::ViolationMonitor::from_state`]). The last
 //!   two run the kernel directly, so they are the memo's reference.
 //!
-//! The first two share one routine, [`WalkScratch::walk`], which keeps its
+//! The first two share one routine, `WalkScratch::walk`, which keeps its
 //! visited marks, path positions and path in generation-stamped vectors of
 //! node-count length and so allocates nothing per walk or per atom. The
 //! third keeps the same marks per switch as one word of atoms.
@@ -42,6 +42,7 @@ use crate::atoms::{AtomId, AtomMap};
 use crate::atomset::AtomSet;
 use crate::labels::Labels;
 use netmodel::checker::InvariantViolation;
+use netmodel::interval::Interval;
 use netmodel::topology::{LinkId, NodeId, Topology};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -83,6 +84,9 @@ pub(crate) struct WalkScratch {
     path: Vec<NodeId>,
     floor: u32,
     walk: u32,
+    /// The per-update check's loops so far: a cycle's index among those it
+    /// found, and the interval of an atom looping through it.
+    found: Vec<(usize, Interval)>,
 }
 
 impl WalkScratch {
@@ -201,7 +205,10 @@ pub fn find_loops_from_seeds(
 }
 
 /// [`find_loops_from_seeds`] on a caller-owned scratch: with a warm scratch
-/// a loop-free update allocates nothing.
+/// a loop-free update allocates nothing. The loops found are collected as
+/// `(cycle, atom interval)` pairs in the scratch's list and rendered by
+/// sorting each cycle's few intervals, so an update that reports a loop
+/// allocates for its report alone, not for a set over the atom range.
 pub(crate) fn find_loops_from_seeds_in(
     scratch: &mut WalkScratch,
     topology: &Topology,
@@ -209,7 +216,8 @@ pub(crate) fn find_loops_from_seeds_in(
     atoms: &AtomMap,
     seeds: &[(LinkId, AtomId)],
 ) -> Vec<InvariantViolation> {
-    let mut cycles = CycleMap::new();
+    let mut cycles: Vec<Vec<NodeId>> = Vec::new();
+    let mut found = std::mem::take(&mut scratch.found);
     for &(link, atom) in seeds {
         if !labels.contains(link, atom) {
             // A pair the labels no longer hold closes nothing: the seeds
@@ -218,10 +226,46 @@ pub(crate) fn find_loops_from_seeds_in(
         }
         let start = topology.link(link).src;
         walks_from(scratch, topology, labels, &[start], atom, |cycle| {
-            admit(&mut cycles, cycle, atom);
+            let at = match cycles.iter().position(|known| known[..] == *cycle) {
+                Some(at) => at,
+                None => {
+                    cycles.push(cycle.to_vec());
+                    cycles.len() - 1
+                }
+            };
+            found.push((at, atoms.atom_interval(atom)));
         });
     }
-    render_loops(&cycles, atoms)
+    if cycles.is_empty() {
+        // Loop-free, the common case: nothing was found.
+        scratch.found = found;
+        return Vec::new();
+    }
+    // Grouped by cycle, each group in address order; an atom two seeds
+    // walked round the same cycle appears twice and merges with itself.
+    found.sort_unstable();
+    let mut rest = &found[..];
+    let mut out: Vec<InvariantViolation> = cycles
+        .into_iter()
+        .enumerate()
+        .map(|(at, nodes)| {
+            let n = rest.iter().take_while(|&&(of, _)| of == at).count();
+            let (group, tail) = rest.split_at(n);
+            rest = tail;
+            let mut packets: Vec<Interval> = Vec::new();
+            for &(_, iv) in group {
+                match packets.last_mut() {
+                    Some(last) if last.hi() >= iv.lo() => *last = Interval::new(last.lo(), iv.hi()),
+                    _ => packets.push(iv),
+                }
+            }
+            InvariantViolation::ForwardingLoop { nodes, packets }
+        })
+        .collect();
+    out.sort_unstable();
+    found.clear();
+    scratch.found = found;
+    out
 }
 
 /// The walks of `atom` from each of `starts` in turn, probing the labels,
@@ -466,8 +510,8 @@ pub(crate) fn render_loops<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netmodel::interval::Interval;
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
 
     /// The emitter-sort kernel [`cycles_for_atoms`] replaced, kept as its
@@ -608,6 +652,34 @@ mod tests {
         let (topo, labels, atoms) = looped_setup();
         let loops = find_all_loops(&topo, &labels, &atoms);
         assert_eq!(loops.len(), 1);
+    }
+
+    #[test]
+    fn seeded_check_of_every_labelled_pair_reports_what_the_full_scan_does() {
+        // Seeding every (link, atom) pair of the labels walks each atom from
+        // each switch that forwards it, so the check reports every loop:
+        // several cycles, atoms sharing a cycle, and each looping atom
+        // found from several seeds. Atom ids are shuffled against address
+        // order, so each cycle's packets are rendered from unsorted atoms.
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let mut loops = 0;
+        for _ in 0..40 {
+            let (topo, labels) = random_plane(&mut rng, 6, 48, 0.3);
+            let mut atoms = AtomMap::new(8);
+            let mut bounds: Vec<u128> = (1..=48).collect();
+            bounds.shuffle(&mut rng);
+            for bound in bounds {
+                atoms.create_atoms(Interval::new(0, bound));
+            }
+            let seeds: Vec<(LinkId, AtomId)> = labels
+                .iter()
+                .flat_map(|(link, label)| label.iter().map(move |atom| (link, atom)))
+                .collect();
+            let got = find_loops_from_seeds(&topo, &labels, &atoms, &seeds);
+            assert_eq!(got, find_all_loops(&topo, &labels, &atoms));
+            loops += got.len();
+        }
+        assert!(loops > 20, "{loops} loops");
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! sources `S`, the switches its updates changed a label at. The engine
 //! records, per update, the atoms of its changed pairs, its source and its
 //! splits, and repairs once when the window closes
-//! ([`ViolationMonitor::repair_labels`] over [`ViolationMonitor::repair_at`]),
+//! (`ViolationMonitor::repair_labels` over `ViolationMonitor::repair_at`),
 //! over the window's distinct atoms (a short sorted list — never a bitset
 //! over the atom range) and `near(S)`: the sources and the far ends of their
 //! non-drop out-links. Under churn a window touches each atom many times,
@@ -50,12 +50,12 @@
 //!    a cycle avoiding `S` uses only links whose labels did not change, and
 //!    the predicate at a switch outside `near(S)` reads none of them.
 //! 3. **Re-admit**: per atom, successor walks from each source with shared
-//!    visited marks ([`crate::loops::walks_from`] — the same walk routine
+//!    visited marks (`crate::loops::walks_from` — the same walk routine
 //!    and generation-stamped scratch as the per-update check and the full
 //!    scans, at most one pass over the nodes) re-admit the atom to the
 //!    cycles it now closes: the first walk that reaches a cycle through a
 //!    source goes round it, since the atom's graph is functional. The
-//!    blackhole predicate ([`crate::blackholes::is_blackholed_at`]) is
+//!    blackhole predicate (`crate::blackholes::is_blackholed_at`) is
 //!    re-judged at each `near(S)` switch. Each update's own per-update
 //!    check is the one an unmonitored engine runs
 //!    ([`crate::loops::find_loops_from_seeds`]), so reports do not depend
@@ -114,7 +114,7 @@
 //! repair runs per update, since the per-update check rides its walk, and
 //! a window's repairs fold into one event list as above. A full scan walks
 //! every atom from every emitter into an empty monitor
-//! ([`ViolationMonitor::seeded`]), so `tests/multifield_differential.rs`
+//! (`ViolationMonitor::seeded`), so `tests/multifield_differential.rs`
 //! pins state and events, after every operation and every window, against
 //! the kernel run from scratch — and that scan against the stateless
 //! Veriflow-RI cross product.

@@ -15,7 +15,7 @@
 //! fields multiply the classes that machinery is consulted for, rather than
 //! multiplying the machinery itself. Everything a multi-field engine keeps
 //! beyond the single-field state — the secondary lattices, their §3.2.2
-//! books and the walk kernel — is one [`MultiField`], which the engine holds
+//! books and the walk kernel — is one `MultiField`, which the engine holds
 //! as an `Option`: `None` on a single-field engine, whose hot path
 //! therefore never enters this module.
 //!
@@ -29,7 +29,7 @@
 //! drop-rule winner counts as a decision, and traffic forwarded into the
 //! drop node was deliberately discarded and never "arrives" anywhere.
 //!
-//! [`ClassWalk`] is the only evaluation of that predicate outside test
+//! `ClassWalk` is the only evaluation of that predicate outside test
 //! code. It works **set at a time**: per atom, each emitter's classes are
 //! partitioned once by winning rule, and one walk carries the *set* of
 //! classes still alive along the path — the step Query-Subquery Nets make
@@ -37,10 +37,10 @@
 //! binding at a time. Almost every class shares one winner at almost every
 //! hop, so the walk costs a few word operations per hop whatever the class
 //! count. The per-update check, the monitor repair and the full scans
-//! ([`MultiField::scan`], behind `check_all_loops` /
+//! (`MultiField::scan`, behind `check_all_loops` /
 //! `check_all_blackholes` and `enable_monitor`, also on an engine restored
 //! from a snapshot) all run it; a full scan walks every atom from every
-//! emitter ([`ClassWalk::scan_atom`]) on a scratch kernel of its own.
+//! emitter (`ClassWalk::scan_atom`) on a scratch kernel of its own.
 //!
 //! Three references evaluate the predicate **tuple at a time** — one
 //! successor walk per `(α, c)` pair — and share no code with the kernel:
@@ -69,8 +69,8 @@
 //! rule update at `s = source(r)` changes `F_{α,c}` only at `s`, and only
 //! for atoms of its (clip-adjusted) interval. A secondary split refines the
 //! classes without changing any `∃c`. So a monitored update
-//! ([`MultiField::finish_update`],
-//! [`crate::monitor::ViolationMonitor::repair_at`]) is one pass per atom of
+//! (`MultiField::finish_update`,
+//! `crate::monitor::ViolationMonitor::repair_at`) is one pass per atom of
 //! the interval at `s`, the whole class set at a time. The pass skips an
 //! atom where a rule above `r` in its owner cell at `s` admits every class
 //! `r` admits: `r` wins no class of it with or without it installed, so
@@ -104,7 +104,7 @@
 //!
 //! No per-class state is kept anywhere. An atom the pass skips still gets
 //! the check's standalone walk, started at `s` with the rule's own classes
-//! ([`ClassWalk::loops_from_rule`], which is also the whole check of an
+//! (`ClassWalk::loops_from_rule`, which is also the whole check of an
 //! unmonitored engine): any loop the update closes routes through that
 //! node, and the loops it reports are the ones the rule's classes ride,
 //! whoever wins them.

@@ -255,7 +255,7 @@ struct SourceSlot {
 /// `owner[α][source]` for every allocated atom.
 ///
 /// Layout: a dense arena indexed by atom id; `per_atom[α]` is a NodeId-sorted
-/// vector of [`SourceSlot`]s (a *source-slot list*). Compared to the previous
+/// vector of `SourceSlot`s (a *source-slot list*). Compared to the previous
 /// `Vec<HashMap<NodeId, BTreeMap<..>>>`:
 ///
 /// * lookup is a binary search over a contiguous slot list — no hashing;

@@ -129,9 +129,8 @@ fn flap(net: &mut DeltaNet, rule: Rule) -> [u64; 2] {
 fn monitor_repair_allocation_is_independent_of_the_atom_count() {
     // The engine's own repair, in one-op windows: the update and the repair
     // at the updated switch together allocate the same bytes on both
-    // planes, cold and warm. The per-update check is off: a loop it reports
-    // carries a bitset over the atom range (the next test holds the check
-    // to an unmonitored engine's).
+    // planes, cold and warm. The per-update check is off: the next test
+    // holds it to an unmonitored engine's, on both planes.
     let (mut cold, mut warm) = (Vec::new(), Vec::new());
     for (filler_rules, min_atoms) in [(500, 1_000), (32_000, 64_000)] {
         let unchecked = DeltaNetConfig {
@@ -170,7 +169,9 @@ fn engine_repair_allocates_what_the_unmonitored_check_does() {
     // the same operations, and both run the same per-update check. Neither
     // flap moves an identity, so a warm repair allocates nothing beyond the
     // check — the closer's insert reports the loop it rejoins on both
-    // engines alike.
+    // engines alike, in the same bytes on both planes: the check collects
+    // a loop's atoms in a reused list, not a set over the atom range.
+    let mut reported = Vec::new();
     for (filler_rules, min_atoms) in [(500, 1_000), (32_000, 64_000)] {
         let monitored = DeltaNetConfig {
             monitor_violations: true,
@@ -224,11 +225,16 @@ fn engine_repair_allocates_what_the_unmonitored_check_does() {
         );
         assert!(!out.2 && back.2, "the closer's insert reports its loop");
         assert!(back.1 > 0, "the reported loop allocates on both");
+        reported.push(back.1);
 
         let mut expect = full.check_all_loops();
         expect.extend(full.check_all_blackholes());
         assert_eq!(full.active_violations(), Some(expect));
     }
+    assert_eq!(
+        reported[0], reported[1],
+        "closer's insert bytes: 1 k vs 64 k atoms"
+    );
 }
 
 #[test]
