@@ -451,7 +451,7 @@ impl AtomMap {
 /// consecutive ranks `[s, e)` is the interval `[lo[s] : lo[e])`. Any change
 /// to `M` makes the order stale: whoever keeps one must drop it on every
 /// split, merge and renumbering.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct AddressOrder {
     rank: Vec<u32>,
     lo: Vec<Bound>,

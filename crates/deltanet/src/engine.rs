@@ -26,23 +26,20 @@
 //! presentation.
 
 use crate::atoms::{AddressOrder, AtomId, AtomMap, BoundRefs, DeltaPair};
-use crate::atomset::AtomSet;
 use crate::delta_graph::DeltaGraph;
 use crate::labels::Labels;
-use crate::loops::{self, CycleMap, WalkScratch};
+use crate::loops::{self, WalkScratch};
 use crate::monitor::ViolationMonitor;
 use crate::multifield::{MfView, MultiField};
 use crate::owner::Owner;
-use netmodel::checker::{
-    Checker, InvariantViolation, ReplayError, UpdateError, UpdateReport, WhatIfReport,
-};
+use netmodel::checker::{Checker, ReplayError, UpdateError, UpdateReport, WhatIfReport};
 use netmodel::header::{HeaderSpace, MAX_SECONDARY_FIELDS};
 use netmodel::interval::Interval;
 use netmodel::rule::{Rule, RuleId};
 use netmodel::topology::{LinkId, NodeId, Topology};
 use netmodel::trace::Op;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::OnceLock;
 
 /// Configuration of a [`DeltaNet`] instance.
 #[derive(Clone, Copy, Debug)]
@@ -232,124 +229,25 @@ pub struct DeltaNet {
     /// from `window` ([`DeltaNet::repair_window`]); multi-field, per update
     /// in [`DeltaNet::finish_update`]. Remapped across [`DeltaNet::compact`].
     monitor: Option<ViolationMonitor>,
-    /// What the open window owes a single-field monitor. Empty between
-    /// windows.
+    /// What the open window owes the monitor of the labels — a single-field
+    /// `monitor`, or `query_loops` once seeded. Empty between windows.
     window: WindowRecord,
-    /// The what-if query's address order and forwarding cycles on the
-    /// current plane version ([`DeltaNet::link_failure_impact`]); emptied
-    /// by every write that can change a label or an atom.
-    loop_memo: LoopMemo,
+    /// The what-if query's loop state where `monitor` cannot serve it (no
+    /// monitor, or a multi-field one, which tracks an atom that loops in
+    /// some class rather than on the primary labels): a monitor of the
+    /// labels, seeded by the first loop-checking query with one full scan
+    /// and from then on repaired at each window's close and remapped by each
+    /// compaction, like a single-field `monitor`. Never seeded while a
+    /// single-field `monitor` is attached.
+    query_loops: OnceLock<ViolationMonitor>,
+    /// The address order of the current plane version, built by the first
+    /// what-if query after a write and taken by every write that can
+    /// change a label or an atom.
+    order: OnceLock<AddressOrder>,
 }
 
-/// The memo of the what-if query on the current plane version: `None`
-/// until a query runs after a write, then the plane's address order and
-/// the atoms whose forwarding cycles are known (`decided`) with those
-/// atoms' cycles. All three are functions of `M` and the labels alone, so
-/// the memo holds until the next write, which empties it whole; a clone
-/// starts empty.
-///
-/// Queries take `&DeltaNet` and may run on several threads at once
-/// ([`crate::parallel::what_if_many`]), hence the mutex; the order is an
-/// `Arc`, so a query renders its failed link's packets outside the lock. A
-/// lock poisoned by a panicking query is taken over as it is: the order is
-/// complete once it is in the memo, cycles are merged before their atoms
-/// are marked decided, so a search cut short leaves `decided` unchanged,
-/// and merging the same cycles again is idempotent.
-#[derive(Debug, Default)]
-struct LoopMemo(Mutex<Option<MemoState>>);
-
-#[derive(Debug)]
-struct MemoState {
-    order: Arc<AddressOrder>,
-    decided: AtomSet,
-    cycles: CycleMap,
-}
-
-impl Clone for LoopMemo {
-    fn clone(&self) -> Self {
-        LoopMemo::default()
-    }
-}
-
-impl LoopMemo {
-    fn lock(&self) -> MutexGuard<'_, Option<MemoState>> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Forgets everything; takes no lock (the write path holds `&mut`).
-    /// An empty memo, the common case between writes, costs one test.
-    fn clear(&mut self) {
-        let state = self.0.get_mut().unwrap_or_else(PoisonError::into_inner);
-        if state.is_some() {
-            *state = None;
-        }
-    }
-
-    /// The address order of the plane and, with `check_loops`, every
-    /// forwarding loop an atom of `atoms` traverses, rendered through that
-    /// order — what [`loops::find_loops_for_atoms`] on `atoms` reports. The
-    /// first query after a write builds the order. Only the atoms of
-    /// `atoms` not decided yet are searched, outside the lock, so
-    /// concurrent queries overlap; a query whose atoms are all decided
-    /// takes the lock once.
-    fn query(
-        &self,
-        net: &DeltaNet,
-        atoms: &AtomSet,
-        check_loops: bool,
-    ) -> (Arc<AddressOrder>, Vec<InvariantViolation>) {
-        let mut guard = self.lock();
-        let mut state = guard.get_or_insert_with(|| MemoState {
-            order: Arc::new(net.atoms.address_order()),
-            decided: AtomSet::new(),
-            cycles: CycleMap::new(),
-        });
-        if check_loops && !atoms.is_subset_of(&state.decided) {
-            let missing = atoms.difference(&state.decided);
-            drop(guard);
-            let found = loops::cycles_for_atoms(&net.topology, &net.labels, &missing);
-            guard = self.lock();
-            state = guard
-                .as_mut()
-                .expect("only a write, under `&mut`, empties the memo");
-            for (cycle, looping) in found {
-                state.cycles.entry(cycle).or_default().union_with(&looping);
-            }
-            state.decided.union_with(&missing);
-        }
-        let loops = if check_loops {
-            state
-                .cycles
-                .iter()
-                .filter(|(_, looping)| looping.intersects(atoms))
-                .map(|(cycle, looping)| InvariantViolation::ForwardingLoop {
-                    nodes: cycle.clone(),
-                    packets: state.order.packets_of(looping.iter_common(atoms)),
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        (Arc::clone(&state.order), loops)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.lock().as_ref().map_or(0, |state| {
-            state.order.memory_bytes()
-                + state.decided.memory_bytes()
-                + state
-                    .cycles
-                    .iter()
-                    .map(|(cycle, looping)| {
-                        cycle.capacity() * std::mem::size_of::<NodeId>() + looping.memory_bytes()
-                    })
-                    .sum::<usize>()
-        })
-    }
-}
-
-/// What the updates of one window changed, for the single-field monitor
-/// repair at its close: the atoms whose labels they changed, the switches
+/// What the updates of one window changed, for the repair of the labels'
+/// monitor at its close: the atoms whose labels they changed, the switches
 /// whose out-links' labels they changed (`rule.source` of each update that
 /// changed a label), and their atom splits, in creation order. The buffers
 /// are reused from window to window.
@@ -400,7 +298,8 @@ impl DeltaNet {
             clip: None,
             monitor: config.monitor_violations.then(ViolationMonitor::new),
             window: WindowRecord::default(),
-            loop_memo: LoopMemo::default(),
+            query_loops: OnceLock::new(),
+            order: OnceLock::new(),
             topology,
             config,
         }
@@ -528,8 +427,14 @@ impl DeltaNet {
     /// incrementally. Replaces any existing monitor. Engines created with
     /// [`DeltaNetConfig::monitor_violations`] start monitored without the
     /// scan.
+    ///
+    /// A single-field monitor also answers the what-if query's loops, so the
+    /// query's own loop state, if a query seeded one, is dropped.
     pub fn enable_monitor(&mut self) -> &ViolationMonitor {
         let monitor = self.fresh_monitor();
+        if self.mf.is_none() {
+            self.query_loops.take();
+        }
         self.monitor.insert(monitor)
     }
 
@@ -634,7 +539,7 @@ impl DeltaNet {
     /// validated the rule and computed the interval this engine owns.
     fn apply_insert(&mut self, rule: Rule, interval: Interval) -> UpdateReport {
         let mut delta = DeltaGraph::new();
-        self.loop_memo.clear();
+        self.order.take();
 
         // Garbage-collection bookkeeping (§3.2.2): reference the rule's
         // bounds — before `create_atoms_into` mutates `M`, so a bound that
@@ -751,7 +656,7 @@ impl DeltaNet {
     /// the rule table and its (possibly shard-clipped) interval computed.
     fn apply_remove(&mut self, rule: Rule, interval: Interval) -> UpdateReport {
         let mut delta = DeltaGraph::new();
-        self.loop_memo.clear();
+        self.order.take();
 
         // One owner lookup per atom: the post-removal successor is read from
         // the same mutable borrow instead of a second `get_mut`.
@@ -816,7 +721,7 @@ impl DeltaNet {
         }
         let allocated_before = self.atoms.allocated_atoms();
         let bytes_before = self.memory_estimate();
-        self.loop_memo.clear();
+        self.order.take();
 
         // Phase 1 — merge: drop every unreferenced interior bound. The
         // freed (upper) atom rides exactly one link per owning source — its
@@ -838,7 +743,7 @@ impl DeltaNet {
         let remap = self.atoms.renumber();
         self.owner.remap(&remap, self.atoms.atom_count());
         self.labels.remap(&remap);
-        if let Some(monitor) = self.monitor.as_mut() {
+        for monitor in self.monitor.iter_mut().chain(self.query_loops.get_mut()) {
             monitor.remap(&remap);
         }
 
@@ -865,13 +770,14 @@ impl DeltaNet {
     /// shard-clipped) interval the update ran on — the multi-field paths
     /// need the rule itself, not just its id.
     ///
+    /// While a monitor of the labels is kept (a single-field monitor, or
+    /// the what-if loop state once seeded), the update appends its changed
+    /// atoms, its source if it changed a label, and its splits to the
+    /// window's record, which [`DeltaNet::repair_window`] repairs from once.
     /// A multi-field update repairs its monitor here, in one pass at
-    /// `rule.source` ([`MultiField::finish_update`]). A single-field one
+    /// `rule.source` ([`MultiField::finish_update`]); a single-field one
     /// runs the check an unmonitored engine runs
-    /// ([`loops::find_loops_from_seeds_in`] over the added pairs) and, when
-    /// monitored, appends its changed atoms, its source if it changed a
-    /// label, and its splits to the window's record, which
-    /// [`DeltaNet::repair_window`] repairs from once.
+    /// ([`loops::find_loops_from_seeds_in`] over the added pairs).
     fn finish_update(
         &mut self,
         delta: DeltaGraph,
@@ -879,6 +785,15 @@ impl DeltaNet {
         interval: Interval,
         was_insert: bool,
     ) -> UpdateReport {
+        if self.labels_monitored() {
+            let window = &mut self.window;
+            let changed = delta.added.iter().chain(&delta.removed);
+            window.atoms.extend(changed.map(|&(_, atom)| atom));
+            if !delta.is_empty() {
+                window.sources.push(rule.source);
+            }
+            window.splits.extend_from_slice(&delta.splits);
+        }
         let check = self.config.check_loops_per_update;
         let violations = if let Some(mf) = self.mf.as_mut() {
             // Disjoint-field borrows: the view stays immutable while the
@@ -893,27 +808,16 @@ impl DeltaNet {
             let monitor = self.monitor.as_mut();
             let splits = &delta.splits;
             mf.finish_update(&view, &rule, interval, splits, was_insert, check, monitor)
+        } else if check {
+            loops::find_loops_from_seeds_in(
+                &mut self.walk_scratch,
+                &self.topology,
+                &self.labels,
+                &self.atoms,
+                &delta.added,
+            )
         } else {
-            if self.monitor.is_some() {
-                let window = &mut self.window;
-                let changed = delta.added.iter().chain(&delta.removed);
-                window.atoms.extend(changed.map(|&(_, atom)| atom));
-                if !delta.is_empty() {
-                    window.sources.push(rule.source);
-                }
-                window.splits.extend_from_slice(&delta.splits);
-            }
-            if check {
-                loops::find_loops_from_seeds_in(
-                    &mut self.walk_scratch,
-                    &self.topology,
-                    &self.labels,
-                    &self.atoms,
-                    &delta.added,
-                )
-            } else {
-                Vec::new()
-            }
+            Vec::new()
         };
         let report = UpdateReport {
             rule_id: Some(rule.id),
@@ -961,24 +865,32 @@ impl DeltaNet {
         failure
     }
 
-    /// Closes a window that applied ops: its single-field repair
-    /// ([`DeltaNet::repair_window`]), then the monitor's events are sealed.
+    /// Closes a window that applied ops: the repair of the labels' monitor
+    /// ([`DeltaNet::repair_window`]), then the monitors' events are sealed.
     /// They are the window's transitions, and stand until the next window
     /// that applies an op.
     fn close_window(&mut self) {
         self.repair_window();
-        if let Some(monitor) = self.monitor.as_mut() {
+        for monitor in self.monitor.iter_mut().chain(self.query_loops.get_mut()) {
             monitor.seal();
         }
     }
 
-    /// One repair of a single-field monitor over the open window's record
+    /// Whether a monitor of the labels is kept, repaired from each window's
+    /// record: a single-field monitor, or the what-if loop state once a
+    /// query has seeded it. The two never coexist.
+    fn labels_monitored(&self) -> bool {
+        (self.mf.is_none() && self.monitor.is_some()) || self.query_loops.get().is_some()
+    }
+
+    /// One repair of the labels' monitor over the open window's record
     /// ([`ViolationMonitor::repair_labels`]), which then empties; its
     /// events fold into those of the window's earlier repairs. A no-op
-    /// without a monitor or on a multi-field engine, whose monitor is
-    /// repaired per update.
+    /// while no such monitor is kept (a multi-field monitor is repaired per
+    /// update).
     fn repair_window(&mut self) {
-        let (Some(monitor), None) = (self.monitor.as_mut(), &self.mf) else {
+        let single = self.monitor.as_mut().filter(|_| self.mf.is_none());
+        let Some(monitor) = single.or(self.query_loops.get_mut()) else {
             return;
         };
         let window = &mut self.window;
@@ -1040,7 +952,8 @@ impl DeltaNet {
     /// which makes it one of the fields the persistence round-trip tests
     /// compare exactly between a snapshot restore and an engine built
     /// fresh from the same rules — derived state (the violation monitor,
-    /// the walk scratch, the what-if loop memo) is therefore excluded.
+    /// the walk scratch, the what-if loop state and address order) is
+    /// therefore excluded.
     pub fn live_bytes(&self) -> usize {
         self.atoms.live_bytes()
             + self.owner.live_bytes()
@@ -1083,20 +996,27 @@ impl DeltaNet {
     ///
     /// With `check_loops`, also the forwarding loops those atoms traverse,
     /// exactly as [`loops::find_loops_for_atoms`] on `label(link)` reports
-    /// them. They are answered from the engine's what-if memo: the atoms
-    /// whose cycles an earlier query found, and those cycles. Only the atoms
-    /// of the label the memo lacks are searched, so on one plane version
-    /// each atom is searched once, however many of its links are queried.
+    /// them: the cycles of a monitor of the labels, each cut to the label.
+    /// That monitor is the engine's own on a monitored single-field engine.
+    /// Otherwise it is the query's loop state, seeded by the first
+    /// loop-checking query with one full scan
+    /// ([`ViolationMonitor::from_state`]) and repaired at every window's
+    /// close, like a monitor. No query searches for cycles after that.
     ///
-    /// Packets are rendered through the memo's address order of the plane,
-    /// built by the first query after a write: each atom set becomes runs
-    /// of consecutive address ranks, with no sort and no walk of `M`, and
-    /// reads exactly as [`AtomMap::packets_of`] would render it. Any write
-    /// that can change a label or an atom (a rule insertion or removal, a
-    /// compaction) empties the memo, order included.
+    /// Packets are rendered through the address order of the plane, built
+    /// by the first query after a write: each atom set becomes runs of
+    /// consecutive address ranks, with no sort and no walk of `M`, and reads
+    /// exactly as [`AtomMap::packets_of`] would render it. Any write that
+    /// can change a label or an atom (a rule insertion or removal, a
+    /// compaction) drops the order.
     pub fn link_failure_impact(&self, link: LinkId, check_loops: bool) -> WhatIfReport {
         let affected = self.labels.get(link);
-        let (order, violations) = self.loop_memo.query(self, affected, check_loops);
+        let order = self.order.get_or_init(|| self.atoms.address_order());
+        let violations = if check_loops {
+            self.loops_monitor().loops_among(affected, order)
+        } else {
+            Vec::new()
+        };
         let affected_packets = order.packets_of(affected.iter());
         let mut affected_links: Vec<LinkId> = Vec::new();
         for (other, label) in self.labels.iter() {
@@ -1113,8 +1033,20 @@ impl DeltaNet {
         }
     }
 
+    /// The monitor of the labels the what-if query cuts its loops from: a
+    /// single-field engine's own monitor, else the query's loop state,
+    /// seeded here on first use.
+    fn loops_monitor(&self) -> &ViolationMonitor {
+        match (&self.monitor, &self.mf) {
+            (Some(monitor), None) => monitor,
+            _ => self.query_loops.get_or_init(|| {
+                ViolationMonitor::from_state(&self.topology, &self.labels, &self.atoms)
+            }),
+        }
+    }
+
     /// Estimated heap memory used by the engine's internal state, the
-    /// what-if loop memo included.
+    /// what-if address order included (monitors are not counted).
     pub fn memory_estimate(&self) -> usize {
         self.atoms.memory_bytes()
             + self.owner.memory_bytes()
@@ -1123,7 +1055,7 @@ impl DeltaNet {
                 * (std::mem::size_of::<RuleId>() + std::mem::size_of::<Rule>() + 8)
             + self.books.memory_bytes()
             + self.mf.as_ref().map_or(0, MultiField::memory_bytes)
-            + self.loop_memo.memory_bytes()
+            + self.order.get().map_or(0, AddressOrder::memory_bytes)
     }
 
     /// This engine's configuration.
@@ -1192,7 +1124,9 @@ impl Checker for DeltaNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loops::CycleMap;
     use crate::monitor::{MonitorTransitions, ViolationKey};
+    use netmodel::checker::InvariantViolation;
     use netmodel::interval::{normalize, Interval};
     use netmodel::ip::IpPrefix;
     use netmodel::rule::Action;
@@ -1453,7 +1387,7 @@ mod tests {
 
     /// A triangle s0 -> s1 -> s2 -> s0 and its three hops, each a rule on
     /// 10.0.0.0/8 — so installing or removing one splits no atom a query
-    /// has already decided.
+    /// has already read.
     fn triangle() -> (DeltaNet, [LinkId; 3], [Rule; 3]) {
         let mut topo = Topology::new();
         let s = topo.add_nodes("s", 3);
@@ -1472,7 +1406,8 @@ mod tests {
             .link_failure_impact(links[0], true)
             .violations
             .is_empty());
-        // The loop runs through the atom the query above decided.
+        // The loop runs through the atom the query above found loop-free:
+        // the loop state it seeded is repaired by the insert.
         net.insert_rule(rules[2]);
         let report = net.link_failure_impact(links[0], true);
         assert_eq!(report.violations.len(), 1);
@@ -1497,7 +1432,7 @@ mod tests {
     fn what_if_memo_after_compact_answers_like_a_fresh_engine() {
         // A removed rule below the loop's prefix leaves dead bounds there,
         // so the compaction renumbers the looping atom down onto an id the
-        // queries before it decided as loop-free. A wide rule at s0 keeps
+        // queries before it read as loop-free. A wide rule at s0 keeps
         // those atoms on a label to be queried.
         let (mut net, links, rules) = triangle();
         let s = [0, 1].map(|i| net.topology().link(links[i]).src);
@@ -1562,14 +1497,23 @@ mod tests {
         assert_eq!(report.violations, net.check_all_loops());
     }
 
+    /// Whether the what-if loop state `net` seeded is the monitor a full
+    /// scan of its labels builds; `None` while no query has seeded one.
+    fn seeded_loops_match_a_scan(net: &DeltaNet) -> Option<bool> {
+        let state = net.query_loops.get()?;
+        let scan = ViolationMonitor::from_state(&net.topology, &net.labels, &net.atoms);
+        Some(state.state_eq(&scan))
+    }
+
     #[test]
     fn what_if_memo_matches_a_fresh_search_under_random_ops() {
         // Random ops, compactions and queries interleaved on looped random
-        // planes: after every query the memo has decided the queried
-        // label, its cycles cut to that label are what a search of the
-        // label from scratch finds, and its address order renders the
-        // label and each loop as `AtomMap::packets_of` does, on both sides
-        // of that function's sparse/dense cutover.
+        // planes: after every query the loop state the first query seeded,
+        // repaired by every write since, is the monitor a full scan builds,
+        // its cycles cut to the queried label are what a search of the
+        // label from scratch finds, and the address order renders the label
+        // and each loop as `AtomMap::packets_of` does, on both sides of that
+        // function's sparse/dense cutover.
         let mut queries = 0;
         let mut looping = 0;
         let mut dense = 0;
@@ -1605,11 +1549,11 @@ mod tests {
                         let expect = loops::find_loops_for_atoms(&topo, labels, atoms, label);
                         assert_eq!(report.violations, expect, "{at}");
                         let fresh = loops::cycles_for_atoms(&topo, labels, label);
-                        let memo = net.loop_memo.lock();
-                        let memo = memo.as_ref().expect("a query fills the memo");
-                        assert!(label.is_subset_of(&memo.decided), "{at}");
-                        let cut: CycleMap = memo
-                            .cycles
+                        assert_eq!(seeded_loops_match_a_scan(&net), Some(true), "{at}");
+                        let state = net.query_loops.get().expect("a query seeds it");
+                        let cut: CycleMap = state
+                            .maps()
+                            .0
                             .iter()
                             .map(|(cycle, atoms)| (cycle.clone(), atoms.intersection(label)))
                             .filter(|(_, atoms)| !atoms.is_empty())
@@ -1635,6 +1579,94 @@ mod tests {
             queries > 500 && looping > 50 && (50..queries - 50).contains(&dense),
             "{queries} queries, {looping} with loops, {dense} dense labels"
         );
+    }
+
+    #[test]
+    fn what_if_memo_of_three_engine_shapes_is_repaired_across_windows() {
+        // The same windows on a monitored single-field engine (the query
+        // cuts the monitor's cycles), an unmonitored one and a monitored
+        // multi-field one with unconstrained secondaries (both cut the
+        // loop state their first query seeds). Loops open, close and split,
+        // and a removal's dead bound compacts inside a window. Every link is
+        // queried after every window: the three reports are equal, and
+        // their loops are a search of the label from scratch. After every
+        // window the seeded loop states are what a full scan builds.
+        let mut topo = Topology::new();
+        let s = topo.add_nodes("s", 3);
+        let ring = [0, 1, 2].map(|i| topo.add_link(s[i], s[(i + 1) % 3]));
+        let drop = topo.drop_link(s[0]);
+        let config = DeltaNetConfig {
+            compact_threshold: Some(1),
+            ..DeltaNetConfig::default()
+        };
+        let monitored = DeltaNetConfig {
+            monitor_violations: true,
+            ..config
+        };
+        let mut nets = [
+            DeltaNet::new(topo.clone(), monitored),
+            DeltaNet::new(topo.clone(), config),
+            DeltaNet::new(topo.clone(), monitored.with_secondary(&[8])),
+        ];
+        let hop = |id: u64, p: &str, i: usize| {
+            Op::Insert(Rule::forward(RuleId(id), prefix(p), 1, s[i], ring[i]))
+        };
+        let windows = [
+            // A path s0 -> s1 -> s2 for 10/8: no loop.
+            vec![hop(0, "10.0.0.0/8", 0), hop(1, "10.0.0.0/8", 1)],
+            // s2 -> s0 closes the loop.
+            vec![hop(2, "10.0.0.0/8", 2)],
+            // A drop at s0 splits the looping atom and takes its upper half.
+            vec![Op::Insert(Rule::drop(
+                RuleId(3),
+                prefix("10.128.0.0/9"),
+                5,
+                s[0],
+                drop,
+            ))],
+            // One loop opens on 20/8 as the one on 10/8 breaks.
+            vec![
+                hop(4, "20.0.0.0/8", 0),
+                hop(5, "20.0.0.0/8", 1),
+                hop(6, "20.0.0.0/8", 2),
+                Op::Remove(RuleId(2)),
+            ],
+            // The drop's removal leaves 10.128.0.0 dead: the threshold pass
+            // merges the halves inside the window, and 10/8 loops again.
+            vec![Op::Remove(RuleId(3)), hop(7, "10.0.0.0/8", 2)],
+            // The 20/8 loop breaks.
+            vec![Op::Remove(RuleId(5))],
+        ];
+        let mut looped = 0;
+        for (w, ops) in windows.iter().enumerate() {
+            for net in &mut nets {
+                assert!(net.apply_window(ops).1.is_none(), "window {w}");
+                // Seeded by the queries after the first window, unless the
+                // engine's own monitor serves them.
+                let own_monitor = net.monitor.is_some() && net.mf.is_none();
+                let seeded = w > 0 && !own_monitor;
+                let expect = seeded.then_some(true);
+                assert_eq!(seeded_loops_match_a_scan(net), expect, "window {w}");
+            }
+            for link in topo.links().iter().map(|l| l.id) {
+                let reports = nets
+                    .each_ref()
+                    .map(|net| net.link_failure_impact(link, true));
+                for (net, report) in nets.iter().zip(&reports) {
+                    let label = net.label(link);
+                    let search =
+                        loops::find_loops_for_atoms(&topo, net.labels(), net.atoms(), label);
+                    assert_eq!(report.violations, search, "window {w}, {link:?}");
+                    assert_eq!(*report, reports[0], "window {w}, {link:?}");
+                }
+                looped += usize::from(!reports[0].violations.is_empty());
+            }
+        }
+        assert!(looped >= 4, "{looped} reports with loops");
+        for net in &nets {
+            assert!(net.compactions() > 0);
+        }
+        assert!(nets[0].query_loops.get().is_none(), "the monitor serves");
     }
 
     #[test]

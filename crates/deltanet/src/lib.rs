@@ -128,8 +128,10 @@ pub use session::{LoggedNet, Session};
 pub use shard::ShardedDeltaNet;
 
 // A `DeltaNet` answers queries through `&self` from several threads at once
-// (`parallel::what_if_many`), so it must stay `Sync`: its what-if loop memo
-// sits behind a mutex for that. A `ShardedDeltaNet` moves between threads
+// (`parallel::what_if_many`), so it must stay `Sync`: the what-if query's
+// lazily built state (its loop monitor and address order) sits in
+// `OnceLock`s, so concurrent first queries build it once and never write it
+// after that. A `ShardedDeltaNet` moves between threads
 // but is not shared: its observer callback and its workers' reply queues
 // are not `Sync`.
 const _: () = {

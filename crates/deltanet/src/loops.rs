@@ -5,7 +5,7 @@
 //! atom there), so the α-restricted graph is a functional graph. Loop
 //! detection reads it three ways:
 //!
-//! * [`find_loops_from_seeds`] — the per-update check of an unmonitored
+//! * `find_loops_from_seeds_in` — the per-update check of an unmonitored
 //!   engine (§4.3.1 "find in the delta-graph all forwarding loops"): one
 //!   successor walk per `(link, atom)` pair the update added. Cost: Σ walk
 //!   length over the delta's added pairs.
@@ -22,12 +22,13 @@
 //!   closes a cycle where atoms meet their own path; a cycle is admitted for
 //!   all the atoms that close it together in one map probe. Cost:
 //!   O(links · candidate words + 64 · hits), with no sort and no per-atom
-//!   step. Its callers: the what-if query of §4.3.2, through the engine's
-//!   loop memo ([`crate::DeltaNet::link_failure_impact`]), which searches
-//!   only the failed link's atoms it has not decided since the last write;
-//!   the full audits ([`find_all_loops`], [`find_loops_for_atoms`]); and
-//!   seeding a monitor ([`crate::ViolationMonitor::from_state`]). The last
-//!   two run the kernel directly, so they are the memo's reference.
+//!   step. Its callers: the full audits ([`find_all_loops`],
+//!   [`find_loops_for_atoms`]) and seeding a monitor
+//!   ([`crate::ViolationMonitor::from_state`]). The what-if query of §4.3.2
+//!   ([`crate::DeltaNet::link_failure_impact`]) searches nothing itself: it
+//!   cuts the cycles of a monitor of the labels, seeded once by this kernel
+//!   and repaired with every window, so [`find_loops_for_atoms`] is its
+//!   reference.
 //!
 //! The first two share one routine, `WalkScratch::walk`, which keeps its
 //! visited marks, path positions and path in generation-stamped vectors of
@@ -190,12 +191,9 @@ where
     }
 }
 
-/// Finds forwarding loops reachable from the given `(link, atom)` seeds —
-/// the per-update check run on a delta-graph.
-///
-/// Only label *additions* need to be seeded: removing an atom from a label
-/// can break loops but never create one.
-pub fn find_loops_from_seeds(
+/// [`find_loops_from_seeds_in`] on a fresh scratch: the tests' reference.
+#[cfg(test)]
+pub(crate) fn find_loops_from_seeds(
     topology: &Topology,
     labels: &Labels,
     atoms: &AtomMap,
@@ -204,8 +202,13 @@ pub fn find_loops_from_seeds(
     find_loops_from_seeds_in(&mut WalkScratch::default(), topology, labels, atoms, seeds)
 }
 
-/// [`find_loops_from_seeds`] on a caller-owned scratch: with a warm scratch
-/// a loop-free update allocates nothing. The loops found are collected as
+/// Finds forwarding loops reachable from the given `(link, atom)` seeds —
+/// the per-update check (§4.3.1) run on a delta-graph, on a caller-owned
+/// scratch.
+///
+/// Only label *additions* need to be seeded: removing an atom from a label
+/// can break loops but never create one. With a warm scratch a loop-free
+/// update allocates nothing. The loops found are collected as
 /// `(cycle, atom interval)` pairs in the scratch's list and rendered by
 /// sorting each cycle's few intervals, so an update that reports a loop
 /// allocates for its report alone, not for a set over the atom range.
@@ -292,8 +295,9 @@ pub(crate) fn walks_from(
 }
 
 /// Finds all forwarding loops that involve any of the given atoms anywhere
-/// in the network — the what-if link-failure query (§4.3.2) without the
-/// engine's loop memo, and the full-data-plane audits.
+/// in the network — the what-if link-failure query's loops (§4.3.2) from
+/// scratch, without the engine's monitor of the labels, and the
+/// full-data-plane audits.
 pub fn find_loops_for_atoms(
     topology: &Topology,
     labels: &Labels,

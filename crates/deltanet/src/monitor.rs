@@ -58,7 +58,7 @@
 //!    blackhole predicate (`crate::blackholes::is_blackholed_at`) is
 //!    re-judged at each `near(S)` switch. Each update's own per-update
 //!    check is the one an unmonitored engine runs
-//!    ([`crate::loops::find_loops_from_seeds`]), so reports do not depend
+//!    (`crate::loops::find_loops_from_seeds_in`), so reports do not depend
 //!    on monitoring.
 //! 4. **Transitions**: violation identity is the canonical cycle for loops
 //!    and the switch for blackholes. Because drained entries stayed in the
@@ -119,7 +119,7 @@
 //! the kernel run from scratch — and that scan against the stateless
 //! Veriflow-RI cross product.
 
-use crate::atoms::{AtomId, AtomMap, DeltaPair, REMAP_DEAD};
+use crate::atoms::{AddressOrder, AtomId, AtomMap, DeltaPair, REMAP_DEAD};
 use crate::atomset::AtomSet;
 use crate::blackholes;
 use crate::labels::Labels;
@@ -506,6 +506,25 @@ impl ViolationMonitor {
     /// `check_all_loops()` on a multi-field engine.
     pub(crate) fn loop_violations(&self, atoms: &AtomMap) -> Vec<InvariantViolation> {
         loops::render_loops(&self.loops, atoms)
+    }
+
+    /// The tracked loops any atom of `atoms` rides, each cut to those atoms
+    /// and rendered through `order`: what [`loops::find_loops_for_atoms`] on
+    /// `atoms` reports, while the monitor tracks the labels. The what-if
+    /// query's loops ([`crate::DeltaNet::link_failure_impact`]).
+    pub(crate) fn loops_among(
+        &self,
+        atoms: &AtomSet,
+        order: &AddressOrder,
+    ) -> Vec<InvariantViolation> {
+        self.loops
+            .iter()
+            .filter(|(_, looping)| looping.intersects(atoms))
+            .map(|(cycle, looping)| InvariantViolation::ForwardingLoop {
+                nodes: cycle.clone(),
+                packets: order.packets_of(looping.iter_common(atoms)),
+            })
+            .collect()
     }
 
     /// The blackhole half of [`ViolationMonitor::active_violations`].

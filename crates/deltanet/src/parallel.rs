@@ -4,15 +4,15 @@
 //! Algorithm 1 and 2 are highly parallelizable" (§6). The *query* side —
 //! what-if analysis of many links — lives here: it only reads the
 //! persistent edge-labelled graph, so it partitions across threads with no
-//! synchronization beyond collecting the reports and the engine's loop
-//! memo, which the workers fill together under its lock (each search runs
-//! outside it). The *update* side is parallelized by
-//! [`crate::shard::ShardedDeltaNet`], which partitions the
-//! address space itself so disjoint shards apply rule updates concurrently
-//! (its per-shard answers are combined by [`merge_violations`]); both sides
-//! size their thread pools from the same [`Parallelism`] configuration, so
-//! a run pinned to `N` workers behaves identically across query and update
-//! code.
+//! synchronization beyond collecting the reports and the first query's
+//! build of the engine's what-if state (its loop monitor and address order,
+//! each a `OnceLock`, built once however many workers ask). The *update*
+//! side is parallelized by [`crate::shard::ShardedDeltaNet`], which
+//! partitions the address space itself so disjoint shards apply rule
+//! updates concurrently (its per-shard answers are combined by
+//! [`merge_violations`]); both sides size their thread pools from the same
+//! [`Parallelism`] configuration, so a run pinned to `N` workers behaves
+//! identically across query and update code.
 //!
 //! The read-side bulk query here still uses `std::thread::scope`; shard
 //! writes run on the persistent helper threads each sharded engine owns.
@@ -223,12 +223,13 @@ mod tests {
                 );
             }
         }
-        // Loop checks on the closed ring: two workers fill the engine's one
-        // loop memo at once. Each report equals a single query's on a copy
-        // of the engine, and its loops are what the kernel finds directly.
+        // Loop checks on the closed ring: two workers ask at once for the
+        // engine's loop state, which the first of them seeds. Each report
+        // equals a single query's on a copy of the engine made before, which
+        // seeds its own, and its loops are what the kernel finds directly.
         let looped = ring_net(true);
-        let bulk = what_if_many_with(&looped, &links, true, Parallelism::fixed(2));
         let single = looped.clone();
+        let bulk = what_if_many_with(&looped, &links, true, Parallelism::fixed(2));
         for (report, &link) in bulk.iter().zip(&links) {
             assert_eq!(*report, single.link_failure_impact(link, true), "{link:?}");
             let direct = crate::loops::find_loops_for_atoms(

@@ -523,7 +523,8 @@ impl ShardedDeltaNet {
     /// The what-if link-failure query (§4.3.2), shard-wise: each shard
     /// reports the impact among its own atoms and the partial reports merge
     /// — packets normalized, affected links deduplicated, violations
-    /// combined. Each shard answers its loops from its own loop memo.
+    /// combined. Each shard cuts its loops from its own monitor of the
+    /// labels ([`DeltaNet::link_failure_impact`]).
     pub fn link_failure_impact(&self, link: LinkId, check_loops: bool) -> WhatIfReport {
         let mut affected_classes = 0;
         let mut packets = Vec::new();

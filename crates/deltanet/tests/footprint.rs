@@ -11,7 +11,6 @@
 //! id on the large plane — the case in which a bitset over the atom range,
 //! or a cloned label, would show.
 
-use deltanet::loops::find_loops_from_seeds;
 use deltanet::{DeltaNet, DeltaNetConfig};
 use netmodel::checker::Checker;
 use netmodel::header::SecondaryMatch;
@@ -289,23 +288,38 @@ fn engine_window_repair_allocates_what_the_unmonitored_window_does() {
 
 #[test]
 fn seeded_loop_check_allocation_is_independent_of_the_atom_count() {
+    // The per-update check an unmonitored engine runs on the probe's
+    // insert: one walk seeded by the one pair it adds, on the engine's own
+    // scratch. Against a twin with the check off, fed the same operations,
+    // a warm check allocates nothing, on both planes.
     let mut bytes = Vec::new();
     for filler_rules in [500, 32_000] {
-        let Plane { mut net, probe, .. } = plane(filler_rules);
-        net.insert_rule(probe);
-        let seeds = net.last_delta().added.clone();
-        assert_eq!(seeds.len(), 1);
-        let (allocated, loops) = allocated_bytes(|| {
-            find_loops_from_seeds(net.topology(), net.labels(), net.atoms(), &seeds)
-        });
-        assert!(loops.is_empty());
-        // The free function makes a local scratch: three node-count vectors
-        // (allowing the allocator's rounding), and nothing else.
-        let nodes = net.topology().node_count() as u64;
-        assert!(allocated <= 2 * 3 * 4 * nodes, "{allocated} bytes");
-        bytes.push(allocated);
+        let Plane {
+            net: mut checked,
+            probe,
+            ..
+        } = plane(filler_rules);
+        let unchecked = DeltaNetConfig {
+            check_loops_per_update: false,
+            ..DeltaNetConfig::default()
+        };
+        let mut bare = plane_with(filler_rules, unchecked).net;
+        let insert = |net: &mut DeltaNet| {
+            let inserted = allocated_bytes(|| net.insert_rule(probe));
+            assert_eq!(net.last_delta().added.len(), 1, "one seed");
+            net.remove_rule(PROBE);
+            inserted
+        };
+        // Cold: the first check sizes the scratch.
+        insert(&mut checked);
+        let (checked_bytes, report) = insert(&mut checked);
+        let (bare_bytes, twin) = insert(&mut bare);
+        assert_eq!(report, twin);
+        assert!(report.violations.is_empty());
+        assert_eq!(checked_bytes, bare_bytes, "checked vs bare bytes");
+        bytes.push(checked_bytes);
     }
-    assert_eq!(bytes[0], bytes[1], "loop-check bytes: 1 k vs 64 k atoms");
+    assert_eq!(bytes[0], bytes[1], "probe insert bytes: 1 k vs 64 k atoms");
 }
 
 /// A dst × src plane twice over, fed the same operations: `full` monitors

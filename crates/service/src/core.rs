@@ -312,8 +312,10 @@ impl Core {
     fn stats(&self, id: u64) -> Json {
         let net = self.session.net();
         let shards = net.as_sharded().map_or(1, ShardedDeltaNet::shard_count);
+        // Counted by identity: rendering each violation's packets only to
+        // count them would cost O(plane) on the engine thread.
+        let violations = net.monitor_keys().map_or(0, |keys| keys.len());
         let net = net.checker();
-        let violations = net.active_violations().map_or(0, |v| v.len());
         obj(vec![
             ("id", Json::int(id)),
             ("ok", Json::Bool(true)),
@@ -428,6 +430,7 @@ pub(crate) mod tests {
     use crate::json::parse;
     use crate::proto::{batch_request, op_request, parse_request};
     use deltanet::Parallelism;
+    use netmodel::checker::InvariantViolation;
     use netmodel::ip::IpPrefix;
     use netmodel::rule::{Rule, RuleId};
     use netmodel::topology::{LinkId, NodeId};
@@ -565,6 +568,50 @@ pub(crate) mod tests {
             assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
             assert!(e.to_string().contains("MAX_BUFFER_SLOTS"), "{e}");
         }
+    }
+
+    /// `stats` counts the active violations by identity, and the count is
+    /// the length of their rendering, on a plane with a loop and a
+    /// blackhole.
+    #[test]
+    fn stats_counts_the_violations_it_does_not_render() {
+        let mut topo = Topology::new();
+        let [a, b, c] = ["a", "b", "c"].map(|name| topo.add_node(name));
+        let (ab, ba, ac) = (
+            topo.add_link(a, b),
+            topo.add_link(b, a),
+            topo.add_link(a, c),
+        );
+        let config = ServiceConfig {
+            shards: 1,
+            parallelism: Parallelism::fixed(1),
+            ..ServiceConfig::default()
+        };
+        let mut core = Core::new(topo, config).expect("build the core");
+        let hop = |id: u64, prefix: &str, src: NodeId, link: LinkId| {
+            let prefix: IpPrefix = prefix.parse().expect("valid prefix");
+            Op::Insert(Rule::forward(RuleId(id), prefix, 10, src, link))
+        };
+        // 10/16 loops a -> b -> a; 11/16 dies at c, which has no rule.
+        let ops = [
+            hop(1, "10.0.0.0/16", a, ab),
+            hop(2, "10.0.0.0/16", b, ba),
+            hop(3, "11.0.0.0/16", a, ac),
+        ];
+        let (tx, rx) = mpsc::channel();
+        core.pending.push_back(batch_item(&core, 1, &ops, &tx));
+        core.step();
+        assert_eq!(is_ok(&json(&rx)), Some(true));
+        let rendered = core.session.net().checker().active_violations();
+        let rendered = rendered.expect("the daemon monitors");
+        assert!(matches!(
+            rendered.as_slice(),
+            [
+                InvariantViolation::ForwardingLoop { .. },
+                InvariantViolation::Blackhole { .. }
+            ]
+        ));
+        assert_eq!(stat(&mut core, "violations"), rendered.len() as u64);
     }
 
     /// The drop-with-gap policy, step by step: a 2-slot subscriber nobody
