@@ -1256,6 +1256,21 @@ pub fn serve(args: &ParsedArgs) -> Result<String, CommandError> {
 pub fn client(args: &ParsedArgs) -> Result<String, CommandError> {
     use std::io::{BufRead, BufReader, Write};
 
+    let batch = parse_usize_option(args, "batch")?.unwrap_or(16);
+    // The daemon's line cap is sized so this many ops always fit.
+    const MAX_BATCH: usize = 2048;
+    if batch == 0 {
+        return Err(CommandError::Other(
+            "--batch must be at least 1".to_string(),
+        ));
+    }
+    if batch > MAX_BATCH {
+        return Err(CommandError::Other(format!(
+            "--batch {batch} is above {MAX_BATCH}, the most ops a request line \
+             of at most {} bytes is sized for",
+            service::server::MAX_LINE_BYTES
+        )));
+    }
     let addr = if let Some(a) = args.options.get("addr") {
         a.clone()
     } else if let Some(f) = args.options.get("port-file") {
@@ -1279,16 +1294,6 @@ pub fn client(args: &ParsedArgs) -> Result<String, CommandError> {
     if let Some(topo_path) = args.options.get("topo") {
         let mut topo = load_topology(topo_path)?;
         let trace = load_trace(args.require("trace")?, &mut topo)?;
-        let batch = parse_usize_option(args, "batch")?.unwrap_or(16).max(1);
-        // The daemon's line cap is sized so this many ops always fit.
-        const MAX_BATCH: usize = 2048;
-        if batch > MAX_BATCH {
-            return Err(CommandError::Other(format!(
-                "--batch {batch} is above {MAX_BATCH}, the most ops a request line \
-                 of at most {} bytes is sized for",
-                service::server::MAX_LINE_BYTES
-            )));
-        }
         for chunk in trace.ops().chunks(batch) {
             lines.push(service::batch_request(next_id, chunk, &topo).render());
             next_id += 1;
@@ -1675,6 +1680,17 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("at least 1"), "{err}");
+        // The client refuses it the same way, and a batch above its cap,
+        // before it connects (a connect to port 1 would fail with another
+        // error), with or without a trace to batch.
+        for (batch, expect) in [("0", "--batch must be at least 1"), ("2049", "above 2048")] {
+            for trace_args in [&["--topo", &topo, "--trace", &trace][..], &["--stats"]] {
+                let mut argv = vec!["client", "--addr", "127.0.0.1:1", "--batch", batch];
+                argv.extend_from_slice(trace_args);
+                let err = run(&parsed(&argv)).unwrap_err();
+                assert!(err.to_string().contains(expect), "{argv:?}: {err}");
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1670,6 +1670,87 @@ mod tests {
     }
 
     #[test]
+    fn what_if_memo_from_two_threads_matches_sequential_queries() {
+        // An unmonitored closed ring, 10/8 forwarded clockwise at all four
+        // switches, with disjoint /16s beside it for many atoms. No query
+        // has run, so two threads asking at once race to seed the loop
+        // state and the address order; each `OnceLock` keeps one. Every
+        // report equals a sequential query on a clone, and its loops are a
+        // search of the label from scratch.
+        let mut topo = Topology::new();
+        let s = topo.add_nodes("s", 4);
+        let ring = [0, 1, 2, 3].map(|i| topo.add_link(s[i], s[(i + 1) % 4]));
+        let config = DeltaNetConfig {
+            check_loops_per_update: false,
+            ..DeltaNetConfig::default()
+        };
+        let mut net = DeltaNet::new(topo, config);
+        for i in 0..4 {
+            net.insert_rule(Rule::forward(
+                RuleId(i as u64),
+                prefix("10.0.0.0/8"),
+                1,
+                s[i],
+                ring[i],
+            ));
+        }
+        for i in 0..32u32 {
+            let at = (i % 3) as usize;
+            let p = IpPrefix::ipv4(0xC000_0000 + i * 0x1_0000, 16);
+            net.insert_rule(Rule::forward(
+                RuleId(100 + u64::from(i)),
+                p,
+                2,
+                s[at],
+                ring[at],
+            ));
+        }
+        let sequential = net.clone();
+        assert!(net.query_loops.get().is_none() && net.order.get().is_none());
+
+        // Thread 0 asks with the loop check first, thread 1 without it.
+        let start = std::sync::Barrier::new(2);
+        let reports = std::thread::scope(|scope| {
+            // Both threads are spawned before either is joined.
+            [true, false]
+                .map(|first| {
+                    let (net, start) = (&net, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let mut out = Vec::new();
+                        for check in [first, !first] {
+                            for link in ring {
+                                out.push((link, check, net.link_failure_impact(link, check)));
+                            }
+                        }
+                        out
+                    })
+                })
+                .map(|worker| worker.join().unwrap())
+        });
+        for (link, check, report) in reports.iter().flatten() {
+            let at = format!("{link:?}, check_loops {check}");
+            assert_eq!(
+                *report,
+                sequential.link_failure_impact(*link, *check),
+                "{at}"
+            );
+            if *check {
+                let label = net.label(*link);
+                let search =
+                    loops::find_loops_for_atoms(net.topology(), net.labels(), net.atoms(), label);
+                assert_eq!(report.violations, search, "{at}");
+                assert_eq!(report.violations.len(), 1, "{at}");
+            } else {
+                assert!(report.violations.is_empty(), "{at}");
+            }
+        }
+        assert_eq!(reports.iter().flatten().count(), 16);
+        assert_eq!(seeded_loops_match_a_scan(&net), Some(true));
+        assert!(net.order.get().is_some());
+    }
+
+    #[test]
     fn checker_trait_replay_roundtrip() {
         let mut ex = paper_example();
         let (r1, r2, r3, r4) = figure2_rules(&ex);

@@ -29,9 +29,6 @@
 //!   cross-field loop/blackhole walk kernel), for header spaces declaring
 //!   secondary fields next to the primary one (`[dst, src]`-style
 //!   matching; [`DeltaNetConfig::with_secondary`]).
-//! * [`parallel`] — the parallel bulk what-if query, the merge of
-//!   per-shard violations, and the shared [`Parallelism`] worker-count
-//!   configuration (the §6 future-work direction).
 //! * [`fault`] — the [`StorageBackend`] abstraction all persistence I/O
 //!   goes through: [`FsBackend`] for real files, [`FaultyBackend`] for
 //!   deterministic crash / short-write / fsync-failure injection.
@@ -55,8 +52,9 @@
 //!   replay` and the benchmark's [`LoggedNet`] alias.
 //! * [`shard`] — [`ShardedDeltaNet`]: the engine partitioned across the
 //!   address space so rule updates on disjoint ranges apply concurrently
-//!   (§6: the main loops over atoms are highly parallelizable); one op is
-//!   a one-op window through its one validate → route → merge path.
+//!   (§6: the main loops over atoms are highly parallelizable), sized by
+//!   its [`Parallelism`] worker count; one op is a one-op window through
+//!   its one validate → route → merge path.
 //! * [`reachability`] — Algorithm 3: all-pairs reachability of all atoms.
 //! * [`query`] — flow queries (which packets can reach B from A) and
 //!   "what if" link-failure analysis (§4.3.2).
@@ -104,7 +102,6 @@ pub mod loops;
 pub mod monitor;
 pub mod multifield;
 pub mod owner;
-pub mod parallel;
 pub mod persist;
 pub mod query;
 pub mod reachability;
@@ -118,22 +115,21 @@ pub use engine::{CompactReport, DeltaNet, DeltaNetConfig};
 pub use fault::{FaultPlan, FaultyBackend, FsBackend, StorageBackend};
 pub use labels::Labels;
 pub use monitor::{MonitorTransitions, TransitionTracker, ViolationKey, ViolationMonitor};
-pub use parallel::Parallelism;
 pub use persist::{
     CheckpointConfig, DeltaLog, Durability, Journal, PersistError, PersistNet, RecoveryPolicy,
     RecoveryReport, Snapshot,
 };
 pub use reachability::ReachabilityMatrix;
 pub use session::{LoggedNet, Session};
-pub use shard::ShardedDeltaNet;
+pub use shard::{Parallelism, ShardedDeltaNet};
 
-// A `DeltaNet` answers queries through `&self` from several threads at once
-// (`parallel::what_if_many`), so it must stay `Sync`: the what-if query's
-// lazily built state (its loop monitor and address order) sits in
-// `OnceLock`s, so concurrent first queries build it once and never write it
-// after that. A `ShardedDeltaNet` moves between threads
-// but is not shared: its observer callback and its workers' reply queues
-// are not `Sync`.
+// A `DeltaNet` can be shared between threads (`Sync`): its queries take
+// `&self`, and the what-if query's lazily built state (its loop monitor and
+// address order) sits in `OnceLock`s, so concurrent first queries build it
+// once and never write it after that
+// (`engine::tests::what_if_memo_from_two_threads_matches_sequential_queries`).
+// A `ShardedDeltaNet` moves between threads but is not shared: its observer
+// callback and its workers' reply queues are not `Sync`.
 const _: () = {
     const fn send_sync<T: Send + Sync>() {}
     const fn send<T: Send>() {}

@@ -38,18 +38,67 @@
 
 use crate::engine::{CompactReport, DeltaNet, DeltaNetConfig};
 use crate::monitor::{MonitorTransitions, TransitionTracker};
-use crate::parallel::{merge_violations, Parallelism};
 use netmodel::checker::{
     Checker, InvariantViolation, ReplayError, UpdateError, UpdateReport, WhatIfReport,
 };
 use netmodel::interval::{normalize, Bound, Interval};
 use netmodel::rule::{Rule, RuleId};
-use netmodel::topology::{LinkId, Topology};
+use netmodel::topology::{LinkId, NodeId, Topology};
 use netmodel::trace::Op;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::{self, JoinHandle};
+
+/// How many worker threads a [`ShardedDeltaNet`] applies a window's shard
+/// groups on: the calling thread plus up to `workers - 1` helpers.
+///
+/// Construct one value — [`Parallelism::auto`] (what the CLI and the daemon
+/// use) or an explicit count — and pass it everywhere, so measured runs are
+/// reproducible. The worker count is always at least 1.
+///
+/// It does not pick a shard count: two shards failed their measured rule
+/// (ROADMAP item 2), so the CLI and the daemon run one shard whatever this
+/// reports.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Parallelism {
+    workers: usize,
+}
+
+impl Parallelism {
+    /// Exactly `workers` threads (clamped to at least 1).
+    pub fn fixed(workers: usize) -> Self {
+        Parallelism {
+            workers: workers.max(1),
+        }
+    }
+
+    /// One worker per available hardware thread.
+    pub fn auto() -> Self {
+        Parallelism::fixed(
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+        )
+    }
+
+    /// The configured worker count.
+    pub fn workers(self) -> usize {
+        self.workers
+    }
+
+    /// Workers to actually spawn for `items` units of work: never more
+    /// threads than items, never fewer than one.
+    pub fn for_items(self, items: usize) -> usize {
+        self.workers.min(items).max(1)
+    }
+}
+
+impl Default for Parallelism {
+    fn default() -> Self {
+        Parallelism::auto()
+    }
+}
 
 /// The Delta-net engine sharded across the address space: `N` clipped
 /// engines over fixed contiguous ranges of `[0 : 2^w)`, behind the same
@@ -679,6 +728,42 @@ fn merge_update_reports(
     }
 }
 
+/// Merges the violations that several shards found into the canonical
+/// combined form: forwarding loops are grouped by their node cycle and
+/// blackholes by their node, with the packet intervals of each group
+/// normalized. Loops sort before blackholes; each group sorts by its key.
+fn merge_violations(
+    parts: impl IntoIterator<Item = InvariantViolation>,
+) -> Vec<InvariantViolation> {
+    let mut loops: BTreeMap<Vec<NodeId>, Vec<Interval>> = BTreeMap::new();
+    let mut holes: BTreeMap<NodeId, Vec<Interval>> = BTreeMap::new();
+    for violation in parts {
+        match violation {
+            InvariantViolation::ForwardingLoop { nodes, packets } => {
+                loops.entry(nodes).or_default().extend(packets);
+            }
+            InvariantViolation::Blackhole { node, packets } => {
+                holes.entry(node).or_default().extend(packets);
+            }
+        }
+    }
+    loops
+        .into_iter()
+        .map(|(nodes, packets)| InvariantViolation::ForwardingLoop {
+            nodes,
+            packets: normalize(packets),
+        })
+        .chain(
+            holes
+                .into_iter()
+                .map(|(node, packets)| InvariantViolation::Blackhole {
+                    node,
+                    packets: normalize(packets),
+                }),
+        )
+        .collect()
+}
+
 impl Checker for ShardedDeltaNet {
     fn name(&self) -> &'static str {
         "delta-net-sharded"
@@ -790,7 +875,6 @@ impl Checker for ShardedDeltaNet {
 mod tests {
     use super::*;
     use netmodel::ip::IpPrefix;
-    use netmodel::topology::NodeId;
 
     fn prefix(s: &str) -> IpPrefix {
         s.parse().unwrap()
@@ -1303,5 +1387,50 @@ mod tests {
         let mut copy = net.clone();
         copy.try_apply(&ops[2]).unwrap();
         assert!(seen.lock().unwrap().is_empty(), "clone has no observer");
+    }
+
+    #[test]
+    fn parallelism_clamps_and_parses() {
+        assert_eq!(Parallelism::fixed(0).workers(), 1);
+        assert_eq!(Parallelism::fixed(8).workers(), 8);
+        assert_eq!(Parallelism::fixed(8).for_items(3), 3);
+        assert_eq!(Parallelism::fixed(2).for_items(0), 1);
+        assert!(Parallelism::auto().workers() >= 1);
+        assert_eq!(Parallelism::default(), Parallelism::auto());
+    }
+
+    #[test]
+    fn merge_violations_groups_and_normalizes() {
+        let merged = merge_violations([
+            InvariantViolation::ForwardingLoop {
+                nodes: vec![NodeId(0), NodeId(1)],
+                packets: vec![Interval::new(0, 8)],
+            },
+            InvariantViolation::Blackhole {
+                node: NodeId(2),
+                packets: vec![Interval::new(16, 20)],
+            },
+            InvariantViolation::ForwardingLoop {
+                nodes: vec![NodeId(0), NodeId(1)],
+                packets: vec![Interval::new(8, 12)],
+            },
+            InvariantViolation::Blackhole {
+                node: NodeId(2),
+                packets: vec![Interval::new(20, 32)],
+            },
+        ]);
+        assert_eq!(
+            merged,
+            vec![
+                InvariantViolation::ForwardingLoop {
+                    nodes: vec![NodeId(0), NodeId(1)],
+                    packets: vec![Interval::new(0, 12)],
+                },
+                InvariantViolation::Blackhole {
+                    node: NodeId(2),
+                    packets: vec![Interval::new(16, 32)],
+                },
+            ]
+        );
     }
 }
