@@ -192,11 +192,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CommandError> {
             "no-loops compact monitor",
         ),
         "snapshot" => (snapshot, "topo trace save load at log", "monitor"),
-        "recover" => (
-            recover,
-            "topo dir snapshot log checkpoint-every retain durability",
-            "repair-tail",
-        ),
+        "recover" => (recover, "topo dir snapshot log", "repair-tail"),
         "whatif" => (whatif, "topo trace fields src dst", "loops"),
         "audit" => (audit, "topo trace fields", ""),
         "serve" => (
@@ -220,6 +216,23 @@ pub fn run(args: &ParsedArgs) -> Result<String, CommandError> {
     };
     args.check(options, flags)?;
     command(args)
+}
+
+/// Refuses, naming the mode, an argument `run` accepts for the command
+/// but its `mode` does not read.
+fn check_mode(
+    args: &ParsedArgs,
+    mode: &str,
+    options: &str,
+    flags: &str,
+) -> Result<(), CommandError> {
+    let command = format!("{} {mode}", args.command);
+    ParsedArgs {
+        command,
+        ..args.clone()
+    }
+    .check(options, flags)?;
+    Ok(())
 }
 
 fn load_topology(path: &str) -> Result<Topology, CommandError> {
@@ -864,12 +877,14 @@ fn recovery_policy(args: &ParsedArgs) -> RecoveryPolicy {
 pub fn recover(args: &ParsedArgs) -> Result<String, CommandError> {
     let topo = load_topology(args.require("topo")?)?;
     if let Some(dir) = args.options.get("dir") {
+        check_mode(args, "--dir", "topo dir", "repair-tail")?;
+        // The journal is closed unused, so its config writes nothing.
         let (net, journal, report) = persist::recover_dir(
             Box::new(FsBackend),
             Path::new(dir),
             &topo,
             recovery_policy(args),
-            checkpoint_config(args)?,
+            CheckpointConfig::default(),
         )?;
         journal.close()?;
         let mut out = format!(
@@ -1020,6 +1035,7 @@ fn snapshot_at(
     snap_path: Option<&str>,
     op_n: usize,
 ) -> Result<String, CommandError> {
+    check_mode(args, "--at", "topo log at load", "")?;
     let topo = load_topology(args.require("topo")?)?;
     let log = persist::read_log(Path::new(args.require("log")?))?;
     let snap = snap_path
@@ -1270,6 +1286,14 @@ pub fn client(args: &ParsedArgs) -> Result<String, CommandError> {
              of at most {} bytes is sized for",
             service::server::MAX_LINE_BYTES
         )));
+    }
+    if !args.options.contains_key("topo") {
+        check_mode(
+            args,
+            "without --topo",
+            "addr port-file send",
+            "stats shutdown",
+        )?;
     }
     let addr = if let Some(a) = args.options.get("addr") {
         a.clone()
@@ -2645,6 +2669,137 @@ mod tests {
         assert!(int(&report, "memory_bytes") > 0);
         assert!(int(&report, "compactions") > 0);
         assert_eq!(int(&report, "checkpoint_every"), 100);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A two-op loop network saved three ways: a snapshot, its delta log,
+    /// and a checkpoint directory with a snapshot after every op. Returns
+    /// the temp dir and the paths of the topology, trace, snapshot, log
+    /// and checkpoint directory.
+    fn saved_loop(tag: &str) -> (std::path::PathBuf, [String; 5]) {
+        let dir = temp_dir(tag);
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let [topo, trace, snap, log, ckpt] = [
+            "loop.topo",
+            "loop.trace",
+            "state.snap",
+            "state.dnlog",
+            "ckpt",
+        ]
+        .map(path);
+        std::fs::write(&topo, "node a\nnode b\nlink 0 1\nlink 1 0\n").unwrap();
+        std::fs::write(&trace, "I 1 0 1 10.0.0.0/8 1\nI 2 1 0 10.0.0.0/8 1\n").unwrap();
+        run(&parsed(&[
+            "snapshot", "--topo", &topo, "--trace", &trace, "--save", &snap, "--log", &log,
+        ]))
+        .unwrap();
+        run(&parsed(&[
+            "replay",
+            "--topo",
+            &topo,
+            "--trace",
+            &trace,
+            "--checkpoint",
+            &ckpt,
+            "--checkpoint-every",
+            "1",
+        ]))
+        .unwrap();
+        (dir, [topo, trace, snap, log, ckpt])
+    }
+
+    /// Every file of a directory by name, with its bytes.
+    fn dir_bytes(dir: &str) -> std::collections::BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .map(|p| {
+                let name = p.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&p).unwrap())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn recover_dir_leaves_a_clean_checkpoint_directory_byte_identical() {
+        let (dir, [topo, _, _, _, ckpt]) = saved_loop("recover-readonly");
+        let before = dir_bytes(&ckpt);
+        assert!(before.len() > 2, "{:?}", before.keys());
+        for extra in [&[][..], &["--repair-tail"]] {
+            let mut argv = vec!["recover", "--topo", &topo, "--dir", &ckpt];
+            argv.extend_from_slice(extra);
+            let r = run(&parsed(&argv)).unwrap();
+            assert!(r.contains("ops incorporated:   2"), "{r}");
+            assert_eq!(dir_bytes(&ckpt), before, "{argv:?}");
+        }
+        // The journal's options configure appends recover never makes, so
+        // it refuses them like any option it does not read.
+        for (name, value) in [
+            ("--checkpoint-every", "1"),
+            ("--retain", "1"),
+            ("--durability", "fsync"),
+        ] {
+            let err = run(&parsed(&[
+                "recover", "--topo", &topo, "--dir", &ckpt, name, value,
+            ]))
+            .unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("takes no argument: `{name}`")),
+                "{err}"
+            );
+        }
+        assert_eq!(dir_bytes(&ckpt), before);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recover_dir_refuses_a_snapshot_or_log_it_would_ignore() {
+        let (dir, [topo, _, snap, log, ckpt]) = saved_loop("recover-dir-mode");
+        for (name, value) in [("--snapshot", &snap), ("--log", &log)] {
+            let err = run(&parsed(&[
+                "recover", "--topo", &topo, "--dir", &ckpt, name, value,
+            ]))
+            .unwrap_err();
+            let expect = format!("`deltanet recover --dir` takes no argument: `{name}`");
+            assert!(err.to_string().contains(&expect), "{err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn snapshot_at_refuses_a_trace_or_monitor_it_would_ignore() {
+        let (dir, [topo, trace, _, log, _]) = saved_loop("snapshot-at-mode");
+        let at = ["snapshot", "--topo", &topo, "--log", &log, "--at", "1"];
+        assert!(run(&parsed(&at)).unwrap().contains("violations after op 1"));
+        for extra in [&["--trace", &trace][..], &["--monitor"]] {
+            let mut argv = at.to_vec();
+            argv.extend_from_slice(extra);
+            let err = run(&parsed(&argv)).unwrap_err();
+            let expect = format!("`deltanet snapshot --at` takes no argument: `{}`", extra[0]);
+            assert!(err.to_string().contains(&expect), "{err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn client_refuses_batch_and_trace_without_topo() {
+        // Refused before the port file is read or a socket opened: a
+        // connect to port 1 would fail with another error, and so would
+        // reading a port file that does not exist.
+        let dir = temp_dir("client-no-topo");
+        let missing = dir.join("no-port.txt").to_str().unwrap().to_string();
+        for target in [["--addr", "127.0.0.1:1"], ["--port-file", &missing]] {
+            for (name, value) in [("--batch", "8"), ("--trace", "ops.trace")] {
+                let mut argv = vec!["client", "--stats"];
+                argv.extend_from_slice(&target);
+                argv.extend_from_slice(&[name, value]);
+                let err = run(&parsed(&argv)).unwrap_err();
+                let expect =
+                    format!("`deltanet client without --topo` takes no argument: `{name}`");
+                assert!(err.to_string().contains(&expect), "{argv:?}: {err}");
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

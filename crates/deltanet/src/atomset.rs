@@ -4,7 +4,7 @@
 //! as customized dynamic bitsets, stored as aligned, dynamically allocated,
 //! contiguous memory." [`AtomSet`] is that data structure: a growable bitset
 //! indexed by [`AtomId`], with the set algebra (union, intersection,
-//! difference) needed by Algorithm 3 and the query layer.
+//! difference) needed by Algorithm 3 and the what-if query.
 
 use crate::atoms::AtomId;
 use std::fmt;

@@ -55,9 +55,9 @@
 //!   (§6: the main loops over atoms are highly parallelizable), sized by
 //!   its [`Parallelism`] worker count; one op is a one-op window through
 //!   its one validate → route → merge path.
-//! * [`reachability`] — Algorithm 3: all-pairs reachability of all atoms.
-//! * [`query`] — flow queries (which packets can reach B from A) and
-//!   "what if" link-failure analysis (§4.3.2).
+//! * [`reachability`] — Algorithm 3: which packets can reach B from A. The
+//!   §3.3 flow API, the atoms on one link, is [`DeltaNet::label`]; what-if
+//!   (§4.3.2) is [`DeltaNet::link_failure_impact`].
 //!
 //! `Checker` has two write methods: `try_apply` for one op and
 //! `apply_window` for a window, whose applied-prefix contract is stated
@@ -103,7 +103,6 @@ pub mod monitor;
 pub mod multifield;
 pub mod owner;
 pub mod persist;
-pub mod query;
 pub mod reachability;
 pub mod session;
 pub mod shard;

@@ -106,6 +106,7 @@ impl ReachabilityMatrix {
 mod tests {
     use super::*;
     use crate::engine::DeltaNetConfig;
+    use netmodel::header::SecondaryMatch;
     use netmodel::ip::IpPrefix;
     use netmodel::rule::{Rule, RuleId};
     use netmodel::topology::Topology;
@@ -205,5 +206,89 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Diamond: s0 -> s1 -> s3 for 10.0.0.0/9, s0 -> s2 -> s3 for the other
+    /// half 10.128.0.0/9, plus a drop rule at s1 for a /16 slice.
+    fn diamond() -> (DeltaNet, Vec<NodeId>) {
+        let mut topo = Topology::new();
+        let n = topo.add_nodes("s", 4);
+        let l01 = topo.add_link(n[0], n[1]);
+        let l02 = topo.add_link(n[0], n[2]);
+        let l13 = topo.add_link(n[1], n[3]);
+        let l23 = topo.add_link(n[2], n[3]);
+        let d1 = topo.drop_link(n[1]);
+        let mut net = DeltaNet::new(topo, DeltaNetConfig::default());
+        net.insert_rule(Rule::forward(RuleId(1), prefix("10.0.0.0/9"), 1, n[0], l01));
+        net.insert_rule(Rule::forward(
+            RuleId(2),
+            prefix("10.128.0.0/9"),
+            1,
+            n[0],
+            l02,
+        ));
+        net.insert_rule(Rule::forward(RuleId(3), prefix("10.0.0.0/8"), 1, n[1], l13));
+        net.insert_rule(Rule::forward(RuleId(4), prefix("10.0.0.0/8"), 1, n[2], l23));
+        net.insert_rule(Rule::drop(RuleId(5), prefix("10.5.0.0/16"), 9, n[1], d1));
+        (net, n)
+    }
+
+    #[test]
+    fn diamond_labels_carry_each_branch_prefix() {
+        // The constant-time flow API of §3.3: a link's label, rendered.
+        let (net, n) = diamond();
+        let on = |a: NodeId, b: NodeId| {
+            let link = net.topology().link_between(a, b).unwrap();
+            net.atoms().packets_of(net.label(link))
+        };
+        assert_eq!(on(n[0], n[1]), vec![prefix("10.0.0.0/9").interval()]);
+        assert_eq!(on(n[0], n[2]), vec![prefix("10.128.0.0/9").interval()]);
+    }
+
+    #[test]
+    fn diamond_carries_both_branches_but_the_dropped_slice() {
+        let (net, n) = diamond();
+        let m = ReachabilityMatrix::compute(&net).unwrap();
+        // Everything in 10.0.0.0/8 except the dropped /16 reaches s3, half
+        // of it through each branch.
+        let to_s3 = m.reachable_packets(&net, n[0], n[3]);
+        let total: u128 = to_s3.iter().map(|iv| iv.len()).sum();
+        assert_eq!(total, (1u128 << 24) - (1u128 << 16));
+        assert!(n[1..].iter().all(|&x| m.can_reach(n[0], x)));
+        // s3 forwards nothing, so no packet flows back from it.
+        assert!(n.iter().all(|&x| !m.can_reach(n[3], x)));
+    }
+
+    #[test]
+    fn diamond_dropped_slice_does_not_reach_s3() {
+        let (net, n) = diamond();
+        let m = ReachabilityMatrix::compute(&net).unwrap();
+        let dropped = prefix("10.5.0.0/16").interval();
+        let to_s3 = m.reachable_packets(&net, n[0], n[3]);
+        assert!(to_s3.iter().all(|iv| !iv.overlaps(&dropped)));
+        let to_s1 = m.reachable_packets(&net, n[0], n[1]);
+        assert!(to_s1.iter().any(|iv| iv.contains_interval(&dropped)));
+    }
+
+    #[test]
+    fn a_multifield_engine_is_refused() {
+        // s0 sends sources [0, 8) to s1, and s1 sends only sources [8, 16)
+        // on to s2: no packet reaches s2 from s0. The labels are a
+        // primary-field projection and chain s0 -> s1 -> s2 anyway.
+        let mut topo = Topology::new();
+        let n = topo.add_nodes("s", 3);
+        let l01 = topo.add_link(n[0], n[1]);
+        let l12 = topo.add_link(n[1], n[2]);
+        let all = IpPrefix::new(0, 0, 8);
+        let sources = |lo, hi| SecondaryMatch::new(&[Interval::new(lo, hi)]);
+        let config = DeltaNetConfig {
+            field_width: 8,
+            ..DeltaNetConfig::default()
+        };
+        let mut net = DeltaNet::new(topo, config.with_secondary(&[8]));
+        net.insert_rule(Rule::forward(RuleId(1), all, 1, n[0], l01).with_secondary(sources(0, 8)));
+        net.insert_rule(Rule::forward(RuleId(2), all, 1, n[1], l12).with_secondary(sources(8, 16)));
+        assert!(!net.label(l01).is_empty() && !net.label(l12).is_empty());
+        assert!(ReachabilityMatrix::compute(&net).is_none());
     }
 }

@@ -50,14 +50,18 @@ fn main() {
         );
     }
 
-    // 4. Ask the persistent flow API what travels on each link.
-    let q = deltanet::query::FlowQuery::new(&net).expect("a single-field engine");
+    // 4. Ask the persistent edge labels what travels on each link, and
+    //    Algorithm 3 which packets can reach s4 from s1.
     for (name, link) in [("s1->s2", l12), ("s2->s3", l23), ("s1->s4", l14)] {
-        println!("packets on {name}: {:?}", q.packets_on_link(link));
+        println!(
+            "packets on {name}: {:?}",
+            net.atoms().packets_of(net.label(link))
+        );
     }
+    let reach = ReachabilityMatrix::compute(&net).expect("a single-field engine");
     println!(
         "packets that can reach s4 from s1: {:?}",
-        q.packets_from_to(s1, s4).packets
+        reach.reachable_packets(&net, s1, s4)
     );
 
     // 5. Introduce a bad rule: s4 sends 10.64.0.0/10 back to s1 — a loop.

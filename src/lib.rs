@@ -6,7 +6,7 @@
 //! downstream users can depend on a single crate:
 //!
 //! * [`deltanet`] — the Delta-net engine (atoms, edge labels, Algorithms
-//!   1–3, queries, live violation monitoring).
+//!   1–3, what-if, live violation monitoring).
 //! * [`veriflow_ri`] — the Veriflow-RI baseline checker.
 //! * [`netmodel`] — prefixes, intervals, topologies, rules, traces, and the
 //!   shared [`netmodel::Checker`] trait.
