@@ -543,7 +543,7 @@ pub fn replay(args: &ParsedArgs) -> Result<String, CommandError> {
                     let snap = Snapshot::read_from(Path::new(snap_path))?;
                     baseline_ops = snap.ops_applied();
                     let mut net = snap.restore(&topo)?;
-                    if monitor && net.monitor_keys().is_some() {
+                    if monitor && net.last_events().is_some() {
                         return Err(CommandError::Other(
                             "--monitor is redundant with this snapshot: its config already \
                              enables monitoring, which continues (and is reported) \
@@ -555,7 +555,7 @@ pub fn replay(args: &ParsedArgs) -> Result<String, CommandError> {
                         net.enable_monitor();
                     }
                     // A monitored snapshot keeps monitoring: report it.
-                    monitor = monitor || net.monitor_keys().is_some();
+                    monitor = monitor || net.last_events().is_some();
                     net
                 }
                 None => {

@@ -113,7 +113,7 @@ pub use delta_graph::DeltaGraph;
 pub use engine::{CompactReport, DeltaNet, DeltaNetConfig};
 pub use fault::{FaultPlan, FaultyBackend, FsBackend, StorageBackend};
 pub use labels::Labels;
-pub use monitor::{MonitorTransitions, TransitionTracker, ViolationKey, ViolationMonitor};
+pub use monitor::{MonitorTransitions, ViolationKey, ViolationMonitor};
 pub use persist::{
     CheckpointConfig, DeltaLog, Durability, Journal, PersistError, PersistNet, RecoveryPolicy,
     RecoveryReport, Snapshot,

@@ -126,7 +126,7 @@ use crate::labels::Labels;
 use crate::loops::{self, CycleMap, WalkScratch};
 use netmodel::checker::InvariantViolation;
 use netmodel::topology::{NodeId, Topology};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// The identity of a tracked violation: what stays stable while the set of
@@ -159,10 +159,11 @@ impl fmt::Display for ViolationKey {
 
 /// The violation-identity transitions of one update or batch window:
 /// everything that appeared and everything that resolved, each in ascending
-/// [`ViolationKey`] order. This is the payload pushed to observers
-/// registered with [`crate::ShardedDeltaNet::set_monitor_observer`] — the
-/// same diff `deltanet replay --monitor` prints, so a subscriber stream and
-/// an offline replay of the same ops are comparable event for event.
+/// [`ViolationKey`] order: what a repair records
+/// ([`ViolationMonitor::last_events`], folded across shards by
+/// [`crate::ShardedDeltaNet::last_events`]). The daemon pushes them and
+/// `deltanet replay --monitor` prints them, so a subscriber stream and an
+/// offline replay of the same ops are comparable event for event.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MonitorTransitions {
     /// Violations newly present after the update, sorted.
@@ -183,7 +184,7 @@ impl MonitorTransitions {
     }
 
     /// Empties both lists, keeping their capacity.
-    fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.appeared.clear();
         self.resolved.clear();
     }
@@ -208,37 +209,6 @@ fn fold_keys(into: &mut Vec<ViolationKey>, undo: &mut Vec<ViolationKey>, keys: V
         } else if let Err(at) = into.binary_search(&key) {
             into.insert(at, key);
         }
-    }
-}
-
-/// Diffs successive active-violation identity sets into
-/// [`MonitorTransitions`]. This is the push-side twin of polling
-/// [`ViolationMonitor::last_events`]: feed it the merged key set after each
-/// update (or batch window) and it yields exactly the identities that
-/// appeared and resolved since the previous observation — deterministic
-/// regardless of how many shards produced the keys or in which order the
-/// shards applied their groups.
-#[derive(Clone, Debug, Default)]
-pub struct TransitionTracker {
-    prev: BTreeSet<ViolationKey>,
-}
-
-impl TransitionTracker {
-    /// A tracker whose baseline is `current` — use when attaching to an
-    /// engine that already has active violations, so the attach itself does
-    /// not masquerade as a wave of `appeared` events.
-    pub fn starting_from(current: BTreeSet<ViolationKey>) -> Self {
-        TransitionTracker { prev: current }
-    }
-
-    /// Diffs `now` against the previous observation and advances to it.
-    pub fn observe(&mut self, now: BTreeSet<ViolationKey>) -> MonitorTransitions {
-        let transitions = MonitorTransitions {
-            appeared: now.difference(&self.prev).cloned().collect(),
-            resolved: self.prev.difference(&now).cloned().collect(),
-        };
-        self.prev = now;
-        transitions
     }
 }
 
@@ -556,6 +526,14 @@ impl ViolationMonitor {
     /// Whether no violation is currently active.
     pub fn is_clean(&self) -> bool {
         self.loops.is_empty() && self.holes.is_empty()
+    }
+
+    /// Whether `key` is active: one probe of the loop or blackhole map.
+    pub(crate) fn holds(&self, key: &ViolationKey) -> bool {
+        match key {
+            ViolationKey::Loop(cycle) => self.loops.contains_key(cycle),
+            ViolationKey::Blackhole(node) => self.holes.contains_key(node),
+        }
     }
 
     /// The appeared/resolved transitions of the engine's last window that
@@ -970,8 +948,7 @@ mod tests {
             // 3. Transitions at the violation-identity level.
             let before = loops_before.into_iter().map(ViolationKey::Loop);
             let before = before.chain(holes_before.into_iter().map(ViolationKey::Blackhole));
-            self.events = TransitionTracker::starting_from(before.collect())
-                .observe(self.active_keys().into_iter().collect());
+            self.events = diff(&before.collect(), &self.active_keys().into_iter().collect());
         }
     }
 
@@ -1143,16 +1120,24 @@ mod tests {
         net.fresh_monitor().active_keys().into_iter().collect()
     }
 
+    /// The transitions from the identities `before` to those `after`.
+    fn diff(before: &BTreeSet<ViolationKey>, after: &BTreeSet<ViolationKey>) -> MonitorTransitions {
+        MonitorTransitions {
+            appeared: after.difference(before).cloned().collect(),
+            resolved: before.difference(after).cloned().collect(),
+        }
+    }
+
     /// Applies `ops` as one window of `net`, which takes them all, and
     /// asserts the live state equals the full scans after it and the
     /// window's events are the diff of the scans around it; returns them.
     fn window(net: &mut DeltaNet, ops: &[Op]) -> MonitorTransitions {
-        let mut scans = TransitionTracker::starting_from(scan_keys(net));
+        let scanned = scan_keys(net);
         let (reports, failure) = net.apply_window(ops);
         assert_eq!((reports.len(), failure), (ops.len(), None));
         assert_eq!(net.active_violations().unwrap(), full_scan(net));
         let events = net.monitor().unwrap().last_events().clone();
-        assert_eq!(events, scans.observe(scan_keys(net)));
+        assert_eq!(events, diff(&scanned, &scan_keys(net)));
         events
     }
 
@@ -1436,7 +1421,7 @@ mod tests {
         let mut reference = net.monitor().unwrap().clone();
         let before = net.labels().clone();
         let atoms_before: AtomSet = net.atoms().iter().map(|(atom, _)| atom).collect();
-        let mut scans = TransitionTracker::starting_from(scan_keys(net));
+        let scanned = scan_keys(net);
         let passes = net.compactions();
         let (reports, failure) = net.apply_window(ops);
         assert_eq!((reports.len(), failure), (ops.len(), None), "{at}");
@@ -1447,7 +1432,7 @@ mod tests {
             "{at}"
         );
         let events = monitor.last_events();
-        assert_eq!(events, &scans.observe(scan_keys(net)), "{at}");
+        assert_eq!(events, &diff(&scanned, &scan_keys(net)), "{at}");
         let compared = net.compactions() == passes;
         if compared {
             let delta = label_diff(net, &before, &atoms_before);

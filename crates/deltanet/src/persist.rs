@@ -77,7 +77,7 @@
 
 use crate::engine::{DeltaNet, DeltaNetConfig};
 use crate::fault::{FsBackend, StorageBackend};
-use crate::monitor::ViolationKey;
+use crate::monitor::{MonitorTransitions, ViolationKey, ViolationMonitor};
 use crate::shard::{even_boundaries, ShardedDeltaNet};
 use netmodel::checker::{Checker, InvariantViolation};
 use netmodel::header::{SecondaryMatch, MAX_SECONDARY_FIELDS, MAX_SECONDARY_WIDTH};
@@ -859,6 +859,15 @@ impl PersistNet {
         match self {
             PersistNet::Single(n) => n.monitor().map(|m| m.active_keys().into_iter().collect()),
             PersistNet::Sharded(n) => n.monitor_keys(),
+        }
+    }
+
+    /// The events of the last window that applied an op (on shards,
+    /// [`ShardedDeltaNet::last_events`]); `None` when monitoring is off.
+    pub fn last_events(&self) -> Option<&MonitorTransitions> {
+        match self {
+            PersistNet::Single(n) => n.monitor().map(ViolationMonitor::last_events),
+            PersistNet::Sharded(n) => n.last_events(),
         }
     }
 
@@ -1972,7 +1981,7 @@ pub fn violations_at(
             0,
         ),
     };
-    if net.monitor_keys().is_none() {
+    if net.last_events().is_none() {
         net.enable_monitor();
     }
     replay_ops(&mut net, &mut position, 0, log, upto)?;
@@ -1992,7 +2001,7 @@ pub fn violations_at_dir(
 ) -> Result<Vec<InvariantViolation>, PersistError> {
     let (snaps, segments) = list_artifacts(backend, dir)?;
     let (baseline, mut net, _) = newest_usable_snapshot(backend, dir, &snaps, topology, op_n)?;
-    if net.monitor_keys().is_none() {
+    if net.last_events().is_none() {
         net.enable_monitor();
     }
     if op_n > baseline {

@@ -3,10 +3,12 @@
 //! its `Checker::apply_window` (the applied-prefix contract is stated
 //! there), the [`Journal`] beside it records exactly what applied (nothing
 //! else calls [`Journal::record`]), and the violation transitions are
-//! taken on demand: one engine's window events, folded since the last ask.
+//! taken on demand: the engine's window events
+//! ([`PersistNet::last_events`], on shards the fold of their repairs'),
+//! folded since the last ask.
 
 use crate::fault::StorageBackend;
-use crate::monitor::{MonitorTransitions, TransitionTracker};
+use crate::monitor::MonitorTransitions;
 use crate::persist::{Durability, Journal, PersistError, PersistNet, Snapshot};
 use netmodel::checker::{ReplayError, UpdateReport};
 use netmodel::trace::Op;
@@ -17,11 +19,8 @@ use std::path::Path;
 pub struct Session {
     net: PersistNet,
     journal: Option<Journal>,
-    /// One monitored engine's window events, folded since the last call.
+    /// The engine's window events, folded since the last call.
     pending: MonitorTransitions,
-    /// Monitored shards, two of which can hold the same loop: the merged
-    /// violation set of the last call, diffed.
-    tracker: Option<TransitionTracker>,
     ops_applied: u64,
 }
 
@@ -31,17 +30,12 @@ pub struct Session {
 pub type LoggedNet = Session;
 
 impl Session {
-    /// A session over `net`. The transition baseline is the engine's
-    /// violation set now (a restored engine's standing violations do not
-    /// "appear"); the op position is the journal's, or 0 without one.
+    /// A session over `net`. Transitions start from the engine's violation
+    /// set now (a restored engine's standing violations do not "appear");
+    /// the op position is the journal's, or 0 without one.
     pub fn new(net: PersistNet, journal: Option<Journal>) -> Session {
-        let tracker = match &net {
-            PersistNet::Single(_) => None,
-            PersistNet::Sharded(net) => net.monitor_keys().map(TransitionTracker::starting_from),
-        };
         Session {
             pending: MonitorTransitions::default(),
-            tracker,
             ops_applied: journal.as_ref().map_or(0, Journal::ops_applied),
             net,
             journal,
@@ -63,14 +57,12 @@ impl Session {
     /// Applies one window ([`PersistNet::checker_mut`]'s `apply_window`)
     /// and journals the ops that applied: one report per applied op, also
     /// when the window failed. A journal I/O failure is deferred to
-    /// [`Session::close`]. One engine's window events, if it applied an op,
-    /// fold into those pending for [`Session::transitions`].
+    /// [`Session::close`]. The window's events, if it applied an op, fold
+    /// into those pending for [`Session::transitions`].
     pub fn apply(&mut self, ops: &[Op]) -> (Vec<UpdateReport>, Option<ReplayError>) {
         let (reports, failure) = self.net.checker_mut().apply_window(ops);
-        if let (PersistNet::Single(net), false) = (&self.net, reports.is_empty()) {
-            if let Some(monitor) = net.monitor() {
-                self.pending.absorb(monitor.last_events().clone());
-            }
+        if let (Some(events), false) = (self.net.last_events(), reports.is_empty()) {
+            self.pending.absorb(events.clone());
         }
         let applied = &ops[..reports.len()];
         self.ops_applied += applied.len() as u64;
@@ -90,13 +82,11 @@ impl Session {
     }
 
     /// The violation identities that appeared and resolved since the last
-    /// call (or construction); empty when the engine is not monitored. On
-    /// one engine, its windows' events, folded; on shards, a set diff.
+    /// call (or construction): the engine's window events, folded; empty
+    /// when it is not monitored. Costs what the events hold, not what the
+    /// engine's active violations do.
     pub fn transitions(&mut self) -> MonitorTransitions {
-        match &mut self.tracker {
-            Some(tracker) => tracker.observe(self.net.monitor_keys().expect("monitored shards")),
-            None => std::mem::take(&mut self.pending),
-        }
+        std::mem::take(&mut self.pending)
     }
 
     /// The engine.

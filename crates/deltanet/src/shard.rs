@@ -37,7 +37,7 @@
 //! equality and the exact boundary accounting.
 
 use crate::engine::{CompactReport, DeltaNet, DeltaNetConfig};
-use crate::monitor::{MonitorTransitions, TransitionTracker};
+use crate::monitor::{MonitorTransitions, ViolationKey};
 use netmodel::checker::{
     Checker, InvariantViolation, ReplayError, UpdateError, UpdateReport, WhatIfReport,
 };
@@ -139,24 +139,20 @@ pub struct ShardedDeltaNet {
     /// need the full (unclipped) intervals of every installed rule.
     rules: HashMap<RuleId, Rule>,
     parallelism: Parallelism,
-    /// The monitor-event observer, if one is attached (see
-    /// [`ShardedDeltaNet::set_monitor_observer`]): the merged-key tracker
-    /// plus the callback it drives. Runtime wiring, not engine state — it
-    /// does not survive [`Clone`] or persistence.
-    observer: Option<MonitorObserver>,
+    /// The folded events of the last window that applied an op.
+    events: MonitorTransitions,
+    /// The monitor-event callback, if one is attached (see
+    /// [`ShardedDeltaNet::set_monitor_observer`]). Runtime wiring, not
+    /// engine state — it does not survive [`Clone`] or persistence.
+    observer: Option<Observer>,
     /// The helper threads of [`Checker::apply_window`], spawned on
     /// the first window that needs them. Runtime wiring like `observer`:
     /// not cloned, not persisted, dropped by `set_parallelism`.
     pool: Option<ShardWorkers>,
 }
 
-/// The push-side monitor seam: a [`TransitionTracker`] over the merged
-/// shard keys plus the registered callback.
-struct MonitorObserver {
-    tracker: TransitionTracker,
-    callback: Box<dyn FnMut(&MonitorTransitions) + Send>,
-}
-
+/// A monitor-event callback ([`ShardedDeltaNet::set_monitor_observer`]).
+type Observer = Box<dyn FnMut(&MonitorTransitions) + Send>;
 /// A chunk of shards on its way to a helper — the engines, moved by value,
 /// and their routed groups.
 type Job = (Vec<DeltaNet>, Vec<Vec<(usize, Op)>>);
@@ -224,6 +220,7 @@ impl Clone for ShardedDeltaNet {
             shards: self.shards.clone(),
             rules: self.rules.clone(),
             parallelism: self.parallelism,
+            events: self.events.clone(),
             observer: None,
             pool: None,
         }
@@ -238,6 +235,7 @@ impl std::fmt::Debug for ShardedDeltaNet {
             .field("shards", &self.shards)
             .field("rules", &self.rules)
             .field("parallelism", &self.parallelism)
+            .field("events", &self.events)
             .field("observer", &self.observer.is_some())
             .field("pool", &self.pool.is_some())
             .finish()
@@ -281,6 +279,7 @@ impl ShardedDeltaNet {
             shards,
             rules: HashMap::new(),
             parallelism,
+            events: MonitorTransitions::default(),
             observer: None,
             pool: None,
         }
@@ -300,60 +299,71 @@ impl ShardedDeltaNet {
         for shard in &mut self.shards {
             shard.enable_monitor();
         }
+        self.events.clear();
     }
 
-    /// Registers a monitor-event observer: after every window — one
-    /// [`Checker::apply_window`] or a one-op [`Checker::try_apply`],
-    /// including the applied prefix of a window that fails mid-batch — the
-    /// callback receives the
-    /// [`MonitorTransitions`] diff of the merged violation identities, the
-    /// push-side equivalent of polling [`ShardedDeltaNet::monitor_keys`].
-    /// The callback only fires when at least one identity changed; it runs
-    /// on the thread applying the update, after all shard groups have
-    /// joined, so it must be cheap and must never block on the consumers it
-    /// feeds (hand off to a queue instead).
-    ///
-    /// The tracker baseline is the *current* violation set, so attaching to
-    /// a dirty engine does not replay the existing violations as `appeared`
-    /// events. At most one observer is attached; a second call replaces the
-    /// first. Returns `false` (and registers nothing) when monitoring is off
-    /// (see [`ShardedDeltaNet::enable_monitor`]).
-    ///
-    /// The daemon and the CLI read [`crate::Session::transitions`] instead;
-    /// this seam is kept for the benchmark and as `service_differential.rs`'s
-    /// independent oracle.
+    /// Registers a monitor-event observer, called with the window's
+    /// [`ShardedDeltaNet::last_events`] after every window that applies an
+    /// op (also the applied prefix of a failed one) when they are not
+    /// empty. It runs on the thread applying the window, after all shard
+    /// groups have joined, so it must be cheap and never block (hand off to
+    /// a queue instead). Attaching to a dirty engine replays nothing. A
+    /// second call replaces the first; `false` (and nothing registered)
+    /// when monitoring is off. The daemon and the CLI read
+    /// [`crate::Session::transitions`], which folds the same events; this
+    /// seam is kept for the benchmark.
     pub fn set_monitor_observer(
         &mut self,
         callback: impl FnMut(&MonitorTransitions) + Send + 'static,
     ) -> bool {
-        let Some(keys) = self.monitor_keys() else {
+        if self.last_events().is_none() {
             return false;
-        };
-        self.observer = Some(MonitorObserver {
-            tracker: TransitionTracker::starting_from(keys),
-            callback: Box::new(callback),
-        });
+        }
+        self.observer = Some(Box::new(callback));
         true
     }
 
-    /// Diffs the merged violation identities against the observer's last
-    /// observation and fires the callback when anything changed. Called at
-    /// the end of every window (including the applied prefix of a failed
-    /// one); a no-op without an observer or with monitoring off.
-    fn notify_observer(&mut self) {
-        if self.observer.is_none() {
-            return;
+    /// The appeared/resolved transitions of the engine's last window that
+    /// applied an op, with [`crate::ViolationMonitor::last_events`]'s
+    /// contract (the diff of the merged full scans around it); `None` when
+    /// monitoring is off. Folded at the window's close from the busy
+    /// shards' events — those whose routed group was non-empty; an idle
+    /// shard's are older: a key appeared iff no shard held it before the
+    /// window and some shard holds it after, and resolved iff the reverse.
+    /// A shard's membership changed only for the keys in its own events, so
+    /// the fold costs O(events · shards) map probes, not O(active keys).
+    pub fn last_events(&self) -> Option<&MonitorTransitions> {
+        self.shards[0].monitor().map(|_| &self.events)
+    }
+
+    /// Folds the `busy` shards' events ([`ShardedDeltaNet::last_events`]).
+    fn fold_events(&mut self, busy: &[bool]) {
+        let (shards, events) = (&self.shards, &mut self.events);
+        let monitors = || shards.iter().filter_map(DeltaNet::monitor).zip(busy);
+        events.clear();
+        for (monitor, _) in monitors().filter(|(_, &busy)| busy) {
+            let window = monitor.last_events();
+            for key in window.appeared.iter().chain(&window.resolved) {
+                let before = monitors().any(|(m, &busy)| {
+                    let window = m.last_events();
+                    match busy {
+                        true if window.appeared.binary_search(key).is_ok() => false,
+                        true if window.resolved.binary_search(key).is_ok() => true,
+                        _ => m.holds(key),
+                    }
+                });
+                match (before, monitors().any(|(m, _)| m.holds(key))) {
+                    (false, true) => events.appeared.push(key.clone()),
+                    (true, false) => events.resolved.push(key.clone()),
+                    _ => {}
+                }
+            }
         }
-        let Some(keys) = self.monitor_keys() else {
-            return;
-        };
-        // Taken out so the diff cannot alias a re-entrant engine borrow.
-        let mut observer = self.observer.take().expect("checked above");
-        let transitions = observer.tracker.observe(keys);
-        if !transitions.is_empty() {
-            (observer.callback)(&transitions);
+        // Shards that share a key each name it, with one verdict.
+        for keys in [&mut events.appeared, &mut events.resolved] {
+            keys.sort_unstable();
+            keys.dedup();
         }
-        self.observer = Some(observer);
     }
 
     /// The topology this checker verifies.
@@ -558,10 +568,10 @@ impl ShardedDeltaNet {
     }
 
     /// The identities of the currently active violations, merged across
-    /// shards (sorted, deduplicated). Cheap — no packet rendering; a
-    /// [`crate::Session`]'s transitions diff this per window. `None` when
-    /// monitoring is off.
-    pub fn monitor_keys(&self) -> Option<BTreeSet<crate::monitor::ViolationKey>> {
+    /// shards (sorted, deduplicated). No packet rendering, but a walk of
+    /// every active violation: the CLI's loop and blackhole counts and the
+    /// daemon's `stats` read it. `None` when monitoring is off.
+    pub fn monitor_keys(&self) -> Option<BTreeSet<ViolationKey>> {
         let mut keys = BTreeSet::new();
         for shard in &self.shards {
             keys.extend(shard.monitor()?.active_keys());
@@ -826,18 +836,25 @@ impl Checker for ShardedDeltaNet {
             }
         }
 
-        let busy = routed.iter().filter(|r| !r.is_empty()).count();
-        let workers = self.parallelism.for_items(busy);
+        let busy: Vec<bool> = routed.iter().map(|group| !group.is_empty()).collect();
+        let groups = busy.iter().filter(|&&busy| busy).count();
+        let workers = self.parallelism.for_items(groups);
         let partials = if workers <= 1 {
             apply_chunk(&mut self.shards, &routed)
         } else {
             self.apply_on_workers(routed, workers)
         };
 
-        // One observation per window — transitions are at batch granularity
-        // (per-op order inside a window is not observable), and a mid-batch
-        // failure still reports the transitions of its applied prefix.
-        self.notify_observer();
+        // One fold per window that applied an op — transitions are at batch
+        // granularity (per-op order inside a window is not observable), and
+        // a mid-batch failure still reports the transitions of its applied
+        // prefix.
+        if !meta.is_empty() {
+            self.fold_events(&busy);
+            if let (Some(callback), false) = (&mut self.observer, self.events.is_empty()) {
+                callback(&self.events);
+            }
+        }
         let mut parts: Vec<Vec<UpdateReport>> = (0..meta.len()).map(|_| Vec::new()).collect();
         for (index, report) in partials {
             parts[index].push(report);
@@ -1363,6 +1380,83 @@ mod tests {
                 appeared: vec![ViolationKey::Loop(vec![a, b])],
                 resolved: vec![ViolationKey::Blackhole(b)],
             }]
+        );
+    }
+
+    /// The fold of the busy shards' events: a loop a <-> b and a blackhole
+    /// at c, each held by both of two shards (10/8 and 20/8 in shard 0,
+    /// 200/8 and 210/8 in shard 1; a drops what it has no other rule for).
+    /// A shard dropping both moves no identity while the other still holds
+    /// them, the second one resolves them, and an idle shard's events —
+    /// still those resolutions — never reach a later window.
+    #[test]
+    fn window_events_fold_the_busy_shards_repairs() {
+        use std::sync::{Arc, Mutex};
+        let mut topo = Topology::new();
+        let [a, b, c] = ["a", "b", "c"].map(|name| topo.add_node(name));
+        let (ab, ba) = topo.add_bidi_link(a, b);
+        let ac = topo.add_link(a, c);
+        let drop_a = topo.drop_link(a);
+        let config = DeltaNetConfig {
+            monitor_violations: true,
+            ..DeltaNetConfig::default()
+        };
+        let mut net = ShardedDeltaNet::with_parallelism(topo, config, 2, Parallelism::fixed(2));
+        let seen: Arc<Mutex<Vec<MonitorTransitions>>> = Arc::default();
+        let sink = Arc::clone(&seen);
+        assert!(net.set_monitor_observer(move |t| sink.lock().unwrap().push(t.clone())));
+        // Per shard h: the loop's rules 10 + h (a -> b) and 20 + h (b -> a),
+        // the blackhole's rule 30 + h (a -> c).
+        let held = |h: u64| {
+            let (looped, stranded) = [("10", "20"), ("200", "210")][h as usize];
+            let [looped, stranded] = [looped, stranded].map(|p| prefix(&format!("{p}.0.0.0/8")));
+            [
+                Rule::forward(RuleId(10 + h), looped, 5, a, ab),
+                Rule::forward(RuleId(20 + h), looped, 5, b, ba),
+                Rule::forward(RuleId(30 + h), stranded, 5, a, ac),
+            ]
+        };
+        let (cycle, hole) = (ViolationKey::Loop(vec![a, b]), ViolationKey::Blackhole(c));
+        let both = vec![cycle.clone(), hole.clone()];
+        let window = |net: &mut ShardedDeltaNet, ops: Vec<Op>| {
+            assert_eq!(net.apply_window(&ops).1, None);
+            net.last_events().expect("monitored").clone()
+        };
+        let rest = Rule::drop(RuleId(1), prefix("0.0.0.0/0"), 0, a, drop_a);
+        let mut setup = vec![Op::Insert(rest)];
+        setup.extend(held(0).into_iter().chain(held(1)).map(Op::Insert));
+        assert_eq!(window(&mut net, setup).appeared, both);
+        // Shard 0 drops both: its own repair resolves them, the fold does not.
+        let drop_in = |h: u64| vec![Op::Remove(RuleId(10 + h)), Op::Remove(RuleId(30 + h))];
+        assert!(window(&mut net, drop_in(0)).is_empty());
+        let own = |net: &ShardedDeltaNet, s: usize| {
+            let monitor = net.shards()[s].monitor().expect("monitored");
+            monitor.last_events().clone()
+        };
+        assert_eq!(own(&net, 0).resolved, both);
+        // Shard 1 drops them too: now they resolve.
+        let resolved = MonitorTransitions {
+            appeared: vec![],
+            resolved: both.clone(),
+        };
+        assert_eq!(window(&mut net, drop_in(1)), resolved);
+        // A window on shard 0 alone that moves nothing: shard 1's events
+        // are still the resolutions, and must not count.
+        let quiet = Rule::forward(RuleId(40), prefix("30.0.0.0/8"), 5, b, ba);
+        assert!(window(&mut net, vec![Op::Insert(quiet)]).is_empty());
+        assert_eq!(own(&net, 1), resolved);
+        // Both shards put both back in one window: each appears once.
+        let back = [held(0)[0], held(0)[2], held(1)[0], held(1)[2]].map(Op::Insert);
+        assert_eq!(window(&mut net, back.to_vec()).appeared, both);
+        let appeared = MonitorTransitions {
+            appeared: both.clone(),
+            resolved: vec![],
+        };
+        let fired = vec![appeared.clone(), resolved, appeared];
+        assert_eq!(
+            *seen.lock().unwrap(),
+            fired,
+            "fired on each non-empty window"
         );
     }
 

@@ -10,8 +10,12 @@
 //! atom the probes touch is allocated after the filler and so carries a high
 //! id on the large plane — the case in which a bitset over the atom range,
 //! or a cloned label, would show.
+//!
+//! The daemon's per-window step (a monitored sharded engine's window
+//! through a `Session`, and the transitions it publishes) is pinned the
+//! same way against the number of standing violations.
 
-use deltanet::{DeltaNet, DeltaNetConfig};
+use deltanet::{DeltaNet, DeltaNetConfig, Parallelism, PersistNet, Session, ShardedDeltaNet};
 use netmodel::checker::Checker;
 use netmodel::header::SecondaryMatch;
 use netmodel::interval::Interval;
@@ -501,4 +505,72 @@ fn multifield_repair_and_check_allocate_by_the_update_not_the_plane() {
     }
     assert!(atoms[1] >= 10 * atoms[0] - 100, "atoms: {atoms:?}");
     assert_eq!(moving[0], moving[1], "transition bytes: {atoms:?} atoms");
+}
+
+/// A monitored 2-shard engine in a [`Session`] (the daemon's shape) over a
+/// hub with 1,000 spokes, `holes` of them fed a 10/8 prefix they have no
+/// rule for — one standing blackhole each, all in shard 0 — and the probe:
+/// a prefix of shard 1 forwarded p -> q, where q drops it.
+fn hub_session(holes: u32) -> (Session, Rule) {
+    let mut topo = Topology::new();
+    let hub = topo.add_node("hub");
+    let spokes: Vec<LinkId> = (0..1_000)
+        .map(|i| {
+            let spoke = topo.add_node(format!("n{i}"));
+            topo.add_link(hub, spoke)
+        })
+        .collect();
+    let [p, q] = ["p", "q"].map(|name| topo.add_node(name));
+    let pq = topo.add_link(p, q);
+    let drop_q = topo.drop_link(q);
+    let config = DeltaNetConfig {
+        monitor_violations: true,
+        ..DeltaNetConfig::default()
+    };
+    let mut net = ShardedDeltaNet::with_parallelism(topo, config, 2, Parallelism::fixed(1));
+    let mut ops: Vec<Op> = (0..holes)
+        .map(|i| {
+            let spoke = prefix(&format!("10.{}.{}.0/24", i >> 8, i & 0xff));
+            let link = spokes[i as usize];
+            Op::Insert(Rule::forward(RuleId(u64::from(i) + 1), spoke, 1, hub, link))
+        })
+        .collect();
+    let probed = prefix("198.51.100.0/24");
+    ops.push(Op::Insert(Rule::drop(RuleId(0), probed, 1, q, drop_q)));
+    assert_eq!(net.apply_window(&ops).1, None);
+    let keys = net.monitor_keys().expect("monitoring is on");
+    assert_eq!(keys.len(), holes as usize, "one blackhole per fed spoke");
+    let session = Session::new(PersistNet::Sharded(Box::new(net)), None);
+    (session, Rule::forward(PROBE, probed, 5, p, pq))
+}
+
+#[test]
+fn session_window_transitions_allocate_by_the_window_not_the_violations() {
+    // The daemon's per-window step: `Session::apply` and the transitions it
+    // publishes. A window that moves no identity allocates the same bytes
+    // beside 1 standing blackhole as beside 1,000: the transitions fold the
+    // busy shard's events, and never gather the engine's active keys.
+    let steps = [1, 1_000].map(|holes| {
+        let (mut session, probe) = hub_session(holes);
+        let mut step = || {
+            let installed = session.net().checker().rule_count() > holes as usize + 1;
+            let op = if installed {
+                Op::Remove(probe.id)
+            } else {
+                Op::Insert(probe)
+            };
+            let (bytes, (applied, transitions)) = allocated_bytes(|| {
+                let (reports, failure) = session.apply(&[op]);
+                (
+                    reports.len() == 1 && failure.is_none(),
+                    session.transitions(),
+                )
+            });
+            assert!(applied && transitions.is_empty(), "the probe moves nothing");
+            bytes
+        };
+        // Cold, then warm: the first windows size the repair's scratch.
+        [step(), step(), step(), step()]
+    });
+    assert_eq!(steps[0], steps[1], "window bytes: 1 vs 1,000 blackholes");
 }

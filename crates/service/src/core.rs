@@ -392,7 +392,7 @@ fn open_session(topology: &Topology, config: &ServiceConfig) -> io::Result<Sessi
     };
     // A restored engine starts from the auto worker count.
     sharded.set_parallelism(config.parallelism);
-    if net.monitor_keys().is_none() {
+    if net.last_events().is_none() {
         net.enable_monitor();
     }
     Ok(Session::new(net, journal))

@@ -1,8 +1,8 @@
 //! Differential tests for the verification daemon: the event stream and
 //! final state of a live server over loopback, with interleaved clients,
-//! must be bit-identical to what the offline engine (`replay --monitor`
-//! semantics: a [`ShardedDeltaNet`] plus its monitor observer) computes
-//! over the same ops in the acknowledged order.
+//! must be bit-identical to what an offline [`ShardedDeltaNet`] fed the
+//! same ops in the acknowledged order shows between successive full scans
+//! — an oracle that never reads the monitor's repair.
 //!
 //! The acks' `at` field — the 1-based global count of applied ops — is the
 //! daemon's serialization order, so concurrent clients' interleavings are
@@ -10,9 +10,10 @@
 
 use deltanet::{
     CheckpointConfig, DeltaNetConfig, Durability, MonitorTransitions, Parallelism, ShardedDeltaNet,
-    Snapshot,
+    Snapshot, ViolationKey,
 };
 use netmodel::checker::Checker;
+use netmodel::checker::InvariantViolation;
 use netmodel::ip::IpPrefix;
 use netmodel::rule::{Rule, RuleId};
 use netmodel::topology::{LinkId, NodeId, Topology};
@@ -20,9 +21,9 @@ use netmodel::trace::Op;
 use service::json::{obj, parse, Json};
 use service::proto::{batch_request, op_request, transitions_event, what_if_reply};
 use service::server::{CheckpointSetup, Server, ServiceConfig};
+use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -130,12 +131,8 @@ fn lane_ops(lane: u64, rounds: usize, nodes: &[NodeId], links: &[LinkId]) -> Vec
 }
 
 /// The offline oracle: the same prepared topology (drop links for every
-/// node, as the daemon creates), same engine config, observer attached —
-/// exactly the monitored engine behind `replay --monitor`.
-fn oracle(
-    topo: &Topology,
-    shards: usize,
-) -> (ShardedDeltaNet, Arc<Mutex<Vec<MonitorTransitions>>>) {
+/// node, as the daemon creates) and engine config as the daemon's.
+fn oracle(topo: &Topology, shards: usize) -> ShardedDeltaNet {
     let mut prepared = topo.clone();
     let nodes: Vec<NodeId> = prepared.nodes().collect();
     for node in nodes {
@@ -148,31 +145,45 @@ fn oracle(
     let mut net =
         ShardedDeltaNet::with_parallelism(prepared, config, shards, Parallelism::fixed(1));
     net.enable_monitor();
-    let sink: Arc<Mutex<Vec<MonitorTransitions>>> = Arc::default();
-    let observer_sink = Arc::clone(&sink);
-    net.set_monitor_observer(move |t: &MonitorTransitions| {
-        observer_sink.lock().unwrap().push(t.clone());
-    });
-    (net, sink)
+    net
+}
+
+/// The violation identities a full scan of `net` finds.
+fn scan_keys(net: &ShardedDeltaNet) -> BTreeSet<ViolationKey> {
+    let mut scan = net.check_all_loops();
+    scan.extend(net.check_all_blackholes());
+    scan.iter()
+        .map(|violation| match violation {
+            InvariantViolation::ForwardingLoop { nodes, .. } => ViolationKey::Loop(nodes.clone()),
+            InvariantViolation::Blackhole { node, .. } => ViolationKey::Blackhole(*node),
+        })
+        .collect()
 }
 
 /// Replays `order` (the daemon's acked serialization) per-op through the
-/// oracle and renders the exact event lines a window=1 daemon must emit,
-/// plus the final active-violation count.
+/// oracle and renders the exact event lines a window=1 daemon must emit —
+/// each op's diff of the full scans around it, when not empty — plus the
+/// final violation count.
 fn expected_stream(topo: &Topology, shards: usize, order: &[(u64, Op)]) -> (Vec<String>, usize) {
-    let (mut net, sink) = oracle(topo, shards);
+    let mut net = oracle(topo, shards);
+    let mut before = scan_keys(&net);
     let mut lines = Vec::new();
     let mut seq = 0u64;
     for (at, op) in order {
         net.apply_batch(std::slice::from_ref(op))
             .expect("oracle replays the acked order cleanly");
-        for t in sink.lock().unwrap().drain(..) {
+        let after = scan_keys(&net);
+        let t = MonitorTransitions {
+            appeared: after.difference(&before).cloned().collect(),
+            resolved: before.difference(&after).cloned().collect(),
+        };
+        if !t.is_empty() {
             seq += 1;
             lines.push(transitions_event(seq, *at, *at, &t).render());
         }
+        before = after;
     }
-    let violations = net.active_violations().map_or(0, |v| v.len());
-    (lines, violations)
+    (lines, before.len())
 }
 
 /// Sorts per-client `(at, op)` acks into the daemon's global order and
@@ -611,7 +622,7 @@ fn what_if_and_snapshot_answer_like_the_offline_engine() {
         let reply = client.request(&batch_request(1, &ops, &topo).render());
         assert!(ok(&reply), "{}", reply.render());
 
-        let (mut net, _) = oracle(&topo, ServiceConfig::default().shards);
+        let mut net = oracle(&topo, ServiceConfig::default().shards);
         net.apply_batch(&ops).expect("the oracle applies the batch");
         let reply = client
             .request(r#"{"id": 2, "op": "what_if", "src": 1, "dst": 2, "check_loops": true}"#);

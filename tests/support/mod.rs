@@ -22,8 +22,8 @@ use deltanet::loops::successor;
 use deltanet::persist::{self, encode_record, read_log_with, TornTail};
 use deltanet::{
     CheckpointConfig, CompactReport, DeltaNet, DeltaNetConfig, Durability, FaultPlan,
-    FaultyBackend, Journal, Parallelism, PersistError, PersistNet, RecoveryPolicy, Session,
-    ShardedDeltaNet, Snapshot, TransitionTracker, ViolationKey,
+    FaultyBackend, Journal, MonitorTransitions, Parallelism, PersistError, PersistNet,
+    RecoveryPolicy, Session, ShardedDeltaNet, Snapshot, ViolationKey,
 };
 use netmodel::checker::{Checker, InvariantViolation, ReplayError, UpdateReport};
 use netmodel::fib::{NetworkFib, TraceOutcome};
@@ -166,10 +166,10 @@ pub enum Oracle {
     /// The full scans equal `scan_multifield` over the live rules; checked
     /// after every op, a loop an insert creates must be in its report.
     MultiField,
-    /// The monitor's state equals a fresh full scan; on one engine checked
-    /// after every op or window, of either header shape, its events are the
-    /// diff of successive scans — across every compaction pass, inside the
-    /// window or explicit after it.
+    /// The monitor's state equals a fresh full scan; checked after every op
+    /// or window, on one engine or shards and of either header shape, its
+    /// events are the diff of successive scans — across every compaction
+    /// pass, inside the window or explicit after it.
     Monitor,
     /// Observational equality with a plain engine fed the same ops, which
     /// never compacts on its own: per-update reports, then labels, what-if,
@@ -256,9 +256,9 @@ struct Run<'a> {
     step: usize,
     /// The last op and its report.
     last: Option<(Op, UpdateReport)>,
-    /// For [`Oracle::Monitor`] after every op or window of one engine: the
-    /// scans' keys so far, and whether an op has applied since.
-    events: Option<(TransitionTracker, bool)>,
+    /// For [`Oracle::Monitor`] after every op or window: the last scan's
+    /// keys, and whether an op has applied since.
+    events: Option<(BTreeSet<ViolationKey>, bool)>,
     /// Ops applied at the last [`Oracle::MultiField`] check, and its loops.
     loops_seen: (usize, BTreeMap<Vec<NodeId>, Vec<Interval>>),
     /// Whether atom counts compare exactly: the shape cannot have compacted
@@ -308,7 +308,7 @@ impl<'a> Run<'a> {
             Oracle::Veriflow,
             Oracle::WhatIf,
         ];
-        let events = shape.shards == 0 && oracles.contains(&(Oracle::Monitor, 1));
+        let events = oracles.contains(&(Oracle::Monitor, 1));
         Run {
             case,
             topo,
@@ -329,7 +329,7 @@ impl<'a> Run<'a> {
             applied: 0,
             step: 0,
             last: None,
-            events: events.then(|| (TransitionTracker::default(), false)),
+            events: events.then(|| (BTreeSet::new(), false)),
             loops_seen: (0, BTreeMap::new()),
             aligned: true,
             fresh: 0,
@@ -662,16 +662,16 @@ impl<'a> Run<'a> {
                 let scan = full_scan(net);
                 let active = net.checker().active_violations().expect("monitored");
                 assert_eq!(active, scan, "{at}: monitor diverged from full scans");
-                let PersistNet::Single(single) = net else {
+                let events = net.last_events().expect("monitored").clone();
+                let Some((scanned, due)) = &mut self.events else {
                     return;
                 };
-                let events = single.monitor().expect("monitored").last_events().clone();
-                let Some((tracker, due @ true)) = &mut self.events else {
-                    return;
-                };
-                let expected = tracker.observe(scan.iter().map(key).collect());
-                assert_eq!(events, expected, "{at}: events diverged from scans");
-                *due = false;
+                let now: BTreeSet<ViolationKey> = scan.iter().map(key).collect();
+                if *due {
+                    let expected = diff(scanned, &now);
+                    assert_eq!(events, expected, "{at}: events diverged from scans");
+                }
+                (*scanned, *due) = (now, false);
             }
             Oracle::Single => {
                 let plain = self.plain.as_ref().expect("a plain twin");
@@ -689,9 +689,8 @@ impl<'a> Run<'a> {
                     (c.rule_count(), c.active_violations(), digest)
                 };
                 assert_eq!(state(net), state(twin), "{at}: restored-vs-uninterrupted");
-                if let (true, PersistNet::Single(a), PersistNet::Single(b)) = (fed, net, twin) {
-                    let events = |n: &DeltaNet| n.monitor().map(|m| m.last_events().clone());
-                    let events = (events(a), events(b));
+                if *fed {
+                    let events = (net.last_events(), twin.last_events());
                     assert_eq!(events.0, events.1, "{at}: restored-vs-uninterrupted events");
                 }
             }
@@ -1166,6 +1165,15 @@ pub fn full_scan(net: &PersistNet) -> Vec<InvariantViolation> {
     out
 }
 
+/// The transitions from the identities `before` to those `after`: what a
+/// monitored window's events must be, between the full scans around it.
+fn diff(before: &BTreeSet<ViolationKey>, after: &BTreeSet<ViolationKey>) -> MonitorTransitions {
+    MonitorTransitions {
+        appeared: after.difference(before).cloned().collect(),
+        resolved: before.difference(after).cloned().collect(),
+    }
+}
+
 fn key(violation: &InvariantViolation) -> ViolationKey {
     match violation {
         InvariantViolation::ForwardingLoop { nodes, .. } => ViolationKey::Loop(nodes.clone()),
@@ -1276,7 +1284,7 @@ pub fn assert_rebuilt(
         let applied = fresh.checker_mut().try_apply(&Op::Insert(rule));
         applied.unwrap_or_else(|e| panic!("{at}: the rebuild takes {:?}: {e}", rule.id));
     }
-    if live.monitor_keys().is_some() && fresh.monitor_keys().is_none() {
+    if live.last_events().is_some() && fresh.last_events().is_none() {
         fresh.enable_monitor();
     }
     let (want, got) = (image(&fresh), image(restored));
